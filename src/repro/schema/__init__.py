@@ -28,12 +28,12 @@ from .primary_k import PrimaryKEvaluator
 from .secondary import SecondaryExecutor, semi_join
 from .topk_ops import (
     TopKList,
-    TruncationMonitor,
     add_edge_k,
     fetch_k,
     intersect_k,
     join_k,
     merge_k,
+    merge_shifted_k,
     outerjoin_k,
     sort_roots,
     union_k,
@@ -55,7 +55,6 @@ __all__ = [
     "StoredSecondaryIndex",
     "TEXT_CLASS_LABEL",
     "TopKList",
-    "TruncationMonitor",
     "add_edge_k",
     "build_schema",
     "entry_from_schema_posting",
@@ -63,6 +62,7 @@ __all__ = [
     "intersect_k",
     "join_k",
     "merge_k",
+    "merge_shifted_k",
     "outerjoin_k",
     "semi_join",
     "sort_roots",

@@ -44,6 +44,7 @@ class SchemaEntry:
         label: str,
         pointers: tuple["SchemaEntry", ...] = (),
         has_leaf: bool = False,
+        signature: "Signature | None" = None,
     ) -> None:
         self.pre = pre
         self.bound = bound
@@ -53,7 +54,10 @@ class SchemaEntry:
         self.label = label
         self.pointers = pointers
         self.has_leaf = has_leaf
-        self._signature: "Signature | None" = None
+        # the top-k operators know a new entry's signature when they
+        # build it (they order and deduplicate by it) and pass it in;
+        # fetched entries compute theirs on first use
+        self._signature = signature
 
     # ------------------------------------------------------------------
     # tree-encoding helpers (same as ListEntry)
@@ -97,7 +101,8 @@ class SchemaEntry:
         return f"{self.label}@{self.pre}[{inner}]"
 
     def with_cost(self, embcost: float) -> "SchemaEntry":
-        """A copy of this entry with a different embedding cost."""
+        """A copy of this entry with a different embedding cost (the
+        skeleton, and so the cached signature, is the same)."""
         return SchemaEntry(
             self.pre,
             self.bound,
@@ -107,11 +112,8 @@ class SchemaEntry:
             self.label,
             self.pointers,
             self.has_leaf,
+            self._signature,
         )
-
-    def sort_key(self) -> tuple:
-        """Deterministic within-segment order: cost, then skeleton."""
-        return (self.embcost, self.signature)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

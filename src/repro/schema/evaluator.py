@@ -7,10 +7,12 @@ increased by δ and the loop repeats; executed skeletons are remembered by
 signature, so growing k only executes the newly exposed suffix (the
 paper's prefix-erasure, made robust against tie reordering).
 
-Full retrieval (``n=None``) terminates when a round both truncated
-nothing anywhere (see ``TruncationMonitor``) and returned fewer root
-candidates than k — at that point the executed skeletons are provably the
-whole closure's image in the schema.
+The driver stops growing k when a round's root list is *exact* (nothing
+was discarded anywhere below it, see :mod:`.topk_ops`) and holds no more
+than k second-level queries — at that point the executed skeletons are
+provably the whole closure's image in the schema.  One
+:class:`~repro.schema.primary_k.PrimaryKEvaluator` serves all rounds of a
+call, so a larger k recomputes only the lists the smaller k truncated.
 """
 
 from __future__ import annotations
@@ -262,22 +264,21 @@ class SchemaEvaluator:
             raise EvaluationError(f"delta must be positive, got {delta}")
 
         executor = SecondaryExecutor(self._isec)
-        executed: set = set()
-        found: dict[int, float] = {}
-        emitted = 0
+        # Root-class saturation (an exact early-termination rule): every
+        # result is an instance of a candidate root class (the root label
+        # or one of its renamings).  Results stream in increasing cost
+        # order, so once every such instance has been retrieved, all
+        # remaining second-level queries can only re-deliver known roots
+        # at equal or higher cost — the answer is complete.  This bounds
+        # full retrieval on permissive cost models, whose skeleton
+        # closures are combinatorial while their result sets are not.
+        # The same argument applies per class: a skeleton whose root
+        # class is already fully retrieved needs no execution.
+        run = _BestN(n, max_cost, stats, self._root_instance_counts(expanded.root), executor)
         if resume is not None:
             k = max(1, resume.k)
             delta = max(1, resume.delta)
-            executed = set(resume.executed)
-            found = dict(resume.found)
-            emitted = len(found)
-        # signatures added to ``executed`` whose instances are not yet
-        # fully folded into ``found``; subtracted before a state capture
-        pending: set = set()
-        # True when the answer is provably complete (exhaustion, cost
-        # cutoff, or root-class saturation) — False when the driver
-        # merely stopped at ``n``
-        drained = False
+            run.resume(resume)
 
         # Parallel second-level execution: one pool plus one
         # SecondaryExecutor per worker for the whole evaluation, so each
@@ -291,34 +292,19 @@ class SchemaEvaluator:
         shared_segment = None
         shared_segment_private = False
 
-        # Root-class saturation (an exact early-termination rule): every
-        # result is an instance of a candidate root class (the root label
-        # or one of its renamings).  Results stream in increasing cost
-        # order, so once every such instance has been retrieved, all
-        # remaining second-level queries can only re-deliver known roots
-        # at equal or higher cost — the answer is complete.  This bounds
-        # full retrieval on permissive cost models, whose skeleton
-        # closures are combinatorial while their result sets are not.
-        # The same argument applies per class: a skeleton whose root
-        # class is already fully retrieved needs no execution.
-        instances_per_class = self._root_instance_counts(expanded.root)
-        total_possible = (
-            sum(instances_per_class.values()) if instances_per_class is not None else None
-        )
-        found_per_class: dict[int, int] = {}
-        if resume is not None:
-            found_per_class = dict(resume.found_per_class)
-
         try:
             if resume is not None and resume.exhausted:
-                drained = True
+                run.drained = True
                 return
-            if n is not None and emitted >= n:
+            if n is not None and run.emitted >= n:
                 return
+            # one evaluator for all rounds: its scoped candidates and
+            # exact lists carry over as k grows (they live for this call
+            # only and never enter the captured DriverState)
+            evaluator = PrimaryKEvaluator(self._indexes, k)
             while True:
-                evaluator = PrimaryKEvaluator(self._indexes, k)
                 with _telemetry.timer("schema.topk"):
-                    root_entries = evaluator.evaluate(expanded)
+                    root_entries = evaluator.evaluate(expanded, k)
                     queries = sort_roots(k, root_entries)
                 if stats is not None:
                     stats.rounds += 1
@@ -327,38 +313,26 @@ class SchemaEvaluator:
                 _telemetry.count("schema.rounds")
                 _telemetry.gauge("schema.final_k", k)
                 _telemetry.gauge("schema.skeletons_enumerated", len(queries))
-                fresh = [entry for entry in queries if entry.signature not in executed]
+                fresh = [entry for entry in queries if entry.signature not in run.executed]
                 if jobs > 1 and len(fresh) > 1:
                     # -- parallel round ----------------------------------
                     # The queries in `fresh` are independent; only the
-                    # driver state (executed/found/emitted) is shared, and
-                    # it stays on this thread.  Dispatch the batch, then
-                    # fold results back in the original cost order so the
-                    # emitted sequence matches the serial path exactly.
-                    cutoff = len(fresh)
-                    if max_cost is not None:
-                        for index, entry in enumerate(fresh):
-                            if entry.embcost > max_cost:
-                                # cost order: everything from here on
-                                # exceeds the bound, now and in larger-k
-                                # rounds that merely extend the prefix
-                                cutoff = index
-                                break
+                    # driver state is shared, and it stays on this thread.
+                    # Dispatch the batch, then fold results back in the
+                    # original cost order so the emitted sequence matches
+                    # the serial path exactly.  Saturation is judged at
+                    # round start (the parallel form of the serial
+                    # mid-round check: conservative, never changes
+                    # results — see the docstring).
                     batch = []
-                    for entry in fresh[:cutoff]:
-                        executed.add(entry.signature)
-                        if (
-                            instances_per_class is not None
-                            and found_per_class.get(entry.pre, 0)
-                            >= instances_per_class.get(entry.pre, 0)
-                        ):
-                            # saturated at round start (the parallel form
-                            # of the serial mid-round check: conservative,
-                            # never changes results — see the docstring)
-                            _telemetry.count("schema.saturation_skips")
-                            continue
-                        batch.append(entry)
-                    pending.update(entry.signature for entry in batch)
+                    beyond_bound = False
+                    for entry in fresh:
+                        verdict = run.admit(entry)
+                        if verdict is _BEYOND_BOUND:
+                            beyond_bound = True
+                            break
+                        if verdict is _EXECUTE:
+                            batch.append(entry)
                     if pool is None:
                         if process_requested:
                             setup, shared_segment, shared_segment_private = (
@@ -376,6 +350,7 @@ class SchemaEvaluator:
                             pool = QueryPool(jobs)
                         if not process_pool:
                             workers = [SecondaryExecutor(self._isec) for _ in range(jobs)]
+                            run.executors.extend(workers)
                     if process_pool:
                         # workers run their own SecondaryExecutor over the
                         # shared segment (set up once per worker process);
@@ -397,131 +372,43 @@ class SchemaEvaluator:
                         for j, instances in enumerate(chunk):
                             instances_by_index[i + j * stride] = instances
                     for index, entry in enumerate(batch):
-                        instances = instances_by_index[index]
-                        if stats is not None:
-                            stats.second_level_executed += 1
-                            stats.executed_skeletons.append(entry.format_skeleton())
-                        _telemetry.count("schema.second_level_executed")
-                        if stats is not None:
-                            stats.secondary_fetches = executor.fetch_count + sum(
-                                worker.fetch_count for worker in workers
-                            )
-                            stats.secondary_semijoins = executor.semijoin_count + sum(
-                                worker.semijoin_count for worker in workers
-                            )
-                        if instances:
-                            if stats is not None:
-                                stats.second_level_nonempty += 1
-                            _telemetry.count("schema.second_level_nonempty")
-                        for pre, _ in instances:
-                            if pre not in found:
-                                found[pre] = entry.embcost
-                                found_per_class[entry.pre] = (
-                                    found_per_class.get(entry.pre, 0) + 1
-                                )
-                                emitted += 1
-                                if stats is not None:
-                                    stats.results_found = emitted
-                                _telemetry.gauge("schema.results_found", emitted)
-                                yield SchemaResult(pre, entry.embcost, entry)
-                                if n is not None and emitted >= n:
-                                    return
-                                if total_possible is not None and emitted >= total_possible:
-                                    drained = True
-                                    if stats is not None:
-                                        stats.exhausted = True
-                                    return
-                        pending.discard(entry.signature)
-                    if cutoff < len(fresh):
-                        drained = True
-                        if stats is not None:
-                            stats.exhausted = True
+                        yield from run.fold(entry, instances_by_index[index])
+                        if run.finished:
+                            return
+                    if beyond_bound:
+                        run.drain()
                         return
                 else:
                     for entry in fresh:
-                        if max_cost is not None and entry.embcost > max_cost:
-                            # queries come in cost order: everything from
-                            # here on exceeds the bound, in this round and
-                            # in all larger-k rounds that merely extend
-                            # the prefix
-                            drained = True
-                            if stats is not None:
-                                stats.exhausted = True
+                        verdict = run.admit(entry)
+                        if verdict is _BEYOND_BOUND:
+                            run.drain()
                             return
-                        executed.add(entry.signature)
-                        if (
-                            instances_per_class is not None
-                            and found_per_class.get(entry.pre, 0)
-                            >= instances_per_class.get(entry.pre, 0)
-                        ):
-                            # this root class is saturated: the skeleton
-                            # can only re-deliver known roots at equal or
-                            # higher cost
-                            _telemetry.count("schema.saturation_skips")
-                            continue
-                        pending.add(entry.signature)
-                        if stats is not None:
-                            stats.second_level_executed += 1
-                            stats.executed_skeletons.append(entry.format_skeleton())
-                        _telemetry.count("schema.second_level_executed")
-                        with _telemetry.timer("schema.secondary"):
-                            instances = executor.execute(entry)
-                        if stats is not None:
-                            stats.secondary_fetches = executor.fetch_count
-                            stats.secondary_semijoins = executor.semijoin_count
-                        if instances:
-                            if stats is not None:
-                                stats.second_level_nonempty += 1
-                            _telemetry.count("schema.second_level_nonempty")
-                        for pre, _ in instances:
-                            if pre not in found:
-                                found[pre] = entry.embcost
-                                found_per_class[entry.pre] = (
-                                    found_per_class.get(entry.pre, 0) + 1
-                                )
-                                emitted += 1
-                                if stats is not None:
-                                    stats.results_found = emitted
-                                _telemetry.gauge("schema.results_found", emitted)
-                                yield SchemaResult(pre, entry.embcost, entry)
-                                if n is not None and emitted >= n:
-                                    return
-                                if total_possible is not None and emitted >= total_possible:
-                                    drained = True
-                                    if stats is not None:
-                                        stats.exhausted = True
-                                    return
-                        pending.discard(entry.signature)
-                exhausted = len(queries) < k and not evaluator.monitor.truncated
-                if exhausted:
-                    drained = True
-                    if stats is not None:
-                        stats.exhausted = True
+                        if verdict is _EXECUTE:
+                            with _telemetry.timer("schema.secondary"):
+                                instances = executor.execute(entry)
+                            yield from run.fold(entry, instances)
+                            if run.finished:
+                                return
+                if root_entries.exact and root_entries.valid_count() <= k:
+                    # nothing was discarded below the root list and the
+                    # global cut kept all of it: every second-level query
+                    # of the closure has been seen
+                    run.drain()
                     return
                 if k >= max_k:
+                    # a short answer that is NOT known to be complete
+                    _telemetry.count("schema.max_k_stops")
                     return
                 k = min(max_k, k + delta)
                 if growth == "geometric":
                     delta *= 2
-                # the k-doubling restart the paper's prefix-erasure
-                # amortizes: the top-k primary reruns from scratch with
-                # the larger k
+                # a further round of the top-k primary with the larger k
+                # (it rebuilds only the lists the smaller k truncated)
                 _telemetry.count("schema.kdoubling_restarts")
         finally:
             if state_sink is not None:
-                # in-flight skeletons (executed but not fully folded)
-                # must re-run on resume; ``found`` dedups their replays
-                executed.difference_update(pending)
-                state_sink(
-                    DriverState(
-                        k=k,
-                        delta=delta,
-                        executed=executed,
-                        found=found,
-                        found_per_class=found_per_class,
-                        exhausted=drained,
-                    )
-                )
+                state_sink(run.capture(k, delta))
             if pool is not None:
                 pool.shutdown()
             if shared_segment is not None:
@@ -575,6 +462,127 @@ class SchemaEvaluator:
     ) -> int:
         """Total number of approximate results (full retrieval)."""
         return len(self.evaluate(query, costs))
+
+
+#: verdicts of :meth:`_BestN.admit`
+_EXECUTE, _SATURATED, _BEYOND_BOUND = "execute", "saturated", "beyond-bound"
+
+
+class _BestN:
+    """What one run of the incremental driver has found so far, and the
+    one place a second-level query is admitted and its instances are
+    folded in — serial and parallel rounds differ only in when they
+    execute what was admitted."""
+
+    def __init__(
+        self,
+        n: "int | None",
+        max_cost: "float | None",
+        stats: "EvaluationStats | None",
+        instances_per_class: "dict[int, int] | None",
+        executor: SecondaryExecutor,
+    ) -> None:
+        self.n = n
+        self.max_cost = max_cost
+        self.stats = stats
+        self.instances_per_class = instances_per_class
+        self.total_possible = (
+            sum(instances_per_class.values()) if instances_per_class is not None else None
+        )
+        #: every executor that ran a skeleton of this run (for the stats)
+        self.executors = [executor]
+        self.executed: set = set()
+        self.found: dict[int, float] = {}
+        self.found_per_class: dict[int, int] = {}
+        self.emitted = 0
+        # signatures added to ``executed`` whose instances are not yet
+        # fully folded into ``found``; subtracted before a state capture
+        self.pending: set = set()
+        #: n reached, or every possible root found: stop the run
+        self.finished = False
+        # True when the answer is provably complete (exhaustion, cost
+        # cutoff, or root-class saturation) — False when the driver
+        # merely stopped at ``n``
+        self.drained = False
+
+    def resume(self, state: DriverState) -> None:
+        self.executed = set(state.executed)
+        self.found = dict(state.found)
+        self.found_per_class = dict(state.found_per_class)
+        self.emitted = len(self.found)
+
+    def capture(self, k: int, delta: int) -> DriverState:
+        # in-flight skeletons (executed but not fully folded) must
+        # re-run on resume; ``found`` dedups their replays
+        self.executed.difference_update(self.pending)
+        return DriverState(
+            k=k,
+            delta=delta,
+            executed=self.executed,
+            found=self.found,
+            found_per_class=self.found_per_class,
+            exhausted=self.drained,
+        )
+
+    def drain(self) -> None:
+        """The answer is complete."""
+        self.drained = True
+        if self.stats is not None:
+            self.stats.exhausted = True
+
+    def admit(self, entry: SchemaEntry) -> str:
+        """Whether the next second-level query (they come in cost order)
+        is to be executed."""
+        if self.max_cost is not None and entry.embcost > self.max_cost:
+            # everything from here on exceeds the bound, in this round
+            # and in all larger-k rounds that merely extend the prefix
+            return _BEYOND_BOUND
+        self.executed.add(entry.signature)
+        per_class = self.instances_per_class
+        if per_class is not None and self.found_per_class.get(
+            entry.pre, 0
+        ) >= per_class.get(entry.pre, 0):
+            # this root class is saturated: the skeleton can only
+            # re-deliver known roots at equal or higher cost
+            _telemetry.count("schema.saturation_skips")
+            return _SATURATED
+        self.pending.add(entry.signature)
+        return _EXECUTE
+
+    def fold(self, entry: SchemaEntry, instances):
+        """Yield the results ``entry`` is the cheapest second-level query
+        of; sets :attr:`finished` when the run is over."""
+        stats = self.stats
+        _telemetry.count("schema.second_level_executed")
+        if instances:
+            _telemetry.count("schema.second_level_nonempty")
+        if stats is not None:
+            stats.second_level_executed += 1
+            stats.executed_skeletons.append(entry.format_skeleton())
+            stats.secondary_fetches = sum(e.fetch_count for e in self.executors)
+            stats.secondary_semijoins = sum(e.semijoin_count for e in self.executors)
+            if instances:
+                stats.second_level_nonempty += 1
+        found = self.found
+        cost = entry.embcost
+        for pre, _ in instances:
+            if pre in found:
+                continue
+            found[pre] = cost
+            self.found_per_class[entry.pre] = self.found_per_class.get(entry.pre, 0) + 1
+            self.emitted += 1
+            if stats is not None:
+                stats.results_found = self.emitted
+            _telemetry.gauge("schema.results_found", self.emitted)
+            yield SchemaResult(pre, cost, entry)
+            if self.n is not None and self.emitted >= self.n:
+                self.finished = True
+                return
+            if self.total_possible is not None and self.emitted >= self.total_possible:
+                self.finished = True
+                self.drain()
+                return
+        self.pending.discard(entry.signature)
 
 
 def _execute_chunk(item: "tuple[SecondaryExecutor, list]") -> list:

@@ -29,9 +29,9 @@ posting, lazily, without the writer knowing about the cache.
 
 ``FetchMemo`` is never invalidated: its correctness comes from its
 bounded lifetime.  One memo lives for exactly one evaluator run (one
-``PrimaryEvaluator`` evaluation, one ``PrimaryKEvaluator`` round) during
-which the underlying indexes are not mutated; cross-run reuse happens
-one level below, in ``PostingCache``.
+``PrimaryEvaluator`` evaluation, the rounds one ``PrimaryKEvaluator``
+serves for one query) during which the underlying indexes are not
+mutated; cross-run reuse happens one level below, in ``PostingCache``.
 
 Cached columns and sparse tables obey the same two-level contract: the
 ``EvalColumns`` a ``FetchMemo`` holds live for one evaluator run; the

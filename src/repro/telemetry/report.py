@@ -101,6 +101,13 @@ class QueryReport:
         return int(self.get("schema.second_level_executed"))
 
     @property
+    def max_k_stops(self) -> int:
+        """Times the schema driver gave up growing k at ``max_k``: when
+        positive, the answer may be short of ``n`` although more results
+        exist (a complete short answer ends by exhaustion instead)."""
+        return int(self.get("schema.max_k_stops"))
+
+    @property
     def page_cache_hits(self) -> int:
         """Page reads served by the pager's LRU cache instead of the file."""
         return int(self.get("cache.page_hits"))
@@ -213,6 +220,11 @@ class QueryReport:
                 f"  wal: {self.wal_frames_written} frame(s) written / "
                 f"{self.wal_recoveries} recovery(ies)"
             )
+        if self.max_k_stops:
+            lines.append(
+                "  schema: stopped at max_k before reaching n "
+                "(the answer may be incomplete)"
+            )
         if self.batch_fallback:
             lines.append(
                 "  concurrency: batch fell back to serial execution "
@@ -276,6 +288,7 @@ class QueryReport:
                 "pages_read": self.pages_read,
                 "postings_decoded": self.postings_decoded,
                 "second_level_queries": self.second_level_queries,
+                "max_k_stops": self.max_k_stops,
                 "page_cache_hits": self.page_cache_hits,
                 "node_cache_hits": self.node_cache_hits,
                 "posting_cache_hits": self.posting_cache_hits,

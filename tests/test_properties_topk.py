@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from repro.schema.entries import SchemaEntry
 from repro.schema.topk_ops import (
-    TruncationMonitor,
+    fetch_k,
     intersect_k,
     join_k,
     merge_k,
+    merge_shifted_k,
     outerjoin_k,
     sort_roots,
     union_k,
@@ -135,14 +136,12 @@ class TestJoinProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(descendants=st.lists(entry_strategy, min_size=1, max_size=30))
-    def test_monitor_flags_iff_candidates_exceed_k(self, descendants):
+    def test_inexact_iff_candidates_exceed_k(self, descendants):
         ancestors = [make_entry(0, 0.0, "root", has_leaf=False, bound=100)]
-        monitor = TruncationMonitor()
-        join_k(ancestors, as_list(descendants), 0.0, k=1, monitor=monitor)
-        valid = sum(1 for e in descendants if e.has_leaf)
-        invalid = len(descendants) - valid
-        if valid > 1 or invalid > 1:
-            assert monitor.truncated
+        joined = join_k(ancestors, as_list(descendants), 0.0, k=1)
+        valid = len({e.signature for e in descendants if e.has_leaf})
+        invalid = len({e.signature for e in descendants if not e.has_leaf})
+        assert joined.exact == (valid <= 1 and invalid <= 1)
 
 
 class TestSortRoots:
@@ -173,9 +172,6 @@ class TestIncrementalPrefixEndToEnd:
         from repro.schema.dataguide import build_schema
         from repro.schema.indexes import SchemaNodeIndexes
         from repro.schema.primary_k import PrimaryKEvaluator
-        from repro.xmltree.builder import tree_from_xml
-        from repro.xmltree.model import NodeType
-
         from .strategies import random_cost_model, random_query, random_tree
 
         rng = random.Random(321)
@@ -193,3 +189,214 @@ class TestIncrementalPrefixEndToEnd:
                 if previous is not None:
                     assert keys[: len(previous)] == previous
                 previous = keys
+
+
+# ----------------------------------------------------------------------
+# the kernel's contracts: prefixes under ties, exactness, brute force
+# ----------------------------------------------------------------------
+
+#: few costs and few schema nodes, so most draws contain cost ties
+POINTER_POOL = [make_entry(10 + i, 0.0, label) for i, label in enumerate("pqrs")]
+
+tied_entry = st.builds(
+    lambda pre, embcost, label, has_leaf, pointers: SchemaEntry(
+        pre, 9, 0.0, 1.0, embcost, label, tuple(pointers), has_leaf
+    ),
+    pre=st.integers(min_value=1, max_value=3),
+    embcost=st.sampled_from([0.0, 1.0, 2.0]),
+    label=st.sampled_from(["a", "b", "c"]),
+    has_leaf=st.booleans(),
+    pointers=st.lists(st.sampled_from(POINTER_POOL), max_size=2, unique=True),
+)
+#: join inputs: descendants of the single ancestor below, tied costs
+tied_descendant = st.builds(
+    make_entry,
+    pre=st.integers(min_value=1, max_value=6),
+    embcost=st.sampled_from([0.0, 1.0, 2.0]),
+    label=st.sampled_from(["a", "b", "c"]),
+    has_leaf=st.booleans(),
+)
+ANCESTORS = [make_entry(0, 0.0, "root", has_leaf=False, bound=100)]
+
+#: every operator as ``(inputs, k) -> list``
+OPERATORS = {
+    "merge": lambda left, right, k: merge_k(left, right, 1.0, k),
+    "union": lambda left, right, k: union_k(left, right, 1.0, k),
+    "intersect": lambda left, right, k: intersect_k(left, right, 0.0, k),
+}
+JOINS = {
+    "join": lambda descendants, k: join_k(ANCESTORS, descendants, 0.0, k),
+    "outerjoin": lambda descendants, k: outerjoin_k(ANCESTORS, descendants, 0.0, 1.0, k),
+}
+
+
+def runs(entries):
+    """(pre, validity) -> the run's [(cost, signature)], in list order."""
+    grouped = {}
+    for entry in entries:
+        grouped.setdefault((entry.pre, entry.has_leaf), []).append(
+            (entry.embcost, entry.signature)
+        )
+    return grouped
+
+
+def assert_k_is_prefix_of_4k(small, large, k):
+    large_runs = runs(large)
+    for key, run in runs(small).items():
+        assert run == sorted(run), "a run is ordered by (cost, signature)"
+        assert len(set(signature for _, signature in run)) == len(run) <= k
+        assert large_runs[key][: len(run)] == run
+    if small.exact:
+        assert runs(small) == large_runs
+        assert large.exact
+
+
+def rebuild(entries, k):
+    """The specification of a truncation: per (pre, validity) the first
+    copy of every skeleton in (cost, signature) order, the best k."""
+    grouped = {}
+    for entry in sorted(entries, key=lambda e: (e.embcost, e.signature)):
+        run = grouped.setdefault((entry.pre, entry.has_leaf), [])
+        if entry.signature not in {signature for _, signature in run} and len(run) < k:
+            run.append((entry.embcost, entry.signature))
+    return grouped
+
+
+class TestKernelContracts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(OPERATORS)),
+        left=st.lists(tied_entry, max_size=12),
+        right=st.lists(tied_entry, max_size=12),
+        k=st.integers(min_value=1, max_value=3),
+    )
+    def test_binary_operators_prefix_and_exact(self, name, left, right, k):
+        operator = OPERATORS[name]
+        assert_k_is_prefix_of_4k(operator(left, right, k), operator(left, right, 4 * k), k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(JOINS)),
+        descendants=st.lists(tied_descendant, max_size=14),
+        k=st.integers(min_value=1, max_value=3),
+    )
+    def test_joins_prefix_and_exact(self, name, descendants, k):
+        operator = JOINS[name]
+        assert_k_is_prefix_of_4k(operator(descendants, k), operator(descendants, 4 * k), k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        left=st.lists(tied_entry, max_size=12),
+        right=st.lists(tied_entry, max_size=12),
+        k=st.integers(min_value=1, max_value=4),
+    )
+    def test_intersect_equals_all_pairs_rebuilt(self, left, right, k):
+        pairs = []
+        for le in left:
+            for re in right:
+                if le.pre != re.pre:
+                    continue
+                pointers = {p.signature: p for p in le.pointers + re.pointers}
+                pairs.append(
+                    SchemaEntry(
+                        le.pre, le.bound, le.pathcost, le.inscost,
+                        le.embcost + re.embcost, le.label,
+                        tuple(pointers.values()), le.has_leaf or re.has_leaf,
+                    )
+                )
+        result = intersect_k(left, right, 0.0, k)
+        assert runs(result) == rebuild(pairs, k)
+        if result.exact:
+            # (the bit may be cleared without loss — a pair left on the
+            # frontier can repeat a taken skeleton — never set with loss)
+            assert rebuild(pairs, k) == rebuild(pairs, len(pairs) + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        left=st.lists(tied_entry, max_size=12),
+        right=st.lists(tied_entry, max_size=12),
+        shift=st.sampled_from([0.0, 1.0]),
+        k=st.integers(min_value=1, max_value=4),
+    )
+    def test_merge_equals_concatenation_rebuilt(self, left, right, shift, k):
+        moved = [entry.with_cost(entry.embcost + shift) for entry in right]
+        result = merge_shifted_k([(left, 0.0), (right, shift)], k)
+        assert runs(result) == rebuild(left + moved, k)
+
+
+def unscoped_roots(indexes, expanded, k):
+    """The root list of Figure 4 over the schema with every selector's
+    classes fetched whole and nothing shared between calls — the reference
+    the scoped, memoizing evaluator must agree with."""
+    from repro.approxql.expanded import RepType
+
+    def labels(node):
+        return [(node.label, 0.0), *node.renamings]
+
+    def matches(node):
+        if node.reptype == RepType.LEAF:
+            parts = [
+                (fetch_k(indexes, label, node.node_type, True), cost)
+                for label, cost in labels(node)
+            ]
+        else:
+            parts = [
+                (primary(node.child, fetch_k(indexes, label, node.node_type, False)), cost)
+                for label, cost in labels(node)
+            ]
+        return merge_shifted_k(parts, k)
+
+    def primary(node, ancestors):
+        if node.reptype == RepType.LEAF:
+            return outerjoin_k(ancestors, matches(node), 0.0, node.delcost, k)
+        if node.reptype == RepType.NODE:
+            return join_k(ancestors, matches(node), 0.0, k)
+        left = primary(node.left, ancestors)
+        right = primary(node.right, ancestors)
+        if node.reptype == RepType.AND:
+            return intersect_k(left, right, 0.0, k)
+        return merge_shifted_k([(left, 0.0), (right, node.edgecost)], k)
+
+    return matches(expanded.root)
+
+
+def deletable_cost_model(rng):
+    """A random cost model in which every inner selector may be deleted,
+    so the expanded query shares sub-queries (a DAG) wherever it nests."""
+    from repro.xmltree.model import NodeType
+
+    from .strategies import STRUCT_LABELS, random_cost_model
+
+    costs = random_cost_model(rng)
+    for label in STRUCT_LABELS:
+        costs.set_delete_cost(label, NodeType.STRUCT, rng.randint(1, 6))
+    return costs
+
+
+class TestScopingAndResumption:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_scoped_root_list_equals_unscoped(self, seed):
+        from repro.approxql import build_expanded
+        from repro.schema.dataguide import build_schema
+        from repro.schema.indexes import SchemaNodeIndexes
+        from repro.schema.primary_k import PrimaryKEvaluator
+
+        from .strategies import random_query, random_tree
+
+        rng = random.Random(seed)
+        schema = build_schema(random_tree(rng, max_nodes=40))
+        costs = deletable_cost_model(rng)
+        schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
+        expanded = build_expanded(random_query(rng, max_depth=4), costs)
+        indexes = SchemaNodeIndexes(schema)
+        resumed = PrimaryKEvaluator(indexes, 1)
+        for k in (1, 2, 8, 64):
+            reference = unscoped_roots(indexes, expanded, k)
+            fresh = PrimaryKEvaluator(indexes, k).evaluate(expanded)
+            # the same evaluator with k grown keeps its exact lists
+            grown = resumed.evaluate(expanded, k)
+            assert runs(fresh) == runs(reference) == runs(grown)
+            assert fresh.exact == grown.exact
+            if reference.exact:
+                assert fresh.exact

@@ -115,3 +115,72 @@ class TestBestNDegenerationBounded:
             'cd[title["piano"]]', costs, n=50, initial_k=1, delta=1, max_k=8
         )
         assert [(r.cost) for r in results] == [0.0]
+
+
+class TestSection7BlowUp:
+    """The schema path once re-ran the top-k primary up to ``max_k`` on
+    queries with fewer results than n: a schema class with no candidate
+    ancestor (dropped by the enclosing join anyway) kept a global
+    "something was truncated" flag set, so exhaustion was never seen —
+    pattern 3 at r=5, n=100 took minutes where ``direct`` takes 0.15 s.
+    Judged by counters (they repeat exactly), not by wall-clock."""
+
+    #: the ``small`` corpus and query seeds of the Figure 7 measurements,
+    #: restated here so the benchmark's tables can change without moving
+    #: this test
+    CORPUS = dict(
+        num_elements=15_000,
+        num_element_names=100,
+        num_terms=4_000,
+        num_term_occurrences=150_000,
+        mode="dtd",
+        dtd_size=120,
+        seed=42,
+    )
+    QUERY_SEED = 7 + 1000 * 3 + 5
+    N = 100
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        from repro import Database
+        from repro.datagen import GeneratorConfig, generate_collection
+        from repro.querygen import PAPER_PATTERNS, QueryGenerator, QueryGenOptions
+        from repro.xmltree import MemoryNodeIndexes
+
+        tree = generate_collection(GeneratorConfig(**self.CORPUS)).tree
+        generator = QueryGenerator(
+            MemoryNodeIndexes(tree), QueryGenOptions(renamings_per_label=5), seed=self.QUERY_SEED
+        )
+        queries = [generator.generate(PAPER_PATTERNS[3]) for _ in range(3)]
+        database = Database.from_tree(tree)
+        database.set_query_cache(result_entries=0)
+        return database, queries
+
+    @pytest.mark.parametrize("index, results, skeletons", [(1, 51, 188), (2, 94, 944)])
+    def test_short_answer_stops_at_first_k_covering_all_skeletons(
+        self, workload, index, results, skeletons
+    ):
+        from repro.schema.evaluator import effective_schedule
+
+        database, queries = workload
+        generated = queries[index]
+        schema = database.query(
+            generated.query, n=self.N, costs=generated.costs, method="schema",
+            collect="counters",
+        )
+        direct = database.query(
+            generated.query, n=self.N, costs=generated.costs, method="direct"
+        )
+        assert len(schema) == results < self.N
+        assert schema.costs == direct.costs
+        assert sorted(r.root for r in schema) == sorted(r.root for r in direct)
+
+        k, delta = effective_schedule(self.N, None, None)
+        rounds = 1
+        while k < skeletons:
+            k, delta, rounds = k + delta, delta * 2, rounds + 1
+        report = schema.report
+        assert report.get("schema.skeletons_enumerated") == skeletons
+        assert report.get("schema.final_k") == k
+        assert report.get("schema.rounds") == rounds
+        assert report.max_k_stops == 0

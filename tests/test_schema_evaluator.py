@@ -116,6 +116,37 @@ class TestIncrementalBehaviour:
         full = evaluator.evaluate('cd[title["piano"]]', costs)
         assert results == full[: len(results)]
 
+    def test_max_k_stop_is_counted_and_exhaustion_is_not(self, evaluator):
+        """A run that gives up at max_k says so; a run that ends because
+        every second-level query was executed does not."""
+        from repro.telemetry.collector import Telemetry, collecting
+
+        costs = paper_example_cost_model()
+        query = 'cd[title["piano"]]'
+        capped, stats = Telemetry(), EvaluationStats()
+        with collecting(capped):
+            evaluator.evaluate(query, costs, n=50, initial_k=1, delta=1, max_k=2, stats=stats)
+        assert capped.counters["schema.max_k_stops"] == 1
+        assert not stats.exhausted
+        complete, stats = Telemetry(), EvaluationStats()
+        with collecting(complete):
+            evaluator.evaluate(query, costs, n=50, stats=stats)
+        assert "schema.max_k_stops" not in complete.counters
+        assert stats.exhausted
+
+    def test_rounds_reuse_exact_lists(self, evaluator):
+        """A further round takes over what the smaller k did not truncate
+        instead of rebuilding it."""
+        from repro.telemetry.collector import Telemetry, collecting
+
+        telemetry = Telemetry()
+        with collecting(telemetry):
+            evaluator.evaluate(
+                'cd[title["piano"]]', paper_example_cost_model(), initial_k=1, delta=1
+            )
+        assert telemetry.counters["schema.rounds"] > 1
+        assert telemetry.counters["schema.lists_reused"] > 0
+
     def test_count_results(self, evaluator):
         costs = paper_example_cost_model()
         assert evaluator.count_results('cd[title["piano"]]', costs) == 3

@@ -87,15 +87,15 @@ class TestSkeletonGeneration:
         # ...but sort_roots filters them
         assert all(entry.has_leaf for entry in sort_roots(5, raw))
 
-    def test_monitor_quiet_for_large_k(self, setup):
+    def test_exact_for_large_k(self, setup):
         tree, schema, indexes = setup
         schema.encode_costs(CostModel().insert_cost, fingerprint=(1.0, ()))
         expanded = build_expanded(parse_query('cd[title["piano"]]'), CostModel())
         evaluator = PrimaryKEvaluator(indexes, 1000)
-        evaluator.evaluate(expanded)
-        assert not evaluator.monitor.truncated
+        assert evaluator.evaluate(expanded).exact
+        assert evaluator.exact
 
-    def test_monitor_flags_for_k1_with_alternatives(self, setup):
+    def test_inexact_for_k1_with_alternatives(self, setup):
         tree, schema, indexes = setup
         costs = paper_example_cost_model()
         schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
@@ -103,8 +103,8 @@ class TestSkeletonGeneration:
             parse_query('cd[title["piano" and "concerto"]]'), costs
         )
         evaluator = PrimaryKEvaluator(indexes, 1)
-        evaluator.evaluate(expanded)
-        assert evaluator.monitor.truncated
+        assert not evaluator.evaluate(expanded).exact
+        assert not evaluator.exact
 
     def test_invalid_k_rejected(self, setup):
         tree, schema, indexes = setup

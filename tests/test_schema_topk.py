@@ -4,7 +4,6 @@ import pytest
 
 from repro.schema.entries import SchemaEntry
 from repro.schema.topk_ops import (
-    TruncationMonitor,
     add_edge_k,
     intersect_k,
     join_k,
@@ -35,16 +34,16 @@ class TestMergeK:
         merged = merge_k(left, [], 0.0, k=2)
         assert len(merged) == 2
 
-    def test_monitor_flags_truncation(self):
-        monitor = TruncationMonitor()
+    def test_truncation_clears_the_exact_bit(self):
         left = [entry(1, label=f"a{i}", embcost=float(i)) for i in range(4)]
-        merge_k(left, [], 0.0, k=2, monitor=monitor)
-        assert monitor.truncated
+        assert not merge_k(left, [], 0.0, k=2).exact
 
-    def test_monitor_quiet_without_truncation(self):
-        monitor = TruncationMonitor()
-        merge_k([entry(1)], [entry(2)], 0.0, k=2, monitor=monitor)
-        assert not monitor.truncated
+    def test_exact_without_truncation(self):
+        assert merge_k([entry(1)], [entry(2)], 0.0, k=2).exact
+
+    def test_inexact_input_makes_inexact_output(self):
+        left = merge_k([entry(1, label=f"a{i}", embcost=float(i)) for i in range(4)], [], 0.0, k=2)
+        assert not merge_k(left, [entry(2)], 0.0, k=8).exact
 
 
 class TestJoinK:
