@@ -14,7 +14,6 @@ import time
 from repro import Database
 from repro.datagen import GeneratorConfig, generate_collection
 from repro.querygen import PAPER_PATTERNS, QueryGenOptions, QueryGenerator
-from repro.schema.evaluator import EvaluationStats
 from repro.xmltree.indexes import MemoryNodeIndexes
 
 
@@ -47,10 +46,9 @@ def main() -> None:
     direct = db.query(generated.query, n=10, costs=generated.costs, method="direct")
     direct_time = time.perf_counter() - start
 
-    stats = EvaluationStats()
     start = time.perf_counter()
     schema = db.query(
-        generated.query, n=10, costs=generated.costs, method="schema", stats=stats
+        generated.query, n=10, costs=generated.costs, method="schema", collect="counters"
     )
     schema_time = time.perf_counter() - start
 
@@ -63,8 +61,9 @@ def main() -> None:
     print()
     print(f"direct evaluation: {direct_time * 1000:7.1f} ms (computes ALL results, prunes)")
     print(f"schema evaluation: {schema_time * 1000:7.1f} ms "
-          f"(k={stats.final_k}, {stats.second_level_executed} second-level queries, "
-          f"{stats.second_level_nonempty} non-empty)")
+          f"(k={int(schema.report.get('schema.final_k'))}, "
+          f"{schema.report.second_level_queries} second-level queries, "
+          f"{int(schema.report.get('schema.second_level_nonempty'))} non-empty)")
     print()
 
     print("streaming the first results as they are found:")

@@ -38,32 +38,23 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 import weakref
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from contextlib import contextmanager
 
-from ..approxql.ast import NameSelector, count_or_operators, count_selectors
+from ..approxql.ast import NameSelector
 from ..approxql.costs import CostModel
-from ..approxql.parser import parse_query
-from ..concurrent import QueryPool, make_query_pool, resolve_jobs
 from ..engine.evaluator import DirectEvaluator
 from ..errors import EvaluationError
-from ..planner.cost import PlanEstimates, Planner
 from ..planner.stats import CollectionStats, compute_stats
-from ..querycache import (
-    CachedResult,
-    CompiledQuery,
-    CompiledQueryCache,
-    ResultCache,
-)
+from ..querycache import CompiledQuery, DriverState
 from ..schema.dataguide import (
     Schema,
     build_schema,
     update_schema_for_delete,
     update_schema_for_insert,
 )
-from ..schema.evaluator import EvaluationStats, SchemaEvaluator, effective_schedule
+from ..schema.evaluator import SchemaEvaluator
 from ..schema.indexes import StoredSecondaryIndex
 from ..storage.kv import MemoryStore, Store
 from ..storage.overlay import SnapshotOverlay, using_overlay
@@ -74,7 +65,7 @@ from ..storage.statcodec import (
     save_stats,
 )
 from ..telemetry import collector as _telemetry
-from ..telemetry.collector import MODE_OFF, MODE_TIMINGS, MODES, Telemetry
+from ..telemetry.collector import MODE_OFF, MODE_TIMINGS, Telemetry
 from ..telemetry.report import QueryReport
 from ..xmltree.builder import BuildOptions, CollectionBuilder, tree_from_xml
 from ..xmltree.indexes import MemoryNodeIndexes, NodeIndexes, StoredNodeIndexes
@@ -89,74 +80,8 @@ from .persist import (
     save_dead_roots,
     save_tree,
 )
+from .pipeline import Execution, QueryPipeline, QueryPlan
 from .results import QueryResult, ResultSet, ResultStream
-
-_METHODS = ("auto", "direct", "schema")
-
-
-@dataclass(frozen=True)
-class QueryPlan:
-    """The ``"auto"`` method-selection decision, made public.
-
-    :meth:`Database.plan` returns one of these instead of burying the
-    choice inside :meth:`Database.query`: the chosen algorithm, why it
-    was chosen, and a summary of the parsed query (the quantities the
-    paper's complexity bounds are phrased in).
-    """
-
-    query: str
-    method: str
-    requested: str
-    reason: str
-    n: "int | None"
-    root_label: str
-    selectors: int
-    or_decisions: int
-    conjunctive_queries: int
-    #: the cost model's numbers behind the decision (predicted candidate
-    #: roots, posting bytes, the chosen k-growth schedule, confidence)
-    estimates: "PlanEstimates | None" = None
-
-    def format(self, verbose: bool = False) -> str:
-        """Human-readable rendering for the CLI's ``plan`` command;
-        ``verbose`` appends the estimates block."""
-        n_label = "all" if self.n is None else str(self.n)
-        lines = [
-            f"plan: {self.query}",
-            f"  method: {self.method} ({self.reason})",
-            f"  n: {n_label}  root: {self.root_label}",
-            f"  selectors: {self.selectors}  or-decisions: {self.or_decisions}  "
-            f"conjunctive queries: {self.conjunctive_queries}",
-        ]
-        if verbose and self.estimates is not None:
-            lines.append(self.estimates.format())
-        return "\n".join(lines)
-
-
-def build_query_plan(
-    query: NameSelector,
-    n: "int | None",
-    requested: str,
-    chosen: str,
-    reason: str,
-    estimates: "PlanEstimates | None",
-) -> QueryPlan:
-    """Assemble a :class:`QueryPlan` from one planner decision — shared
-    by :meth:`Database.plan` and the sharded façade so both render the
-    identical plan for identical data."""
-    or_decisions = count_or_operators(query)
-    return QueryPlan(
-        query=query.unparse(),
-        method=chosen,
-        requested=requested,
-        reason=reason,
-        n=n,
-        root_label=query.label,
-        selectors=count_selectors(query),
-        or_decisions=or_decisions,
-        conjunctive_queries=2**or_decisions,
-        estimates=estimates,
-    )
 
 
 class _EngineState:
@@ -226,16 +151,10 @@ class _EngineState:
 
     def ensure_schema(self) -> Schema:
         if self.schema is None:
-            evaluator = self.schema_evaluator
-            built = None
-            if evaluator is None or evaluator.schema is None:
-                built = build_schema(self.tree)
+            built = build_schema(self.tree)
             with self._lock:
                 if self.schema is None:
-                    if evaluator is not None and evaluator.schema is not None:
-                        self.schema = evaluator.schema
-                    else:
-                        self.schema = built
+                    self.schema = built
         return self.schema
 
     def direct_evaluator(self) -> DirectEvaluator:
@@ -277,6 +196,148 @@ class _EngineState:
         self.direct_evaluator()
         self.schema_eval()
         self.ensure_stats()
+
+
+class _PinnedView:
+    """One engine state as the query pipeline's
+    :class:`~repro.core.pipeline.Executor` — the ``(_EngineState,
+    overlay, store)`` triple every single-store read is: a memory or
+    stored :class:`Database` pins the current state per call, a
+    :class:`Snapshot` holds one for its lifetime.  The caller activates
+    the overlay around whatever it asks of the view (a stream re-enters
+    it around every pull instead)."""
+
+    __slots__ = ("state", "overlay", "store")
+
+    schedule_ordered = True
+
+    def __init__(
+        self,
+        state: _EngineState,
+        overlay: "SnapshotOverlay | None",
+        store: "Store | None",
+    ) -> None:
+        self.state = state
+        self.overlay = overlay
+        self.store = store
+
+    def generation(self) -> "int | tuple":
+        # The invalidation authority is the *store's* write counter, the
+        # same one the posting cache keys on: any write — a routed
+        # mutation, WAL recovery, or an out-of-band put through the store
+        # handle — moves it, and pairing it with the published state
+        # generation keeps a pinned snapshot's reads in their own
+        # generation class.
+        if self.store is None:
+            return self.state.generation
+        return (self.state.generation, self.store.generation)
+
+    def stats(self) -> CollectionStats:
+        return self.state.ensure_stats()
+
+    def execute(
+        self,
+        compiled: CompiledQuery,
+        chosen: str,
+        n: "int | None",
+        max_cost: "float | None",
+        schedule: "tuple[int | None, int | None]",
+        jobs: "int | None",
+        executor: str,
+        resume: "DriverState | None",
+        collect: str,
+    ) -> Execution:
+        driver = None
+        if chosen == "direct":
+            raw = self.state.direct_evaluator().evaluate(
+                compiled.query, compiled.costs, n=n, max_cost=max_cost,
+                expanded=compiled.expanded(),
+            )
+            complete = n is None or len(raw) < n
+        else:
+            captured: "list[DriverState]" = []
+            raw = self.state.schema_eval().evaluate(
+                compiled.query, compiled.costs, n=n, max_cost=max_cost, jobs=jobs,
+                executor=executor, initial_k=schedule[0], delta=schedule[1],
+                expanded=compiled.expanded(), resume=resume,
+                state_sink=captured.append,
+            )
+            if captured:
+                driver = captured[0]
+            complete = driver is not None and driver.exhausted
+        return Execution([(result.root, result.cost) for result in raw], complete, driver)
+
+    def materialize(self, rows: list) -> list[QueryResult]:
+        tree = self.state.tree
+        return [QueryResult(root, cost, tree) for root, cost in rows]
+
+    def prepare(self, costs: CostModel, methods: "set[str]") -> None:
+        state = self.state
+        state.tree.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
+        if "direct" in methods:
+            state.direct_evaluator()
+        if "schema" in methods:
+            schema = state.schema_eval().schema
+            if schema is not None:
+                schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
+
+    # -- the reads that neither plan nor cache --------------------------
+
+    def count(self, compiled: CompiledQuery) -> int:
+        return self.state.direct_evaluator().count(compiled.query, compiled.costs)
+
+    def stream(
+        self,
+        compiled: CompiledQuery,
+        initial_k: "int | None",
+        delta: "int | None",
+        collect: str,
+        on_close,
+    ) -> ResultStream:
+        telemetry = Telemetry(timed=collect == MODE_TIMINGS) if collect != MODE_OFF else None
+        report = QueryReport(
+            query=compiled.query.unparse(),
+            method="schema",
+            collect=collect,
+            n=None,
+            counters=telemetry.counters if telemetry is not None else {},
+            timings=telemetry.timings if telemetry is not None else {},
+        )
+        state = self.state
+
+        def results() -> Iterator[QueryResult]:
+            # a generator function, so a lazy evaluator build happens on
+            # the first pull: under the stream's overlay, in its report
+            for result in state.schema_eval().iter_results(
+                compiled.query, compiled.costs, initial_k=initial_k, delta=delta
+            ):
+                yield QueryResult(result.root, result.cost, state.tree)
+
+        return ResultStream(
+            results(), report, telemetry, overlay=self.overlay, on_close=on_close
+        )
+
+    def explain(self, compiled: CompiledQuery, n: "int | None") -> list[Explanation]:
+        query, costs = compiled.query, compiled.costs
+        schema = self.state.ensure_schema()
+        explanations: list[Explanation] = []
+        for result in self.state.schema_eval().iter_results(query, costs):
+            assert result.skeleton is not None
+            derived_cost, operations = explain_skeleton(
+                query, result.skeleton, costs, schema
+            )
+            explanations.append(
+                Explanation(
+                    root=result.root,
+                    cost=result.cost,
+                    skeleton=result.skeleton.format_skeleton(),
+                    operations=operations,
+                    consistent=derived_cost == result.cost,
+                )
+            )
+            if n is not None and len(explanations) >= n:
+                break
+        return explanations
 
 
 class Snapshot:
@@ -338,20 +399,17 @@ class Snapshot:
         process workers serve exactly the pinned generation (the export
         is query-private when the overlay is non-empty).
         """
-        self._check_open()
-        with using_overlay(self._overlay):
-            return self._database._query_impl(
-                self._state, text, n, costs, method, max_cost, None, collect, jobs,
-                executor,
+        with self._view() as view:
+            return self._database._pipeline.query(
+                view, text, n, costs, method, max_cost, collect, jobs, executor
             )
 
     def count_results(
         self, text: "str | NameSelector", costs: "CostModel | None" = None
     ) -> int:
         """:meth:`Database.count_results` against the pinned generation."""
-        self._check_open()
-        with using_overlay(self._overlay):
-            return self._database._count_impl(self._state, text, costs)
+        with self._view() as view:
+            return view.count(self._database._pipeline.resolve(text, costs))
 
     def stream(
         self,
@@ -366,10 +424,9 @@ class Snapshot:
         The stream borrows this snapshot's pin: keep the snapshot open
         while pulling results.
         """
-        self._check_open()
-        return self._database._stream_impl(
-            self._state, self._overlay, None, text, costs, initial_k, delta, collect
-        )
+        with self._view() as view:
+            compiled = self._database._pipeline.resolve(text, costs, collect)
+            return view.stream(compiled, initial_k, delta, collect, None)
 
     def explain(
         self,
@@ -378,9 +435,8 @@ class Snapshot:
         costs: "CostModel | None" = None,
     ) -> list[Explanation]:
         """:meth:`Database.explain` against the pinned generation."""
-        self._check_open()
-        with using_overlay(self._overlay):
-            return self._database._explain_impl(self._state, text, n, costs)
+        with self._view() as view:
+            return view.explain(self._database._pipeline.resolve(text, costs), n)
 
     def plan(
         self,
@@ -418,6 +474,14 @@ class Snapshot:
         if self._closed:
             raise EvaluationError("snapshot is closed")
 
+    @contextmanager
+    def _view(self) -> "Iterator[_PinnedView]":
+        """The pinned view, with the overlay active around the block."""
+        self._check_open()
+        self._database._check_failed()
+        with using_overlay(self._overlay):
+            yield _PinnedView(self._state, self._overlay, self._database._store)
+
     def __enter__(self) -> "Snapshot":
         return self
 
@@ -440,26 +504,11 @@ class Database:
         self,
         tree: DataTree,
         default_costs: "CostModel | None" = None,
-        _stored: bool = False,
-        _direct: "DirectEvaluator | None" = None,
-        _schema_evaluator: "SchemaEvaluator | None" = None,
-        _frozen_fingerprint: "str | None" = None,
     ) -> None:
-        schema = None
-        if _schema_evaluator is not None and _schema_evaluator.schema is not None:
-            schema = _schema_evaluator.schema
-        self._state = _EngineState(
-            0, tree, schema=schema, direct=_direct, schema_evaluator=_schema_evaluator
-        )
-        self._default_costs = default_costs if default_costs is not None else CostModel()
-        self._planner = Planner()
-        # the two-tier hot-query fast path (see repro.querycache):
-        # compiled queries (Tier 1) and generation-tagged best-n result
-        # prefixes (Tier 2); resize or disable via set_query_cache()
-        self._compiled_cache = CompiledQueryCache()
-        self._result_cache = ResultCache()
-        self._stored = _stored
-        self._frozen_fingerprint = _frozen_fingerprint
+        self._state = _EngineState(0, tree)
+        # default costs, planner and the two hot-query cache tiers live
+        # with the one query path every read of this handle takes
+        self._pipeline = QueryPipeline(default_costs)
         #: the file store behind an opened database (None when in-memory)
         self._store: "Store | None" = None
         self._store_options: "StoreOptions | None" = None
@@ -566,7 +615,7 @@ class Database:
         with self._write_lock:
             self._check_failed()
             state = self._state
-            costs = self._default_costs
+            costs = self._pipeline.default_costs
             tree = compact_tree(state.tree)
             tree.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
             if tree is state.tree:
@@ -579,10 +628,9 @@ class Database:
             StoredNodeIndexes.build(tree, staging)
             StoredSecondaryIndex.build(schema, staging)
             save_stats(staging, compute_stats(tree, schema, generation=0))
-            if self._planner.corrections:
-                save_planner_state(
-                    staging, self._planner.correction, self._planner.corrections
-                )
+            planner = self._pipeline.planner
+            if planner.corrections:
+                save_planner_state(staging, planner.correction, planner.corrections)
             with open_file_store(path, options) as store:
                 store.bulk_load(list(staging.scan()))
                 store.sync()
@@ -604,8 +652,7 @@ class Database:
     ) -> "Database":
         """Open a saved database; posting fetches go to the file store.
 
-        The one entry point for stored databases (the historical
-        :meth:`load` is a deprecated alias).  A missing, empty, or
+        The one entry point for stored databases.  A missing, empty, or
         non-database file raises a typed
         :class:`~repro.errors.StorageError` naming the path and reason.
         If the store crashed while in WAL durability mode, its log is
@@ -677,12 +724,8 @@ class Database:
         secondary = StoredSecondaryIndex(store, posting_cache)
         schema = build_schema(tree)
         schema.encode_costs(insert_costs.insert_cost, fingerprint=insert_costs.insert_fingerprint)
-        database = cls(
-            tree,
-            default_costs=insert_costs,
-            _stored=True,
-            _frozen_fingerprint=fingerprint,
-        )
+        database = cls(tree, default_costs=insert_costs)
+        database._pipeline.frozen_fingerprint = fingerprint
         # Trust the persisted stats segment only when its node counts
         # match the loaded tree (a mismatched segment means it went
         # stale somehow — recompute lazily instead of planning on it).
@@ -706,24 +749,13 @@ class Database:
         database._store_options = options
         database._store_path = path
         database._posting_cache = posting_cache
-        if options.compiled_cache_entries is not None:
-            database._compiled_cache = CompiledQueryCache(options.compiled_cache_entries)
-        if options.result_cache_entries is not None:
-            database._result_cache = ResultCache(options.result_cache_entries)
+        database._pipeline.set_cache(
+            options.compiled_cache_entries, options.result_cache_entries
+        )
         planner_state = load_planner_state(store)
         if planner_state is not None:
-            database._planner.seed(*planner_state)
+            database._pipeline.planner.seed(*planner_state)
         return database
-
-    @classmethod
-    def load(cls, path: str, *args, **kwargs) -> "Database":
-        """Deprecated alias of :meth:`open` (the historical name)."""
-        warnings.warn(
-            "Database.load is deprecated; use Database.open (same arguments)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.open(path, *args, **kwargs)
 
     # ------------------------------------------------------------------
     # inspection
@@ -793,7 +825,7 @@ class Database:
         """
         if self._closed:
             return
-        if self._planner.corrections:
+        if self._pipeline.planner.corrections:
             # a query-only session still gets to keep what it learned
             self._persist_planner_state()
         self._closed = True
@@ -921,7 +953,7 @@ class Database:
             # before the shared arrays change.
             state.materialize()
             tree = state.tree
-            costs = self._default_costs
+            costs = self._pipeline.default_costs
             tree.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
             if remove_root is not None:
                 self._check_document_root(tree, remove_root)
@@ -981,12 +1013,11 @@ class Database:
                     if removed is not None:
                         save_dead_roots(tree, self._store)
                     mutator.update_stats(new_stats)
-                    if self._planner.corrections:
+                    planner = self._pipeline.planner
+                    if planner.corrections:
                         # learned corrections ride the same commit frame
                         save_planner_state(
-                            self._store,
-                            self._planner.correction,
-                            self._planner.corrections,
+                            self._store, planner.correction, planner.corrections
                         )
                     # THE commit point: everything above is one WAL frame.
                     self._store.commit()
@@ -1069,7 +1100,6 @@ class Database:
         costs: "CostModel | None" = None,
         method: str = "auto",
         max_cost: "float | None" = None,
-        stats: "EvaluationStats | None" = None,
         collect: str = "off",
         jobs: "int | None" = None,
         executor: str = "thread",
@@ -1104,86 +1134,11 @@ class Database:
         threads where process pools are unavailable (counting
         ``concurrency.process_fallback``).  The direct algorithm ignores
         both — its one primary evaluation has no independent work units.
-
-        ``stats`` is a deprecation shim for the pre-telemetry
-        :class:`~repro.schema.evaluator.EvaluationStats` hook; prefer
-        ``collect="counters"`` and the returned report.
         """
-        state, overlay = self._pin()
-        try:
-            with using_overlay(overlay):
-                return self._query_impl(
-                    state, text, n, costs, method, max_cost, stats, collect, jobs,
-                    executor,
-                )
-        finally:
-            self._release(overlay)
-
-    def _query_impl(
-        self,
-        state: _EngineState,
-        text: "str | NameSelector",
-        n: "int | None",
-        costs: "CostModel | None",
-        method: str,
-        max_cost: "float | None",
-        stats: "EvaluationStats | None",
-        collect: str,
-        jobs: "int | None",
-        executor: str = "thread",
-    ) -> ResultSet:
-        self._check_failed()
-        compiled, compiled_hit = self._compile(text, costs)
-        query, resolved_costs = compiled.query, compiled.costs
-        chosen, _, estimates = self._plan_choice(
-            state, method, n, query, resolved_costs, compiled=compiled
-        )
-        if collect not in MODES:
-            raise EvaluationError(f"unknown collect mode {collect!r}; expected one of {MODES}")
-        if stats is not None:
-            warnings.warn(
-                "Database.query(stats=...) is deprecated; pass collect='counters' "
-                "and read the schema.* counters off ResultSet.report",
-                DeprecationWarning,
-                stacklevel=3,
+        with self._view() as view:
+            return self._pipeline.query(
+                view, text, n, costs, method, max_cost, collect, jobs, executor
             )
-        telemetry = Telemetry(timed=collect == MODE_TIMINGS) if collect != MODE_OFF else None
-        schedule = (
-            (estimates.initial_k, estimates.delta)
-            if chosen == "schema" and estimates is not None
-            else (None, None)
-        )
-        start = time.perf_counter()
-        if telemetry is None:
-            results = self._evaluate_cached(
-                state, compiled, chosen, n, max_cost, stats, jobs,
-                executor, initial_k=schedule[0], delta=schedule[1],
-            )
-        else:
-            with _telemetry.collecting(telemetry):
-                results = self._evaluate_cached(
-                    state, compiled, chosen, n, max_cost, stats, jobs,
-                    executor, initial_k=schedule[0], delta=schedule[1],
-                )
-        wall_seconds = time.perf_counter() - start
-        report = QueryReport.from_telemetry(
-            telemetry,
-            query=query.unparse(),
-            method=chosen,
-            collect=collect,
-            n=n,
-            wall_seconds=wall_seconds,
-            results=len(results),
-        )
-        if collect != MODE_OFF and self._compiled_cache.enabled:
-            name = "querycache.compiled_hits" if compiled_hit else "querycache.compiled_misses"
-            report.counters[name] = report.counters.get(name, 0) + 1
-        if estimates is not None:
-            corrected = self._planner.observe(estimates, len(results), n)
-            _attach_planner_counters(
-                report, estimates, len(results), corrected, self._planner
-            )
-        return ResultSet(results, report)
 
     def query_many(
         self,
@@ -1226,128 +1181,15 @@ class Database:
         ``concurrency.batch_fallback = 1`` counter (in every ``collect``
         mode) so callers can detect the lost parallelism.
         """
-        if executor not in ("thread", "process"):
-            raise EvaluationError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
-        resolved: list[tuple[NameSelector, CostModel]] = []
-        for item in queries:
-            if isinstance(item, tuple):
-                text, item_costs = item
-                resolved.append(self._resolve(text, item_costs if item_costs is not None else costs))
-            else:
-                resolved.append(self._resolve(item, costs))
-        jobs = resolve_jobs(jobs)
-        if jobs == 1 or len(resolved) < 2:
-            return [
-                self.query(
-                    query, n=n, costs=query_costs, method=method,
-                    max_cost=max_cost, collect=collect,
-                )
-                for query, query_costs in resolved
-            ]
-        groups: dict[str, list[int]] = {}
-        for index, (_, query_costs) in enumerate(resolved):
-            groups.setdefault(repr(query_costs.insert_fingerprint), []).append(index)
-        if len(groups) == 1:
-            return self._query_group(resolved, n, max_cost, method, collect, jobs, executor)
-        # Mixed insert fingerprints: each fingerprint group still batches
-        # on the pool (the shared arrays are re-encoded once per group),
-        # instead of the whole batch degrading to serial.
-        _telemetry.count("concurrency.batch_groups", len(groups))
-        output: "list[ResultSet | None]" = [None] * len(resolved)
-        fallback_counted = False
-        for indices in groups.values():
-            if len(indices) > 1:
-                group_results = self._query_group(
-                    [resolved[i] for i in indices], n, max_cost, method,
-                    collect, jobs, executor,
-                )
-                for index, result in zip(indices, group_results):
-                    output[index] = result
-            else:
-                index = indices[0]
-                query, query_costs = resolved[index]
-                result = self.query(
-                    query, n=n, costs=query_costs, method=method,
-                    max_cost=max_cost, collect=collect,
-                )
-                if not fallback_counted:
-                    _telemetry.count("concurrency.batch_fallback")
-                    fallback_counted = True
-                result.report.counters["concurrency.batch_fallback"] = 1
-                output[index] = result
-        return output
-
-    def _query_group(
-        self,
-        items: "list[tuple[NameSelector, CostModel]]",
-        n: "int | None",
-        max_cost: "float | None",
-        method: str,
-        collect: str,
-        jobs: int,
-        executor: str,
-    ) -> list[ResultSet]:
-        """Serve one uniform-fingerprint batch on a worker pool — the
-        body of :meth:`query_many` once grouping is done.
-
-        The group's one insert-cost table is encoded and the lazy
-        evaluators built up front, on this thread: the workers' encode
-        calls then see a matching fingerprint and never write the shared
-        arrays, and no two workers race to build the same evaluator."""
-        state = self._state
-        shared = items[0][1]
-        state.tree.encode_costs(shared.insert_cost, fingerprint=shared.insert_fingerprint)
-        chosen, _ = self._choose_method(method, n)
-        if chosen == "direct":
-            state.direct_evaluator()
-        else:
-            schema_evaluator = state.schema_eval()
-            if schema_evaluator.schema is not None:
-                schema_evaluator.schema.encode_costs(
-                    shared.insert_cost, fingerprint=shared.insert_fingerprint
-                )
-
-        def _serve(item: "tuple[NameSelector, CostModel]") -> ResultSet:
-            query, query_costs = item
-            return self.query(
-                query, n=n, costs=query_costs, method=method,
-                max_cost=max_cost, collect=collect,
-            )
-
-        if executor == "process":
-            setup, cleanup = self._batch_worker_setup()
-            if setup is not None:
-                try:
-                    pool = make_query_pool(jobs, "process", setup)
-                    with pool:
-                        if isinstance(pool, QueryPool):
-                            # process pool unavailable; make_query_pool
-                            # already counted the fallback
-                            return pool.map_ordered(_serve, items)
-                        payload_items = [
-                            (query.unparse(), query_costs, n, max_cost, method, collect)
-                            for query, query_costs in items
-                        ]
-                        payloads = pool.map_ordered(_serve_process_query, payload_items)
-                finally:
-                    cleanup()
-                tree = state.tree
-                return [
-                    ResultSet(
-                        [QueryResult(root, cost, tree) for root, cost in pairs],
-                        report,
-                    )
-                    for pairs, report in payloads
-                ]
-            _telemetry.count("concurrency.process_fallback")
-        with QueryPool(jobs) as pool:
-            return pool.map_ordered(_serve, items)
+        self._check_failed()
+        return self._pipeline.query_many(
+            self._current_view(), self.query, queries, n, costs, max_cost,
+            method, collect, jobs, executor, self._batch_worker_setup,
+        )
 
     def _batch_worker_setup(self):
         """The process-pool worker setup for :meth:`query_many`, plus a
-        cleanup callback; ``(None, ...)`` when no safe per-worker read
+        cleanup callback; ``(None, None)`` when no safe per-worker read
         view exists and the batch must fall back to threads.
 
         * Stored database in ``durability="none"`` mode: workers re-open
@@ -1373,10 +1215,11 @@ class Database:
                 and getattr(self._store, "durability", "none") == "none"
             ):
                 self._store.sync()
-                return StoredDatabaseSetup(self._store_path, self._store_options), _noop
-            return None, _noop
+                # the worker's own handle owns everything it opens
+                return StoredDatabaseSetup(self._store_path, self._store_options), lambda: None
+            return None, None
         if default_start_method() != "fork":
-            return None, _noop
+            return None, None
         token = register_fork_object(self)
         return ForkInheritedSetup(token), (lambda: unregister_fork_object(token))
 
@@ -1399,60 +1242,14 @@ class Database:
         yielding that generation's results.
         """
         self._check_failed()
+        compiled = self._pipeline.resolve(text, costs, collect)
+        # resolved before pinning, and the view evaluates nothing until
+        # the first pull: nothing below can fail with the pin held
         state, overlay = self._pin()
-        try:
-            return self._stream_impl(
-                state,
-                overlay,
-                (lambda: self._release(overlay)) if overlay is not None else None,
-                text,
-                costs,
-                initial_k,
-                delta,
-                collect,
-            )
-        except BaseException:
-            self._release(overlay)
-            raise
-
-    def _stream_impl(
-        self,
-        state: _EngineState,
-        overlay: "SnapshotOverlay | None",
-        on_close,
-        text: "str | NameSelector",
-        costs: "CostModel | None",
-        initial_k: "int | None",
-        delta: "int | None",
-        collect: str,
-    ) -> ResultStream:
-        query, resolved_costs = self._resolve(text, costs)
-        if collect not in MODES:
-            raise EvaluationError(f"unknown collect mode {collect!r}; expected one of {MODES}")
-        telemetry = Telemetry(timed=collect == MODE_TIMINGS) if collect != MODE_OFF else None
-        report = QueryReport(
-            query=query.unparse(),
-            method="schema",
-            collect=collect,
-            n=None,
-            counters=telemetry.counters if telemetry is not None else {},
-            timings=telemetry.timings if telemetry is not None else {},
+        release = (lambda: self._release(overlay)) if overlay is not None else None
+        return _PinnedView(state, overlay, self._store).stream(
+            compiled, initial_k, delta, collect, release
         )
-        iterator = self._iter_stream(state, query, resolved_costs, initial_k, delta)
-        return ResultStream(iterator, report, telemetry, overlay=overlay, on_close=on_close)
-
-    def _iter_stream(
-        self,
-        state: _EngineState,
-        query: NameSelector,
-        costs: CostModel,
-        initial_k: "int | None",
-        delta: "int | None",
-    ) -> Iterator[QueryResult]:
-        for result in state.schema_eval().iter_results(
-            query, costs, initial_k=initial_k, delta=delta
-        ):
-            yield QueryResult(result.root, result.cost, state.tree)
 
     def plan(
         self,
@@ -1467,12 +1264,7 @@ class Database:
         block (predicted candidates, posting bytes, chosen schedule).
         ``costs`` matters: renamings widen the selector closures the
         estimates are computed from."""
-        compiled, _ = self._compile(text, costs)
-        chosen, reason, estimates = self._plan_choice(
-            self._state, method, n, compiled.query, compiled.costs,
-            want_estimates=True, compiled=compiled,
-        )
-        return build_query_plan(compiled.query, n, method, chosen, reason, estimates)
+        return self._pipeline.plan(self._current_view(), text, n, method, costs)
 
     def count_results(self, text: "str | NameSelector", costs: "CostModel | None" = None) -> int:
         """Total number of approximate results for the query.
@@ -1484,19 +1276,8 @@ class Database:
         the exact :meth:`query` path, so identical inputs raise identical
         typed errors from both.
         """
-        state, overlay = self._pin()
-        try:
-            with using_overlay(overlay):
-                return self._count_impl(state, text, costs)
-        finally:
-            self._release(overlay)
-
-    def _count_impl(
-        self, state: _EngineState, text: "str | NameSelector", costs: "CostModel | None"
-    ) -> int:
-        self._check_failed()
-        query, resolved_costs = self._resolve(text, costs)
-        return state.direct_evaluator().count(query, resolved_costs)
+        with self._view() as view:
+            return view.count(self._pipeline.resolve(text, costs))
 
     def suggest_costs(self, options=None) -> CostModel:
         """Derive a cost model from the collection itself (the paper's
@@ -1519,127 +1300,30 @@ class Database:
         """Best-``n`` results with the transformation sequence that
         produced each (renamings, deletions, and the implicitly inserted
         element labels read off the schema)."""
-        state, overlay = self._pin()
-        try:
-            with using_overlay(overlay):
-                return self._explain_impl(state, text, n, costs)
-        finally:
-            self._release(overlay)
-
-    def _explain_impl(
-        self,
-        state: _EngineState,
-        text: "str | NameSelector",
-        n: "int | None",
-        costs: "CostModel | None",
-    ) -> list[Explanation]:
-        self._check_failed()
-        query, resolved_costs = self._resolve(text, costs)
-        schema = state.ensure_schema()
-        explanations: list[Explanation] = []
-        for result in state.schema_eval().iter_results(query, resolved_costs):
-            assert result.skeleton is not None
-            derived_cost, operations = explain_skeleton(
-                query, result.skeleton, resolved_costs, schema
-            )
-            explanations.append(
-                Explanation(
-                    root=result.root,
-                    cost=result.cost,
-                    skeleton=result.skeleton.format_skeleton(),
-                    operations=operations,
-                    consistent=derived_cost == result.cost,
-                )
-            )
-            if n is not None and len(explanations) >= n:
-                break
-        return explanations
+        with self._view() as view:
+            return view.explain(self._pipeline.resolve(text, costs), n)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _compile(
-        self, text: "str | NameSelector", costs: "CostModel | None"
-    ) -> tuple[CompiledQuery, bool]:
-        """Tier-1 resolution: the compiled (parsed, fingerprinted, and
-        lazily expanded) form of ``(text, costs)`` plus whether the
-        compiled-query cache served it.  The stored database's frozen-
-        fingerprint check runs on *every* call — cached entries are not
-        exempt from it."""
-        resolved = costs if costs is not None else self._default_costs
-        compiled, hit = self._compiled_cache.get(text, resolved)
-        self._check_insert_costs(compiled.costs)
-        return compiled, hit
+    @contextmanager
+    def _view(self) -> "Iterator[_PinnedView]":
+        """Pin the current generation for one call: the view the query
+        pipeline runs against, the overlay active around the block, the
+        pin released after it."""
+        self._check_failed()
+        state, overlay = self._pin()
+        try:
+            with using_overlay(overlay):
+                yield _PinnedView(state, overlay, self._store)
+        finally:
+            self._release(overlay)
 
-    def _resolve(
-        self, text: "str | NameSelector", costs: "CostModel | None"
-    ) -> tuple[NameSelector, CostModel]:
-        """Parse the query text and resolve the effective cost model
-        (validating it against a stored database's baked-in costs).
-
-        Every query-shaped entry point — :meth:`query`, :meth:`query_many`,
-        :meth:`count_results`, :meth:`stream`, :meth:`explain`,
-        :meth:`plan` — resolves through here (via the compiled-query
-        cache), so identical inputs raise identical typed errors
-        regardless of the method called.
-        """
-        compiled, _ = self._compile(text, costs)
-        return compiled.query, compiled.costs
-
-    def _choose_method(self, method: str, n: "int | None") -> tuple[str, str]:
-        """Query-independent method resolution — the paper's coarse
-        conclusion, kept only where no parsed query is in hand yet (the
-        :meth:`query_many` evaluator pre-warm); every real evaluation
-        decides through :meth:`_plan_choice` and the statistics-driven
-        cost model instead."""
-        if method not in _METHODS:
-            raise EvaluationError(f"unknown method {method!r}; expected one of {_METHODS}")
-        if method != "auto":
-            return method, f"explicitly requested method={method!r}"
-        if n is None:
-            return (
-                "direct",
-                "auto: full retrieval (n=None) favors the direct algorithm (Section 6)",
-            )
-        return (
-            "schema",
-            f"auto: best-n retrieval (n={n}) favors the schema-driven algorithm (Section 7)",
-        )
-
-    def _plan_choice(
-        self,
-        state: _EngineState,
-        method: str,
-        n: "int | None",
-        query: NameSelector,
-        costs: CostModel,
-        want_estimates: bool = False,
-        compiled: "CompiledQuery | None" = None,
-    ) -> "tuple[str, str, PlanEstimates | None]":
-        """The planner-backed method decision for one parsed query.
-
-        An explicit method skips estimation unless ``want_estimates``
-        asks for the numbers anyway (:meth:`plan` does, so ``plan
-        --verbose`` shows them for every method).  With a ``compiled``
-        query in hand the decision is memoized per (generation, n,
-        method, correction) — re-planning a hot query is a dict hit."""
-        if method not in _METHODS:
-            raise EvaluationError(f"unknown method {method!r}; expected one of {_METHODS}")
-        if method != "auto" and not want_estimates:
-            return method, f"explicitly requested method={method!r}", None
-        memo_key = None
-        if compiled is not None:
-            memo_key = (state.generation, n, method, self._planner.correction)
-            decision = compiled.cached_plan(memo_key)
-            if decision is not None:
-                return decision
-        decision = self._planner.choose(
-            query, costs, state.ensure_stats(), n, method=method
-        )
-        if memo_key is not None:
-            compiled.store_plan(memo_key, decision)
-        return decision
+    def _current_view(self) -> _PinnedView:
+        """The current generation unpinned — for what reads no postings
+        (planning, batch preparation, re-binding worker rows)."""
+        return _PinnedView(self._state, None, self._store)
 
     def collection_stats(self) -> CollectionStats:
         """The planner statistics of the current generation (see
@@ -1651,9 +1335,7 @@ class Database:
         """Lifetime ``querycache.*`` counters of both hot-query cache
         tiers (compiled queries and best-n result prefixes); the server
         merges these into its ``stats`` reply."""
-        merged = self._compiled_cache.stats()
-        merged.update(self._result_cache.stats())
-        return merged
+        return self._pipeline.cache_stats()
 
     def set_query_cache(
         self,
@@ -1664,10 +1346,7 @@ class Database:
         handle.  ``None`` leaves a tier untouched.  Replacing a tier
         drops its entries and lifetime counters; answers are
         byte-identical at every setting."""
-        if compiled_entries is not None:
-            self._compiled_cache = CompiledQueryCache(compiled_entries)
-        if result_entries is not None:
-            self._result_cache = ResultCache(result_entries)
+        self._pipeline.set_cache(compiled_entries, result_entries)
 
     def _persist_planner_state(self) -> None:
         """Best-effort write of the planner's learned correction so it
@@ -1684,9 +1363,8 @@ class Database:
             if self._failed is not None or self._closed:
                 return
             try:
-                save_planner_state(
-                    self._store, self._planner.correction, self._planner.corrections
-                )
+                planner = self._pipeline.planner
+                save_planner_state(self._store, planner.correction, planner.corrections)
                 self._store.commit()
             except Exception:
                 pass
@@ -1703,193 +1381,8 @@ class Database:
         :func:`repro.engine.columns.set_rmq_crossover` if needed."""
         from ..engine.columns import set_rmq_crossover
 
-        suggested = self._planner.suggested_rmq_crossover(self._state.ensure_stats())
+        suggested = self._pipeline.planner.suggested_rmq_crossover(
+            self._state.ensure_stats()
+        )
         set_rmq_crossover(suggested)
         return suggested
-
-    def _evaluate(
-        self,
-        state: _EngineState,
-        chosen: str,
-        query: NameSelector,
-        costs: CostModel,
-        n: "int | None",
-        max_cost: "float | None",
-        stats: "EvaluationStats | None",
-        jobs: "int | None" = None,
-        executor: str = "thread",
-        initial_k: "int | None" = None,
-        delta: "int | None" = None,
-        expanded=None,
-    ) -> list[QueryResult]:
-        if chosen == "direct":
-            raw = state.direct_evaluator().evaluate(
-                query, costs, n=n, max_cost=max_cost, expanded=expanded
-            )
-        else:
-            raw = state.schema_eval().evaluate(
-                query, costs, n=n, max_cost=max_cost, stats=stats, jobs=jobs,
-                executor=executor, initial_k=initial_k, delta=delta,
-                expanded=expanded,
-            )
-        with _telemetry.timer("core.materialize"):
-            results = [QueryResult(result.root, result.cost, state.tree) for result in raw]
-        _telemetry.count("core.results_materialized", len(results))
-        return results
-
-    def _evaluate_cached(
-        self,
-        state: _EngineState,
-        compiled: CompiledQuery,
-        chosen: str,
-        n: "int | None",
-        max_cost: "float | None",
-        stats: "EvaluationStats | None",
-        jobs: "int | None" = None,
-        executor: str = "thread",
-        initial_k: "int | None" = None,
-        delta: "int | None" = None,
-    ) -> list[QueryResult]:
-        """Tier-2 evaluation: serve a best-``n`` request from the cached
-        result prefix of this (query, costs, method, max_cost) at this
-        generation, resume the schema driver past a shorter prefix, or
-        evaluate cold and cache what came out.
-
-        For the schema method the key also carries the *effective*
-        ``(initial_k, delta)`` schedule: within a cost class the driver
-        emits ties in round order, so two schedules can order the same
-        answer set differently — a cached prefix is byte-identical to a
-        cold run only inside its own schedule class.  The planner's
-        schedule depends on ``n`` and its learned correction, so a hot
-        repeat (same query, same ``n``, unchanged correction) hits, while
-        a request that would have re-run the driver differently misses
-        honestly instead of serving a reordered tie class.  The direct
-        method emits the canonical ``(cost, root)`` sort, so its key is
-        schedule-free and any shorter ``n`` is served from a longer
-        cached answer.
-        """
-        cache = self._result_cache
-        if not cache.enabled or stats is not None:
-            return self._evaluate(
-                state, chosen, compiled.query, compiled.costs, n, max_cost,
-                stats, jobs, executor, initial_k=initial_k, delta=delta,
-                expanded=compiled.expanded(),
-            )
-        if chosen == "schema":
-            key = (compiled.key, chosen, max_cost, effective_schedule(n, initial_k, delta))
-        else:
-            key = (compiled.key, chosen, max_cost)
-        # The invalidation authority is the *store's* write counter, the
-        # same one the posting cache keys on: any write — a routed
-        # mutation, WAL recovery, or an out-of-band put through the store
-        # handle — moves it, and pairing it with the published state
-        # generation keeps a pinned snapshot's reads in their own
-        # generation class.  Snapshotted before evaluation, so a write
-        # landing mid-query stamps the entry with the generation whose
-        # postings the query actually read.
-        if self._store is None:
-            generation: "int | tuple" = state.generation
-        else:
-            generation = (state.generation, self._store.generation)
-        tree = state.tree
-        entry = cache.lookup(key, generation)
-        if entry is not None and entry.serves(n):
-            pairs = entry.pairs if n is None else entry.pairs[:n]
-            with _telemetry.timer("core.materialize"):
-                results = [QueryResult(root, cost, tree) for root, cost in pairs]
-            _telemetry.count("core.results_materialized", len(results))
-            return results
-        if chosen == "schema":
-            resume = entry.state if entry is not None and entry.state is not None else None
-            if resume is not None:
-                cache.note_resume()
-            captured: list = []
-            raw = state.schema_eval().evaluate(
-                compiled.query, compiled.costs, n=n, max_cost=max_cost,
-                jobs=jobs, executor=executor, initial_k=initial_k, delta=delta,
-                expanded=compiled.expanded(), resume=resume,
-                state_sink=captured.append,
-            )
-            prefix = list(entry.pairs) if resume is not None else []
-            pairs = prefix + [(result.root, result.cost) for result in raw]
-            captured_state = captured[0] if captured else None
-            complete = bool(captured_state is not None and captured_state.exhausted)
-            cache.store(
-                key,
-                CachedResult(
-                    generation=generation,
-                    pairs=pairs,
-                    complete=complete,
-                    state=None if complete else captured_state,
-                ),
-            )
-        else:
-            raw = state.direct_evaluator().evaluate(
-                compiled.query, compiled.costs, n=n, max_cost=max_cost,
-                expanded=compiled.expanded(),
-            )
-            pairs = [(result.root, result.cost) for result in raw]
-            complete = n is None or len(pairs) < n
-            cache.store(
-                key,
-                CachedResult(generation=generation, pairs=pairs, complete=complete),
-            )
-        serve = pairs if n is None else pairs[:n]
-        with _telemetry.timer("core.materialize"):
-            results = [QueryResult(root, cost, tree) for root, cost in serve]
-        _telemetry.count("core.results_materialized", len(results))
-        return results
-
-    def _check_insert_costs(self, costs: CostModel) -> None:
-        if self._stored and repr(costs.insert_fingerprint) != self._frozen_fingerprint:
-            raise EvaluationError(
-                "this database was loaded from disk with baked-in insert costs; "
-                "queries must use the same insert-cost table (build an in-memory "
-                "Database for per-query insert costs)"
-            )
-
-
-def _attach_planner_counters(
-    report: QueryReport,
-    estimates: PlanEstimates,
-    observed: int,
-    corrected_now: bool,
-    planner: Planner,
-) -> None:
-    """Write the predicted-vs-observed ``planner.*`` family directly on
-    the report whenever collection is active (``collect="off"`` keeps
-    its documented empty-counters contract)."""
-    if report.collect == "off":
-        return
-    counters = report.counters
-    counters["planner.predicted_candidates"] = estimates.candidate_roots
-    counters["planner.predicted_entries"] = estimates.posting_entries
-    counters["planner.observed_results"] = observed
-    counters["planner.closure_width"] = estimates.mean_closure_width
-    counters["planner.stats_generation"] = estimates.stats_generation
-    if estimates.corrected:
-        counters["planner.estimate_corrected"] = 1
-    if corrected_now:
-        counters["planner.mispredictions"] = 1
-    if planner.corrections:
-        counters["planner.corrections"] = planner.corrections
-
-
-def _noop() -> None:
-    """Cleanup placeholder for worker setups that own nothing."""
-
-
-def _serve_process_query(item):
-    """Worker body of a process-pool :meth:`Database.query_many` batch:
-    serve one query on the worker's own database (its setup spec opened
-    or fork-inherited it — see ``Database._batch_worker_setup``) and
-    return a slim picklable payload, ``(root, cost)`` pairs plus the
-    report, which the parent re-binds to its own tree."""
-    from ..concurrent.process import worker_context
-
-    text, costs, n, max_cost, method, collect = item
-    database = worker_context()
-    result = database.query(
-        text, n=n, costs=costs, method=method, max_cost=max_cost, collect=collect
-    )
-    return [(entry.root, entry.cost) for entry in result], result.report

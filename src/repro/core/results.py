@@ -37,9 +37,15 @@ class QueryResult:
         self._tree = tree
 
     @property
+    def _pre(self) -> int:
+        """Where the result subtree sits in ``_tree`` — ``root``, unless
+        a subclass numbers its results apart from the tree it reads."""
+        return self.root
+
+    @property
     def label(self) -> str:
         """Element name of the result root."""
-        return self._tree.label(self.root)
+        return self._tree.label(self._pre)
 
     @property
     def similarity(self) -> float:
@@ -54,7 +60,7 @@ class QueryResult:
     @property
     def path(self) -> str:
         """Slash-separated label path from the collection root."""
-        parts = [label for label, _ in self._tree.label_type_path(self.root)]
+        parts = [label for label, _ in self._tree.label_type_path(self._pre)]
         return "/" + "/".join(parts)
 
     def words(self) -> list[str]:
@@ -62,13 +68,13 @@ class QueryResult:
         tree = self._tree
         return [
             tree.label(pre)
-            for pre in tree.subtree(self.root)
+            for pre in tree.subtree(self._pre)
             if tree.node_type(pre) == NodeType.TEXT
         ]
 
     def outline(self, max_depth: int = 6) -> str:
         """Indented rendering of the result subtree."""
-        return self._tree.format_subtree(self.root, max_depth=max_depth)
+        return self._tree.format_subtree(self._pre, max_depth=max_depth)
 
     def xml(self, indent: "int | None" = None) -> str:
         """Serialize the result subtree back to XML.
@@ -77,7 +83,7 @@ class QueryResult:
         elements, text was word-split), so this is a canonical rendering
         of the *normalized* subtree, not the original document bytes.
         """
-        return subtree_to_xml(self._tree, self.root, indent=indent)
+        return subtree_to_xml(self._tree, self._pre, indent=indent)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QueryResult):

@@ -1,9 +1,10 @@
 """The cost model: statistics in, algorithm choice and schedule out.
 
 The paper's conclusion is a coarse rule — schema-driven for best-n,
-direct for full retrieval — and until this module existed,
-``Database._choose_method`` hardcoded exactly that.  The
-:class:`Planner` replaces the static branch with selectivity estimates
+direct for full retrieval — and until this module existed the database
+hardcoded exactly that.  The :class:`Planner`, asked by the plan stage of
+:class:`~repro.core.pipeline.QueryPipeline`, replaces the static branch
+with selectivity estimates
 read off a generation's :class:`~repro.planner.stats.CollectionStats`:
 
 *   every selector of the query contributes its *renaming closure* —
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from ..approxql.ast import AndExpr, NameSelector, OrExpr, QueryExpr, TextSelector
 from ..approxql.costs import CostModel
 from ..engine.columns import DEFAULT_RMQ_CROSSOVER
-from ..errors import EvaluationError
 from ..xmltree.model import NodeType
 from .stats import CollectionStats
 
@@ -302,12 +302,6 @@ class Planner:
             if restored > self._correction:
                 self._correction = restored
             self.corrections = max(self.corrections, int(corrections))
-
-
-def check_method(method: str, methods: tuple) -> None:
-    """Shared method-name validation for every plan entry point."""
-    if method not in methods:
-        raise EvaluationError(f"unknown method {method!r}; expected one of {methods}")
 
 
 def _collect_selectors(query: QueryExpr) -> list[tuple[str, NodeType]]:

@@ -57,16 +57,14 @@ import heapq
 import os
 import threading
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 
 from ..approxql.ast import NameSelector
 from ..approxql.costs import CostModel
-from ..approxql.parser import parse_query
 from ..concurrent import QueryPool, resolve_jobs
 from ..errors import EvaluationError, ShardError
 from ..telemetry import collector as _telemetry
-from ..telemetry.collector import MODES
 from ..telemetry.report import QueryReport
 from ..xmltree.builder import BuildOptions, CollectionBuilder
 from ..xmltree.model import (
@@ -75,18 +73,12 @@ from ..xmltree.model import (
     NodeType,
     extract_document,
 )
-from ..core.database import (
-    _METHODS,
-    Database,
-    QueryPlan,
-    _attach_planner_counters,
-    build_query_plan,
-)
-from ..planner.cost import PlanEstimates, Planner, check_method
+from ..core.database import Database
 from ..planner.stats import CollectionStats, merge_stats
-from ..querycache import CachedResult, CompiledQuery, CompiledQueryCache, ResultCache, compile_query
+from ..querycache import CompiledQuery
 from ..core.explain import Explanation
 from ..core.persist import StoreOptions
+from ..core.pipeline import Execution, QueryPipeline, QueryPlan, fold_reports
 from ..core.results import QueryResult, ResultSet, ResultStream
 from .manifest import DocumentEntry, ShardManifest, shard_file_name
 from .partition import assign_insert, check_partitioner, hash_assign, range_assign
@@ -112,8 +104,9 @@ class ShardResult(QueryResult):
 
     ``root`` and ``cost`` — the pair equality and ranking are defined
     over — are global, byte-identical to the unsharded collection's.
-    The content accessors (label, path, words, xml, ...) read the owning
-    shard's tree through the local root, which names the same subtree.
+    The inherited content accessors (label, path, words, xml, ...) read
+    the owning shard's tree through the local root, which names the same
+    subtree.
     """
 
     __slots__ = ("shard", "local_root")
@@ -126,29 +119,8 @@ class ShardResult(QueryResult):
         self.shard = shard
 
     @property
-    def label(self) -> str:
-        return self._tree.label(self.local_root)
-
-    @property
-    def path(self) -> str:
-        parts = [label for label, _ in self._tree.label_type_path(self.local_root)]
-        return "/" + "/".join(parts)
-
-    def words(self) -> list[str]:
-        tree = self._tree
-        return [
-            tree.label(pre)
-            for pre in tree.subtree(self.local_root)
-            if tree.node_type(pre) == NodeType.TEXT
-        ]
-
-    def outline(self, max_depth: int = 6) -> str:
-        return self._tree.format_subtree(self.local_root, max_depth=max_depth)
-
-    def xml(self, indent: "int | None" = None) -> str:
-        from ..xmltree.serialize import subtree_to_xml
-
-        return subtree_to_xml(self._tree, self.local_root, indent=indent)
+    def _pre(self) -> int:
+        return self.local_root
 
     def __repr__(self) -> str:
         return (
@@ -214,18 +186,14 @@ class ShardedDatabase:
         self._shards = list(shards)
         self._manifest = manifest
         self._directory = directory
-        self._default_costs = (
-            default_costs if default_costs is not None else CostModel()
-        )
         self._write_lock = threading.Lock()
         self._closed = False
         self._generation = 0
-        self._planner = Planner()
-        # hot-query fast path over the merge: compiled queries plus
-        # merged best-n prefixes, invalidated by the generation vector
-        # (see _generation_vector)
-        self._compiled_cache = CompiledQueryCache()
-        self._result_cache = ResultCache()
+        # the merge level's own query path: default costs, a planner over
+        # the merged statistics, compiled queries and merged best-n
+        # prefixes (invalidated by the generation vector; each shard
+        # additionally keeps its own pipeline underneath)
+        self._pipeline = QueryPipeline(default_costs)
         # merged planner statistics, keyed by generation (mutations bump
         # the generation, so a stale merge is never served)
         self._stats_cache: "tuple[int, CollectionStats] | None" = None
@@ -396,19 +364,18 @@ class ShardedDatabase:
         database = cls(
             shards,
             manifest,
-            default_costs=shards[0]._default_costs,
+            default_costs=shards[0]._pipeline.default_costs,
             directory=directory,
         )
-        # the cache knobs size the merge-level caches too (each shard's
-        # own caches were already sized by Database.open above)
-        merged = (options or StoreOptions()).merged(
-            compiled_cache_entries=open_keywords.get("compiled_cache_entries"),
-            result_cache_entries=open_keywords.get("result_cache_entries"),
+        # the cache knobs size the merge-level caches too (Database.open
+        # above resolved them when it sized each shard's own)
+        sized = shards[0]._store_options
+        database._pipeline.set_cache(
+            sized.compiled_cache_entries, sized.result_cache_entries
         )
-        if merged.compiled_cache_entries is not None:
-            database._compiled_cache = CompiledQueryCache(merged.compiled_cache_entries)
-        if merged.result_cache_entries is not None:
-            database._result_cache = ResultCache(merged.result_cache_entries)
+        # stored shards have their insert costs baked in: refuse a foreign
+        # table at the merge level's compile, before a batch prepares
+        database._pipeline.frozen_fingerprint = shards[0]._pipeline.frozen_fingerprint
         return database
 
     # ------------------------------------------------------------------
@@ -532,278 +499,14 @@ class ShardedDatabase:
         parallelism comes from the fan-out itself).
         """
         self._check_open()
-        compiled, compiled_hit = self._compile(text, costs)
-        chosen, _, estimates = self._choose_method(
-            method, n, compiled.query, compiled.costs, compiled=compiled
+        results = self._pipeline.query(
+            _ScatterGather(self), text, n, costs, method, max_cost, collect, jobs, executor
         )
-        if collect not in MODES:
-            raise EvaluationError(
-                f"unknown collect mode {collect!r}; expected one of {MODES}"
-            )
-        query_text = compiled.text
-        jobs = resolve_jobs(jobs)
-        started = time.perf_counter()
-        maps = self._maps
-        cache = self._result_cache
-        key = (compiled.key, chosen, max_cost)
-        generation = self._generation_vector()
-        entry = cache.lookup(key, generation) if cache.enabled else None
-        if entry is not None and entry.serves(n):
-            pairs = entry.pairs if n is None else entry.pairs[:n]
-            results = [
-                ShardResult(
-                    global_root, cost, self._shards[shard].tree, local_root, shard
-                )
-                for global_root, cost, shard, local_root in pairs
-            ]
-            report = QueryReport(
-                query=query_text,
-                method=chosen,
-                collect=collect,
-                n=n,
-                wall_seconds=time.perf_counter() - started,
-                results=len(results),
-                counters=(
-                    {}
-                    if collect == "off"
-                    else {
-                        "querycache.result_hits": 1,
-                        "querycache.compiled_hits" if compiled_hit
-                        else "querycache.compiled_misses": 1,
-                    }
-                ),
-                timings={},
-            )
-            if estimates is not None:
-                corrected = self._planner.observe(estimates, len(results), n)
-                _attach_planner_counters(
-                    report, estimates, len(results), corrected, self._planner
-                )
-            _telemetry.count("shard.queries")
-            return ResultSet(results, report)
-        if chosen == "schema" and n is not None:
-            results, shard_reports = self._scatter_best_n(
-                compiled.query, n, compiled.costs, max_cost, collect, jobs, maps
-            )
-        else:
-            results, shard_reports = self._scatter_full(
-                compiled.query, n, compiled.costs, chosen, max_cost, collect, jobs, maps
-            )
-        if cache.enabled:
-            # the merge is serve-only cached (no round state to resume
-            # at this level); a bigger n recomputes and overwrites
-            cache.store(
-                key,
-                CachedResult(
-                    generation=generation,
-                    pairs=[(r.root, r.cost, r.shard, r.local_root) for r in results],
-                    complete=n is None or len(results) < n,
-                ),
-            )
-        wall = time.perf_counter() - started
-        report = self._merged_report(
-            query_text, chosen, collect, n, wall, results, shard_reports, jobs
-        )
-        if collect != "off" and cache.enabled:
-            report.counters["querycache.result_misses"] = 1
-        if collect != "off" and self._compiled_cache.enabled:
-            name = (
-                "querycache.compiled_hits" if compiled_hit
-                else "querycache.compiled_misses"
-            )
-            report.counters[name] = report.counters.get(name, 0) + 1
-        if estimates is not None:
-            # per-shard reports carry no planner family (shards ran with
-            # an explicit method), so the merged counters are this
-            # fan-out's own prediction vs the merged outcome
-            corrected = self._planner.observe(estimates, len(results), n)
-            _attach_planner_counters(
-                report, estimates, len(results), corrected, self._planner
-            )
-        _telemetry.count("shard.fanout", len(self._shards))
+        fanout = results.report.counters.get("shard.fanout")
+        if fanout:  # a scatter ran (a merge-level cache hit has none)
+            _telemetry.count("shard.fanout", fanout)
         _telemetry.count("shard.queries")
-        return ResultSet(results, report)
-
-    def _scatter_best_n(self, text, n, costs, max_cost, collect, jobs, maps):
-        """Best-n retrieval: per-shard cost-ordered streams, merged.
-
-        Serial (``jobs <= 1``): the lazy k-way cost-class merge — shards
-        are pulled only as far as the global prefix needs.  Parallel:
-        each worker drains its shard's stream through the n-th cost's
-        tie class (the *tie-extended prefix*: every global top-n result
-        ranks within its own shard's top n, ties included), then one
-        canonical sort merges the unions — same answer, shards in
-        parallel.
-        """
-        if jobs > 1 and len(self._shards) > 1:
-            def fetch(index: int):
-                shard = self._shards[index]
-                stream = shard.stream(text, costs=costs, collect=collect)
-                out = []
-                try:
-                    for result in stream:
-                        if max_cost is not None and result.cost > max_cost:
-                            break
-                        if result.root == 0:
-                            continue  # collection-rooted pseudo-result
-                        if len(out) >= n and result.cost > out[n - 1].cost:
-                            break
-                        out.append(result)
-                finally:
-                    stream.close()
-                return index, out, stream.report
-
-            with QueryPool(min(jobs, len(self._shards))) as pool:
-                fetched = pool.map_ordered(fetch, range(len(self._shards)))
-            merged = []
-            reports = []
-            for index, batch, shard_report in fetched:
-                reports.append(shard_report)
-                for result in batch:
-                    merged.append(
-                        ShardResult(
-                            self._to_global(index, result.root, maps),
-                            result.cost,
-                            result._tree,
-                            result.root,
-                            index,
-                        )
-                    )
-            merged.sort(key=lambda r: (r.cost, r.root))
-            return merged[:n], reports
-        streams = [
-            shard.stream(text, costs=costs, collect=collect)
-            for shard in self._shards
-        ]
-        results: "list[ShardResult]" = []
-        try:
-            for result in self._merge_streams(streams, maps):
-                if max_cost is not None and result.cost > max_cost:
-                    break
-                results.append(result)
-                if len(results) >= n:
-                    break
-        finally:
-            for stream in streams:
-                stream.close()
-        return results, [stream.report for stream in streams]
-
-    def _scatter_full(self, text, n, costs, chosen, max_cost, collect, jobs, maps):
-        """Full retrieval (or an explicit direct-method best-n): every
-        shard computes its complete (cost-bounded) answer set, the union
-        is sorted canonically, and ``n`` truncates.  Per-shard full sets
-        sidestep tie-cut truncation entirely."""
-        def fetch(index: int):
-            shard = self._shards[index]
-            result_set = shard.query(
-                text, n=None, costs=costs, method=chosen,
-                max_cost=max_cost, collect=collect,
-            )
-            return index, result_set
-
-        indexes = range(len(self._shards))
-        if jobs > 1 and len(self._shards) > 1:
-            with QueryPool(min(jobs, len(self._shards))) as pool:
-                fetched = pool.map_ordered(fetch, indexes)
-        else:
-            fetched = [fetch(index) for index in indexes]
-        merged = []
-        reports = []
-        for index, result_set in fetched:
-            reports.append(result_set.report)
-            for result in result_set:
-                if result.root == 0:
-                    continue  # collection-rooted pseudo-result
-                merged.append(
-                    ShardResult(
-                        self._to_global(index, result.root, maps),
-                        result.cost,
-                        result._tree,
-                        result.root,
-                        index,
-                    )
-                )
-        merged.sort(key=lambda r: (r.cost, r.root))
-        if n is not None:
-            merged = merged[:n]
-        return merged, reports
-
-    def _merge_streams(
-        self,
-        streams: "list[ResultStream]",
-        maps,
-    ) -> Iterator[ShardResult]:
-        """The k-way cost-class merge (see the module docstring).
-
-        Each shard stream holds one result of lookahead; a heap over the
-        frontier costs picks the cheapest class, every stream sitting at
-        that cost is drained through it, and the class is emitted sorted
-        by global root.  Nondecreasing per-shard order (the Section 7.4
-        stream contract) makes the emitted order globally nondecreasing.
-        """
-        lookahead: "list[QueryResult | None]" = []
-        frontier: "list[tuple[float, int]]" = []
-        for index, stream in enumerate(streams):
-            result = next(stream, None)
-            lookahead.append(result)
-            if result is not None:
-                heapq.heappush(frontier, (result.cost, index))
-        while frontier:
-            cost = frontier[0][0]
-            bucket: "list[ShardResult]" = []
-            while frontier and frontier[0][0] == cost:
-                _, index = heapq.heappop(frontier)
-                result = lookahead[index]
-                while result is not None and result.cost == cost:
-                    if result.root != 0:  # skip the collection-rooted pseudo-result
-                        bucket.append(
-                            ShardResult(
-                                self._to_global(index, result.root, maps),
-                                result.cost,
-                                result._tree,
-                                result.root,
-                                index,
-                            )
-                        )
-                    result = next(streams[index], None)
-                lookahead[index] = result
-                if result is not None:
-                    heapq.heappush(frontier, (result.cost, index))
-            bucket.sort(key=lambda r: r.root)
-            yield from bucket
-
-    def _merged_report(
-        self, query_text, chosen, collect, n, wall, results, shard_reports, jobs
-    ) -> QueryReport:
-        counters: "dict[str, float]" = {}
-        timings: "dict[str, float]" = {}
-        for shard_report in shard_reports:
-            for name, value in shard_report.counters.items():
-                if name.startswith("querycache."):
-                    # a shard's own cache activity must not read as the
-                    # merge-level verdict (result_cache_hit on this
-                    # report means "no scatter ran"); keep it visible
-                    # under a shard-scoped name instead
-                    name = "querycache.shard_" + name[len("querycache."):]
-                counters[name] = counters.get(name, 0) + value
-            for name, value in shard_report.timings.items():
-                timings[name] = timings.get(name, 0.0) + value
-        counters["shard.fanout"] = len(self._shards)
-        counters["shard.results_merged"] = sum(
-            shard_report.results for shard_report in shard_reports
-        )
-        if jobs > 1:
-            counters["shard.parallel_jobs"] = min(jobs, len(self._shards))
-        return QueryReport(
-            query=query_text,
-            method=chosen,
-            collect=collect,
-            n=n,
-            wall_seconds=wall,
-            results=len(results),
-            counters=counters,
-            timings=timings,
-        )
+        return results
 
     def stream(
         self,
@@ -815,18 +518,14 @@ class ShardedDatabase:
         (cost, global root) order — per-shard streams are pulled only as
         far as the consumer asks (plus one lookahead per shard)."""
         self._check_open()
-        if collect not in MODES:
-            raise EvaluationError(
-                f"unknown collect mode {collect!r}; expected one of {MODES}"
-            )
-        query = parse_query(text) if isinstance(text, str) else text
-        maps = self._maps
+        compiled = self._pipeline.resolve(text, costs, collect)
+        scatter = _ScatterGather(self)
         streams = [
-            shard.stream(query, costs=costs, collect=collect)
+            shard.stream(compiled.query, costs=compiled.costs, collect=collect)
             for shard in self._shards
         ]
         report = QueryReport(
-            query=query.unparse(),
+            query=compiled.query.unparse(),
             method="schema",
             collect=collect,
             n=None,
@@ -840,15 +539,10 @@ class ShardedDatabase:
             # fold what the shard streams actually did into the merged
             # report (their reports are live; this runs at exhaustion or
             # explicit close, so early stops show early numbers)
-            for stream in streams:
-                for name, value in stream.report.counters.items():
-                    report.counters[name] = report.counters.get(name, 0) + value
-                for name, value in stream.report.timings.items():
-                    report.timings[name] = report.timings.get(name, 0.0) + value
+            fold_reports(report, [stream.report for stream in streams])
 
-        return ResultStream(
-            self._merge_streams(streams, maps), report, on_close=on_close
-        )
+        merged = map(scatter.result, _merge_streams(streams, scatter.row))
+        return ResultStream(merged, report, on_close=on_close)
 
     def count_results(
         self, text: "str | NameSelector", costs: "CostModel | None" = None
@@ -863,9 +557,9 @@ class ShardedDatabase:
         contract).
         """
         self._check_open()
-        query = parse_query(text) if isinstance(text, str) else text
-        resolved = costs if costs is not None else self._default_costs
-        if not self._may_match_super_root(query, resolved):
+        compiled = self._pipeline.resolve(text, costs)
+        query, costs = compiled.query, compiled.costs
+        if not self._may_match_super_root(query, costs):
             return sum(shard.count_results(query, costs) for shard in self._shards)
         total = 0
         for shard in self._shards:
@@ -895,12 +589,15 @@ class ShardedDatabase:
         """Best-``n`` merged results with their derivations, roots in the
         global numbering."""
         self._check_open()
+        compiled = self._pipeline.resolve(text, costs)
         maps = self._maps
         merged: "list[Explanation]" = []
         # one extra per shard: at most one pseudo-result gets filtered
         per_shard = None if n is None else n + 1
         for index, shard in enumerate(self._shards):
-            for explanation in shard.explain(text, n=per_shard, costs=costs):
+            for explanation in shard.explain(
+                compiled.query, n=per_shard, costs=compiled.costs
+            ):
                 if explanation.root == 0:
                     continue  # collection-rooted pseudo-result
                 merged.append(
@@ -927,12 +624,7 @@ class ShardedDatabase:
         returns (the shared planner sees the same posting lengths either
         way)."""
         self._check_open()
-        check_method(method, _METHODS)
-        compiled, _ = self._compile(text, costs)
-        chosen, reason, estimates = self._planner.choose(
-            compiled.query, compiled.costs, self.collection_stats(), n, method=method
-        )
-        return build_query_plan(compiled.query, n, method, chosen, reason, estimates)
+        return self._pipeline.plan(_ScatterGather(self), text, n, method, costs)
 
     def query_many(
         self,
@@ -953,33 +645,15 @@ class ShardedDatabase:
         parallel would oversubscribe).  ``executor="process"`` degrades
         to threads with a ``concurrency.process_fallback`` count: shard
         results need local→global translation against the live manifest,
-        which has no cross-process story yet.
+        which has no cross-process story yet.  A batch mixing insert-cost
+        tables is grouped by table, exactly as :meth:`Database.query_many`
+        groups it: the shards' shared cost encodings hold one at a time.
         """
         self._check_open()
-        items = list(queries)
-        jobs = resolve_jobs(jobs)
-        if executor not in ("thread", "process"):
-            raise EvaluationError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
-        if executor == "process" and jobs > 1:
-            _telemetry.count("concurrency.process_fallback")
-
-        def serve(item) -> ResultSet:
-            if isinstance(item, tuple):
-                text, item_costs = item
-                effective = item_costs if item_costs is not None else costs
-            else:
-                text, effective = item, costs
-            return self.query(
-                text, n=n, costs=effective, method=method,
-                max_cost=max_cost, collect=collect,
-            )
-
-        if jobs > 1 and len(items) > 1:
-            with QueryPool(jobs) as pool:
-                return pool.map_ordered(serve, items)
-        return [serve(item) for item in items]
+        return self._pipeline.query_many(
+            _ScatterGather(self), self.query, queries, n, costs, max_cost,
+            method, collect, jobs, executor,
+        )
 
     # ------------------------------------------------------------------
     # mutation (routed to the owning shard)
@@ -1152,37 +826,11 @@ class ShardedDatabase:
         self._stats_cache = (generation, merged)
         return merged
 
-    def _compile(
-        self, text: "str | NameSelector", costs: "CostModel | None"
-    ) -> "tuple[CompiledQuery, bool]":
-        """Tier 1 at the merge level: text + resolved costs to a
-        :class:`~repro.querycache.CompiledQuery` through this instance's
-        own compiled cache (each shard additionally caches through its
-        own — a fanned-out selector skips the per-shard parse anyway)."""
-        resolved = costs if costs is not None else self._default_costs
-        return self._compiled_cache.get(text, resolved)
-
-    def _generation_vector(self) -> tuple:
-        """The result cache's invalidation key: the routing generation
-        plus every shard's (published state, store write counter) pair.
-        Each component is monotone, so the tuple orders lexicographically
-        the way the generation protocol expects — any routed mutation,
-        per-shard WAL recovery, or out-of-band shard-store write moves
-        the vector and strands older entries."""
-        parts = [self._generation]
-        for shard in self._shards:
-            parts.append(shard.generation)
-            store = shard._store
-            parts.append(0 if store is None else store.generation)
-        return tuple(parts)
-
     def query_cache_stats(self) -> dict[str, int]:
         """Lifetime ``querycache.*`` counters of the merge-level caches
         (the per-shard databases keep their own; see
         :meth:`Database.query_cache_stats`)."""
-        merged = self._compiled_cache.stats()
-        merged.update(self._result_cache.stats())
-        return merged
+        return self._pipeline.cache_stats()
 
     def set_query_cache(
         self,
@@ -1192,48 +840,203 @@ class ShardedDatabase:
         """Resize (or disable, with ``0``) the merge-level hot-query
         caches, and every shard's, in one call.  ``None`` leaves a tier
         untouched; answers are byte-identical at every setting."""
-        if compiled_entries is not None:
-            self._compiled_cache = CompiledQueryCache(compiled_entries)
-        if result_entries is not None:
-            self._result_cache = ResultCache(result_entries)
+        self._pipeline.set_cache(compiled_entries, result_entries)
         for shard in self._shards:
             shard.set_query_cache(compiled_entries, result_entries)
 
-    def _choose_method(
+
+class _ScatterGather:
+    """A sharded collection as the query pipeline's
+    :class:`~repro.core.pipeline.Executor`: scatter to every shard
+    through its public ``query`` / ``stream``, gather into the canonical
+    (cost, global root) order.  Rows are ``(global root, cost, shard,
+    local root)`` tuples.  Made per call — it captures the translation
+    tables current at the call's start."""
+
+    # the merge re-sorts every tie class by global root, whatever
+    # schedule the shards' drivers ran
+    schedule_ordered = False
+
+    def __init__(self, database: ShardedDatabase) -> None:
+        self._database = database
+        self._shards = database._shards
+        self._maps = database._maps
+
+    def generation(self) -> tuple:
+        """The routing generation plus every shard's (published state,
+        store write counter) pair.  Each component is monotone, so the
+        tuple orders lexicographically the way the generation protocol
+        expects — any routed mutation, per-shard WAL recovery, or
+        out-of-band shard-store write moves the vector and strands older
+        entries."""
+        parts = [self._database._generation]
+        for shard in self._shards:
+            parts.append(shard.generation)
+            store = shard._store
+            parts.append(0 if store is None else store.generation)
+        return tuple(parts)
+
+    def stats(self) -> CollectionStats:
+        return self._database.collection_stats()
+
+    def execute(
         self,
-        method: str,
+        compiled: CompiledQuery,
+        chosen: str,
         n: "int | None",
-        text: "str | NameSelector | None" = None,
-        costs: "CostModel | None" = None,
-        compiled: "CompiledQuery | None" = None,
-    ) -> "tuple[str, str, PlanEstimates | None]":
-        """Delegates to the shared cost-based planner over the merged
-        statistics — the same :class:`~repro.planner.cost.Planner`
-        decision the single-store database makes, so sharded and
-        unsharded plans agree on identical data.  (This replaces the
-        drifted static duplicate of core's pre-planner rule.)  With a
-        ``compiled`` query in hand the decision is memoized per
-        (generation, n, method, correction) on the compiled entry."""
-        check_method(method, _METHODS)
-        if text is None:
-            # no parsed query in hand: core's coarse pre-planner fallback
-            if method != "auto":
-                return method, f"explicitly requested method={method!r}", None
-            chosen = "direct" if n is None else "schema"
-            return chosen, "auto: coarse rule (no query context)", None
-        if method != "auto":
-            return method, f"explicitly requested method={method!r}", None
-        memo_key = None
-        if compiled is not None:
-            memo_key = (self._generation, n, method, self._planner.correction)
-            cached = compiled.cached_plan(memo_key)
-            if cached is not None:
-                return cached
-        query = parse_query(text) if isinstance(text, str) else text
-        resolved = costs if costs is not None else self._default_costs
-        decision = self._planner.choose(
-            query, resolved, self.collection_stats(), n, method=method
+        max_cost: "float | None",
+        schedule: "tuple[int | None, int | None]",
+        jobs: "int | None",
+        executor: str,
+        resume: None,
+        collect: str,
+    ) -> Execution:
+        """Shards run with the explicit ``chosen`` method and their own
+        default schedule, reporting in the ``collect`` mode; ``executor``
+        is not forwarded (per-shard process pools would nest).  Nothing
+        is resumable at this level: a larger ``n`` recomputes."""
+        jobs = min(resolve_jobs(jobs), len(self._shards))
+        if chosen == "schema" and n is not None:
+            rows, reports = self._best_n(compiled, n, max_cost, collect, jobs)
+        else:
+            rows, reports = self._full(compiled, n, chosen, max_cost, collect, jobs)
+        counters = {
+            "shard.fanout": len(self._shards),
+            "shard.results_merged": sum(report.results for report in reports),
+        }
+        if jobs > 1:
+            counters["shard.parallel_jobs"] = jobs
+        return Execution(
+            rows, complete=n is None or len(rows) < n, reports=tuple(reports), counters=counters
         )
-        if memo_key is not None:
-            compiled.store_plan(memo_key, decision)
-        return decision
+
+    def materialize(self, rows: list) -> "list[ShardResult]":
+        return [self.result(row) for row in rows]
+
+    def result(self, row: tuple) -> ShardResult:
+        root, cost, shard, local_root = row
+        return ShardResult(root, cost, self._shards[shard].tree, local_root, shard)
+
+    def row(self, shard: int, result: QueryResult) -> tuple:
+        return (
+            self._database._to_global(shard, result.root, self._maps),
+            result.cost,
+            shard,
+            result.root,
+        )
+
+    def prepare(self, costs: CostModel, methods: "set[str]") -> None:
+        for shard in self._shards:
+            shard._current_view().prepare(costs, methods)
+
+    def _best_n(self, compiled, n, max_cost, collect, jobs):
+        """Best-n retrieval: per-shard cost-ordered streams, merged.
+
+        Serial (``jobs <= 1``): the lazy k-way cost-class merge — shards
+        are pulled only as far as the global prefix needs.  Parallel:
+        each worker drains its shard's stream through the n-th cost's
+        tie class (the *tie-extended prefix*: every global top-n result
+        ranks within its own shard's top n, ties included), then one
+        canonical sort merges the unions — same answer, shards in
+        parallel.
+        """
+        def open_stream(shard: Database) -> ResultStream:
+            return shard.stream(compiled.query, costs=compiled.costs, collect=collect)
+
+        if jobs > 1:
+            def fetch(index: int):
+                stream = open_stream(self._shards[index])
+                out = []
+                try:
+                    for result in stream:
+                        if max_cost is not None and result.cost > max_cost:
+                            break
+                        if result.root == 0:
+                            continue  # collection-rooted pseudo-result
+                        if len(out) >= n and result.cost > out[n - 1][1]:
+                            break
+                        out.append(self.row(index, result))
+                finally:
+                    stream.close()
+                return out, stream.report
+
+            return self._gather(fetch, jobs, n)
+        streams = [open_stream(shard) for shard in self._shards]
+        rows: "list[tuple]" = []
+        try:
+            for row in _merge_streams(streams, self.row):
+                if max_cost is not None and row[1] > max_cost:
+                    break
+                rows.append(row)
+                if len(rows) >= n:
+                    break
+        finally:
+            for stream in streams:
+                stream.close()
+        return rows, [stream.report for stream in streams]
+
+    def _full(self, compiled, n, chosen, max_cost, collect, jobs):
+        """Full retrieval (or an explicit direct-method best-n): every
+        shard computes its complete (cost-bounded) answer set, the union
+        is sorted canonically, and ``n`` truncates.  Per-shard full sets
+        sidestep tie-cut truncation entirely."""
+        def fetch(index: int):
+            result_set = self._shards[index].query(
+                compiled.query, n=None, costs=compiled.costs, method=chosen,
+                max_cost=max_cost, collect=collect,
+            )
+            # root 0 is the collection-rooted pseudo-result
+            rows = [self.row(index, result) for result in result_set if result.root != 0]
+            return rows, result_set.report
+
+        return self._gather(fetch, jobs, n)
+
+    def _gather(self, fetch: Callable, jobs: int, n: "int | None"):
+        """Run ``fetch`` over every shard (on ``jobs`` threads), sort
+        the union of the rows canonically and cut it at ``n``."""
+        indexes = range(len(self._shards))
+        if jobs > 1:
+            with QueryPool(jobs) as pool:
+                fetched = pool.map_ordered(fetch, indexes)
+        else:
+            fetched = [fetch(index) for index in indexes]
+        rows = sorted(
+            (row for part, _ in fetched for row in part),
+            key=lambda row: (row[1], row[0]),
+        )
+        return (rows if n is None else rows[:n]), [report for _, report in fetched]
+
+
+def _merge_streams(
+    streams: "list[ResultStream]", row_of: "Callable[[int, QueryResult], tuple]"
+) -> Iterator[tuple]:
+    """The k-way cost-class merge (see the module docstring), as rows.
+
+    Each shard stream holds one result of lookahead; a heap over the
+    frontier costs picks the cheapest class, every stream sitting at
+    that cost is drained through it, and the class is emitted sorted
+    by global root.  Nondecreasing per-shard order (the Section 7.4
+    stream contract) makes the emitted order globally nondecreasing.
+    """
+    lookahead: "list[QueryResult | None]" = []
+    frontier: "list[tuple[float, int]]" = []
+    for index, stream in enumerate(streams):
+        result = next(stream, None)
+        lookahead.append(result)
+        if result is not None:
+            heapq.heappush(frontier, (result.cost, index))
+    while frontier:
+        cost = frontier[0][0]
+        bucket: "list[tuple]" = []
+        while frontier and frontier[0][0] == cost:
+            _, index = heapq.heappop(frontier)
+            result = lookahead[index]
+            while result is not None and result.cost == cost:
+                if result.root != 0:  # skip the collection-rooted pseudo-result
+                    bucket.append(row_of(index, result))
+                result = next(streams[index], None)
+            lookahead[index] = result
+            if result is not None:
+                heapq.heappush(frontier, (result.cost, index))
+        bucket.sort(key=lambda row: row[0])
+        yield from bucket

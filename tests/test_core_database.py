@@ -5,7 +5,6 @@ import pytest
 from repro import Database
 from repro.approxql.costs import CostModel, paper_example_cost_model
 from repro.errors import EvaluationError
-from repro.schema.evaluator import EvaluationStats
 
 CATALOG = """
 <catalog>
@@ -94,10 +93,9 @@ class TestQuerying:
         results = db.query('cd[title["piano"]]')
         assert len(results) <= 10
 
-    def test_stats_passed_through(self, db):
-        stats = EvaluationStats()
-        db.query('cd[title["piano"]]', n=1, method="schema", stats=stats)
-        assert stats.second_level_executed >= 1
+    def test_schema_counters_reported(self, db):
+        results = db.query('cd[title["piano"]]', n=1, method="schema", collect="counters")
+        assert results.report.second_level_queries >= 1
 
     def test_stream_yields_in_cost_order(self, db):
         costs = paper_example_cost_model()
@@ -161,7 +159,7 @@ class TestPersistence:
     def test_save_load_roundtrip(self, db, tmp_path):
         path = str(tmp_path / "catalog.apxq")
         db.save(path)
-        loaded = Database.load(path)
+        loaded = Database.open(path)
         assert loaded.node_count == db.node_count
         original = db.query('cd[title["piano"]]', n=None)
         restored = loaded.query('cd[title["piano"]]', n=None)
@@ -170,7 +168,7 @@ class TestPersistence:
     def test_loaded_db_runs_both_methods(self, db, tmp_path):
         path = str(tmp_path / "catalog.apxq")
         db.save(path)
-        loaded = Database.load(path)
+        loaded = Database.open(path)
         costs = paper_example_cost_model()
         # the paper model keeps default insert costs only for some labels;
         # saved with unit costs, so use delete/rename-only model
@@ -184,7 +182,7 @@ class TestPersistence:
     def test_loaded_db_rejects_different_insert_costs(self, db, tmp_path):
         path = str(tmp_path / "catalog.apxq")
         db.save(path)
-        loaded = Database.load(path)
+        loaded = Database.open(path)
         with pytest.raises(EvaluationError):
             loaded.query("cd", costs=CostModel(default_insert_cost=7))
 
@@ -194,14 +192,14 @@ class TestPersistence:
         db = Database.from_xml(CATALOG, default_costs=costs)
         path = str(tmp_path / "weighted.apxq")
         db.save(path)
-        loaded = Database.load(path)
+        loaded = Database.open(path)
         results = loaded.query('cd[title["vivace"]]', n=None)
         assert [r.cost for r in results] == [6.0]  # tracks(5) + track(1)
 
     def test_loaded_tree_structure_matches(self, db, tmp_path):
         path = str(tmp_path / "catalog.apxq")
         db.save(path)
-        loaded = Database.load(path)
+        loaded = Database.open(path)
         assert loaded.tree.labels == db.tree.labels
         assert loaded.tree.parents == db.tree.parents
         assert loaded.tree.bounds == db.tree.bounds

@@ -25,7 +25,7 @@ class TestCorruption:
         with open(saved_db, "r+b") as handle:
             handle.truncate(100)
         with pytest.raises(ReproError):
-            Database.load(saved_db)
+            Database.open(saved_db)
 
     def test_flipped_bytes_detected(self, saved_db):
         import os
@@ -41,7 +41,7 @@ class TestCorruption:
                 handle.seek(offset)
                 handle.write(bytes([original[0] ^ 0xFF]))
         with pytest.raises(ReproError):
-            loaded = Database.load(saved_db)
+            loaded = Database.open(saved_db)
             loaded.query("cd", n=None)
             loaded.query('cd[title["piano"]]', n=None)
 
@@ -81,13 +81,13 @@ class TestRoundTripFidelity:
         db = Database.from_xml("<a><wrapper><b>x</b></wrapper></a>", default_costs=costs)
         path = str(tmp_path / "weighted.apxq")
         db.save(path)
-        loaded = Database.load(path)
+        loaded = Database.open(path)
         results = loaded.query('a[b["x"]]', n=None)
         assert [r.cost for r in results] == [5.0]
 
     def test_load_twice(self, saved_db):
-        first = Database.load(saved_db)
-        second = Database.load(saved_db)
+        first = Database.open(saved_db)
+        second = Database.open(saved_db)
         assert first.query("cd", n=None) == second.query("cd", n=None)
 
     def test_file_size_reasonable(self, saved_db):

@@ -24,7 +24,7 @@ def test_loaded_database_matches_memory(tmp_path, seed):
     database = Database.from_tree(tree)
     path = str(tmp_path / f"random-{seed}.apxq")
     database.save(path)
-    loaded = Database.load(path)
+    loaded = Database.open(path)
     for _ in range(4):
         query = random_query(rng)
         # saved databases bake unit insert costs: keep the cost model's
@@ -45,7 +45,7 @@ def test_loaded_database_streams(tmp_path):
     database = Database.from_tree(tree)
     path = str(tmp_path / "stream.apxq")
     database.save(path)
-    loaded = Database.load(path)
+    loaded = Database.open(path)
     query = random_query(rng)
     costs = random_cost_model(rng)
     costs.default_insert_cost = 1.0
@@ -127,7 +127,7 @@ def test_page_read_counters_distinguish_stored_from_memory(tmp_path):
     database = Database.from_tree(tree)
     path = str(tmp_path / "pages.apxq")
     database.save(path)
-    loaded = Database.load(path)
+    loaded = Database.open(path)
     query = random_query(rng)
     for method in ("direct", "schema"):
         memory = database.query(query, n=None, method=method, collect="counters")
@@ -147,5 +147,5 @@ def test_separation_count_is_stable_after_reload(tmp_path):
     database = Database.from_tree(tree)
     path = str(tmp_path / "sanity.apxq")
     database.save(path)
-    Database.load(path)
+    Database.open(path)
     assert len(separate(query)) == before

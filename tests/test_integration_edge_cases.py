@@ -116,7 +116,7 @@ class TestUnicode:
         db = Database.from_xml(self.XML)
         path = str(tmp_path / "unicode.apxq")
         db.save(path)
-        loaded = Database.load(path)
+        loaded = Database.open(path)
         results = loaded.query('stück[titel["précis"]]', n=None)
         assert len(results) == 1
         assert "音楽" in loaded.query("titel", n=1)[0].words()

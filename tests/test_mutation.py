@@ -209,7 +209,7 @@ class TestStoredMutation:
         costs = CostModel(default_insert_cost=1)
         Database.from_documents(DOCS, default_costs=costs).save(path)
         database = Database.open(path)
-        database._default_costs = CostModel(default_insert_cost=1.5)
+        database._pipeline.default_costs = CostModel(default_insert_cost=1.5)
         baseline_keys = dict(database._store.scan())
         from repro.errors import SchemaError
 
@@ -220,13 +220,6 @@ class TestStoredMutation:
 
 
 class TestUnifiedEntryPoints:
-    def test_load_is_deprecated_alias(self, tmp_path):
-        path = os.path.join(tmp_path, "cat.apxq")
-        Database.from_documents(DOCS).save(path)
-        with pytest.warns(DeprecationWarning, match="Database.open"):
-            database = Database.load(path)
-        assert len(database.query("cd[title]", n=None)) == 3
-
     def test_open_takes_store_options_and_keyword_overrides(self, tmp_path):
         path = os.path.join(tmp_path, "cat.apxq")
         Database.from_documents(DOCS).save(path)

@@ -92,7 +92,7 @@ def answer(database: Database, query, method: str):
 
 
 def naive_answer(database: Database, query):
-    pairs = evaluate_naive(query, database.tree, database._default_costs)
+    pairs = evaluate_naive(query, database.tree, database._pipeline.default_costs)
     return sorted(
         (pair.cost, subtree_to_xml(database.tree, pair.root)) for pair in pairs
     )

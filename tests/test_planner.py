@@ -264,7 +264,7 @@ class TestFeedbackLoop:
         report = results.report
         assert report.get("planner.mispredictions") == 1
         assert report.planner_corrections >= 1
-        assert database._planner.correction > 1.0
+        assert database._pipeline.planner.correction > 1.0
         # subsequent estimates carry the corrected candidate count
         after = database.plan("cd", n=5)
         assert after.estimates.corrected
@@ -292,8 +292,8 @@ class TestFeedbackLoop:
         database = Database.from_xml(_catalog(30))
         for _ in range(3):
             database.query('cd[title["album"]]', n=5)
-        assert database._planner.correction == 1.0
-        assert database._planner.corrections == 0
+        assert database._pipeline.planner.correction == 1.0
+        assert database._pipeline.planner.corrections == 0
 
 
 class TestAutotune:

@@ -279,21 +279,18 @@ class TestDatabaseFastPath:
         """With the schedule held fixed, a larger ``n`` resumes the
         captured driver state and the combined answer matches a cold
         run."""
-        state = memory_db._state
-        compiled, _ = memory_db._compile("cd[title]", None)
-        short = memory_db._evaluate_cached(
-            state, compiled, "schema", 2, None, None, initial_k=2, delta=2
-        )
+        pipeline = memory_db._pipeline
+        view = memory_db._current_view()
+        compiled, _ = pipeline.compile("cd[title]", None)
+        request = (view, view.generation(), compiled, "schema")
+        schedule = ((2, 2), None, "thread", "off")
+        short, _ = pipeline._answer(*request, 2, None, *schedule)
         assert len(short) == 2
-        longer = memory_db._evaluate_cached(
-            state, compiled, "schema", 4, None, None, initial_k=2, delta=2
-        )
-        assert memory_db._result_cache.resumes == 1
-        cold = memory_db._evaluate(
-            state, "schema", compiled.query, compiled.costs, 4, None, None,
-            initial_k=2, delta=2,
-        )
-        assert [(r.root, r.cost) for r in longer] == [(r.root, r.cost) for r in cold]
+        longer, _ = pipeline._answer(*request, 4, None, *schedule)
+        assert pipeline.result_cache.resumes == 1
+        pipeline.set_cache(result_entries=0)
+        cold, _ = pipeline._answer(*request, 4, None, *schedule)
+        assert _pairs(longer) == _pairs(cold)
 
     def test_mutation_invalidates(self, memory_db):
         before = memory_db.query("cd[title]", n=None)
@@ -330,16 +327,6 @@ class TestDatabaseFastPath:
             assert current.report.result_cache_hit
             assert len(current) == len(pinned) + 1
 
-    def test_stats_hook_bypasses_but_stays_correct(self, memory_db):
-        from repro.schema.evaluator import EvaluationStats
-
-        baseline = _pairs(memory_db.query("cd[title]", n=2, method="schema"))
-        stats = EvaluationStats()
-        with pytest.deprecated_call():
-            probed = memory_db.query("cd[title]", n=2, method="schema", stats=stats)
-        assert _pairs(probed) == baseline
-        assert stats.rounds >= 1  # the probe really drove the evaluator
-
     def test_query_cache_stats_and_resize(self, memory_db):
         memory_db.query("cd[title]", n=2)
         memory_db.query("cd[title]", n=2)
@@ -358,8 +345,8 @@ class TestDatabaseFastPath:
             path,
             options=StoreOptions(compiled_cache_entries=7, result_cache_entries=0),
         )
-        assert loaded._compiled_cache.max_entries == 7
-        assert not loaded._result_cache.enabled
+        assert loaded._pipeline.compiled_cache.max_entries == 7
+        assert not loaded._pipeline.result_cache.enabled
         loaded.close()
 
 
@@ -422,35 +409,35 @@ class TestPlannerPersistence:
     def test_corrections_survive_close_and_reopen(self, stored_db, tmp_path):
         """A query-only session persists what it learned on close —
         no mutation ever commits it."""
-        stored_db._planner.seed(2.0, 3)
+        stored_db._pipeline.planner.seed(2.0, 3)
         stored_db.close()
         reopened = Database.open(os.path.join(tmp_path, "cat.apxq"))
-        assert reopened._planner.correction == 2.0
-        assert reopened._planner.corrections == 3
+        assert reopened._pipeline.planner.correction == 2.0
+        assert reopened._pipeline.planner.corrections == 3
         reopened.close()
 
     def test_corrections_ride_the_mutation_frame(self, stored_db, tmp_path):
-        stored_db._planner.seed(1.5, 2)
+        stored_db._pipeline.planner.seed(1.5, 2)
         stored_db.insert_document(NEW_DOC)
         # persisted by the mutation commit, before any close
         assert load_planner_state(stored_db._store) == (1.5, 2)
         stored_db.close()
         reopened = Database.open(os.path.join(tmp_path, "cat.apxq"))
-        assert reopened._planner.corrections == 2
+        assert reopened._pipeline.planner.corrections == 2
         reopened.close()
 
     def test_save_carries_planner_state(self, memory_db, tmp_path):
-        memory_db._planner.seed(4.0, 5)
+        memory_db._pipeline.planner.seed(4.0, 5)
         path = os.path.join(tmp_path, "learned.apxq")
         memory_db.save(path)
         reopened = Database.open(path)
-        assert reopened._planner.correction == 4.0
+        assert reopened._pipeline.planner.correction == 4.0
         reopened.close()
 
     def test_query_path_never_writes_the_store(self, stored_db):
         """A pure read workload must not bump the store generation (a
         write would blanket-invalidate the posting and result caches)."""
-        stored_db._planner.seed(2.0, 1)
+        stored_db._pipeline.planner.seed(2.0, 1)
         generation = stored_db._store.generation
         for _ in range(3):
             stored_db.query("cd[title]", n=2)
@@ -537,10 +524,10 @@ class TestShardedFastPath:
     def test_set_query_cache_cascades_to_shards(self):
         database = ShardedDatabase.from_documents([CATALOG, LIBRARY], shards=2)
         database.set_query_cache(compiled_entries=5, result_entries=0)
-        assert not database._result_cache.enabled
+        assert not database._pipeline.result_cache.enabled
         for shard in database._shards:
-            assert shard._compiled_cache.max_entries == 5
-            assert not shard._result_cache.enabled
+            assert shard._pipeline.compiled_cache.max_entries == 5
+            assert not shard._pipeline.result_cache.enabled
         assert len(database.query("title", n=2)) == 2
         database.close()
 

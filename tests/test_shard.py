@@ -210,6 +210,52 @@ def test_query_many_matches_individual_queries():
         assert _canonical(result_set) == _canonical(sharded.query(query, n=3))
 
 
+@pytest.mark.parametrize("method, n", [("direct", None), ("auto", 10)])
+def test_query_many_groups_mixed_insert_tables(method, n):
+    """A parallel batch mixing insert-cost tables on in-memory shards:
+    an evaluation re-encodes its shard's shared per-node cost arrays for
+    its own table, so two tables in flight together corrupt each other's
+    costs.  The batch must be grouped by insert fingerprint — parallel
+    answers equal serial ones and the unsharded collection's."""
+    import sys
+
+    from repro.approxql.costs import CostModel
+    from repro.xmltree.model import NodeType
+
+    documents = [
+        f"<shop><cd><disc><side><title>piano {i % 7}</title></side></disc>"
+        f"<label><name>house {i % 5}</name></label></cd>"
+        f"<dvd><title>piano {i % 3}</title></dvd></shop>"
+        for i in range(300)
+    ]
+    tables = []
+    for base in (1, 4, 9):
+        costs = CostModel(default_insert_cost=base)
+        costs.set_insert_cost("disc", base + 2)
+        costs.add_renaming("cd", "dvd", NodeType.STRUCT, base)
+        tables.append(costs)
+    queries = ['cd[title["piano"]]', "cd[title]", 'shop[title["piano"]]', "cd[name]"]
+    items = [(query, costs) for query in queries for costs in tables]
+    sharded = ShardedDatabase.from_documents(documents, shards=2)
+    single = Database.from_documents(documents)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = sharded.query_many(items, n=n, method=method, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = sharded.query_many(items, n=n, method=method, jobs=1)
+    for (query, costs), got, want in zip(items, parallel, serial):
+        truth = sorted(
+            (r.cost, r.root)
+            for r in single.query(query, n=None, costs=costs, method="direct")
+            if r.root != 0
+        )
+        assert _canonical(want) == (truth if n is None else truth[:n])
+        assert _canonical(got) == _canonical(want)
+    sharded.close()
+
+
 def test_shard_result_accessors():
     sharded = ShardedDatabase.from_documents(DOCUMENTS, shards=2)
     (result,) = sharded.query('cd[title["piano"]]', n=1)

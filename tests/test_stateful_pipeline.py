@@ -65,7 +65,7 @@ class PipelineMachine(RuleBasedStateMachine):
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "machine.apxq")
             self.database.save(path)
-            loaded = Database.load(path)
+            loaded = Database.open(path)
             original = self.database.query(struct, n=None, method="direct")
             restored = loaded.query(struct, n=None, method="direct")
             assert [(r.root, r.cost) for r in original] == [

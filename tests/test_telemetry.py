@@ -271,14 +271,6 @@ class TestQueryCollect:
             db.query("cd", collect="everything")
         assert "off" in MODES and "counters" in MODES and "timings" in MODES
 
-    def test_stats_kwarg_still_works_but_warns(self, db):
-        from repro.schema.evaluator import EvaluationStats
-
-        stats = EvaluationStats()
-        with pytest.deprecated_call():
-            db.query('cd[title["piano"]]', n=1, method="schema", stats=stats)
-        assert stats.rounds >= 1
-
     def test_consecutive_queries_get_independent_reports(self, db):
         first = db.query('cd[title["piano"]]', n=5, collect="counters")
         second = db.query("cd", n=5, collect="counters")
