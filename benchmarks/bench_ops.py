@@ -5,11 +5,11 @@ ancestor-window widths (the *l* of the Section 6.5 bound: how many
 descendants each ancestor's interval spans), once through the retained
 reference kernel (:mod:`repro.engine.reference`, one ``ListEntry`` object
 per row) and once through the production columnar kernel
-(:mod:`repro.engine.ops` over :class:`~repro.engine.columns.EvalColumns`,
-sparse-table range minima).  Inputs are prebuilt outside the timing loop
-— in production the fetch columns (and the sparse tables grown on them)
-are cached across calls, so steady-state per-call cost is the honest
-comparison.
+(:mod:`repro.engine.ops` over :class:`~repro.engine.columns.EvalColumns`;
+each join picks sparse tables or slice sweeps from its input, and the
+cases sit on both sides of that choice).  Inputs are prebuilt outside the
+timing loop — a list that was worth a sparse table keeps it across
+calls, so steady-state per-call cost is the honest comparison.
 
 The run **fails (exit 1) when the columnar kernel is slower than the
 reference on any large-list case** — the CI ``bench-smoke`` job runs
@@ -18,9 +18,6 @@ reference on any large-list case** — the CI ``bench-smoke`` job runs
 Standalone usage (writes the committed ``BENCH_ops.json`` baseline)::
 
     PYTHONPATH=src python benchmarks/bench_ops.py --out BENCH_ops.json
-
-``--crossover-sweep`` measures the sparse-table-vs-linear-sweep cutover
-that calibrates :data:`repro.engine.columns.DEFAULT_RMQ_CROSSOVER`.
 """
 
 from __future__ import annotations
@@ -32,11 +29,7 @@ import sys
 import time
 
 from repro.engine import ops, reference
-from repro.engine.columns import (
-    DEFAULT_RMQ_CROSSOVER,
-    as_columns,
-    set_rmq_crossover,
-)
+from repro.engine.columns import as_columns
 from repro.engine.entries import ListEntry
 
 # (name, ancestor count, descendant count, window) — window is how many
@@ -153,50 +146,17 @@ def run_cases(quick: bool) -> list[dict]:
     return results
 
 
-def run_crossover_sweep(quick: bool) -> list[dict]:
-    """Per-descendant-list-length timings with the sparse table forced on
-    vs forced off: the cutover calibrates DEFAULT_RMQ_CROSSOVER."""
-    lengths = (4, 8, 16, 32, 64, 128) if quick else (2, 4, 8, 16, 24, 32, 48, 64, 128, 256)
-    sweep = []
-    for length in lengths:
-        descendants = make_descendants(length)
-        # many ancestors each spanning the whole list: the regime where
-        # the build amortizes fastest; short-lived lists do worse
-        ancestors = make_ancestors(64, length, length)
-        repeats = 20 if quick else 50
-        timings = {}
-        for label, pin in (("rmq_ms", 0), ("linear_ms", math.inf)):
-            previous = set_rmq_crossover(pin)
-            try:
-                # fresh columns per round so the sparse-table build is paid
-                # inside the measurement (the conservative accounting)
-                seconds = best_call_seconds(
-                    lambda: ops.join(as_columns(ancestors), as_columns(descendants), 0.0),
-                    (),
-                    repeats,
-                )
-            finally:
-                set_rmq_crossover(previous)
-            timings[label] = seconds * 1e3
-        sweep.append({"descendants": length, **timings})
-    return sweep
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke mode: large cases only, few repeats")
     parser.add_argument("--out", help="write the JSON baseline to this path")
-    parser.add_argument("--crossover-sweep", action="store_true", help="measure the RMQ/linear cutover")
     args = parser.parse_args(argv)
 
     payload = {
         "benchmark": "bench_ops",
         "quick": args.quick,
-        "rmq_crossover": DEFAULT_RMQ_CROSSOVER,
         "cases": run_cases(args.quick),
     }
-    if args.crossover_sweep:
-        payload["crossover_sweep"] = run_crossover_sweep(args.quick)
 
     header = f"{'op':<10} {'case':<18} {'reference':>12} {'columnar':>12} {'speedup':>9}"
     print(header)
@@ -206,11 +166,6 @@ def main(argv=None) -> int:
             f"{case['op']:<10} {case['case']:<18} "
             f"{case['reference_ms']:>10.3f}ms {case['columnar_ms']:>10.3f}ms "
             f"{case['speedup']:>8.2f}x"
-        )
-    for point in payload.get("crossover_sweep", ()):
-        print(
-            f"sweep len={point['descendants']:<6} rmq={point['rmq_ms']:.4f}ms "
-            f"linear={point['linear_ms']:.4f}ms"
         )
 
     if args.out:

@@ -17,9 +17,9 @@ DAG of four representation types:
     the right edge *bridges* it and is annotated with the delete cost.
 
 Bridging edges point at the **same** child object the node itself uses,
-which makes the representation a DAG; algorithm ``primary`` memoizes on
-(node uid, ancestor list) — the paper's "dynamic programming to avoid the
-duplicate evaluation of query subtrees".
+which makes the representation a DAG; algorithm ``primary`` keeps one
+list per (selector, scope) and per (node, ancestor list) — the paper's
+"dynamic programming to avoid the duplicate evaluation of query subtrees".
 """
 
 from __future__ import annotations

@@ -284,7 +284,9 @@ class _PinnedView:
     # -- the reads that neither plan nor cache --------------------------
 
     def count(self, compiled: CompiledQuery) -> int:
-        return self.state.direct_evaluator().count(compiled.query, compiled.costs)
+        return self.state.direct_evaluator().count(
+            compiled.query, compiled.costs, expanded=compiled.expanded()
+        )
 
     def stream(
         self,
@@ -1368,21 +1370,3 @@ class Database:
                 self._store.commit()
             except Exception:
                 pass
-
-    def autotune_kernel(self) -> int:
-        """Apply the planner's RMQ-crossover suggestion for this
-        collection to the process-wide kernel setting and return it.
-
-        The crossover is a correctness-neutral performance knob (results
-        are identical either side of it), but the setting is process
-        global — it is applied here, explicitly, rather than per query,
-        where concurrent evaluations on other collections would race the
-        flip.  Returns the value now in force; restore with
-        :func:`repro.engine.columns.set_rmq_crossover` if needed."""
-        from ..engine.columns import set_rmq_crossover
-
-        suggested = self._pipeline.planner.suggested_rmq_crossover(
-            self._state.ensure_stats()
-        )
-        set_rmq_crossover(suggested)
-        return suggested

@@ -16,7 +16,7 @@ Stages of :meth:`QueryPipeline.query`, in order:
 2. **compile** through the Tier-1 :class:`~repro.querycache.CompiledQueryCache`
    (parse, fingerprint, lazily expanded closure);
 3. **plan**: an explicit method is taken as given, ``"auto"`` asks the
-   :class:`~repro.planner.cost.Planner`, memoized on the compiled query
+   :class:`~repro.planner.cost.Planner`, cached on the compiled query
    per (generation, n, method, correction);
 4. **cache**: serve the Tier-2 :class:`~repro.querycache.ResultCache`
    prefix, resume the schema driver past a shorter one, or
@@ -251,7 +251,7 @@ class QueryPipeline:
     ) -> "tuple[str, str, PlanEstimates | None]":
         """The method decision for one compiled query.  An explicit
         method skips estimation unless ``want_estimates``; a planner
-        decision is memoized on the compiled query, so re-planning a hot
+        decision is cached on the compiled query, so re-planning a hot
         query is a dict hit."""
         if method != "auto" and not want_estimates:
             return method, f"explicitly requested method={method!r}", None

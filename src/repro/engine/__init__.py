@@ -7,13 +7,7 @@ entry-per-object implementation lives in :mod:`repro.engine.reference`
 as the executable specification the property suite checks the kernel
 against."""
 
-from .columns import (
-    EvalColumns,
-    SparseTable,
-    as_columns,
-    get_rmq_crossover,
-    set_rmq_crossover,
-)
+from .columns import EvalColumns, SparseTable, as_columns
 from .entries import INFINITE, ListEntry, entry_from_posting
 from .evaluator import DirectEvaluator, DirectResult, DirectStats
 from .ops import (
@@ -23,6 +17,7 @@ from .ops import (
     intersect,
     join,
     merge,
+    merge_shifted,
     outerjoin,
     sort_best,
     union,
@@ -43,13 +38,12 @@ __all__ = [
     "as_columns",
     "entry_from_posting",
     "fetch",
-    "get_rmq_crossover",
     "intersect",
     "join",
     "merge",
+    "merge_shifted",
     "outerjoin",
     "root_cost_pairs",
-    "set_rmq_crossover",
     "sort_best",
     "union",
 ]

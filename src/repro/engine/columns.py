@@ -14,11 +14,9 @@ column (``pathcost + embcost``) over the descendant interval of each
 ancestor.  A :class:`SparseTable` answers those range minima in O(1)
 after an O(n log n) build; the table is built lazily per descendant list
 and cached on the :class:`EvalColumns` object, so the many contexts one
-memoized list flows into (and the repeat queries served by the cached
-fetch columns) amortize a single build.  Tiny lists skip the table and
-fall back to a linear sweep; the cutover point is the measured
-:func:`get_rmq_crossover` (pin it to ``0`` or ``math.inf`` to force one
-strategy everywhere — the equivalence suites run both pins).
+shared list flows into amortize a single build.  ``join``/``outerjoin``
+decide per call, from the total width of the intervals they were handed,
+whether a table pays for itself or a slice sweep is cheaper.
 
 Columns are **immutable by convention**: every operator builds new
 column lists and never writes into its inputs, which is what makes
@@ -93,31 +91,6 @@ def _numpy_module():
 
 if os.environ.get("REPRO_NUMPY") == "1":
     set_numpy_kernel(True)
-
-#: descendant-list length at which building a sparse table starts to beat
-#: per-ancestor linear sweeps (measured by ``benchmarks/bench_ops.py
-#: --crossover-sweep``; see docs/PERFORMANCE.md).  Below it the O(n log n)
-#: build cannot amortize before the list is exhausted.
-DEFAULT_RMQ_CROSSOVER = 32
-
-_rmq_crossover: float = DEFAULT_RMQ_CROSSOVER
-
-
-def get_rmq_crossover() -> float:
-    """The descendant-list length at which joins switch to sparse tables."""
-    return _rmq_crossover
-
-
-def set_rmq_crossover(value: float) -> float:
-    """Set the RMQ crossover, returning the previous value.
-
-    ``0`` forces sparse tables everywhere, ``math.inf`` forces the
-    linear sweep everywhere — the two pins the equivalence suites run.
-    """
-    global _rmq_crossover
-    previous = _rmq_crossover
-    _rmq_crossover = value
-    return previous
 
 
 class SparseTable:

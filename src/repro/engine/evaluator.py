@@ -167,6 +167,7 @@ class DirectEvaluator:
         if telemetry is not None:
             telemetry.count("direct.index_fetches", evaluator.fetch_count)
             telemetry.count("direct.postings_fetched", evaluator.postings_fetched)
+            telemetry.count("direct.postings_scoped_out", evaluator.postings_scoped_out)
             telemetry.count("direct.memo_hits", evaluator.memo_hits)
             telemetry.count("direct.lists_materialized", evaluator.list_ops)
             telemetry.count("direct.merge_steps", evaluator.merge_ops)

@@ -5,8 +5,8 @@ Every operation consumes and produces *evaluation lists* sorted by
 :class:`~repro.engine.columns.EvalColumns` struct-of-arrays (plain lists
 of :class:`~repro.engine.entries.ListEntry` are accepted and coerced, so
 entry-shaped callers keep working).  Operations never mutate their
-inputs — lists are shared across the memoized evaluation of the expanded
-DAG, and cost adjustments *share* the identity columns of their input
+inputs — lists are shared across the evaluation of the expanded DAG,
+and cost adjustments *share* the identity columns of their input
 instead of copying entries — and drop rows whose embedding cost is
 infinite, since such rows can never contribute a result.
 
@@ -14,12 +14,13 @@ Each operation computes both cost tracks: ``embcost`` (unconditional
 best) and ``leafcost`` (best among embeddings with at least one real
 query-leaf match; see :mod:`repro.engine.entries`).
 
-The ``join``/``outerjoin`` range minima are answered by the descendant
-list's cached sparse table (O(1) per ancestor after one O(|D| log |D|)
-build) once the list is longer than the measured RMQ crossover; shorter
-lists use the linear slice sweep.  The entry-shaped original of this
-module survives as :mod:`repro.engine.reference`, the executable
-specification the property suite checks this kernel against.
+The ``join``/``outerjoin`` range minima are answered either by a sweep
+over each ancestor's slice of the descendant list or by that list's
+cached sparse table (O(1) per ancestor after one O(|D| log |D|) build);
+each call picks the cheaper one from the interval widths it was handed.
+The entry-shaped original of this module survives as
+:mod:`repro.engine.reference`, the executable specification the property
+suite checks this kernel against.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from operator import itemgetter
 from ..telemetry.collector import count as _telemetry_count
 from ..xmltree.indexes import NodeIndexes
 from ..xmltree.model import NodeType
-from .columns import EvalColumns, _numpy_module, as_columns, get_rmq_crossover
+from .columns import EvalColumns, _numpy_module, as_columns
 from .entries import INFINITE, ListEntry
 
 EvalList = list[ListEntry]
@@ -64,13 +65,17 @@ def merge(left, right, rename_cost: float) -> EvalColumns:
     possible when a renaming's posting overlaps the original's — collapse
     into one row with the minimum cost per track, preserving the
     unique-``pre`` invariant."""
-    left = as_columns(left)
-    right = as_columns(right)
-    if not len(right):
-        return left
-    if not len(left):
-        return _with_added_cost(right, rename_cost)
-    return _merge_columns(left, _with_added_cost(right, rename_cost))
+    return merge_shifted([(left, 0.0), (right, rename_cost)])
+
+
+def merge_shifted(parts: "list[tuple[EvalColumns | EvalList, float]]") -> EvalColumns:
+    """``merge`` over any number of ``(list, cost)`` parts at once — a
+    selector's label and all its renamings — each part's rows paying its
+    cost: one sort over all rows instead of a pass per renaming."""
+    shifted = [_with_added_cost(as_columns(part), cost) for part, cost in parts if len(part)]
+    if len(shifted) > 1:
+        return _merge_columns(shifted)
+    return shifted[0] if shifted else EvalColumns.empty()
 
 
 def join(ancestors, descendants, edge_cost: float) -> EvalColumns:
@@ -79,39 +84,16 @@ def join(ancestors, descendants, edge_cost: float) -> EvalColumns:
     plus ``edge_cost`` (function ``join``)."""
     ancestors = as_columns(ancestors)
     descendants = as_columns(descendants)
-    if not len(ancestors) or not len(descendants):
-        return EvalColumns.empty()
-    pres = descendants.pre
-    emb_scores = descendants.emb_scores()
-    leaf_scores = descendants.leaf_scores()
-    use_rmq = len(descendants) >= get_rmq_crossover()
-    if use_rmq:
-        emb_rmq = descendants.emb_rmq()
-        leaf_rmq = descendants.leaf_rmq()
-        _telemetry_count("kernel.rmq_joins")
-    else:
-        _telemetry_count("kernel.linear_joins")
-    ancestor_pre = ancestors.pre
-    ancestor_bound = ancestors.bound
-    ancestor_path = ancestors.pathcost
-    ancestor_ins = ancestors.inscost
+    pathcost = ancestors.pathcost
+    inscost = ancestors.inscost
     keep: list = []
     embcost: list = []
     leafcost: list = []
-    for i in range(len(ancestor_pre)):
-        low = bisect_right(pres, ancestor_pre[i])
-        high = bisect_right(pres, ancestor_bound[i])
-        if low >= high:
-            continue
-        base = ancestor_path[i] + ancestor_ins[i]
-        if use_rmq:
-            emb = emb_rmq.minimum(low, high)
-        else:
-            emb = min(emb_scores[low:high])
+    for i, emb, leaf in zip(*_range_minima(ancestors, descendants)):
+        base = pathcost[i] + inscost[i]
         emb = emb - base + edge_cost
         if emb == INFINITE:
             continue
-        leaf = leaf_rmq.minimum(low, high) if use_rmq else min(leaf_scores[low:high])
         keep.append(i)
         embcost.append(emb)
         leafcost.append(leaf - base + edge_cost if leaf != INFINITE else INFINITE)
@@ -124,44 +106,23 @@ def outerjoin(ancestors, descendants, edge_cost: float, delete_cost: float) -> E
     cheaper of deletion and the best match (function ``outerjoin``)."""
     ancestors = as_columns(ancestors)
     descendants = as_columns(descendants)
-    pres = descendants.pre
-    emb_scores = descendants.emb_scores()
-    leaf_scores = descendants.leaf_scores()
-    use_rmq = len(descendants) and len(descendants) >= get_rmq_crossover()
-    if use_rmq:
-        emb_rmq = descendants.emb_rmq()
-        leaf_rmq = descendants.leaf_rmq()
-        _telemetry_count("kernel.rmq_joins")
-    else:
-        _telemetry_count("kernel.linear_joins")
-    ancestor_pre = ancestors.pre
-    ancestor_bound = ancestors.bound
-    ancestor_path = ancestors.pathcost
-    ancestor_ins = ancestors.inscost
-    keep: list = []
-    embcost: list = []
-    leafcost: list = []
-    for i in range(len(ancestor_pre)):
-        low = bisect_right(pres, ancestor_pre[i])
-        high = bisect_right(pres, ancestor_bound[i])
-        if low < high:
-            base = ancestor_path[i] + ancestor_ins[i]
-            if use_rmq:
-                match = emb_rmq.minimum(low, high)
-            else:
-                match = min(emb_scores[low:high])
-            emb = min(delete_cost, match - base) + edge_cost
-            leaf = leaf_rmq.minimum(low, high) if use_rmq else min(leaf_scores[low:high])
-            leaf = leaf - base + edge_cost if leaf != INFINITE else INFINITE
-        else:
-            emb = delete_cost + edge_cost
-            leaf = INFINITE
-        if emb == INFINITE:
-            continue
-        keep.append(i)
-        embcost.append(emb)
-        leafcost.append(leaf)
-    return _rebind(ancestors, keep, embcost, leafcost)
+    pathcost = ancestors.pathcost
+    inscost = ancestors.inscost
+    unmatched = delete_cost + edge_cost
+    embcost = [unmatched] * len(ancestors)
+    leafcost = [INFINITE] * len(ancestors)
+    hits, emb_minima, leaf_minima = _range_minima(ancestors, descendants)
+    for i, match, leaf in zip(hits, emb_minima, leaf_minima):
+        base = pathcost[i] + inscost[i]
+        embcost[i] = min(delete_cost, match - base) + edge_cost
+        if leaf != INFINITE:
+            leafcost[i] = leaf - base + edge_cost
+    if unmatched != INFINITE:
+        return _rebind(ancestors, range(len(ancestors)), embcost, leafcost)
+    keep = [i for i in hits if embcost[i] != INFINITE]
+    return _rebind(
+        ancestors, keep, [embcost[i] for i in keep], [leafcost[i] for i in keep]
+    )
 
 
 def intersect(left, right, edge_cost: float) -> EvalColumns:
@@ -169,24 +130,27 @@ def intersect(left, right, edge_cost: float) -> EvalColumns:
     (function ``intersect``)."""
     left = as_columns(left)
     right = as_columns(right)
-    right_pres = right.pre
-    len_right = len(right_pres)
     left_pre = left.pre
+    right_pre = right.pre
+    if left_pre is right_pre or left_pre == right_pre:
+        # both sides kept every row of one ancestor list (conjuncts
+        # that are deletable leaves do): the rows pair up as they stand
+        rows = positions = range(len(left_pre))
+    else:
+        found = [bisect_left(right_pre, pre) for pre in left_pre]
+        size = len(right_pre)
+        rows = [i for i, j in enumerate(found) if j < size and right_pre[j] == left_pre[i]]
+        positions = [found[i] for i in rows]
+    left_emb, left_leaf = left.embcost, left.leafcost
+    right_emb, right_leaf = right.embcost, right.leafcost
     keep: list = []
     embcost: list = []
     leafcost: list = []
-    for i in range(len(left_pre)):
-        pre = left_pre[i]
-        index = bisect_left(right_pres, pre)
-        if index >= len_right or right_pres[index] != pre:
-            continue
-        emb = left.embcost[i] + right.embcost[index] + edge_cost
+    for i, j in zip(rows, positions):
+        emb = left_emb[i] + right_emb[j] + edge_cost
         if emb == INFINITE:
             continue
-        leaf = min(
-            left.leafcost[i] + right.embcost[index],
-            left.embcost[i] + right.leafcost[index],
-        )
+        leaf = min(left_leaf[i] + right_emb[j], left_emb[i] + right_leaf[j])
         keep.append(i)
         embcost.append(emb)
         leafcost.append(leaf + edge_cost if leaf != INFINITE else INFINITE)
@@ -199,15 +163,7 @@ def union(left, right, edge_cost: float) -> EvalColumns:
     this the same sorted-merge-with-min-fold as ``merge`` (addition by a
     shared constant is monotone, so folding after shifting picks the same
     minima)."""
-    left = as_columns(left)
-    right = as_columns(right)
-    if not len(right):
-        return _with_added_cost(left, edge_cost)
-    if not len(left):
-        return _with_added_cost(right, edge_cost)
-    return _merge_columns(
-        _with_added_cost(left, edge_cost), _with_added_cost(right, edge_cost)
-    )
+    return merge_shifted([(left, edge_cost), (right, edge_cost)])
 
 
 def sort_best(n: "int | None", entries) -> EvalColumns:
@@ -241,7 +197,7 @@ def sort_best(n: "int | None", entries) -> EvalColumns:
 
 def add_edge_cost(entries, edge_cost: float) -> EvalColumns:
     """A fresh list with ``edge_cost`` added to every row's costs (used
-    to reuse memoized zero-edge results under a different edge cost).
+    to reuse cached zero-edge results under a different edge cost).
     The identity columns are shared with the input — the whole point of
     the columnar layout is that a cost shift is two column passes, not a
     per-entry copy."""
@@ -255,13 +211,51 @@ def add_edge_cost(entries, edge_cost: float) -> EvalColumns:
 # ----------------------------------------------------------------------
 
 
-def _concat(left, right) -> list:
-    """``left + right`` as one list, tolerating buffer-backed columns
-    (``array``/``memoryview``), which do not concatenate with lists."""
-    if type(left) is list and type(right) is list:
-        return left + right
-    combined = list(left)
-    combined.extend(right)
+def _range_minima(ancestors: EvalColumns, descendants: EvalColumns) -> tuple[list, list, list]:
+    """The ancestors (as row indices) with descendant rows inside their
+    ``(pre, bound]`` interval, and per such ancestor the minimum of the
+    descendants' two score columns over those rows.
+
+    The strategy is chosen from the input: once the interval positions
+    are known so is their total width W, the work of sweeping every
+    slice; the descendant list's sparse tables answer each interval in
+    O(1) but cost ~|D|·log₂|D| to build, so they are built (and cached
+    on the list) only when W exceeds that."""
+    pres = descendants.pre
+    size = len(pres)
+    bounds = ancestors.bound
+    lows = [bisect_right(pres, pre) for pre in ancestors.pre]
+    hits = [
+        i
+        for i, (low, bound) in enumerate(zip(lows, bounds))
+        if low < size and pres[low] <= bound
+    ]
+    spans = [(lows[i], bisect_right(pres, bounds[i], lows[i])) for i in hits]
+    if sum(high - low for low, high in spans) > size * size.bit_length():
+        _telemetry_count("kernel.rmq_joins")
+        emb_minimum = descendants.emb_rmq().minimum
+        leaf_minimum = descendants.leaf_rmq().minimum
+        return (
+            hits,
+            [emb_minimum(low, high) for low, high in spans],
+            [leaf_minimum(low, high) for low, high in spans],
+        )
+    _telemetry_count("kernel.linear_joins")
+    emb_scores = descendants.emb_scores()
+    leaf_scores = descendants.leaf_scores()
+    return (
+        hits,
+        [min(emb_scores[low:high]) for low, high in spans],
+        [min(leaf_scores[low:high]) for low, high in spans],
+    )
+
+
+def _concat(columns) -> list:
+    """The given columns end to end as one list (buffer-backed columns —
+    ``array``/``memoryview`` — do not concatenate with ``+``)."""
+    combined: list = []
+    for column in columns:
+        combined.extend(column)
     return combined
 
 
@@ -288,66 +282,31 @@ def _with_added_cost(columns: EvalColumns, cost: float) -> EvalColumns:
     )
 
 
-def _merge_columns(left: EvalColumns, right: EvalColumns) -> EvalColumns:
-    """Merge two non-empty, cost-shifted column sets by ``pre``; equal
-    ``pre`` values collapse to one row (identity fields from ``left``)
-    with the minimum cost per track.  The merged order is computed once
-    as indices into the concatenated inputs, then each column is gathered
-    in a single C-level pass."""
-    left_pre = left.pre
-    right_pre = right.pre
-    len_left = len(left_pre)
-    len_right = len(right_pre)
-    order: list = []
-    pre: list = []
-    collapsed: list = []
-    i = j = 0
-    while i < len_left and j < len_right:
-        lp = left_pre[i]
-        rp = right_pre[j]
-        if lp < rp:
-            order.append(i)
-            pre.append(lp)
-            i += 1
-        elif rp < lp:
-            order.append(len_left + j)
-            pre.append(rp)
-            j += 1
+def _merge_columns(parts: "list[EvalColumns]") -> EvalColumns:
+    """Merge two or more non-empty, cost-shifted column sets by ``pre``.
+    The merged order is computed once, as a stable sort of row indices
+    into the concatenated inputs (each input is one ascending run), then
+    each column is gathered in a single C-level pass.  Equal ``pre``
+    values — rows of one node — collapse into the first of them with the
+    minimum cost per track."""
+    pre = _concat(part.pre for part in parts)
+    getter = itemgetter(*sorted(range(len(pre)), key=pre.__getitem__))
+    pre = list(getter(pre))
+    bound, pathcost, inscost, embcost, leafcost = (
+        list(getter(_concat(getattr(part, name) for part in parts)))
+        for name in ("bound", "pathcost", "inscost", "embcost", "leafcost")
+    )
+    if len(set(pre)) == len(pre):
+        return EvalColumns(pre, bound, pathcost, inscost, embcost, leafcost)
+    keep: list = []
+    for row in range(len(pre)):
+        if keep and pre[row] == pre[keep[-1]]:
+            first = keep[-1]
+            embcost[first] = min(embcost[first], embcost[row])
+            leafcost[first] = min(leafcost[first], leafcost[row])
         else:
-            collapsed.append((len(order), i, j))
-            order.append(i)
-            pre.append(lp)
-            i += 1
-            j += 1
-    order.extend(range(i, len_left))
-    pre.extend(left_pre[i:])
-    order.extend(range(len_left + j, len_left + len_right))
-    pre.extend(right_pre[j:])
-    if len(order) == 1:
-        only = order[0]
-
-        def gather(column: list) -> list:
-            return [column[only]]
-
-    else:
-        getter = itemgetter(*order)
-
-        def gather(column: list) -> list:
-            return list(getter(column))
-
-    bound = gather(_concat(left.bound, right.bound))
-    pathcost = gather(_concat(left.pathcost, right.pathcost))
-    inscost = gather(_concat(left.inscost, right.inscost))
-    embcost = gather(_concat(left.embcost, right.embcost))
-    leafcost = gather(_concat(left.leafcost, right.leafcost))
-    left_emb = left.embcost
-    right_emb = right.embcost
-    left_leaf = left.leafcost
-    right_leaf = right.leafcost
-    for position, li, rj in collapsed:
-        embcost[position] = min(left_emb[li], right_emb[rj])
-        leafcost[position] = min(left_leaf[li], right_leaf[rj])
-    return EvalColumns(pre, bound, pathcost, inscost, embcost, leafcost)
+            keep.append(row)
+    return EvalColumns(pre, bound, pathcost, inscost, embcost, leafcost).take(keep)
 
 
 def _rebind(source: EvalColumns, keep: list, embcost: list, leafcost: list) -> EvalColumns:

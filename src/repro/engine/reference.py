@@ -196,7 +196,7 @@ def sort_best(n: "int | None", entries: EvalList) -> EvalList:
 
 def add_edge_cost(entries: EvalList, edge_cost: float) -> EvalList:
     """A fresh list with ``edge_cost`` added to every entry's costs (used
-    to reuse memoized zero-edge results under a different edge cost)."""
+    to reuse cached zero-edge results under a different edge cost)."""
     if edge_cost == 0:
         return entries
     return [_with_added_cost(entry, edge_cost) for entry in entries]

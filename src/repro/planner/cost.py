@@ -25,8 +25,7 @@ compete, with :data:`DIRECT_BIAS` as the documented tolerance knob.
 
 The same estimates pick the driver's ``k``-growth schedule (a wider
 closure starts with a larger ``initial_k`` so fewer rounds re-fetch the
-primary posting) and suggest the RMQ crossover for the kernel's
-range-min joins.  :meth:`Planner.observe` closes the loop: when a query
+primary posting).  :meth:`Planner.observe` closes the loop: when a query
 returns grossly more results than the candidate estimate predicted
 (stale or doctored statistics), a session-scoped correction factor
 inflates subsequent candidate estimates until re-computation catches up
@@ -41,7 +40,6 @@ from dataclasses import dataclass
 
 from ..approxql.ast import AndExpr, NameSelector, OrExpr, QueryExpr, TextSelector
 from ..approxql.costs import CostModel
-from ..engine.columns import DEFAULT_RMQ_CROSSOVER
 from ..xmltree.model import NodeType
 from .stats import CollectionStats
 
@@ -67,11 +65,6 @@ MAX_CORRECTION = 64.0
 #: coarse on-disk bytes per posting entry (four varints, typical widths)
 _BYTES_PER_ENTRY = 12
 
-#: posting length above which sparse-table range-min joins pay off
-#: earlier than the default crossover assumes
-_LARGE_POSTING = 2048
-_TUNED_RMQ_CROSSOVER = 16
-
 
 @dataclass(frozen=True)
 class PlanEstimates:
@@ -94,7 +87,6 @@ class PlanEstimates:
     schema_cost: "float | None"
     initial_k: "int | None"
     delta: "int | None"
-    rmq_crossover: int
     stats_generation: int
     corrected: bool
 
@@ -122,10 +114,8 @@ class PlanEstimates:
         if self.initial_k is not None:
             lines.append(
                 f"    schedule: initial_k={self.initial_k} delta={self.delta} "
-                f"(geometric growth)  rmq crossover: {self.rmq_crossover}"
+                "(geometric growth)"
             )
-        else:
-            lines.append(f"    rmq crossover: {self.rmq_crossover}")
         return "\n".join(lines)
 
 
@@ -194,7 +184,6 @@ class Planner:
             schema_cost=schema_cost,
             initial_k=initial_k,
             delta=delta,
-            rmq_crossover=self.suggested_rmq_crossover(stats),
             stats_generation=stats.generation,
             corrected=corrected,
         )
@@ -246,15 +235,6 @@ class Planner:
             f"{estimates.direct_cost:.0f})",
             estimates,
         )
-
-    @staticmethod
-    def suggested_rmq_crossover(stats: CollectionStats) -> int:
-        """Kernel crossover for this collection's posting lengths: long
-        postings amortize sparse-table builds earlier, so the threshold
-        drops below the process default."""
-        if stats.max_posting_size() >= _LARGE_POSTING:
-            return _TUNED_RMQ_CROSSOVER
-        return DEFAULT_RMQ_CROSSOVER
 
     # ------------------------------------------------------------------
     # feedback

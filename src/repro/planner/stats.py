@@ -67,11 +67,6 @@ class CollectionStats:
         sizes = self.struct_sizes if node_type == NodeType.STRUCT else self.text_sizes
         return sizes.get(label, 0)
 
-    def max_posting_size(self) -> int:
-        """The longest posting over both indexes (the bound's *s*)."""
-        longest = max(self.struct_sizes.values(), default=0)
-        return max(longest, max(self.text_sizes.values(), default=0))
-
     def with_generation(self, generation: int) -> "CollectionStats":
         """A copy re-stamped for ``generation`` (used when loading a
         persisted segment into a fresh generation-0 state)."""

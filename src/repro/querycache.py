@@ -145,7 +145,7 @@ class CompiledQuery:
         return self._expanded is not None
 
     def cached_plan(self, memo_key: tuple) -> "tuple | None":
-        """A memoized ``(method, reason, estimates)`` planner decision."""
+        """A cached ``(method, reason, estimates)`` planner decision."""
         with self._lock:
             decision = self._plan_memo.get(memo_key)
             if decision is not None:

@@ -138,7 +138,7 @@ class PrimaryKEvaluator:
     # Figure 4 over the schema
     # ------------------------------------------------------------------
 
-    def _memoized(self, key: tuple, build, *args) -> TopKList:
+    def _cached(self, key: tuple, build, *args) -> TopKList:
         """The list under ``key``: this round's, an exact one of an
         earlier round, or a newly built one."""
         entries = self._round_lists.get(key)
@@ -158,7 +158,7 @@ class PrimaryKEvaluator:
         candidates of one label of the enclosing selector; ``scope`` is
         what all that selector's labels cover together."""
         key = (node.uid, ancestors[0].label, scope.uid)
-        return self._memoized(key, self._primary_base, node, ancestors, scope)
+        return self._cached(key, self._primary_base, node, ancestors, scope)
 
     def _primary_base(
         self, node: ExpandedNode, ancestors: TopKList, scope: _Scope
@@ -185,7 +185,7 @@ class PrimaryKEvaluator:
         leaf's fetched classes, an inner selector's candidates that embed
         its content."""
         key = (node.uid, -1 if scope is None else scope.uid)
-        return self._memoized(key, self._matches_base, node, scope, key)
+        return self._cached(key, self._matches_base, node, scope, key)
 
     def _matches_base(
         self, node: ExpandedNode, scope: "_Scope | None", key: tuple[int, int]

@@ -21,7 +21,7 @@ from .indexes import SecondaryIndex
 class SecondaryExecutor:
     """Executes second-level queries against ``I_sec``.
 
-    Results are memoized per skeleton node, so shared subtrees (pointer
+    Results are cached per skeleton node, so shared subtrees (pointer
     sets produced by ``intersect`` unions) are evaluated once; the memo
     keeps the entries alive, making identity-keying safe.  The memo
     stores each result together with its extracted ``pre`` column, so a
@@ -76,7 +76,7 @@ def semi_join(
     ancestor only moves forward — one pointer sweep, O(|A| + |D|),
     replacing a bisect per ancestor (nested ancestor intervals are fine:
     a skipped descendant pre is ≤ the current ancestor's pre and so can
-    never qualify for any later ancestor either).  Pass the memoized
+    never qualify for any later ancestor either).  Pass the cached
     ``descendant_pres`` column to skip re-extracting it.
     """
     if not ancestors or not descendants:

@@ -356,7 +356,7 @@ class FetchMemo:
         self.hits = 0
 
     def get_or_build(self, key, build: "Callable[[], _T]") -> _T:
-        """The memoized value under ``key``, building it on first use."""
+        """The cached value under ``key``, building it on first use."""
         entry = self._entries.get(key)
         if entry is None:
             entry = build()

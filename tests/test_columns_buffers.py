@@ -6,8 +6,9 @@ into one block).  Everything downstream — the Section 6.4 list algebra,
 the semi-joins, pickling across a process pipe — was written against
 lists of tuples, so these property tests drive every operation in
 :mod:`repro.engine.ops` with both backings and demand identical rows,
-under both RMQ-crossover pins (always-sparse-table and always-linear)
-and with the numpy kernel both off and on.
+on both sides of the joins' range-minimum choice (ancestor intervals
+stretched until the sparse tables are picked / left narrow for the slice
+sweep) and with the numpy kernel both off and on.
 
 The second half covers the shared-memory segment lifecycle: build,
 attach, fetch, close, destroy — no leaked ``/dev/shm`` blocks, and a
@@ -29,7 +30,6 @@ from repro.engine.columns import (
     EvalColumns,
     numpy_kernel_active,
     set_numpy_kernel,
-    set_rmq_crossover,
 )
 from repro.engine.ops import (
     add_edge_cost,
@@ -50,6 +50,7 @@ from repro.storage.postings import (
     encode_node_postings,
 )
 from repro.storage.shm import SharedPostingSegment, attach_shared_memory
+from repro.telemetry.collector import Telemetry, collecting
 
 # ----------------------------------------------------------------------
 # strategies: legal sorted-unique-pre postings
@@ -86,12 +87,29 @@ instance_rows = st.lists(
 )
 
 
+def as_generated(ancestors, descendants):
+    return ancestors, descendants
+
+
+def stretched(ancestors, descendants):
+    """Descendants moved behind every ancestor, every ancestor stretched
+    over all of them, ancestors padded to six rows: total interval width
+    6 |D| or more, above the |D| log |D| of a table build at these sizes."""
+    padding = [(pad, pad, 0, 1) for pad in range(61, 67 - len(ancestors))]
+    return (
+        [(pre, 1_000, pathcost, inscost) for pre, _, pathcost, inscost in ancestors + padding],
+        [(pre + 100, bound + 100, pathcost, inscost)
+         for pre, bound, pathcost, inscost in descendants],
+    )
+
+
 @pytest.fixture(params=["rmq-always", "rmq-never"])
 def rmq_pin(request):
-    crossover = 0 if request.param == "rmq-always" else math.inf
-    previous = set_rmq_crossover(crossover)
-    yield request.param
-    set_rmq_crossover(previous)
+    """How a join test shapes its generated postings — the joins pick
+    their range-minimum strategy from the input, nothing pins it:
+    ``rmq-always`` is :func:`stretched` (the sparse tables answer),
+    ``rmq-never`` the narrow generated intervals (mostly slice sweeps)."""
+    return stretched if request.param == "rmq-always" else as_generated
 
 
 @pytest.fixture(params=["python", "numpy"])
@@ -215,11 +233,16 @@ class TestOpsBackingEquivalence:
         edge=st.integers(min_value=0, max_value=5),
     )
     def test_join(self, rmq_pin, kernel, ancestors, descendants, edge):
+        ancestors, descendants = rmq_pin(ancestors, descendants)
         anc_a, anc_l = eval_pair(ancestors)
         desc_a, desc_l = eval_pair(descendants, as_leaf=True)
-        assert join(anc_a, desc_a, float(edge)).rows() == join(
-            anc_l, desc_l, float(edge)
-        ).rows()
+        telemetry = Telemetry()
+        with collecting(telemetry):
+            assert join(anc_a, desc_a, float(edge)).rows() == join(
+                anc_l, desc_l, float(edge)
+            ).rows()
+        if descendants and rmq_pin is stretched:
+            assert telemetry.counters.get("kernel.rmq_joins") == 2
 
     @settings(
         max_examples=40,
@@ -233,6 +256,7 @@ class TestOpsBackingEquivalence:
         delete=st.integers(min_value=0, max_value=9),
     )
     def test_outerjoin(self, rmq_pin, kernel, ancestors, descendants, edge, delete):
+        ancestors, descendants = rmq_pin(ancestors, descendants)
         anc_a, anc_l = eval_pair(ancestors)
         desc_a, desc_l = eval_pair(descendants, as_leaf=True)
         assert outerjoin(anc_a, desc_a, float(edge), float(delete)).rows() == outerjoin(

@@ -11,6 +11,8 @@ from repro.xmltree.builder import tree_from_xml
 from repro.xmltree.indexes import MemoryNodeIndexes
 from repro.xmltree.model import NodeType
 
+from .figure4 import reference_primary
+
 
 @pytest.fixture
 def tree():
@@ -48,14 +50,16 @@ class TestDirectStats:
 
 class TestMemoization:
     def _expanded(self):
-        # nested deletable chain -> shared subtrees in the expanded DAG
+        # nested deletable chain -> shared subtrees in the expanded DAG;
+        # a renamed selector -> two candidate lists over one match list
         model = CostModel()
         model.set_delete_cost("a", NodeType.STRUCT, 1)
         model.set_delete_cost("b", NodeType.STRUCT, 1)
+        model.add_renaming("a", "c", NodeType.STRUCT, 1)
         return model, parse_query('r[a[b["x"]]]')
 
     def test_memoization_hits_on_shared_subtrees(self):
-        tree = tree_from_xml("<r><a><b>x</b></a><b>x</b></r>")
+        tree = tree_from_xml("<r><a><b>x</b></a><c><b>x</b></c><b>x</b></r>")
         model, query = self._expanded()
         tree.encode_costs(model.insert_cost, fingerprint=model.insert_fingerprint)
         evaluator = PrimaryEvaluator(MemoryNodeIndexes(tree))
@@ -63,31 +67,63 @@ class TestMemoization:
         assert evaluator.memo_hits >= 1
 
     def test_disabling_memoization_preserves_results(self):
-        tree = tree_from_xml("<r><a><b>x</b></a><b>x</b><a>x</a></r>")
+        # the "without DP" side is Figure 4 as printed: no memo, no
+        # scoping, entry-per-object operators (tests/figure4.py)
+        tree = tree_from_xml("<r><a><b>x</b></a><b>x</b><a>x</a><c><b>x</b>x</c></r>")
         model, query = self._expanded()
         tree.encode_costs(model.insert_cost, fingerprint=model.insert_fingerprint)
         expanded = build_expanded(query, model)
         indexes = MemoryNodeIndexes(tree)
-        with_dp = PrimaryEvaluator(indexes, memoize=True).evaluate(expanded)
-        without_dp = PrimaryEvaluator(indexes, memoize=False).evaluate(expanded)
+        with_dp = PrimaryEvaluator(indexes).evaluate(expanded)
+        without_dp = reference_primary(indexes, expanded)
         assert [(e.pre, e.embcost, e.leafcost) for e in with_dp] == [
             (e.pre, e.embcost, e.leafcost) for e in without_dp
         ]
 
-    def test_paper_query_memoization_counts(self):
-        tree = tree_from_xml(
-            "<catalog><cd><track><title>piano concerto</title></track>"
-            "<composer>rachmaninov</composer></cd></catalog>"
-        )
+    PAPER_QUERY = 'cd[track[title["piano" and "concerto"]] and composer["rachmaninov"]]'
+    PAPER_CD = (
+        "<cd><track><title>piano concerto</title></track>"
+        "<composer>rachmaninov</composer></cd>"
+    )
+    #: the same record under the paper model's renamings (cd->mc,
+    #: title->category, composer->performer, concerto->sonata)
+    PAPER_MC = (
+        "<mc><track><category>piano sonata</category></track>"
+        "<performer>rachmaninov</performer></mc>"
+    )
+
+    def _evaluated(self, *documents):
+        tree = tree_from_xml("<catalog>" + "".join(documents) + "</catalog>")
         costs = paper_example_cost_model()
         tree.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
-        query = parse_query(
-            'cd[track[title["piano" and "concerto"]] and composer["rachmaninov"]]'
-        )
         evaluator = PrimaryEvaluator(MemoryNodeIndexes(tree))
-        evaluator.evaluate(build_expanded(query, costs))
-        # the bridged (deletable) track/title/composer subtrees are
-        # shared and re-requested under cached ancestor lists
-        assert evaluator.memo_hits == 12
+        evaluator.evaluate(build_expanded(parse_query(self.PAPER_QUERY), costs))
+        return evaluator
+
+    def test_paper_query_memoization_counts(self):
+        evaluator = self._evaluated(self.PAPER_CD)
+        # 12 labels: cd dvd mc / track / title category / piano /
+        # concerto sonata / composer performer / rachmaninov
         assert evaluator.fetch_count == 12
         assert evaluator.postings_fetched > 0
+        # no renaming target occurs in the data, so every selector has a
+        # single candidate list and every (selector, scope) match list
+        # is asked for exactly once: nothing to reuse
+        assert evaluator.memo_hits == 0
+
+    def test_match_lists_are_shared_across_renamings(self):
+        evaluator = self._evaluated(self.PAPER_CD, self.PAPER_MC)
+        assert evaluator.fetch_count == 12
+        # A selector with two live labels joins the match lists below it
+        # into two candidate lists; the second join is a memo hit.
+        #   root cd|mc: track, title (bridge over track), piano,
+        #     concerto (bridges over title), composer, rachmaninov
+        #     (bridge over composer)                              -> 6
+        #   title|category, reached in the scope of track and, over
+        #     the bridge, of cd: piano and concerto, twice         -> 4
+        #   composer|performer: rachmaninov                        -> 1
+        assert evaluator.memo_hits == 11
+        # one merge step per renaming, per scope the selector is matched
+        # in: cd (dvd, mc), title x2, composer, and the leaf
+        # concerto|sonata in its four scopes (cd, track, title x2)
+        assert evaluator.merge_ops == 9

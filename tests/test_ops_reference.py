@@ -4,21 +4,21 @@ entry-per-object reference implementation.
 :mod:`repro.engine.reference` is the executable specification of the
 Section 6.4 list algebra; every operator of the columnar kernel
 (:mod:`repro.engine.ops`) must reproduce it entry for entry — under both
-range-minimum strategies (sparse tables pinned on, linear sweeps pinned
-on), on hypothesis-generated lists and on the paper's own generated
+range-minimum strategies, each steered to by the *shape of the input*
+(wide nested intervals make the sparse tables pay, many narrow ones the
+slice sweep), on hypothesis-generated lists and on generated
 collections.  The suite also covers the duplicate-``pre`` collapse in
 ``merge`` and the derived-column caches the kernel's ``fetch`` rides on.
 """
 
-import math
-from contextlib import contextmanager
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ops, reference
-from repro.engine.columns import EvalColumns, SparseTable, set_rmq_crossover
+from repro.engine.columns import EvalColumns, SparseTable
 from repro.engine.entries import INFINITE, ListEntry
 from repro.engine.evaluator import DirectEvaluator
 from repro.schema.evaluator import SchemaEvaluator
@@ -27,22 +27,15 @@ from repro.storage.kv import MemoryStore, Namespace
 from repro.telemetry.collector import Telemetry, collecting
 from repro.transform.naive import evaluate_naive
 from repro.xmltree.indexes import MemoryNodeIndexes, StoredNodeIndexes
-from repro.xmltree.model import NodeType
+from repro.xmltree.model import NodeType, TreeBuilder
 
-from .strategies import generated_case
-
-
-@contextmanager
-def pinned_crossover(value):
-    """Force one range-minimum strategy for the duration of the block."""
-    previous = set_rmq_crossover(value)
-    try:
-        yield
-    finally:
-        set_rmq_crossover(previous)
-
-
-PINS = (0, math.inf)  # sparse tables everywhere / linear sweeps everywhere
+from .strategies import (
+    STRUCT_LABELS,
+    TEXT_LABELS,
+    generated_case,
+    random_cost_model,
+    random_query,
+)
 
 
 def assert_same(actual, expected):
@@ -83,6 +76,29 @@ lists = st.lists(entry_strategy, max_size=25).map(eval_list)
 edges = st.integers(min_value=0, max_value=5)
 
 
+def stretched(entries):
+    """The same rows as ancestors that each reach past every descendant:
+    the total interval width is (rows x descendants below), far above the
+    |D| log |D| a sparse-table build costs once there are a few of them."""
+    return [
+        ListEntry(e.pre, 1_000, e.pathcost, e.inscost, e.embcost, e.leafcost)
+        for e in entries
+    ]
+
+
+#: ancestor lists of both shapes: many narrow intervals / wide nested ones
+ancestor_lists = st.one_of(lists, lists.map(stretched))
+
+
+def range_minimum_joins(run):
+    """The (sparse-table, slice-sweep) join counts of ``run()``."""
+    telemetry = Telemetry()
+    with collecting(telemetry):
+        run()
+    counters = telemetry.counters
+    return counters.get("kernel.rmq_joins", 0), counters.get("kernel.linear_joins", 0)
+
+
 class TestSparseTable:
     @settings(max_examples=60, deadline=None)
     @given(scores=st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=24))
@@ -103,28 +119,43 @@ class TestSparseTable:
 
 class TestOperatorEquivalence:
     @settings(max_examples=80, deadline=None)
-    @given(ancestors=lists, descendants=lists, edge=edges)
+    @given(ancestors=ancestor_lists, descendants=lists, edge=edges)
     def test_join(self, ancestors, descendants, edge):
-        expected = reference.join(ancestors, descendants, float(edge))
-        for pin in PINS:
-            with pinned_crossover(pin):
-                assert_same(ops.join(ancestors, descendants, float(edge)), expected)
+        assert_same(
+            ops.join(ancestors, descendants, float(edge)),
+            reference.join(ancestors, descendants, float(edge)),
+        )
 
     @settings(max_examples=80, deadline=None)
     @given(
-        ancestors=lists,
+        ancestors=ancestor_lists,
         descendants=lists,
         edge=edges,
         delete=st.one_of(st.integers(min_value=0, max_value=9), st.just(INFINITE)),
     )
     def test_outerjoin(self, ancestors, descendants, edge, delete):
-        expected = reference.outerjoin(ancestors, descendants, float(edge), float(delete))
-        for pin in PINS:
-            with pinned_crossover(pin):
-                assert_same(
-                    ops.outerjoin(ancestors, descendants, float(edge), float(delete)),
-                    expected,
+        assert_same(
+            ops.outerjoin(ancestors, descendants, float(edge), float(delete)),
+            reference.outerjoin(ancestors, descendants, float(edge), float(delete)),
+        )
+
+    def test_both_range_minimum_strategies_are_reached(self):
+        """The two ancestor shapes above are not decoration: over one
+        descendant list, narrow intervals take the slice sweep and
+        stretched ones the sparse tables — and both equal the reference."""
+        descendants = [ListEntry(pre, pre, float(pre % 7), 0.0, float(pre % 3), float(pre % 5))
+                       for pre in range(10, 60)]
+        narrow = [ListEntry(pre, pre + 3, 1.0, 1.0, 0.0, 0.0) for pre in range(0, 60, 4)]
+        for ancestors, strategy in ((narrow, (0, 2)), (stretched(narrow), (2, 0))):
+            results = []
+            assert strategy == range_minimum_joins(
+                lambda: results.extend(
+                    (ops.join(ancestors, descendants, 1.0),
+                     ops.outerjoin(ancestors, descendants, 1.0, 4.0))
                 )
+            )
+            assert_same(results[0], reference.join(ancestors, descendants, 1.0))
+            assert_same(results[1], reference.outerjoin(ancestors, descendants, 1.0, 4.0))
 
     @settings(max_examples=80, deadline=None)
     @given(left=lists, right=lists, rename=edges)
@@ -223,29 +254,58 @@ class TestFetchEquivalence:
                     )
 
 
-@pytest.mark.parametrize("pin", PINS, ids=["rmq-always", "rmq-never"])
+def _nested_collection(rng: random.Random, depth: int):
+    """One document that is a single chain of ``depth`` nested elements
+    with words at every level: each element's interval holds everything
+    below it, so a join's total interval width grows with depth x size —
+    the shape where the sparse tables pay for themselves."""
+    builder = TreeBuilder()
+    for _ in range(depth):
+        builder.start_struct(rng.choice(STRUCT_LABELS[:2]))
+        builder.add_word(rng.choice(TEXT_LABELS))
+    for _ in range(depth):
+        builder.add_word(rng.choice(TEXT_LABELS))
+        builder.end_struct()
+    return builder.finish()
+
+
+@pytest.mark.parametrize("pin", ["rmq-always", "rmq-never"])
 @pytest.mark.parametrize("seed", range(3))
 def test_oracle_agreement_under_pinned_crossover(pin, seed):
-    """The full differential oracle under each forced range-minimum
-    strategy: naive ≡ direct ≡ schema regardless of how interval minima
-    are answered."""
-    case = generated_case(640 + seed)
-    with pinned_crossover(pin):
-        direct = DirectEvaluator(case.tree)
-        schema = SchemaEvaluator(case.tree)
-        for generated in case.queries:
-            naive = {
-                pair.root: pair.cost
-                for pair in evaluate_naive(generated.query, case.tree, generated.costs)
-            }
-            answered = {
-                r.root: r.cost for r in direct.evaluate(generated.query, generated.costs)
-            }
-            assert answered == naive, case.describe()
-            via_schema = {
-                r.root: r.cost for r in schema.evaluate(generated.query, generated.costs)
-            }
-            assert via_schema == naive, case.describe()
+    """The full differential oracle on each side of the per-join
+    range-minimum choice: naive ≡ direct ≡ schema however interval minima
+    are answered.  Nothing is pinned any more — the *collection* steers:
+    a deep chain of nested elements (``rmq-always``) makes direct
+    evaluation build sparse tables, the flat generated collections
+    (``rmq-never``) keep it on slice sweeps; both are asserted."""
+    if pin == "rmq-always":
+        rng = random.Random(640 + seed)
+        tree = _nested_collection(rng, depth=40)
+        queries = [(random_query(rng, max_depth=2), random_cost_model(rng)) for _ in range(6)]
+        describe = f"nested chain, seed {640 + seed}"
+    else:
+        case = generated_case(640 + seed)
+        tree = case.tree
+        queries = [(generated.query, generated.costs) for generated in case.queries]
+        describe = case.describe()
+    direct = DirectEvaluator(tree)
+    schema = SchemaEvaluator(tree)
+    tables = sweeps = 0
+    for query, costs in queries:
+        naive = {pair.root: pair.cost for pair in evaluate_naive(query, tree, costs)}
+        answered = {}
+        used = range_minimum_joins(
+            lambda: answered.update(
+                (r.root, r.cost) for r in direct.evaluate(query, costs)
+            )
+        )
+        tables, sweeps = tables + used[0], sweeps + used[1]
+        assert answered == naive, describe
+        via_schema = {r.root: r.cost for r in schema.evaluate(query, costs)}
+        assert via_schema == naive, describe
+    assert (tables if pin == "rmq-always" else sweeps) > 0
+    if pin == "rmq-never":
+        assert tables == 0
 
 
 class TestColumnCaching:
@@ -319,15 +379,20 @@ class TestColumnCaching:
         assert telemetry.counters.get("kernel.column_cache_hits", 0) == 1
 
     def test_rmq_counters_tick_under_forced_sparse_tables(self):
-        ancestors = [ListEntry(0, 100, 0.0, 1.0, 0.0, 0.0)]
+        # forced by the input: eight nested ancestors over 39 descendants
+        # sweep 8 x 39 = 312 rows, more than the 39 x 6 a table build costs
+        nested = [ListEntry(pre, 100, 0.0, 1.0, 0.0, 0.0) for pre in range(-8, 0)]
         descendants = [
             ListEntry(pre, pre, 1.0, 0.0, 0.0, 0.0) for pre in range(1, 40)
         ]
         telemetry = Telemetry()
-        with pinned_crossover(0), collecting(telemetry):
-            ops.join(ancestors, descendants, 0.0)
+        with collecting(telemetry):
+            ops.join(nested, descendants, 0.0)
         assert telemetry.counters.get("kernel.rmq_joins", 0) == 1
         assert telemetry.counters.get("kernel.rmq_builds", 0) == 2  # emb + leaf
-        with pinned_crossover(math.inf), collecting(telemetry):
-            ops.join(ancestors, descendants, 0.0)
+        assert telemetry.counters.get("kernel.linear_joins", 0) == 0
+        # one ancestor sweeps 39 rows once: no table
+        with collecting(telemetry):
+            ops.join(nested[-1:], descendants, 0.0)
         assert telemetry.counters.get("kernel.linear_joins", 0) == 1
+        assert telemetry.counters.get("kernel.rmq_joins", 0) == 1

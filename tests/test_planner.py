@@ -7,8 +7,8 @@ winner fails loudly here, with :data:`~repro.planner.cost.DIRECT_BIAS`
 as the documented tolerance knob (a case may also declare its own
 ``bias_tolerance`` when its margin is thin).  The rest of the module
 covers the pieces around the decision: the k-growth schedule, the
-shard/single-store plan agreement, the session feedback loop on
-doctored statistics, and the RMQ-crossover autotune.
+shard/single-store plan agreement and the session feedback loop on
+doctored statistics.
 """
 
 import os
@@ -18,11 +18,6 @@ import pytest
 
 from repro.approxql.costs import CostModel
 from repro.core.database import Database
-from repro.engine.columns import (
-    DEFAULT_RMQ_CROSSOVER,
-    get_rmq_crossover,
-    set_rmq_crossover,
-)
 from repro.planner.cost import DIRECT_BIAS, Planner
 from repro.planner.stats import CollectionStats
 from repro.shard import ShardedDatabase
@@ -294,34 +289,3 @@ class TestFeedbackLoop:
             database.query('cd[title["album"]]', n=5)
         assert database._pipeline.planner.correction == 1.0
         assert database._pipeline.planner.corrections == 0
-
-
-class TestAutotune:
-    def test_small_collection_keeps_default_crossover(self):
-        database = Database.from_xml(_catalog(10))
-        original = get_rmq_crossover()
-        try:
-            assert database.autotune_kernel() == DEFAULT_RMQ_CROSSOVER
-        finally:
-            set_rmq_crossover(original)
-
-    def test_long_postings_lower_the_crossover(self):
-        from repro.planner.cost import _LARGE_POSTING, _TUNED_RMQ_CROSSOVER
-
-        stats = CollectionStats(struct_sizes={"cd": _LARGE_POSTING})
-        assert Planner.suggested_rmq_crossover(stats) == _TUNED_RMQ_CROSSOVER
-        small = CollectionStats(struct_sizes={"cd": _LARGE_POSTING - 1})
-        assert Planner.suggested_rmq_crossover(small) == DEFAULT_RMQ_CROSSOVER
-
-    def test_autotune_is_correctness_neutral(self):
-        database = Database.from_xml(_catalog(40))
-        query, n = 'cd[title["album"]]', 10
-        expected = [(r.root, r.cost) for r in database.query(query, n=n)]
-        original = get_rmq_crossover()
-        try:
-            for forced in (1, 10**9):
-                set_rmq_crossover(forced)
-                got = [(r.root, r.cost) for r in database.query(query, n=n)]
-                assert got == expected
-        finally:
-            set_rmq_crossover(original)

@@ -17,6 +17,7 @@ import os
 import pytest
 
 from repro.approxql.costs import CostModel
+from repro.approxql.expanded import build_expanded
 from repro.core.database import Database
 from repro.core.persist import StoreOptions
 from repro.querycache import (
@@ -243,6 +244,26 @@ class TestDatabaseFastPath:
         assert second.report.compiled_cache_hit
         # the served answer re-ran no driver work
         assert second.report.get("schema.second_level_executed", 0) == 0
+
+    def test_count_results_reuses_the_compiled_closure(self, memory_db, monkeypatch):
+        """``count_results`` once handed the direct evaluator the bare
+        query, so every count re-expanded a closure the compiled query
+        already held."""
+        import repro.engine.evaluator
+        import repro.querycache
+
+        expansions = []
+
+        def counting(query, costs):
+            expansions.append(query)
+            return build_expanded(query, costs)
+
+        monkeypatch.setattr(repro.querycache, "build_expanded", counting)
+        monkeypatch.setattr(repro.engine.evaluator, "build_expanded", counting)
+        assert memory_db.count_results('cd[title["piano"]]') == 2
+        assert len(expansions) == 1  # the compile
+        assert memory_db.count_results('cd[title["piano"]]') == 2
+        assert len(expansions) == 1  # compiled-cache hit: nothing expands
 
     def test_answers_match_disabled_cache_twin(self):
         hot = Database.from_documents(DOCS)
