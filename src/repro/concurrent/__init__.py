@@ -6,25 +6,18 @@ and per-task telemetry merged back in submission order:
 
 * :class:`QueryPool` (here) — threads.  Cheap to start, shares every
   in-process cache, but GIL-bound: CPU-heavy rounds do not scale.
-* :class:`~repro.concurrent.process.ProcessQueryPool` — processes over
-  read-only shared memory.  Workers evaluate on real cores; see
-  :mod:`repro.concurrent.process` for the setup-spec machinery that
-  gives each worker its read view without pickling postings.
+* :class:`~repro.concurrent.process.ProcessQueryPool` — processes.
+  Workers evaluate on real cores; see :mod:`repro.concurrent.process`
+  for the setup-spec machinery that gives each worker its read view
+  without pickling postings.
 
 :func:`make_query_pool` picks one from an ``executor`` name and falls
 back to threads (counting ``concurrency.process_fallback``) when
 process pools are unavailable.
 
-Two layers of the engine hand work to a :class:`QueryPool`:
-
-* the incremental best-*n* driver
-  (:meth:`repro.schema.evaluator.SchemaEvaluator.iter_results`) executes
-  one round's independent second-level queries on the pool and merges
-  their results back **in cost order**, so the parallel evaluation emits
-  exactly the serial evaluation's result sequence;
-* :meth:`repro.core.database.Database.query_many` evaluates a batch of
-  independent queries on the pool, one :class:`~repro.core.results.ResultSet`
-  per query, in input order.
+:meth:`repro.core.database.Database.query_many` evaluates a batch of
+independent queries on the pool, one
+:class:`~repro.core.results.ResultSet` per query, in input order.
 
 Telemetry attribution
 ---------------------
@@ -113,8 +106,8 @@ def make_query_pool(jobs: int, executor: str = "thread", setup=None):
 class QueryPool:
     """A fixed-size thread pool preserving order and telemetry attribution.
 
-    One pool serves one coordinator (an evaluator run, a ``query_many``
-    batch); it is not itself shared between threads.  Use as a context
+    One pool serves one coordinator (a ``query_many`` batch, a shard
+    scatter); it is not itself shared between threads.  Use as a context
     manager or call :meth:`shutdown` — dropping the pool without a
     shutdown leaks its worker threads until interpreter exit.
     """
@@ -192,7 +185,6 @@ def _run_task(
 
 from .process import (  # noqa: E402  (re-export after QueryPool exists)
     ProcessQueryPool,
-    SharedSegmentSetup,
     StoredDatabaseSetup,
     worker_context,
 )
@@ -200,7 +192,6 @@ from .process import (  # noqa: E402  (re-export after QueryPool exists)
 __all__ = [
     "QueryPool",
     "ProcessQueryPool",
-    "SharedSegmentSetup",
     "StoredDatabaseSetup",
     "make_query_pool",
     "resolve_jobs",

@@ -1,4 +1,4 @@
-"""Process-pool serving of independent query work over shared memory.
+"""Process-pool serving of independent query work.
 
 :class:`ProcessQueryPool` is the multi-core drop-in for
 :class:`~repro.concurrent.QueryPool`: same constructor shape, same
@@ -12,13 +12,9 @@ process boundary:
 * **Workers never read the parent's heap.**  Each worker is initialized
   once with a picklable *setup spec* — any object with an ``activate()``
   method — and the activated value is available to task functions via
-  :func:`worker_context`.  The specs here cover the three read views a
+  :func:`worker_context`.  The specs here cover the two read views a
   worker can need:
 
-  - :class:`SharedSegmentSetup` attaches a read-only
-    :class:`~repro.storage.shm.SharedPostingSegment` by name — the
-    zero-copy path: postings live in one shared mapping, only the
-    segment *name* crosses the pipe;
   - :class:`StoredDatabaseSetup` opens a saved database by path (each
     worker gets its own store handle and caches — used by batch serving,
     where a worker amortizes the open over many queries);
@@ -31,15 +27,11 @@ process boundary:
 * **No ambient snapshot overlay.**  A thread worker re-activates the
   submitter's overlay; a process worker cannot see it.  Callers that
   serve pinned snapshots bake the overlay into the worker's read view
-  instead (the shared segment is built *under* the overlay, a worker's
-  own database pins its own snapshot).
+  instead (a worker's own database pins its own snapshot).
 
 The pool prefers the ``fork`` start method (cheap, inherits the fork
 registry) and falls back to ``spawn`` where fork is unavailable; with
-spawn, only pickle-complete setup specs work.  The numpy-kernel flag is
-forwarded to every worker so a flag flipped via
-``Database.open(numpy_kernel=True)`` (not just ``REPRO_NUMPY=1``, which
-fork/spawn inherit via the environment) applies on all cores.
+spawn, only pickle-complete setup specs work.
 
 Telemetry: tasks report under the submitting collector exactly like
 thread tasks; ``concurrency.executor_process`` (gauge) marks rounds that
@@ -55,7 +47,6 @@ from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from typing import TypeVar
 
-from ..engine.columns import numpy_kernel_active, set_numpy_kernel
 from ..errors import EvaluationError
 from ..telemetry import collector as _telemetry
 from ..telemetry.collector import Telemetry
@@ -84,11 +75,10 @@ def worker_context():
     return _worker_state
 
 
-def _process_worker_init(setup, numpy_enabled: bool) -> None:
-    """Runs once per worker process: forward the numpy flag, activate
-    the setup spec, park the result for :func:`worker_context`."""
+def _process_worker_init(setup) -> None:
+    """Runs once per worker process: activate the setup spec, park the
+    result for :func:`worker_context`."""
     global _worker_state
-    set_numpy_kernel(numpy_enabled)
     _worker_state = setup.activate() if setup is not None else None
 
 
@@ -115,21 +105,6 @@ def _run_process_task(
 # ----------------------------------------------------------------------
 # worker setup specs
 # ----------------------------------------------------------------------
-
-
-class SharedSegmentSetup:
-    """Attach the shared posting segment ``name``; the context value is
-    the mapped :class:`~repro.storage.shm.SharedPostingSegment`."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def activate(self):
-        from ..storage.shm import SharedPostingSegment
-
-        return SharedPostingSegment.attach(self.name)
 
 
 class StoredDatabaseSetup:
@@ -212,7 +187,7 @@ class ProcessQueryPool:
             max_workers=jobs,
             mp_context=multiprocessing.get_context(method),
             initializer=_process_worker_init,
-            initargs=(setup, numpy_kernel_active()),
+            initargs=(setup,),
         )
 
     def map_ordered(self, func: "Callable[[_T], _R]", items: "Iterable[_T]") -> "list[_R]":

@@ -222,9 +222,11 @@ def _command_query(args: argparse.Namespace) -> int:
         print(f"-- {len(explanations)} result(s) in {elapsed * 1000:.1f} ms")
         return 0
     collect = "timings" if args.stats else "off"
+    # --jobs is the shard scatter's worker count; a single store has
+    # nothing to scatter over
+    scatter = {"jobs": args.jobs} if isinstance(database, ShardedDatabase) else {}
     results = database.query(
-        args.query, n=n, costs=costs, method=args.method, collect=collect,
-        jobs=args.jobs, executor=args.executor,
+        args.query, n=n, costs=costs, method=args.method, collect=collect, **scatter
     )
     elapsed = time.perf_counter() - start
     for result in results:
@@ -414,17 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run the schema-driven driver's second-level queries on N "
-        "workers (any negative value: one per CPU; results identical "
-        "to serial; see --executor for the worker kind)",
-    )
-    query.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker kind for --jobs: 'thread' (default) or 'process' "
-        "(real cores over a read-only shared-memory posting export; "
-        "falls back to threads where process pools are unavailable)",
+        help="query the shards of a sharded directory on N worker threads "
+        "(any negative value: one per CPU; results identical to serial; "
+        "ignored for a single store)",
     )
     _add_cache_options(query)
     query.set_defaults(func=_command_query)
@@ -498,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=("thread", "process"),
         default="thread",
-        help="worker kind for batched execution (see 'query --executor')",
+        help="worker kind for batched execution: 'thread' (default) or "
+        "'process' (falls back to threads where no per-worker read view "
+        "exists)",
     )
     _add_cache_options(serve)
     serve.set_defaults(func=_command_serve)

@@ -242,8 +242,6 @@ class _PinnedView:
         n: "int | None",
         max_cost: "float | None",
         schedule: "tuple[int | None, int | None]",
-        jobs: "int | None",
-        executor: str,
         resume: "DriverState | None",
         collect: str,
     ) -> Execution:
@@ -257,8 +255,8 @@ class _PinnedView:
         else:
             captured: "list[DriverState]" = []
             raw = self.state.schema_eval().evaluate(
-                compiled.query, compiled.costs, n=n, max_cost=max_cost, jobs=jobs,
-                executor=executor, initial_k=schedule[0], delta=schedule[1],
+                compiled.query, compiled.costs, n=n, max_cost=max_cost,
+                initial_k=schedule[0], delta=schedule[1],
                 expanded=compiled.expanded(), resume=resume,
                 state_sink=captured.append,
             )
@@ -391,19 +389,11 @@ class Snapshot:
         method: str = "auto",
         max_cost: "float | None" = None,
         collect: str = "off",
-        jobs: "int | None" = None,
-        executor: str = "thread",
     ) -> ResultSet:
-        """:meth:`Database.query` against the pinned generation.
-
-        ``executor="process"`` works under the pin: the shared-memory
-        ``I_sec`` export is built *under* this snapshot's overlay, so
-        process workers serve exactly the pinned generation (the export
-        is query-private when the overlay is non-empty).
-        """
+        """:meth:`Database.query` against the pinned generation."""
         with self._view() as view:
             return self._database._pipeline.query(
-                view, text, n, costs, method, max_cost, collect, jobs, executor
+                view, text, n, costs, method, max_cost, collect
             )
 
     def count_results(
@@ -648,7 +638,6 @@ class Database:
         durability: "str | None" = None,
         wal_checkpoint_bytes: "int | None" = None,
         page_size: "int | None" = None,
-        numpy_kernel: "bool | None" = None,
         compiled_cache_entries: "int | None" = None,
         result_cache_entries: "int | None" = None,
     ) -> "Database":
@@ -692,20 +681,8 @@ class Database:
         best-n result prefixes — see ``docs/PERFORMANCE.md``); ``0``
         disables a tier, ``None`` keeps the defaults.  Answers are
         byte-identical either way.
-
-        ``numpy_kernel`` flips the process-wide numpy fast path for
-        whole-column engine passes (see ``docs/PERFORMANCE.md``):
-        ``True`` enables it (inert without numpy installed), ``False``
-        forces the pure-python kernels, ``None`` (default) leaves the
-        ``REPRO_NUMPY`` environment setting alone.  Results are
-        bit-identical either way; the flag is forwarded to process-pool
-        workers.
         """
-        from ..engine.columns import set_numpy_kernel
         from ..storage.cache import DEFAULT_POSTING_CACHE_BYTES, PostingCache
-
-        if numpy_kernel is not None:
-            set_numpy_kernel(bool(numpy_kernel))
 
         options = (options or StoreOptions()).merged(
             page_cache_pages=page_cache_pages,
@@ -817,13 +794,10 @@ class Database:
     def close(self) -> None:
         """Release the database's storage resources (idempotent).
 
-        The posting cache is shut down first — its shared-memory segment
-        registry destroys every ``/dev/shm`` segment it still holds,
-        pinned or retired, so open/close cycles in a long-running process
-        never leak kernel memory — then the file store handle is closed.
-        For an in-memory database this is a no-op.  Queries issued after
-        close fail from the closed store; don't close a database other
-        threads are still querying.
+        The posting cache is emptied, then the file store handle is
+        closed.  For an in-memory database this is a no-op.  Queries
+        issued after close fail from the closed store; don't close a
+        database other threads are still querying.
         """
         if self._closed:
             return
@@ -833,7 +807,7 @@ class Database:
         self._closed = True
         cache = self._posting_cache
         if cache is not None:
-            cache.shutdown()
+            cache.clear()
         if self._store is not None:
             self._store.close()
 
@@ -1103,8 +1077,6 @@ class Database:
         method: str = "auto",
         max_cost: "float | None" = None,
         collect: str = "off",
-        jobs: "int | None" = None,
-        executor: str = "thread",
     ) -> ResultSet:
         """Evaluate an approXQL query and return the best ``n`` results.
 
@@ -1126,21 +1098,9 @@ class Database:
         times.  The returned :class:`~repro.core.results.ResultSet`
         compares equal to a plain list of results and carries the report
         as ``.report``.
-
-        ``jobs > 1`` runs the schema-driven driver's second-level queries
-        on that many workers (results identical to serial; see
-        :mod:`repro.concurrent`).  ``jobs`` may be negative — one worker
-        per CPU — and ``executor`` picks the backend: ``"thread"`` (the
-        default) or ``"process"``, which evaluates on real cores against
-        a read-only shared-memory export of ``I_sec`` and degrades to
-        threads where process pools are unavailable (counting
-        ``concurrency.process_fallback``).  The direct algorithm ignores
-        both — its one primary evaluation has no independent work units.
         """
         with self._view() as view:
-            return self._pipeline.query(
-                view, text, n, costs, method, max_cost, collect, jobs, executor
-            )
+            return self._pipeline.query(view, text, n, costs, method, max_cost, collect)
 
     def query_many(
         self,

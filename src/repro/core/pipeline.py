@@ -11,8 +11,8 @@ hand it an :class:`Executor` per call.
 
 Stages of :meth:`QueryPipeline.query`, in order:
 
-1. **validate** ``method`` / ``collect`` / ``executor`` — typed errors
-   before any work;
+1. **validate** ``method`` / ``collect`` (and a batch's ``executor``) —
+   typed errors before any work;
 2. **compile** through the Tier-1 :class:`~repro.querycache.CompiledQueryCache`
    (parse, fingerprint, lazily expanded closure);
 3. **plan**: an explicit method is taken as given, ``"auto"`` asks the
@@ -148,8 +148,6 @@ class Executor(Protocol):
         n: "int | None",
         max_cost: "float | None",
         schedule: "tuple[int | None, int | None]",
-        jobs: "int | None",
-        executor: str,
         resume: "DriverState | None",
         collect: str,
     ) -> Execution:
@@ -306,11 +304,9 @@ class QueryPipeline:
         method: str,
         max_cost: "float | None",
         collect: str,
-        jobs: "int | None",
-        executor: str,
     ) -> ResultSet:
         """All six stages for one query against ``view``."""
-        validate(method, collect, executor)
+        validate(method, collect)
         compiled, compiled_hit = self.compile(text, costs)
         # read before evaluation, so a write landing mid-query stamps the
         # cached entry with the generation whose postings were read
@@ -327,7 +323,7 @@ class QueryPipeline:
         # keeps receiving
         with _telemetry.collecting(telemetry) if telemetry is not None else nullcontext():
             results, execution = self._answer(
-                view, generation, compiled, chosen, n, max_cost, schedule, jobs, executor, collect
+                view, generation, compiled, chosen, n, max_cost, schedule, collect
             )
         report = QueryReport.from_telemetry(
             telemetry,
@@ -352,7 +348,7 @@ class QueryPipeline:
         return ResultSet(results, report)
 
     def _answer(
-        self, view, generation, compiled, chosen, n, max_cost, schedule, jobs, executor, collect
+        self, view, generation, compiled, chosen, n, max_cost, schedule, collect
     ) -> "tuple[list, Execution | None]":
         """Stages 4–5: the best-``n`` results from the cached prefix of
         this (query, costs, method, max_cost) at this generation, from
@@ -372,7 +368,7 @@ class QueryPipeline:
         if chosen == "schema" and view.schedule_ordered:
             key += (effective_schedule(n, *schedule),)
         cache = self.result_cache
-        entry = cache.lookup(key, generation)
+        entry = cache.lookup(key, generation, n)
         execution = None
         if entry is not None and entry.serves(n):
             rows = entry.pairs
@@ -380,9 +376,7 @@ class QueryPipeline:
             resume = entry.state if entry is not None else None
             if resume is not None:
                 cache.note_resume()
-            execution = view.execute(
-                compiled, chosen, n, max_cost, schedule, jobs, executor, resume, collect
-            )
+            execution = view.execute(compiled, chosen, n, max_cost, schedule, resume, collect)
             rows = execution.rows if resume is None else entry.pairs + execution.rows
             cache.store(
                 key,
@@ -496,8 +490,10 @@ class QueryPipeline:
                         payloads = pool.map_ordered(
                             _serve_process_query,
                             [
-                                (compiled.text, compiled.costs, n, max_cost, method, collect)
-                                for _, compiled in group
+                                # what the caller submitted: an AST's
+                                # unparsed text need not reparse
+                                (text, compiled.costs, n, max_cost, method, collect)
+                                for text, compiled in group
                             ],
                         )
                 finally:

@@ -23,74 +23,17 @@ column lists and never writes into its inputs, which is what makes
 sharing identity columns, cached score columns, and sparse tables safe
 (the same convention the posting cache relies on one level below).
 
-Two orthogonal backings extend the plain-list kernel:
-
-* **flat buffers** — the identity columns (``pre``, ``bound``,
-  ``pathcost``, ``inscost``) may be ``array('q')`` or ``memoryview``
-  objects borrowed zero-copy from a columnar posting
-  (:class:`~repro.storage.postings.PostingColumns`), including postings
-  mapped from a shared-memory segment.  Every operator indexes and
-  slices them like lists; derived cost columns are always plain lists.
-* **numpy fast path** — whole-column passes (score columns, sparse-table
-  levels, the sort/partition of ``sort_best``, cost shifts) run on numpy
-  when the flag is on (``REPRO_NUMPY=1`` or
-  :func:`set_numpy_kernel`).  Results are normalized back to Python
-  floats/lists at every boundary, and int64 adds / float64 min-folds are
-  bit-identical to the pure-Python passes — the differential oracle runs
-  with the flag on to prove it.  Without numpy installed the flag is
-  inert and the pure-Python kernel serves everything.
+The identity columns (``pre``, ``bound``, ``pathcost``, ``inscost``) may
+be ``array('q')`` buffers borrowed zero-copy from a columnar posting
+(:class:`~repro.storage.postings.PostingColumns`).  Every operator
+indexes and slices them like lists; derived cost columns are always
+plain lists.
 """
 
 from __future__ import annotations
 
-import os
-
 from ..telemetry.collector import count as _telemetry_count
 from .entries import INFINITE, ListEntry
-
-# ----------------------------------------------------------------------
-# numpy feature flag
-# ----------------------------------------------------------------------
-
-#: the numpy module when the fast path is enabled *and* importable,
-#: else None (the pure-python kernel; also the fallback when numpy is
-#: absent, keeping REPRO_NUMPY=1 harmless on minimal installs)
-_numpy = None
-
-
-def _import_numpy():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy present in CI
-        return None
-    return numpy
-
-
-def set_numpy_kernel(enabled: bool) -> bool:
-    """Switch the numpy fast path on or off, returning whether it was
-    previously active.  Enabling without numpy installed leaves the
-    pure-python kernel in place (check :func:`numpy_kernel_active`).
-    The flag is process-wide: the kernel is stateless, so the only
-    observable difference is speed."""
-    global _numpy
-    previous = _numpy is not None
-    _numpy = _import_numpy() if enabled else None
-    return previous
-
-
-def numpy_kernel_active() -> bool:
-    """Whether whole-column passes currently run on numpy."""
-    return _numpy is not None
-
-
-def _numpy_module():
-    """The active numpy module or ``None`` (internal: ops.py checks this
-    per pass so a mid-process flag flip takes effect immediately)."""
-    return _numpy
-
-
-if os.environ.get("REPRO_NUMPY") == "1":
-    set_numpy_kernel(True)
 
 
 class SparseTable:
@@ -102,41 +45,21 @@ class SparseTable:
     the range — two list indexes and one comparison.
     """
 
-    __slots__ = ("_levels", "_native")
+    __slots__ = ("_levels",)
 
     def __init__(self, scores: list) -> None:
-        numpy = _numpy
         length = len(scores)
-        if numpy is not None and length > 1:
-            # float64 min-folds are bit-identical to the python sweep
-            # (same IEEE comparisons, inf propagates the same way)
-            base = numpy.asarray(scores, dtype=numpy.float64)
-            levels = [base]
-            width = 1
-            while 2 * width <= length:
-                previous = levels[-1]
-                levels.append(
-                    numpy.minimum(
-                        previous[: length - 2 * width + 1],
-                        previous[width : length - width + 1],
-                    )
-                )
-                width *= 2
-            self._native = False
-            _telemetry_count("kernel.numpy_rmq_builds")
-        else:
-            levels = [scores]
-            width = 1
-            while 2 * width <= length:
-                previous = levels[-1]
-                levels.append(
-                    [
-                        previous[i] if previous[i] <= previous[i + width] else previous[i + width]
-                        for i in range(length - 2 * width + 1)
-                    ]
-                )
-                width *= 2
-            self._native = True
+        levels = [scores]
+        width = 1
+        while 2 * width <= length:
+            previous = levels[-1]
+            levels.append(
+                [
+                    previous[i] if previous[i] <= previous[i + width] else previous[i + width]
+                    for i in range(length - 2 * width + 1)
+                ]
+            )
+            width *= 2
         self._levels = levels
 
     def minimum(self, low: int, high: int) -> float:
@@ -145,32 +68,12 @@ class SparseTable:
         level = self._levels[level_index]
         left = level[low]
         right = level[high - (1 << level_index)]
-        winner = left if left <= right else right
-        # numpy levels yield numpy.float64 scalars; hand back a plain
-        # float so scores never leak numpy types into result costs
-        return winner if self._native else float(winner)
+        return left if left <= right else right
 
 
 def _score_column(pathcost, costs) -> list:
-    """``pathcost + costs`` per row, as a plain list of floats.  The
-    numpy pass is bit-identical: int64→float64 conversion is exact for
-    any realistic path cost and float64 addition is the same IEEE
-    operation the python loop performs."""
-    numpy = _numpy
-    if numpy is not None and len(costs) > 1:
-        _telemetry_count("kernel.numpy_score_columns")
-        return (
-            numpy.asarray(pathcost, dtype=numpy.float64)
-            + numpy.asarray(costs, dtype=numpy.float64)
-        ).tolist()
+    """``pathcost + costs`` per row, as a plain list of floats."""
     return [path + cost for path, cost in zip(pathcost, costs)]
-
-
-def _plain_list(column) -> list:
-    """A column as a plain list (identity for lists) — the pickle shape:
-    buffer-backed columns must not try to cross process boundaries as
-    shared-memory views."""
-    return column if type(column) is list else list(column)
 
 
 class EvalColumns:
@@ -256,9 +159,8 @@ class EvalColumns:
 
         A columnar posting (anything exposing ``pre`` / ``pathcost``
         buffer attributes, e.g. :class:`~repro.storage.postings.
-        PostingColumns`, possibly shared-memory-backed) is borrowed
-        **zero-copy**: its flat buffers become the identity columns
-        directly, no per-row gather.
+        PostingColumns`) is borrowed **zero-copy**: its flat buffers
+        become the identity columns directly, no per-row gather.
         """
         count = len(postings)
         columnar = getattr(postings, "pathcost", None)
@@ -379,21 +281,6 @@ class EvalColumns:
             [inscost[i] for i in indices],
             [embcost[i] for i in indices],
             [leafcost[i] for i in indices],
-        )
-
-    def __reduce__(self):
-        # materialize buffer-backed columns; derived score columns and
-        # sparse tables rebuild lazily on the other side
-        return (
-            EvalColumns,
-            (
-                _plain_list(self.pre),
-                _plain_list(self.bound),
-                _plain_list(self.pathcost),
-                _plain_list(self.inscost),
-                _plain_list(self.embcost),
-                _plain_list(self.leafcost),
-            ),
         )
 
     def __eq__(self, other: object) -> bool:

@@ -31,7 +31,7 @@ from operator import itemgetter
 from ..telemetry.collector import count as _telemetry_count
 from ..xmltree.indexes import NodeIndexes
 from ..xmltree.model import NodeType
-from .columns import EvalColumns, _numpy_module, as_columns
+from .columns import EvalColumns, as_columns
 from .entries import INFINITE, ListEntry
 
 EvalList = list[ListEntry]
@@ -173,23 +173,10 @@ def sort_best(n: "int | None", entries) -> EvalColumns:
     entries = as_columns(entries)
     leafcost = entries.leafcost
     pre = entries.pre
-    numpy = _numpy_module()
-    if numpy is not None and len(leafcost) > 1:
-        # partition out the no-valid-embedding class, then a stable
-        # two-key lexsort — identical order to the python sort because
-        # pre values are unique (no ties to break differently)
-        leaf = numpy.asarray(leafcost, dtype=numpy.float64)
-        keep = numpy.flatnonzero(leaf != numpy.inf)
-        ranks = numpy.lexsort(
-            (numpy.asarray(pre, dtype=numpy.int64)[keep], leaf[keep])
-        )
-        order = keep[ranks].tolist()
-        _telemetry_count("kernel.numpy_sorts")
-    else:
-        order = sorted(
-            (i for i in range(len(pre)) if leafcost[i] != INFINITE),
-            key=lambda i: (leafcost[i], pre[i]),
-        )
+    order = sorted(
+        (i for i in range(len(pre)) if leafcost[i] != INFINITE),
+        key=lambda i: (leafcost[i], pre[i]),
+    )
     if n is not None:
         order = order[:n]
     return entries.take(order)
@@ -252,7 +239,7 @@ def _range_minima(ancestors: EvalColumns, descendants: EvalColumns) -> tuple[lis
 
 def _concat(columns) -> list:
     """The given columns end to end as one list (buffer-backed columns —
-    ``array``/``memoryview`` — do not concatenate with ``+``)."""
+    ``array`` — do not concatenate with ``+``)."""
     combined: list = []
     for column in columns:
         combined.extend(column)
@@ -262,16 +249,8 @@ def _concat(columns) -> list:
 def _with_added_cost(columns: EvalColumns, cost: float) -> EvalColumns:
     if cost == 0:
         return columns
-    numpy = _numpy_module()
-    if numpy is not None and len(columns.embcost) > 1:
-        # inf + finite == inf in IEEE, so the python path's INFINITE
-        # guard is a skipped addition, not a different result
-        embcost = (numpy.asarray(columns.embcost, dtype=numpy.float64) + cost).tolist()
-        leafcost = (numpy.asarray(columns.leafcost, dtype=numpy.float64) + cost).tolist()
-        _telemetry_count("kernel.numpy_cost_shifts")
-    else:
-        embcost = [emb + cost for emb in columns.embcost]
-        leafcost = [leaf + cost if leaf != INFINITE else INFINITE for leaf in columns.leafcost]
+    embcost = [emb + cost for emb in columns.embcost]
+    leafcost = [leaf + cost if leaf != INFINITE else INFINITE for leaf in columns.leafcost]
     return EvalColumns(
         columns.pre,
         columns.bound,

@@ -233,10 +233,6 @@ class CompiledQueryCache:
                 _telemetry.count("querycache.compiled_evictions")
         return compiled, False
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
@@ -282,7 +278,8 @@ class ResultCache:
 
     Lookup semantics follow the ``PostingCache`` generation protocol:
 
-    * entry generation == caller generation → hit;
+    * entry generation == caller generation → hit, if the prefix serves
+      the requested ``n`` or can be resumed; otherwise miss, entry kept;
     * entry generation <  caller generation → the store mutated since
       the entry was cached: evict it, count an invalidation, miss;
     * entry generation >  caller generation → the caller is a pinned
@@ -318,30 +315,33 @@ class ResultCache:
     def approximate_bytes(self) -> int:
         return self._bytes
 
-    def lookup(self, key: tuple, generation: object) -> "CachedResult | None":
-        """The cached prefix for ``key`` valid at ``generation``."""
+    def lookup(
+        self, key: tuple, generation: object, n: "int | None"
+    ) -> "CachedResult | None":
+        """The cached prefix for ``key`` valid at ``generation`` that a
+        best-``n`` request can use: it serves ``n`` outright or carries
+        the driver state to resume from.  A too-short prefix that cannot
+        resume is a miss — the request is evaluated from scratch."""
         if not self.enabled:
             return None
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                _telemetry.count("querycache.result_misses")
-                return None
-            if entry.generation == generation:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                _telemetry.count("querycache.result_hits")
-                return entry
-            try:
-                stale = entry.generation < generation
-            except TypeError:  # pragma: no cover - mixed generation kinds
-                stale = True
-            if stale:
-                del self._entries[key]
-                self._bytes -= entry.approximate_bytes()
-                self.invalidations += 1
-                _telemetry.count("querycache.result_invalidations")
+            if entry is not None and entry.generation == generation:
+                if entry.serves(n) or entry.state is not None:
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    _telemetry.count("querycache.result_hits")
+                    return entry
+            elif entry is not None:
+                try:
+                    stale = entry.generation < generation
+                except TypeError:  # pragma: no cover - mixed generation kinds
+                    stale = True
+                if stale:
+                    del self._entries[key]
+                    self._bytes -= entry.approximate_bytes()
+                    self.invalidations += 1
+                    _telemetry.count("querycache.result_invalidations")
             self.misses += 1
             _telemetry.count("querycache.result_misses")
             return None
@@ -387,11 +387,6 @@ class ResultCache:
                 self.evictions += 1
                 _telemetry.count("querycache.result_evictions")
             _telemetry.gauge("querycache.bytes", self._bytes)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
 
     def stats(self) -> dict[str, int]:
         with self._lock:

@@ -14,7 +14,6 @@ from .dataguide import (
 from .entries import SchemaEntry, entry_from_schema_posting
 from .evaluator import (
     DEFAULT_MAX_K,
-    EvaluationStats,
     SchemaEvaluator,
     SchemaResult,
 )
@@ -41,7 +40,6 @@ from .topk_ops import (
 
 __all__ = [
     "DEFAULT_MAX_K",
-    "EvaluationStats",
     "MemorySecondaryIndex",
     "PrimaryKEvaluator",
     "Schema",

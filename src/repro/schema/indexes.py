@@ -126,20 +126,6 @@ class MemorySecondaryIndex(SecondaryIndex):
     def __init__(self, schema: Schema) -> None:
         self._schema = schema
 
-    def export_postings(self):
-        """Every ``I_sec`` posting as ``((namespace, key), posting)`` —
-        the shared-memory exporter's input shape."""
-        schema = self._schema
-        for node in range(len(schema)):
-            if schema.is_text_class(node):
-                for term, posting in schema.term_instances.get(node, {}).items():
-                    yield (SEC_NAMESPACE, _sec_key(node, term)), posting
-            else:
-                yield (
-                    (SEC_NAMESPACE, _sec_key(node, schema.labels[node])),
-                    schema.instances[node],
-                )
-
     def fetch(self, schema_pre: int, label: str) -> list[InstancePosting]:
         schema = self._schema
         if schema_pre >= len(schema):
@@ -219,99 +205,11 @@ class StoredSecondaryIndex(SecondaryIndex):
                 telemetry.count("index.sec_fetches")
                 telemetry.count("index.sec_postings", 0)
             return []
-        # columnar decode: the pre/bound buffers feed semi-joins and the
-        # shared-memory exporter without per-row re-gathering
+        # columnar decode: the pre/bound buffers feed semi-joins without
+        # per-row re-gathering
         posting = decode_instance_posting_columns(data)
         if cache is not None:
             cache.put(SEC_NAMESPACE, key, generation, posting)
-        if telemetry is not None:
-            telemetry.count("index.sec_fetches")
-            telemetry.count("index.sec_postings", len(posting))
-        return posting
-
-
-    def export_postings(self):
-        """Every ``I_sec`` posting at the current read view, as
-        ``((namespace, key), posting)``.
-
-        The ambient snapshot overlay is applied the same way
-        :meth:`fetch` applies it: pinned values outrank the store (so a
-        key mutated after the snapshot exports its pinned pre-mutation
-        value, and a key *inserted* after the snapshot exports the
-        pinned ``[]``), and keys only the overlay knows — deleted from
-        the store since the pin — are exported from the overlay alone.
-        """
-        overlay = current_overlay()
-        pinned: dict[bytes, object] = {}
-        if overlay is not None:
-            for (tag, key), value in overlay.items():
-                if tag == SEC_NAMESPACE:
-                    pinned[key] = value
-        for key, data in self._namespace.scan():
-            value = pinned.pop(key, None)
-            if value is not None:
-                yield (SEC_NAMESPACE, key), value
-            else:
-                yield (SEC_NAMESPACE, key), decode_instance_posting_columns(data)
-        for key, value in pinned.items():
-            yield (SEC_NAMESPACE, key), value
-
-    def shared_segment(self) -> "tuple[object, bool]":
-        """The shared-memory segment exporting this index, plus whether
-        the caller owns its lifetime (``private=True``).
-
-        With no ambient overlay the segment is registered in the posting
-        cache keyed by store generation, so every query against an
-        unchanged store reuses one export; the registry retires it when
-        the generation moves.  A registered segment comes back *pinned*
-        — call :meth:`release_segment` when the query finishes, so a
-        concurrent generation bump cannot unlink the block while this
-        query's pool workers are still attaching by name.  Under an
-        overlay (a pinned snapshot being served while a writer runs) the
-        export is query-private — the caller must
-        :meth:`~repro.storage.shm.SharedPostingSegment.destroy` it when
-        done.
-        """
-        from ..storage.shm import SharedPostingSegment
-
-        overlay = current_overlay()
-        private = overlay is not None and len(overlay) > 0
-        cache = self._cache
-        generation = self._store.generation
-        if not private and cache is not None:
-            segment = cache.get_segment(generation)
-            if segment is not None:
-                return segment, False
-        segment = SharedPostingSegment.build(dict(self.export_postings()))
-        if not private and cache is not None and self._store.generation == generation:
-            # register only exports provably of one generation; a racing
-            # writer mid-export makes the segment torn — keep it private
-            # and let this query (whose reads re-check the store) own it
-            return cache.put_segment(generation, segment), False
-        return segment, True
-
-    def release_segment(self, segment) -> None:
-        """Drop the pin :meth:`shared_segment` took on a registered
-        (non-private) segment."""
-        cache = self._cache
-        if cache is not None:
-            cache.release_segment(segment)
-
-
-class SharedSecondaryIndex(SecondaryIndex):
-    """``I_sec`` over an attached shared-memory segment — the read view
-    of a process-pool worker.  Fetches are memoryview casts into the
-    parent's export; a key outside the export means the posting was
-    empty (the exporter ships every ``I_sec`` key)."""
-
-    def __init__(self, segment) -> None:
-        self._segment = segment
-
-    def fetch(self, schema_pre: int, label: str) -> list[InstancePosting]:
-        posting = self._segment.fetch(SEC_NAMESPACE, _sec_key(schema_pre, label))
-        if posting is None:
-            posting = []
-        telemetry = _telemetry_current()
         if telemetry is not None:
             telemetry.count("index.sec_fetches")
             telemetry.count("index.sec_postings", len(posting))

@@ -32,9 +32,8 @@ class SecondaryExecutor:
     def __init__(self, index: SecondaryIndex) -> None:
         self._index = index
         self._memo: dict[SchemaEntry, tuple[list[InstancePosting], list[int]]] = {}
-        #: statistics: number of I_sec fetches and semi-joins performed
+        #: statistics: number of I_sec fetches performed
         self.fetch_count = 0
-        self.semijoin_count = 0
 
     def execute(self, entry: SchemaEntry) -> list[InstancePosting]:
         """All instances of the skeleton rooted at ``entry`` that contain
@@ -53,10 +52,9 @@ class SecondaryExecutor:
                 break
             child_instances, child_pres = self._execute(child)
             instances = semi_join(instances, child_instances, child_pres)
-            self.semijoin_count += 1
             _telemetry_count("schema.semijoins")
-        # a columnar posting (InstanceColumns, possibly shared-memory
-        # backed) already carries its pre column — borrow it zero-copy
+        # a columnar posting (InstanceColumns) already carries its pre
+        # column — borrow it instead of re-extracting it
         pres = getattr(instances, "pre", None)
         cached = (instances, pres if pres is not None else [pre for pre, _ in instances])
         self._memo[entry] = cached

@@ -484,7 +484,6 @@ class ShardedDatabase:
         max_cost: "float | None" = None,
         collect: str = "off",
         jobs: "int | None" = None,
-        executor: str = "thread",
     ) -> ResultSet:
         """Fan the query out to every shard and merge — the
         :meth:`Database.query` signature and contract, answered
@@ -494,13 +493,11 @@ class ShardedDatabase:
         the same result *set* the unsharded collection returns, with ties
         broken deterministically by global root (the single-store driver
         leaves tie order unspecified).  ``jobs > 1`` queries shards on
-        that many worker threads; ``executor`` is accepted for signature
-        parity (per-shard process pools would nest — shard-level
-        parallelism comes from the fan-out itself).
+        that many worker threads.
         """
         self._check_open()
         results = self._pipeline.query(
-            _ScatterGather(self), text, n, costs, method, max_cost, collect, jobs, executor
+            _ScatterGather(self, jobs), text, n, costs, method, max_cost, collect
         )
         fanout = results.report.counters.get("shard.fanout")
         if fanout:  # a scatter ran (a merge-level cache hit has none)
@@ -781,7 +778,7 @@ class ShardedDatabase:
 
     def close(self) -> None:
         """Close every shard (idempotent) — each shard's store handle
-        and posting-cache shared-memory registry are released."""
+        is released."""
         if self._closed:
             return
         self._closed = True
@@ -851,16 +848,18 @@ class _ScatterGather:
     through its public ``query`` / ``stream``, gather into the canonical
     (cost, global root) order.  Rows are ``(global root, cost, shard,
     local root)`` tuples.  Made per call — it captures the translation
-    tables current at the call's start."""
+    tables current at the call's start and the worker count (``jobs``)
+    the scatter may use."""
 
     # the merge re-sorts every tie class by global root, whatever
     # schedule the shards' drivers ran
     schedule_ordered = False
 
-    def __init__(self, database: ShardedDatabase) -> None:
+    def __init__(self, database: ShardedDatabase, jobs: "int | None" = None) -> None:
         self._database = database
         self._shards = database._shards
         self._maps = database._maps
+        self._jobs = min(resolve_jobs(jobs), len(self._shards))
 
     def generation(self) -> tuple:
         """The routing generation plus every shard's (published state,
@@ -886,16 +885,13 @@ class _ScatterGather:
         n: "int | None",
         max_cost: "float | None",
         schedule: "tuple[int | None, int | None]",
-        jobs: "int | None",
-        executor: str,
         resume: None,
         collect: str,
     ) -> Execution:
         """Shards run with the explicit ``chosen`` method and their own
-        default schedule, reporting in the ``collect`` mode; ``executor``
-        is not forwarded (per-shard process pools would nest).  Nothing
+        default schedule, reporting in the ``collect`` mode.  Nothing
         is resumable at this level: a larger ``n`` recomputes."""
-        jobs = min(resolve_jobs(jobs), len(self._shards))
+        jobs = self._jobs
         if chosen == "schema" and n is not None:
             rows, reports = self._best_n(compiled, n, max_cost, collect, jobs)
         else:

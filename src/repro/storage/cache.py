@@ -127,16 +127,6 @@ class PostingCache:
         # share one LRU order and one byte budget
         self._entries: "OrderedDict[tuple, tuple[int, int, object]]" = OrderedDict()
         self._used_bytes = 0
-        # one shared-memory posting segment per store generation (the
-        # process-pool read view); outside the byte budget — it is not
-        # heap memory, and its lifetime is the generation's, not LRU's.
-        # The entry is ``[generation, segment, pins]``: every get/put
-        # hands the caller a pin, released with release_segment when the
-        # query finishes, so a racing generation bump can only *retire*
-        # a segment other queries' workers are still attaching to —
-        # never unlink it from under them.
-        self._segment: "list | None" = None
-        self._retired_segments: "list[list]" = []
         # One coarse lock over the LRU structure: get/put are dict-sized
         # critical sections, so a single lock measured indistinguishable
         # from striping (see the module docstring's thread-safety notes).
@@ -211,133 +201,11 @@ class PostingCache:
                 self._used_bytes -= evicted_cost
                 _telemetry_count("cache.posting_evictions")
 
-    def get_segment(self, generation: int):
-        """The registered shared-memory segment for ``generation`` —
-        **pinned** for the caller (pair with :meth:`release_segment`) —
-        or ``None``.  A registry holding a segment from an older
-        generation retires it here — the lazy invalidation of the module
-        docstring, applied to the process-pool read view.  A retired
-        segment is only destroyed (close + unlink) once its last pin is
-        released: unlinking earlier would break a concurrent query whose
-        pool workers attach by name after the bump.  Workers already
-        attached keep their mapping regardless (Linux keeps unlinked
-        shared memory alive until the last map drops), so an in-flight
-        parallel round still reads the generation it pinned."""
-        stale = None
-        try:
-            with self._lock:
-                entry = self._segment
-                if entry is None:
-                    return None
-                if entry[0] != generation:
-                    self._segment = None
-                    stale = self._retire_locked(entry)
-                    _telemetry_count("shm.segment_invalidations")
-                    return None
-                entry[2] += 1
-                return entry[1]
-        finally:
-            if stale is not None:
-                stale.destroy()
-
-    def put_segment(self, generation: int, segment) -> "object":
-        """Register ``segment`` as the shared read view at ``generation``.
-        Returns the registered segment, pinned for the caller: on a build
-        race the first writer wins and the incoming duplicate — which no
-        worker can have attached yet — is destroyed."""
-        loser = None
-        try:
-            with self._lock:
-                entry = self._segment
-                if entry is not None:
-                    if entry[0] == generation:
-                        entry[2] += 1
-                        loser = segment
-                        return entry[1]
-                    loser = self._retire_locked(entry)
-                self._segment = [generation, segment, 1]
-                return segment
-        finally:
-            if loser is not None:
-                loser.destroy()
-
-    def release_segment(self, segment) -> None:
-        """Drop one pin on ``segment``.  The last release of a retired
-        segment destroys it; the registered segment just sheds the pin
-        and stays available for the next query."""
-        stale = None
-        with self._lock:
-            entry = self._segment
-            if entry is not None and entry[1] is segment:
-                entry[2] -= 1
-                return
-            for retired in self._retired_segments:
-                if retired[0] is segment:
-                    retired[1] -= 1
-                    if retired[1] <= 0:
-                        self._retired_segments.remove(retired)
-                        stale = segment
-                    break
-        if stale is not None:
-            stale.destroy()
-
-    def _retire_locked(self, entry) -> "object | None":
-        """Move a displaced registry entry toward destruction: with no
-        outstanding pins return it for immediate destroy (caller, outside
-        the lock); otherwise park it until the last release."""
-        if entry[2] <= 0:
-            return entry[1]
-        self._retired_segments.append([entry[1], entry[2]])
-        return None
-
-    def drop_segment(self) -> None:
-        """Destroy the registered segment, if any (database close path).
-        Pinned segments are parked for their holders' releases instead of
-        being unlinked mid-query."""
-        stale = None
-        leftovers = []
-        with self._lock:
-            entry = self._segment
-            self._segment = None
-            if entry is not None:
-                stale = self._retire_locked(entry)
-            for retired in list(self._retired_segments):
-                if retired[1] <= 0:
-                    self._retired_segments.remove(retired)
-                    leftovers.append(retired[0])
-        if stale is not None:
-            stale.destroy()
-        for segment in leftovers:
-            segment.destroy()
-
     def clear(self) -> None:
         """Drop every entry (eager form of generation invalidation)."""
         with self._lock:
             self._entries.clear()
             self._used_bytes = 0
-        self.drop_segment()
-
-    def shutdown(self) -> None:
-        """Release everything unconditionally — the database close path.
-
-        Unlike :meth:`drop_segment`, outstanding pins do not park a
-        segment: the owner is asserting no query is in flight, so the
-        registered segment and every retired one are destroyed (close +
-        unlink) right now.  A pin held past close is a caller bug; a
-        ``/dev/shm`` segment surviving the database is worse — a
-        long-running server opening and closing shards would leak kernel
-        memory until reboot."""
-        doomed = []
-        with self._lock:
-            self._entries.clear()
-            self._used_bytes = 0
-            entry, self._segment = self._segment, None
-            if entry is not None:
-                doomed.append(entry[1])
-            doomed.extend(retired[0] for retired in self._retired_segments)
-            self._retired_segments.clear()
-        for segment in doomed:
-            segment.destroy()
 
 
 class FetchMemo:

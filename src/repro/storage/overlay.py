@@ -14,7 +14,7 @@ Overlays are *ambient* per thread, exactly like the telemetry collector:
 the stored indexes check :func:`current_overlay` on every fetch, query
 code activates a snapshot's overlay with :func:`using_overlay` around the
 evaluation, and :class:`repro.concurrent.QueryPool` re-activates the
-submitting thread's overlay inside its worker threads so parallel rounds
+submitting thread's overlay inside its worker threads so pooled tasks
 read the same generation.
 
 Thread-safety relies on the shape of the data: the writer only ever
@@ -76,17 +76,6 @@ class SnapshotOverlay:
         """The pinned value of ``tag``/``key``, or :data:`MISSING` when
         the key was never touched after the snapshot was taken."""
         return self._data.get((tag, key), MISSING)
-
-    def items(self) -> list[tuple[tuple[bytes, bytes], object]]:
-        """A point-in-time list of ``((tag, key), value)`` pairs — the
-        shared-memory segment builder applies these on top of the store's
-        current values so exported postings match the pinned generation.
-        A list copy, not a live view: the writer may add entries while
-        the caller iterates."""
-        return list(self._data.items())
-
-    def __len__(self) -> int:
-        return len(self._data)
 
     def __repr__(self) -> str:
         return f"SnapshotOverlay(generation={self.generation}, pinned={len(self._data)})"

@@ -17,10 +17,9 @@ Decoded postings come in two in-memory shapes:
 * plain ``list[tuple]`` — the historical shape, still produced by
   :func:`decode_node_postings` / :func:`decode_instance_postings`;
 * **columnar** — :class:`PostingColumns` / :class:`InstanceColumns`,
-  flat ``array('q')`` (or ``memoryview``) buffers, one per field.  The
-  columnar shape duck-types a sequence of tuples, so every tuple-shaped
-  consumer keeps working, while whole-column consumers (the evaluation
-  kernel, the shared-memory exporter of :mod:`repro.storage.shm`) borrow
+  flat ``array('q')`` buffers, one per field.  The columnar shape
+  duck-types a sequence of tuples, so every tuple-shaped consumer keeps
+  working, while whole-column consumers (the evaluation kernel) borrow
   the buffers zero-copy.  The stored indexes decode into columns; the
   ``*_columns`` decoders fill the four (or two) buffers in one pass.
 
@@ -49,12 +48,11 @@ InstancePosting = tuple[int, int]
 class _Columns:
     """Shared sequence-of-tuples duck typing over parallel flat columns.
 
-    Columns are flat signed-64-bit integer buffers — ``array('q')`` when
-    decoded locally, ``memoryview('q')`` slices when attached to a
-    shared-memory segment — and are **immutable by convention**, exactly
-    like cached posting lists.  Subclasses name their columns in
-    ``__slots__`` order; rows materialize as plain tuples so every
-    tuple-shaped consumer of a decoded posting keeps working unchanged.
+    Columns are flat signed-64-bit integer buffers (``array('q')``) and
+    are **immutable by convention**, exactly like cached posting lists.
+    Subclasses name their columns in ``__slots__`` order; rows
+    materialize as plain tuples so every tuple-shaped consumer of a
+    decoded posting keeps working unchanged.
     """
 
     __slots__ = ()
@@ -117,9 +115,6 @@ class PostingColumns(_Columns):
             inscost.append(row[3])
         return cls(pre, bound, pathcost, inscost)
 
-    def __reduce__(self):
-        return (_rebuild_posting_columns, tuple(bytes(memoryview(c).cast("B")) for c in self._columns()))
-
 
 class InstanceColumns(_Columns):
     """An instance posting — ``(pre, bound)`` rows — as two parallel
@@ -139,29 +134,6 @@ class InstanceColumns(_Columns):
             pre.append(row[0])
             bound.append(row[1])
         return cls(pre, bound)
-
-    def __reduce__(self):
-        return (_rebuild_instance_columns, tuple(bytes(memoryview(c).cast("B")) for c in self._columns()))
-
-
-def _rebuild_posting_columns(*raw: bytes) -> PostingColumns:
-    """Unpickle hook: columns rematerialize as local ``array('q')``
-    buffers (a pickled shared-memory view must not try to re-attach)."""
-    columns = []
-    for data in raw:
-        column = array("q")
-        column.frombytes(data)
-        columns.append(column)
-    return PostingColumns(*columns)
-
-
-def _rebuild_instance_columns(*raw: bytes) -> InstanceColumns:
-    columns = []
-    for data in raw:
-        column = array("q")
-        column.frombytes(data)
-        columns.append(column)
-    return InstanceColumns(*columns)
 
 
 def encode_node_postings(entries: list[NodePosting]) -> bytes:
@@ -216,8 +188,8 @@ def decode_node_posting_columns(data: bytes) -> PostingColumns:
 
     Same block-decode kernel as :func:`decode_node_postings`, but the
     values land in four flat ``array('q')`` buffers instead of a list of
-    tuples — the shape the evaluation kernel and the shared-memory
-    exporter consume without per-row re-gathering.
+    tuples — the shape the evaluation kernel consumes without per-row
+    re-gathering.
     """
     count, pos = decode_uvarint(data, 0)
     telemetry = _telemetry_current()

@@ -1,36 +1,23 @@
 """Array-backed posting columns must be indistinguishable from lists.
 
 The columnar decode path re-backs postings with flat ``array('q')``
-buffers (and, through the shared-memory exporter, with memoryview casts
-into one block).  Everything downstream — the Section 6.4 list algebra,
-the semi-joins, pickling across a process pipe — was written against
-lists of tuples, so these property tests drive every operation in
-:mod:`repro.engine.ops` with both backings and demand identical rows,
-on both sides of the joins' range-minimum choice (ancestor intervals
-stretched until the sparse tables are picked / left narrow for the slice
-sweep) and with the numpy kernel both off and on.
-
-The second half covers the shared-memory segment lifecycle: build,
-attach, fetch, close, destroy — no leaked ``/dev/shm`` blocks, and a
-worker-style attach in a child process leaves the resource tracker
-silent (no unregister of the owner's registration, no double unlink).
+buffers.  Everything downstream — the Section 6.4 list algebra, the
+semi-joins, pickling — was written against lists of tuples, so these
+property tests drive every operation in :mod:`repro.engine.ops` with
+both backings and demand identical rows, on both sides of the joins'
+range-minimum choice (ancestor intervals stretched until the sparse
+tables are picked / left narrow for the slice sweep).
 """
 
 import math
 import pickle
-import subprocess
-import sys
 from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.columns import (
-    EvalColumns,
-    numpy_kernel_active,
-    set_numpy_kernel,
-)
+from repro.engine.columns import EvalColumns
 from repro.engine.ops import (
     add_edge_cost,
     intersect,
@@ -49,7 +36,6 @@ from repro.storage.postings import (
     encode_instance_postings,
     encode_node_postings,
 )
-from repro.storage.shm import SharedPostingSegment, attach_shared_memory
 from repro.telemetry.collector import Telemetry, collecting
 
 # ----------------------------------------------------------------------
@@ -112,22 +98,18 @@ def rmq_pin(request):
     return stretched if request.param == "rmq-always" else as_generated
 
 
-@pytest.fixture(params=["python", "numpy"])
+@pytest.fixture(params=["python"])
 def kernel(request):
-    want_numpy = request.param == "numpy"
-    previous = set_numpy_kernel(want_numpy)
-    if want_numpy and not numpy_kernel_active():
-        set_numpy_kernel(previous)
-        pytest.skip("numpy not installed")
-    yield request.param
-    set_numpy_kernel(previous)
+    """The one list-algebra kernel; the parameter only keeps the test
+    ids stable now that the numpy variant is gone."""
+    return request.param
 
 
 def columns_pair(posting):
     """The same node posting with both backings: the block-varint decode
     (flat int64 arrays) and the historical list of tuples."""
     decoded = decode_node_posting_columns(encode_node_postings(posting))
-    assert isinstance(decoded.pre, (array, memoryview))
+    assert isinstance(decoded.pre, array)
     return decoded, list(posting)
 
 
@@ -326,9 +308,9 @@ class TestOpsBackingEquivalence:
     )
     @given(posting=node_rows, edge=st.integers(min_value=0, max_value=5))
     def test_costs_stay_plain_floats(self, rmq_pin, kernel, posting, edge):
-        """The numpy pass must not leak numpy scalars into the cost
+        """Cost columns hold builtin floats whatever backs the identity
         columns — downstream code (reports, JSON, result equality)
-        assumes builtin floats."""
+        assumes them."""
         from_arrays, _ = eval_pair(posting, as_leaf=True)
         shifted = add_edge_cost(from_arrays, float(edge))
         for value in list(shifted.embcost) + list(shifted.leafcost):
@@ -350,114 +332,3 @@ class TestOpsBackingEquivalence:
         assert semi_join(anc_cols, desc_cols) == semi_join(
             list(ancestors), list(descendants)
         )
-
-
-# ----------------------------------------------------------------------
-# shared-memory segment lifecycle
-# ----------------------------------------------------------------------
-
-POSTINGS = {
-    (b"Isec", b"0#alpha"): [(1, 4, 0, 0), (6, 6, 2, 1)],
-    (b"Isec", b"1#beta"): [(2, 3), (8, 12)],
-    (b"Isec", b"2#empty"): [],
-}
-
-
-class TestSharedSegmentLifecycle:
-    def test_build_fetch_attach_destroy(self):
-        segment = SharedPostingSegment.build(dict(POSTINGS))
-        name = segment.name
-        try:
-            assert len(segment) == len(POSTINGS)
-            assert (b"Isec", b"0#alpha") in segment
-            assert segment.fetch(b"Isec", b"0#alpha") == POSTINGS[(b"Isec", b"0#alpha")]
-            assert segment.fetch(b"Isec", b"9#nope") is None
-
-            attached = SharedPostingSegment.attach(name)
-            try:
-                for key, rows in POSTINGS.items():
-                    fetched = attached.fetch(*key)
-                    assert fetched == rows
-                    if rows:
-                        # zero-copy: the columns are views into the block
-                        assert isinstance(fetched.pre, memoryview)
-            finally:
-                attached.close()
-        finally:
-            segment.destroy()
-        with pytest.raises(FileNotFoundError):
-            attach_shared_memory(name)
-
-    def test_fetched_columns_pickle_to_local_arrays(self):
-        segment = SharedPostingSegment.build(dict(POSTINGS))
-        try:
-            attached = SharedPostingSegment.attach(segment.name)
-            try:
-                posting = attached.fetch(b"Isec", b"0#alpha")
-                clone = pickle.loads(pickle.dumps(posting))
-                assert clone == POSTINGS[(b"Isec", b"0#alpha")]
-                assert isinstance(clone.pre, array)
-            finally:
-                attached.close()
-        finally:
-            segment.destroy()
-
-    def test_close_releases_views_before_unmap(self):
-        segment = SharedPostingSegment.build(dict(POSTINGS))
-        attached = SharedPostingSegment.attach(segment.name)
-        attached.fetch(b"Isec", b"0#alpha")
-        attached.fetch(b"Isec", b"1#beta")
-        # with fetched views outstanding, close must not raise BufferError
-        attached.close()
-        segment.destroy()
-
-    def test_collected_owner_segment_unlinks_itself(self):
-        """An owned segment that is garbage-collected without destroy()
-        (its registry died with the database handle) must still unlink
-        the block — otherwise the name leaks until the resource tracker
-        complains at interpreter shutdown."""
-        import gc
-
-        segment = SharedPostingSegment.build(dict(POSTINGS))
-        name = segment.name
-        del segment
-        gc.collect()
-        with pytest.raises(FileNotFoundError):
-            attach_shared_memory(name)
-
-    def test_destroy_is_idempotent_and_close_safe_after(self):
-        segment = SharedPostingSegment.build(dict(POSTINGS))
-        segment.destroy()
-        segment.destroy()
-        segment.close()
-
-    def test_child_process_attach_leaves_tracker_silent(self):
-        """A worker-style attach-fetch-close in a separate interpreter
-        must neither unlink the owner's block nor unbalance the resource
-        tracker (no tracker tracebacks on either side's stderr)."""
-        segment = SharedPostingSegment.build(dict(POSTINGS))
-        try:
-            child = subprocess.run(
-                [
-                    sys.executable,
-                    "-c",
-                    (
-                        "import sys; sys.path.insert(0, 'src')\n"
-                        "from repro.storage.shm import SharedPostingSegment\n"
-                        f"segment = SharedPostingSegment.attach({segment.name!r})\n"
-                        "assert segment.fetch(b'Isec', b'0#alpha') is not None\n"
-                        "segment.close()\n"
-                    ),
-                ],
-                capture_output=True,
-                text=True,
-                cwd="/root/repo",
-                timeout=60,
-            )
-            assert child.returncode == 0, child.stderr
-            assert "resource_tracker" not in child.stderr, child.stderr
-            # the owner's block survived the child's exit
-            reattached = attach_shared_memory(segment.name)
-            reattached.close()
-        finally:
-            segment.destroy()

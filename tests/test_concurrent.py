@@ -116,29 +116,6 @@ class TestQueryPool:
         assert stray.counters == {}
 
 
-class TestQueryJobs:
-    def test_schema_query_identical_to_serial(self, database):
-        for text in QUERIES:
-            serial = database.query(text, n=5, method="schema")
-            parallel = database.query(text, n=5, method="schema", jobs=4)
-            assert [(r.root, r.cost) for r in parallel] == [
-                (r.root, r.cost) for r in serial
-            ]
-
-    def test_parallel_report_has_same_work_counters(self, database):
-        # the result cache would serve the repeat from tier 2; this test
-        # is about the parallel driver doing the serial driver's work
-        database.set_query_cache(result_entries=0)
-        serial = database.query(QUERIES[0], n=5, method="schema", collect="counters")
-        parallel = database.query(
-            QUERIES[0], n=5, method="schema", collect="counters", jobs=4
-        )
-        counters = parallel.report.counters
-        # scheduling-dependent counters aside, the work done is the work done
-        for name in ("index.sec_fetches", "schema.rounds", "core.results_materialized"):
-            assert counters.get(name) == serial.report.counters.get(name), name
-
-
 class TestQueryMany:
     def test_matches_query_loop(self, database):
         batch = QUERIES * 3

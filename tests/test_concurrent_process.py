@@ -2,8 +2,8 @@
 
 Same contract as the thread pool — parallelism changes scheduling,
 never answers — plus the process-specific machinery: worker setup specs,
-the shared-memory read view, telemetry crossing the pipe, and the
-documented degradations back to threads.
+telemetry crossing the pipe, and the documented degradations back to
+threads.
 """
 
 import os
@@ -13,7 +13,6 @@ import pytest
 from repro.concurrent import (
     ProcessQueryPool,
     QueryPool,
-    SharedSegmentSetup,
     make_query_pool,
     worker_context,
 )
@@ -42,12 +41,6 @@ QUERIES = [
     'cd[title["piano"] or artist["bach"]]',
 ]
 
-#: a collection whose queries enumerate several skeletons per round, so
-#: the within-query pool actually engages (two fresh skeletons minimum)
-MANY_CLASSES = "<lib>" + "".join(
-    f"<sec{i}><item><name>thing {i}</name></item></sec{i}>" for i in range(8)
-) + "</lib>"
-
 
 # task bodies must be module-level: they cross the pipe by name
 def _square(value):
@@ -69,12 +62,6 @@ def _explode(value):
     if value == 3:
         raise ValueError("task 3")
     return value
-
-
-def _fetch_from_segment(key):
-    segment = worker_context()
-    posting = segment.fetch(b"T", key)
-    return list(posting) if posting is not None else None
 
 
 def _context_value(_):
@@ -143,18 +130,6 @@ class TestMakeQueryPool:
 
 
 class TestWorkerSetups:
-    def test_shared_segment_setup_gives_workers_the_export(self):
-        from repro.storage.shm import SharedPostingSegment
-
-        postings = {(b"T", b"a"): [(1, 2), (5, 9)], (b"T", b"b"): [(3, 3)]}
-        segment = SharedPostingSegment.build(postings)
-        try:
-            with ProcessQueryPool(2, setup=SharedSegmentSetup(segment.name)) as pool:
-                fetched = pool.map_ordered(_fetch_from_segment, [b"a", b"b", b"missing"])
-            assert fetched == [[(1, 2), (5, 9)], [(3, 3)], None]
-        finally:
-            segment.destroy()
-
     def test_fork_inherited_setup_resolves_registered_object(self):
         if default_start_method() != "fork":
             pytest.skip("fork start method unavailable")
@@ -172,153 +147,6 @@ class TestWorkerSetups:
         with ProcessQueryPool(1, setup=ForkInheritedSetup(999999)) as pool:
             with pytest.raises(Exception):
                 pool.map_ordered(_context_value, range(1))
-
-
-class TestSegmentRegistry:
-    """Pin/retire lifecycle of the per-generation shared-segment registry
-    (:class:`~repro.storage.cache.PostingCache`): a generation bump must
-    never unlink a segment a concurrent query is still attaching to."""
-
-    POSTINGS = {(b"T", b"k"): [(1, 2), (4, 7)]}
-
-    def _segment(self):
-        from repro.storage.shm import SharedPostingSegment
-
-        return SharedPostingSegment.build(dict(self.POSTINGS))
-
-    def test_unpinned_invalidation_destroys_immediately(self):
-        from repro.storage.cache import PostingCache
-        from repro.storage.shm import attach_shared_memory
-
-        cache = PostingCache()
-        segment = self._segment()
-        assert cache.put_segment(1, segment) is segment
-        cache.release_segment(segment)  # no query holds it any more
-        name = segment.name
-        assert cache.get_segment(2) is None  # generation moved
-        with pytest.raises(FileNotFoundError):
-            attach_shared_memory(name)
-
-    def test_pinned_invalidation_defers_unlink_to_last_release(self):
-        from repro.storage.cache import PostingCache
-        from repro.storage.shm import attach_shared_memory
-
-        cache = PostingCache()
-        segment = self._segment()
-        cache.put_segment(1, segment)  # query A's pin
-        assert cache.get_segment(1) is segment  # query B's pin
-        name = segment.name
-
-        assert cache.get_segment(2) is None  # writer bumped: retired
-        # both pins outstanding: the name must still be attachable (a
-        # pool worker of A or B may attach right now)
-        attach_shared_memory(name).close()
-        cache.release_segment(segment)
-        attach_shared_memory(name).close()  # one pin left: still alive
-        cache.release_segment(segment)
-        with pytest.raises(FileNotFoundError):
-            attach_shared_memory(name)
-
-    def test_put_race_first_writer_wins(self):
-        from repro.storage.cache import PostingCache
-        from repro.storage.shm import attach_shared_memory
-
-        cache = PostingCache()
-        winner = self._segment()
-        loser = self._segment()
-        winner_name, loser_name = winner.name, loser.name
-        assert cache.put_segment(1, winner) is winner
-        assert cache.put_segment(1, loser) is winner
-        with pytest.raises(FileNotFoundError):  # duplicate unlinked
-            attach_shared_memory(loser_name)
-        cache.release_segment(winner)
-        cache.release_segment(winner)
-        attach_shared_memory(winner_name).close()  # registered: kept
-        cache.drop_segment()
-        with pytest.raises(FileNotFoundError):
-            attach_shared_memory(winner_name)
-
-    def test_drop_segment_respects_pins(self):
-        from repro.storage.cache import PostingCache
-        from repro.storage.shm import attach_shared_memory
-
-        cache = PostingCache()
-        segment = self._segment()
-        cache.put_segment(1, segment)
-        name = segment.name
-        cache.drop_segment()  # database close while a query is in flight
-        attach_shared_memory(name).close()
-        cache.release_segment(segment)
-        with pytest.raises(FileNotFoundError):
-            attach_shared_memory(name)
-
-
-class TestQueryExecutorProcess:
-    def test_rejects_unknown_executor(self):
-        database = Database.from_xml(*CATALOG)
-        with pytest.raises(EvaluationError, match="executor"):
-            database.query(QUERIES[0], method="schema", jobs=2, executor="fiber")
-        with pytest.raises(EvaluationError, match="executor"):
-            database.query_many(QUERIES, jobs=2, executor="fiber")
-
-    def test_memory_database_identical_to_serial(self):
-        database = Database.from_xml(MANY_CLASSES)
-        # disable tier 2 so the repeat actually exercises the process pool
-        database.set_query_cache(result_entries=0)
-        serial = database.query('item[name]', n=None, method="schema")
-        parallel = database.query(
-            'item[name]', n=None, method="schema", jobs=2, executor="process",
-            collect="counters",
-        )
-        assert [(r.root, r.cost) for r in parallel] == [
-            (r.root, r.cost) for r in serial
-        ]
-        counters = parallel.report.counters
-        assert counters.get("concurrency.executor_process") == 1
-        assert counters.get("shm.segments_built", 0) >= 1
-
-    def test_stored_database_identical_and_segment_reused(self, tmp_path):
-        path = str(tmp_path / "lib.apxq")
-        Database.from_xml(MANY_CLASSES).save(path)
-        database = Database.open(path)
-        try:
-            # disable tier 2: the repeats must reach the segment registry
-            database.set_query_cache(result_entries=0)
-            serial = database.query('item[name]', n=None, method="schema")
-            first = database.query(
-                'item[name]', n=None, method="schema", jobs=2, executor="process",
-                collect="counters",
-            )
-            second = database.query(
-                'item[name]', n=None, method="schema", jobs=2, executor="process",
-                collect="counters",
-            )
-            for run in (first, second):
-                assert [(r.root, r.cost) for r in run] == [
-                    (r.root, r.cost) for r in serial
-                ]
-            assert first.report.counters.get("shm.segments_built") == 1
-            # same generation: the registry hands back the first export
-            assert "shm.segments_built" not in second.report.counters
-        finally:
-            database._store.close()
-
-    def test_process_report_has_same_work_counters(self):
-        database = Database.from_xml(MANY_CLASSES)
-        # the result cache would serve the repeat from tier 2; this test
-        # is about the process pool doing the serial driver's work
-        database.set_query_cache(result_entries=0)
-        serial = database.query(
-            'item[name]', n=None, method="schema", collect="counters"
-        )
-        parallel = database.query(
-            'item[name]', n=None, method="schema", collect="counters",
-            jobs=2, executor="process",
-        )
-        for name in ("index.sec_fetches", "schema.rounds", "core.results_materialized"):
-            assert parallel.report.counters.get(name) == serial.report.counters.get(
-                name
-            ), name
 
 
 class TestQueryManyExecutorProcess:
@@ -378,18 +206,3 @@ class TestQueryManyExecutorProcess:
             assert "concurrency.executor_process" not in telemetry.counters
         finally:
             database._store.close()
-
-
-class TestCliExecutor:
-    def test_query_executor_process_output_matches_serial(self, tmp_path, capsys):
-        from repro.core.cli import main
-
-        path = tmp_path / "lib.xml"
-        path.write_text(MANY_CLASSES, encoding="utf-8")
-        base = ["query", str(path), "item[name]", "-n", "0", "--method", "schema"]
-        assert main(base) == 0
-        serial_lines = capsys.readouterr().out.splitlines()
-        assert main(base + ["--jobs", "2", "--executor", "process"]) == 0
-        parallel_lines = capsys.readouterr().out.splitlines()
-        assert parallel_lines[:-1] == serial_lines[:-1]
-        assert parallel_lines[-1].startswith("-- ")

@@ -145,11 +145,13 @@ def test_writer_invalidation_is_observed(stored_database):
     assert after.report.counters.get("cache.posting_invalidations", 0) >= 1
 
 
-def test_stress_parallel_second_level_on_generated_data(stored_database):
-    """jobs>1 inside the driver, many concurrent callers outside it:
-    the double-parallel case still reproduces the serial answers."""
+def test_stress_concurrent_callers_on_generated_data():
+    """One in-memory database, one thread per generated query: the
+    concurrent schema evaluations reproduce the serial answers."""
     case = generated_case(1234, num_elements=200, renamings_per_label=1)
     database = Database.from_tree(case.tree)
+    # the repeats must evaluate, not be served from the result cache
+    database.set_query_cache(result_entries=0)
     workload = [generated.query for generated in case.queries]
     serial = [
         [(r.root, r.cost) for r in database.query(query, n=5, method="schema")]
@@ -160,7 +162,7 @@ def test_stress_parallel_second_level_on_generated_data(stored_database):
 
     def run(index, query):
         try:
-            result = database.query(query, n=5, method="schema", jobs=2)
+            result = database.query(query, n=5, method="schema")
             outcomes[index] = [(r.root, r.cost) for r in result]
         except BaseException as error:
             errors.append(error)
@@ -175,115 +177,3 @@ def test_stress_parallel_second_level_on_generated_data(stored_database):
         thread.join()
     assert not errors, errors
     assert outcomes == serial
-
-
-#: many distinct classes under one shared label, so the schema driver
-#: enumerates multiple skeletons per round and the within-query process
-#: pool (and with it the shared-memory export) actually engages
-MANY_CLASSES = "<lib>" + "".join(
-    f"<sec{i}><item><name>thing {i}</name></item></sec{i}>" for i in range(8)
-) + "</lib>"
-
-PROCESS_QUERIES = [
-    ("item[name]", 5),
-    ('item[name["thing"]]', 4),
-    ("item[name]", 3),
-]
-
-
-@pytest.fixture(scope="module")
-def stored_many_classes(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("shm-stress") / "classes.apxq")
-    Database.from_xml(MANY_CLASSES).save(path)
-    database = Database.open(path)
-    yield database
-    database._store.close()
-
-
-def test_stress_process_workers_with_periodic_writer(stored_many_classes):
-    """Process-pool leg of the stress run: reader threads serve
-    schema-method queries with ``executor="process"`` while the writer
-    keeps bumping the store generation.  Workers attach to the
-    shared-memory ``I_sec`` export of whatever generation each query
-    started on; every answer must still match the serial run exactly."""
-    database = stored_many_classes
-    tasks = [
-        (index,) + PROCESS_QUERIES[index % len(PROCESS_QUERIES)]
-        for index in range(THREADS * 4)
-    ]
-
-    serial = [
-        [(r.root, r.cost) for r in database.query(text, n=n, method="schema")]
-        for _, text, n in tasks
-    ]
-
-    outcomes = [None] * len(tasks)
-    errors = []
-    stop_writer = threading.Event()
-
-    def reader(thread_index):
-        try:
-            for index, text, n in tasks[thread_index::THREADS]:
-                result = database.query(
-                    text, n=n, method="schema", jobs=2, executor="process"
-                )
-                outcomes[index] = [(r.root, r.cost) for r in result]
-        except BaseException as error:
-            errors.append(error)
-
-    def writer():
-        store = database._store
-        while not stop_writer.is_set():
-            _rewrite_same_bytes(store)
-            stop_writer.wait(0.005)
-
-    writer_thread = threading.Thread(target=writer, name="shm-stress-writer")
-    readers = [
-        threading.Thread(target=reader, args=(i,), name=f"shm-stress-reader-{i}")
-        for i in range(THREADS)
-    ]
-    writer_thread.start()
-    for thread in readers:
-        thread.start()
-    for thread in readers:
-        thread.join()
-    stop_writer.set()
-    writer_thread.join()
-
-    assert not errors, errors
-    divergences = [
-        (task, expected, outcome)
-        for task, expected, outcome in zip(tasks, serial, outcomes)
-        if outcome != expected
-    ]
-    assert not divergences, f"{len(divergences)} diverging tasks: {divergences[:3]}"
-
-
-def test_generation_bump_invalidates_shared_segment(stored_many_classes):
-    """Deterministic core of the shared-memory story: the ``I_sec``
-    export is cached per store generation, so a write between two
-    process-mode queries must retire the first segment and build a fresh
-    one — with identical answers on both sides of the bump."""
-    from repro.telemetry.collector import Telemetry, collecting
-
-    database = stored_many_classes
-    text, n = "item[name]", 5
-    first_telemetry = Telemetry()
-    with collecting(first_telemetry):
-        before = database.query(
-            text, n=n, method="schema", jobs=2, executor="process"
-        )
-    if not first_telemetry.counters.get("concurrency.executor_process"):
-        pytest.skip("process pool degraded to threads on this platform")
-    assert first_telemetry.counters.get("shm.segments_built", 0) >= 1
-
-    _rewrite_same_bytes(database._store)
-
-    second_telemetry = Telemetry()
-    with collecting(second_telemetry):
-        after = database.query(
-            text, n=n, method="schema", jobs=2, executor="process"
-        )
-    assert [(r.root, r.cost) for r in after] == [(r.root, r.cost) for r in before]
-    assert second_telemetry.counters.get("shm.segment_invalidations", 0) >= 1
-    assert second_telemetry.counters.get("shm.segments_built", 0) >= 1

@@ -81,66 +81,38 @@ def test_best_n_prefix_matches_naive(seed):
                 assert naive_map[result.root] == result.cost, case.describe()
 
 
+def _assert_batch_matches_naive(case, jobs, executor):
+    database = Database.from_tree(case.tree)
+    # the batch must evaluate, not be served what the serial loop cached
+    database.set_query_cache(result_entries=0)
+    batch = [(generated.query, generated.costs) for generated in case.queries]
+    serial = [
+        database.query(query, n=None, costs=costs, method="schema") for query, costs in batch
+    ]
+    parallel = database.query_many(
+        batch, n=None, method="schema", jobs=jobs, executor=executor
+    )
+    for generated, serial_run, parallel_run in zip(case.queries, serial, parallel):
+        naive = _oracle(case.tree, generated.query, generated.costs)
+        assert _pairs(parallel_run) == _pairs(serial_run), case.describe()
+        assert dict(_pairs(parallel_run)) == naive, case.describe()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_parallel_schema_matches_naive(seed):
-    """The thread-pooled second-level execution changes scheduling, not
-    answers: jobs=3 must reproduce the oracle's mapping and the serial
-    driver's emission order exactly."""
-    case = generated_case(900 + seed)
-    evaluator = SchemaEvaluator(case.tree)
-    for generated in case.queries:
-        naive = _oracle(case.tree, generated.query, generated.costs)
-        serial = evaluator.evaluate(generated.query, generated.costs)
-        parallel = evaluator.evaluate(generated.query, generated.costs, jobs=3)
-        assert parallel == serial, case.describe()
-        assert {r.root: r.cost for r in parallel} == naive, case.describe()
+    """A thread-pooled batch changes scheduling, not answers:
+    ``query_many(jobs=3)`` must reproduce the oracle's mapping and the
+    serial loop's emission order exactly."""
+    _assert_batch_matches_naive(generated_case(900 + seed), jobs=3, executor="thread")
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_process_parallel_schema_matches_naive(seed):
-    """The process-pooled second-level execution — workers attached to
-    the shared-memory ``I_sec`` export — must likewise reproduce the
-    oracle's mapping and the serial driver's emission order exactly
-    (including on platforms where it degrades to threads)."""
-    case = generated_case(1000 + seed)
-    evaluator = SchemaEvaluator(case.tree)
-    for generated in case.queries:
-        naive = _oracle(case.tree, generated.query, generated.costs)
-        serial = evaluator.evaluate(generated.query, generated.costs)
-        parallel = evaluator.evaluate(
-            generated.query, generated.costs, jobs=2, executor="process"
-        )
-        assert parallel == serial, case.describe()
-        assert {r.root: r.cost for r in parallel} == naive, case.describe()
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_numpy_kernel_matches_naive(seed):
-    """The vectorized kernel is bit-identical to the pure-Python list
-    algebra: with the flag on, both the direct and schema evaluators
-    must still reproduce the naive oracle exactly.  (Without numpy
-    installed the flag is inert and this repeats the plain legs.)"""
-    from repro.engine.columns import set_numpy_kernel
-
-    case = generated_case(1100 + seed)
-    previous = set_numpy_kernel(True)
-    try:
-        direct_eval = DirectEvaluator(case.tree)
-        schema_eval = SchemaEvaluator(case.tree)
-        for generated in case.queries:
-            naive = _oracle(case.tree, generated.query, generated.costs)
-            direct = {
-                r.root: r.cost
-                for r in direct_eval.evaluate(generated.query, generated.costs)
-            }
-            schema = {
-                r.root: r.cost
-                for r in schema_eval.evaluate(generated.query, generated.costs)
-            }
-            assert direct == naive, case.describe()
-            assert schema == naive, case.describe()
-    finally:
-        set_numpy_kernel(previous)
+    """The process-pooled batch — each worker evaluating on its own
+    fork-inherited read view — must likewise reproduce the oracle's
+    mapping and the serial loop's emission order exactly (including on
+    platforms where it degrades to threads)."""
+    _assert_batch_matches_naive(generated_case(1000 + seed), jobs=2, executor="process")
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +211,10 @@ def _assert_cached_matches_cold(hot, cold, case, jobs=None):
     """The fast-path contract: every answer the caching database serves
     — cold, tier-1, tier-2 prefix, or resumed — is byte-identical to the
     cache-disabled twin's answer to the same request, before and after
-    an interleaved mutation on both."""
+    an interleaved mutation on both.  ``jobs`` is a sharded pair's
+    scatter worker count."""
+    scatter = {} if jobs is None else {"jobs": jobs}
+
     def sweep():
         from repro.approxql.parser import parse_query
         from repro.errors import QuerySyntaxError
@@ -256,10 +231,10 @@ def _assert_cached_matches_cold(hot, cold, case, jobs=None):
             for n in CACHE_NS:
                 for method in ("schema", "direct", "auto"):
                     served = hot.query(
-                        text, n=n, costs=generated.costs, method=method, jobs=jobs
+                        text, n=n, costs=generated.costs, method=method, **scatter
                     )
                     cold_run = cold.query(
-                        text, n=n, costs=generated.costs, method=method, jobs=jobs
+                        text, n=n, costs=generated.costs, method=method, **scatter
                     )
                     assert _pairs(served) == _pairs(cold_run), (
                         n, method, case.describe()
@@ -301,14 +276,18 @@ def test_cached_answers_match_cold_stored(seed, tmp_path):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_cached_answers_match_cold_parallel(seed):
-    """Worker-pooled second-level execution under the fast path: the
-    cached and resumed answers must match the cache-disabled twin with
-    the same ``jobs``."""
+    """The thread-pooled shard scatter under the fast path: the cached
+    answers must match the cache-disabled twin scattering with the same
+    ``jobs``."""
+    from repro.shard import ShardedDatabase
+
     case = generated_case(1600 + seed, num_elements=60)
-    hot = Database.from_tree(case.tree)
-    cold = Database.from_tree(case.tree)
+    hot = ShardedDatabase.from_tree(case.tree, shards=2)
+    cold = ShardedDatabase.from_tree(case.tree, shards=2)
     cold.set_query_cache(compiled_entries=0, result_entries=0)
     _assert_cached_matches_cold(hot, cold, case, jobs=2)
+    hot.close()
+    cold.close()
 
 
 @pytest.mark.parametrize("seed", CACHE_SHARDED_SEEDS)

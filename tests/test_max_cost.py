@@ -7,9 +7,10 @@ import pytest
 from repro import Database
 from repro.approxql.costs import paper_example_cost_model
 from repro.engine.evaluator import DirectEvaluator
-from repro.schema.evaluator import EvaluationStats, SchemaEvaluator
+from repro.schema.evaluator import SchemaEvaluator
 from repro.xmltree.builder import tree_from_xml
 
+from .driver_probe import observe
 from .strategies import random_cost_model, random_query, random_tree
 
 CATALOG = """
@@ -44,12 +45,11 @@ class TestMaxCost:
             assert [(r.root, r.cost) for r in direct] == [(r.root, r.cost) for r in schema]
 
     def test_schema_stops_early(self, db):
-        stats = EvaluationStats()
-        SchemaEvaluator(db.tree).evaluate(
-            QUERY, paper_example_cost_model(), max_cost=0, stats=stats
+        _, counters, _ = observe(
+            SchemaEvaluator(db.tree), QUERY, paper_example_cost_model(), max_cost=0
         )
         # second-level queries above the bound are never executed
-        assert stats.second_level_executed <= 1
+        assert counters.get("schema.second_level_executed", 0) <= 1
 
     def test_zero_bound_keeps_exact_matches(self, db):
         results = db.query('cd[title["piano"]]', n=None, method="schema", max_cost=0)

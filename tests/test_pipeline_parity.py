@@ -79,7 +79,7 @@ def _entry_points(handle):
     """name -> (callable taking the query text and keywords, the
     keywords it accepts among method / collect / executor)."""
     points = {
-        "query": (handle.query, {"method", "collect", "executor"}),
+        "query": (handle.query, {"method", "collect"}),
         "stream": (handle.stream, {"collect"}),
         "count_results": (handle.count_results, set()),
         "explain": (handle.explain, set()),
@@ -115,8 +115,31 @@ def test_bad_arguments_raise_the_same_typed_error_everywhere(handle, choose_call
 
 
 def test_executor_is_validated_for_the_direct_method_too(handle):
+    """``executor`` names a batch's worker kind — ``query_many`` is the
+    only place the word is accepted, and a bogus one is refused there
+    whatever the method."""
+    if not hasattr(handle, "query_many"):  # a snapshot serves no batches
+        with pytest.raises(TypeError):
+            handle.query(QUERY, method="direct", executor="bogus")
+        return
     with pytest.raises(EvaluationError, match="executor must be"):
-        handle.query(QUERY, method="direct", executor="bogus")
+        handle.query_many([QUERY, "title"], method="direct", jobs=2, executor="bogus")
+
+
+def test_query_takes_no_worker_options(handle):
+    """One query runs on one path: ``executor`` is gone from every
+    handle, and ``jobs`` is only the shard scatter's worker count."""
+    with pytest.raises(TypeError):
+        handle.query(QUERY, executor="thread")
+    if isinstance(handle, ShardedDatabase):
+        handle.set_query_cache(result_entries=0)  # both calls must scatter
+        serial = [(r.root, r.cost) for r in handle.query(QUERY)]
+        parallel = handle.query(QUERY, jobs=2)
+        assert [(r.root, r.cost) for r in parallel] == serial
+        assert parallel.report.counters["shard.parallel_jobs"] == 2
+    else:
+        with pytest.raises(TypeError):
+            handle.query(QUERY, jobs=2)
 
 
 def test_plan_is_the_same_for_the_same_data(handle, tmp_path):

@@ -162,13 +162,13 @@ class TestResultCacheProtocol:
     def test_same_generation_hits(self):
         cache = ResultCache(4)
         cache.store(("k",), self._entry(3, [(1, 1.0)]))
-        assert cache.lookup(("k",), 3) is not None
+        assert cache.lookup(("k",), 3, None) is not None
         assert cache.stats()["querycache.result_hits"] == 1
 
     def test_newer_reader_evicts_stale_entry(self):
         cache = ResultCache(4)
         cache.store(("k",), self._entry(3, [(1, 1.0)]))
-        assert cache.lookup(("k",), 4) is None
+        assert cache.lookup(("k",), 4, None) is None
         assert cache.stats()["querycache.result_invalidations"] == 1
         assert len(cache) == 0
 
@@ -177,15 +177,15 @@ class TestResultCacheProtocol:
         cache.store(("k",), self._entry(5, [(1, 1.0)]))
         # a reader pinned at an older generation must not see the newer
         # answer, and must not evict it for current readers either
-        assert cache.lookup(("k",), 4) is None
+        assert cache.lookup(("k",), 4, None) is None
         assert len(cache) == 1
-        assert cache.lookup(("k",), 5) is not None
+        assert cache.lookup(("k",), 5, None) is not None
 
     def test_generation_vectors_order_componentwise(self):
         cache = ResultCache(4)
         cache.store(("k",), self._entry((1, 0, 2), [(1, 1.0)]))
-        assert cache.lookup(("k",), (1, 0, 2)) is not None
-        assert cache.lookup(("k",), (1, 1, 2)) is None  # stale: evicted
+        assert cache.lookup(("k",), (1, 0, 2), None) is not None
+        assert cache.lookup(("k",), (1, 1, 2), None) is None  # stale: evicted
         assert len(cache) == 0
 
     def test_serves_prefix_or_complete(self):
@@ -200,10 +200,10 @@ class TestResultCacheProtocol:
         strong = self._entry(1, [(1, 1.0), (2, 2.0)], complete=False)
         cache.store(("k",), strong)
         cache.store(("k",), self._entry(1, [(1, 1.0)], complete=False))
-        assert cache.lookup(("k",), 1) is strong
+        assert cache.lookup(("k",), 1, 2) is strong
         longer = self._entry(1, [(1, 1.0), (2, 2.0), (3, 3.0)], complete=False)
         cache.store(("k",), longer)
-        assert cache.lookup(("k",), 1) is longer
+        assert cache.lookup(("k",), 1, 2) is longer
 
     def test_lru_eviction_and_bytes_gauge(self):
         cache = ResultCache(2)
@@ -217,8 +217,19 @@ class TestResultCacheProtocol:
     def test_zero_capacity_disables(self):
         cache = ResultCache(0)
         cache.store(("k",), self._entry(0, [(1, 1.0)]))
-        assert cache.lookup(("k",), 0) is None
+        assert cache.lookup(("k",), 0, None) is None
         assert len(cache) == 0
+
+    def test_short_prefix_without_state_is_a_miss(self):
+        """An entry at the right generation that neither serves ``n`` nor
+        can be resumed is no hit: the request evaluates from scratch."""
+        cache = ResultCache(4)
+        cache.store(("k",), self._entry(1, [(1, 1.0), (2, 2.0)], complete=False))
+        assert cache.lookup(("k",), 1, 20) is None
+        assert len(cache) == 1  # kept: it still serves n <= 2
+        stats = cache.stats()
+        assert stats["querycache.result_hits"] == 0
+        assert stats["querycache.result_misses"] == 1
 
 
 def test_effective_schedule_matches_driver_defaults():
@@ -304,7 +315,7 @@ class TestDatabaseFastPath:
         view = memory_db._current_view()
         compiled, _ = pipeline.compile("cd[title]", None)
         request = (view, view.generation(), compiled, "schema")
-        schedule = ((2, 2), None, "thread", "off")
+        schedule = ((2, 2), "off")
         short, _ = pipeline._answer(*request, 2, None, *schedule)
         assert len(short) == 2
         longer, _ = pipeline._answer(*request, 4, None, *schedule)
@@ -502,6 +513,30 @@ class TestCrashRecovery:
         assert second.report.result_cache_hit
         assert _pairs(second) == _pairs(first)
         recovered.close()
+
+
+@pytest.mark.parametrize("kind", ["memory", "stored", "sharded"])
+def test_unservable_prefix_is_reported_as_a_miss(kind, tmp_path):
+    """A direct best-2 prefix carries no driver state, so a later best-20
+    is evaluated from scratch — and must say so: a store, no hit, on the
+    report and in the lifetime counters behind ``result_hit_ratio``."""
+    if kind == "sharded":
+        database = ShardedDatabase.from_documents(DOCS, shards=2)
+    else:
+        database = Database.from_documents(DOCS)
+        if kind == "stored":
+            path = os.path.join(tmp_path, "cat.apxq")
+            database.save(path)
+            database = Database.open(path)
+    with database:
+        database.query("cd[title]", n=2, method="direct")
+        longer = database.query("cd[title]", n=20, method="direct", collect="counters")
+        assert len(longer) == 4
+        assert not longer.report.result_cache_hit
+        assert "querycache.result_hits" not in longer.report.counters
+        assert longer.report.counters["querycache.result_misses"] == 1
+        assert longer.report.counters["querycache.result_stores"] == 1
+        assert database._pipeline.result_cache.hits == 0
 
 
 # ----------------------------------------------------------------------

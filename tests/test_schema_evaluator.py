@@ -3,11 +3,13 @@
 import pytest
 
 from repro.approxql.costs import CostModel, paper_example_cost_model
-from repro.schema.evaluator import EvaluationStats, SchemaEvaluator
+from repro.schema.evaluator import SchemaEvaluator
 from repro.schema.dataguide import build_schema
 from repro.schema.indexes import StoredSecondaryIndex
 from repro.storage.kv import MemoryStore
 from repro.xmltree.builder import tree_from_xml
+
+from .driver_probe import observe
 
 CATALOG = """
 <catalog>
@@ -80,25 +82,30 @@ class TestIncrementalBehaviour:
 
     def test_stats_recorded(self, evaluator):
         costs = paper_example_cost_model()
-        stats = EvaluationStats()
-        evaluator.evaluate('cd[title["piano"]]', costs, n=2, initial_k=1, delta=1, stats=stats)
-        assert stats.rounds >= 1
-        assert stats.second_level_executed >= 1
-        assert stats.results_found == 2
-        assert stats.executed_skeletons
+        _, counters, state = observe(
+            evaluator, 'cd[title["piano"]]', costs, n=2, initial_k=1, delta=1
+        )
+        assert counters["schema.rounds"] >= 1
+        assert counters["schema.second_level_executed"] >= 1
+        assert counters["schema.results_found"] == 2
+        # what the executed skeletons delivered is on the driver state
+        assert len(state.found) == 2
 
     def test_exhaustion_detected(self, evaluator):
-        stats = EvaluationStats()
-        evaluator.evaluate('cd[title["piano"]]', stats=stats)
-        assert stats.exhausted
+        _, _, state = observe(evaluator, 'cd[title["piano"]]')
+        assert state.exhausted
 
     def test_growing_k_never_reexecutes(self, evaluator):
         """Executed second-level queries are remembered by signature."""
         costs = paper_example_cost_model()
-        stats = EvaluationStats()
-        evaluator.evaluate('cd[title["piano"]]', costs, initial_k=1, delta=1, stats=stats)
-        skeletons = stats.executed_skeletons
-        assert len(skeletons) == len(set(skeletons))
+        query = 'cd[title["piano"]]'
+        _, grown, grown_state = observe(evaluator, query, costs, initial_k=1, delta=1)
+        _, single, single_state = observe(evaluator, query, costs, initial_k=64)
+        assert grown["schema.rounds"] > single["schema.rounds"] == 1
+        # the rounds of a growing k execute the skeletons one large round
+        # executes, each once
+        assert grown_state.executed == single_state.executed
+        assert grown["schema.second_level_executed"] == single["schema.second_level_executed"]
 
     def test_streaming_results(self, tree, evaluator):
         costs = paper_example_cost_model()
@@ -119,20 +126,16 @@ class TestIncrementalBehaviour:
     def test_max_k_stop_is_counted_and_exhaustion_is_not(self, evaluator):
         """A run that gives up at max_k says so; a run that ends because
         every second-level query was executed does not."""
-        from repro.telemetry.collector import Telemetry, collecting
-
         costs = paper_example_cost_model()
         query = 'cd[title["piano"]]'
-        capped, stats = Telemetry(), EvaluationStats()
-        with collecting(capped):
-            evaluator.evaluate(query, costs, n=50, initial_k=1, delta=1, max_k=2, stats=stats)
-        assert capped.counters["schema.max_k_stops"] == 1
-        assert not stats.exhausted
-        complete, stats = Telemetry(), EvaluationStats()
-        with collecting(complete):
-            evaluator.evaluate(query, costs, n=50, stats=stats)
-        assert "schema.max_k_stops" not in complete.counters
-        assert stats.exhausted
+        _, capped, state = observe(
+            evaluator, query, costs, n=50, initial_k=1, delta=1, max_k=2
+        )
+        assert capped["schema.max_k_stops"] == 1
+        assert not state.exhausted
+        _, complete, state = observe(evaluator, query, costs, n=50)
+        assert "schema.max_k_stops" not in complete
+        assert state.exhausted
 
     def test_rounds_reuse_exact_lists(self, evaluator):
         """A further round takes over what the smaller k did not truncate

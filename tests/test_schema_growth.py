@@ -5,9 +5,10 @@ import random
 import pytest
 
 from repro.errors import EvaluationError
-from repro.schema.evaluator import EvaluationStats, SchemaEvaluator
+from repro.schema.evaluator import SchemaEvaluator
 from repro.xmltree.builder import tree_from_xml
 
+from .driver_probe import observe
 from .strategies import random_cost_model, random_query, random_tree
 
 CATALOG = """
@@ -22,29 +23,26 @@ CATALOG = """
 class TestGrowthModes:
     def test_linear_growth_paper_style(self):
         tree = tree_from_xml(CATALOG)
-        stats = EvaluationStats()
-        results = SchemaEvaluator(tree).evaluate(
-            'cd[title["piano"]]', initial_k=1, delta=1, growth="linear", stats=stats
+        results, counters, _ = observe(
+            SchemaEvaluator(tree), 'cd[title["piano"]]', initial_k=1, delta=1, growth="linear"
         )
         assert len(results) == 2
-        assert stats.rounds >= 1
+        assert counters["schema.rounds"] >= 1
 
     def test_geometric_growth_fewer_rounds(self):
         rng = random.Random(17)
         tree = random_tree(rng, max_nodes=40)
         query = random_query(rng)
         costs = random_cost_model(rng)
-        linear_stats = EvaluationStats()
-        geometric_stats = EvaluationStats()
         evaluator = SchemaEvaluator(tree)
-        linear = evaluator.evaluate(
-            query, costs, initial_k=1, delta=1, growth="linear", stats=linear_stats
+        linear, linear_counters, _ = observe(
+            evaluator, query, costs, initial_k=1, delta=1, growth="linear"
         )
-        geometric = evaluator.evaluate(
-            query, costs, initial_k=1, delta=1, growth="geometric", stats=geometric_stats
+        geometric, geometric_counters, _ = observe(
+            evaluator, query, costs, initial_k=1, delta=1, growth="geometric"
         )
         assert {(r.root, r.cost) for r in linear} == {(r.root, r.cost) for r in geometric}
-        assert geometric_stats.rounds <= linear_stats.rounds
+        assert geometric_counters["schema.rounds"] <= linear_counters["schema.rounds"]
 
     def test_unknown_growth_rejected(self):
         tree = tree_from_xml(CATALOG)
@@ -70,15 +68,12 @@ class TestGrowthModes:
 class TestSecondaryCounters:
     def test_counters_populated(self):
         tree = tree_from_xml(CATALOG)
-        stats = EvaluationStats()
-        SchemaEvaluator(tree).evaluate('cd[title["piano"]]', stats=stats)
-        assert stats.secondary_fetches >= 2  # cd class + text class at least
-        assert stats.secondary_semijoins >= 1
+        _, counters, _ = observe(SchemaEvaluator(tree), 'cd[title["piano"]]')
+        assert counters["index.sec_fetches"] >= 2  # cd class + text class at least
+        assert counters["schema.semijoins"] >= 1
 
     def test_counters_monotone_in_work(self):
         tree = tree_from_xml(CATALOG)
-        small = EvaluationStats()
-        SchemaEvaluator(tree).evaluate('cd[title["piano"]]', n=1, stats=small)
-        full = EvaluationStats()
-        SchemaEvaluator(tree).evaluate('cd[title["piano"]]', stats=full)
-        assert full.secondary_fetches >= small.secondary_fetches
+        _, small, _ = observe(SchemaEvaluator(tree), 'cd[title["piano"]]', n=1)
+        _, full, _ = observe(SchemaEvaluator(tree), 'cd[title["piano"]]')
+        assert full["index.sec_fetches"] >= small["index.sec_fetches"]

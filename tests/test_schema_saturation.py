@@ -6,10 +6,11 @@ import pytest
 
 from repro.approxql.costs import CostModel
 from repro.engine.evaluator import DirectEvaluator
-from repro.schema.evaluator import EvaluationStats, SchemaEvaluator
+from repro.schema.evaluator import SchemaEvaluator
 from repro.xmltree.builder import tree_from_xml
 from repro.xmltree.model import NodeType
 
+from .driver_probe import observe
 from .strategies import random_cost_model, random_query, random_tree
 
 
@@ -26,10 +27,9 @@ class TestSaturation:
             costs.add_renaming(term, "piano" if term == "y" else "y", NodeType.TEXT, 1)
         costs.set_delete_cost("title", NodeType.STRUCT, 1)
         costs.set_delete_cost("x", NodeType.STRUCT, 1)
-        stats = EvaluationStats()
-        results = SchemaEvaluator(tree).evaluate('cd[title["piano"] and x]', costs, stats=stats)
+        results, _, state = observe(SchemaEvaluator(tree), 'cd[title["piano"] and x]', costs)
         assert len(results) == 5  # every cd
-        assert stats.exhausted
+        assert state.exhausted
 
     def test_saturation_preserves_minimal_costs(self):
         documents = [
