@@ -157,7 +157,7 @@ def _command_build(args: argparse.Namespace) -> int:
         database = _open_database(args)
         database.save(args.output, _store_options(args))
     elapsed = time.perf_counter() - start
-    print(f"built {args.output}: {database.describe()} ({elapsed:.1f}s)")
+    print(f"built {args.output}: {database.describe().splitlines()[0]} ({elapsed:.1f}s)")
     return 0
 
 
@@ -260,7 +260,7 @@ def _command_info(args: argparse.Namespace) -> int:
             print(f"  shard {index}: {shard.describe()}")
         return 0
     tree = database.tree
-    struct_count = sum(1 for t in tree.types if t == NodeType.STRUCT)
+    struct_count = tree.types.count(NodeType.STRUCT)
     text_count = len(tree) - struct_count
     print(f"  struct nodes: {struct_count}")
     print(f"  text nodes:   {text_count}")
@@ -298,7 +298,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         await server.start()
-        print(f"serving {database.describe()}")
+        print(f"serving {database.describe().splitlines()[0]}")
         print(f"listening on {server.host}:{server.port} (Ctrl-C to stop)")
         try:
             await server.serve_forever()

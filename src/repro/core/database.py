@@ -68,10 +68,16 @@ from ..telemetry import collector as _telemetry
 from ..telemetry.collector import MODE_OFF, MODE_TIMINGS, Telemetry
 from ..telemetry.report import QueryReport
 from ..xmltree.builder import BuildOptions, CollectionBuilder, tree_from_xml
-from ..xmltree.indexes import MemoryNodeIndexes, NodeIndexes, StoredNodeIndexes
+from ..xmltree.indexes import (
+    MemoryNodeIndexes,
+    NodeIndexes,
+    StoredNodeIndexes,
+    stored_posting,
+)
 from ..xmltree.model import DataTree, compact_tree
 from .explain import Explanation, explain_skeleton
-from .mutation import MutationReport, StoreMutator, _node_entry
+from .memory import format_resident, resident_bytes
+from .mutation import MutationReport, StoreMutator
 from .persist import (
     StoreOptions,
     append_tree_segment,
@@ -785,7 +791,15 @@ class Database:
         store = self._store
         if store is not None and getattr(store, "durability", "none") == "wal":
             summary += ", wal durability"
-        return summary
+        return f"{summary}\n  {format_resident(self.resident_bytes())}"
+
+    def resident_bytes(self) -> dict[str, int]:
+        """Bytes each data-sized structure of this handle holds right
+        now (see :mod:`repro.core.memory`); what is not built counts 0."""
+        state = self._state
+        return resident_bytes(
+            state.tree, state.schema, state.node_indexes, self._posting_cache, self._store
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -971,8 +985,7 @@ class Database:
                 if stored:
                     if added is not None:
                         # integer-cost check before the first store write
-                        for pre in added:
-                            _node_entry(tree, pre)
+                        stored_posting(tree, added)
                     mutator = StoreMutator(self._store, self._preserve)
                     mutator.update_node_postings(tree, added=added, removed=removed)
                     if delete_update is not None:

@@ -33,23 +33,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import KeyNotFoundError, SchemaError
+from ..errors import KeyNotFoundError
 from ..schema.dataguide import Schema, SchemaUpdate
 from ..schema.indexes import SEC_NAMESPACE, _sec_key
 from ..storage.kv import Namespace, Store
 from ..storage.postings import (
-    decode_instance_postings,
-    decode_node_postings,
+    InstanceColumns,
+    PostingColumns,
+    decode_instance_posting_columns,
+    decode_node_posting_columns,
     encode_instance_postings,
     encode_node_postings,
 )
 from ..telemetry import collector as _telemetry
-from ..xmltree.indexes import STRUCT_NAMESPACE, TEXT_NAMESPACE
-from ..xmltree.model import DataTree, NodeType
+from ..xmltree.indexes import STRUCT_NAMESPACE, TEXT_NAMESPACE, stored_posting
+from ..xmltree.model import DataTree
 
 #: ``preserve(namespace_tag, key, old_decoded_value)`` — called before
 #: every store write/delete with the value the key decoded to beforehand
-#: (``[]`` when the key did not exist)
+#: (zero rows when the key did not exist)
 PreserveFn = Callable[[bytes, bytes, object], None]
 
 
@@ -125,30 +127,26 @@ class StoreMutator:
         each affected posting; addition appends the new entries — grafted
         pres are the highest, so the postings stay pre-sorted.
         """
-        affected: set[tuple[NodeType, str]] = set()
+        gained: dict[tuple[int, str], list[int]] = {}
+        for pre in added or ():
+            gained.setdefault((tree.types[pre], tree.labels[pre]), []).append(pre)
+        affected = set(gained)
         if removed is not None:
-            root, bound = removed
-            for pre in range(root, bound + 1):
-                affected.add((tree.types[pre], tree.labels[pre]))
-        if added is not None:
-            for pre in added:
-                affected.add((tree.types[pre], tree.labels[pre]))
-        namespaces = {
-            NodeType.STRUCT: (Namespace(self._store, STRUCT_NAMESPACE), STRUCT_NAMESPACE),
-            NodeType.TEXT: (Namespace(self._store, TEXT_NAMESPACE), TEXT_NAMESPACE),
-        }
-        for node_type, label in sorted(affected, key=lambda pair: (pair[0], pair[1])):
+            span = slice(removed[0], removed[1] + 1)
+            affected.update(zip(tree.types[span], tree.labels[span]))
+        namespaces = (
+            (Namespace(self._store, STRUCT_NAMESPACE), STRUCT_NAMESPACE),
+            (Namespace(self._store, TEXT_NAMESPACE), TEXT_NAMESPACE),
+        )
+        for node_type, label in sorted(affected):
             namespace, tag = namespaces[node_type]
             key = label.encode("utf-8")
-            posting = list(_old_node_posting(namespace, key))
-            self._preserve(tag, key, list(posting))
+            posting = _old_posting(namespace, key, decode_node_posting_columns, PostingColumns)
+            self._preserve(tag, key, posting)
             if removed is not None:
-                root, bound = removed
-                posting = [entry for entry in posting if not root <= entry[0] <= bound]
-            if added is not None:
-                for pre in added:
-                    if tree.types[pre] == node_type and tree.labels[pre] == label:
-                        posting.append(_node_entry(tree, pre))
+                posting = posting.without(*removed)
+            if (node_type, label) in gained:
+                posting = posting.extended(stored_posting(tree, gained[node_type, label]))
             self._write_or_delete(
                 namespace, key, encode_node_postings(posting) if posting else None
             )
@@ -238,33 +236,16 @@ class StoreMutator:
         _telemetry.count("mutation.keys_rewritten")
 
 
-def _old_node_posting(namespace: Namespace, key: bytes) -> list:
+def _old_posting(namespace: Namespace, key: bytes, decode, empty):
+    """The columns ``key`` decodes to now (zero rows when it is absent)."""
     try:
-        return decode_node_postings(namespace.get(key))
+        return decode(namespace.get(key))
     except KeyNotFoundError:
-        return []
+        return empty.from_rows([])
 
 
-def _old_sec_posting(namespace: Namespace, key: bytes) -> list:
-    try:
-        return decode_instance_postings(namespace.get(key))
-    except KeyNotFoundError:
-        return []
-
-
-def _node_entry(tree: DataTree, pre: int) -> tuple[int, int, int, int]:
-    """The ``(pre, bound, pathcost, inscost)`` posting entry of a node,
-    with the stored indexes' integer-cost requirement enforced."""
-    pathcost = tree.pathcosts[pre]
-    inscost = tree.inscosts[pre]
-    int_pathcost = int(pathcost)
-    int_inscost = int(inscost)
-    if int_pathcost != pathcost or int_inscost != inscost:
-        raise SchemaError(
-            "stored indexes require integer insert costs; "
-            f"got pathcost={pathcost}, inscost={inscost}"
-        )
-    return (pre, tree.bounds[pre], int_pathcost, int_inscost)
+def _old_sec_posting(namespace: Namespace, key: bytes) -> InstanceColumns:
+    return _old_posting(namespace, key, decode_instance_posting_columns, InstanceColumns)
 
 
 __all__ = ["MutationReport", "PreserveFn", "StoreMutator"]

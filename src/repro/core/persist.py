@@ -28,15 +28,17 @@ costs).
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, replace
+from sys import intern
 
 from ..approxql.costs import CostModel
 from ..errors import KeyNotFoundError, StorageError
 from ..storage.kv import FileStore, Namespace, Store
-from ..storage.varint import decode_delta_list, encode_delta_list
+from ..storage.varint import decode_delta_array, decode_delta_list, encode_delta_list
 from ..xmltree.indexes import StoredNodeIndexes
-from ..xmltree.model import DataTree, NodeType
-from ..xmltree.validate import validate_tree
+from ..xmltree.model import DataTree
+from ..xmltree.validate import validate_columns
 
 META_NAMESPACE = b"meta"
 TREE_NAMESPACE = b"tree"
@@ -44,6 +46,8 @@ FORMAT_VERSION = 1
 _LABEL_SEPARATOR = "\x00"
 _SEGMENT_PREFIX = b"seg"
 _LENGTH_FMT = "<I"
+_LABEL_CHUNK = 1 << 16  # characters of the labels column interned per step
+_COLUMNS = (b"labels", b"types", b"parents", b"bounds")  # keys of the tree namespace
 
 
 @dataclass(frozen=True)
@@ -84,13 +88,56 @@ class StoreOptions:
         return replace(self, **changes) if changes else self
 
 
+def _encode_columns(tree: DataTree, start: int = 0) -> tuple[bytes, ...]:
+    """The four stored columns of the nodes from ``start`` on, in
+    :data:`_COLUMNS` order (parents are >= -1: shifted by one so the
+    delta codec sees non-negatives)."""
+    labels = tree.labels[start:]
+    joined = _LABEL_SEPARATOR.join(labels)
+    if joined.count(_LABEL_SEPARATOR) != len(labels) - 1:
+        label = next(label for label in labels if _LABEL_SEPARATOR in label)
+        raise StorageError(f"label {label!r} contains the column separator")
+    return (
+        joined.encode("utf-8"),
+        bytes(tree.types[start:]),
+        encode_delta_list(tree.parents[start:], shift=1),
+        encode_delta_list(tree.bounds[start:]),
+    )
+
+
+def _decode_columns(blobs, where: str) -> tuple[list[str], bytearray, array, array]:
+    """Inverse of :func:`_encode_columns`, straight into the typed
+    buffers a :class:`DataTree` keeps; labels are interned, so the
+    column holds one ``str`` per distinct label."""
+    try:
+        text = blobs[0].decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise StorageError(f"corrupt {where} (labels column: {error})") from error
+    # split piecewise: all the not-yet-interned copies at once would pin
+    # every allocator arena one of the few survivors happens to sit in
+    labels: list[str] = []
+    start = 0
+    while start <= len(text):
+        stop = text.find(_LABEL_SEPARATOR, start + _LABEL_CHUNK)
+        if stop == -1:
+            stop = len(text)
+        labels.extend(map(intern, text[start:stop].split(_LABEL_SEPARATOR)))
+        start = stop + 1
+    types = bytearray(blobs[1])
+    if types.translate(None, b"\x00\x01"):
+        raise StorageError(f"corrupt {where} (a types byte is not a node type)")
+    parents, _ = decode_delta_array(blobs[2], shift=-1)
+    bounds, _ = decode_delta_array(blobs[3])
+    if not (len(labels) == len(types) == len(parents) == len(bounds)):
+        raise StorageError(f"inconsistent column lengths in {where}")
+    return labels, types, parents, bounds
+
+
 def save_tree(tree: DataTree, store: Store, insert_costs: CostModel) -> None:
     """Write the tree's columns and metadata into ``store``."""
     meta = Namespace(store, META_NAMESPACE)
     columns = Namespace(store, TREE_NAMESPACE)
-    for label in tree.labels:
-        if _LABEL_SEPARATOR in label:
-            raise StorageError(f"label {label!r} contains the column separator")
+    blobs = _encode_columns(tree)
     meta.put(b"version", struct.pack("<I", FORMAT_VERSION))
     meta.put(b"nodes", struct.pack("<Q", len(tree)))
     meta.put(b"insertfp", repr(insert_costs.insert_fingerprint).encode("utf-8"))
@@ -100,11 +147,8 @@ def save_tree(tree: DataTree, store: Store, insert_costs: CostModel) -> None:
         if line.startswith("insert ") or line.startswith("default-insert ")
     ]
     meta.put(b"insertcosts", "\n".join(insert_lines).encode("utf-8"))
-    columns.put(b"labels", _LABEL_SEPARATOR.join(tree.labels).encode("utf-8"))
-    columns.put(b"types", bytes(int(node_type) for node_type in tree.types))
-    # parents are >= -1; shift by one so the delta codec sees non-negatives
-    columns.put(b"parents", encode_delta_list([parent + 1 for parent in tree.parents]))
-    columns.put(b"bounds", encode_delta_list(tree.bounds))
+    for name, blob in zip(_COLUMNS, blobs):
+        columns.put(name, blob)
 
 
 def _segment_key(start: int) -> bytes:
@@ -122,22 +166,14 @@ def append_tree_segment(tree: DataTree, store: Store, start: int) -> None:
     """
     columns = Namespace(store, TREE_NAMESPACE)
     meta = Namespace(store, META_NAMESPACE)
-    labels = tree.labels[start:]
-    for label in labels:
-        if _LABEL_SEPARATOR in label:
-            raise StorageError(f"label {label!r} contains the column separator")
-    blobs = (
-        _LABEL_SEPARATOR.join(labels).encode("utf-8"),
-        bytes(int(node_type) for node_type in tree.types[start:]),
-        encode_delta_list([parent + 1 for parent in tree.parents[start:]]),
-        encode_delta_list(tree.bounds[start:]),
+    value = b"".join(
+        struct.pack(_LENGTH_FMT, len(blob)) + blob for blob in _encode_columns(tree, start)
     )
-    value = b"".join(struct.pack(_LENGTH_FMT, len(blob)) + blob for blob in blobs)
     columns.put(_segment_key(start), value)
     meta.put(b"nodes", struct.pack("<Q", len(tree)))
 
 
-def _decode_segment(value: bytes) -> tuple[list[str], list[NodeType], list[int], list[int]]:
+def _decode_segment(value: bytes) -> tuple[list[str], bytearray, array, array]:
     blobs = []
     offset = 0
     length_size = struct.calcsize(_LENGTH_FMT)
@@ -150,14 +186,14 @@ def _decode_segment(value: bytes) -> tuple[list[str], list[NodeType], list[int],
             raise StorageError("corrupt tree segment (truncated column)")
         blobs.append(value[offset : offset + length])
         offset += length
-    labels = blobs[0].decode("utf-8").split(_LABEL_SEPARATOR)
-    types = [NodeType(byte) for byte in blobs[1]]
-    parents_shifted, _ = decode_delta_list(blobs[2])
-    bounds, _ = decode_delta_list(blobs[3])
-    parents = [parent - 1 for parent in parents_shifted]
-    if not (len(labels) == len(types) == len(parents) == len(bounds)):
-        raise StorageError("inconsistent column lengths in tree segment")
-    return labels, types, parents, bounds
+    return _decode_columns(blobs, "tree segment")
+
+
+def _required(namespace: Namespace, key: bytes, what: str) -> bytes:
+    try:
+        return namespace.get(key)
+    except KeyNotFoundError:
+        raise StorageError(f"corrupt database ({what} {key.decode()!r} is missing)") from None
 
 
 def save_dead_roots(tree: DataTree, store: Store) -> None:
@@ -183,13 +219,10 @@ def load_tree(store: Store) -> tuple[DataTree, CostModel, str]:
         raise StorageError(f"corrupt database metadata ({error})") from error
     if version != FORMAT_VERSION:
         raise StorageError(f"unsupported database format version {version}")
-    labels = columns.get(b"labels").decode("utf-8").split(_LABEL_SEPARATOR)
-    types = [NodeType(value) for value in columns.get(b"types")]
-    parents_shifted, _ = decode_delta_list(columns.get(b"parents"))
-    bounds, _ = decode_delta_list(columns.get(b"bounds"))
-    parents = [parent - 1 for parent in parents_shifted]
-    if not (len(labels) == len(types) == len(parents) == len(bounds)):
-        raise StorageError("inconsistent column lengths in stored database")
+    tree = DataTree()
+    tree.labels, tree.types, tree.parents, tree.bounds = _decode_columns(
+        [_required(columns, name, "tree column") for name in _COLUMNS], "stored database"
+    )
 
     # mutation segments: key order is start order is append order
     for key, value in columns.scan():
@@ -199,29 +232,25 @@ def load_tree(store: Store) -> tuple[DataTree, CostModel, str]:
             start = int(key[len(_SEGMENT_PREFIX):])
         except ValueError as error:
             raise StorageError(f"corrupt tree segment key {key!r}") from error
-        if start != len(labels):
+        if start != len(tree):
             raise StorageError(
                 f"tree segment at {start} does not continue the column "
-                f"(length {len(labels)})"
+                f"(length {len(tree)})"
             )
-        seg_labels, seg_types, seg_parents, seg_bounds = _decode_segment(value)
-        labels.extend(seg_labels)
-        types.extend(seg_types)
-        parents.extend(seg_parents)
-        bounds.extend(seg_bounds)
-    if len(labels) != node_count:
+        for column, segment in zip(
+            (tree.labels, tree.types, tree.parents, tree.bounds), _decode_segment(value)
+        ):
+            column.extend(segment)
+    if len(tree) != node_count:
         raise StorageError(
-            f"stored tree has {len(labels)} nodes, metadata says {node_count}"
+            f"stored tree has {len(tree)} nodes, metadata says {node_count}"
         )
-
-    tree = DataTree()
-    tree.labels = labels
-    tree.types = types
-    tree.parents = parents
-    tree.bounds = bounds
     tree.bounds[0] = node_count - 1  # grafts only persist their own columns
-    tree.inscosts = [0.0] * node_count
-    tree.pathcosts = [0.0] * node_count
+    # the stored columns are checked in bulk *before* anything is derived
+    # from them; links and both cost columns then hold by construction
+    validate_columns(tree)
+    tree.inscosts = array("d", bytes(8 * node_count))
+    tree.pathcosts = array("d", bytes(8 * node_count))
     tree.rebuild_links()
 
     try:
@@ -231,11 +260,10 @@ def load_tree(store: Store) -> tuple[DataTree, CostModel, str]:
     tree.dead_roots = set(dead_roots)
 
     insert_costs = CostModel.from_lines(
-        meta.get(b"insertcosts").decode("utf-8").splitlines()
+        _required(meta, b"insertcosts", "metadata").decode("utf-8").splitlines()
     )
     tree.encode_costs(insert_costs.insert_cost, fingerprint=insert_costs.insert_fingerprint)
-    validate_tree(tree)
-    fingerprint = meta.get(b"insertfp").decode("utf-8")
+    fingerprint = _required(meta, b"insertfp", "metadata").decode("utf-8")
     return tree, insert_costs, fingerprint
 
 

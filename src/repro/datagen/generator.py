@@ -129,10 +129,16 @@ class _ZipfSampler:
             self._use_numpy = False
 
     def sample(self) -> int:
-        target = self._rng.random() * self._total
+        return self.sample_many(1)[0]
+
+    def sample_many(self, count: int) -> list[int]:
+        """``count`` samples from the same ``rng.random()`` draws, in the
+        same order, as ``count`` single samples — searched in one call."""
+        random, total = self._rng.random, self._total
+        targets = [random() * total for _ in range(count)]
         if self._use_numpy:
-            return int(_numpy.searchsorted(self._cumulative, target))
-        return bisect_right(self._cumulative, target)
+            return _numpy.searchsorted(self._cumulative, targets).tolist()
+        return [bisect_right(self._cumulative, target) for target in targets]
 
 
 def generate_collection(config: GeneratorConfig) -> SyntheticCollection:
@@ -203,11 +209,10 @@ def _emit_words(
     seen_terms: set[int],
     stats: CollectionStats,
 ) -> None:
-    for _ in range(count):
-        term = sampler.sample()
-        seen_terms.add(term)
-        builder.add_word(f"t{term}")
-        stats.words += 1
+    terms = sampler.sample_many(count)
+    seen_terms.update(terms)
+    builder.add_words([f"t{term}" for term in terms])
+    stats.words += count
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ maintainable quantities.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 
 from ..schema.dataguide import Schema
@@ -139,7 +140,7 @@ def compute_stats(
     struct_sizes: dict[str, int] = {}
     text_sizes: dict[str, int] = {}
     histogram: dict[int, int] = {}
-    depths = [0] * len(tree)
+    depths = array("q", bytes(8 * len(tree)))
     live = tree.live_flags() if tree.dead_roots else None
     for pre in tree.iter_nodes():
         parent = tree.parents[pre]

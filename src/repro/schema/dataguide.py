@@ -15,10 +15,13 @@ instances — the property the whole second-level query machinery rests on.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..errors import SchemaError
+from ..storage.postings import InstanceColumns, TermColumns
 from ..xmltree.model import DataTree, NodeType
 
 #: Pseudo-label of compacted text-class nodes (never a real element name).
@@ -33,6 +36,11 @@ class Schema:
     the per-term instance split in
     :attr:`term_instances` (term -> instances of the class whose word is
     the term), which backs both the schema text index and ``I_sec``.
+
+    The class tree itself is small (lists, one entry per class); what
+    grows with the data — :attr:`class_of`, :attr:`instances`,
+    :attr:`term_instances` — lives in flat ``array('q')`` columns, so the
+    schema holds no Python object per data node, instance or posting.
     """
 
     def __init__(self) -> None:
@@ -42,12 +50,12 @@ class Schema:
         self.bounds: list[int] = []
         self.inscosts: list[float] = []
         self.pathcosts: list[float] = []
-        #: per schema node: instance posting [(pre, bound)] in data preorder
-        self.instances: list[list[tuple[int, int]]] = []
-        #: per text-class schema node: {term: [(pre, bound)]}
-        self.term_instances: dict[int, dict[str, list[tuple[int, int]]]] = {}
+        #: per schema node: instance posting (pre, bound) in data preorder
+        self.instances: list[InstanceColumns] = []
+        #: per text-class schema node: term -> (pre, bound) posting
+        self.term_instances: dict[int, TermColumns] = {}
         #: class of every data node (data pre -> schema pre)
-        self.class_of: list[int] = []
+        self.class_of = array("q")
         self._children: list[list[int]] = []
         self._insert_cost_fingerprint: object = None
 
@@ -219,7 +227,6 @@ def build_schema(tree: DataTree) -> Schema:
         schema.bounds.append(new_id)
         schema.inscosts.append(0.0)
         schema.pathcosts.append(0.0)
-        schema.instances.append([])
         schema._children.append([])
         if new_parent != -1:
             schema._children[new_parent].append(new_id)
@@ -233,22 +240,37 @@ def build_schema(tree: DataTree) -> Schema:
             schema.bounds[parent] = schema.bounds[new_id]
 
     # --- instance postings (live nodes only) ---------------------------
-    flags = tree.live_flags() if tree.dead_roots else None
-    schema.class_of = [new_id_of[provisional] for provisional in provisional_of]
-    for data_pre in range(len(tree)):
-        if flags is not None and not flags[data_pre]:
-            continue
-        schema_node = schema.class_of[data_pre]
-        pair = (data_pre, tree.bounds[data_pre])
-        schema.instances[schema_node].append(pair)
-        if tree.types[data_pre] == NodeType.TEXT:
-            by_term = schema.term_instances.setdefault(schema_node, {})
-            by_term.setdefault(tree.labels[data_pre], []).append(pair)
+    schema.class_of = array("q", map(new_id_of.__getitem__, provisional_of))
+    pres = [array("q") for _ in schema.labels]
+    appenders = [column.append for column in pres]
+    for data_pre, schema_node in enumerate(schema.class_of):
+        appenders[schema_node](data_pre)
+    for root in tree.dead_roots:  # a dead document is one run per class
+        bound = tree.bounds[root]
+        for schema_node in set(schema.class_of[root : bound + 1]):
+            column = pres[schema_node]
+            del column[bisect_left(column, root) : bisect_right(column, bound)]
+    for schema_node, column in enumerate(pres):
+        schema.instances.append(
+            InstanceColumns(column, array("q", map(tree.bounds.__getitem__, column)))
+        )
+        if column and schema.is_text_class(schema_node):
+            schema.term_instances[schema_node] = TermColumns.from_pres(
+                _pres_by_term(tree, column), tree.bounds
+            )
 
     # default encoding: unit insert costs; the fingerprint matches
     # CostModel().insert_fingerprint (see TreeBuilder.finish)
     schema.encode_costs(lambda label: 1.0, fingerprint=(1.0, ()))
     return schema
+
+
+def _pres_by_term(tree: DataTree, pres) -> dict[str, list[int]]:
+    """The (text) nodes ``pres`` grouped by their word, order kept."""
+    by_term: dict[str, list[int]] = {}
+    for pre in pres:
+        by_term.setdefault(tree.labels[pre], []).append(pre)
+    return by_term
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +314,8 @@ def _cow_schema(old: Schema) -> Schema:
     fresh schema instead.  ``inscosts``/``pathcosts`` are copied because
     :meth:`Schema.encode_costs` rewrites them in place per cost model.
     The outer ``instances`` list and ``term_instances`` dict are shallow
-    copies so individual classes can be replaced copy-on-write.
+    copies so individual classes can be replaced copy-on-write (their
+    columns are immutable; an update builds successors by column slice).
     ``class_of`` is shared: it is append-only, and a reader pinned to the
     old schema never looks up a data node that did not exist yet.
     """
@@ -347,26 +370,20 @@ def update_schema_for_insert(old: Schema, tree: DataTree, start: int) -> SchemaU
 
     update = SchemaUpdate(schema=_cow_schema(old))
     schema = update.schema
-    copied: set[int] = set()
-    for pre in range(start, len(tree.labels)):
-        node = new_class_of[pre - start]
-        schema.class_of.append(node)
-        pair = (pre, tree.bounds[pre])
-        if node not in copied:
-            schema.instances[node] = list(schema.instances[node])
-            copied.add(node)
-        schema.instances[node].append(pair)
-        if tree.types[pre] == NodeType.TEXT:
-            term = tree.labels[pre]
-            by_term = schema.term_instances.get(node)
-            if node not in update.touched_terms:
-                by_term = dict(by_term) if by_term is not None else {}
-                schema.term_instances[node] = by_term
-                update.touched_terms[node] = set()
-            if term not in update.touched_terms[node]:
-                by_term[term] = list(by_term.get(term, ()))
-                update.touched_terms[node].add(term)
-            by_term[term].append(pair)
+    schema.class_of[start:] = array("q", new_class_of)
+    gained: dict[int, list[int]] = {}
+    for pre, node in enumerate(new_class_of, start):
+        gained.setdefault(node, []).append(pre)
+    for node, pres in gained.items():
+        schema.instances[node] = schema.instances[node].extended(
+            InstanceColumns(array("q", pres), array("q", map(tree.bounds.__getitem__, pres)))
+        )
+        if schema.is_text_class(node):
+            added = _pres_by_term(tree, pres)
+            schema.term_instances[node] = schema.term_instances.get(
+                node, TermColumns()
+            ).edited(tree.bounds, added)
+            update.touched_terms[node] = set(added)
         else:
             update.touched.add(node)
     return update
@@ -382,32 +399,18 @@ def update_schema_for_delete(old: Schema, tree: DataTree, root: int) -> SchemaUp
     bound = tree.bounds[root]
     update = SchemaUpdate(schema=_cow_schema(old))
     schema = update.schema
-    affected: set[int] = set()
     for pre in range(root, bound + 1):
         node = schema.class_of[pre]
-        affected.add(node)
         if tree.types[pre] == NodeType.TEXT:
             update.touched_terms.setdefault(node, set()).add(tree.labels[pre])
-
-    def survives(pair: tuple[int, int]) -> bool:
-        return not root <= pair[0] <= bound
-
-    for node in affected:
-        schema.instances[node] = [
-            pair for pair in schema.instances[node] if survives(pair)
-        ]
-        terms = update.touched_terms.get(node)
-        if terms is None:
+        else:
             update.touched.add(node)
-            continue
-        by_term = dict(schema.term_instances.get(node, ()))
-        for term in terms:
-            kept = [pair for pair in by_term.get(term, ()) if survives(pair)]
-            if kept:
-                by_term[term] = kept
-            else:
-                by_term.pop(term, None)
-        schema.term_instances[node] = by_term
+    for node in update.touched | update.touched_terms.keys():
+        schema.instances[node] = schema.instances[node].without(root, bound)
+    for node, terms in update.touched_terms.items():
+        schema.term_instances[node] = schema.term_instances[node].edited(
+            tree.bounds, {}, dropped=(root, bound), touched=terms
+        )
     return update
 
 

@@ -53,9 +53,8 @@ class SchemaNodeIndexes:
         # deletion is whole-document
         for node in range(len(schema)):
             if schema.is_text_class(node):
-                for term, posting in schema.term_instances.get(node, {}).items():
-                    if posting:
-                        self._text.setdefault(term, []).append(node)
+                for term in schema.term_instances.get(node, ()):
+                    self._text.setdefault(term, []).append(node)
             elif schema.instances[node]:
                 self._struct.setdefault(schema.labels[node], []).append(node)
 

@@ -12,7 +12,10 @@ instance pairs of two schema nodes are separated by the same distance).
 
 from __future__ import annotations
 
-from ..storage.postings import InstancePosting
+from array import array
+from bisect import bisect_left, bisect_right
+
+from ..storage.postings import InstanceColumns
 from ..telemetry.collector import count as _telemetry_count
 from .entries import SchemaEntry
 from .indexes import SecondaryIndex
@@ -23,24 +26,22 @@ class SecondaryExecutor:
 
     Results are cached per skeleton node, so shared subtrees (pointer
     sets produced by ``intersect`` unions) are evaluated once; the memo
-    keeps the entries alive, making identity-keying safe.  The memo
-    stores each result together with its extracted ``pre`` column, so a
-    child reused as the semi-join probe of several parents (and across
-    the driver's repeated rounds) never re-extracts it.
+    keeps the entries alive, making identity-keying safe.  Postings and
+    results are :class:`~repro.storage.postings.InstanceColumns` — the
+    in-memory schema and the stored ``I_sec`` hand over the same shape —
+    so a child reused as the semi-join probe of several parents (and
+    across the driver's repeated rounds) lends its ``pre`` column as is.
     """
 
     def __init__(self, index: SecondaryIndex) -> None:
         self._index = index
-        self._memo: dict[SchemaEntry, tuple[list[InstancePosting], list[int]]] = {}
+        self._memo: dict[SchemaEntry, InstanceColumns] = {}
         #: statistics: number of I_sec fetches performed
         self.fetch_count = 0
 
-    def execute(self, entry: SchemaEntry) -> list[InstancePosting]:
+    def execute(self, entry: SchemaEntry) -> InstanceColumns:
         """All instances of the skeleton rooted at ``entry`` that contain
         an instance embedding of the whole skeleton (Figure 5)."""
-        return self._execute(entry)[0]
-
-    def _execute(self, entry: SchemaEntry) -> tuple[list[InstancePosting], list[int]]:
         cached = self._memo.get(entry)
         if cached is not None:
             _telemetry_count("schema.skeleton_memo_hits")
@@ -50,46 +51,54 @@ class SecondaryExecutor:
         for child in entry.pointers:
             if not instances:
                 break
-            child_instances, child_pres = self._execute(child)
-            instances = semi_join(instances, child_instances, child_pres)
+            instances = semi_join(instances, self.execute(child))
             _telemetry_count("schema.semijoins")
-        # a columnar posting (InstanceColumns) already carries its pre
-        # column — borrow it instead of re-extracting it
-        pres = getattr(instances, "pre", None)
-        cached = (instances, pres if pres is not None else [pre for pre, _ in instances])
-        self._memo[entry] = cached
-        return cached
+        if not isinstance(instances, InstanceColumns):
+            instances = InstanceColumns.from_rows(instances)
+        self._memo[entry] = instances
+        return instances
 
 
-def semi_join(
-    ancestors: list[InstancePosting],
-    descendants: list[InstancePosting],
-    descendant_pres: "list[int] | None" = None,
-) -> list[InstancePosting]:
+def semi_join(ancestors, descendants) -> InstanceColumns:
     """Keep the ancestors that contain at least one descendant.
 
-    Both inputs are sorted by ``pre``; an ancestor ``(pre, bound)``
-    qualifies iff some descendant pre lies in ``(pre, bound]``.  Because
-    ancestor pres ascend, the position of the first descendant past each
-    ancestor only moves forward — one pointer sweep, O(|A| + |D|),
-    replacing a bisect per ancestor (nested ancestor intervals are fine:
-    a skipped descendant pre is ≤ the current ancestor's pre and so can
-    never qualify for any later ancestor either).  Pass the cached
-    ``descendant_pres`` column to skip re-extracting it.
+    Both inputs are ``(pre, bound)`` postings sorted by ``pre`` (columns
+    or lists of pairs); an ancestor qualifies iff some descendant pre
+    lies in ``(pre, bound]``.  The ancestors must be pairwise **disjoint**
+    — the instances of one schema class always are: they share a
+    label-type path, hence a depth — so the only candidate for a
+    descendant is the last ancestor that starts before it.  The walk
+    alternates two bisections, skipping the descendants inside an
+    ancestor it has just kept and the ancestors before the next
+    descendant: O(min(|A|, |D|) · log max(|A|, |D|)) instead of a step
+    per ancestor — second-level queries typically probe tens of
+    thousands of instances with a handful of descendants.
     """
     if not ancestors or not descendants:
-        return []
-    pres = descendant_pres
+        return _NOTHING
+    if not isinstance(ancestors, InstanceColumns):
+        ancestors = InstanceColumns.from_rows(ancestors)
+    starts, ends = ancestors.pre, ancestors.bound
+    pres = getattr(descendants, "pre", None)
     if pres is None:
         pres = [pre for pre, _ in descendants]
-    total = len(pres)
-    result = []
-    position = 0
-    for pre, bound in ancestors:
-        while position < total and pres[position] <= pre:
-            position += 1
-        if position >= total:
+    kept: list[int] = []
+    candidate = position = 0
+    while position < len(pres):
+        pre = pres[position]
+        candidate = bisect_left(starts, pre, candidate)  # first ancestor at or after it
+        if candidate and ends[candidate - 1] >= pre:
+            kept.append(candidate - 1)
+            position = bisect_right(pres, ends[candidate - 1], position)
+        elif candidate < len(starts):
+            position = bisect_right(pres, starts[candidate], position)
+        else:
             break
-        if pres[position] <= bound:
-            result.append((pre, bound))
-    return result
+    if len(kept) == len(starts):
+        return ancestors
+    return InstanceColumns(
+        array("q", map(starts.__getitem__, kept)), array("q", map(ends.__getitem__, kept))
+    )
+
+
+_NOTHING = InstanceColumns(array("q"), array("q"))

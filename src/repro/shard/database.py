@@ -71,31 +71,19 @@ from ..xmltree.model import (
     ROOT_LABEL,
     DataTree,
     NodeType,
+    TreeBuilder,
     extract_document,
 )
 from ..core.database import Database
 from ..planner.stats import CollectionStats, merge_stats
 from ..querycache import CompiledQuery
 from ..core.explain import Explanation
+from ..core.memory import format_resident
 from ..core.persist import StoreOptions
 from ..core.pipeline import Execution, QueryPipeline, QueryPlan, fold_reports
 from ..core.results import QueryResult, ResultSet, ResultStream
 from .manifest import DocumentEntry, ShardManifest, shard_file_name
 from .partition import assign_insert, check_partitioner, hash_assign, range_assign
-
-
-def _empty_collection_tree() -> DataTree:
-    """A tree holding only the super-root — the zero-document collection
-    every shard starts from before documents are grafted in."""
-    tree = DataTree()
-    tree.labels.append(ROOT_LABEL)
-    tree.types.append(NodeType.STRUCT)
-    tree.parents.append(-1)
-    tree.bounds.append(0)
-    tree.inscosts.append(0.0)
-    tree.pathcosts.append(0.0)
-    tree.rebuild_links()
-    return tree
 
 
 class ShardResult(QueryResult):
@@ -230,7 +218,11 @@ class ShardedDatabase:
             assignment = [hash_assign(ordinal, shards) for ordinal in range(len(roots))]
         else:
             assignment = range_assign(sizes, shards)
-        shard_trees = [_empty_collection_tree() for _ in range(shards)]
+        # every shard starts as the zero-document collection (super-root
+        # only), encoded under the table the grafts below are priced with
+        shard_trees = [TreeBuilder().finish() for _ in range(shards)]
+        for shard_tree in shard_trees:
+            shard_tree.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
         manifest = ShardManifest(shards=shards, partitioner=partitioner)
         for ordinal, root in enumerate(roots):
             owner = assignment[ordinal]
@@ -428,7 +420,16 @@ class ShardedDatabase:
             f"#{index}: {len(manifest.shard_documents(index))} docs"
             for index in range(manifest.shards)
         )
-        return summary + f" [{per_shard}]"
+        return f"{summary} [{per_shard}]\n  {format_resident(self.resident_bytes())}"
+
+    def resident_bytes(self) -> dict[str, int]:
+        """Bytes per data-sized structure, summed over the shards (see
+        :meth:`Database.resident_bytes`)."""
+        totals: dict[str, int] = {}
+        for shard in self._shards:
+            for name, size in shard.resident_bytes().items():
+                totals[name] = totals.get(name, 0) + size
+        return totals
 
     # ------------------------------------------------------------------
     # local → global translation

@@ -335,6 +335,11 @@ class Pager:
                 self._file.write(image)
             self._cache_store(page_no, padded)
 
+    @property
+    def cache_bytes(self) -> int:
+        """Bytes of page payload the LRU page cache holds right now."""
+        return len(self._cache) * self.payload_size
+
     def _cache_store(self, page_no: int, payload: bytes) -> None:
         capacity = self._cache_capacity
         if not capacity:

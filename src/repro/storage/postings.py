@@ -22,6 +22,10 @@ Decoded postings come in two in-memory shapes:
   working, while whole-column consumers (the evaluation kernel) borrow
   the buffers zero-copy.  The stored indexes decode into columns; the
   ``*_columns`` decoders fill the four (or two) buffers in one pass.
+  The in-memory schema keeps its instance postings in the same shape,
+  and a text class's per-term split as one :class:`TermColumns`.
+
+The encoders take either shape and write the same bytes for both.
 
 The codecs report decoded/encoded entry and byte counts into the ambient
 telemetry collector (``codec.*``) — the "postings decoded" currency the
@@ -31,18 +35,33 @@ paper's §8 comparison is phrased in, measured where decoding happens.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
+from operator import add
+from sys import getsizeof
 
 from ..errors import StorageError
 from ..telemetry.collector import count as _telemetry_count, current as _telemetry_current
 from .varint import (
     decode_uvarint,
     decode_uvarint_block,
-    encode_svarint,
     encode_uvarint,
 )
 
 NodePosting = tuple[int, int, int, int]
 InstancePosting = tuple[int, int]
+
+
+def column_bytes(*columns) -> int:
+    """Bytes held by flat columns: ``array`` buffers by their used
+    length (``buffer_info()[1] * itemsize``), ``bytearray`` and pointer
+    ``list`` columns by their object size."""
+    return sum(
+        column.buffer_info()[1] * column.itemsize
+        if isinstance(column, array)
+        else getsizeof(column)
+        for column in columns
+    )
 
 
 class _Columns:
@@ -85,6 +104,18 @@ class _Columns:
     def tolist(self) -> list:
         """The posting materialized as the historical list of tuples."""
         return list(self)
+
+    def extended(self, rows: "_Columns"):
+        """Copy-on-write successor with ``rows`` appended (grafted pres
+        are the highest, so the posting stays sorted)."""
+        return type(self)(*map(add, self._columns(), rows._columns()))
+
+    def without(self, low: int, high: int):
+        """Copy-on-write successor without the rows whose pre lies in
+        ``[low, high]`` — one contiguous run, cut out by column slice."""
+        pres = self._columns()[0]
+        start, stop = bisect_left(pres, low), bisect_right(pres, high)
+        return type(self)(*(column[:start] + column[stop:] for column in self._columns()))
 
 
 class PostingColumns(_Columns):
@@ -136,22 +167,177 @@ class InstanceColumns(_Columns):
         return cls(pre, bound)
 
 
-def encode_node_postings(entries: list[NodePosting]) -> bytes:
-    """Serialize ``(pre, bound, pathcost, inscost)`` tuples sorted by pre."""
-    _check_sorted(entries)
-    _telemetry_count("codec.entries_encoded", len(entries))
+class TermColumns(Mapping):
+    """The instance postings of one text class split by term — a
+    read-only ``term -> InstanceColumns`` mapping over **one** flat
+    ``pre``/``bound`` pair ordered by (term, pre), the sorted ``terms``
+    and their run ``offsets`` (``len(terms) + 1`` entries).
+
+    A buffer pair per term would cost more than the tuple lists it
+    replaces (a posting averages three rows); the flat pair costs 16
+    bytes per row plus 16 per term, and a lookup is one string bisect.
+    Immutable by convention: :meth:`edited` builds a successor.
+    """
+
+    __slots__ = ("terms", "offsets", "pre", "bound")
+
+    def __init__(self) -> None:
+        self.terms: list[str] = []
+        self.offsets = array("q", [0])
+        self.pre = array("q")
+        self.bound = array("q")
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def _find(self, term: object) -> int:
+        """Position of ``term`` in the sorted term list, -1 when absent."""
+        index = bisect_left(self.terms, term)
+        return index if index < len(self.terms) and self.terms[index] == term else -1
+
+    def _run(self, index: int) -> InstanceColumns:
+        low, high = self.offsets[index], self.offsets[index + 1]
+        return InstanceColumns(self.pre[low:high], self.bound[low:high])
+
+    def get(self, term: str, default=None):
+        """The posting of ``term`` (two slices of the flat pair), or
+        ``default`` when the class has no such word."""
+        index = self._find(term)
+        return default if index < 0 else self._run(index)
+
+    def __contains__(self, term: object) -> bool:
+        return self._find(term) >= 0
+
+    def __getitem__(self, term: str) -> InstanceColumns:
+        index = self._find(term)
+        if index < 0:
+            raise KeyError(term)
+        return self._run(index)
+
+    def items(self):
+        """``(term, posting)`` for every term, without a lookup each."""
+        return zip(self.terms, map(self._run, range(len(self.terms))))
+
+    @classmethod
+    def from_pres(cls, by_term: "dict[str, list[int]]", bounds) -> "TermColumns":
+        """Columns built from ``term -> ascending pres``; ``bounds`` is
+        the tree's bound column (indexed by pre)."""
+        new = cls()
+        for term in sorted(by_term):
+            new.terms.append(term)
+            new.pre.extend(by_term[term])
+            new.offsets.append(len(new.pre))
+        new.bound.extend(map(bounds.__getitem__, new.pre))
+        return new
+
+    def edited(
+        self,
+        bounds,
+        added: "dict[str, list[int]]",
+        dropped: "tuple[int, int] | None" = None,
+        touched=(),
+    ) -> "TermColumns":
+        """Copy-on-write successor after a document mutation.
+
+        Every term in ``touched`` loses its rows whose pre lies in the
+        ``dropped`` interval, every term in ``added`` gains the given
+        pres (bounds looked up in the tree's ``bounds`` column) at the
+        tail of its run — grafted pres are the highest; a run left empty
+        disappears with its term.  Untouched runs between two edited
+        terms move as one column slice each.
+        """
+        old = self
+        new = TermColumns()
+
+        def carry(start: int, stop: int) -> None:
+            low, high = old.offsets[start], old.offsets[stop]
+            shift = len(new.pre) - low
+            new.terms.extend(old.terms[start:stop])
+            new.offsets.extend([offset + shift for offset in old.offsets[start + 1 : stop + 1]])
+            new.pre.extend(old.pre[low:high])
+            new.bound.extend(old.bound[low:high])
+
+        cursor = 0
+        for term in sorted({*added, *touched}):
+            index = bisect_left(old.terms, term, cursor)
+            carry(cursor, index)
+            low = high = old.offsets[index]
+            cursor = index
+            if index < len(old.terms) and old.terms[index] == term:
+                high = old.offsets[index + 1]
+                cursor += 1
+            cut_from = cut_to = high
+            if dropped is not None:
+                cut_from = bisect_left(old.pre, dropped[0], low, high)
+                cut_to = bisect_right(old.pre, dropped[1], low, high)
+            pres = added.get(term, ())
+            for column, source, tail in (
+                (new.pre, old.pre, pres),
+                (new.bound, old.bound, map(bounds.__getitem__, pres)),
+            ):
+                column.extend(source[low:cut_from])
+                column.extend(source[cut_to:high])
+                column.extend(tail)
+            if len(new.pre) > new.offsets[-1]:
+                new.terms.append(term)
+                new.offsets.append(len(new.pre))
+        carry(cursor, len(old.terms))
+        return new
+
+
+def _encode_columns(pre, bound, *plain) -> bytes:
+    """The block encode kernel shared by both posting shapes: per row the
+    ``pre`` delta and the signed offset ``bound - pre`` (>= 0 for struct
+    nodes, negative for the zeroed bounds of text entries — both compress
+    well) zig-zag-coded, then every ``plain`` column's value unsigned.
+    Zig-zag and the one-byte case — nearly every value — are inlined,
+    the mirror of :func:`~repro.storage.varint.decode_uvarint_block`;
+    longer values go through the per-value codec, and the ascending-pre
+    check rides the same loop."""
+    _telemetry_count("codec.entries_encoded", len(pre))
     out = bytearray()
-    encode_uvarint(len(entries), out)
-    previous_pre = 0
-    for pre, bound, pathcost, inscost in entries:
-        encode_svarint(pre - previous_pre, out)
-        previous_pre = pre
-        # bound >= pre for struct nodes and 0 for text nodes; store the
-        # (possibly negative) offset so both compress well.
-        encode_svarint(bound - pre, out)
-        encode_uvarint(pathcost, out)
-        encode_uvarint(inscost, out)
+    encode_uvarint(len(pre), out)
+    append = out.append
+    previous = None
+    for row in zip(pre, bound, *plain):
+        current = row[0]
+        delta = current if previous is None else current - previous
+        if delta <= 0 and previous is not None:
+            raise StorageError("posting entries must be strictly ascending in pre")
+        previous = current
+        raw = (delta << 1) if delta >= 0 else ((-delta) << 1) - 1
+        if raw < 0x80:
+            append(raw)
+        else:
+            encode_uvarint(raw, out)
+        offset = row[1] - current
+        raw = (offset << 1) if offset >= 0 else ((-offset) << 1) - 1
+        if raw < 0x80:
+            append(raw)
+        else:
+            encode_uvarint(raw, out)
+        for raw in row[2:]:
+            if 0 <= raw < 0x80:
+                append(raw)
+            else:
+                encode_uvarint(raw, out)
     return bytes(out)
+
+
+def _transposed(entries: list, width: int) -> tuple:
+    """The columns of a posting given as a list of row tuples."""
+    return tuple(zip(*entries)) if entries else ((),) * width
+
+
+def encode_node_postings(entries) -> bytes:
+    """Serialize ``(pre, bound, pathcost, inscost)`` rows sorted by pre —
+    a :class:`PostingColumns` or a list of tuples, same bytes."""
+    if isinstance(entries, PostingColumns):
+        return _encode_columns(entries.pre, entries.bound, entries.pathcost, entries.inscost)
+    return _encode_columns(*_transposed(entries, 4))
 
 
 def decode_node_postings(data: bytes) -> list[NodePosting]:
@@ -216,18 +402,12 @@ def decode_node_posting_columns(data: bytes) -> PostingColumns:
     return PostingColumns(pre_column, bound_column, pathcost_column, inscost_column)
 
 
-def encode_instance_postings(entries: list[InstancePosting]) -> bytes:
-    """Serialize ``(pre, bound)`` pairs sorted by pre."""
-    _check_sorted(entries)
-    _telemetry_count("codec.entries_encoded", len(entries))
-    out = bytearray()
-    encode_uvarint(len(entries), out)
-    previous_pre = 0
-    for pre, bound in entries:
-        encode_svarint(pre - previous_pre, out)
-        previous_pre = pre
-        encode_svarint(bound - pre, out)
-    return bytes(out)
+def encode_instance_postings(entries) -> bytes:
+    """Serialize ``(pre, bound)`` rows sorted by pre — an
+    :class:`InstanceColumns` or a list of pairs, same bytes."""
+    if isinstance(entries, InstanceColumns):
+        return _encode_columns(entries.pre, entries.bound)
+    return _encode_columns(*_transposed(entries, 2))
 
 
 def decode_instance_postings(data: bytes) -> list[InstancePosting]:
@@ -275,9 +455,3 @@ def decode_instance_posting_columns(data: bytes) -> InstanceColumns:
         bound_column[row] = pre + ((offset >> 1) if not offset & 1 else -((offset + 1) >> 1))
         index += 2
     return InstanceColumns(pre_column, bound_column)
-
-
-def _check_sorted(entries: list) -> None:
-    for left, right in zip(entries, entries[1:]):
-        if left[0] >= right[0]:
-            raise StorageError("posting entries must be strictly ascending in pre")

@@ -8,6 +8,10 @@ building blocks real inverted-file systems use.
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain
+from operator import sub
+
 from ..errors import StorageError
 
 _CONTINUATION = 0x80
@@ -87,6 +91,37 @@ def decode_uvarint_block(data: bytes, offset: int, count: int) -> tuple[list[int
     return values, pos
 
 
+def encode_uvarint_block(values, out: bytearray) -> None:
+    """Append the LEB128 encoding of every (non-negative) value to ``out``.
+
+    The block *encode* kernel, mirror of :func:`decode_uvarint_block`: one
+    loop over any iterable of integers with the one-byte case handled
+    first, instead of one :func:`encode_uvarint` call per value.  The
+    bytes are identical to what the per-value codec writes.
+    """
+    append = out.append
+    for value in values:
+        if value < _CONTINUATION:
+            if value < 0:
+                raise StorageError(f"cannot uvarint-encode negative value {value}")
+            append(value)
+            continue
+        while value > _PAYLOAD_MASK:
+            append((value & _PAYLOAD_MASK) | _CONTINUATION)
+            value >>= 7
+        append(value)
+
+
+def zigzag_deltas(values, before: int = 0) -> list[int]:
+    """The zig-zag-encoded differences of consecutive ``values`` (the
+    first against ``before``) — the unsigned stream a delta-coded column
+    stores."""
+    return [
+        (delta << 1) if delta >= 0 else ((-delta) << 1) - 1
+        for delta in map(sub, values, chain((before,), values))
+    ]
+
+
 def zigzag_encode(value: int) -> int:
     """Map a signed integer to an unsigned one with small absolute values
     staying small (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...)."""
@@ -113,8 +148,7 @@ def encode_uvarint_list(values: list[int]) -> bytes:
     """Encode a list of non-negative integers, length-prefixed."""
     out = bytearray()
     encode_uvarint(len(values), out)
-    for value in values:
-        encode_uvarint(value, out)
+    encode_uvarint_block(values, out)
     return bytes(out)
 
 
@@ -124,29 +158,35 @@ def decode_uvarint_list(data: bytes, offset: int = 0) -> tuple[list[int], int]:
     return decode_uvarint_block(data, pos, count)
 
 
-def encode_delta_list(values: list[int]) -> bytes:
-    """Delta-encode a (typically ascending) integer sequence.
+def encode_delta_list(values, shift: int = 0) -> bytes:
+    """Delta-encode a (typically ascending) integer sequence — a list or
+    a typed column alike; ``shift`` is added to every value first.
 
     The first value is stored as-is (zig-zag), subsequent values as signed
     deltas.  Ascending postings therefore compress to ~1 byte per entry.
     """
     out = bytearray()
     encode_uvarint(len(values), out)
-    previous = 0
-    for value in values:
-        encode_svarint(value - previous, out)
-        previous = value
+    encode_uvarint_block(zigzag_deltas(values, -shift), out)
     return bytes(out)
 
 
-def decode_delta_list(data: bytes, offset: int = 0) -> tuple[list[int], int]:
-    """Inverse of :func:`encode_delta_list`."""
+def decode_delta_array(data: bytes, offset: int = 0, shift: int = 0) -> tuple[array, int]:
+    """Inverse of :func:`encode_delta_list` into a flat ``array('q')``
+    column (no intermediate value list); ``shift`` is added to every
+    decoded value.  Returns ``(column, next_offset)``."""
     count, pos = decode_uvarint(data, offset)
     raws, pos = decode_uvarint_block(data, pos, count)
-    values = []
-    append = values.append
-    current = 0
-    for raw in raws:
-        current += (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
-        append(current)
-    return values, pos
+    deltas = ((raw >> 1) if not raw & 1 else -((raw + 1) >> 1) for raw in raws)
+    try:
+        column = array("q", accumulate(deltas, initial=shift))
+    except OverflowError:
+        raise StorageError("delta-coded column overflows 64 bits") from None
+    del column[0]
+    return column, pos
+
+
+def decode_delta_list(data: bytes, offset: int = 0) -> tuple[list[int], int]:
+    """Inverse of :func:`encode_delta_list` as a plain list."""
+    column, pos = decode_delta_array(data, offset)
+    return column.tolist(), pos

@@ -6,8 +6,9 @@ label; a posting entry holds the four numbers of the encoding —
 
 Two implementations share one interface:
 
-* :class:`MemoryNodeIndexes` keeps per-label pre lists and assembles
-  posting tuples from the (possibly re-encoded) tree arrays on fetch;
+* :class:`MemoryNodeIndexes` keeps one flat ``array('q')`` of pres per
+  label and assembles posting tuples from the (possibly re-encoded) tree
+  columns on fetch;
 * :class:`StoredNodeIndexes` serializes complete postings into two
   namespaces of a key-value store (the Berkeley-DB shape the paper uses)
   and reads them back without touching the tree.
@@ -15,7 +16,10 @@ Two implementations share one interface:
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
+from itertools import compress
 
 from ..errors import KeyNotFoundError, SchemaError
 from ..storage.cache import PostingCache
@@ -23,6 +27,8 @@ from ..storage.kv import Namespace, Store
 from ..storage.overlay import MISSING, current_overlay
 from ..storage.postings import (
     NodePosting,
+    PostingColumns,
+    column_bytes,
     decode_node_posting_columns,
     encode_node_postings,
 )
@@ -31,6 +37,7 @@ from .model import DataTree, NodeType
 
 STRUCT_NAMESPACE = b"Istruct"
 TEXT_NAMESPACE = b"Itext"
+_NO_PRES = array("q")
 
 
 class NodeIndexes:
@@ -66,6 +73,11 @@ class NodeIndexes:
         """Number of nodes carrying ``label`` (the selectivity *s* input)."""
         return len(self.fetch(label, node_type))
 
+    def resident_bytes(self) -> int:
+        """Bytes of per-node data the index keeps in memory (none when
+        the postings live in a store)."""
+        return 0
+
 
 class MemoryNodeIndexes(NodeIndexes):
     """In-memory indexes over a live :class:`DataTree`.
@@ -76,16 +88,20 @@ class MemoryNodeIndexes(NodeIndexes):
 
     def __init__(self, tree: DataTree) -> None:
         self._tree = tree
-        self._by_type: tuple[dict[str, list[int]], dict[str, list[int]]] = ({}, {})
+        #: per node type: label -> ascending pres, one flat buffer each
+        self._by_type: tuple[dict[str, array], dict[str, array]] = ({}, {})
         self._derived: dict = {}
         # tombstoned documents are holes in the preorder: their nodes stay
         # in the arrays but must never appear in a posting
-        flags = tree.live_flags() if tree.dead_roots else None
-        for pre in range(len(tree)):
-            if flags is not None and not flags[pre]:
-                continue
-            table = self._by_type[tree.types[pre]]
-            table.setdefault(tree.labels[pre], []).append(pre)
+        rows = zip(range(len(tree)), tree.types, tree.labels)
+        if tree.dead_roots:
+            rows = compress(rows, tree.live_flags())
+        for pre, node_type, label in rows:
+            table = self._by_type[node_type]
+            column = table.get(label)
+            if column is None:
+                column = table[label] = array("q")
+            column.append(pre)
 
     def fetch(self, label: str, node_type: NodeType) -> list[NodePosting]:
         pres = self._by_type[node_type].get(label)
@@ -135,6 +151,9 @@ class MemoryNodeIndexes(NodeIndexes):
     def posting_size(self, label: str, node_type: NodeType) -> int:
         return len(self._by_type[node_type].get(label, ()))
 
+    def resident_bytes(self) -> int:
+        return column_bytes(*(pres for table in self._by_type for pres in table.values()))
+
     @classmethod
     def evolve(
         cls,
@@ -155,34 +174,26 @@ class MemoryNodeIndexes(NodeIndexes):
         new = cls.__new__(cls)
         new._tree = tree
         new._derived = {}
-        tables: tuple[dict[str, list[int]], dict[str, list[int]]] = (
-            dict(old._by_type[0]),
-            dict(old._by_type[1]),
-        )
-        new._by_type = tables
+        tables = new._by_type = (dict(old._by_type[0]), dict(old._by_type[1]))
         if removed is not None:
             root, bound = removed
-            affected = {
-                (tree.types[pre], tree.labels[pre])
-                for pre in range(root, bound + 1)
-            }
+            affected = set(zip(tree.types[root : bound + 1], tree.labels[root : bound + 1]))
             for node_type, label in affected:
                 table = tables[node_type]
-                kept = [pre for pre in table[label] if not root <= pre <= bound]
-                if kept:
-                    table[label] = kept
+                column = table[label]
+                # a document is one contiguous run of every label's buffer
+                start, stop = bisect_left(column, root), bisect_right(column, bound)
+                if stop - start < len(column):
+                    table[label] = column[:start] + column[stop:]
                 else:
                     del table[label]
         if added is not None:
-            copied: set[tuple[NodeType, str]] = set()
+            gained: dict[tuple[int, str], list[int]] = {}
             for pre in added:
-                node_type = tree.types[pre]
-                label = tree.labels[pre]
+                gained.setdefault((tree.types[pre], tree.labels[pre]), []).append(pre)
+            for (node_type, label), pres in gained.items():
                 table = tables[node_type]
-                if (node_type, label) not in copied:
-                    table[label] = list(table.get(label, ()))
-                    copied.add((node_type, label))
-                table[label].append(pre)
+                table[label] = table.get(label, _NO_PRES) + array("q", pres)
         return new
 
 
@@ -211,13 +222,11 @@ class StoredNodeIndexes(NodeIndexes):
         """Serialize the indexes of ``tree`` into ``store``."""
         memory = MemoryNodeIndexes(tree)
         indexes = cls(store)
-        for node_type, namespace in (
-            (NodeType.STRUCT, indexes._struct),
-            (NodeType.TEXT, indexes._text),
-        ):
-            for label in memory.labels(node_type):
-                posting = memory.fetch(label, node_type)
-                namespace.put(_label_key(label), encode_node_postings(_as_ints(posting)))
+        for table, namespace in zip(memory._by_type, (indexes._struct, indexes._text)):
+            for label, pres in table.items():
+                namespace.put(
+                    _label_key(label), encode_node_postings(stored_posting(tree, pres))
+                )
         return indexes
 
     def fetch(self, label: str, node_type: NodeType) -> list[NodePosting]:
@@ -306,16 +315,18 @@ def _label_key(label: str) -> bytes:
     return label.encode("utf-8")
 
 
-def _as_ints(posting: list[NodePosting]) -> list[tuple[int, int, int, int]]:
-    """The varint codecs need integers; reject fractional costs loudly."""
-    result = []
-    for pre, bound, pathcost, inscost in posting:
-        int_pathcost = int(pathcost)
-        int_inscost = int(inscost)
-        if int_pathcost != pathcost or int_inscost != inscost:
+def stored_posting(tree: DataTree, pres) -> PostingColumns:
+    """The ``(pre, bound, pathcost, inscost)`` posting of the nodes
+    ``pres`` as the stored indexes keep it: four integer columns gathered
+    from the tree's.  The varint codecs need integers, so fractional
+    costs are rejected loudly."""
+    columns = [array("q", pres), array("q", map(tree.bounds.__getitem__, pres))]
+    for name in ("pathcosts", "inscosts"):
+        costs = array("d", map(getattr(tree, name).__getitem__, pres))
+        if not all(map(float.is_integer, costs)):
             raise SchemaError(
                 "stored indexes require integer insert costs; "
-                f"got pathcost={pathcost}, inscost={inscost}"
+                f"got {name} {next(cost for cost in costs if not cost.is_integer())}"
             )
-        result.append((pre, bound, int_pathcost, int_inscost))
-    return result
+        columns.append(array("q", map(int, costs)))
+    return PostingColumns(*columns)

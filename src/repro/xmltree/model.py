@@ -6,17 +6,23 @@ leaf nodes for individual words of element text and attribute values, and
 one artificial super-root (label ``#root``) above all document roots.
 
 The tree is stored in **columnar preorder form**: node *pre* numbers index
-parallel arrays (label, type, parent, bound, inscost, pathcost).  This
-keeps million-node collections affordable in CPython and makes the
-pre/bound interval encoding of the paper the native representation rather
-than an afterthought.
+parallel typed columns — ``array('q')`` for parent, bound and the child
+links, ``array('d')`` for inscost and pathcost, a ``bytearray`` of node
+types, and a label column that holds one shared (interned) ``str`` per
+distinct label.  No column holds a Python object per node, which keeps
+million-node collections affordable in CPython and makes the pre/bound
+interval encoding of the paper the native representation rather than an
+afterthought.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from array import array
 from collections.abc import Callable, Iterator
+from itertools import accumulate, compress
+from sys import intern
 
 from ..errors import EvaluationError, ReproError
 
@@ -75,17 +81,19 @@ class DataTree:
     )
 
     def __init__(self) -> None:
+        #: one shared ``str`` per distinct label (``sys.intern``)
         self.labels: list[str] = []
-        self.types: list[NodeType] = []
-        self.parents: list[int] = []
-        self.bounds: list[int] = []
-        self.inscosts: list[float] = []
-        self.pathcosts: list[float] = []
+        #: :class:`NodeType` values, one byte per node
+        self.types = bytearray()
+        self.parents = array("q")
+        self.bounds = array("q")
+        self.inscosts = array("d")
+        self.pathcosts = array("d")
         #: document roots removed by :meth:`mark_dead`; their subtrees stay
         #: in the arrays as tombstones until :func:`compact_tree`
         self.dead_roots: set[int] = set()
-        self._first_child: list[int] = []
-        self._next_sibling: list[int] = []
+        self._first_child = array("q")
+        self._next_sibling = array("q")
         self._insert_cost_fingerprint: object = None
 
     # ------------------------------------------------------------------
@@ -106,7 +114,7 @@ class DataTree:
 
     def node_type(self, pre: int) -> NodeType:
         """Node type (struct or text) of ``pre``."""
-        return self.types[pre]
+        return NodeType(self.types[pre])
 
     def parent(self, pre: int) -> int:
         """Parent pre number (-1 for the super-root)."""
@@ -174,29 +182,20 @@ class DataTree:
         """
         if fingerprint is not None and fingerprint == self._insert_cost_fingerprint:
             return
-        labels = self.labels
-        types = self.types
-        parents = self.parents
-        inscosts = self.inscosts
-        pathcosts = self.pathcosts
+        inscosts, pathcosts = self.inscosts, self.pathcosts
         cache: dict[str, float] = {}
-        for pre in range(len(labels)):
-            if types[pre] == NodeType.TEXT:
+        rows = zip(self.labels, self.types, self.parents)
+        for pre, (label, is_text, parent) in enumerate(rows):
+            if is_text:
                 cost = 0.0
             else:
-                label = labels[pre]
                 cost = cache.get(label)
                 if cost is None:
-                    cost = insert_cost_of(label)
+                    cost = cache[label] = insert_cost_of(label)
                     if cost < 0:
                         raise ReproError(f"negative insert cost for label {label!r}")
-                    cache[label] = cost
             inscosts[pre] = cost
-            parent = parents[pre]
-            if parent == -1:
-                pathcosts[pre] = 0.0
-            else:
-                pathcosts[pre] = pathcosts[parent] + inscosts[parent]
+            pathcosts[pre] = pathcosts[parent] + inscosts[parent] if parent >= 0 else 0.0
         self._insert_cost_fingerprint = fingerprint
 
     @property
@@ -246,37 +245,38 @@ class DataTree:
             )
         offset = len(self.labels) - 1  # document pre i >= 1 maps to offset + i
         root_pre = offset + 1
+        count = len(document.labels) - 1
+        parents = [offset + parent if parent else 0 for parent in document.parents[1:]]
+        # both cost columns first: a rejected cost leaves the tree untouched
+        inscosts = array("d", bytes(8 * count))
+        pathcosts = array("d", bytes(8 * count))
         cache: dict[str, float] = {}
-        for pre in range(1, len(document.labels)):
-            new_pre = offset + pre
-            label = document.labels[pre]
-            node_type = document.types[pre]
-            parent = document.parents[pre]
-            new_parent = 0 if parent == 0 else offset + parent
-            if node_type == NodeType.TEXT:
-                cost = 0.0
-            else:
+        for index in range(count):
+            if document.types[index + 1] != NodeType.TEXT:
+                label = document.labels[index + 1]
                 cost = cache.get(label)
                 if cost is None:
-                    cost = insert_cost_of(label)
+                    cost = cache[label] = insert_cost_of(label)
                     if cost < 0:
                         raise ReproError(f"negative insert cost for label {label!r}")
-                    cache[label] = cost
-            self.labels.append(label)
-            self.types.append(node_type)
-            self.parents.append(new_parent)
-            self.bounds.append(offset + document.bounds[pre])
-            self.inscosts.append(cost)
-            self.pathcosts.append(
-                self.pathcosts[new_parent] + self.inscosts[new_parent]
+                inscosts[index] = cost
+            above = parents[index] - root_pre  # < 0: the super-root
+            pathcosts[index] = (
+                pathcosts[above] + inscosts[above]
+                if above >= 0
+                else self.pathcosts[0] + self.inscosts[0]
             )
-            first = document._first_child[pre]
-            self._first_child.append(-1 if first == -1 else offset + first)
-            if pre == 1:
-                self._next_sibling.append(-1)
-            else:
-                sibling = document._next_sibling[pre]
-                self._next_sibling.append(-1 if sibling == -1 else offset + sibling)
+        self.labels.extend(map(intern, document.labels[1:]))
+        self.types.extend(document.types[1:])
+        self.parents.extend(parents)
+        self.bounds.extend([offset + bound for bound in document.bounds[1:]])
+        self.inscosts.extend(inscosts)
+        self.pathcosts.extend(pathcosts)
+        for target, links in (
+            (self._first_child, document._first_child),
+            (self._next_sibling, document._next_sibling),
+        ):
+            target.extend([link if link == -1 else offset + link for link in links[1:]])
         # link the new root as the last child of the super-root
         last = self._first_child[0]
         if last == -1:
@@ -337,12 +337,11 @@ class DataTree:
                 return False
         return True
 
-    def live_flags(self) -> list[bool]:
-        """Per-node liveness as a flat list (index = pre number)."""
-        flags = [True] * len(self.labels)
+    def live_flags(self) -> bytearray:
+        """Per-node liveness as one byte per node (index = pre number)."""
+        flags = bytearray(b"\x01") * len(self.labels)
         for root in self.dead_roots:
-            for pre in range(root, self.bounds[root] + 1):
-                flags[pre] = False
+            flags[root : self.bounds[root] + 1] = bytes(self.bounds[root] - root + 1)
         return flags
 
     @property
@@ -354,25 +353,14 @@ class DataTree:
     def rebuild_links(self) -> None:
         """Recompute the first-child/next-sibling navigation arrays from
         the parent column (used after bulk array surgery)."""
-        count = len(self.labels)
-        self._first_child = [-1] * count
-        self._next_sibling = [-1] * count
-        last_child: dict[int, int] = {}
-        for pre in range(1, count):
-            parent = self.parents[pre]
-            previous = last_child.get(parent, -1)
-            if previous == -1:
-                self._first_child[parent] = pre
-            else:
-                self._next_sibling[previous] = pre
-            last_child[parent] = pre
+        self._first_child, self._next_sibling = child_links(self.parents)
 
     def label_type_path(self, pre: int) -> tuple[tuple[str, NodeType], ...]:
         """The label-type path from the super-root down to ``pre``
         (Definition 13), excluding the super-root itself."""
         path = []
         while self.parents[pre] != -1:
-            path.append((self.labels[pre], self.types[pre]))
+            path.append((self.labels[pre], NodeType(self.types[pre])))
             pre = self.parents[pre]
         return tuple(reversed(path))
 
@@ -389,6 +377,23 @@ class DataTree:
             return
         for child in self.children(pre):
             self._format(child, depth + 1, max_depth, lines)
+
+
+def child_links(parents) -> tuple[array, array]:
+    """The ``(first_child, next_sibling)`` columns a parent column implies."""
+    first_child = array("q", [-1]) * len(parents)
+    next_sibling = array("q", [-1]) * len(parents)
+    last_child = array("q", [-1]) * len(parents)
+    for pre, parent in enumerate(parents):
+        if parent < 0:
+            continue
+        previous = last_child[parent]
+        if previous == -1:
+            first_child[parent] = pre
+        else:
+            next_sibling[previous] = pre
+        last_child[parent] = pre
+    return first_child, next_sibling
 
 
 class TreeBuilder:
@@ -420,7 +425,7 @@ class TreeBuilder:
     def _append(self, label: str, node_type: NodeType, parent: int) -> int:
         tree = self._tree
         pre = len(tree.labels)
-        tree.labels.append(label)
+        tree.labels.append(intern(label))
         tree.types.append(node_type)
         tree.parents.append(parent)
         tree.bounds.append(pre)
@@ -455,9 +460,37 @@ class TreeBuilder:
             raise ReproError("text nodes need a non-empty label")
         return self._append(word, NodeType.TEXT, parent=self._stack[-1])
 
+    def add_words(self, words: list[str]) -> range:
+        """Add one text leaf per word under the current struct node — a
+        run of leaves is one extension per column, not a call per word."""
+        self._check_building()
+        if len(self._stack) < 2:
+            raise ReproError("text must appear inside a document element")
+        if not all(words):
+            raise ReproError("text nodes need a non-empty label")
+        tree, parent = self._tree, self._stack[-1]
+        start, count = len(tree.labels), len(words)
+        if count:
+            tree.labels.extend(map(intern, words))
+            tree.types.extend(bytes((NodeType.TEXT,)) * count)
+            tree.parents.extend([parent] * count)
+            tree.bounds.extend(range(start, start + count))
+            tree.inscosts.extend([0.0] * count)
+            tree.pathcosts.extend([0.0] * count)
+            tree._first_child.extend([-1] * count)
+            tree._next_sibling.extend(range(start + 1, start + count))
+            tree._next_sibling.append(-1)
+            previous = self._last_child_of.get(parent, -1)
+            if previous == -1:
+                tree._first_child[parent] = start
+            else:
+                tree._next_sibling[previous] = start
+            self._last_child_of[parent] = start + count - 1
+        return range(start, start + count)
+
     def add_text(self, text: str) -> list[int]:
         """Tokenize ``text`` and add one leaf per word."""
-        return [self.add_word(word) for word in tokenize(text)]
+        return list(self.add_words(tokenize(text)))
 
     def end_struct(self) -> None:
         """Close the current struct node and fix its bound."""
@@ -502,22 +535,17 @@ def extract_document(tree: DataTree, root: int) -> DataTree:
     out = DataTree()
     bound = tree.bounds[root]
     offset = root - 1  # original pre p maps to p - offset; the root lands at 1
-    out.labels.append(ROOT_LABEL)
-    out.types.append(NodeType.STRUCT)
-    out.parents.append(-1)
-    out.bounds.append(bound - offset)
-    out.inscosts.append(0.0)
-    out.pathcosts.append(0.0)
-    for pre in range(root, bound + 1):
-        out.labels.append(tree.labels[pre])
-        out.types.append(tree.types[pre])
-        parent = tree.parents[pre]
-        out.parents.append(0 if parent == 0 else parent - offset)
-        out.bounds.append(tree.bounds[pre] - offset)
-        # grafting re-derives both cost columns from the target tree's
-        # insert-cost table; zeros keep the copy honest until then
-        out.inscosts.append(0.0)
-        out.pathcosts.append(0.0)
+    span = slice(root, bound + 1)
+    out.labels = [ROOT_LABEL, *tree.labels[span]]
+    out.types = bytearray(1) + tree.types[span]
+    out.parents = array("q", [-1])
+    out.parents.extend([parent - offset if parent else 0 for parent in tree.parents[span]])
+    out.bounds = array("q", [bound - offset])
+    out.bounds.extend([inner - offset for inner in tree.bounds[span]])
+    # grafting re-derives both cost columns from the target tree's
+    # insert-cost table; zeros keep the copy honest until then
+    out.inscosts = array("d", bytes(8 * len(out.labels)))
+    out.pathcosts = array("d", bytes(8 * len(out.labels)))
     out.rebuild_links()
     return out
 
@@ -536,24 +564,18 @@ def compact_tree(tree: DataTree) -> DataTree:
     if not tree.dead_roots:
         return tree
     flags = tree.live_flags()
-    new_of = [-1] * len(tree.labels)
-    count = 0
-    for pre, live in enumerate(flags):
-        if live:
-            new_of[pre] = count
-            count += 1
+    # new_of[pre] is the new number of a live pre (and, for the super-root's
+    # bound, of the last live node at or before a dead one)
+    new_of = array("q", accumulate(flags, initial=-1))[1:]
     out = DataTree()
-    for pre, live in enumerate(flags):
-        if not live:
-            continue
-        out.labels.append(tree.labels[pre])
-        out.types.append(tree.types[pre])
-        parent = tree.parents[pre]
-        out.parents.append(-1 if parent == -1 else new_of[parent])
-        out.bounds.append(new_of[tree.bounds[pre]] if pre else 0)
-        out.inscosts.append(tree.inscosts[pre])
-        out.pathcosts.append(tree.pathcosts[pre])
-    out.bounds[0] = count - 1
+    out.labels = list(compress(tree.labels, flags))
+    out.types = bytearray(compress(tree.types, flags))
+    out.parents = array(
+        "q", [parent if parent < 0 else new_of[parent] for parent in compress(tree.parents, flags)]
+    )
+    out.bounds = array("q", [new_of[bound] for bound in compress(tree.bounds, flags)])
+    out.inscosts = array("d", compress(tree.inscosts, flags))
+    out.pathcosts = array("d", compress(tree.pathcosts, flags))
     out.rebuild_links()
     out._insert_cost_fingerprint = tree._insert_cost_fingerprint
     return out

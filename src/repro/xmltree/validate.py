@@ -2,72 +2,104 @@
 
 ``validate_tree`` checks every invariant the evaluators rely on:
 column lengths, parent/child consistency, preorder numbering, bound
-intervals, and the pathcost telescoping property.  The loader runs it on
+intervals, and the pathcost telescoping property; tests use it as an
+oracle.  The loader runs the stored-column half, ``validate_columns``, on
 freshly deserialized trees (defense in depth against silent corruption
-the page checksums cannot express), and tests use it as an oracle.
+the page checksums cannot express) *before* it derives the child links
+and the cost columns from them.
+
+Every check is one bulk pass over whole typed columns (``map`` with an
+operator) instead of Python statements per node; only a failing check
+looks up the offending node, to name it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
+from itertools import compress, count, repeat
+from operator import add, ge, gt, lt, mul, ne, not_
+
 from ..errors import SchemaError
-from .model import DataTree, NodeType
+from .model import DataTree, child_links
 
 
-def validate_tree(tree: DataTree) -> None:
-    """Raise :class:`~repro.errors.SchemaError` on any violated invariant."""
+def _reject(bad: Iterable, describe: Callable[[int], str], first: int = 0) -> None:
+    """Raise for the first node whose flag in ``bad`` is true (flags
+    start at node ``first``)."""
+    pre = next(compress(count(first), bad), None)
+    if pre is not None:
+        raise SchemaError(describe(pre))
+
+
+def _check_lengths(tree: DataTree, names: tuple[str, ...]) -> None:
     size = len(tree.labels)
-    for name in ("types", "parents", "bounds", "inscosts", "pathcosts"):
+    for name in names:
         column = getattr(tree, name)
         if len(column) != size:
             raise SchemaError(
                 f"column {name!r} has {len(column)} entries, expected {size}"
             )
+
+
+def validate_columns(tree: DataTree) -> None:
+    """Check the four stored columns — labels, types, parents, bounds —
+    against each other; raise :class:`~repro.errors.SchemaError` on any
+    violated invariant."""
+    _check_lengths(tree, ("types", "parents", "bounds"))
+    size = len(tree.labels)
     if size == 0:
         raise SchemaError("a data tree must contain at least the super-root")
-    if tree.parents[0] != -1:
+    parents, bounds = tree.parents, tree.bounds
+    if parents[0] != -1:
         raise SchemaError("the super-root must have parent -1")
+    above = parents[1:]  # the parent of every node but the super-root
+    for bad in (map(lt, above, repeat(0)), map(ge, above, count(1))):
+        _reject(bad, lambda pre: f"node {pre}: parent {parents[pre]} is not an earlier node", 1)
+    _reject(
+        map(lt, map(bounds.__getitem__, above), count(1)),
+        lambda pre: f"node {pre}: outside its parent's bound interval",
+        1,
+    )
+    for bad in (map(gt, count(), bounds), map(ge, bounds, repeat(size))):
+        _reject(bad, lambda pre: f"node {pre}: bound {bounds[pre]} out of range")
+    _reject(
+        map(tree.types.__getitem__, above),
+        lambda pre: f"text node {parents[pre]} has children",
+        1,
+    )
+    _reject(map(not_, tree.labels), lambda pre: f"node {pre} has an empty label")
 
-    for pre in range(size):
-        parent = tree.parents[pre]
-        if pre > 0:
-            if not 0 <= parent < pre:
-                raise SchemaError(
-                    f"node {pre}: parent {parent} is not an earlier node"
-                )
-            if tree.bounds[parent] < pre:
-                raise SchemaError(
-                    f"node {pre}: outside its parent's bound interval"
-                )
-        bound = tree.bounds[pre]
-        if not pre <= bound < size:
-            raise SchemaError(f"node {pre}: bound {bound} out of range")
-        if tree.types[pre] == NodeType.TEXT:
-            if tree._first_child[pre] != -1:
-                raise SchemaError(f"text node {pre} has children")
-        if not tree.labels[pre]:
-            raise SchemaError(f"node {pre} has an empty label")
 
-    # children linkage: reconstruct from the parent column in one pass
-    # and compare against the first-child/next-sibling links
-    children_of: list[list[int]] = [[] for _ in range(size)]
-    for pre in range(1, size):
-        children_of[tree.parents[pre]].append(pre)
-    for pre in range(size):
-        from_links = tree.children(pre)
-        if from_links != children_of[pre]:
-            raise SchemaError(
-                f"node {pre}: child links {from_links} disagree with parent "
-                f"column {children_of[pre]}"
-            )
+def validate_tree(tree: DataTree) -> None:
+    """Raise :class:`~repro.errors.SchemaError` on any violated invariant."""
+    _check_lengths(tree, ("inscosts", "pathcosts", "_first_child", "_next_sibling"))
+    validate_columns(tree)
+    parents, inscosts, pathcosts = tree.parents, tree.inscosts, tree.pathcosts
+
+    # children linkage: the links the parent column implies, compared
+    # column against column
+    links = zip(
+        ("first child", "next sibling"),
+        (tree._first_child, tree._next_sibling),
+        child_links(parents),
+    )
+    for name, column, expected in links:
+        _reject(
+            map(ne, column, expected),
+            lambda pre: f"node {pre}: {name} {column[pre]} disagrees with the "
+            f"parent column ({expected[pre]})",
+        )
 
     # pathcost telescoping
-    for pre in range(1, size):
-        parent = tree.parents[pre]
-        expected = tree.pathcosts[parent] + tree.inscosts[parent]
-        if tree.pathcosts[pre] != expected:
-            raise SchemaError(
-                f"node {pre}: pathcost {tree.pathcosts[pre]} != "
-                f"pathcost(parent) + inscost(parent) = {expected}"
-            )
-        if tree.types[pre] == NodeType.TEXT and tree.inscosts[pre] != 0:
-            raise SchemaError(f"text node {pre} has non-zero inscost")
+    above = parents[1:]
+    expected = map(add, map(pathcosts.__getitem__, above), map(inscosts.__getitem__, above))
+    _reject(
+        map(ne, pathcosts[1:], expected),
+        lambda pre: f"node {pre}: pathcost {pathcosts[pre]} != pathcost(parent) + "
+        f"inscost(parent) = {pathcosts[parents[pre]] + inscosts[parents[pre]]}",
+        1,
+    )
+    _reject(
+        map(mul, tree.types, inscosts),
+        lambda pre: f"text node {pre} has non-zero inscost",
+    )

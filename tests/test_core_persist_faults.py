@@ -95,3 +95,89 @@ class TestRoundTripFidelity:
 
         # a 10-node collection must not produce a megabyte file
         assert os.path.getsize(saved_db) < 256 * 1024
+
+
+class TestDamagedTreeNamespace:
+    """A damaged tree namespace is reported as a typed error naming the
+    reason — never a bare ``KeyError``/``ValueError``/``IndexError``."""
+
+    XML = "<cd><title>piano concerto</title><composer>bach</composer></cd>"
+
+    def saved(self):
+        store = MemoryStore()
+        tree = tree_from_xml(self.XML)
+        save_tree(tree, store, CostModel())
+        return store, Namespace(store, b"tree"), tree
+
+    @pytest.mark.parametrize("column", ["labels", "types", "parents", "bounds"])
+    def test_missing_column_is_a_storage_error_naming_it(self, column):
+        store, columns, _ = self.saved()
+        columns.delete(column.encode())
+        with pytest.raises(StorageError, match=f"tree column '{column}' is missing") as caught:
+            load_tree(store)
+        assert not isinstance(caught.value, KeyError)
+
+    @pytest.mark.parametrize("key", ["insertcosts", "insertfp"])
+    def test_missing_cost_metadata_is_a_storage_error(self, key):
+        store, _, _ = self.saved()
+        Namespace(store, b"meta").delete(key.encode())
+        with pytest.raises(StorageError, match=f"'{key}' is missing") as caught:
+            load_tree(store)
+        assert not isinstance(caught.value, KeyError)
+
+    def test_bad_type_byte_is_a_storage_error(self):
+        store, columns, tree = self.saved()
+        types = bytearray(tree.types)
+        types[2] = 7
+        columns.put(b"types", bytes(types))
+        with pytest.raises(StorageError, match="not a node type"):
+            load_tree(store)
+
+    def test_undecodable_labels_are_a_storage_error(self):
+        store, columns, _ = self.saved()
+        columns.put(b"labels", b"\xff\xfe")
+        with pytest.raises(StorageError, match="labels column"):
+            load_tree(store)
+
+    def test_bad_type_byte_in_a_segment(self, tmp_path):
+        path = str(tmp_path / "db.apxq")
+        Database.from_xml(self.XML).save(path)
+        with Database.open(path) as db:
+            start = db.node_count
+            db.insert_document("<cd><title>cello</title></cd>")
+        with FileStore(path) as store:
+            columns = Namespace(store, b"tree")
+            key = b"seg%016d" % start
+            value = bytearray(columns.get(key))
+            # the types blob follows the labels blob; both are length-prefixed
+            (labels_length,) = struct.unpack_from("<I", value, 0)
+            value[4 + labels_length + 4] = 9
+            columns.put(key, bytes(value))
+            store.sync()
+        with pytest.raises(StorageError, match="tree segment .*not a node type"):
+            Database.open(path)
+
+    @pytest.mark.parametrize(
+        "column, values",
+        [
+            ("parents", [0, 1, 6, 3, 3, 2, 6]),  # shifted by one: node 2 -> parent 5
+            ("parents", [0, 1, 2, 3, 4, 2, 6]),  # a child under a text node
+            ("bounds", [6, 6, 4, 3, 9, 6, 6]),  # a bound past the last node
+            ("bounds", [6, 6, 2, 3, 4, 6, 6]),  # a child outside its parent
+        ],
+    )
+    def test_bulk_checks_reject_inconsistent_columns(self, column, values):
+        from repro.storage.varint import encode_delta_list
+
+        store, columns, tree = self.saved()
+        assert len(values) == len(tree)
+        columns.put(column.encode(), encode_delta_list(values))
+        with pytest.raises(ReproError):
+            load_tree(store)
+
+    def test_every_tree_the_builder_makes_reloads(self):
+        store, _, tree = self.saved()
+        loaded, _, _ = load_tree(store)
+        for name in ("labels", "types", "parents", "bounds", "inscosts", "pathcosts",
+                     "_first_child", "_next_sibling"):
+            assert getattr(loaded, name) == getattr(tree, name), name

@@ -125,3 +125,41 @@ class TestZipfSampler:
     def test_samples_in_range(self):
         sampler = _ZipfSampler(5, 1.0, random.Random(2))
         assert all(0 <= sampler.sample() < 5 for _ in range(500))
+
+    def test_sample_many_makes_the_same_draws_in_the_same_order(self):
+        one_by_one = _ZipfSampler(400, 1.0, random.Random(9))
+        batched = _ZipfSampler(400, 1.0, random.Random(9))
+        expected = [one_by_one.sample() for _ in range(60)]
+        assert batched.sample_many(25) + batched.sample_many(0) + batched.sample_many(35) == expected
+        assert all(type(term) is int for term in batched.sample_many(5))
+
+    def test_fallback_without_numpy_agrees(self, monkeypatch):
+        from repro.datagen import generator
+
+        with_numpy = _ZipfSampler(400, 1.0, random.Random(9)).sample_many(200)
+        monkeypatch.setattr(generator, "_numpy", None)
+        assert _ZipfSampler(400, 1.0, random.Random(9)).sample_many(200) == with_numpy
+
+    def test_a_words_run_equals_word_by_word(self):
+        """``add_words`` (one extension per column) builds the tree that
+        one ``add_word`` per word builds."""
+        from repro.xmltree.model import TreeBuilder
+
+        trees = []
+        for bulk in (False, True):
+            builder = TreeBuilder()
+            builder.start_struct("a")
+            builder.add_word("lead")
+            words = ["t1", "t2", "t1"]
+            if bulk:
+                assert list(builder.add_words(words)) == [3, 4, 5]
+                assert list(builder.add_words([])) == []
+            else:
+                for word in words:
+                    builder.add_word(word)
+            builder.start_struct("b")
+            builder.end_struct()
+            builder.end_struct()
+            trees.append(builder.finish())
+        for name in ("labels", "types", "parents", "bounds", "pathcosts", "_first_child", "_next_sibling"):
+            assert getattr(trees[0], name) == getattr(trees[1], name), name

@@ -1,6 +1,8 @@
 """Tests for the schema node indexes and the secondary index I_sec."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.schema.dataguide import build_schema
 from repro.schema.indexes import (
@@ -115,6 +117,38 @@ class TestSemiJoin:
 
     def test_multiple_matches_counted_once(self):
         assert semi_join([(1, 10)], [(2, 2), (3, 3)]) == [(1, 10)]
+
+    def test_descendant_at_the_next_ancestors_own_pre(self):
+        # 20 is inside nobody: it *is* the second ancestor, and after the first
+        assert semi_join([(1, 10), (20, 25)], [(20, 25), (26, 26)]) == []
+        assert semi_join([(1, 10), (20, 25)], [(20, 25), (22, 22)]) == [(20, 25)]
+
+    def test_all_kept_and_columns_out(self):
+        from repro.storage.postings import InstanceColumns
+
+        ancestors = InstanceColumns.from_rows([(1, 3), (4, 9)])
+        kept = semi_join(ancestors, [(2, 2), (5, 5)])
+        assert kept is ancestors  # nothing to copy
+        assert isinstance(semi_join(ancestors, [(5, 5)]), InstanceColumns)
+
+    @given(st.data())
+    def test_disjoint_ancestors_against_brute_force(self, data):
+        """Instances of one class are pairwise disjoint; any sorted
+        descendants.  The alternating-bisection walk must keep exactly
+        the ancestors a quadratic scan keeps, in either input shape."""
+        from repro.storage.postings import InstanceColumns
+
+        cuts = sorted(data.draw(st.sets(st.integers(0, 120), max_size=24)))
+        ancestors = [(low, high) for low, high in zip(cuts[::2], cuts[1::2])]
+        pres = sorted(data.draw(st.sets(st.integers(0, 125), max_size=30)))
+        descendants = [(pre, pre) for pre in pres]
+        expected = [
+            (low, high) for low, high in ancestors if any(low < pre <= high for pre in pres)
+        ]
+        assert semi_join(ancestors, descendants) == expected
+        assert semi_join(
+            InstanceColumns.from_rows(ancestors), InstanceColumns.from_rows(descendants)
+        ) == expected
 
 
 class TestSecondaryExecutor:

@@ -80,3 +80,93 @@ def test_node_postings_roundtrip_property(entries):
 def test_instance_postings_roundtrip_property(entries):
     entries = sorted({pre: bound for pre, bound in entries}.items())
     assert decode_instance_postings(encode_instance_postings(entries)) == entries
+
+
+# ----------------------------------------------------------------------
+# block encode kernel: bytes pinned, both in-memory shapes alike
+# ----------------------------------------------------------------------
+
+from array import array
+
+from repro.storage.postings import InstanceColumns, PostingColumns, TermColumns
+
+GOLDEN_NODE_ROWS = [
+    (1, 20, 0, 1), (5, 9, 3, 2), (12, 12, 7, 4), (300, 0, 200, 0), (70000, 70001, 129, 128),
+]
+GOLDEN_NODE_BYTES = "0502260001080803020e000704c004d704c8010088c1080281018001"
+GOLDEN_INSTANCE_ROWS = [(2, 9), (11, 16), (30, 30), (500, 100000), (100001, 100001)]
+GOLDEN_INSTANCE_BYTES = "05040e120a2600ac07d8920cda920c00"
+
+
+class TestGoldenBytes:
+    """The bytes the per-value codec wrote before the block kernel
+    replaced it (taken from that implementation): a store written by
+    either opens under the other."""
+
+    def test_node_postings(self):
+        assert encode_node_postings(GOLDEN_NODE_ROWS).hex() == GOLDEN_NODE_BYTES
+        columns = PostingColumns.from_rows(GOLDEN_NODE_ROWS)
+        assert encode_node_postings(columns).hex() == GOLDEN_NODE_BYTES
+
+    def test_instance_postings(self):
+        assert encode_instance_postings(GOLDEN_INSTANCE_ROWS).hex() == GOLDEN_INSTANCE_BYTES
+        columns = InstanceColumns.from_rows(GOLDEN_INSTANCE_ROWS)
+        assert encode_instance_postings(columns).hex() == GOLDEN_INSTANCE_BYTES
+
+    def test_unsorted_columns_rejected(self):
+        with pytest.raises(StorageError):
+            encode_instance_postings(InstanceColumns(array("q", [5, 5]), array("q", [5, 6])))
+
+    def test_negative_plain_value_rejected(self):
+        with pytest.raises(StorageError):
+            encode_node_postings([(1, 1, -1, 0)])
+
+
+class TestCopyOnWriteColumns:
+    def test_without_cuts_one_run(self):
+        columns = InstanceColumns.from_rows([(1, 9), (3, 4), (10, 12), (20, 20)])
+        assert columns.without(3, 12) == [(1, 9), (20, 20)]
+        assert columns == [(1, 9), (3, 4), (10, 12), (20, 20)]  # the original is untouched
+
+    def test_extended_appends(self):
+        columns = PostingColumns.from_rows([(1, 9, 0, 1)])
+        grown = columns.extended(PostingColumns.from_rows([(12, 12, 2, 1)]))
+        assert grown == [(1, 9, 0, 1), (12, 12, 2, 1)]
+        assert len(columns) == 1
+
+
+class TestTermColumns:
+    BOUNDS = list(range(100))  # text leaves: bound == pre
+
+    def build(self):
+        return TermColumns.from_pres({"b": [2, 7], "a": [4], "d": [5, 9, 11]}, self.BOUNDS)
+
+    def test_mapping_view(self):
+        terms = self.build()
+        assert list(terms) == ["a", "b", "d"]
+        assert len(terms) == 3
+        assert terms["b"] == [(2, 2), (7, 7)]
+        assert "c" not in terms and "d" in terms
+        assert terms.get("c", []) == []
+        assert {term: list(posting) for term, posting in terms.items()} == {
+            "a": [(4, 4)], "b": [(2, 2), (7, 7)], "d": [(5, 5), (9, 9), (11, 11)],
+        }
+        # one flat pair ordered by (term, pre)
+        assert list(terms.pre) == [4, 2, 7, 5, 9, 11]
+        assert list(terms.offsets) == [0, 1, 3, 6]
+
+    def test_edit_adds_drops_and_keeps_the_original(self):
+        terms = self.build()
+        edited = terms.edited(
+            self.BOUNDS, {"c": [20], "d": [21], "0": [22]}, dropped=(5, 9), touched={"b", "d"}
+        )
+        assert {term: list(posting.pre) for term, posting in edited.items()} == {
+            "0": [22], "a": [4], "b": [2], "c": [20], "d": [11, 21],
+        }
+        assert list(edited.offsets) == [0, 1, 2, 3, 4, 6]
+        assert list(terms.pre) == [4, 2, 7, 5, 9, 11]
+
+    def test_emptied_run_disappears(self):
+        edited = self.build().edited(self.BOUNDS, {}, dropped=(4, 4), touched={"a"})
+        assert list(edited) == ["b", "d"]
+        assert list(edited.offsets) == [0, 2, 5]

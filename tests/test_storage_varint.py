@@ -129,3 +129,42 @@ class TestLists:
     def test_delta_list_property(self, values):
         decoded, _ = decode_delta_list(encode_delta_list(values))
         assert decoded == values
+
+
+class TestBlockEncode:
+    """The block encode kernel and the typed delta column."""
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**62)))
+    def test_block_matches_per_value_codec(self, values):
+        from repro.storage.varint import encode_uvarint_block
+
+        expected = bytearray()
+        for value in values:
+            encode_uvarint(value, expected)
+        out = bytearray()
+        encode_uvarint_block(values, out)
+        assert out == expected
+
+    def test_block_rejects_negative(self):
+        from repro.storage.varint import encode_uvarint_block
+
+        with pytest.raises(StorageError):
+            encode_uvarint_block([3, -1], bytearray())
+
+    def test_delta_list_golden_bytes(self):
+        # written by the per-value codec this kernel replaced
+        assert encode_delta_list([3, 10, 11, 200, 201, 5, 70000]).hex() == "07060e02fa02028703d6c508"
+        assert encode_delta_list([-1, 0, 1, 1, 0, 4], shift=1).hex() == "06000202000108"
+
+    @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40)), st.integers(-3, 3))
+    def test_typed_column_roundtrip(self, values, shift):
+        from array import array
+
+        from repro.storage.varint import decode_delta_array
+
+        data = encode_delta_list(array("q", values), shift=shift)
+        assert data == encode_delta_list([value + shift for value in values])
+        column, offset = decode_delta_array(data, shift=-shift)
+        assert isinstance(column, array) and column.typecode == "q"
+        assert list(column) == values
+        assert offset == len(data)

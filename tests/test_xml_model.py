@@ -49,7 +49,7 @@ class TestTreeBuilder:
             NodeType.STRUCT,
             NodeType.TEXT,
         ]
-        assert tree.parents == [-1, 0, 1, 2]
+        assert list(tree.parents) == [-1, 0, 1, 2]
 
     def test_bounds_cover_subtrees(self):
         builder = TreeBuilder()
@@ -61,7 +61,7 @@ class TestTreeBuilder:
         builder.end_struct()
         builder.end_struct()
         tree = builder.finish()
-        assert tree.bounds == [4, 4, 3, 3, 4]
+        assert list(tree.bounds) == [4, 4, 3, 3, 4]
 
     def test_children_in_document_order(self):
         tree = tree_from_xml("<a><b/><c/><d/></a>")
