@@ -5,11 +5,13 @@ The list algebra is served by the columnar kernel
 (:mod:`repro.engine.columns` + :mod:`repro.engine.ops`); the retained
 entry-per-object implementation lives in :mod:`repro.engine.reference`
 as the executable specification the property suite checks the kernel
-against."""
+against.  :mod:`repro.engine.primary` holds the one Figure 4 recursion:
+:class:`PrimaryEvaluator` runs it over the kernel's data postings, and
+the schema's top-k ``primary`` runs the same code over class segments."""
 
 from .columns import EvalColumns, SparseTable, as_columns
 from .entries import INFINITE, ListEntry, entry_from_posting
-from .evaluator import DirectEvaluator, DirectResult, DirectStats
+from .evaluator import DirectEvaluator, DirectResult
 from .ops import (
     EvalList,
     add_edge_cost,
@@ -27,7 +29,6 @@ from .primary import PrimaryEvaluator, root_cost_pairs
 __all__ = [
     "DirectEvaluator",
     "DirectResult",
-    "DirectStats",
     "EvalColumns",
     "EvalList",
     "INFINITE",

@@ -182,6 +182,39 @@ def sort_best(n: "int | None", entries) -> EvalColumns:
     return entries.take(order)
 
 
+class PostingAlgebra:
+    """This module's operators as the list algebra of the Figure 4
+    recursion (:mod:`repro.engine.primary`) over data postings: every
+    list is exact, and the counters are published as ``direct.*``."""
+
+    __slots__ = ("indexes",)
+
+    counters = (
+        ("fetch_count", "direct.index_fetches"),
+        ("postings_fetched", "direct.postings_fetched"),
+        ("postings_scoped_out", "direct.postings_scoped_out"),
+        ("memo_hits", "direct.memo_hits"),
+        ("list_ops", "direct.lists_materialized"),
+        ("merge_ops", "direct.merge_steps"),
+        ("fetch_cache_hits", "direct.fetch_cache_hits"),
+    )
+    join = staticmethod(join)
+    outerjoin = staticmethod(outerjoin)
+    intersect = staticmethod(intersect)
+    merge_shifted = staticmethod(merge_shifted)
+
+    def __init__(self, indexes: NodeIndexes) -> None:
+        self.indexes = indexes
+
+    def fetch(self, label: str, node_type: NodeType, as_leaf: bool) -> EvalColumns:
+        """:func:`fetch` over this algebra's indexes."""
+        return fetch(self.indexes, label, node_type, as_leaf)
+
+    @staticmethod
+    def exact(columns: EvalColumns) -> bool:
+        return True
+
+
 def add_edge_cost(entries, edge_cost: float) -> EvalColumns:
     """A fresh list with ``edge_cost`` added to every row's costs (used
     to reuse cached zero-edge results under a different edge cost).

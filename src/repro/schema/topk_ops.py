@@ -30,6 +30,9 @@ Exactness: a list is *exact* when nothing was discarded while building it
 or any of its inputs — it then is the whole (untruncated) list, equal for
 every larger *k*.  The driver reuses exact lists across its growing-*k*
 rounds and detects exhaustion from the root list's bit.
+
+:class:`SegmentAlgebra` hands these operators, at one round's *k*, to the
+Figure 4 recursion of :mod:`repro.engine.primary`.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class TopKList(list):
     views are cached on first use, and the evaluator shares lists freely.
     """
 
-    __slots__ = ("segments", "exact", "_width", "_classes", "_by_pre")
+    __slots__ = ("segments", "exact", "_width", "_classes", "_by_pre", "_pre")
 
     def __init__(self, entries=(), segments=None, exact: bool = True) -> None:
         super().__init__(entries)
@@ -87,6 +90,7 @@ class TopKList(list):
         self._width = -1
         self._classes = None
         self._by_pre = None
+        self._pre = None
 
     @classmethod
     def of(cls, entries) -> "TopKList":
@@ -134,6 +138,25 @@ class TopKList(list):
         if self._by_pre is None:
             self._by_pre = {segment[0]: segment for segment in self.segments}
         return self._by_pre
+
+    # A fetched list holds one entry per class, like an ``EvalColumns``
+    # one row per node: these views let one scope restrict either.
+
+    @property
+    def pre(self) -> list[int]:
+        """The entries' preorder numbers, in list order."""
+        if self._pre is None:
+            self._pre = [entry.pre for entry in self]
+        return self._pre
+
+    @property
+    def bound(self) -> list[int]:
+        """The entries' subtree bounds, in list order."""
+        return [entry.bound for entry in self]
+
+    def take(self, rows: list[int]) -> "TopKList":
+        """A new list holding the given entries, in the given order."""
+        return TopKList([self[row] for row in rows], exact=self.exact)
 
 
 def _scan_segments(entries: list[SchemaEntry]) -> list[tuple[int, int, int, int]]:
@@ -315,6 +338,51 @@ def intersect_k(left: TopKList, right: TopKList, edge_cost: float, k: int) -> To
         segments.append((pre, offset, boundary, len(result)))
     _telemetry_count("schema.intersect_pairs", pairs)
     return TopKList(result, segments, exact)
+
+
+class SegmentAlgebra:
+    """The top-k operators at the round's ``k`` as the list algebra of the
+    Figure 4 recursion (:mod:`repro.engine.primary`) over schema class
+    segments: a list is exact when its bit says so, and the counters are
+    published as ``schema.*``."""
+
+    __slots__ = ("indexes", "k")
+
+    counters = (
+        ("postings_scoped_out", "schema.candidates_scoped_out"),
+        ("lists_reused", "schema.lists_reused"),
+        ("list_ops", "schema.topk_list_ops"),
+    )
+
+    def __init__(self, indexes: SchemaNodeIndexes, k: int) -> None:
+        self.indexes = indexes
+        self.k = k
+
+    def fetch(self, label: str, node_type: NodeType, as_leaf: bool) -> TopKList:
+        """:func:`fetch_k` over this algebra's indexes."""
+        return fetch_k(self.indexes, label, node_type, as_leaf)
+
+    def join(self, ancestors: TopKList, descendants: TopKList, edge_cost: float) -> TopKList:
+        """:func:`join_k` at the round's k."""
+        return join_k(ancestors, descendants, edge_cost, self.k)
+
+    def outerjoin(
+        self, ancestors: TopKList, descendants: TopKList, edge_cost: float, delete_cost: float
+    ) -> TopKList:
+        """:func:`outerjoin_k` at the round's k."""
+        return outerjoin_k(ancestors, descendants, edge_cost, delete_cost, self.k)
+
+    def intersect(self, left: TopKList, right: TopKList, edge_cost: float) -> TopKList:
+        """:func:`intersect_k` at the round's k."""
+        return intersect_k(left, right, edge_cost, self.k)
+
+    def merge_shifted(self, parts: "list[tuple[TopKList, float]]") -> TopKList:
+        """:func:`merge_shifted_k` at the round's k."""
+        return merge_shifted_k(parts, self.k)
+
+    @staticmethod
+    def exact(entries: TopKList) -> bool:
+        return entries.exact
 
 
 def sort_roots(k: "int | None", entries: TopKList) -> list[SchemaEntry]:

@@ -1,22 +1,16 @@
-"""Read-path caches above the storage engine.
+"""Read-path cache above the storage engine.
 
-Two caches live here, one per level of the read path:
-
-* :class:`PostingCache` — a byte-budgeted LRU of **decoded posting
-  lists**, shared across queries and across index objects.  The stored
-  indexes (``StoredNodeIndexes``, ``StoredSecondaryIndex``) consult it
-  before hitting the key-value store, so the incremental best-*n*
-  driver's overlapping second-level queries reuse decoded lists round
-  after round instead of re-decoding varint by varint.  A second key
-  plane (:meth:`PostingCache.get_derived` / ``put_derived``) holds
-  **derived builds** — the evaluation kernel's columnar fetch lists,
-  together with whatever sparse tables have lazily grown on them — under
-  the same byte budget and the same generation invalidation, so repeat
-  queries skip posting-to-column construction entirely.
-* :class:`FetchMemo` — the per-evaluation memo of *derived* fetch
-  results (columnar evaluation lists / top-k lists built from a
-  posting), shared in shape by ``PrimaryEvaluator`` and
-  ``PrimaryKEvaluator``.
+:class:`PostingCache` is a byte-budgeted LRU of **decoded posting
+lists**, shared across queries and across index objects.  The stored
+indexes (``StoredNodeIndexes``, ``StoredSecondaryIndex``) consult it
+before hitting the key-value store, so the incremental best-*n* driver's
+overlapping second-level queries reuse decoded lists round after round
+instead of re-decoding varint by varint.  A second key plane
+(:meth:`PostingCache.get_derived` / ``put_derived``) holds **derived
+builds** — the evaluation kernel's columnar fetch lists, together with
+whatever sparse tables have lazily grown on them — under the same byte
+budget and the same generation invalidation, so repeat queries skip
+posting-to-column construction entirely.
 
 Invalidation contract
 ---------------------
@@ -27,17 +21,20 @@ different generation than the entry recorded is a miss and drops the
 stale entry — so *any* write to the store invalidates every cached
 posting, lazily, without the writer knowing about the cache.
 
-``FetchMemo`` is never invalidated: its correctness comes from its
-bounded lifetime.  One memo lives for exactly one evaluator run (one
-``PrimaryEvaluator`` evaluation, the rounds one ``PrimaryKEvaluator``
-serves for one query) during which the underlying indexes are not
-mutated; cross-run reuse happens one level below, in ``PostingCache``.
+One memo sits above it: the fetch memo of the Figure 4 recursion
+(:mod:`repro.engine.primary`), a plain dict of the lists one evaluator
+fetched for one expanded query.  It is never invalidated — its
+correctness comes from its bounded lifetime: it is emptied when the
+evaluator is handed another expanded query, and the evaluator lives for
+one evaluation (direct) or the rounds of one query (top-*k*), during
+which the underlying indexes are not mutated.  Cross-query reuse happens
+one level below, here.
 
 Cached columns and sparse tables obey the same two-level contract: the
-``EvalColumns`` a ``FetchMemo`` holds live for one evaluator run; the
-``EvalColumns`` the derived plane of ``PostingCache`` (or the
-fingerprint-tagged memo of the in-memory indexes) holds live until the
-store generation (or insert-cost fingerprint) moves.  Both kinds are
+``EvalColumns`` the fetch memo holds live for one query of one
+evaluator; the ``EvalColumns`` the derived plane of ``PostingCache`` (or
+the fingerprint-tagged memo of the in-memory indexes) holds live until
+the store generation (or insert-cost fingerprint) moves.  Both kinds are
 immutable shared objects, and the sparse tables lazily built on them are
 pure functions of their columns — safe to grow on a cached object and
 reuse from any later query.
@@ -48,9 +45,9 @@ Thread-safety contract
 lookup and insert paths are guarded by one coarse lock (the critical
 sections are dict operations — micro­seconds — so striping buys nothing
 a measurement could see; the ``concurrency.posting_lock_waits`` counter
-reports how often a thread actually blocked).  ``FetchMemo`` is
-intentionally unlocked: its lifetime is one evaluator run on one thread
-(see above), so it is never visible to two threads at once.
+reports how often a thread actually blocked).  The fetch memo is
+unlocked: its evaluator runs on one thread (see above), so it is never
+visible to two threads at once.
 
 Cached posting lists are shared objects: callers must treat them as
 immutable (every consumer in the engine already does — the list ops
@@ -61,7 +58,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, TypeVar
 
 from ..errors import StorageError
 from ..telemetry.collector import count as _telemetry_count
@@ -78,8 +74,6 @@ _ENTRY_COST = 96
 #: key-plane marker separating derived builds (columnar fetch lists)
 #: from the decoded postings they were built from
 _DERIVED_PLANE = b"\x00derived"
-
-_T = TypeVar("_T")
 
 
 class CountedLock:
@@ -207,28 +201,3 @@ class PostingCache:
             self._entries.clear()
             self._used_bytes = 0
 
-
-class FetchMemo:
-    """Per-evaluation memo of derived fetch results.
-
-    Keyed by ``(label, node_type, as_leaf)``; one instance lives for one
-    evaluator run and is then discarded (the invalidation contract in
-    the module docstring).  ``hits`` counts served lookups, feeding the
-    evaluators' ``fetch_cache_hits`` statistics.
-    """
-
-    __slots__ = ("_entries", "hits")
-
-    def __init__(self) -> None:
-        self._entries: dict = {}
-        self.hits = 0
-
-    def get_or_build(self, key, build: "Callable[[], _T]") -> _T:
-        """The cached value under ``key``, building it on first use."""
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = build()
-            self._entries[key] = entry
-        else:
-            self.hits += 1
-        return entry

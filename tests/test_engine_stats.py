@@ -5,12 +5,13 @@ import pytest
 from repro.approxql.costs import CostModel, paper_example_cost_model
 from repro.approxql.expanded import build_expanded
 from repro.approxql.parser import parse_query
-from repro.engine.evaluator import DirectEvaluator, DirectStats
-from repro.engine.primary import PrimaryEvaluator
+from repro.engine.evaluator import DirectEvaluator
+from repro.engine.primary import PrimaryEvaluator, root_cost_pairs
 from repro.xmltree.builder import tree_from_xml
 from repro.xmltree.indexes import MemoryNodeIndexes
 from repro.xmltree.model import NodeType
 
+from .driver_probe import observe
 from .figure4 import reference_primary
 
 
@@ -23,29 +24,53 @@ def tree():
 
 
 class TestDirectStats:
+    """What one direct evaluation did, read from its ``direct.*`` counters."""
+
     def test_counters_filled(self, tree):
-        stats = DirectStats()
-        DirectEvaluator(tree).evaluate('cd[title["piano"]]', stats=stats)
-        assert stats.fetch_count == 3  # cd, title, piano
-        assert stats.postings_fetched == 2 + 2 + 2
-        assert stats.list_ops >= 2
-        assert stats.results_total == 2
+        _, counters, _ = observe(DirectEvaluator(tree), 'cd[title["piano"]]')
+        assert counters["direct.index_fetches"] == 3  # cd, title, piano
+        assert counters["direct.postings_fetched"] == 2 + 2 + 2
+        assert counters["direct.lists_materialized"] >= 2
+        assert counters["direct.results_total"] == 2
 
     def test_stats_accumulate(self, tree):
-        stats = DirectStats()
         evaluator = DirectEvaluator(tree)
-        evaluator.evaluate('cd[title["piano"]]', stats=stats)
-        evaluator.evaluate('cd[title["piano"]]', stats=stats)
-        assert stats.fetch_count == 6
+        fetches = [
+            observe(evaluator, 'cd[title["piano"]]')[1]["direct.index_fetches"]
+            for _ in range(2)
+        ]
+        # every evaluation fetches afresh: one fetch memo per evaluation
+        assert fetches == [3, 3]
+        assert sum(fetches) == 6
 
     def test_renamings_fetch_more(self, tree):
         model = CostModel().add_renaming("piano", "cello", NodeType.TEXT, 2)
-        stats = DirectStats()
-        DirectEvaluator(tree).evaluate('cd[title["piano"]]', model, stats=stats)
-        assert stats.fetch_count == 4  # cd, title, piano, cello
+        _, counters, _ = observe(DirectEvaluator(tree), 'cd[title["piano"]]', model)
+        assert counters["direct.index_fetches"] == 4  # cd, title, piano, cello
 
     def test_no_stats_is_fine(self, tree):
         assert DirectEvaluator(tree).evaluate('cd[title["piano"]]') != []
+
+
+class TestReusedEvaluator:
+    def test_another_query_does_not_see_the_first_ones_fetches(self):
+        """A reused evaluator handed a second expanded query — here the
+        same text under another insert-cost table, which changes the
+        fetched path costs — must fetch afresh, not serve the first
+        query's lists."""
+        tree = tree_from_xml("<cd><x><title>piano</title></x></cd>")
+        query = parse_query('cd[title["piano"]]')
+        indexes = MemoryNodeIndexes(tree)
+        reused = PrimaryEvaluator(indexes)
+
+        def run(evaluator, costs):
+            tree.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
+            return root_cost_pairs(evaluator.evaluate(build_expanded(query, costs)))
+
+        assert run(reused, CostModel()) == [(1, 1.0)]
+        costly = CostModel().set_insert_cost("x", 7)
+        assert run(PrimaryEvaluator(indexes), costly) == [(1, 7.0)]
+        assert run(reused, costly) == [(1, 7.0)]
 
 
 class TestMemoization:

@@ -1,6 +1,6 @@
-"""Tests for the read-path caches (decoded postings and fetch memos).
+"""Tests for the read-path cache of decoded postings.
 
-Covers the two cache classes in ``repro.storage.cache`` directly, and the
+Covers ``repro.storage.cache.PostingCache`` directly, and the
 invalidation contract end to end: a stored index that shares a
 :class:`PostingCache` must serve fresh postings after the underlying
 store is rewritten, because every store write moves the generation.
@@ -11,7 +11,7 @@ import pytest
 from repro import Database
 from repro.errors import StorageError
 from repro.schema.indexes import SEC_NAMESPACE, StoredSecondaryIndex
-from repro.storage.cache import FetchMemo, PostingCache
+from repro.storage.cache import PostingCache
 from repro.storage.kv import MemoryStore, Namespace
 from repro.telemetry.collector import Telemetry, collecting
 from repro.xmltree.indexes import STRUCT_NAMESPACE, StoredNodeIndexes
@@ -101,24 +101,6 @@ class TestPostingCache:
         assert telemetry.counters["cache.posting_misses"] == 2
         assert telemetry.counters["cache.posting_hits"] == 1
         assert telemetry.counters["cache.posting_invalidations"] == 1
-
-
-class TestFetchMemo:
-    def test_builds_once_and_counts_hits(self):
-        memo = FetchMemo()
-        calls = []
-        build = lambda: calls.append(1) or ["built"]
-        first = memo.get_or_build("key", build)
-        second = memo.get_or_build("key", build)
-        assert first is second
-        assert len(calls) == 1
-        assert memo.hits == 1
-
-    def test_distinct_keys_build_separately(self):
-        memo = FetchMemo()
-        assert memo.get_or_build(("a", 1), lambda: [1]) == [1]
-        assert memo.get_or_build(("a", 2), lambda: [2]) == [2]
-        assert memo.hits == 0
 
 
 class TestStoredIndexInvalidation:

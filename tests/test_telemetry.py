@@ -16,7 +16,7 @@ import pytest
 from repro.core.cli import main as cli_main
 from repro.core.database import Database
 from repro.core.results import ResultSet
-from repro.engine.evaluator import DirectEvaluator, DirectStats
+from repro.engine.evaluator import DirectEvaluator
 from repro.errors import EvaluationError
 from repro.telemetry import (
     MODES,
@@ -28,6 +28,8 @@ from repro.telemetry import (
     gauge,
     timer,
 )
+
+from .driver_probe import observe
 
 CATALOG = """
 <catalog>
@@ -358,10 +360,9 @@ class TestCountFastPath:
 
     def test_evaluator_count_skips_materialization(self, db):
         evaluator = DirectEvaluator(db.tree)
-        stats = DirectStats()
-        total = evaluator.count('cd[title["piano"]]', stats=stats)
+        total, counters, _ = observe(evaluator, 'cd[title["piano"]]', method="count")
         assert total == len(evaluator.evaluate('cd[title["piano"]]'))
-        assert stats.results_total == total
+        assert counters["direct.results_total"] == total
 
     def test_count_respects_max_cost(self, db):
         evaluator = DirectEvaluator(db.tree)
