@@ -10,8 +10,8 @@ This is the public entry point a downstream user adopts::
 
 Both of the paper's algorithms are available per query (``method="direct"``
 or ``"schema"``); the default ``"auto"`` chooses through the cost-based
-planner (:mod:`repro.planner`): selectivity estimates over persisted
-collection statistics score direct vs schema-driven evaluation per query,
+planner (:mod:`repro.planner`): selectivity estimates over collection
+statistics score direct vs schema-driven evaluation per query,
 falling out of the paper's conclusion — schema-driven for best-n, direct
 for full retrieval — wherever the statistics agree with it.
 :meth:`Database.plan` exposes that decision without
@@ -46,7 +46,7 @@ from ..approxql.ast import NameSelector
 from ..approxql.costs import CostModel
 from ..engine.evaluator import DirectEvaluator
 from ..errors import EvaluationError
-from ..planner.stats import CollectionStats, compute_stats
+from ..planner.stats import CollectionStats
 from ..querycache import CompiledQuery, DriverState
 from ..schema.dataguide import (
     Schema,
@@ -55,15 +55,9 @@ from ..schema.dataguide import (
     update_schema_for_insert,
 )
 from ..schema.evaluator import SchemaEvaluator
-from ..schema.indexes import StoredSecondaryIndex
 from ..storage.kv import MemoryStore, Store
 from ..storage.overlay import SnapshotOverlay, using_overlay
-from ..storage.statcodec import (
-    load_planner_state,
-    load_stats,
-    save_planner_state,
-    save_stats,
-)
+from ..storage.statcodec import load_planner_state, save_planner_state
 from ..telemetry import collector as _telemetry
 from ..telemetry.collector import MODE_OFF, MODE_TIMINGS, Telemetry
 from ..telemetry.report import QueryReport
@@ -114,7 +108,6 @@ class _EngineState:
         "documents",
         "schema",
         "node_indexes",
-        "secondary",
         "direct",
         "schema_evaluator",
         "stats",
@@ -127,7 +120,6 @@ class _EngineState:
         tree: DataTree,
         schema: "Schema | None" = None,
         node_indexes: "NodeIndexes | None" = None,
-        secondary: "StoredSecondaryIndex | None" = None,
         direct: "DirectEvaluator | None" = None,
         schema_evaluator: "SchemaEvaluator | None" = None,
         stats: "CollectionStats | None" = None,
@@ -138,7 +130,6 @@ class _EngineState:
         self.documents: tuple[int, ...] = tuple(tree.document_roots())
         self.schema = schema
         self.node_indexes = node_indexes
-        self.secondary = secondary
         self.direct = direct
         self.schema_evaluator = schema_evaluator
         self.stats = stats
@@ -176,20 +167,18 @@ class _EngineState:
             schema = self.ensure_schema()
             with self._lock:
                 if self.schema_evaluator is None:
-                    self.schema_evaluator = SchemaEvaluator(
-                        self.tree, schema, secondary_index=self.secondary
-                    )
+                    self.schema_evaluator = SchemaEvaluator(self.tree, schema)
         return self.schema_evaluator
 
     def ensure_stats(self) -> CollectionStats:
-        """The planner statistics of *this* generation (computed lazily
-        for a fresh in-memory build, preloaded from the stats segment
-        for an opened store, maintained incrementally by mutations)."""
+        """The planner statistics of *this* generation (read off the
+        schema on first use by a built or opened handle, maintained
+        incrementally by mutations)."""
         if self.stats is None:
             schema = self.ensure_schema()
             with self._lock:
                 if self.stats is None:
-                    self.stats = compute_stats(
+                    self.stats = CollectionStats.from_schema(
                         self.tree, schema, generation=self.generation
                     )
         return self.stats
@@ -281,9 +270,9 @@ class _PinnedView:
         if "direct" in methods:
             state.direct_evaluator()
         if "schema" in methods:
-            schema = state.schema_eval().schema
-            if schema is not None:
-                schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
+            state.schema_eval().schema.encode_costs(
+                costs.insert_cost, fingerprint=costs.insert_fingerprint
+            )
 
     # -- the reads that neither plan nor cache --------------------------
 
@@ -589,7 +578,10 @@ class Database:
         durability: "str | None" = None,
         wal_checkpoint_bytes: "int | None" = None,
     ) -> None:
-        """Persist the tree and every index into a single-file store.
+        """Persist the tree and its node indexes (``I_struct`` /
+        ``I_text``) into a single-file store.  The schema — and with it
+        ``I_sec`` and the planner statistics — is not stored: it is a
+        function of the tree, rebuilt by :meth:`open`.
 
         Everything is staged in memory first and bulk-loaded into the
         B+tree in one sorted pass — the fast path for building read-mostly
@@ -616,16 +608,9 @@ class Database:
             costs = self._pipeline.default_costs
             tree = compact_tree(state.tree)
             tree.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
-            if tree is state.tree:
-                schema = state.ensure_schema()
-            else:
-                schema = build_schema(tree)
-            schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
             staging = MemoryStore()
             save_tree(tree, staging, costs)
             StoredNodeIndexes.build(tree, staging)
-            StoredSecondaryIndex.build(schema, staging)
-            save_stats(staging, compute_stats(tree, schema, generation=0))
             planner = self._pipeline.planner
             if planner.corrections:
                 save_planner_state(staging, planner.correction, planner.corrections)
@@ -647,7 +632,9 @@ class Database:
         compiled_cache_entries: "int | None" = None,
         result_cache_entries: "int | None" = None,
     ) -> "Database":
-        """Open a saved database; posting fetches go to the file store.
+        """Open a saved database; node-posting fetches go to the file
+        store, second-level queries to the schema rebuilt from the
+        loaded tree.
 
         The one entry point for stored databases.  A missing, empty, or
         non-database file raises a typed
@@ -706,29 +693,17 @@ class Database:
         posting_cache = PostingCache(cache_bytes) if cache_bytes else None
         tree, insert_costs, fingerprint = load_tree(store)
         node_indexes = StoredNodeIndexes(store, posting_cache)
-        secondary = StoredSecondaryIndex(store, posting_cache)
         schema = build_schema(tree)
         schema.encode_costs(insert_costs.insert_cost, fingerprint=insert_costs.insert_fingerprint)
         database = cls(tree, default_costs=insert_costs)
         database._pipeline.frozen_fingerprint = fingerprint
-        # Trust the persisted stats segment only when its node counts
-        # match the loaded tree (a mismatched segment means it went
-        # stale somehow — recompute lazily instead of planning on it).
-        stats = load_stats(store)
-        if stats is not None and not (
-            stats.node_count == len(tree)
-            and stats.live_node_count == tree.live_node_count
-        ):
-            stats = None
         database._state = _EngineState(
             0,
             tree,
             schema=schema,
             node_indexes=node_indexes,
-            secondary=secondary,
             direct=DirectEvaluator(tree, node_indexes),
-            schema_evaluator=SchemaEvaluator(tree, schema, secondary_index=secondary),
-            stats=stats.with_generation(0) if stats is not None else None,
+            schema_evaluator=SchemaEvaluator(tree, schema),
         )
         database._store = store
         database._store_options = options
@@ -952,7 +927,7 @@ class Database:
             new_root: "int | None" = None
             nodes_removed = 0
             schema = state.schema
-            delete_update = insert_update = None
+            classes_added = 0
             grafted = marked = False
             keys_rewritten = 0
             if stored:
@@ -963,13 +938,12 @@ class Database:
                     nodes_removed = tree.bounds[remove_root] - remove_root + 1
                     tree.mark_dead(remove_root)
                     marked = True
-                    delete_update = update_schema_for_delete(schema, tree, remove_root)
-                    schema = delete_update.schema
+                    schema = update_schema_for_delete(schema, tree, remove_root).schema
                 if document is not None:
                     new_root = tree.graft_document(document, costs.insert_cost)
                     grafted = True
-                    insert_update = update_schema_for_insert(schema, tree, start)
-                    schema = insert_update.schema
+                    update = update_schema_for_insert(schema, tree, start)
+                    schema, classes_added = update.schema, update.classes_added
                 added = range(start, len(tree)) if document is not None else None
                 removed = (
                     (remove_root, tree.bounds[remove_root])
@@ -988,20 +962,10 @@ class Database:
                         stored_posting(tree, added)
                     mutator = StoreMutator(self._store, self._preserve)
                     mutator.update_node_postings(tree, added=added, removed=removed)
-                    if delete_update is not None:
-                        mutator.update_secondary(state.schema, delete_update)
-                    if insert_update is not None:
-                        base = (
-                            delete_update.schema
-                            if delete_update is not None
-                            else state.schema
-                        )
-                        mutator.update_secondary(base, insert_update)
                     if added is not None:
                         append_tree_segment(tree, self._store, start)
                     if removed is not None:
                         save_dead_roots(tree, self._store)
-                    mutator.update_stats(new_stats)
                     planner = self._pipeline.planner
                     if planner.corrections:
                         # learned corrections ride the same commit frame
@@ -1015,12 +979,10 @@ class Database:
                         costs.insert_cost, fingerprint=costs.insert_fingerprint
                     )
                     node_indexes: NodeIndexes = state.node_indexes
-                    secondary = state.secondary
                 else:
                     node_indexes = MemoryNodeIndexes.evolve(
                         state.node_indexes, tree, added=added, removed=removed
                     )
-                    secondary = None
             except BaseException:
                 if stored:
                     # The store may hold uncommitted half-writes in btree
@@ -1040,11 +1002,8 @@ class Database:
                 tree,
                 schema=schema,
                 node_indexes=node_indexes,
-                secondary=secondary,
                 direct=DirectEvaluator(tree, node_indexes),
-                schema_evaluator=SchemaEvaluator(
-                    tree, schema, secondary_index=secondary
-                ),
+                schema_evaluator=SchemaEvaluator(tree, schema),
                 stats=new_stats,
             )
             with self._overlay_lock:
@@ -1063,8 +1022,7 @@ class Database:
                 removed_root=remove_root,
                 nodes_added=nodes_added,
                 nodes_removed=nodes_removed,
-                classes_added=insert_update.classes_added if insert_update else 0,
-                schema_renumbered=bool(insert_update and insert_update.renumbered),
+                classes_added=classes_added,
                 keys_rewritten=keys_rewritten,
                 wall_seconds=time.perf_counter() - started,
             )

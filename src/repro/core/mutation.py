@@ -7,18 +7,19 @@ store-side half of the work: given the tree/schema deltas computed by
 :meth:`~repro.xmltree.model.DataTree.graft_document` and
 :func:`~repro.schema.dataguide.update_schema_for_insert` /
 ``update_schema_for_delete``, it rewrites exactly the touched keys of the
-three stored indexes —
+stored structures —
 
-* ``I_struct`` / ``I_text`` node postings (one key per mutated label),
-* ``I_sec`` instance postings (one key per touched class, or per touched
-  term of a text class; a renumbering schema rebuild additionally moves
-  every key whose class id changed),
+* ``I_struct`` / ``I_text`` node postings (one key per mutated label, plus
+  the super-root's ``#root`` key, whose bound an insert grows),
 * the tree columns (an inserted document's slice as one
   :func:`~repro.core.persist.append_tree_segment`, a deleted document's
   root in the :func:`~repro.core.persist.save_dead_roots` list)
 
-— and nothing else.  Every rewrite first hands the key's *old decoded
-value* to the ``preserve`` callback, which the database fans out to the
+— and nothing else.  ``I_sec`` and the planner statistics are not
+stored: the schema every handle keeps in memory holds the instance
+postings, and the statistics are read off it.  Every rewrite first
+hands the key's *old decoded value* to the ``preserve`` callback, which
+the database fans out to the
 snapshot overlays of pinned readers (see :mod:`repro.storage.overlay`):
 the writer pays the copy, readers stay wait-free.
 
@@ -34,20 +35,19 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import KeyNotFoundError
-from ..schema.dataguide import Schema, SchemaUpdate
-from ..schema.indexes import SEC_NAMESPACE, _sec_key
 from ..storage.kv import Namespace, Store
 from ..storage.postings import (
-    InstanceColumns,
     PostingColumns,
-    decode_instance_posting_columns,
     decode_node_posting_columns,
-    encode_instance_postings,
     encode_node_postings,
 )
 from ..telemetry import collector as _telemetry
 from ..xmltree.indexes import STRUCT_NAMESPACE, TEXT_NAMESPACE, stored_posting
-from ..xmltree.model import DataTree
+from ..xmltree.model import ROOT_LABEL, DataTree, NodeType
+
+#: the ``I_struct`` key of the super-root, the one node whose bound a
+#: graft moves
+_SUPER_ROOT = (NodeType.STRUCT, ROOT_LABEL)
 
 #: ``preserve(namespace_tag, key, old_decoded_value)`` — called before
 #: every store write/delete with the value the key decoded to beforehand
@@ -73,9 +73,14 @@ class MutationReport:
     nodes_added: int = 0
     nodes_removed: int = 0
     classes_added: int = 0
-    schema_renumbered: bool = False
     keys_rewritten: int = 0
     wall_seconds: float = 0.0
+
+    @property
+    def schema_renumbered(self) -> bool:
+        """Whether the mutation added classes: the schema was then
+        rebuilt, which may renumber it."""
+        return self.classes_added > 0
 
     def format(self) -> str:
         """One-line rendering for the CLI's mutation commands."""
@@ -125,12 +130,15 @@ class StoreMutator:
         ``added`` is the grafted pre range, ``removed`` the tombstoned
         ``(root, bound)`` interval.  Removal filters the interval out of
         each affected posting; addition appends the new entries — grafted
-        pres are the highest, so the postings stay pre-sorted.
+        pres are the highest, so the postings stay pre-sorted — and
+        rewrites the super-root's one-row posting with its grown bound.
         """
         gained: dict[tuple[int, str], list[int]] = {}
         for pre in added or ():
             gained.setdefault((tree.types[pre], tree.labels[pre]), []).append(pre)
         affected = set(gained)
+        if added is not None:
+            affected.add(_SUPER_ROOT)
         if removed is not None:
             span = slice(removed[0], removed[1] + 1)
             affected.update(zip(tree.types[span], tree.labels[span]))
@@ -141,8 +149,10 @@ class StoreMutator:
         for node_type, label in sorted(affected):
             namespace, tag = namespaces[node_type]
             key = label.encode("utf-8")
-            posting = _old_posting(namespace, key, decode_node_posting_columns, PostingColumns)
+            posting = _old_posting(namespace, key)
             self._preserve(tag, key, posting)
+            if (node_type, label) == _SUPER_ROOT:
+                posting = stored_posting(tree, [0])
             if removed is not None:
                 posting = posting.without(*removed)
             if (node_type, label) in gained:
@@ -152,75 +162,8 @@ class StoreMutator:
             )
 
     # ------------------------------------------------------------------
-    # I_sec
-    # ------------------------------------------------------------------
-
-    def update_secondary(self, old_schema: Schema, update: SchemaUpdate) -> None:
-        """Rewrite the ``I_sec`` keys a schema update touched.
-
-        When the update renumbered the schema, the keys of every moved
-        class are dropped first (preserving their old values), then the
-        touched classes' postings land under their new ids — so a swap of
-        two ids cannot interleave a stale value between the phases.
-        """
-        namespace = Namespace(self._store, SEC_NAMESPACE)
-        if update.renumbered:
-            assert update.remap is not None
-            for old_id, new_id in sorted(update.remap.items()):
-                if old_id == new_id:
-                    continue
-                if old_schema.is_text_class(old_id):
-                    for term in sorted(old_schema.term_instances.get(old_id, ())):
-                        self._drop(namespace, _sec_key(old_id, term))
-                else:
-                    self._drop(namespace, _sec_key(old_id, old_schema.labels[old_id]))
-        schema = update.schema
-        for node in sorted(update.touched):
-            posting = schema.instances[node]
-            self._rewrite_sec(namespace, _sec_key(node, schema.labels[node]), posting)
-        for node in sorted(update.touched_terms):
-            by_term = schema.term_instances.get(node, {})
-            for term in sorted(update.touched_terms[node]):
-                self._rewrite_sec(namespace, _sec_key(node, term), by_term.get(term, []))
-
-    # ------------------------------------------------------------------
-    # planner statistics
-    # ------------------------------------------------------------------
-
-    def update_stats(self, stats) -> None:
-        """Persist the mutated generation's planner statistics segment
-        (see :mod:`repro.storage.statcodec`).
-
-        Rides the same commit frame as the index rewrites — the caller's
-        single ``store.commit()`` makes tree, indexes, and statistics
-        land or roll back together, so the segment is never half a
-        generation ahead of the postings it describes.  No ``preserve``
-        call: snapshot overlays never read statistics (each pinned
-        engine state carries its own in-memory copy)."""
-        from ..storage.statcodec import STATS_KEY, STATS_NAMESPACE, encode_stats
-
-        Namespace(self._store, STATS_NAMESPACE).put(STATS_KEY, encode_stats(stats))
-
-    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _rewrite_sec(self, namespace: Namespace, key: bytes, posting: list) -> None:
-        self._preserve(SEC_NAMESPACE, key, _old_sec_posting(namespace, key))
-        self._write_or_delete(
-            namespace, key, encode_instance_postings(posting) if posting else None
-        )
-
-    def _drop(self, namespace: Namespace, key: bytes) -> None:
-        """Preserve-then-delete a stale key (missing keys are a no-op)."""
-        old = _old_sec_posting(namespace, key)
-        self._preserve(SEC_NAMESPACE, key, old)
-        try:
-            namespace.delete(key)
-        except KeyNotFoundError:
-            return
-        self.keys_rewritten += 1
-        _telemetry.count("mutation.keys_rewritten")
 
     def _write_or_delete(
         self, namespace: Namespace, key: bytes, encoded: "bytes | None"
@@ -236,16 +179,12 @@ class StoreMutator:
         _telemetry.count("mutation.keys_rewritten")
 
 
-def _old_posting(namespace: Namespace, key: bytes, decode, empty):
+def _old_posting(namespace: Namespace, key: bytes) -> PostingColumns:
     """The columns ``key`` decodes to now (zero rows when it is absent)."""
     try:
-        return decode(namespace.get(key))
+        return decode_node_posting_columns(namespace.get(key))
     except KeyNotFoundError:
-        return empty.from_rows([])
-
-
-def _old_sec_posting(namespace: Namespace, key: bytes) -> InstanceColumns:
-    return _old_posting(namespace, key, decode_instance_posting_columns, InstanceColumns)
+        return PostingColumns.from_rows([])
 
 
 __all__ = ["MutationReport", "PreserveFn", "StoreMutator"]

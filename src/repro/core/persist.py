@@ -1,14 +1,19 @@
-"""Persistence of a built database (tree + indexes) in the storage engine.
+"""Persistence of a built database (tree + node indexes) in the storage
+engine.
 
-``save`` writes the normalized data tree and all posting structures into
-one file store: the tree's columns, ``I_struct``/``I_text`` node
-postings, and the path-dependent ``I_sec`` postings.  ``load`` restores
-the tree into memory (results need it for rendering), deterministically
-re-derives the schema object — ``build_schema`` is a pure function of the
-tree, so the schema preorder numbers match the stored ``I_sec`` keys —
-and wires the evaluators to the *stored* posting indexes, so query
-evaluation fetches postings from disk exactly like the paper's
-Berkeley-DB-backed implementation.
+``save`` writes the normalized data tree and its node postings into one
+file store: the tree's columns and the ``I_struct``/``I_text`` node
+postings.  ``load`` restores the tree into memory (results need it for
+rendering); the opener then re-derives the schema — ``build_schema`` is
+a pure function of the tree — whose instance columns serve ``I_sec``
+and the planner statistics, and wires the direct evaluator to the
+*stored* node indexes, so it fetches postings from disk exactly like
+the paper's Berkeley-DB-backed implementation.
+
+Format version 2 stores no ``I_sec`` postings and no statistics segment.
+A version-1 store is refused with a typed error rather than migrated:
+code that predates version 2 would answer schema-driven queries from the
+missing ``I_sec`` keys with nothing.
 
 Document mutation extends the layout without a format bump: an inserted
 document's columns land as one *tree segment* under a ``seg<start>`` key
@@ -42,7 +47,7 @@ from ..xmltree.validate import validate_columns
 
 META_NAMESPACE = b"meta"
 TREE_NAMESPACE = b"tree"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _LABEL_SEPARATOR = "\x00"
 _SEGMENT_PREFIX = b"seg"
 _LENGTH_FMT = "<I"

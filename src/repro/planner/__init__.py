@@ -2,8 +2,8 @@
 
 ``repro.planner`` decides, per query, which of the paper's two
 algorithms to run — replacing the static best-n/full-retrieval rule
-with selectivity estimates over persisted collection statistics.  See
-``docs/PLANNER.md`` for the full story.
+with selectivity estimates over collection statistics read off the
+schema.  See ``docs/PLANNER.md`` for the full story.
 """
 
 from .cost import (
@@ -14,7 +14,7 @@ from .cost import (
     PlanEstimates,
     Planner,
 )
-from .stats import CollectionStats, compute_stats, merge_stats
+from .stats import CollectionStats, merge_stats
 
 __all__ = [
     "CollectionStats",
@@ -24,6 +24,5 @@ __all__ = [
     "PlanEstimates",
     "Planner",
     "SCHEMA_BASE_COST",
-    "compute_stats",
     "merge_stats",
 ]

@@ -8,14 +8,15 @@ by label), DataGuide size and fan-out (the schema-side *s_s* of Section
 else.  The planner (:mod:`repro.planner.cost`) turns them into
 direct-vs-schema cost estimates per query.
 
-Statistics are computed once per generation — at build time
-(:func:`compute_stats`), incrementally on every document mutation
-(:meth:`CollectionStats.apply_mutation`), and additively across shards
-(:func:`merge_stats`) — and persisted in the store as their own segment
-(:mod:`repro.storage.statcodec`), so opening a database never pays the
-collection walk again.  Generation bumps invalidate them exactly like
-the posting cache: every :class:`~repro.core.database._EngineState`
-carries the stats of *its* generation and never a newer one.
+Statistics are computed once per generation — read off the schema the
+first time a built or opened handle plans
+(:meth:`CollectionStats.from_schema`: every number is a sum over its
+instance columns, so no collection walk), incrementally on every
+document mutation (:meth:`CollectionStats.apply_mutation`), and
+additively across shards (:func:`merge_stats`).  They are not stored.
+Generation bumps invalidate them exactly like the posting cache: every
+:class:`~repro.core.database._EngineState` carries the stats of *its*
+generation and never a newer one.
 
 This module is descriptive-statistics-free on purpose: the existing
 :mod:`repro.xmltree.stats` answers "what regime is this workload in"
@@ -26,14 +27,10 @@ maintainable quantities.
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..schema.dataguide import Schema
 from ..xmltree.model import ROOT_LABEL, DataTree, NodeType
-
-#: stats format version, bumped on any field-layout change
-STATS_VERSION = 1
 
 
 @dataclass
@@ -68,14 +65,51 @@ class CollectionStats:
         sizes = self.struct_sizes if node_type == NodeType.STRUCT else self.text_sizes
         return sizes.get(label, 0)
 
-    def with_generation(self, generation: int) -> "CollectionStats":
-        """A copy re-stamped for ``generation`` (used when loading a
-        persisted segment into a fresh generation-0 state)."""
-        return replace(self, generation=generation)
+    # ------------------------------------------------------------------
+    # construction and incremental maintenance
+    # ------------------------------------------------------------------
 
-    # ------------------------------------------------------------------
-    # incremental maintenance
-    # ------------------------------------------------------------------
+    @classmethod
+    def from_schema(
+        cls, tree: DataTree, schema: Schema, generation: int = 0
+    ) -> "CollectionStats":
+        """The statistics of a collection, read off its schema in one
+        pass over the classes: a label's posting length is the summed
+        instance count of its struct classes, a term's the summed run
+        lengths of the text classes containing it, and a depth's node
+        count the summed instance counts of the classes at that depth.
+        Only live nodes are instances, so only they are counted."""
+        struct_sizes: dict[str, int] = {}
+        text_sizes: dict[str, int] = {}
+        histogram: dict[int, int] = {}
+        depths = [0] * len(schema)
+        for node in range(1, len(schema)):  # preorder: parents come first
+            depths[node] = depths[schema.parents[node]] + 1
+        for node in range(len(schema)):
+            count = schema.instance_count(node)
+            if not count:
+                continue
+            _bump(histogram, depths[node], count)
+            terms = schema.term_instances.get(node)
+            if terms is None:
+                _bump(struct_sizes, schema.labels[node], count)
+                continue
+            offsets = terms.offsets
+            for index, term in enumerate(terms.terms):
+                _bump(text_sizes, term, offsets[index + 1] - offsets[index])
+        classes, fanout = _schema_shape(schema)
+        return cls(
+            generation=generation,
+            node_count=len(tree),
+            live_node_count=tree.live_node_count,
+            document_count=len(tree.document_roots()),
+            max_depth=max(histogram, default=0),
+            schema_classes=classes,
+            schema_max_fanout=fanout,
+            depth_histogram=histogram,
+            struct_sizes=struct_sizes,
+            text_sizes=text_sizes,
+        )
 
     def apply_mutation(
         self,
@@ -92,8 +126,9 @@ class CollectionStats:
         ``(root, bound)`` interval — the same deltas the index
         maintenance consumes; the tombstoned nodes' columns are still in
         the arrays, so both directions read labels and depths directly.
-        The result must equal :func:`compute_stats` on the mutated tree
-        (the round-trip property tests pin this).
+        The result must equal :meth:`from_schema` on the mutated schema
+        (the round-trip property tests pin this); at a fraction of a
+        millisecond it is far cheaper than re-reading every class.
         """
         struct_sizes = dict(self.struct_sizes)
         text_sizes = dict(self.text_sizes)
@@ -125,45 +160,6 @@ class CollectionStats:
             struct_sizes=struct_sizes,
             text_sizes=text_sizes,
         )
-
-
-def compute_stats(
-    tree: DataTree, schema: "Schema | None" = None, generation: int = 0
-) -> CollectionStats:
-    """Measure a collection from scratch — one pass over the live nodes.
-
-    ``schema`` fills the DataGuide-shape fields when given; passing
-    ``None`` leaves them 0 (the planner treats them as observability
-    data, never decision inputs, so a schema-less computation is still
-    decision-complete).
-    """
-    struct_sizes: dict[str, int] = {}
-    text_sizes: dict[str, int] = {}
-    histogram: dict[int, int] = {}
-    depths = array("q", bytes(8 * len(tree)))
-    live = tree.live_flags() if tree.dead_roots else None
-    for pre in tree.iter_nodes():
-        parent = tree.parents[pre]
-        if parent >= 0:
-            depths[pre] = depths[parent] + 1
-        if live is not None and not live[pre]:
-            continue
-        _bump(_sizes_for(tree.types[pre], struct_sizes, text_sizes),
-              tree.labels[pre], 1)
-        _bump(histogram, depths[pre], 1)
-    classes, fanout = _schema_shape(schema) if schema is not None else (0, 0)
-    return CollectionStats(
-        generation=generation,
-        node_count=len(tree),
-        live_node_count=tree.live_node_count,
-        document_count=len(tree.document_roots()),
-        max_depth=max(histogram, default=0),
-        schema_classes=classes,
-        schema_max_fanout=fanout,
-        depth_histogram=histogram,
-        struct_sizes=struct_sizes,
-        text_sizes=text_sizes,
-    )
 
 
 def merge_stats(
@@ -242,4 +238,4 @@ def _schema_shape(schema: Schema) -> tuple[int, int]:
     return len(schema), max(children, default=0)
 
 
-__all__ = ["STATS_VERSION", "CollectionStats", "compute_stats", "merge_stats"]
+__all__ = ["CollectionStats", "merge_stats"]

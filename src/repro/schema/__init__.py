@@ -17,12 +17,7 @@ from .evaluator import (
     SchemaEvaluator,
     SchemaResult,
 )
-from .indexes import (
-    MemorySecondaryIndex,
-    SchemaNodeIndexes,
-    SecondaryIndex,
-    StoredSecondaryIndex,
-)
+from .indexes import MemorySecondaryIndex, SchemaNodeIndexes
 from .primary_k import PrimaryKEvaluator
 from .secondary import SecondaryExecutor, semi_join
 from .topk_ops import (
@@ -49,8 +44,6 @@ __all__ = [
     "SchemaResult",
     "SchemaUpdate",
     "SecondaryExecutor",
-    "SecondaryIndex",
-    "StoredSecondaryIndex",
     "TEXT_CLASS_LABEL",
     "TopKList",
     "add_edge_k",

@@ -7,7 +7,9 @@ single text-class node, and text labels live only in the indexes.
 
 Every data node belongs to exactly one schema node — its *class*
 (Definition 15).  The schema records, per schema node, the instance
-posting: the ``(pre, bound)`` pairs of its instances in data preorder.
+posting: the ``(pre, bound)`` pairs of its instances in data preorder
+(for a text class, split by word).  These columns are ``I_sec`` on
+every handle, stored databases included.
 Because classes preserve ancestor paths, the distance between two schema
 nodes equals the distance between any ancestor-descendant pair of their
 instances — the property the whole second-level query machinery rests on.
@@ -18,7 +20,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import SchemaError
 from ..storage.postings import InstanceColumns, TermColumns
@@ -27,15 +29,19 @@ from ..xmltree.model import DataTree, NodeType
 #: Pseudo-label of compacted text-class nodes (never a real element name).
 TEXT_CLASS_LABEL = "#text"
 
+#: the :attr:`Schema.instances` entry of every text class (shared, immutable)
+_NO_INSTANCES = InstanceColumns(array("q"), array("q"))
+
 
 class Schema:
     """Columnar schema tree with the Section 6.2 encoding.
 
     Node ids are schema preorder numbers.  Struct classes carry their
-    element label; text classes carry :data:`TEXT_CLASS_LABEL` and keep
-    the per-term instance split in
-    :attr:`term_instances` (term -> instances of the class whose word is
-    the term), which backs both the schema text index and ``I_sec``.
+    element label and their instances in :attr:`instances`; text classes
+    carry :data:`TEXT_CLASS_LABEL` and keep their instances only in the
+    per-term split :attr:`term_instances` (term -> instances of the class
+    whose word is the term), which backs both the schema text index and
+    ``I_sec``.  Every instance is held once.
 
     The class tree itself is small (lists, one entry per class); what
     grows with the data — :attr:`class_of`, :attr:`instances`,
@@ -50,7 +56,8 @@ class Schema:
         self.bounds: list[int] = []
         self.inscosts: list[float] = []
         self.pathcosts: list[float] = []
-        #: per schema node: instance posting (pre, bound) in data preorder
+        #: per struct class: instance posting (pre, bound) in data
+        #: preorder; text classes hold a shared empty posting here
         self.instances: list[InstanceColumns] = []
         #: per text-class schema node: term -> (pre, bound) posting
         self.term_instances: dict[int, TermColumns] = {}
@@ -83,8 +90,9 @@ class Schema:
         return self.class_of[data_pre]
 
     def instance_count(self, node: int) -> int:
-        """Number of data nodes whose class is ``node``."""
-        return len(self.instances[node])
+        """Number of (live) data nodes whose class is ``node``."""
+        terms = self.term_instances.get(node)
+        return len(self.instances[node]) if terms is None else len(terms.pre)
 
     def label_type_path(self, node: int) -> tuple[tuple[str, NodeType], ...]:
         """The label-type path identifying this schema node."""
@@ -115,7 +123,7 @@ class Schema:
                 terms = f" terms={len(self.term_instances[node])}"
             lines.append(
                 f"{'  ' * depth}{self.labels[node]} [{kind} pre={node} "
-                f"instances={len(self.instances[node])}{terms}]"
+                f"instances={self.instance_count(node)}{terms}]"
             )
             if depth < max_depth:
                 for child in self._children[node]:
@@ -251,10 +259,13 @@ def build_schema(tree: DataTree) -> Schema:
             column = pres[schema_node]
             del column[bisect_left(column, root) : bisect_right(column, bound)]
     for schema_node, column in enumerate(pres):
-        schema.instances.append(
-            InstanceColumns(column, array("q", map(tree.bounds.__getitem__, column)))
-        )
-        if column and schema.is_text_class(schema_node):
+        if not schema.is_text_class(schema_node):
+            schema.instances.append(
+                InstanceColumns(column, array("q", map(tree.bounds.__getitem__, column)))
+            )
+            continue
+        schema.instances.append(_NO_INSTANCES)
+        if column:
             schema.term_instances[schema_node] = TermColumns.from_pres(
                 _pres_by_term(tree, column), tree.bounds
             )
@@ -284,26 +295,13 @@ class SchemaUpdate:
 
     ``schema`` is a *new* object: shared (copy-on-write) with the old
     schema wherever possible so readers pinned to the old schema keep a
-    consistent view.  ``touched`` names the struct classes whose instance
-    posting changed, ``touched_terms`` the per-term changes of text
-    classes — together they are exactly the ``I_sec`` keys a stored
-    database must rewrite.  When the mutation introduced new classes the
-    whole schema is rebuilt and renumbered: ``remap`` then carries the
-    old-id to new-id mapping so stale ``I_sec`` keys can be moved.
+    consistent view.  When the mutation introduced new classes
+    (``classes_added > 0``) the whole schema was rebuilt, which may have
+    renumbered it.
     """
 
     schema: Schema
-    #: struct classes (new-schema ids) whose instance posting changed
-    touched: set[int] = field(default_factory=set)
-    #: text classes (new-schema ids) -> terms whose posting changed
-    touched_terms: dict[int, set[str]] = field(default_factory=dict)
-    #: old schema id -> new schema id; ``None`` unless renumbered
-    remap: "dict[int, int] | None" = None
     classes_added: int = 0
-
-    @property
-    def renumbered(self) -> bool:
-        return self.remap is not None
 
 
 def _cow_schema(old: Schema) -> Schema:
@@ -334,19 +332,14 @@ def _cow_schema(old: Schema) -> Schema:
     return new
 
 
-def _path_to_id(schema: Schema) -> dict[tuple, int]:
-    """Label-type path -> schema id (paths are unique by Definition 14)."""
-    return {schema.label_type_path(node): node for node in range(len(schema))}
-
-
 def update_schema_for_insert(old: Schema, tree: DataTree, start: int) -> SchemaUpdate:
     """Maintain ``old`` after ``tree`` grew by one document at ``start``.
 
     Fast path (no new label-type paths): a copy-on-write schema whose
     touched classes get the new instance pairs appended — existing class
-    ids, bounds, and untouched postings are shared with ``old``.  Slow
-    path (a new class appeared): rebuild from the full tree, which may
-    renumber classes; the update then carries the id remapping.
+    ids, bounds, and untouched postings are shared with ``old`` — and
+    whose super-root row takes the grown bound.  Slow path (a new class
+    appeared): rebuild from the full tree, which may renumber classes.
     """
     # child-key lookup over the existing classes, as in discovery pass 1
     child_key_map: dict[tuple[int, str, NodeType], int] = {}
@@ -365,28 +358,27 @@ def update_schema_for_insert(old: Schema, tree: DataTree, start: int) -> SchemaU
             key = (parent_class, tree.labels[pre], NodeType.STRUCT)
         node = child_key_map.get(key)
         if node is None:
-            return _rebuild_update(old, tree, start)
+            schema = build_schema(tree)
+            return SchemaUpdate(schema, classes_added=len(schema) - len(old))
         new_class_of.append(node)
 
-    update = SchemaUpdate(schema=_cow_schema(old))
-    schema = update.schema
+    schema = _cow_schema(old)
     schema.class_of[start:] = array("q", new_class_of)
+    # the graft grew the super-root's bound
+    schema.instances[0] = InstanceColumns(array("q", [0]), array("q", [tree.bounds[0]]))
     gained: dict[int, list[int]] = {}
     for pre, node in enumerate(new_class_of, start):
         gained.setdefault(node, []).append(pre)
     for node, pres in gained.items():
-        schema.instances[node] = schema.instances[node].extended(
-            InstanceColumns(array("q", pres), array("q", map(tree.bounds.__getitem__, pres)))
-        )
         if schema.is_text_class(node):
-            added = _pres_by_term(tree, pres)
             schema.term_instances[node] = schema.term_instances.get(
                 node, TermColumns()
-            ).edited(tree.bounds, added)
-            update.touched_terms[node] = set(added)
+            ).edited(tree.bounds, _pres_by_term(tree, pres))
         else:
-            update.touched.add(node)
-    return update
+            schema.instances[node] = schema.instances[node].extended(
+                InstanceColumns(array("q", pres), array("q", map(tree.bounds.__getitem__, pres)))
+            )
+    return SchemaUpdate(schema)
 
 
 def update_schema_for_delete(old: Schema, tree: DataTree, root: int) -> SchemaUpdate:
@@ -397,49 +389,19 @@ def update_schema_for_delete(old: Schema, tree: DataTree, root: int) -> SchemaUp
     touched classes' postings are filtered copy-on-write.
     """
     bound = tree.bounds[root]
-    update = SchemaUpdate(schema=_cow_schema(old))
-    schema = update.schema
+    schema = _cow_schema(old)
+    touched: set[int] = set()
+    touched_terms: dict[int, set[str]] = {}
     for pre in range(root, bound + 1):
         node = schema.class_of[pre]
         if tree.types[pre] == NodeType.TEXT:
-            update.touched_terms.setdefault(node, set()).add(tree.labels[pre])
+            touched_terms.setdefault(node, set()).add(tree.labels[pre])
         else:
-            update.touched.add(node)
-    for node in update.touched | update.touched_terms.keys():
+            touched.add(node)
+    for node in touched:
         schema.instances[node] = schema.instances[node].without(root, bound)
-    for node, terms in update.touched_terms.items():
+    for node, terms in touched_terms.items():
         schema.term_instances[node] = schema.term_instances[node].edited(
             tree.bounds, {}, dropped=(root, bound), touched=terms
         )
-    return update
-
-
-def _rebuild_update(old: Schema, tree: DataTree, start: int) -> SchemaUpdate:
-    """Full rebuild fallback for inserts that add classes.
-
-    The rebuilt schema may renumber every class; the remapping (old id ->
-    new id, total on the old ids because classes never disappear) lets the
-    stored-index layer move exactly the ``I_sec`` keys whose id changed.
-    Touched classes are the moved and brand-new ones plus every class
-    that gained an instance from the grafted document.
-    """
-    schema = build_schema(tree)
-    new_ids = _path_to_id(schema)
-    remap = {node: new_ids[old.label_type_path(node)] for node in range(len(old))}
-    update = SchemaUpdate(
-        schema=schema, remap=remap, classes_added=len(schema) - len(old)
-    )
-    moved = {new for node, new in remap.items() if new != node}
-    fresh = set(range(len(schema))) - set(remap.values())
-    for node in moved | fresh:
-        if schema.is_text_class(node):
-            update.touched_terms[node] = set(schema.term_instances.get(node, ()))
-        else:
-            update.touched.add(node)
-    for pre in range(start, len(tree.labels)):
-        node = schema.class_of[pre]
-        if tree.types[pre] == NodeType.TEXT:
-            update.touched_terms.setdefault(node, set()).add(tree.labels[pre])
-        else:
-            update.touched.add(node)
-    return update
+    return SchemaUpdate(schema)

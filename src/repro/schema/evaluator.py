@@ -29,7 +29,7 @@ from ..telemetry import collector as _telemetry
 from ..xmltree.model import DataTree
 from .dataguide import Schema, build_schema
 from .entries import SchemaEntry  # noqa: F401 - part of SchemaResult's type
-from .indexes import MemorySecondaryIndex, SchemaNodeIndexes, SecondaryIndex
+from .indexes import MemorySecondaryIndex, SchemaNodeIndexes
 from .primary_k import PrimaryKEvaluator
 from .secondary import SecondaryExecutor
 from .topk_ops import sort_roots
@@ -83,9 +83,12 @@ class SchemaEvaluator:
     tree:
         The data tree.
     schema:
-        Prebuilt schema; derived from ``tree`` when omitted.
-    schema_indexes / secondary_index:
-        Prebuilt index structures; in-memory ones are derived on demand.
+        Prebuilt schema; derived from ``tree`` when omitted.  Its
+        instance columns serve ``I_sec`` (second-level queries) for
+        in-memory and stored databases alike.
+    schema_indexes:
+        Prebuilt schema label indexes; derived from ``schema`` when
+        omitted.
     """
 
     def __init__(
@@ -93,25 +96,19 @@ class SchemaEvaluator:
         tree: "DataTree | None",
         schema: "Schema | None" = None,
         schema_indexes: "SchemaNodeIndexes | None" = None,
-        secondary_index: "SecondaryIndex | None" = None,
     ) -> None:
-        self._tree = tree
-        if schema is None and (schema_indexes is None or secondary_index is None):
+        if schema is None:
             if tree is None:
-                raise EvaluationError(
-                    "SchemaEvaluator needs a tree or prebuilt schema indexes"
-                )
+                raise EvaluationError("SchemaEvaluator needs a tree or a prebuilt schema")
             schema = build_schema(tree)
         self._schema = schema
         self._indexes = (
             schema_indexes if schema_indexes is not None else SchemaNodeIndexes(schema)
         )
-        self._isec = (
-            secondary_index if secondary_index is not None else MemorySecondaryIndex(schema)
-        )
+        self._isec = MemorySecondaryIndex(schema)
 
     @property
-    def schema(self) -> "Schema | None":
+    def schema(self) -> Schema:
         return self._schema
 
     def evaluate(
@@ -191,9 +188,7 @@ class SchemaEvaluator:
             query = parse_query(query)
         if costs is None:
             costs = CostModel()
-        if self._schema is not None:
-            fingerprint = costs.insert_fingerprint
-            self._schema.encode_costs(costs.insert_cost, fingerprint=fingerprint)
+        self._schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
         if expanded is None:
             expanded = build_expanded(query, costs)
 
@@ -269,12 +264,9 @@ class SchemaEvaluator:
             if state_sink is not None:
                 state_sink(run.capture(k, delta))
 
-    def _root_instance_counts(self, root) -> "dict[int, int] | None":
+    def _root_instance_counts(self, root) -> "dict[int, int]":
         """Instance counts of every candidate root class (the data nodes
-        that could possibly be results).  ``None`` when no schema object
-        is available (stored-index mode)."""
-        if self._schema is None:
-            return None
+        that could possibly be results)."""
         labels = [root.label]
         labels.extend(label for label, _ in root.renamings)
         candidate_classes: set[int] = set()
@@ -305,14 +297,12 @@ class _BestN:
         self,
         n: "int | None",
         max_cost: "float | None",
-        instances_per_class: "dict[int, int] | None",
+        instances_per_class: "dict[int, int]",
     ) -> None:
         self.n = n
         self.max_cost = max_cost
         self.instances_per_class = instances_per_class
-        self.total_possible = (
-            sum(instances_per_class.values()) if instances_per_class is not None else None
-        )
+        self.total_possible = sum(instances_per_class.values())
         self.executed: set = set()
         self.found: dict[int, float] = {}
         self.found_per_class: dict[int, int] = {}
@@ -358,10 +348,7 @@ class _BestN:
             # and in all larger-k rounds that merely extend the prefix
             return _BEYOND_BOUND
         self.executed.add(entry.signature)
-        per_class = self.instances_per_class
-        if per_class is not None and self.found_per_class.get(
-            entry.pre, 0
-        ) >= per_class.get(entry.pre, 0):
+        if self.found_per_class.get(entry.pre, 0) >= self.instances_per_class.get(entry.pre, 0):
             # this root class is saturated: the skeleton can only
             # re-deliver known roots at equal or higher cost
             _telemetry.count("schema.saturation_skips")
@@ -388,7 +375,7 @@ class _BestN:
             if self.n is not None and self.emitted >= self.n:
                 self.finished = True
                 return
-            if self.total_possible is not None and self.emitted >= self.total_possible:
+            if self.emitted >= self.total_possible:
                 self.finished = True
                 self.drain()
                 return

@@ -11,28 +11,20 @@ node's preorder number concatenated with the query node's label,
 ``pre(u)#label(u)`` — to the sorted posting of the node's instances as
 ``(pre, bound)`` pairs.  For struct classes the label is redundant (one
 class, one label) but for compacted text classes it selects the instances
-whose word equals the label.
+whose word equals the label.  The index is a view of the schema's
+instance columns, not a stored structure: every handle builds the schema
+anyway, so a second (on-disk) copy of the same postings would only have
+to be kept in step with it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from ..errors import KeyNotFoundError
-from ..storage.cache import PostingCache
-from ..storage.kv import Namespace, Store
-from ..storage.overlay import MISSING, current_overlay
-from ..storage.postings import (
-    InstancePosting,
-    NodePosting,
-    decode_instance_posting_columns,
-    encode_instance_postings,
-)
+from ..storage.postings import InstancePosting, NodePosting
 from ..telemetry.collector import current as _telemetry_current
 from ..xmltree.model import NodeType
 from .dataguide import Schema
-
-SEC_NAMESPACE = b"Isec"
 
 
 class SchemaNodeIndexes:
@@ -111,21 +103,17 @@ class SchemaNodeIndexes:
         return len(table.get(label, ()))
 
 
-class SecondaryIndex:
-    """Interface of ``I_sec``: path-dependent instance postings."""
-
-    def fetch(self, schema_pre: int, label: str) -> list[InstancePosting]:
-        """Instances of the schema node under the ``pre#label`` key."""
-        raise NotImplementedError
-
-
-class MemorySecondaryIndex(SecondaryIndex):
-    """``I_sec`` reading straight from the schema's instance tables."""
+class MemorySecondaryIndex:
+    """``I_sec`` reading straight from the schema's instance columns —
+    the one copy of every instance posting a handle holds, memory and
+    stored alike.  A snapshot pins its generation's copy-on-write schema,
+    so the index it reads needs no overlay."""
 
     def __init__(self, schema: Schema) -> None:
         self._schema = schema
 
     def fetch(self, schema_pre: int, label: str) -> list[InstancePosting]:
+        """Instances of the schema node under the ``pre#label`` key."""
         schema = self._schema
         if schema_pre >= len(schema):
             posting: list[InstancePosting] = []
@@ -140,80 +128,3 @@ class MemorySecondaryIndex(SecondaryIndex):
             telemetry.count("index.sec_fetches")
             telemetry.count("index.sec_postings", len(posting))
         return posting
-
-
-class StoredSecondaryIndex(SecondaryIndex):
-    """``I_sec`` persisted in a key-value store under ``pre#label`` keys.
-
-    Accepts the same shared :class:`~repro.storage.cache.PostingCache`
-    as the stored node indexes: the best-*n* driver re-fetches the same
-    ``pre#label`` postings across rounds and across queries, and the
-    cache (generation-invalidated on any store write) hands back the
-    already-decoded lists.
-    """
-
-    def __init__(self, store: Store, posting_cache: "PostingCache | None" = None) -> None:
-        self._store = store
-        self._namespace = Namespace(store, SEC_NAMESPACE)
-        self._cache = posting_cache
-
-    @classmethod
-    def build(cls, schema: Schema, store: Store) -> "StoredSecondaryIndex":
-        index = cls(store)
-        for node in range(len(schema)):
-            if schema.is_text_class(node):
-                for term, posting in schema.term_instances.get(node, {}).items():
-                    index._namespace.put(_sec_key(node, term), encode_instance_postings(posting))
-            else:
-                index._namespace.put(
-                    _sec_key(node, schema.labels[node]),
-                    encode_instance_postings(schema.instances[node]),
-                )
-        return index
-
-    def fetch(self, schema_pre: int, label: str) -> list[InstancePosting]:
-        telemetry = _telemetry_current()
-        key = _sec_key(schema_pre, label)
-        # snapshot overlay outranks cache and store (see
-        # StoredNodeIndexes.fetch for the contract)
-        overlay = current_overlay()
-        if overlay is not None:
-            pinned = overlay.get(SEC_NAMESPACE, key)
-            if pinned is not MISSING:
-                if telemetry is not None:
-                    telemetry.count("index.sec_fetches")
-                    telemetry.count("index.sec_postings", len(pinned))
-                    telemetry.count("mutation.overlay_hits")
-                return pinned
-        cache = self._cache
-        # Generation snapshot *before* the store read — a racing writer
-        # then invalidates the entry we insert instead of being masked by
-        # it (same ordering contract as StoredNodeIndexes.fetch).
-        generation = self._store.generation
-        if cache is not None:
-            posting = cache.get(SEC_NAMESPACE, key, generation)
-            if posting is not None:
-                if telemetry is not None:
-                    telemetry.count("index.sec_fetches")
-                    telemetry.count("index.sec_postings", len(posting))
-                return posting
-        try:
-            data = self._namespace.get(key)
-        except KeyNotFoundError:
-            if telemetry is not None:
-                telemetry.count("index.sec_fetches")
-                telemetry.count("index.sec_postings", 0)
-            return []
-        # columnar decode: the pre/bound buffers feed semi-joins without
-        # per-row re-gathering
-        posting = decode_instance_posting_columns(data)
-        if cache is not None:
-            cache.put(SEC_NAMESPACE, key, generation, posting)
-        if telemetry is not None:
-            telemetry.count("index.sec_fetches")
-            telemetry.count("index.sec_postings", len(posting))
-        return posting
-
-
-def _sec_key(schema_pre: int, label: str) -> bytes:
-    return f"{schema_pre}#{label}".encode("utf-8")

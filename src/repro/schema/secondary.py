@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from ..storage.postings import InstanceColumns
 from ..telemetry.collector import count as _telemetry_count
 from .entries import SchemaEntry
-from .indexes import SecondaryIndex
+from .indexes import MemorySecondaryIndex
 
 
 class SecondaryExecutor:
@@ -27,13 +27,12 @@ class SecondaryExecutor:
     Results are cached per skeleton node, so shared subtrees (pointer
     sets produced by ``intersect`` unions) are evaluated once; the memo
     keeps the entries alive, making identity-keying safe.  Postings and
-    results are :class:`~repro.storage.postings.InstanceColumns` — the
-    in-memory schema and the stored ``I_sec`` hand over the same shape —
-    so a child reused as the semi-join probe of several parents (and
-    across the driver's repeated rounds) lends its ``pre`` column as is.
+    results are :class:`~repro.storage.postings.InstanceColumns`, so a
+    child reused as the semi-join probe of several parents (and across
+    the driver's repeated rounds) lends its ``pre`` column as is.
     """
 
-    def __init__(self, index: SecondaryIndex) -> None:
+    def __init__(self, index: MemorySecondaryIndex) -> None:
         self._index = index
         self._memo: dict[SchemaEntry, InstanceColumns] = {}
         #: statistics: number of I_sec fetches performed

@@ -21,12 +21,7 @@ from .overlay import SnapshotOverlay, current_overlay, using_overlay
 from .pager import DEFAULT_PAGE_SIZE, DURABILITY_MODES, Pager
 from .verify import VerifyReport, verify_store
 from .wal import DEFAULT_CHECKPOINT_BYTES, WAL_SUFFIX, WriteAheadLog, recover
-from .postings import (
-    decode_instance_postings,
-    decode_node_postings,
-    encode_instance_postings,
-    encode_node_postings,
-)
+from .postings import decode_node_postings, encode_node_postings
 from .varint import (
     decode_delta_list,
     decode_svarint,
@@ -54,12 +49,10 @@ __all__ = [
     "WAL_SUFFIX",
     "WriteAheadLog",
     "decode_delta_list",
-    "decode_instance_postings",
     "decode_node_postings",
     "decode_svarint",
     "decode_uvarint",
     "encode_delta_list",
-    "encode_instance_postings",
     "encode_node_postings",
     "encode_svarint",
     "encode_uvarint",

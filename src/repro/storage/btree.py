@@ -3,9 +3,9 @@
 This is the index structure behind the persistent key-value store that
 replaces Berkeley DB in our reproduction.  Design points:
 
-* **Leaf chaining** — leaves form a singly linked list so range scans (used
-  for prefix lookups over the secondary index ``I_sec``) stream in key
-  order without touching inner nodes.
+* **Leaf chaining** — leaves form a singly linked list so range scans
+  (the tree segments, a namespace's labels) stream in key order without
+  touching inner nodes.
 * **Overflow chains** — posting lists easily exceed one page, so values
   larger than an inline threshold are stored in a chain of overflow pages
   and the leaf keeps only ``(total_length, first_page)``.

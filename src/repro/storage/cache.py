@@ -2,10 +2,10 @@
 
 :class:`PostingCache` is a byte-budgeted LRU of **decoded posting
 lists**, shared across queries and across index objects.  The stored
-indexes (``StoredNodeIndexes``, ``StoredSecondaryIndex``) consult it
-before hitting the key-value store, so the incremental best-*n* driver's
-overlapping second-level queries reuse decoded lists round after round
-instead of re-decoding varint by varint.  A second key plane
+node indexes (``StoredNodeIndexes``) consult it before hitting the
+key-value store, so repeated queries reuse decoded lists instead of
+re-decoding varint by varint.  (Second-level queries never come here:
+``I_sec`` is the in-memory schema's instance columns.)  A second key plane
 (:meth:`PostingCache.get_derived` / ``put_derived``) holds **derived
 builds** — the evaluation kernel's columnar fetch lists, together with
 whatever sparse tables have lazily grown on them — under the same byte

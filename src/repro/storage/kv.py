@@ -9,9 +9,9 @@ two interchangeable backends:
   should not measure disk overheads.
 * :class:`FileStore` — a persistent store backed by the pager and B+tree.
 
-Logical namespaces (one per index: ``I_struct``, ``I_text``, ``I_sec``,
-node table, ...) share one store through :class:`Namespace`, which prefixes
-keys with a table tag.
+Logical namespaces (one per stored structure: ``I_struct``, ``I_text``,
+the tree columns, metadata, ...) share one store through
+:class:`Namespace`, which prefixes keys with a table tag.
 """
 
 from __future__ import annotations

@@ -1,31 +1,26 @@
-"""Serializers for the posting lists stored in the index namespaces.
+"""Posting lists: their columnar in-memory shapes and the serializer of
+the ones stored in the index namespaces.
 
 Two posting shapes occur in the paper:
 
 * **node postings** for ``I_struct`` / ``I_text`` — per node the four
   numbers of the encoding of Section 6.2: ``(pre, bound, pathcost,
-  inscost)``, sorted by ``pre``.
+  inscost)``, sorted by ``pre``.  Stored column-wise: the ``pre`` column
+  delta-encoded (it is ascending), the other columns as varints.
 * **instance postings** for the secondary index ``I_sec`` (Section 7.3) —
   ``(pre, bound)`` pairs of the instances of one schema node, sorted by
-  ``pre``.
+  ``pre``.  Only the in-memory schema holds them, never a store.
 
-Both are stored column-wise: the ``pre`` column delta-encoded (it is
-ascending), the other columns as plain varints.
-
-Decoded postings come in two in-memory shapes:
-
-* plain ``list[tuple]`` — the historical shape, still produced by
-  :func:`decode_node_postings` / :func:`decode_instance_postings`;
-* **columnar** — :class:`PostingColumns` / :class:`InstanceColumns`,
-  flat ``array('q')`` buffers, one per field.  The columnar shape
-  duck-types a sequence of tuples, so every tuple-shaped consumer keeps
-  working, while whole-column consumers (the evaluation kernel) borrow
-  the buffers zero-copy.  The stored indexes decode into columns; the
-  ``*_columns`` decoders fill the four (or two) buffers in one pass.
-  The in-memory schema keeps its instance postings in the same shape,
-  and a text class's per-term split as one :class:`TermColumns`.
-
-The encoders take either shape and write the same bytes for both.
+In memory, postings are **columnar** — :class:`PostingColumns` /
+:class:`InstanceColumns`, flat ``array('q')`` buffers, one per field.
+The columnar shape duck-types a sequence of tuples, so every
+tuple-shaped consumer keeps working, while whole-column consumers (the
+evaluation kernel) borrow the buffers zero-copy.  The stored indexes
+decode into columns (:func:`decode_node_posting_columns`); the schema
+keeps its instance postings in the same shape, and a text class's
+per-term split as one :class:`TermColumns`.  The plain ``list[tuple]``
+shape of :func:`decode_node_postings` remains for tests and exporters;
+the encoder takes either shape and writes the same bytes for both.
 
 The codecs report decoded/encoded entry and byte counts into the ambient
 telemetry collector (``codec.*``) — the "postings decoded" currency the
@@ -288,21 +283,28 @@ class TermColumns(Mapping):
         return new
 
 
-def _encode_columns(pre, bound, *plain) -> bytes:
-    """The block encode kernel shared by both posting shapes: per row the
-    ``pre`` delta and the signed offset ``bound - pre`` (>= 0 for struct
-    nodes, negative for the zeroed bounds of text entries — both compress
-    well) zig-zag-coded, then every ``plain`` column's value unsigned.
-    Zig-zag and the one-byte case — nearly every value — are inlined,
-    the mirror of :func:`~repro.storage.varint.decode_uvarint_block`;
-    longer values go through the per-value codec, and the ascending-pre
-    check rides the same loop."""
-    _telemetry_count("codec.entries_encoded", len(pre))
+def encode_node_postings(entries) -> bytes:
+    """Serialize ``(pre, bound, pathcost, inscost)`` rows sorted by pre —
+    a :class:`PostingColumns` or a list of tuples, same bytes.
+
+    The block encode kernel: per row the ``pre`` delta and the signed
+    offset ``bound - pre`` (>= 0 for struct nodes, negative for the zeroed
+    bounds of text entries — both compress well) zig-zag-coded, then both
+    cost values unsigned.  Zig-zag and the one-byte case — nearly every
+    value — are inlined, the mirror of
+    :func:`~repro.storage.varint.decode_uvarint_block`; longer values go
+    through the per-value codec, and the ascending-pre check rides the
+    same loop."""
+    if isinstance(entries, PostingColumns):
+        rows = zip(entries.pre, entries.bound, entries.pathcost, entries.inscost)
+    else:
+        rows = entries
+    _telemetry_count("codec.entries_encoded", len(entries))
     out = bytearray()
-    encode_uvarint(len(pre), out)
+    encode_uvarint(len(entries), out)
     append = out.append
     previous = None
-    for row in zip(pre, bound, *plain):
+    for row in rows:
         current = row[0]
         delta = current if previous is None else current - previous
         if delta <= 0 and previous is not None:
@@ -325,19 +327,6 @@ def _encode_columns(pre, bound, *plain) -> bytes:
             else:
                 encode_uvarint(raw, out)
     return bytes(out)
-
-
-def _transposed(entries: list, width: int) -> tuple:
-    """The columns of a posting given as a list of row tuples."""
-    return tuple(zip(*entries)) if entries else ((),) * width
-
-
-def encode_node_postings(entries) -> bytes:
-    """Serialize ``(pre, bound, pathcost, inscost)`` rows sorted by pre —
-    a :class:`PostingColumns` or a list of tuples, same bytes."""
-    if isinstance(entries, PostingColumns):
-        return _encode_columns(entries.pre, entries.bound, entries.pathcost, entries.inscost)
-    return _encode_columns(*_transposed(entries, 4))
 
 
 def decode_node_postings(data: bytes) -> list[NodePosting]:
@@ -400,58 +389,3 @@ def decode_node_posting_columns(data: bytes) -> PostingColumns:
         inscost_column[row] = raws[index + 3]
         index += 4
     return PostingColumns(pre_column, bound_column, pathcost_column, inscost_column)
-
-
-def encode_instance_postings(entries) -> bytes:
-    """Serialize ``(pre, bound)`` rows sorted by pre — an
-    :class:`InstanceColumns` or a list of pairs, same bytes."""
-    if isinstance(entries, InstanceColumns):
-        return _encode_columns(entries.pre, entries.bound)
-    return _encode_columns(*_transposed(entries, 2))
-
-
-def decode_instance_postings(data: bytes) -> list[InstancePosting]:
-    """Inverse of :func:`encode_instance_postings` (block decode kernel,
-    see :func:`decode_node_postings`)."""
-    count, pos = decode_uvarint(data, 0)
-    telemetry = _telemetry_current()
-    if telemetry is not None:
-        telemetry.count("codec.lists_decoded")
-        telemetry.count("codec.entries_decoded", count)
-        telemetry.count("codec.bytes_decoded", len(data))
-    raws, _ = decode_uvarint_block(data, pos, 2 * count)
-    entries: list[InstancePosting] = []
-    append = entries.append
-    pre = 0
-    index = 0
-    for _ in range(count):
-        delta = raws[index]
-        offset = raws[index + 1]
-        pre += (delta >> 1) if not delta & 1 else -((delta + 1) >> 1)
-        append((pre, pre + ((offset >> 1) if not offset & 1 else -((offset + 1) >> 1))))
-        index += 2
-    return entries
-
-
-def decode_instance_posting_columns(data: bytes) -> InstanceColumns:
-    """Columnar inverse of :func:`encode_instance_postings` (see
-    :func:`decode_node_posting_columns`)."""
-    count, pos = decode_uvarint(data, 0)
-    telemetry = _telemetry_current()
-    if telemetry is not None:
-        telemetry.count("codec.lists_decoded")
-        telemetry.count("codec.entries_decoded", count)
-        telemetry.count("codec.bytes_decoded", len(data))
-    raws, _ = decode_uvarint_block(data, pos, 2 * count)
-    pre_column = array("q", bytes(8 * count))
-    bound_column = array("q", bytes(8 * count))
-    pre = 0
-    index = 0
-    for row in range(count):
-        delta = raws[index]
-        offset = raws[index + 1]
-        pre += (delta >> 1) if not delta & 1 else -((delta + 1) >> 1)
-        pre_column[row] = pre
-        bound_column[row] = pre + ((offset >> 1) if not offset & 1 else -((offset + 1) >> 1))
-        index += 2
-    return InstanceColumns(pre_column, bound_column)

@@ -1,29 +1,21 @@
-"""Binary codec and store segment for planner statistics.
+"""Binary codec and store segment for the planner's session feedback.
 
-The planner's :class:`~repro.planner.stats.CollectionStats` persists in
-its own namespace (``stats``) as one value, so a stored database opens
-without re-walking the collection.  The segment is written inside the
-same WAL commit frame as the mutation that produced it — a crash at any
-I/O boundary leaves either the previous generation's stats or the new
-one, never a torn blob (the crash matrix's ``planner`` workload kills
-inside these frames) — and :func:`load_stats` cross-checks the recorded
-node counts against the loaded tree, so a segment that somehow went
-stale is discarded rather than trusted.
+The planner's learned correction (:meth:`repro.planner.cost.Planner.seed`)
+persists as one value under the ``planner`` key of the ``stats``
+namespace, so a session's corrections survive reopen.  It is written
+inside the commit frame of whatever else commits it (a mutation, or a
+standalone frame on ``close``).
 
-Layout (all integers varint unless noted)::
+The planner's :class:`~repro.planner.stats.CollectionStats` are *not*
+stored: every number in them is a sum over the schema's instance
+columns, which each handle builds anyway
+(:meth:`~repro.planner.stats.CollectionStats.from_schema`).
 
-    u32   version (STATS_VERSION)
-    uvarints  node_count live_node_count document_count
-              schema_classes schema_max_fanout
-    uvarint-list  depth histogram, flattened (depth, count) pairs
-    u32+bytes     struct labels, NUL-joined UTF-8
-    uvarint-list  struct posting sizes (parallel to the labels)
-    u32+bytes     text terms, NUL-joined UTF-8
-    uvarint-list  text posting sizes (parallel to the terms)
+Layout::
 
-The generation is deliberately *not* stored: stats always re-enter the
-engine stamped with the opening state's generation (0), exactly like
-the posting cache's generation tags.
+    u32   version (PLANNER_STATE_VERSION)
+    f64   correction factor (>= 1)
+    uvarint  corrections (gross mispredictions that produced it)
 """
 
 from __future__ import annotations
@@ -31,105 +23,14 @@ from __future__ import annotations
 import struct
 
 from ..errors import KeyNotFoundError, StorageError
-from ..planner.stats import STATS_VERSION, CollectionStats
 from .kv import Namespace, Store
-from .varint import (
-    decode_uvarint,
-    decode_uvarint_list,
-    encode_uvarint,
-    encode_uvarint_list,
-)
+from .varint import decode_uvarint, encode_uvarint
 
 STATS_NAMESPACE = b"stats"
-STATS_KEY = b"stats"
 PLANNER_KEY = b"planner"
 PLANNER_STATE_VERSION = 1
-_SEPARATOR = "\x00"
 _U32 = "<I"
 _F64 = "<d"
-
-
-def encode_stats(stats: CollectionStats) -> bytes:
-    """Serialize one :class:`CollectionStats` (generation excluded)."""
-    out = bytearray(struct.pack(_U32, STATS_VERSION))
-    for value in (
-        stats.node_count,
-        stats.live_node_count,
-        stats.document_count,
-        stats.schema_classes,
-        stats.schema_max_fanout,
-    ):
-        encode_uvarint(value, out)
-    flat: list[int] = []
-    for depth in sorted(stats.depth_histogram):
-        flat.extend((depth, stats.depth_histogram[depth]))
-    out += encode_uvarint_list(flat)
-    for sizes in (stats.struct_sizes, stats.text_sizes):
-        labels = sorted(sizes)
-        blob = _SEPARATOR.join(labels).encode("utf-8")
-        out += struct.pack(_U32, len(blob))
-        out += blob
-        out += encode_uvarint_list([sizes[label] for label in labels])
-    return bytes(out)
-
-
-def decode_stats(data: bytes) -> CollectionStats:
-    """Inverse of :func:`encode_stats`; raises a typed
-    :class:`~repro.errors.StorageError` on any malformed input."""
-    try:
-        (version,) = struct.unpack_from(_U32, data, 0)
-        if version != STATS_VERSION:
-            raise StorageError(f"unsupported stats segment version {version}")
-        offset = struct.calcsize(_U32)
-        header = []
-        for _ in range(5):
-            value, offset = decode_uvarint(data, offset)
-            header.append(value)
-        flat, offset = decode_uvarint_list(data, offset)
-        if len(flat) % 2:
-            raise StorageError("corrupt stats segment (odd histogram length)")
-        histogram = {flat[i]: flat[i + 1] for i in range(0, len(flat), 2)}
-        sizes: list[dict[str, int]] = []
-        for _ in range(2):
-            (length,) = struct.unpack_from(_U32, data, offset)
-            offset += struct.calcsize(_U32)
-            blob = data[offset : offset + length]
-            if len(blob) != length:
-                raise StorageError("corrupt stats segment (truncated labels)")
-            offset += length
-            labels = blob.decode("utf-8").split(_SEPARATOR) if blob else []
-            counts, offset = decode_uvarint_list(data, offset)
-            if len(counts) != len(labels):
-                raise StorageError("corrupt stats segment (label/size mismatch)")
-            sizes.append(dict(zip(labels, counts)))
-    except (struct.error, IndexError, UnicodeDecodeError) as error:
-        raise StorageError(f"corrupt stats segment ({error})") from error
-    return CollectionStats(
-        generation=0,
-        node_count=header[0],
-        live_node_count=header[1],
-        document_count=header[2],
-        max_depth=max(histogram, default=0),
-        schema_classes=header[3],
-        schema_max_fanout=header[4],
-        depth_histogram=histogram,
-        struct_sizes=sizes[0],
-        text_sizes=sizes[1],
-    )
-
-
-def save_stats(store: Store, stats: CollectionStats) -> None:
-    """Write the stats segment (the caller owns the commit boundary)."""
-    Namespace(store, STATS_NAMESPACE).put(STATS_KEY, encode_stats(stats))
-
-
-def load_stats(store: Store) -> "CollectionStats | None":
-    """Read the stats segment; ``None`` when the store predates it (the
-    opener falls back to a lazy :func:`~repro.planner.stats.compute_stats`)."""
-    try:
-        return decode_stats(Namespace(store, STATS_NAMESPACE).get(STATS_KEY))
-    except KeyNotFoundError:
-        return None
 
 
 def encode_planner_state(correction: float, corrections: int) -> bytes:
@@ -159,9 +60,8 @@ def decode_planner_state(data: bytes) -> tuple[float, int]:
 
 
 def save_planner_state(store: Store, correction: float, corrections: int) -> None:
-    """Write the planner segment (the caller owns the commit boundary).
-    Lives beside the stats segment in the ``stats`` namespace so the
-    session's learned corrections survive reopen."""
+    """Write the planner segment (the caller owns the commit boundary)
+    so the session's learned corrections survive reopen."""
     Namespace(store, STATS_NAMESPACE).put(
         PLANNER_KEY, encode_planner_state(correction, corrections)
     )
@@ -183,14 +83,9 @@ def load_planner_state(store: Store) -> "tuple[float, int] | None":
 
 __all__ = [
     "PLANNER_KEY",
-    "STATS_KEY",
     "STATS_NAMESPACE",
     "decode_planner_state",
-    "decode_stats",
     "encode_planner_state",
-    "encode_stats",
     "load_planner_state",
-    "load_stats",
     "save_planner_state",
-    "save_stats",
 ]

@@ -92,7 +92,8 @@ class QueryReport:
     @property
     def postings_decoded(self) -> int:
         """Total posting entries delivered by index fetches, across the
-        data indexes, the schema indexes, and ``I_sec``."""
+        data indexes, the schema indexes, and ``I_sec`` (the schema's
+        instance columns)."""
         return int(sum(self.get(name) for name in POSTING_COUNTERS))
 
     @property

@@ -31,9 +31,7 @@ from repro.schema.secondary import semi_join
 from repro.storage.postings import (
     InstanceColumns,
     PostingColumns,
-    decode_instance_posting_columns,
     decode_node_posting_columns,
-    encode_instance_postings,
     encode_node_postings,
 )
 from repro.telemetry.collector import Telemetry, collecting
@@ -141,7 +139,7 @@ class TestColumnarDecode:
     @settings(max_examples=60, deadline=None)
     @given(posting=instance_rows)
     def test_instance_decode_equals_rows(self, posting):
-        decoded = decode_instance_posting_columns(encode_instance_postings(posting))
+        decoded = InstanceColumns.from_rows(posting)
         assert decoded == list(posting)
         assert list(decoded) == list(posting)
 
@@ -165,7 +163,7 @@ class TestColumnarDecode:
     )
     @given(posting=instance_rows)
     def test_instance_pickle_roundtrip(self, posting):
-        decoded = decode_instance_posting_columns(encode_instance_postings(posting))
+        decoded = InstanceColumns.from_rows(posting)
         clone = pickle.loads(pickle.dumps(decoded))
         assert isinstance(clone, InstanceColumns)
         assert clone == list(posting)
@@ -323,12 +321,8 @@ class TestOpsBackingEquivalence:
     )
     @given(ancestors=instance_rows, descendants=instance_rows)
     def test_semi_join(self, ancestors, descendants):
-        anc_cols = decode_instance_posting_columns(
-            encode_instance_postings(ancestors)
-        )
-        desc_cols = decode_instance_posting_columns(
-            encode_instance_postings(descendants)
-        )
+        anc_cols = InstanceColumns.from_rows(ancestors)
+        desc_cols = InstanceColumns.from_rows(descendants)
         assert semi_join(anc_cols, desc_cols) == semi_join(
             list(ancestors), list(descendants)
         )

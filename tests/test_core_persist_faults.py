@@ -50,9 +50,13 @@ class TestCorruption:
         tree = tree_from_xml("<a>x</a>")
         save_tree(tree, store, CostModel())
         meta = Namespace(store, b"meta")
-        meta.put(b"version", struct.pack("<I", FORMAT_VERSION + 9))
-        with pytest.raises(StorageError):
-            load_tree(store)
+        # 1: a store that still carries I_sec and the statistics segment
+        # is refused, not migrated
+        for version in (1, FORMAT_VERSION + 9):
+            meta.put(b"version", struct.pack("<I", version))
+            message = f"unsupported database format version {version}"
+            with pytest.raises(StorageError, match=message):
+                load_tree(store)
 
     def test_inconsistent_columns_rejected(self):
         store = MemoryStore()

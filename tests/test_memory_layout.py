@@ -102,7 +102,10 @@ def test_describe_accounts_for_every_structure(store_path):
         # eight columns: 4 x int64, 2 x float64, 1 type byte, 1 label pointer
         assert 57 * nodes <= usage["tree columns"] <= 58 * nodes + 200
         assert usage["label table"] < usage["tree columns"] // 4
-        assert usage["schema instance columns"] >= 8 * nodes  # class_of alone
+        # class_of, then each node once as a (pre, bound) row — a text
+        # node only in its class's per-term split — plus the term offsets
+        offsets = sum(len(terms.offsets) for terms in database.schema.term_instances.values())
+        assert usage["schema instance columns"] == 8 * nodes + 16 * nodes + 8 * offsets
         assert usage["node-index pre lists"] == 0  # postings live in the store
         assert usage["page cache"] > 0
         line = database.describe().splitlines()[1]

@@ -14,6 +14,8 @@ from repro.approxql.costs import CostModel
 from repro.core.database import Database
 from repro.core.persist import StoreOptions
 from repro.errors import EvaluationError
+from repro.transform.naive import evaluate_naive
+from repro.xmltree.model import NodeType
 
 DOCS = [
     "<cd><title>disc one</title><artist>ann</artist></cd>",
@@ -132,6 +134,28 @@ class TestMemoryMutation:
         assert _results(memory_db) == baseline
         memory_db.insert_document(NEW_DOC)
         assert len(memory_db.documents()) == 4
+
+
+class TestSuperRootAfterInsert:
+    """An insert grows the super-root's bound.  Its one-row posting — the
+    stored ``#root`` key and schema class 0 — must follow, or a query
+    that renames a selector to ``#root`` misses the grafted document."""
+
+    @pytest.mark.parametrize("backend", ["memory", "stored"])
+    @pytest.mark.parametrize("method", ["direct", "schema"])
+    def test_renaming_to_the_super_root_sees_the_new_document(self, backend, method, tmp_path):
+        database = Database.from_xml("<cd><title>piano</title></cd>")
+        if backend == "stored":
+            path = os.path.join(tmp_path, "root.apxq")
+            database.save(path)
+            database = Database.open(path)
+        database.insert_document("<cd><title>organ</title></cd>")
+        costs = CostModel().add_renaming("box", "#root", NodeType.STRUCT, 1)
+        query = 'box[cd[title["organ"]]]'
+        expected = sorted((p.root, p.cost) for p in evaluate_naive(query, database.tree, costs))
+        assert expected == [(0, 1.0)]
+        results = database.query(query, n=None, costs=costs, method=method)
+        assert sorted((r.root, r.cost) for r in results) == expected
 
 
 class TestStoredMutation:

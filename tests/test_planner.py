@@ -21,8 +21,6 @@ from repro.core.database import Database
 from repro.planner.cost import DIRECT_BIAS, Planner
 from repro.planner.stats import CollectionStats
 from repro.shard import ShardedDatabase
-from repro.storage.kv import FileStore, Namespace
-from repro.storage.statcodec import STATS_KEY, STATS_NAMESPACE, encode_stats
 from repro.xmltree.model import NodeType
 
 
@@ -226,8 +224,8 @@ class TestShardAgreement:
 
 class TestFeedbackLoop:
     def _doctored_database(self, tmp_path):
-        """A stored database whose statistics segment wildly understates
-        every posting — node counts kept valid so the opener trusts it."""
+        """A stored database whose planner statistics wildly understate
+        every posting (node counts kept valid)."""
         path = os.path.join(tmp_path, "doctored.apxq")
         database = Database.from_xml(_catalog(50))
         database.save(path)
@@ -244,10 +242,9 @@ class TestFeedbackLoop:
             struct_sizes={label: 1 for label in honest.struct_sizes},
             text_sizes={word: 1 for word in honest.text_sizes},
         )
-        with FileStore(path, must_exist=True) as store:
-            Namespace(store, STATS_NAMESPACE).put(STATS_KEY, encode_stats(lying))
-            store.commit()
-        return Database.open(path)
+        reopened = Database.open(path)
+        reopened._state.stats = lying
+        return reopened
 
     def test_gross_misprediction_raises_session_correction(self, tmp_path):
         database = self._doctored_database(tmp_path)

@@ -2,33 +2,25 @@
 
 The planner's contract with the rest of the engine is that
 :class:`~repro.planner.stats.CollectionStats` always describes the
-generation it is stamped with *exactly*: incrementally maintained
-statistics equal a from-scratch :func:`compute_stats` walk after every
-mutation, the persisted segment survives save/open byte-faithfully, and
-merged per-shard statistics equal the unsharded collection's.  Each
-property here pins one leg of that contract (the crash-recovery leg
-lives in ``tools/crashmatrix.py``'s ``planner`` workload).
+generation it is stamped with *exactly*.  The statistics are read off
+the schema (:meth:`CollectionStats.from_schema`) and maintained
+incrementally by mutations (:meth:`CollectionStats.apply_mutation`);
+each property here pins one leg of that contract: schema-derived sizes
+equal the node indexes' posting lengths (an independent reference, and
+on a stored handle a separate on-disk structure), incremental stats
+equal schema-derived ones after every mutation, after reopen and on a
+pinned snapshot, and merged per-shard statistics equal the unsharded
+collection's.
 """
 
 import os
 import random
-
-import pytest
+from dataclasses import replace
 
 from repro.core.database import Database
 from repro.core.persist import StoreOptions
-from repro.errors import StorageError
-from repro.planner.stats import CollectionStats, compute_stats, merge_stats
+from repro.planner.stats import CollectionStats, merge_stats
 from repro.shard import ShardedDatabase
-from repro.storage.kv import FileStore, MemoryStore, Namespace
-from repro.storage.statcodec import (
-    STATS_KEY,
-    STATS_NAMESPACE,
-    decode_stats,
-    encode_stats,
-    load_stats,
-    save_stats,
-)
 from repro.xmltree.model import NodeType
 
 from .strategies import generated_case
@@ -41,11 +33,24 @@ DOCS = [
 NEW_DOC = "<cd><title>piano works</title><genre>classical</genre></cd>"
 
 
-def _recomputed(database, generation=None):
+def _from_schema(database, generation=None):
     state = database._state
     if generation is None:
         generation = state.generation
-    return compute_stats(state.tree, state.schema, generation=generation)
+    return CollectionStats.from_schema(state.tree, state.ensure_schema(), generation=generation)
+
+
+def _assert_matches_node_indexes(stats, indexes):
+    """Every label and term: the stats' size is the posting length the
+    node indexes deliver, and no label is missing on either side."""
+    for node_type, sizes in (
+        (NodeType.STRUCT, stats.struct_sizes),
+        (NodeType.TEXT, stats.text_sizes),
+    ):
+        labels = set(indexes.labels(node_type))
+        assert set(sizes) <= labels
+        for label in labels:
+            assert stats.posting_size(label, node_type) == len(indexes.fetch(label, node_type))
 
 
 def _random_doc(rng):
@@ -55,70 +60,33 @@ def _random_doc(rng):
     return f"<{label}><title>{title}</title><artist>x{rng.randrange(4)}</artist></{label}>"
 
 
-class TestCodec:
-    def test_round_trip_preserves_every_field(self):
-        stats = CollectionStats(
-            generation=3,
-            node_count=120,
-            live_node_count=110,
-            document_count=7,
-            max_depth=5,
-            schema_classes=12,
-            schema_max_fanout=4,
-            depth_histogram={0: 1, 1: 7, 2: 40, 5: 62},
-            struct_sizes={"#root": 1, "cd": 7, "title": 7},
-            text_sizes={"piano": 3, "mozart liszt": 1},
-        )
-        decoded = decode_stats(encode_stats(stats))
-        # generation is deliberately not persisted: the opener re-stamps
-        # the segment to its fresh state's generation (always 0)
-        assert decoded == stats.with_generation(0)
-        assert decoded.with_generation(3) == stats
-
-    def test_round_trip_empty(self):
-        stats = CollectionStats()
-        assert decode_stats(encode_stats(stats)) == stats
-
-    def test_corrupt_payload_raises_storage_error(self):
-        stats = CollectionStats(node_count=5, live_node_count=5)
-        payload = encode_stats(stats)
-        with pytest.raises(StorageError):
-            decode_stats(payload[: len(payload) // 2])
-        with pytest.raises(StorageError):
-            decode_stats(b"\xff\xff\xff\xff" + payload[4:])
-
-    def test_load_returns_none_when_segment_absent(self):
-        assert load_stats(MemoryStore()) is None
-
-    def test_save_load_through_store(self, tmp_path):
-        path = os.path.join(tmp_path, "seg.apxq")
-        stats = CollectionStats(node_count=9, live_node_count=9, document_count=2)
-        with FileStore(path) as store:
-            save_stats(store, stats)
-            store.commit()
-        with FileStore(path, must_exist=True) as store:
-            assert load_stats(store) == stats
-
-
 class TestBuildEquality:
     def test_build_stats_equal_scratch_walk(self):
         database = Database.from_documents(DOCS)
-        assert database.collection_stats() == _recomputed(database)
+        stats = database.collection_stats()
+        assert stats == _from_schema(database)
+        tree = database.tree
+        assert stats.node_count == stats.live_node_count == len(tree)
+        assert stats.document_count == len(DOCS)
+        depths = {}
+        for pre in range(len(tree)):
+            depths[tree.depth(pre)] = depths.get(tree.depth(pre), 0) + 1
+        assert stats.depth_histogram == depths
+        assert stats.max_depth == max(depths)
 
     def test_struct_sizes_match_index_posting_sizes(self):
         database = Database.from_documents(DOCS)
-        stats = database.collection_stats()
-        indexes = database._state.ensure_node_indexes()
-        for label, size in stats.struct_sizes.items():
-            assert size == len(indexes.fetch(label, NodeType.STRUCT))
-        for word, size in stats.text_sizes.items():
-            assert size == len(indexes.fetch(word, NodeType.TEXT))
+        _assert_matches_node_indexes(
+            database.collection_stats(), database._state.ensure_node_indexes()
+        )
 
     def test_randomized_collections_build_equal_scratch(self):
         for seed in range(5):
             case = generated_case(2500 + seed, num_elements=60)
             database = Database.from_tree(case.tree)
-            assert database.collection_stats() == _recomputed(database)
+            stats = database.collection_stats()
+            assert stats == _from_schema(database)
+            _assert_matches_node_indexes(stats, database._state.ensure_node_indexes())
 
 
 class TestPersistenceEquality:
@@ -127,27 +95,22 @@ class TestPersistenceEquality:
         database = Database.from_documents(DOCS)
         built = database.collection_stats()
         database.save(path)
-        reopened = Database.open(path)
-        assert reopened.collection_stats() == built
-        assert reopened.collection_stats() == _recomputed(reopened)
-
-    def test_stale_segment_is_discarded_on_open(self, tmp_path):
-        path = os.path.join(tmp_path, "doctored.apxq")
-        Database.from_documents(DOCS).save(path)
-        wrong = CollectionStats(node_count=1, live_node_count=1, document_count=1)
-        with FileStore(path, must_exist=True) as store:
-            Namespace(store, STATS_NAMESPACE).put(STATS_KEY, encode_stats(wrong))
-            store.commit()
-        reopened = Database.open(path)
-        # node-count mismatch -> recomputed from the tree, not trusted
-        assert reopened.collection_stats() == _recomputed(reopened)
+        with Database.open(path) as reopened:
+            assert reopened.collection_stats() == built
+            # the stored I_struct / I_text postings are the reference
+            _assert_matches_node_indexes(
+                reopened.collection_stats(), reopened._state.node_indexes
+            )
 
 
 class TestMutationEquality:
-    """Incremental maintenance == scratch walk after every mutation op."""
+    """Incremental maintenance == schema-derived stats after every
+    mutation op, and both == the node indexes."""
 
     def _check(self, database):
-        assert database.collection_stats() == _recomputed(database)
+        stats = database.collection_stats()
+        assert stats == _from_schema(database)
+        _assert_matches_node_indexes(stats, database._state.node_indexes)
 
     def test_insert_memory(self):
         database = Database.from_documents(DOCS)
@@ -174,10 +137,12 @@ class TestMutationEquality:
         self._check(database)
         database.delete_document(database.documents()[0])
         self._check(database)
-        # the persisted segment tracked every generation
+        kept = database.collection_stats()
         database.close()
-        reopened = Database.open(path)
-        assert reopened.collection_stats() == _recomputed(reopened)
+        # reopening derives the same numbers from the recovered tree
+        with Database.open(path) as reopened:
+            assert reopened.collection_stats() == replace(kept, generation=0)
+            self._check(reopened)
 
     def test_randomized_mutation_walk(self, tmp_path):
         rng = random.Random(4121)
@@ -195,8 +160,8 @@ class TestMutationEquality:
                 database.replace_document(rng.choice(documents), _random_doc(rng))
             self._check(database)
         database.close()
-        reopened = Database.open(path)
-        assert reopened.collection_stats() == _recomputed(reopened)
+        with Database.open(path) as reopened:
+            self._check(reopened)
 
 
 class TestShardMerge:
@@ -230,8 +195,13 @@ class TestEngineStateIntegration:
         before = database.collection_stats()
         with database.snapshot() as snap:
             database.insert_document(NEW_DOC)
-            # the pinned snapshot still serves its own generation
+            # the pinned snapshot still serves its own generation, and its
+            # copy-on-write schema still derives exactly those sizes
             assert snap._state.ensure_stats() == before
+            pinned = CollectionStats.from_schema(database.tree, snap._state.schema)
+            assert pinned.struct_sizes == before.struct_sizes
+            assert pinned.text_sizes == before.text_sizes
+            assert pinned.depth_histogram == before.depth_histogram
         after = database.collection_stats()
         assert after != before
-        assert after == _recomputed(database)
+        assert after == _from_schema(database)

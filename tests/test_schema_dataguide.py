@@ -93,17 +93,30 @@ class TestNodeClasses:
         total = sum(schema.instance_count(node) for node in range(len(schema)))
         assert total == len(catalog_tree)
         for node in range(len(schema)):
-            pres = [pre for pre, _ in schema.instances[node]]
-            assert pres == sorted(pres)
-            for pre, bound in schema.instances[node]:
-                assert schema.class_of[pre] == node
-                assert catalog_tree.bounds[pre] == bound
+            postings = schema.term_instances.get(node, {}).values()
+            if not schema.is_text_class(node):
+                postings = [schema.instances[node]]
+            for posting in postings:
+                pres = [pre for pre, _ in posting]
+                assert pres == sorted(pres)
+                for pre, bound in posting:
+                    assert schema.class_of[pre] == node
+                    assert catalog_tree.bounds[pre] == bound
 
     def test_term_instances_partition_text_instances(self, catalog_tree):
         schema = build_schema(catalog_tree)
-        for node, by_term in schema.term_instances.items():
-            from_terms = sorted(pair for pairs in by_term.values() for pair in pairs)
-            assert from_terms == sorted(schema.instances[node])
+        for node in range(len(schema)):
+            if not schema.is_text_class(node):
+                continue
+            # the per-term split is the one copy of a text class's instances
+            assert list(schema.instances[node]) == []
+            from_terms = sorted(
+                pre for posting in schema.term_instances[node].values() for pre, _ in posting
+            )
+            assert from_terms == [
+                pre for pre in range(len(catalog_tree)) if schema.class_of[pre] == node
+            ]
+            assert schema.instance_count(node) == len(from_terms)
 
 
 class TestDistanceProperty:

@@ -4,9 +4,6 @@ import pytest
 
 from repro.approxql.costs import CostModel, paper_example_cost_model
 from repro.schema.evaluator import SchemaEvaluator
-from repro.schema.dataguide import build_schema
-from repro.schema.indexes import StoredSecondaryIndex
-from repro.storage.kv import MemoryStore
 from repro.xmltree.builder import tree_from_xml
 
 from .driver_probe import observe
@@ -178,13 +175,3 @@ class TestSecondLevelQuerySemantics:
             by_cost.setdefault(result.cost, []).append(result.root)
         assert len(by_cost[0.0]) == 1   # the direct cd/title
         assert len(by_cost[1.0]) == 2   # the two cd/x/title instances
-
-    def test_stored_isec_backend(self, tree):
-        schema = build_schema(tree)
-        costs = paper_example_cost_model()
-        # stored I_sec is label-complete, so build after no re-encode needed
-        isec = StoredSecondaryIndex.build(schema, MemoryStore())
-        evaluator = SchemaEvaluator(tree, schema, secondary_index=isec)
-        reference = SchemaEvaluator(tree)
-        query = 'cd[title["piano" and "concerto"] and composer["rachmaninov"]]'
-        assert evaluator.evaluate(query, costs) == reference.evaluate(query, costs)

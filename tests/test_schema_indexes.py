@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.approxql.costs import CostModel
+from repro.core.persist import load_tree, save_tree
 from repro.schema.dataguide import build_schema
-from repro.schema.indexes import (
-    MemorySecondaryIndex,
-    SchemaNodeIndexes,
-    StoredSecondaryIndex,
-)
+from repro.schema.indexes import MemorySecondaryIndex, SchemaNodeIndexes
 from repro.schema.secondary import SecondaryExecutor, semi_join
 from repro.schema.entries import SchemaEntry
 from repro.storage.kv import MemoryStore
@@ -65,10 +63,14 @@ class TestSchemaNodeIndexes:
 
 
 @pytest.fixture(params=["memory", "stored"])
-def isec(request, schema):
+def isec(request, schema, tree):
     if request.param == "memory":
         return MemorySecondaryIndex(schema)
-    return StoredSecondaryIndex.build(schema, MemoryStore())
+    # a stored handle's I_sec: the schema rebuilt from the reloaded tree,
+    # numbered exactly like the one the fixture built
+    store = MemoryStore()
+    save_tree(tree, store, CostModel())
+    return MemorySecondaryIndex(build_schema(load_tree(store)[0]))
 
 
 class TestSecondaryIndex:

@@ -10,11 +10,10 @@ import pytest
 
 from repro import Database
 from repro.errors import StorageError
-from repro.schema.indexes import SEC_NAMESPACE, StoredSecondaryIndex
 from repro.storage.cache import PostingCache
 from repro.storage.kv import MemoryStore, Namespace
 from repro.telemetry.collector import Telemetry, collecting
-from repro.xmltree.indexes import STRUCT_NAMESPACE, StoredNodeIndexes
+from repro.xmltree.indexes import STRUCT_NAMESPACE, TEXT_NAMESPACE, StoredNodeIndexes
 from repro.xmltree.model import NodeType
 
 NS = b"ns"
@@ -124,33 +123,21 @@ class TestStoredIndexInvalidation:
         assert fresh is not first
         assert len(fresh) == 2
 
-    def test_secondary_index_sees_rewritten_postings(self):
-        store = MemoryStore()
-        cache = PostingCache()
-        namespace = Namespace(store, SEC_NAMESPACE)
-        from repro.storage.postings import encode_instance_postings
-
-        namespace.put(b"1#b", encode_instance_postings([(5, 6)]))
-        index = StoredSecondaryIndex(store, posting_cache=cache)
-        assert index.fetch(1, "b") == [(5, 6)]
-        namespace.put(b"1#b", encode_instance_postings([(5, 6), (9, 10)]))
-        assert index.fetch(1, "b") == [(5, 6), (9, 10)]
-
     def test_indexes_sharing_one_cache_do_not_collide(self):
-        """I_struct and I_sec share the PostingCache object; their
-        namespace tags must keep their entries apart."""
+        """I_struct and I_text share the PostingCache object; their
+        namespace tags must keep apart an element and a word spelled
+        alike."""
         store = MemoryStore()
         cache = PostingCache()
-        tree = Database.from_xml("<lib><b>alpha</b></lib>").tree
+        tree = Database.from_xml("<lib><b>b b</b><c>b</c></lib>").tree
         StoredNodeIndexes.build(tree, store)
         node_indexes = StoredNodeIndexes(store, posting_cache=cache)
-        sec_index = StoredSecondaryIndex(store, posting_cache=cache)
 
-        node_posting = node_indexes.fetch("b", NodeType.STRUCT)
-        assert node_posting
-        assert sec_index.fetch(0, "b") == []  # no I_sec entries written
-        assert cache.get(STRUCT_NAMESPACE, b"b", store.generation) is node_posting
-        assert cache.get(SEC_NAMESPACE, b"b", store.generation) is None
+        element = node_indexes.fetch("b", NodeType.STRUCT)
+        word = node_indexes.fetch("b", NodeType.TEXT)
+        assert len(element) == 1 and len(word) == 3
+        assert cache.get(STRUCT_NAMESPACE, b"b", store.generation) is element
+        assert cache.get(TEXT_NAMESPACE, b"b", store.generation) is word
 
 
 class TestConcurrentWriterInvalidation:

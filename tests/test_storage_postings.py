@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.storage.postings import (
-    decode_instance_postings,
+    InstanceColumns,
+    column_bytes,
     decode_node_postings,
-    encode_instance_postings,
     encode_node_postings,
 )
 
@@ -36,17 +36,21 @@ class TestNodePostings:
 
 
 class TestInstancePostings:
+    """Instance postings (``I_sec``) live only in the schema, as
+    :class:`InstanceColumns`: rows in, the same rows out, two flat
+    columns and no object per row."""
+
     def test_roundtrip(self):
         entries = [(2, 9), (11, 16), (30, 30)]
-        assert decode_instance_postings(encode_instance_postings(entries)) == entries
+        assert InstanceColumns.from_rows(entries).tolist() == entries
 
     def test_empty(self):
-        assert decode_instance_postings(encode_instance_postings([])) == []
+        assert InstanceColumns.from_rows([]).tolist() == []
 
     def test_compactness(self):
         entries = [(index, index + 3) for index in range(0, 3000, 3)]
-        data = encode_instance_postings(entries)
-        assert len(data) < 4 * len(entries)
+        columns = InstanceColumns.from_rows(entries)
+        assert column_bytes(columns.pre, columns.bound) == 16 * len(entries)
 
 
 node_posting = st.tuples(
@@ -79,23 +83,21 @@ def test_node_postings_roundtrip_property(entries):
 )
 def test_instance_postings_roundtrip_property(entries):
     entries = sorted({pre: bound for pre, bound in entries}.items())
-    assert decode_instance_postings(encode_instance_postings(entries)) == entries
+    columns = InstanceColumns.from_rows(entries)
+    assert columns == entries
+    assert list(columns.pre) == [pre for pre, _ in entries]
 
 
 # ----------------------------------------------------------------------
 # block encode kernel: bytes pinned, both in-memory shapes alike
 # ----------------------------------------------------------------------
 
-from array import array
-
-from repro.storage.postings import InstanceColumns, PostingColumns, TermColumns
+from repro.storage.postings import PostingColumns, TermColumns
 
 GOLDEN_NODE_ROWS = [
     (1, 20, 0, 1), (5, 9, 3, 2), (12, 12, 7, 4), (300, 0, 200, 0), (70000, 70001, 129, 128),
 ]
 GOLDEN_NODE_BYTES = "0502260001080803020e000704c004d704c8010088c1080281018001"
-GOLDEN_INSTANCE_ROWS = [(2, 9), (11, 16), (30, 30), (500, 100000), (100001, 100001)]
-GOLDEN_INSTANCE_BYTES = "05040e120a2600ac07d8920cda920c00"
 
 
 class TestGoldenBytes:
@@ -108,14 +110,9 @@ class TestGoldenBytes:
         columns = PostingColumns.from_rows(GOLDEN_NODE_ROWS)
         assert encode_node_postings(columns).hex() == GOLDEN_NODE_BYTES
 
-    def test_instance_postings(self):
-        assert encode_instance_postings(GOLDEN_INSTANCE_ROWS).hex() == GOLDEN_INSTANCE_BYTES
-        columns = InstanceColumns.from_rows(GOLDEN_INSTANCE_ROWS)
-        assert encode_instance_postings(columns).hex() == GOLDEN_INSTANCE_BYTES
-
     def test_unsorted_columns_rejected(self):
         with pytest.raises(StorageError):
-            encode_instance_postings(InstanceColumns(array("q", [5, 5]), array("q", [5, 6])))
+            encode_node_postings(PostingColumns.from_rows([(5, 5, 0, 1), (5, 6, 0, 1)]))
 
     def test_negative_plain_value_rejected(self):
         with pytest.raises(StorageError):

@@ -52,10 +52,8 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
 
 from repro.core.database import Database
 from repro.core.persist import StoreOptions
-from repro.planner.stats import compute_stats
 from repro.storage.faults import FaultInjector, SimulatedCrash
-from repro.storage.kv import FileStore, Namespace
-from repro.storage.statcodec import STATS_KEY, STATS_NAMESPACE, decode_stats
+from repro.storage.kv import FileStore
 from repro.storage.verify import verify_store
 
 #: small pages so even a short workload spreads over many of them
@@ -329,8 +327,8 @@ def run_matrix(
 #
 # Same experiment one layer up: the workload is a sequence of Database
 # document mutations (insert / delete / replace), each of which the
-# engine promises to journal as ONE commit frame — index posting
-# rewrites, I_sec moves, tree segment, dead-roots list, all or nothing.
+# engine promises to journal as ONE commit frame — node posting
+# rewrites, tree segment, dead-roots list, all or nothing.
 # A kill at any boundary must therefore recover to the store state after
 # a *prefix* of the mutations, and that state must reopen as a coherent,
 # queryable database.
@@ -348,7 +346,7 @@ def _mutation_ops(scale: str):
     """Pure data: ("insert", xml) / ("delete", doc_index) /
     ("replace", doc_index, xml), indices into the live documents()
     tuple at apply time.  The first insert introduces new label paths,
-    forcing a schema renumber (the widest I_sec rewrite)."""
+    forcing the schema-rebuild path of the insert."""
     ops = [
         ("insert", "<cd><title>piano works</title><genre>classical</genre></cd>"),
         ("delete", 0),
@@ -443,58 +441,12 @@ def _check_reopens(path: str, expected_docs: int) -> "str | None":
     return None
 
 
-def _check_stats(path: str) -> "str | None":
-    """The planner-workload verdict: the persisted statistics segment of
-    a recovered store must decode cleanly and equal a scratch recompute
-    of the recovered tree.  A mutation journals its stats write inside
-    the same commit frame as the index rewrites, so a kill may lose the
-    whole mutation but must never leave the segment half-written or
-    stale relative to the tree it sits next to."""
-    try:
-        database = Database.open(path, _mutation_store_options())
-    except Exception as error:  # noqa: BLE001 - any failure is a verdict
-        return f"database reopen failed: {error}"
-    try:
-        raw = Namespace(database._store, STATS_NAMESPACE).get(STATS_KEY)
-        if raw is None:
-            return "recovered store has no stats segment"
-        try:
-            decoded = decode_stats(raw)
-        except Exception as error:  # noqa: BLE001
-            return f"stats segment failed to decode: {error}"
-        state = database._state
-        # the codec deliberately does not persist the generation (it is
-        # re-stamped at open), so the scratch recompute uses 0 as well
-        expected = compute_stats(state.tree, state.schema, generation=0)
-        if decoded != expected:
-            return (
-                "stats segment does not match a scratch recompute of the "
-                "recovered tree"
-            )
-    except Exception as error:  # noqa: BLE001
-        return f"stats verification crashed: {error}"
-    finally:
-        try:
-            database._store.close()
-        except Exception:
-            pass
-    return None
-
-
 def run_mutation_matrix(
-    scale: str = "full",
-    workdir: "str | None" = None,
-    progress=None,
-    check_stats: bool = False,
+    scale: str = "full", workdir: "str | None" = None, progress=None
 ) -> MatrixResult:
-    """Sweep every I/O boundary of the document-mutation workload.
-
-    ``check_stats=True`` is the ``planner`` workload: the same sweep,
-    additionally requiring that every recovered state carries a clean,
-    recompute-exact planner statistics segment (see :func:`_check_stats`).
-    """
+    """Sweep every I/O boundary of the document-mutation workload."""
     ops = _mutation_ops(scale)
-    result = MatrixResult(workload="planner" if check_stats else "mutation", scale=scale)
+    result = MatrixResult(workload="mutation", scale=scale)
 
     owned = workdir is None
     directory = workdir or tempfile.mkdtemp(prefix="crashmatrix-mut-")
@@ -505,8 +457,6 @@ def run_mutation_matrix(
         count_path = _clone_base(base, directory, "count")
         commit_ops, snapshots, doc_counts = _play_mutations(count_path, ops, counter)
         fault_free = _check_reopens(count_path, doc_counts[-1])
-        if fault_free is None and check_stats:
-            fault_free = _check_stats(count_path)
         if fault_free is not None:
             raise AssertionError(
                 f"{result.workload}: fault-free run is broken: {fault_free}"
@@ -547,10 +497,6 @@ def run_mutation_matrix(
             verdict = _check_reopens(path, doc_counts[matches[0]])
             if verdict is not None:
                 result.failures.append((boundary, verdict))
-            if check_stats:
-                verdict = _check_stats(path)
-                if verdict is not None:
-                    result.failures.append((boundary, verdict))
             report = verify_store(path)
             if not report.ok:
                 result.failures.append((boundary, f"verify failed: {report.format()}"))
@@ -566,7 +512,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--workload",
-        choices=(*WORKLOADS, "mutation", "planner", "all"),
+        choices=(*WORKLOADS, "mutation", "all"),
         default="all",
         help="which workload to sweep (default: all)",
     )
@@ -577,15 +523,11 @@ def main(argv=None) -> int:
         help="workload size: 'tiny' for CI smoke, 'full' for the real matrix",
     )
     args = parser.parse_args(argv)
-    names = (
-        [*WORKLOADS, "mutation", "planner"]
-        if args.workload == "all"
-        else [args.workload]
-    )
+    names = [*WORKLOADS, "mutation"] if args.workload == "all" else [args.workload]
     failed = False
     for name in names:
-        if name in ("mutation", "planner"):
-            result = run_mutation_matrix(scale=args.scale, check_stats=name == "planner")
+        if name == "mutation":
+            result = run_mutation_matrix(scale=args.scale)
         else:
             result = run_matrix(name, scale=args.scale)
         print(result.format())
