@@ -52,7 +52,6 @@ __all__ = [
     "GenerationError",
     "NodeType",
     "QueryPlan",
-    "QueryPool",
     "QueryReport",
     "QueryResult",
     "QueryServer",
@@ -71,7 +70,6 @@ __all__ = [
     "XMLSyntaxError",
     "__version__",
     "parse_query",
-    "resolve_jobs",
     "tree_from_xml",
 ]
 
@@ -83,8 +81,6 @@ _LAZY = {
     "ResultStream": "core",
     "QueryReport": "telemetry",
     "Telemetry": "telemetry",
-    "QueryPool": "concurrent",
-    "resolve_jobs": "concurrent",
     "ShardedDatabase": "shard",
     "QueryServer": "server",
     "ServerThread": "server",

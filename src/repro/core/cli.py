@@ -222,12 +222,7 @@ def _command_query(args: argparse.Namespace) -> int:
         print(f"-- {len(explanations)} result(s) in {elapsed * 1000:.1f} ms")
         return 0
     collect = "timings" if args.stats else "off"
-    # --jobs is the shard scatter's worker count; a single store has
-    # nothing to scatter over
-    scatter = {"jobs": args.jobs} if isinstance(database, ShardedDatabase) else {}
-    results = database.query(
-        args.query, n=n, costs=costs, method=args.method, collect=collect, **scatter
-    )
+    results = database.query(args.query, n=n, costs=costs, method=args.method, collect=collect)
     elapsed = time.perf_counter() - start
     for result in results:
         if args.xml:
@@ -292,8 +287,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_pending=args.max_pending,
         batch_max=args.batch_max,
-        jobs=args.jobs,
-        executor=args.executor,
     )
 
     async def run() -> None:
@@ -411,15 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect telemetry and print a per-stage breakdown "
         "(pages read, postings decoded, second-level queries, timings)",
     )
-    query.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="query the shards of a sharded directory on N worker threads "
-        "(any negative value: one per CPU; results identical to serial; "
-        "ignored for a single store)",
-    )
     _add_cache_options(query)
     query.set_defaults(func=_command_query)
 
@@ -479,22 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=16,
         metavar="N",
         help="largest query batch handed to query_many at once (default 16)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for batched query execution (default: batch size, "
-        "capped at 8)",
-    )
-    serve.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker kind for batched execution: 'thread' (default) or "
-        "'process' (falls back to threads where no per-worker read view "
-        "exists)",
     )
     _add_cache_options(serve)
     serve.set_defaults(func=_command_serve)

@@ -264,16 +264,6 @@ class _PinnedView:
         tree = self.state.tree
         return [QueryResult(root, cost, tree) for root, cost in rows]
 
-    def prepare(self, costs: CostModel, methods: "set[str]") -> None:
-        state = self.state
-        state.tree.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
-        if "direct" in methods:
-            state.direct_evaluator()
-        if "schema" in methods:
-            state.schema_eval().schema.encode_costs(
-                costs.insert_cost, fingerprint=costs.insert_fingerprint
-            )
-
     # -- the reads that neither plan nor cache --------------------------
 
     def count(self, compiled: CompiledQuery) -> int:
@@ -499,7 +489,6 @@ class Database:
         #: the file store behind an opened database (None when in-memory)
         self._store: "Store | None" = None
         self._store_options: "StoreOptions | None" = None
-        self._store_path: "str | None" = None
         self._posting_cache = None
         self._closed = False
         # Mutation machinery.  One writer at a time (_write_lock); the
@@ -707,7 +696,6 @@ class Database:
         )
         database._store = store
         database._store_options = options
-        database._store_path = path
         database._posting_cache = posting_cache
         database._pipeline.set_cache(
             options.compiled_cache_entries, options.result_cache_entries
@@ -1081,80 +1069,27 @@ class Database:
         max_cost: "float | None" = None,
         method: str = "auto",
         collect: str = "off",
-        jobs: "int | None" = None,
-        executor: str = "thread",
     ) -> list[ResultSet]:
         """Evaluate a batch of independent queries; one
         :class:`~repro.core.results.ResultSet` per query, in input order.
 
         Each item of ``queries`` is query text (or a parsed selector),
         or a ``(text, cost_model)`` pair overriding ``costs`` for that
-        query.  ``jobs > 1`` serves the batch from a worker pool with
-        that many workers (``-1``: one per CPU); every query still
-        collects its own telemetry, so the reports are exactly what a
-        serial run would attach.  Results are identical to calling
-        :meth:`query` in a loop.
-
-        ``executor="process"`` serves the batch on a
-        :class:`~repro.concurrent.ProcessQueryPool` — real cores, one
-        query per task.  Each worker gets its own read view (a stored
-        database is re-opened by path; an in-memory database is
-        fork-inherited) and ships back only ``(root, cost)`` pairs plus
-        the report, which are re-bound to this process's tree.  When no
-        safe per-worker view exists (WAL-mode store, no ``fork`` start
-        method for in-memory data), the batch degrades to threads and
-        counts ``concurrency.process_fallback``.
-
-        One pool run, one insert-cost table: encoding a different insert
-        table rewrites shared per-node cost arrays on the tree and the
-        schema, so a batch mixing insert fingerprints is *grouped* by
-        fingerprint and each group batches on the pool in turn (see
-        ``docs/CONCURRENCY.md``).  Only a query left alone in its group
-        runs serially, and it says so: its report carries a
-        ``concurrency.batch_fallback = 1`` counter (in every ``collect``
-        mode) so callers can detect the lost parallelism.
+        query.  Every item is resolved before any is evaluated, so a bad
+        one fails the whole batch; the items are then served in order on
+        the calling thread, each against the generation current when it
+        starts.  Results and reports are those of calling :meth:`query`
+        in a loop.
         """
         self._check_failed()
-        return self._pipeline.query_many(
-            self._current_view(), self.query, queries, n, costs, max_cost,
-            method, collect, jobs, executor, self._batch_worker_setup,
-        )
 
-    def _batch_worker_setup(self):
-        """The process-pool worker setup for :meth:`query_many`, plus a
-        cleanup callback; ``(None, None)`` when no safe per-worker read
-        view exists and the batch must fall back to threads.
+        def serve(compiled: CompiledQuery, compiled_hit: bool) -> ResultSet:
+            with self._view() as view:
+                return self._pipeline.serve(
+                    view, compiled, compiled_hit, n, method, max_cost, collect
+                )
 
-        * Stored database in ``durability="none"`` mode: workers re-open
-          the file by path (own store handle, own caches) after a sync
-          flushes this handle's pending writes.  WAL mode is excluded —
-          a worker's open would run log recovery against the parent's
-          live WAL.
-        * In-memory database under the ``fork`` start method: workers
-          inherit this object through the fork snapshot (it never
-          pickles — see :mod:`repro.concurrent.process`).
-        """
-        from ..concurrent.process import (
-            ForkInheritedSetup,
-            StoredDatabaseSetup,
-            default_start_method,
-            register_fork_object,
-            unregister_fork_object,
-        )
-
-        if self._store is not None:
-            if (
-                self._store_path is not None
-                and getattr(self._store, "durability", "none") == "none"
-            ):
-                self._store.sync()
-                # the worker's own handle owns everything it opens
-                return StoredDatabaseSetup(self._store_path, self._store_options), lambda: None
-            return None, None
-        if default_start_method() != "fork":
-            return None, None
-        token = register_fork_object(self)
-        return ForkInheritedSetup(token), (lambda: unregister_fork_object(token))
+        return self._pipeline.query_many(serve, queries, costs, method, collect)
 
     def stream(
         self,
@@ -1255,7 +1190,7 @@ class Database:
 
     def _current_view(self) -> _PinnedView:
         """The current generation unpinned — for what reads no postings
-        (planning, batch preparation, re-binding worker rows)."""
+        (planning)."""
         return _PinnedView(self._state, None, self._store)
 
     def collection_stats(self) -> CollectionStats:

@@ -11,8 +11,7 @@ hand it an :class:`Executor` per call.
 
 Stages of :meth:`QueryPipeline.query`, in order:
 
-1. **validate** ``method`` / ``collect`` (and a batch's ``executor``) —
-   typed errors before any work;
+1. **validate** ``method`` / ``collect`` — typed errors before any work;
 2. **compile** through the Tier-1 :class:`~repro.querycache.CompiledQueryCache`
    (parse, fingerprint, lazily expanded closure);
 3. **plan**: an explicit method is taken as given, ``"auto"`` asks the
@@ -26,10 +25,9 @@ Stages of :meth:`QueryPipeline.query`, in order:
    ``querycache.compiled_*``, and the planner's predicted-vs-observed
    family fed back through :meth:`~repro.planner.cost.Planner.observe`.
 
-:meth:`QueryPipeline.query_many` is the one batch path: resolve every
-item, group by insert-cost fingerprint (an evaluation rewrites the
-collection's shared per-node cost arrays for its insert table, so two
-tables must never be in flight together), and serve each group on a pool.
+:meth:`QueryPipeline.query_many` is the one batch path: compile every
+item, then serve them one after another on the calling thread, each from
+the compiled query it was resolved to.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from typing import NamedTuple, Protocol
 
 from ..approxql.ast import NameSelector, count_or_operators, count_selectors
 from ..approxql.costs import CostModel
-from ..concurrent import QueryPool, make_query_pool, resolve_jobs
 from ..errors import EvaluationError
 from ..planner.cost import PlanEstimates, Planner
 from ..planner.stats import CollectionStats
@@ -60,7 +57,6 @@ from ..telemetry.report import QueryReport
 from .results import ResultSet
 
 METHODS = ("auto", "direct", "schema")
-_EXECUTORS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -158,22 +154,13 @@ class Executor(Protocol):
     def materialize(self, rows: list) -> list:
         """Row tuples to the result objects callers see."""
 
-    def prepare(self, costs: CostModel, methods: "set[str]") -> None:
-        """Encode ``costs``' insert table and build the evaluators of
-        ``methods`` now, on the calling thread, so the pool workers of a
-        batch never write the shared arrays or race a lazy build."""
 
-
-def validate(method: str = "auto", collect: str = MODE_OFF, executor: str = "thread") -> None:
+def validate(method: str = "auto", collect: str = MODE_OFF) -> None:
     """The shared argument checks of every query-shaped entry point."""
     if method not in METHODS:
         raise EvaluationError(f"unknown method {method!r}; expected one of {METHODS}")
     if collect not in MODES:
         raise EvaluationError(f"unknown collect mode {collect!r}; expected one of {MODES}")
-    if executor not in _EXECUTORS:
-        raise EvaluationError(
-            f"executor must be 'thread' or 'process', got {executor!r}"
-        )
 
 
 class QueryPipeline:
@@ -308,6 +295,20 @@ class QueryPipeline:
         """All six stages for one query against ``view``."""
         validate(method, collect)
         compiled, compiled_hit = self.compile(text, costs)
+        return self.serve(view, compiled, compiled_hit, n, method, max_cost, collect)
+
+    def serve(
+        self,
+        view: Executor,
+        compiled: CompiledQuery,
+        compiled_hit: bool,
+        n: "int | None",
+        method: str,
+        max_cost: "float | None",
+        collect: str,
+    ) -> ResultSet:
+        """Stages 3–6 for a query already compiled (``compiled_hit``:
+        whether the compiled cache served it) against ``view``."""
         # read before evaluation, so a write landing mid-query stamps the
         # cached entry with the generation whose postings were read
         generation = view.generation()
@@ -319,8 +320,7 @@ class QueryPipeline:
         )
         telemetry = Telemetry(timed=collect == MODE_TIMINGS) if collect != MODE_OFF else None
         start = time.perf_counter()
-        # with collection off an outer collector (a harness, a pool task)
-        # keeps receiving
+        # with collection off an outer collector (a harness) keeps receiving
         with _telemetry.collecting(telemetry) if telemetry is not None else nullcontext():
             results, execution = self._answer(
                 view, generation, compiled, chosen, n, max_cost, schedule, collect
@@ -398,109 +398,26 @@ class QueryPipeline:
 
     def query_many(
         self,
-        view: Executor,
-        serve: Callable[..., ResultSet],
+        serve: Callable[[CompiledQuery, bool], ResultSet],
         queries: Iterable,
-        n: "int | None",
         costs: "CostModel | None",
-        max_cost: "float | None",
         method: str,
         collect: str,
-        jobs: "int | None",
-        executor: str,
-        worker_setup: "Callable[[], tuple] | None" = None,
     ) -> list[ResultSet]:
-        """Serve a batch through ``serve`` (the handle's public
-        ``query``), one result set per item in input order.
+        """Serve a batch through ``serve(compiled, compiled_hit)``, one
+        result set per item in input order.
 
-        Every item is resolved first, so a bad one fails the batch before
-        any evaluation.  One pool run, one insert-cost table: the batch
-        is grouped by insert fingerprint and the groups are served one
-        after another.  ``worker_setup`` — when the handle has per-worker
-        read views to offer — returns the process-pool setup spec and a
-        cleanup callback, ``(None, None)`` when it has none right now;
-        without one ``executor="process"`` degrades to threads, counting
-        ``concurrency.process_fallback``.
+        Every item is compiled first, one compiled-cache lookup each, so
+        a bad one fails the batch before any evaluation.  The items are
+        then served one after another on the calling thread, each from
+        the compiled query it was resolved to.
         """
-        validate(method, collect, executor)
-        items: "list[tuple[str | NameSelector, CompiledQuery]]" = []
+        validate(method, collect)
+        items: "list[tuple[CompiledQuery, bool]]" = []
         for item in queries:
             text, item_costs = item if isinstance(item, tuple) else (item, None)
-            items.append(
-                (text, self.resolve(text, item_costs if item_costs is not None else costs))
-            )
-
-        def one(item: "tuple[str | NameSelector, CompiledQuery]") -> ResultSet:
-            return serve(
-                item[0],
-                n=n,
-                costs=item[1].costs,
-                method=method,
-                max_cost=max_cost,
-                collect=collect,
-            )
-
-        jobs = resolve_jobs(jobs)
-        if jobs == 1 or len(items) < 2:
-            return [one(item) for item in items]
-        groups: dict[str, list[int]] = {}
-        for index, (_, compiled) in enumerate(items):
-            groups.setdefault(repr(compiled.costs.insert_fingerprint), []).append(index)
-        if len(groups) > 1:
-            _telemetry.count("concurrency.batch_groups", len(groups))
-        output: "list[ResultSet | None]" = [None] * len(items)
-        alone = 0
-        for indices in groups.values():
-            group = [items[index] for index in indices]
-            if len(group) > 1:
-                served = self._serve_group(
-                    view, one, group, n, max_cost, method, collect, jobs, executor, worker_setup
-                )
-            else:
-                # left alone in its group: served serially, and says so
-                served = [one(group[0])]
-                served[0].report.counters["concurrency.batch_fallback"] = 1
-                alone += 1
-            for index, result in zip(indices, served):
-                output[index] = result
-        if alone:
-            _telemetry.count("concurrency.batch_fallback")
-        return output
-
-    def _serve_group(
-        self, view, one, group, n, max_cost, method, collect, jobs, executor, worker_setup
-    ) -> list[ResultSet]:
-        """Serve one uniform-fingerprint group on a worker pool."""
-        generation = view.generation()
-        methods = {
-            self._choose(view, generation, compiled, method, n)[0] for _, compiled in group
-        }
-        view.prepare(group[0][1].costs, methods)
-        if executor == "process":
-            setup, cleanup = worker_setup() if worker_setup is not None else (None, None)
-            if setup is None:
-                _telemetry.count("concurrency.process_fallback")
-            else:
-                try:
-                    with make_query_pool(jobs, "process", setup) as pool:
-                        if isinstance(pool, QueryPool):
-                            # process pool unavailable; make_query_pool
-                            # already counted the fallback
-                            return pool.map_ordered(one, group)
-                        payloads = pool.map_ordered(
-                            _serve_process_query,
-                            [
-                                # what the caller submitted: an AST's
-                                # unparsed text need not reparse
-                                (text, compiled.costs, n, max_cost, method, collect)
-                                for text, compiled in group
-                            ],
-                        )
-                finally:
-                    cleanup()
-                return [ResultSet(view.materialize(rows), report) for rows, report in payloads]
-        with QueryPool(jobs) as pool:
-            return pool.map_ordered(one, group)
+            items.append(self.compile(text, item_costs if item_costs is not None else costs))
+        return [serve(compiled, hit) for compiled, hit in items]
 
 
 def fold_reports(report: QueryReport, children: Iterable[QueryReport]) -> None:
@@ -543,17 +460,3 @@ def _attach_planner_counters(
         counters["planner.mispredictions"] = 1
     if planner.corrections:
         counters["planner.corrections"] = planner.corrections
-
-
-def _serve_process_query(item):
-    """Worker body of a process-pool batch: serve one query on the
-    worker's own database (its setup spec opened or fork-inherited it)
-    and return a slim picklable payload, ``(root, cost)`` rows plus the
-    report, which the parent re-binds to its own tree."""
-    from ..concurrent.process import worker_context
-
-    text, costs, n, max_cost, method, collect = item
-    result = worker_context().query(
-        text, n=n, costs=costs, method=method, max_cost=max_cost, collect=collect
-    )
-    return [(entry.root, entry.cost) for entry in result], result.report

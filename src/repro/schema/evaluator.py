@@ -86,25 +86,15 @@ class SchemaEvaluator:
         Prebuilt schema; derived from ``tree`` when omitted.  Its
         instance columns serve ``I_sec`` (second-level queries) for
         in-memory and stored databases alike.
-    schema_indexes:
-        Prebuilt schema label indexes; derived from ``schema`` when
-        omitted.
     """
 
-    def __init__(
-        self,
-        tree: "DataTree | None",
-        schema: "Schema | None" = None,
-        schema_indexes: "SchemaNodeIndexes | None" = None,
-    ) -> None:
+    def __init__(self, tree: "DataTree | None", schema: "Schema | None" = None) -> None:
         if schema is None:
             if tree is None:
                 raise EvaluationError("SchemaEvaluator needs a tree or a prebuilt schema")
             schema = build_schema(tree)
         self._schema = schema
-        self._indexes = (
-            schema_indexes if schema_indexes is not None else SchemaNodeIndexes(schema)
-        )
+        self._indexes = SchemaNodeIndexes(schema)
         self._isec = MemorySecondaryIndex(schema)
 
     @property

@@ -18,8 +18,8 @@ Batching
     One dispatcher drains the queue in arrival order, groups adjacent
     query requests that share evaluation parameters ``(n, method,
     max_cost, collect)``, and serves each group through one
-    ``query_many(jobs=...)`` call on a worker thread — concurrent
-    clients asking comparable questions become one batched engine pass.
+    ``query_many`` call on a worker thread — concurrent clients asking
+    comparable questions become one batched engine pass.
     Mutations ride the same queue (admission and shutdown cover them
     uniformly) but always run alone, in order.
 
@@ -95,9 +95,7 @@ class QueryServer:
     :class:`~repro.shard.database.ShardedDatabase` (anything with the
     shared query surface).  ``max_pending`` bounds the admission queue;
     ``batch_max`` caps how many queued requests one dispatcher pass
-    serves; ``jobs``/``executor`` are handed to ``query_many`` for each
-    batched group (``jobs=None``: one worker per request in the group,
-    capped at 8).
+    serves.
     """
 
     def __init__(
@@ -108,8 +106,6 @@ class QueryServer:
         *,
         max_pending: int = 64,
         batch_max: int = 16,
-        jobs: "int | None" = None,
-        executor: str = "thread",
     ) -> None:
         if max_pending < 1:
             raise ServerError(f"max_pending must be >= 1, got {max_pending}")
@@ -120,8 +116,6 @@ class QueryServer:
         self.port = port  # replaced by the bound port after start()
         self._max_pending = max_pending
         self._batch_max = batch_max
-        self._jobs = jobs
-        self._executor = executor
         self._queue: "asyncio.Queue[_Job | object] | None" = None
         self._server: "asyncio.base_events.Server | None" = None
         self._dispatcher: "asyncio.Task | None" = None
@@ -362,18 +356,11 @@ class QueryServer:
         texts = [str(job.message.get("query", "")) for job in jobs]
         dispatched = time.perf_counter()
         self._count("server.queries", len(jobs))
-        worker_jobs = self._jobs if self._jobs is not None else min(len(jobs), 8)
 
         def serve():
             try:
                 return self._database.query_many(
-                    texts,
-                    n=n,
-                    method=method,
-                    max_cost=max_cost,
-                    collect=collect,
-                    jobs=worker_jobs,
-                    executor=self._executor,
+                    texts, n=n, method=method, max_cost=max_cost, collect=collect
                 ), None
             except ReproError as error:
                 return None, error

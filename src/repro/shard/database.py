@@ -62,7 +62,6 @@ from dataclasses import dataclass, replace
 
 from ..approxql.ast import NameSelector
 from ..approxql.costs import CostModel
-from ..concurrent import QueryPool, resolve_jobs
 from ..errors import EvaluationError, ShardError
 from ..telemetry import collector as _telemetry
 from ..telemetry.report import QueryReport
@@ -366,7 +365,7 @@ class ShardedDatabase:
             sized.compiled_cache_entries, sized.result_cache_entries
         )
         # stored shards have their insert costs baked in: refuse a foreign
-        # table at the merge level's compile, before a batch prepares
+        # table at the merge level's compile, before any shard re-encodes
         database._pipeline.frozen_fingerprint = shards[0]._pipeline.frozen_fingerprint
         return database
 
@@ -484,7 +483,6 @@ class ShardedDatabase:
         method: str = "auto",
         max_cost: "float | None" = None,
         collect: str = "off",
-        jobs: "int | None" = None,
     ) -> ResultSet:
         """Fan the query out to every shard and merge — the
         :meth:`Database.query` signature and contract, answered
@@ -493,18 +491,14 @@ class ShardedDatabase:
         The returned prefix is the canonical (cost, global root) order:
         the same result *set* the unsharded collection returns, with ties
         broken deterministically by global root (the single-store driver
-        leaves tie order unspecified).  ``jobs > 1`` queries shards on
-        that many worker threads.
+        leaves tie order unspecified).
         """
         self._check_open()
-        results = self._pipeline.query(
-            _ScatterGather(self, jobs), text, n, costs, method, max_cost, collect
+        return _counted(
+            self._pipeline.query(
+                _ScatterGather(self), text, n, costs, method, max_cost, collect
+            )
         )
-        fanout = results.report.counters.get("shard.fanout")
-        if fanout:  # a scatter ran (a merge-level cache hit has none)
-            _telemetry.count("shard.fanout", fanout)
-        _telemetry.count("shard.queries")
-        return results
 
     def stream(
         self,
@@ -632,26 +626,22 @@ class ShardedDatabase:
         max_cost: "float | None" = None,
         method: str = "auto",
         collect: str = "off",
-        jobs: "int | None" = None,
-        executor: str = "thread",
     ) -> list[ResultSet]:
         """Evaluate a batch of independent queries, one merged
-        :class:`~repro.core.results.ResultSet` per query, in input order.
-
-        ``jobs > 1`` serves whole queries from a thread pool (each query
-        then fans out to shards serially — queries × shards both
-        parallel would oversubscribe).  ``executor="process"`` degrades
-        to threads with a ``concurrency.process_fallback`` count: shard
-        results need local→global translation against the live manifest,
-        which has no cross-process story yet.  A batch mixing insert-cost
-        tables is grouped by table, exactly as :meth:`Database.query_many`
-        groups it: the shards' shared cost encodings hold one at a time.
-        """
+        :class:`~repro.core.results.ResultSet` per query, in input order
+        — :meth:`Database.query_many`'s contract: every item resolved
+        first, then served in order, each fanned out and merged exactly
+        as :meth:`query` would."""
         self._check_open()
-        return self._pipeline.query_many(
-            _ScatterGather(self), self.query, queries, n, costs, max_cost,
-            method, collect, jobs, executor,
-        )
+
+        def serve(compiled: CompiledQuery, compiled_hit: bool) -> ResultSet:
+            return _counted(
+                self._pipeline.serve(
+                    _ScatterGather(self), compiled, compiled_hit, n, method, max_cost, collect
+                )
+            )
+
+        return self._pipeline.query_many(serve, queries, costs, method, collect)
 
     # ------------------------------------------------------------------
     # mutation (routed to the owning shard)
@@ -843,24 +833,32 @@ class ShardedDatabase:
             shard.set_query_cache(compiled_entries, result_entries)
 
 
+def _counted(results: ResultSet) -> ResultSet:
+    """Count one merged query, plus its scatter's fanout when one ran (a
+    merge-level cache hit has none), on the ambient collector."""
+    fanout = results.report.counters.get("shard.fanout")
+    if fanout:
+        _telemetry.count("shard.fanout", fanout)
+    _telemetry.count("shard.queries")
+    return results
+
+
 class _ScatterGather:
     """A sharded collection as the query pipeline's
     :class:`~repro.core.pipeline.Executor`: scatter to every shard
     through its public ``query`` / ``stream``, gather into the canonical
     (cost, global root) order.  Rows are ``(global root, cost, shard,
     local root)`` tuples.  Made per call — it captures the translation
-    tables current at the call's start and the worker count (``jobs``)
-    the scatter may use."""
+    tables current at the call's start."""
 
     # the merge re-sorts every tie class by global root, whatever
     # schedule the shards' drivers ran
     schedule_ordered = False
 
-    def __init__(self, database: ShardedDatabase, jobs: "int | None" = None) -> None:
+    def __init__(self, database: ShardedDatabase) -> None:
         self._database = database
         self._shards = database._shards
         self._maps = database._maps
-        self._jobs = min(resolve_jobs(jobs), len(self._shards))
 
     def generation(self) -> tuple:
         """The routing generation plus every shard's (published state,
@@ -892,17 +890,14 @@ class _ScatterGather:
         """Shards run with the explicit ``chosen`` method and their own
         default schedule, reporting in the ``collect`` mode.  Nothing
         is resumable at this level: a larger ``n`` recomputes."""
-        jobs = self._jobs
         if chosen == "schema" and n is not None:
-            rows, reports = self._best_n(compiled, n, max_cost, collect, jobs)
+            rows, reports = self._best_n(compiled, n, max_cost, collect)
         else:
-            rows, reports = self._full(compiled, n, chosen, max_cost, collect, jobs)
+            rows, reports = self._full(compiled, n, chosen, max_cost, collect)
         counters = {
             "shard.fanout": len(self._shards),
             "shard.results_merged": sum(report.results for report in reports),
         }
-        if jobs > 1:
-            counters["shard.parallel_jobs"] = jobs
         return Execution(
             rows, complete=n is None or len(rows) < n, reports=tuple(reports), counters=counters
         )
@@ -922,43 +917,14 @@ class _ScatterGather:
             result.root,
         )
 
-    def prepare(self, costs: CostModel, methods: "set[str]") -> None:
-        for shard in self._shards:
-            shard._current_view().prepare(costs, methods)
-
-    def _best_n(self, compiled, n, max_cost, collect, jobs):
-        """Best-n retrieval: per-shard cost-ordered streams, merged.
-
-        Serial (``jobs <= 1``): the lazy k-way cost-class merge — shards
-        are pulled only as far as the global prefix needs.  Parallel:
-        each worker drains its shard's stream through the n-th cost's
-        tie class (the *tie-extended prefix*: every global top-n result
-        ranks within its own shard's top n, ties included), then one
-        canonical sort merges the unions — same answer, shards in
-        parallel.
-        """
-        def open_stream(shard: Database) -> ResultStream:
-            return shard.stream(compiled.query, costs=compiled.costs, collect=collect)
-
-        if jobs > 1:
-            def fetch(index: int):
-                stream = open_stream(self._shards[index])
-                out = []
-                try:
-                    for result in stream:
-                        if max_cost is not None and result.cost > max_cost:
-                            break
-                        if result.root == 0:
-                            continue  # collection-rooted pseudo-result
-                        if len(out) >= n and result.cost > out[n - 1][1]:
-                            break
-                        out.append(self.row(index, result))
-                finally:
-                    stream.close()
-                return out, stream.report
-
-            return self._gather(fetch, jobs, n)
-        streams = [open_stream(shard) for shard in self._shards]
+    def _best_n(self, compiled, n, max_cost, collect):
+        """Best-n retrieval: the lazy k-way cost-class merge of per-shard
+        cost-ordered streams — shards are pulled only as far as the
+        global prefix needs."""
+        streams = [
+            shard.stream(compiled.query, costs=compiled.costs, collect=collect)
+            for shard in self._shards
+        ]
         rows: "list[tuple]" = []
         try:
             for row in _merge_streams(streams, self.row):
@@ -972,36 +938,23 @@ class _ScatterGather:
                 stream.close()
         return rows, [stream.report for stream in streams]
 
-    def _full(self, compiled, n, chosen, max_cost, collect, jobs):
+    def _full(self, compiled, n, chosen, max_cost, collect):
         """Full retrieval (or an explicit direct-method best-n): every
         shard computes its complete (cost-bounded) answer set, the union
         is sorted canonically, and ``n`` truncates.  Per-shard full sets
         sidestep tie-cut truncation entirely."""
-        def fetch(index: int):
-            result_set = self._shards[index].query(
+        rows: "list[tuple]" = []
+        reports: "list[QueryReport]" = []
+        for index, shard in enumerate(self._shards):
+            result_set = shard.query(
                 compiled.query, n=None, costs=compiled.costs, method=chosen,
                 max_cost=max_cost, collect=collect,
             )
             # root 0 is the collection-rooted pseudo-result
-            rows = [self.row(index, result) for result in result_set if result.root != 0]
-            return rows, result_set.report
-
-        return self._gather(fetch, jobs, n)
-
-    def _gather(self, fetch: Callable, jobs: int, n: "int | None"):
-        """Run ``fetch`` over every shard (on ``jobs`` threads), sort
-        the union of the rows canonically and cut it at ``n``."""
-        indexes = range(len(self._shards))
-        if jobs > 1:
-            with QueryPool(jobs) as pool:
-                fetched = pool.map_ordered(fetch, indexes)
-        else:
-            fetched = [fetch(index) for index in indexes]
-        rows = sorted(
-            (row for part, _ in fetched for row in part),
-            key=lambda row: (row[1], row[0]),
-        )
-        return (rows if n is None else rows[:n]), [report for _, report in fetched]
+            rows.extend(self.row(index, result) for result in result_set if result.root != 0)
+            reports.append(result_set.report)
+        rows.sort(key=lambda row: (row[1], row[0]))
+        return (rows if n is None else rows[:n]), reports
 
 
 def _merge_streams(

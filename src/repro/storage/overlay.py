@@ -13,9 +13,7 @@ value.
 Overlays are *ambient* per thread, exactly like the telemetry collector:
 the stored indexes check :func:`current_overlay` on every fetch, query
 code activates a snapshot's overlay with :func:`using_overlay` around the
-evaluation, and :class:`repro.concurrent.QueryPool` re-activates the
-submitting thread's overlay inside its worker threads so pooled tasks
-read the same generation.
+evaluation.
 
 Thread-safety relies on the shape of the data: the writer only ever
 *adds* entries (``setdefault`` under the database's writer lock, one

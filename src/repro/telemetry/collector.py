@@ -22,9 +22,7 @@ query collects its own report.
 Activation is **per thread**: every thread has its own active-collector
 slot, so concurrently collecting queries on different threads can never
 interleave counts into each other's report.  A :class:`Telemetry` object
-itself is *not* thread-safe — one thread fills it, and cross-thread
-aggregation goes through :meth:`Telemetry.merge` on the coordinating
-thread (the pattern :mod:`repro.concurrent` uses).
+itself is *not* thread-safe — the one thread that activated it fills it.
 """
 
 from __future__ import annotations
@@ -72,15 +70,6 @@ class Telemetry:
         timings = self.timings
         timings[name] = timings.get(name, 0.0) + seconds
 
-    def merge(self, other: "Telemetry") -> None:
-        """Fold another collection into this one (counters add, gauges
-        overwrite — indistinguishable here, so everything adds; timings
-        add)."""
-        for name, value in other.counters.items():
-            self.count(name, value)
-        for name, seconds in other.timings.items():
-            self.add_time(name, seconds)
-
     def sections(self) -> dict[str, dict[str, float]]:
         """Counters grouped by their first dotted segment, insertion
         order preserved within a section."""
@@ -110,9 +99,7 @@ class _CollectorState(threading.local):
     The active collector is **thread-local**: a collector activated on
     one thread is invisible to every other thread, so two concurrently
     collecting queries can never interleave counts into each other's
-    report.  A worker thread that should report into a query's
-    collection activates its own :class:`Telemetry` and the coordinator
-    merges it in (see :mod:`repro.concurrent`).
+    report.
     """
 
     def __init__(self) -> None:

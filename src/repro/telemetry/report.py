@@ -153,13 +153,6 @@ class QueryReport:
         return int(self.get("wal.recoveries"))
 
     @property
-    def batch_fallback(self) -> bool:
-        """True when :meth:`~repro.core.database.Database.query_many`
-        served this query serially because the batch mixed insert-cost
-        fingerprints (parallelism was requested but not applied)."""
-        return bool(self.get("concurrency.batch_fallback"))
-
-    @property
     def compiled_cache_hit(self) -> bool:
         """True when the hot-query compiled cache served this query's
         parsed AST, expanded closure, and plan memo (tier 1)."""
@@ -226,11 +219,6 @@ class QueryReport:
                 "  schema: stopped at max_k before reaching n "
                 "(the answer may be incomplete)"
             )
-        if self.batch_fallback:
-            lines.append(
-                "  concurrency: batch fell back to serial execution "
-                "(mixed insert-cost fingerprints)"
-            )
         if self.compiled_cache_hit or self.result_cache_hit:
             parts = []
             if self.compiled_cache_hit:
@@ -253,8 +241,7 @@ class QueryReport:
         if self.get("shard.fanout"):
             lines.append(
                 f"  shard: fanout {int(self.get('shard.fanout'))} | "
-                f"merged {int(self.get('shard.results_merged'))} result(s) | "
-                f"parallel jobs {int(self.get('shard.parallel_jobs'))}"
+                f"merged {int(self.get('shard.results_merged'))} result(s)"
             )
         if self.get("server.rejections") or self.get("server.queue_seconds"):
             lines.append(
@@ -298,7 +285,6 @@ class QueryReport:
                 "rmq_reuses": self.rmq_reuses,
                 "wal_frames_written": self.wal_frames_written,
                 "wal_recoveries": self.wal_recoveries,
-                "batch_fallback": self.batch_fallback,
                 "compiled_cache_hit": self.compiled_cache_hit,
                 "result_cache_hit": self.result_cache_hit,
                 "resumed_rounds": self.resumed_rounds,

@@ -204,4 +204,4 @@ class TestShardedCommands:
         assert args.port == 7733
         assert args.max_pending == 64
         assert args.batch_max == 16
-        assert args.executor == "thread"
+        assert not hasattr(args, "jobs") and not hasattr(args, "executor")

@@ -81,38 +81,23 @@ def test_best_n_prefix_matches_naive(seed):
                 assert naive_map[result.root] == result.cost, case.describe()
 
 
-def _assert_batch_matches_naive(case, jobs, executor):
+@pytest.mark.parametrize("seed", range(4))
+def test_query_many_schema_matches_naive(seed):
+    """A batch mixing the generated cost tables must reproduce the
+    oracle's mapping and the ``query`` loop's emission order exactly."""
+    case = generated_case(900 + seed)
     database = Database.from_tree(case.tree)
-    # the batch must evaluate, not be served what the serial loop cached
+    # the batch must evaluate, not be served what the loop cached
     database.set_query_cache(result_entries=0)
     batch = [(generated.query, generated.costs) for generated in case.queries]
-    serial = [
+    loop = [
         database.query(query, n=None, costs=costs, method="schema") for query, costs in batch
     ]
-    parallel = database.query_many(
-        batch, n=None, method="schema", jobs=jobs, executor=executor
-    )
-    for generated, serial_run, parallel_run in zip(case.queries, serial, parallel):
+    batched = database.query_many(batch, n=None, method="schema")
+    for generated, loop_run, batch_run in zip(case.queries, loop, batched):
         naive = _oracle(case.tree, generated.query, generated.costs)
-        assert _pairs(parallel_run) == _pairs(serial_run), case.describe()
-        assert dict(_pairs(parallel_run)) == naive, case.describe()
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_parallel_schema_matches_naive(seed):
-    """A thread-pooled batch changes scheduling, not answers:
-    ``query_many(jobs=3)`` must reproduce the oracle's mapping and the
-    serial loop's emission order exactly."""
-    _assert_batch_matches_naive(generated_case(900 + seed), jobs=3, executor="thread")
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_process_parallel_schema_matches_naive(seed):
-    """The process-pooled batch — each worker evaluating on its own
-    fork-inherited read view — must likewise reproduce the oracle's
-    mapping and the serial loop's emission order exactly (including on
-    platforms where it degrades to threads)."""
-    _assert_batch_matches_naive(generated_case(1000 + seed), jobs=2, executor="process")
+        assert _pairs(batch_run) == _pairs(loop_run), case.describe()
+        assert dict(_pairs(batch_run)) == naive, case.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +192,11 @@ CACHE_NS = (1, 3, None, 2)
 MUTATION_DOC = "<cd><title>interleaved</title><artist>mutation</artist></cd>"
 
 
-def _assert_cached_matches_cold(hot, cold, case, jobs=None):
+def _assert_cached_matches_cold(hot, cold, case):
     """The fast-path contract: every answer the caching database serves
     — cold, tier-1, tier-2 prefix, or resumed — is byte-identical to the
     cache-disabled twin's answer to the same request, before and after
-    an interleaved mutation on both.  ``jobs`` is a sharded pair's
-    scatter worker count."""
-    scatter = {} if jobs is None else {"jobs": jobs}
+    an interleaved mutation on both."""
 
     def sweep():
         from repro.approxql.parser import parse_query
@@ -230,12 +213,8 @@ def _assert_cached_matches_cold(hot, cold, case, jobs=None):
                 text = generated.query
             for n in CACHE_NS:
                 for method in ("schema", "direct", "auto"):
-                    served = hot.query(
-                        text, n=n, costs=generated.costs, method=method, **scatter
-                    )
-                    cold_run = cold.query(
-                        text, n=n, costs=generated.costs, method=method, **scatter
-                    )
+                    served = hot.query(text, n=n, costs=generated.costs, method=method)
+                    cold_run = cold.query(text, n=n, costs=generated.costs, method=method)
                     assert _pairs(served) == _pairs(cold_run), (
                         n, method, case.describe()
                     )
@@ -270,22 +249,6 @@ def test_cached_answers_match_cold_stored(seed, tmp_path):
     cold = Database.open(cold_path)
     cold.set_query_cache(compiled_entries=0, result_entries=0)
     _assert_cached_matches_cold(hot, cold, case)
-    hot.close()
-    cold.close()
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_cached_answers_match_cold_parallel(seed):
-    """The thread-pooled shard scatter under the fast path: the cached
-    answers must match the cache-disabled twin scattering with the same
-    ``jobs``."""
-    from repro.shard import ShardedDatabase
-
-    case = generated_case(1600 + seed, num_elements=60)
-    hot = ShardedDatabase.from_tree(case.tree, shards=2)
-    cold = ShardedDatabase.from_tree(case.tree, shards=2)
-    cold.set_query_cache(compiled_entries=0, result_entries=0)
-    _assert_cached_matches_cold(hot, cold, case, jobs=2)
     hot.close()
     cold.close()
 

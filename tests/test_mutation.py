@@ -278,45 +278,6 @@ class TestUnifiedEntryPoints:
         assert len(set(failures.values())) == 1, failures
 
 
-class TestBatchFallback:
-    def test_mixed_fingerprints_fall_back_and_say_so(self):
-        database = Database.from_documents(DOCS)
-        cheap = CostModel(default_insert_cost=1)
-        expensive = CostModel(default_insert_cost=5)
-        batch = [("cd[title]", cheap), ("cd[artist]", expensive)]
-        results = database.query_many(batch, jobs=2, collect="counters")
-        assert len(results) == 2
-        for result in results:
-            assert result.report.counters["concurrency.batch_fallback"] == 1
-            assert result.report.batch_fallback
-
-    def test_fallback_counter_present_with_collection_off(self):
-        database = Database.from_documents(DOCS)
-        batch = [
-            ("cd[title]", CostModel(default_insert_cost=1)),
-            ("cd[artist]", CostModel(default_insert_cost=5)),
-        ]
-        results = database.query_many(batch, jobs=2, collect="off")
-        for result in results:
-            assert result.report.batch_fallback
-
-    def test_uniform_batch_does_not_report_fallback(self):
-        database = Database.from_documents(DOCS)
-        results = database.query_many(["cd[title]", "cd[artist]"], jobs=2, collect="counters")
-        for result in results:
-            assert not result.report.batch_fallback
-
-    def test_serial_results_match_parallel_after_fallback(self):
-        database = Database.from_documents(DOCS)
-        cheap = CostModel(default_insert_cost=1)
-        expensive = CostModel(default_insert_cost=5)
-        batch = [("cd[title]", cheap), ("cd[title]", expensive)]
-        fallback = database.query_many(batch, jobs=4)
-        loop = [database.query(text, costs=costs) for text, costs in batch]
-        key = lambda results: [(r.cost, r.root) for r in results]
-        assert [key(r) for r in fallback] == [key(r) for r in loop]
-
-
 class TestMutationReportRendering:
     def test_format_mentions_everything(self, memory_db):
         report = memory_db.insert_document(NEW_DOC)

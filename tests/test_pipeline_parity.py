@@ -15,6 +15,7 @@ from repro.approxql.costs import CostModel
 from repro.core.database import Database
 from repro.errors import EvaluationError, QuerySyntaxError
 from repro.planner.cost import Planner
+from repro.server import QueryServer
 from repro.shard import ShardedDatabase
 
 DOCUMENTS = [
@@ -77,7 +78,7 @@ def choose_calls(monkeypatch):
 
 def _entry_points(handle):
     """name -> (callable taking the query text and keywords, the
-    keywords it accepts among method / collect / executor)."""
+    keywords it accepts among method / collect)."""
     points = {
         "query": (handle.query, {"method", "collect"}),
         "stream": (handle.stream, {"collect"}),
@@ -87,8 +88,8 @@ def _entry_points(handle):
     }
     if hasattr(handle, "query_many"):
         points["query_many"] = (
-            lambda text, **keywords: handle.query_many([text, "title"], jobs=2, **keywords),
-            {"method", "collect", "executor"},
+            lambda text, **keywords: handle.query_many([text, "title"], **keywords),
+            {"method", "collect"},
         )
     return points
 
@@ -96,7 +97,6 @@ def _entry_points(handle):
 BAD = {
     "method": ("magic", EvaluationError, "unknown method 'magic'"),
     "collect": ("everything", EvaluationError, "unknown collect mode 'everything'"),
-    "executor": ("bogus", EvaluationError, "executor must be 'thread' or 'process', got 'bogus'"),
 }
 
 
@@ -114,32 +114,47 @@ def test_bad_arguments_raise_the_same_typed_error_everywhere(handle, choose_call
     assert choose_calls == []
 
 
-def test_executor_is_validated_for_the_direct_method_too(handle):
-    """``executor`` names a batch's worker kind — ``query_many`` is the
-    only place the word is accepted, and a bogus one is refused there
-    whatever the method."""
-    if not hasattr(handle, "query_many"):  # a snapshot serves no batches
-        with pytest.raises(TypeError):
-            handle.query(QUERY, method="direct", executor="bogus")
-        return
-    with pytest.raises(EvaluationError, match="executor must be"):
-        handle.query_many([QUERY, "title"], method="direct", jobs=2, executor="bogus")
-
-
 def test_query_takes_no_worker_options(handle):
-    """One query runs on one path: ``executor`` is gone from every
-    handle, and ``jobs`` is only the shard scatter's worker count."""
-    with pytest.raises(TypeError):
-        handle.query(QUERY, executor="thread")
-    if isinstance(handle, ShardedDatabase):
-        handle.set_query_cache(result_entries=0)  # both calls must scatter
-        serial = [(r.root, r.cost) for r in handle.query(QUERY)]
-        parallel = handle.query(QUERY, jobs=2)
-        assert [(r.root, r.cost) for r in parallel] == serial
-        assert parallel.report.counters["shard.parallel_jobs"] == 2
-    else:
+    """One query, one thread: no entry point takes a worker count or a
+    worker kind."""
+    refused = [
+        lambda: handle.query(QUERY, executor="thread"),
+        lambda: handle.query(QUERY, jobs=2),
+        lambda: QueryServer(handle, jobs=2),
+        lambda: QueryServer(handle, executor="thread"),
+    ]
+    if hasattr(handle, "query_many"):  # a snapshot serves no batches
+        refused += [
+            lambda: handle.query_many([QUERY, "title"], jobs=2),
+            lambda: handle.query_many([QUERY, "title"], executor="thread"),
+        ]
+    for call in refused:
         with pytest.raises(TypeError):
-            handle.query(QUERY, jobs=2)
+            call()
+
+
+@pytest.mark.parametrize("kind", ["memory", "stored", "sharded"])
+def test_query_many_looks_each_item_up_once(kind, tmp_path):
+    """A batch serves every item from the compiled query it resolved to:
+    a cold batch of two new queries is two compiled-cache misses and no
+    hit, on each report and in the lifetime counters; the same batch
+    again is one hit per item."""
+    handle, close = _open(kind, tmp_path)
+    try:
+        def lifetime():
+            stats = handle.query_cache_stats()
+            return stats["querycache.compiled_hits"], stats["querycache.compiled_misses"]
+
+        hits, misses = lifetime()
+        cold = handle.query_many([QUERY, "title"], collect="counters")
+        assert [r.report.compiled_cache_hit for r in cold] == [False, False]
+        assert [r.report.counters["querycache.compiled_misses"] for r in cold] == [1, 1]
+        assert lifetime() == (hits, misses + 2)
+        hot = handle.query_many([QUERY, "title"], collect="counters")
+        assert [r.report.compiled_cache_hit for r in hot] == [True, True]
+        assert lifetime() == (hits + 2, misses + 2)
+    finally:
+        close()
 
 
 def test_plan_is_the_same_for_the_same_data(handle, tmp_path):
@@ -207,7 +222,7 @@ def test_disabled_compiled_cache_reports_no_compiled_counters(kind, tmp_path):
 def test_foreign_insert_costs_are_refused_before_any_work(kind, tmp_path):
     """A stored collection has its insert costs baked in: every entry
     point refuses another table at compile, and a batch fails at resolve
-    — before ``prepare`` could re-encode a shard's shared cost arrays."""
+    — before any shard could re-encode its shared cost arrays."""
     handle, close = _open(kind, tmp_path)
     foreign = CostModel().set_insert_cost("cd", 7)
     shards = handle.shard_databases() if kind == "stored-sharded" else ()
@@ -228,10 +243,9 @@ def test_sharded_report_carries_the_fanout_family_in_every_collect_mode():
     when the merge-level cache served (no scatter ran)."""
     with ShardedDatabase.from_documents(DOCUMENTS, shards=2) as handle:
         for collect in ("off", "counters"):
-            report = handle.query(QUERY, n=3, method="direct", collect=collect, jobs=2).report
+            report = handle.query(QUERY, n=3, method="direct", collect=collect).report
             assert report.counters["shard.fanout"] == 2
             assert report.counters["shard.results_merged"] == report.results
-            assert report.counters["shard.parallel_jobs"] == 2
             handle.set_query_cache(result_entries=0)
         handle.set_query_cache(result_entries=8)
         handle.query(QUERY, n=3)

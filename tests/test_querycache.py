@@ -383,41 +383,6 @@ class TestDatabaseFastPath:
 
 
 # ----------------------------------------------------------------------
-# query_many grouping (mixed insert fingerprints)
-# ----------------------------------------------------------------------
-
-
-class TestQueryManyGrouping:
-    def test_mixed_batch_groups_by_fingerprint(self):
-        database = Database.from_documents(DOCS)
-        heavy = CostModel(default_insert_cost=9)
-        batch = [
-            ("cd[title]", None),
-            ("cd[artist]", None),
-            ('cd[title["piano"]]', heavy),
-            ("artist", None),
-        ]
-        parallel = database.query_many(batch, n=3, jobs=2, collect="counters")
-        serial = [
-            database.query(text, n=3, costs=costs, collect="counters")
-            for text, costs in batch
-        ]
-        for got, want in zip(parallel, serial):
-            assert _pairs(got) == _pairs(want)
-        # the lone heavy-cost query is the only serial fallback; the
-        # default-cost group of three still batches
-        fallbacks = [bool(r.report.batch_fallback) for r in parallel]
-        assert fallbacks == [False, False, True, False]
-
-    def test_uniform_batch_has_no_fallback(self):
-        database = Database.from_documents(DOCS)
-        results = database.query_many(
-            ["cd[title]", "cd[artist]"], n=2, jobs=2, collect="counters"
-        )
-        assert all(not r.report.batch_fallback for r in results)
-
-
-# ----------------------------------------------------------------------
 # planner-state persistence (the b"stats" segment)
 # ----------------------------------------------------------------------
 

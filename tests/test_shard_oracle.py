@@ -59,25 +59,6 @@ def test_sharded_best_n_matches_single_store(seed, shards, partitioner):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_parallel_scatter_matches_serial_merge(seed):
-    case = generated_case(2700 + seed, num_elements=60)
-    sharded = ShardedDatabase.from_tree(case.tree, shards=5)
-    for generated in case.queries:
-        for n in (3, 10):
-            serial = [
-                (r.cost, r.root)
-                for r in sharded.query(generated.query, n=n, costs=generated.costs)
-            ]
-            parallel = [
-                (r.cost, r.root)
-                for r in sharded.query(
-                    generated.query, n=n, costs=generated.costs, jobs=4
-                )
-            ]
-            assert parallel == serial, (n, case.describe())
-
-
-@pytest.mark.parametrize("seed", range(3))
 def test_stream_prefix_matches_reference(seed):
     case = generated_case(2800 + seed, num_elements=60)
     single = Database.from_tree(case.tree)

@@ -129,17 +129,6 @@ class TestCollector:
             thread.join()
         assert seen == [None]
 
-    def test_merge_adds(self):
-        first, second = Telemetry(), Telemetry()
-        first.count("m.x", 2)
-        first.add_time("m.t", 0.5)
-        second.count("m.x", 3)
-        second.count("m.y", 1)
-        second.add_time("m.t", 0.25)
-        first.merge(second)
-        assert first.counters == {"m.x": 5, "m.y": 1}
-        assert first.timings == {"m.t": 0.75}
-
     def test_sections_group_by_first_segment(self):
         telemetry = Telemetry()
         telemetry.count("storage.pages_read", 4)
