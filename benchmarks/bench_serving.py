@@ -9,8 +9,8 @@ One experiment over the Figure 7a workload collection, asked two ways:
 * **server** — the same batch pushed through a live
   :class:`~repro.server.QueryServer` over real TCP by several
   concurrent clients, measuring end-to-end requests per second
-  including protocol framing, admission control, and dispatcher
-  batching.
+  including protocol framing, admission control, and the engine
+  lock.
 
 Every sharded pass is verified against the single-store answers
 (document-rooted results, canonical (cost, root) order) — the benchmark
@@ -25,8 +25,8 @@ free cores the shard fan-out can overlap per-shard I/O and decode work,
 while on a single-core container the curve stays flat and the merge
 overhead shows up directly; ``cpu_count`` is recorded next to every
 measurement for exactly that reason.  The server points additionally
-absorb JSON framing and event-loop turnaround, so their throughput is a
-floor, not a ceiling, for the library numbers.
+absorb JSON framing and a thread wake-up per request, so their
+throughput is a floor, not a ceiling, for the library numbers.
 
 Standalone usage (writes the committed ``BENCH_serving.json``)::
 

@@ -276,39 +276,25 @@ def _command_schema(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from ..server import QueryServer
 
     database = _open_database(args)
     server = QueryServer(
-        database,
-        host=args.host,
-        port=args.port,
-        max_pending=args.max_pending,
-        batch_max=args.batch_max,
+        database, host=args.host, port=args.port, max_pending=args.max_pending
     )
-
-    async def run() -> None:
-        await server.start()
+    try:
+        server.open()
         print(f"serving {database.describe().splitlines()[0]}")
         print(f"listening on {server.host}:{server.port} (Ctrl-C to stop)")
         try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await server.stop()
-            stats = server.stats()
-            print(
-                f"stopped after {stats['server.requests']} request(s), "
-                f"{stats['server.rejections']} rejection(s)"
-            )
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass  # serve_forever has drained the server
+        stats = server.stats()
+        print(
+            f"stopped after {stats['server.requests']} request(s), "
+            f"{stats['server.rejections']} rejection(s)"
+        )
     finally:
         database.close()
     return 0
@@ -454,15 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="admission-control bound: requests queued beyond N are "
-        "rejected with AdmissionError (default 64)",
-    )
-    serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=16,
-        metavar="N",
-        help="largest query batch handed to query_many at once (default 16)",
+        help="admission-control bound: requests waiting for the engine "
+        "beyond N are rejected with AdmissionError (default 64)",
     )
     _add_cache_options(serve)
     serve.set_defaults(func=_command_serve)

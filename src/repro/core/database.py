@@ -41,6 +41,7 @@ import time
 import weakref
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from itertools import islice
 
 from ..approxql.ast import NameSelector
 from ..approxql.costs import CostModel
@@ -306,7 +307,7 @@ class _PinnedView:
         query, costs = compiled.query, compiled.costs
         schema = self.state.ensure_schema()
         explanations: list[Explanation] = []
-        for result in self.state.schema_eval().iter_results(query, costs):
+        for result in islice(self.state.schema_eval().iter_results(query, costs), n):
             assert result.skeleton is not None
             derived_cost, operations = explain_skeleton(
                 query, result.skeleton, costs, schema
@@ -320,8 +321,6 @@ class _PinnedView:
                     consistent=derived_cost == result.cost,
                 )
             )
-            if n is not None and len(explanations) >= n:
-                break
         return explanations
 
 
@@ -413,7 +412,7 @@ class Snapshot:
     ) -> list[Explanation]:
         """:meth:`Database.explain` against the pinned generation."""
         with self._view() as view:
-            return view.explain(self._database._pipeline.resolve(text, costs), n)
+            return view.explain(self._database._pipeline.resolve(text, costs, n=n), n)
 
     def plan(
         self,
@@ -1089,7 +1088,7 @@ class Database:
                     view, compiled, compiled_hit, n, method, max_cost, collect
                 )
 
-        return self._pipeline.query_many(serve, queries, costs, method, collect)
+        return self._pipeline.query_many(serve, queries, n, costs, method, collect)
 
     def stream(
         self,
@@ -1169,7 +1168,7 @@ class Database:
         produced each (renamings, deletions, and the implicitly inserted
         element labels read off the schema)."""
         with self._view() as view:
-            return view.explain(self._pipeline.resolve(text, costs), n)
+            return view.explain(self._pipeline.resolve(text, costs, n=n), n)
 
     # ------------------------------------------------------------------
     # internals

@@ -11,7 +11,7 @@ hand it an :class:`Executor` per call.
 
 Stages of :meth:`QueryPipeline.query`, in order:
 
-1. **validate** ``method`` / ``collect`` — typed errors before any work;
+1. **validate** ``n`` / ``method`` / ``collect`` — typed errors before any work;
 2. **compile** through the Tier-1 :class:`~repro.querycache.CompiledQueryCache`
    (parse, fingerprint, lazily expanded closure);
 3. **plan**: an explicit method is taken as given, ``"auto"`` asks the
@@ -155,8 +155,10 @@ class Executor(Protocol):
         """Row tuples to the result objects callers see."""
 
 
-def validate(method: str = "auto", collect: str = MODE_OFF) -> None:
+def validate(method: str = "auto", collect: str = MODE_OFF, n: "int | None" = None) -> None:
     """The shared argument checks of every query-shaped entry point."""
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
+        raise EvaluationError(f"n must be an integer >= 0 or None, got {n!r}")
     if method not in METHODS:
         raise EvaluationError(f"unknown method {method!r}; expected one of {METHODS}")
     if collect not in MODES:
@@ -217,12 +219,16 @@ class QueryPipeline:
         return compiled, hit
 
     def resolve(
-        self, text: "str | NameSelector", costs: "CostModel | None", collect: str = MODE_OFF
+        self,
+        text: "str | NameSelector",
+        costs: "CostModel | None",
+        collect: str = MODE_OFF,
+        n: "int | None" = None,
     ) -> CompiledQuery:
         """Validate and compile for the entry points that evaluate on
         their own (``stream``, ``count_results``, ``explain``): identical
         inputs raise the identical typed errors :meth:`query` raises."""
-        validate(collect=collect)
+        validate(collect=collect, n=n)
         return self.compile(text, costs)[0]
 
     def _choose(
@@ -258,7 +264,7 @@ class QueryPipeline:
         costs: "CostModel | None",
     ) -> QueryPlan:
         """The decision :meth:`query` would make, with its estimates."""
-        validate(method)
+        validate(method, n=n)
         compiled, _ = self.compile(text, costs)
         chosen, reason, estimates = self._choose(
             view, view.generation(), compiled, method, n, want_estimates=True
@@ -293,7 +299,7 @@ class QueryPipeline:
         collect: str,
     ) -> ResultSet:
         """All six stages for one query against ``view``."""
-        validate(method, collect)
+        validate(method, collect, n)
         compiled, compiled_hit = self.compile(text, costs)
         return self.serve(view, compiled, compiled_hit, n, method, max_cost, collect)
 
@@ -400,6 +406,7 @@ class QueryPipeline:
         self,
         serve: Callable[[CompiledQuery, bool], ResultSet],
         queries: Iterable,
+        n: "int | None",
         costs: "CostModel | None",
         method: str,
         collect: str,
@@ -412,7 +419,7 @@ class QueryPipeline:
         then served one after another on the calling thread, each from
         the compiled query it was resolved to.
         """
-        validate(method, collect)
+        validate(method, collect, n)
         items: "list[tuple[CompiledQuery, bool]]" = []
         for item in queries:
             text, item_costs = item if isinstance(item, tuple) else (item, None)

@@ -1,4 +1,4 @@
-"""The asyncio query front door: socket server, protocol, client.
+"""The threaded query front door: socket server, protocol, client.
 
 See ``docs/SERVING.md`` for the protocol, the admission-control story,
 and operational notes; ``repro serve`` is the CLI entry point.

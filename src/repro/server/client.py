@@ -41,6 +41,10 @@ class ServeClient:
         if not line:
             raise ServerError("server closed the connection")
         response = decode_message(line)
+        if not response.get("ok") and response.get("id") is None:
+            # the server could not read this request's id (an oversized
+            # line): its error is the answer to this request
+            raise_error_payload(response.get("error", {}))
         if response.get("id") != request_id:
             raise ServerError(
                 f"response id {response.get('id')!r} does not match "

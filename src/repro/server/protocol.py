@@ -10,9 +10,9 @@ response echoes verbatim (clients that pipeline match responses by it):
 Ops
 ---
 ``query``
-    Fields: ``query`` (required), ``n`` (default 10, ``null`` = all),
-    ``method`` (default ``"auto"``), ``max_cost``, ``collect`` (default
-    ``"off"``).  Response: ``results`` — a list of
+    Fields: ``query`` (required), ``n`` (an integer >= 0, default 10,
+    ``null`` = all), ``method`` (default ``"auto"``), ``max_cost``,
+    ``collect`` (default ``"off"``).  Response: ``results`` — a list of
     ``{"root", "cost", "label"}`` objects in rank order (plus ``"shard"``
     against a sharded database) — and ``report`` (the
     :meth:`~repro.telemetry.report.QueryReport.to_dict` rendering, with
@@ -29,7 +29,8 @@ Ops
 Every response carries ``ok``: ``true`` with the op's payload, or
 ``false`` with ``error = {"type", "message"}`` where ``type`` is the
 :mod:`repro.errors` class name (``AdmissionError`` for queue-full
-rejections — clients should back off and retry).
+rejections — clients should back off and retry).  A line the server
+cannot frame (over :data:`MAX_LINE`) is answered with ``"id": null``.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def validate_request(message: dict) -> None:
     (typed :class:`~repro.errors.ServerError` on the first mismatch).
 
     A malformed field must be refused at the door: past admission the
-    request is inside the dispatcher, where a surprise ``TypeError``
-    would cost far more than one rejected message.
+    request holds the engine lock, where a surprise ``TypeError`` would
+    cost far more than one rejected message.
     """
     op = message.get("op")
     if op in ("query", "count"):
@@ -82,8 +83,8 @@ def validate_request(message: dict) -> None:
             )
     if op == "query":
         n = message.get("n", 10)
-        if n is not None and (isinstance(n, bool) or not isinstance(n, int)):
-            raise ServerError(f"'n' must be an integer or null, got {n!r}")
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
+            raise ServerError(f"'n' must be an integer >= 0 or null, got {n!r}")
         max_cost = message.get("max_cost")
         if max_cost is not None and (
             isinstance(max_cost, bool) or not isinstance(max_cost, (int, float))

@@ -581,7 +581,7 @@ class ShardedDatabase:
         """Best-``n`` merged results with their derivations, roots in the
         global numbering."""
         self._check_open()
-        compiled = self._pipeline.resolve(text, costs)
+        compiled = self._pipeline.resolve(text, costs, n=n)
         maps = self._maps
         merged: "list[Explanation]" = []
         # one extra per shard: at most one pseudo-result gets filtered
@@ -641,7 +641,7 @@ class ShardedDatabase:
                 )
             )
 
-        return self._pipeline.query_many(serve, queries, costs, method, collect)
+        return self._pipeline.query_many(serve, queries, n, costs, method, collect)
 
     # ------------------------------------------------------------------
     # mutation (routed to the owning shard)

@@ -246,7 +246,7 @@ class QueryReport:
         if self.get("server.rejections") or self.get("server.queue_seconds"):
             lines.append(
                 f"  server: queued {self.get('server.queue_seconds') * 1000:.1f} ms | "
-                f"batch size {int(self.get('server.batch_size'))} | "
+                f"in flight {int(self.get('server.queue_depth'))} | "
                 f"queue-full rejections {int(self.get('server.rejections'))}"
             )
         if self.collect == "off":

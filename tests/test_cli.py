@@ -203,5 +203,12 @@ class TestShardedCommands:
         args = build_parser().parse_args(["serve", "catalog.apxq"])
         assert args.port == 7733
         assert args.max_pending == 64
-        assert args.batch_max == 16
         assert not hasattr(args, "jobs") and not hasattr(args, "executor")
+        assert not hasattr(args, "batch_max")
+
+    def test_serve_rejects_batch_max(self, capsys):
+        from repro.core.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "catalog.apxq", "--batch-max", "4"])
+        assert "--batch-max" in capsys.readouterr().err

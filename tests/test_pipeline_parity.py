@@ -114,6 +114,29 @@ def test_bad_arguments_raise_the_same_typed_error_everywhere(handle, choose_call
     assert choose_calls == []
 
 
+@pytest.mark.parametrize("n", [-1, -10, 2.5, "3", True])
+def test_n_must_be_none_or_a_non_negative_int_everywhere(handle, choose_calls, n):
+    """A negative ``n`` used to truncate silently (all but the last
+    result, ``[]``, or half the shards' answers, depending on the handle
+    and the method); every entry point that takes ``n`` now refuses
+    anything but ``None`` or an int >= 0 before any work."""
+    calls = {
+        "query": lambda: handle.query(QUERY, n=n),
+        "query(direct)": lambda: handle.query(QUERY, n=n, method="direct"),
+        "query(schema)": lambda: handle.query(QUERY, n=n, method="schema"),
+        "plan": lambda: handle.plan(QUERY, n=n),
+        "explain": lambda: handle.explain(QUERY, n=n),
+    }
+    if hasattr(handle, "query_many"):
+        calls["query_many"] = lambda: handle.query_many([QUERY, "title"], n=n)
+    for name, call in calls.items():
+        with pytest.raises(EvaluationError, match="n must be an integer >= 0"):
+            call()
+        assert choose_calls == [], name
+    assert handle.query(QUERY, n=0) == []
+    assert handle.explain(QUERY, n=0) == []
+
+
 def test_query_takes_no_worker_options(handle):
     """One query, one thread: no entry point takes a worker count or a
     worker kind."""
@@ -122,6 +145,7 @@ def test_query_takes_no_worker_options(handle):
         lambda: handle.query(QUERY, jobs=2),
         lambda: QueryServer(handle, jobs=2),
         lambda: QueryServer(handle, executor="thread"),
+        lambda: QueryServer(handle, batch_max=4),
     ]
     if hasattr(handle, "query_many"):  # a snapshot serves no batches
         refused += [
