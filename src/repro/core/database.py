@@ -58,7 +58,6 @@ from ..schema.dataguide import (
 from ..schema.evaluator import SchemaEvaluator
 from ..storage.kv import MemoryStore, Store
 from ..storage.overlay import SnapshotOverlay, using_overlay
-from ..storage.statcodec import load_planner_state, save_planner_state
 from ..telemetry import collector as _telemetry
 from ..telemetry.collector import MODE_OFF, MODE_TIMINGS, Telemetry
 from ..telemetry.report import QueryReport
@@ -180,7 +179,7 @@ class _EngineState:
             with self._lock:
                 if self.stats is None:
                     self.stats = CollectionStats.from_schema(
-                        self.tree, schema, generation=self.generation
+                        schema, generation=self.generation
                     )
         return self.stats
 
@@ -421,11 +420,10 @@ class Snapshot:
         method: str = "auto",
         costs: "CostModel | None" = None,
     ) -> QueryPlan:
-        """:meth:`Database.plan`, answered with the *current* generation's
-        statistics (the planner decides per generation; a pinned snapshot
-        still evaluates whatever the plan says against its own view)."""
-        self._check_open()
-        return self._database.plan(text, n=n, method=method, costs=costs)
+        """:meth:`Database.plan` against the pinned generation: the
+        decision and estimates :meth:`query` on this snapshot makes."""
+        with self._view() as view:
+            return self._database._pipeline.plan(view, text, n, method, costs)
 
     def describe(self) -> str:
         """One-line summary of the collection at the pinned generation."""
@@ -599,9 +597,6 @@ class Database:
             staging = MemoryStore()
             save_tree(tree, staging, costs)
             StoredNodeIndexes.build(tree, staging)
-            planner = self._pipeline.planner
-            if planner.corrections:
-                save_planner_state(staging, planner.correction, planner.corrections)
             with open_file_store(path, options) as store:
                 store.bulk_load(list(staging.scan()))
                 store.sync()
@@ -699,9 +694,6 @@ class Database:
         database._pipeline.set_cache(
             options.compiled_cache_entries, options.result_cache_entries
         )
-        planner_state = load_planner_state(store)
-        if planner_state is not None:
-            database._pipeline.planner.seed(*planner_state)
         return database
 
     # ------------------------------------------------------------------
@@ -777,9 +769,6 @@ class Database:
         """
         if self._closed:
             return
-        if self._pipeline.planner.corrections:
-            # a query-only session still gets to keep what it learned
-            self._persist_planner_state()
         self._closed = True
         cache = self._posting_cache
         if cache is not None:
@@ -941,7 +930,7 @@ class Database:
                 # maintenance consumes; materialize() above guaranteed
                 # the superseded state's stats exist
                 new_stats = state.stats.apply_mutation(
-                    tree, added, removed, schema, state.generation + 1
+                    tree, added, removed, state.generation + 1
                 )
                 if stored:
                     if added is not None:
@@ -953,12 +942,6 @@ class Database:
                         append_tree_segment(tree, self._store, start)
                     if removed is not None:
                         save_dead_roots(tree, self._store)
-                    planner = self._pipeline.planner
-                    if planner.corrections:
-                        # learned corrections ride the same commit frame
-                        save_planner_state(
-                            self._store, planner.correction, planner.corrections
-                        )
                     # THE commit point: everything above is one WAL frame.
                     self._store.commit()
                     keys_rewritten = mutator.keys_rewritten
@@ -1131,7 +1114,8 @@ class Database:
         block (predicted candidates, posting bytes, chosen schedule).
         ``costs`` matters: renamings widen the selector closures the
         estimates are computed from."""
-        return self._pipeline.plan(self._current_view(), text, n, method, costs)
+        with self._view() as view:
+            return self._pipeline.plan(view, text, n, method, costs)
 
     def count_results(self, text: "str | NameSelector", costs: "CostModel | None" = None) -> int:
         """Total number of approximate results for the query.
@@ -1187,15 +1171,10 @@ class Database:
         finally:
             self._release(overlay)
 
-    def _current_view(self) -> _PinnedView:
-        """The current generation unpinned — for what reads no postings
-        (planning)."""
-        return _PinnedView(self._state, None, self._store)
-
     def collection_stats(self) -> CollectionStats:
         """The planner statistics of the current generation (see
-        ``docs/PLANNER.md``): per-label/term posting lengths, DataGuide
-        shape, document count and depth histogram."""
+        ``docs/PLANNER.md``): per-label and per-term live posting
+        lengths."""
         return self._state.ensure_stats()
 
     def query_cache_stats(self) -> dict[str, int]:
@@ -1214,24 +1193,3 @@ class Database:
         drops its entries and lifetime counters; answers are
         byte-identical at every setting."""
         self._pipeline.set_cache(compiled_entries, result_entries)
-
-    def _persist_planner_state(self) -> None:
-        """Best-effort write of the planner's learned correction so it
-        survives reopen even when no mutation ever commits it (the
-        mutation path persists it inside its own frame; this one runs on
-        ``close``).  A standalone commit is a valid WAL frame; failures
-        are swallowed — losing a correction only costs re-learning it.
-        Deliberately *not* called on the query path: a store write bumps
-        the store generation, which would blanket-invalidate the posting
-        and result caches under a pure read workload."""
-        if self._store is None:
-            return
-        with self._write_lock:
-            if self._failed is not None or self._closed:
-                return
-            try:
-                planner = self._pipeline.planner
-                save_planner_state(self._store, planner.correction, planner.corrections)
-                self._store.commit()
-            except Exception:
-                pass

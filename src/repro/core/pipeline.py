@@ -16,14 +16,14 @@ Stages of :meth:`QueryPipeline.query`, in order:
    (parse, fingerprint, lazily expanded closure);
 3. **plan**: an explicit method is taken as given, ``"auto"`` asks the
    :class:`~repro.planner.cost.Planner`, cached on the compiled query
-   per (generation, n, method, correction);
+   per (generation, n, method);
 4. **cache**: serve the Tier-2 :class:`~repro.querycache.ResultCache`
    prefix, resume the schema driver past a shorter one, or
 5. **execute** on the executor and store what came out;
 6. **report**: one :class:`~repro.telemetry.report.QueryReport`
    assembler — the collected counters, child reports folded in,
    ``querycache.compiled_*``, and the planner's predicted-vs-observed
-   family fed back through :meth:`~repro.planner.cost.Planner.observe`.
+   family.
 
 :meth:`QueryPipeline.query_many` is the one batch path: compile every
 item, then serve them one after another on the calling thread, each from
@@ -79,7 +79,7 @@ class QueryPlan:
     or_decisions: int
     conjunctive_queries: int
     #: the cost model's numbers behind the decision (predicted candidate
-    #: roots, posting bytes, the chosen k-growth schedule, confidence)
+    #: roots, posting bytes, the chosen k-growth schedule)
     estimates: "PlanEstimates | None" = None
 
     def format(self, verbose: bool = False) -> str:
@@ -167,8 +167,7 @@ def validate(method: str = "auto", collect: str = MODE_OFF, n: "int | None" = No
 
 class QueryPipeline:
     """One handle's query path and the state it owns: default costs, the
-    planner with its session corrections, and both hot-query cache
-    tiers."""
+    planner, and both hot-query cache tiers."""
 
     def __init__(self, default_costs: "CostModel | None" = None) -> None:
         self.default_costs = default_costs if default_costs is not None else CostModel()
@@ -246,7 +245,7 @@ class QueryPipeline:
         query is a dict hit."""
         if method != "auto" and not want_estimates:
             return method, f"explicitly requested method={method!r}", None
-        memo_key = (generation, n, method, self.planner.correction)
+        memo_key = (generation, n, method)
         decision = compiled.cached_plan(memo_key)
         if decision is None:
             decision = self.planner.choose(
@@ -349,8 +348,7 @@ class QueryPipeline:
                 "querycache.compiled_hits" if compiled_hit else "querycache.compiled_misses"
             ] = 1
         if estimates is not None:
-            corrected = self.planner.observe(estimates, len(results), n)
-            _attach_planner_counters(report, estimates, len(results), corrected, self.planner)
+            _attach_planner_counters(report, estimates, len(results))
         return ResultSet(results, report)
 
     def _answer(
@@ -444,11 +442,7 @@ def fold_reports(report: QueryReport, children: Iterable[QueryReport]) -> None:
 
 
 def _attach_planner_counters(
-    report: QueryReport,
-    estimates: PlanEstimates,
-    observed: int,
-    corrected_now: bool,
-    planner: Planner,
+    report: QueryReport, estimates: PlanEstimates, observed: int
 ) -> None:
     """Write the predicted-vs-observed ``planner.*`` family directly on
     the report whenever collection is active (``collect="off"`` keeps
@@ -461,9 +455,3 @@ def _attach_planner_counters(
     counters["planner.observed_results"] = observed
     counters["planner.closure_width"] = estimates.mean_closure_width
     counters["planner.stats_generation"] = estimates.stats_generation
-    if estimates.corrected:
-        counters["planner.estimate_corrected"] = 1
-    if corrected_now:
-        counters["planner.mispredictions"] = 1
-    if planner.corrections:
-        counters["planner.corrections"] = planner.corrections

@@ -7,8 +7,6 @@ schema.  See ``docs/PLANNER.md`` for the full story.
 """
 
 from .cost import (
-    DIRECT_BIAS,
-    GROSS_MISPREDICTION,
     MAX_INITIAL_K,
     SCHEMA_BASE_COST,
     PlanEstimates,
@@ -18,8 +16,6 @@ from .stats import CollectionStats, merge_stats
 
 __all__ = [
     "CollectionStats",
-    "DIRECT_BIAS",
-    "GROSS_MISPREDICTION",
     "MAX_INITIAL_K",
     "PlanEstimates",
     "Planner",

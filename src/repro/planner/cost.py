@@ -21,21 +21,18 @@ Three decision rules fall out, each with the statistics in its reason
 string: full retrieval always scans directly; a best-n whose candidate
 population already fits in ``n`` scans directly too (the scan touches
 nothing the driver wouldn't); otherwise the direct and schema estimates
-compete, with :data:`DIRECT_BIAS` as the documented tolerance knob.
+compete and the cheaper one wins, ties going to direct.
 
 The same estimates pick the driver's ``k``-growth schedule (a wider
 closure starts with a larger ``initial_k`` so fewer rounds re-fetch the
-primary posting).  :meth:`Planner.observe` closes the loop: when a query
-returns grossly more results than the candidate estimate predicted
-(stale or doctored statistics), a session-scoped correction factor
-inflates subsequent candidate estimates until re-computation catches up
-— mis-estimates are visible as ``planner.*`` counters either way.
+primary posting).  The statistics are exact for their generation, so the
+candidate estimate is an upper bound on what a query can return; the
+``planner.*`` counters report predicted against observed per query.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from ..approxql.ast import AndExpr, NameSelector, OrExpr, QueryExpr, TextSelector
@@ -47,20 +44,9 @@ from .stats import CollectionStats
 #: skeleton enumeration, round bookkeeping) before any posting is read
 SCHEMA_BASE_COST = 64.0
 
-#: tolerance knob: the schema estimate must beat ``direct * DIRECT_BIAS``
-#: to win — 1.0 is a straight comparison, < 1.0 demands a clear margin
-DIRECT_BIAS = 1.0
-
 #: ceiling for the planner-picked ``initial_k`` (the driver's own
 #: ``max_k`` still bounds growth)
 MAX_INITIAL_K = 4096
-
-#: observed/predicted ratio that counts as gross mis-calibration
-GROSS_MISPREDICTION = 4.0
-
-#: cap on the session correction factor (one bad estimate must not
-#: permanently force every plan to direct)
-MAX_CORRECTION = 64.0
 
 #: coarse on-disk bytes per posting entry (four varints, typical widths)
 _BYTES_PER_ENTRY = 12
@@ -72,9 +58,7 @@ class PlanEstimates:
     ``estimates`` block and the source of the ``planner.*`` counters.
 
     ``schema_cost`` / ``initial_k`` / ``delta`` are ``None`` for full
-    retrieval (no best-n driver runs).  ``confidence`` is ``"high"``
-    when the estimate came straight off the generation's statistics and
-    ``"corrected"`` when the session feedback loop inflated it.
+    retrieval (no best-n driver runs).
     """
 
     candidate_roots: int
@@ -88,17 +72,11 @@ class PlanEstimates:
     initial_k: "int | None"
     delta: "int | None"
     stats_generation: int
-    corrected: bool
-
-    @property
-    def confidence(self) -> str:
-        return "corrected" if self.corrected else "high"
 
     def format(self) -> str:
         """Indented rendering for ``plan --verbose``."""
         lines = [
-            f"  estimates ({self.confidence}, statistics generation "
-            f"{self.stats_generation}):",
+            f"  estimates (statistics generation {self.stats_generation}):",
             f"    candidate roots: ~{self.candidate_roots}  "
             f"posting entries: ~{self.posting_entries}  "
             f"(~{self.posting_bytes} bytes)",
@@ -122,23 +100,9 @@ class PlanEstimates:
 class Planner:
     """One database's (or sharded database's) plan chooser.
 
-    Stateless with respect to the collection — every call takes the
-    generation's statistics — but stateful across a session: the
-    correction factor :meth:`observe` maintains survives until the
-    process (or database handle) goes away, which is exactly the
-    lifetime of the mis-calibration it compensates for.
+    Stateless: every call takes the generation's statistics, so one
+    planner serves every generation and thread of its handle.
     """
-
-    def __init__(self, bias: float = DIRECT_BIAS) -> None:
-        self.bias = bias
-        self._lock = threading.Lock()
-        self._correction = 1.0
-        self.corrections = 0
-        self.observations = 0
-
-    # ------------------------------------------------------------------
-    # estimation
-    # ------------------------------------------------------------------
 
     def estimate(
         self,
@@ -157,12 +121,6 @@ class Planner:
             entries += size
             width_total += width
         candidates, root_width = _closure(query.label, NodeType.STRUCT, costs, stats)
-        correction = self._correction
-        corrected = correction > 1.0
-        if corrected:
-            candidates = min(
-                stats.live_node_count, int(math.ceil(candidates * correction))
-            )
         mean_width = width_total / len(selectors) if selectors else 1.0
         direct_cost = float(entries + candidates)
         schema_cost = initial_k = delta = None
@@ -185,7 +143,6 @@ class Planner:
             initial_k=initial_k,
             delta=delta,
             stats_generation=stats.generation,
-            corrected=corrected,
         )
 
     def choose(
@@ -218,7 +175,7 @@ class Planner:
                 estimates,
             )
         assert estimates.schema_cost is not None
-        if estimates.schema_cost < estimates.direct_cost * self.bias:
+        if estimates.schema_cost < estimates.direct_cost:
             return (
                 "schema",
                 f"auto: statistics favor the schema-driven driver for n={n} "
@@ -235,53 +192,6 @@ class Planner:
             f"{estimates.direct_cost:.0f})",
             estimates,
         )
-
-    # ------------------------------------------------------------------
-    # feedback
-    # ------------------------------------------------------------------
-
-    def observe(
-        self, estimates: PlanEstimates, observed_results: int, n: "int | None"
-    ) -> bool:
-        """Compare a finished query against its estimates; returns True
-        when the session correction factor was raised.
-
-        ``observed_results`` is a *lower* bound on the true candidate
-        population (best-n truncates, ``max_cost`` filters), so only the
-        under-estimation direction is actionable: seeing grossly more
-        results than predicted candidates proves the statistics wrong.
-        """
-        with self._lock:
-            self.observations += 1
-            predicted = max(1, estimates.candidate_roots)
-            if (
-                observed_results > predicted * GROSS_MISPREDICTION
-                and observed_results - predicted > 2
-            ):
-                factor = min(MAX_CORRECTION, observed_results / predicted)
-                if factor > self._correction:
-                    self._correction = factor
-                    self.corrections += 1
-                    return True
-        return False
-
-    @property
-    def correction(self) -> float:
-        """The live session correction factor (1.0 = none)."""
-        return self._correction
-
-    def seed(self, correction: float, corrections: int) -> None:
-        """Restore feedback persisted by an earlier session (see
-        :func:`repro.storage.statcodec.load_planner_state`): the capped
-        correction factor and its misprediction count re-enter the
-        session as if observed here, so ``confidence="corrected"``
-        survives reopen.  Clamped to the documented bounds; never
-        lowers a correction this session already learned."""
-        with self._lock:
-            restored = min(MAX_CORRECTION, max(1.0, float(correction)))
-            if restored > self._correction:
-                self._correction = restored
-            self.corrections = max(self.corrections, int(corrections))
 
 
 def _collect_selectors(query: QueryExpr) -> list[tuple[str, NodeType]]:
@@ -323,8 +233,6 @@ def _closure(
 
 
 __all__ = [
-    "DIRECT_BIAS",
-    "GROSS_MISPREDICTION",
     "MAX_INITIAL_K",
     "PlanEstimates",
     "Planner",

@@ -113,8 +113,8 @@ class CompiledQuery:
 
     Holds the parsed AST, an immutable-by-convention copy of the cost
     model, the lazily built expanded closure, and a bounded memo of
-    planner decisions keyed by ``(stats generation, n, method,
-    correction)`` so hot queries skip planner costing per generation.
+    planner decisions keyed by ``(stats generation, n, method)`` so hot
+    queries skip planner costing per generation.
     """
 
     __slots__ = ("text", "query", "costs", "fingerprint", "key", "_expanded", "_plan_memo", "_lock")

@@ -799,9 +799,9 @@ class ShardedDatabase:
 
     def collection_stats(self) -> CollectionStats:
         """Planner statistics of the whole collection: every shard's
-        stats merged additively (the duplicated per-shard super-roots
-        collapsed back to one), with the manifest's global pre count.
-        Cached per generation; mutations invalidate by bumping it."""
+        posting lengths summed (the duplicated per-shard ``#root``
+        postings collapsed back to one).  Cached per generation;
+        mutations invalidate by bumping it."""
         cached = self._stats_cache
         generation = self._generation
         if cached is not None and cached[0] == generation:
@@ -809,7 +809,6 @@ class ShardedDatabase:
         merged = merge_stats(
             [shard.collection_stats() for shard in self._shards],
             generation=generation,
-            node_count=self._manifest.global_nodes,
         )
         self._stats_cache = (generation, merged)
         return merged

@@ -185,12 +185,6 @@ class QueryReport:
         compare with ``results`` to judge calibration."""
         return int(self.get("planner.predicted_candidates"))
 
-    @property
-    def planner_corrections(self) -> int:
-        """Session-total gross-misprediction corrections the planner has
-        applied so far (see ``docs/PLANNER.md``)."""
-        return int(self.get("planner.corrections"))
-
     # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------
@@ -229,14 +223,10 @@ class QueryReport:
                 parts.append("resumed driver rounds")
             lines.append("  querycache: served from " + " + ".join(parts))
         if "planner.predicted_candidates" in self.counters:
-            calibration = (
-                " (corrected)" if self.get("planner.estimate_corrected") else ""
-            )
             lines.append(
                 f"  planner: predicted ~{self.predicted_candidates} candidate(s) / "
                 f"~{int(self.get('planner.predicted_entries'))} posting entries, "
                 f"observed {int(self.get('planner.observed_results'))} result(s)"
-                f"{calibration}"
             )
         if self.get("shard.fanout"):
             lines.append(
@@ -290,7 +280,6 @@ class QueryReport:
                 "resumed_rounds": self.resumed_rounds,
                 "overlay_hits": self.overlay_hits,
                 "predicted_candidates": self.predicted_candidates,
-                "planner_corrections": self.planner_corrections,
             },
             "counters": dict(self.counters),
             "timings": dict(self.timings),

@@ -10,7 +10,7 @@ reports can state the regime a workload is in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import DataTree, NodeType
 
@@ -37,7 +37,6 @@ class CollectionStatistics:
     schema_size: int = 0
     schema_selectivity: int = 0
     max_instances_per_class: int = 0
-    depth_histogram: dict[int, int] = field(default_factory=dict)
 
     def format(self) -> str:
         """Readable multi-line summary of the measured quantities."""
@@ -80,19 +79,14 @@ def collect_statistics(tree: DataTree, schema=None) -> CollectionStatistics:
                 stats.max_selectivity = count
                 stats.max_selectivity_label = label
 
-    # depth histogram and per-path label repetition in one preorder walk
-    # with an explicit path stack of label counters
-    path_counts: dict[str, int] = {}
+    # max depth in one preorder walk (parents come before children)
     depth_of: list[int] = [0] * len(tree)
-    for pre in range(len(tree)):
-        parent = tree.parents[pre]
-        depth_of[pre] = 0 if parent == -1 else depth_of[parent] + 1
-        depth = depth_of[pre]
-        stats.depth_histogram[depth] = stats.depth_histogram.get(depth, 0) + 1
-        if depth > stats.max_depth:
-            stats.max_depth = depth
+    for pre in range(1, len(tree)):
+        depth_of[pre] = depth_of[tree.parents[pre]] + 1
+    stats.max_depth = max(depth_of, default=0)
     # label repetition: walk each root-to-node path implicitly by keeping
     # counts keyed on (label); a stack-based traversal avoids O(N·depth)
+    path_counts: dict[str, int] = {}
     stack: list[tuple[int, bool]] = [(0, False)]
     while stack:
         pre, done = stack.pop()

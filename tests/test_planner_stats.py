@@ -10,12 +10,16 @@ equal the node indexes' posting lengths (an independent reference, and
 on a stored handle a separate on-disk structure), incremental stats
 equal schema-derived ones after every mutation, after reopen and on a
 pinned snapshot, and merged per-shard statistics equal the unsharded
-collection's.
+collection's.  Exactness is what lets the planner trust its candidate
+estimate as an upper bound on what a query returns; the last property
+checks that bound directly on every handle kind.
 """
 
 import os
 import random
 from dataclasses import replace
+
+import pytest
 
 from repro.core.database import Database
 from repro.core.persist import StoreOptions
@@ -37,7 +41,7 @@ def _from_schema(database, generation=None):
     state = database._state
     if generation is None:
         generation = state.generation
-    return CollectionStats.from_schema(state.tree, state.ensure_schema(), generation=generation)
+    return CollectionStats.from_schema(state.ensure_schema(), generation=generation)
 
 
 def _assert_matches_node_indexes(stats, indexes):
@@ -66,13 +70,15 @@ class TestBuildEquality:
         stats = database.collection_stats()
         assert stats == _from_schema(database)
         tree = database.tree
-        assert stats.node_count == stats.live_node_count == len(tree)
-        assert stats.document_count == len(DOCS)
-        depths = {}
+        sizes = {NodeType.STRUCT: {}, NodeType.TEXT: {}}
         for pre in range(len(tree)):
-            depths[tree.depth(pre)] = depths.get(tree.depth(pre), 0) + 1
-        assert stats.depth_histogram == depths
-        assert stats.max_depth == max(depths)
+            counts = sizes[tree.types[pre]]
+            counts[tree.labels[pre]] = counts.get(tree.labels[pre], 0) + 1
+        assert stats == CollectionStats(
+            generation=0,
+            struct_sizes=sizes[NodeType.STRUCT],
+            text_sizes=sizes[NodeType.TEXT],
+        )
 
     def test_struct_sizes_match_index_posting_sizes(self):
         database = Database.from_documents(DOCS)
@@ -174,16 +180,7 @@ class TestShardMerge:
         ]
         single = Database.from_documents(documents)
         sharded = ShardedDatabase.from_documents(documents, shards=3)
-        merged = sharded.collection_stats()
-        expected = single.collection_stats()
-        # decision inputs are merge-exact; DataGuide shape is
-        # observability-only (shards build independent schemas)
-        assert merged.struct_sizes == expected.struct_sizes
-        assert merged.text_sizes == expected.text_sizes
-        assert merged.depth_histogram == expected.depth_histogram
-        assert merged.document_count == expected.document_count
-        assert merged.live_node_count == expected.live_node_count
-        assert merged.max_depth == expected.max_depth
+        assert sharded.collection_stats() == single.collection_stats()
 
     def test_merge_empty_list_is_empty_stats(self):
         assert merge_stats([]) == CollectionStats()
@@ -198,10 +195,49 @@ class TestEngineStateIntegration:
             # the pinned snapshot still serves its own generation, and its
             # copy-on-write schema still derives exactly those sizes
             assert snap._state.ensure_stats() == before
-            pinned = CollectionStats.from_schema(database.tree, snap._state.schema)
-            assert pinned.struct_sizes == before.struct_sizes
-            assert pinned.text_sizes == before.text_sizes
-            assert pinned.depth_histogram == before.depth_histogram
+            assert CollectionStats.from_schema(snap._state.schema) == before
         after = database.collection_stats()
         assert after != before
         assert after == _from_schema(database)
+
+
+def _handle(kind, case, tmp_path):
+    if kind == "memory":
+        return Database.from_tree(case.tree)
+    if kind == "sharded":
+        return ShardedDatabase.from_tree(case.tree, shards=2)
+    path = os.path.join(tmp_path, "bound.apxq")
+    Database.from_tree(case.tree).save(path, durability="wal")
+    return Database.open(path, options=StoreOptions(durability="wal"))
+
+
+def _assert_candidates_bound_results(handle, case):
+    for generated in case.queries:
+        plan = handle.plan(generated.query, n=None, costs=generated.costs)
+        results = handle.query(
+            generated.query, n=None, costs=generated.costs, method="direct"
+        )
+        assert plan.estimates.candidate_roots >= len(results), case.describe()
+
+
+class TestCandidateBound:
+    """Full retrieval never returns more roots than the planner's
+    candidate estimate, on every handle kind and after mutations."""
+
+    @pytest.mark.parametrize("kind", ["memory", "stored", "sharded"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_candidate_roots_bound_full_retrieval(self, kind, seed, tmp_path):
+        case = generated_case(2600 + seed, num_elements=60)
+        handle = _handle(kind, case, tmp_path)
+        _assert_candidates_bound_results(handle, case)
+        rng = random.Random(seed)
+        for op in ("insert", "delete", "replace", "insert", "delete"):
+            documents = handle.documents()
+            if op == "insert":
+                handle.insert_document(_random_doc(rng))
+            elif op == "delete":
+                handle.delete_document(rng.choice(documents))
+            else:
+                handle.replace_document(rng.choice(documents), _random_doc(rng))
+            _assert_candidates_bound_results(handle, case)
+        handle.close()

@@ -13,6 +13,7 @@ a round-boundary artifact.  Randomized cached-vs-cold parity is in
 """
 
 import os
+import struct
 
 import pytest
 
@@ -31,12 +32,7 @@ from repro.schema.evaluator import effective_schedule
 from repro.shard import ShardedDatabase
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.kv import Namespace
-from repro.storage.statcodec import (
-    decode_planner_state,
-    encode_planner_state,
-    load_planner_state,
-    save_planner_state,
-)
+from repro.storage.wal import WAL_SUFFIX
 
 DOCS = [
     "<cd><title>piano works</title><artist>ann</artist></cd>",
@@ -312,16 +308,16 @@ class TestDatabaseFastPath:
         captured driver state and the combined answer matches a cold
         run."""
         pipeline = memory_db._pipeline
-        view = memory_db._current_view()
         compiled, _ = pipeline.compile("cd[title]", None)
-        request = (view, view.generation(), compiled, "schema")
         schedule = ((2, 2), "off")
-        short, _ = pipeline._answer(*request, 2, None, *schedule)
-        assert len(short) == 2
-        longer, _ = pipeline._answer(*request, 4, None, *schedule)
-        assert pipeline.result_cache.resumes == 1
-        pipeline.set_cache(result_entries=0)
-        cold, _ = pipeline._answer(*request, 4, None, *schedule)
+        with memory_db._view() as view:
+            request = (view, view.generation(), compiled, "schema")
+            short, _ = pipeline._answer(*request, 2, None, *schedule)
+            assert len(short) == 2
+            longer, _ = pipeline._answer(*request, 4, None, *schedule)
+            assert pipeline.result_cache.resumes == 1
+            pipeline.set_cache(result_entries=0)
+            cold, _ = pipeline._answer(*request, 4, None, *schedule)
         assert _pairs(longer) == _pairs(cold)
 
     def test_mutation_invalidates(self, memory_db):
@@ -383,62 +379,68 @@ class TestDatabaseFastPath:
 
 
 # ----------------------------------------------------------------------
-# planner-state persistence (the b"stats" segment)
+# planner persistence: there is none, and reads never write
 # ----------------------------------------------------------------------
 
 
+def _store_bytes(path):
+    """The store file and its WAL sidecar (None when absent), raw."""
+    files = []
+    for name in (path, path + WAL_SUFFIX):
+        if os.path.exists(name):
+            with open(name, "rb") as handle:
+                files.append(handle.read())
+        else:
+            files.append(None)
+    return files
+
+
 class TestPlannerPersistence:
-    def test_codec_round_trip(self):
-        payload = encode_planner_state(2.5, 7)
-        assert decode_planner_state(payload) == (2.5, 7)
-
-    def test_codec_rejects_bad_correction(self):
-        from repro.errors import StorageError
-
-        with pytest.raises(StorageError):
-            decode_planner_state(encode_planner_state(1.0, 1)[:5])
-
-    def test_segment_round_trip(self, stored_db):
-        save_planner_state(stored_db._store, 3.25, 4)
-        stored_db._store.commit()
-        assert load_planner_state(stored_db._store) == (3.25, 4)
-
-    def test_corrections_survive_close_and_reopen(self, stored_db, tmp_path):
-        """A query-only session persists what it learned on close —
-        no mutation ever commits it."""
-        stored_db._pipeline.planner.seed(2.0, 3)
-        stored_db.close()
-        reopened = Database.open(os.path.join(tmp_path, "cat.apxq"))
-        assert reopened._pipeline.planner.correction == 2.0
-        assert reopened._pipeline.planner.corrections == 3
-        reopened.close()
-
-    def test_corrections_ride_the_mutation_frame(self, stored_db, tmp_path):
-        stored_db._pipeline.planner.seed(1.5, 2)
-        stored_db.insert_document(NEW_DOC)
-        # persisted by the mutation commit, before any close
-        assert load_planner_state(stored_db._store) == (1.5, 2)
-        stored_db.close()
-        reopened = Database.open(os.path.join(tmp_path, "cat.apxq"))
-        assert reopened._pipeline.planner.corrections == 2
-        reopened.close()
-
-    def test_save_carries_planner_state(self, memory_db, tmp_path):
-        memory_db._pipeline.planner.seed(4.0, 5)
-        path = os.path.join(tmp_path, "learned.apxq")
-        memory_db.save(path)
-        reopened = Database.open(path)
-        assert reopened._pipeline.planner.correction == 4.0
-        reopened.close()
-
     def test_query_path_never_writes_the_store(self, stored_db):
         """A pure read workload must not bump the store generation (a
         write would blanket-invalidate the posting and result caches)."""
-        stored_db._pipeline.planner.seed(2.0, 1)
         generation = stored_db._store.generation
         for _ in range(3):
             stored_db.query("cd[title]", n=2)
         assert stored_db._store.generation == generation
+
+    def test_query_only_session_closes_without_writing(self, stored_db, tmp_path):
+        path = os.path.join(tmp_path, "cat.apxq")
+        stored_db.close()
+        before = _store_bytes(path)
+        database = Database.open(path, options=StoreOptions(durability="wal"))
+        for query in ("cd[title]", 'cd[title["piano"]]', "cd"):
+            database.query(query, n=2)
+            database.query(query, n=None)
+            database.plan(query, n=2)
+        database.close()
+        assert _store_bytes(path) == before
+
+    def test_legacy_planner_segment_is_ignored(self, tmp_path):
+        """A version-2 store written while the planner still persisted a
+        session correction (a ``planner`` key in the ``stats``
+        namespace) opens, answers like a store without it and verifies."""
+        from repro.core.cli import main
+
+        plain = os.path.join(tmp_path, "plain.apxq")
+        legacy = os.path.join(tmp_path, "legacy.apxq")
+        for path in (plain, legacy):
+            Database.from_documents(DOCS).save(path)
+        database = Database.open(legacy)
+        # u32 version 1, f64 correction factor 8.0, uvarint 3 corrections
+        Namespace(database._store, b"stats").put(
+            b"planner", struct.pack("<Id", 1, 8.0) + b"\x03"
+        )
+        database._store.commit()
+        database.close()
+        with Database.open(plain) as expected, Database.open(legacy) as database:
+            for query in ("cd[title]", 'cd[title["piano"]]', "cd"):
+                for n in (1, 3, None):
+                    assert database.plan(query, n=n) == expected.plan(query, n=n)
+                    assert _pairs(database.query(query, n=n)) == _pairs(
+                        expected.query(query, n=n)
+                    )
+        assert main(["verify", legacy]) == 0
 
 
 # ----------------------------------------------------------------------

@@ -107,6 +107,17 @@ class TestPinSemantics:
             ]
             assert snap.plan("cd[title]").method == database.plan("cd[title]").method
 
+    def test_snapshot_plans_on_its_pinned_generation(self, database):
+        with database.snapshot() as snap:
+            database.insert_document(NEW_DOC)
+            plan = snap.plan("cd[title]", n=2)
+            ran = snap.query("cd[title]", n=2, collect="counters")
+            assert plan.method == ran.report.method
+            assert plan.estimates.stats_generation == snap.generation == 0
+            assert plan.estimates.candidate_roots == 3
+            assert ran.report.get("planner.predicted_candidates") == 3
+            assert database.plan("cd[title]", n=2).estimates.candidate_roots == 4
+
     def test_snapshot_stream_keeps_pin_across_mutations(self, database):
         with database.snapshot() as snap:
             expected = _pairs(snap.query("cd[title]", n=None))
@@ -136,6 +147,7 @@ class TestLifecycle:
             lambda: snap.count_results("cd[title]"),
             lambda: snap.stream("cd[title]"),
             lambda: snap.explain("cd[title]"),
+            lambda: snap.plan("cd[title]"),
             lambda: snap.describe(),
         ):
             with pytest.raises(EvaluationError, match="closed"):
