@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose",
         action="store_true",
         help="also print the planner's cost estimates (candidates, posting "
-        "entries, direct-vs-schema scores, k schedule)",
+        "entries, closure widths, direct-vs-schema scores)",
     )
     _add_cache_options(plan)
     plan.set_defaults(func=_command_plan)

@@ -204,8 +204,6 @@ class _PinnedView:
 
     __slots__ = ("state", "overlay", "store")
 
-    schedule_ordered = True
-
     def __init__(
         self,
         state: _EngineState,
@@ -236,7 +234,6 @@ class _PinnedView:
         chosen: str,
         n: "int | None",
         max_cost: "float | None",
-        schedule: "tuple[int | None, int | None]",
         resume: "DriverState | None",
         collect: str,
     ) -> Execution:
@@ -251,7 +248,6 @@ class _PinnedView:
             captured: "list[DriverState]" = []
             raw = self.state.schema_eval().evaluate(
                 compiled.query, compiled.costs, n=n, max_cost=max_cost,
-                initial_k=schedule[0], delta=schedule[1],
                 expanded=compiled.expanded(), resume=resume,
                 state_sink=captured.append,
             )
@@ -274,8 +270,6 @@ class _PinnedView:
     def stream(
         self,
         compiled: CompiledQuery,
-        initial_k: "int | None",
-        delta: "int | None",
         collect: str,
         on_close,
     ) -> ResultStream:
@@ -293,9 +287,7 @@ class _PinnedView:
         def results() -> Iterator[QueryResult]:
             # a generator function, so a lazy evaluator build happens on
             # the first pull: under the stream's overlay, in its report
-            for result in state.schema_eval().iter_results(
-                compiled.query, compiled.costs, initial_k=initial_k, delta=delta
-            ):
+            for result in state.schema_eval().iter_results(compiled.query, compiled.costs):
                 yield QueryResult(result.root, result.cost, state.tree)
 
         return ResultStream(
@@ -390,8 +382,6 @@ class Snapshot:
         self,
         text: "str | NameSelector",
         costs: "CostModel | None" = None,
-        initial_k: "int | None" = None,
-        delta: "int | None" = None,
         collect: str = "off",
     ) -> ResultStream:
         """:meth:`Database.stream` against the pinned generation.
@@ -401,7 +391,7 @@ class Snapshot:
         """
         with self._view() as view:
             compiled = self._database._pipeline.resolve(text, costs, collect)
-            return view.stream(compiled, initial_k, delta, collect, None)
+            return view.stream(compiled, collect, None)
 
     def explain(
         self,
@@ -1077,8 +1067,6 @@ class Database:
         self,
         text: "str | NameSelector",
         costs: "CostModel | None" = None,
-        initial_k: "int | None" = None,
-        delta: "int | None" = None,
         collect: str = "off",
     ) -> ResultStream:
         """Incrementally stream results in increasing cost order — the
@@ -1097,9 +1085,7 @@ class Database:
         # the first pull: nothing below can fail with the pin held
         state, overlay = self._pin()
         release = (lambda: self._release(overlay)) if overlay is not None else None
-        return _PinnedView(state, overlay, self._store).stream(
-            compiled, initial_k, delta, collect, release
-        )
+        return _PinnedView(state, overlay, self._store).stream(compiled, collect, release)
 
     def plan(
         self,
@@ -1111,7 +1097,7 @@ class Database:
         """Explain which algorithm :meth:`query` would run — the
         ``"auto"`` selection decision, public instead of buried — plus a
         summary of the parsed query and the cost model's ``estimates``
-        block (predicted candidates, posting bytes, chosen schedule).
+        block (predicted candidates, posting bytes, closure widths).
         ``costs`` matters: renamings widen the selector closures the
         estimates are computed from."""
         with self._view() as view:

@@ -17,8 +17,9 @@ Stages of :meth:`QueryPipeline.query`, in order:
 3. **plan**: an explicit method is taken as given, ``"auto"`` asks the
    :class:`~repro.planner.cost.Planner`, cached on the compiled query
    per (generation, n, method);
-4. **cache**: serve the Tier-2 :class:`~repro.querycache.ResultCache`
-   prefix, resume the schema driver past a shorter one, or
+4. **cache**: one Tier-2 :class:`~repro.querycache.ResultCache` key per
+   (query, costs, method, ``max_cost``) serves every ``n``: serve the
+   cached prefix, resume the schema driver past a shorter one, or
 5. **execute** on the executor and store what came out;
 6. **report**: one :class:`~repro.telemetry.report.QueryReport`
    assembler — the collected counters, child reports folded in,
@@ -50,7 +51,6 @@ from ..querycache import (
     DriverState,
     ResultCache,
 )
-from ..schema.evaluator import effective_schedule
 from ..telemetry import collector as _telemetry
 from ..telemetry.collector import MODE_OFF, MODE_TIMINGS, MODES, Telemetry
 from ..telemetry.report import QueryReport
@@ -79,7 +79,7 @@ class QueryPlan:
     or_decisions: int
     conjunctive_queries: int
     #: the cost model's numbers behind the decision (predicted candidate
-    #: roots, posting bytes, the chosen k-growth schedule)
+    #: roots, posting bytes, closure widths)
     estimates: "PlanEstimates | None" = None
 
     def format(self, verbose: bool = False) -> str:
@@ -125,11 +125,6 @@ class Executor(Protocol):
     entered through their public ``query`` / ``stream``.
     """
 
-    #: equal-cost rows come out in k-growth round order, so a cached
-    #: schema prefix is only valid inside its own schedule; False when
-    #: rows are always the canonical (cost, root) sort
-    schedule_ordered: bool
-
     def generation(self) -> object:
         """The invalidation generation of the view (monotone; any write
         the view could observe moves it)."""
@@ -143,7 +138,6 @@ class Executor(Protocol):
         chosen: str,
         n: "int | None",
         max_cost: "float | None",
-        schedule: "tuple[int | None, int | None]",
         resume: "DriverState | None",
         collect: str,
     ) -> Execution:
@@ -318,17 +312,12 @@ class QueryPipeline:
         # cached entry with the generation whose postings were read
         generation = view.generation()
         chosen, _, estimates = self._choose(view, generation, compiled, method, n)
-        schedule = (
-            (estimates.initial_k, estimates.delta)
-            if chosen == "schema" and estimates is not None
-            else (None, None)
-        )
         telemetry = Telemetry(timed=collect == MODE_TIMINGS) if collect != MODE_OFF else None
         start = time.perf_counter()
         # with collection off an outer collector (a harness) keeps receiving
         with _telemetry.collecting(telemetry) if telemetry is not None else nullcontext():
             results, execution = self._answer(
-                view, generation, compiled, chosen, n, max_cost, schedule, collect
+                view, generation, compiled, chosen, n, max_cost, collect
             )
         report = QueryReport.from_telemetry(
             telemetry,
@@ -352,7 +341,7 @@ class QueryPipeline:
         return ResultSet(results, report)
 
     def _answer(
-        self, view, generation, compiled, chosen, n, max_cost, schedule, collect
+        self, view, generation, compiled, chosen, n, max_cost, collect
     ) -> "tuple[list, Execution | None]":
         """Stages 4–5: the best-``n`` results from the cached prefix of
         this (query, costs, method, max_cost) at this generation, from
@@ -361,16 +350,12 @@ class QueryPipeline:
         ran, ``None`` when the cache served.  A disabled cache never hits
         and never stores.
 
-        Within a cost class the schema driver emits ties in round order,
-        so a cached prefix is byte-identical to a cold run only inside
-        its own ``(initial_k, delta)`` class: the key carries the
-        effective schedule and a differently scheduled request misses
-        honestly.  Canonically sorted rows need no such key, and any
-        shorter ``n`` is served from a longer cached answer.
+        Every method's best-``n`` answer is a prefix of its full answer
+        (the schema driver's k schedule changes how long it takes, not
+        what it is), so one key serves every ``n``: a shorter ``n`` from
+        a longer cached answer, a longer one by resuming.
         """
         key = (compiled.key, chosen, max_cost)
-        if chosen == "schema" and view.schedule_ordered:
-            key += (effective_schedule(n, *schedule),)
         cache = self.result_cache
         entry = cache.lookup(key, generation, n)
         execution = None
@@ -380,7 +365,7 @@ class QueryPipeline:
             resume = entry.state if entry is not None else None
             if resume is not None:
                 cache.note_resume()
-            execution = view.execute(compiled, chosen, n, max_cost, schedule, resume, collect)
+            execution = view.execute(compiled, chosen, n, max_cost, resume, collect)
             rows = execution.rows if resume is None else entry.pairs + execution.rows
             cache.store(
                 key,

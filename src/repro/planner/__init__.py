@@ -6,17 +6,11 @@ with selectivity estimates over collection statistics read off the
 schema.  See ``docs/PLANNER.md`` for the full story.
 """
 
-from .cost import (
-    MAX_INITIAL_K,
-    SCHEMA_BASE_COST,
-    PlanEstimates,
-    Planner,
-)
+from .cost import SCHEMA_BASE_COST, PlanEstimates, Planner
 from .stats import CollectionStats, merge_stats
 
 __all__ = [
     "CollectionStats",
-    "MAX_INITIAL_K",
     "PlanEstimates",
     "Planner",
     "SCHEMA_BASE_COST",

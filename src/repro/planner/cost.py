@@ -1,4 +1,4 @@
-"""The cost model: statistics in, algorithm choice and schedule out.
+"""The cost model: statistics in, algorithm choice out.
 
 The paper's conclusion is a coarse rule — schema-driven for best-n,
 direct for full retrieval — and until this module existed the database
@@ -23,11 +23,11 @@ population already fits in ``n`` scans directly too (the scan touches
 nothing the driver wouldn't); otherwise the direct and schema estimates
 compete and the cheaper one wins, ties going to direct.
 
-The same estimates pick the driver's ``k``-growth schedule (a wider
-closure starts with a larger ``initial_k`` so fewer rounds re-fetch the
-primary posting).  The statistics are exact for their generation, so the
-candidate estimate is an upper bound on what a query can return; the
+The statistics are exact for their generation, so the candidate
+estimate is an upper bound on what a query can return; the
 ``planner.*`` counters report predicted against observed per query.
+How many skeletons each round of the chosen driver asks for is the
+driver's own business (:mod:`repro.schema.evaluator`).
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ from .stats import CollectionStats
 #: skeleton enumeration, round bookkeeping) before any posting is read
 SCHEMA_BASE_COST = 64.0
 
-#: ceiling for the planner-picked ``initial_k`` (the driver's own
-#: ``max_k`` still bounds growth)
-MAX_INITIAL_K = 4096
-
 #: coarse on-disk bytes per posting entry (four varints, typical widths)
 _BYTES_PER_ENTRY = 12
 
@@ -57,8 +53,8 @@ class PlanEstimates:
     """The numbers behind one plan decision — ``Database.plan()``'s
     ``estimates`` block and the source of the ``planner.*`` counters.
 
-    ``schema_cost`` / ``initial_k`` / ``delta`` are ``None`` for full
-    retrieval (no best-n driver runs).
+    ``schema_cost`` is ``None`` for full retrieval (no best-n driver
+    runs).
     """
 
     candidate_roots: int
@@ -69,13 +65,11 @@ class PlanEstimates:
     mean_closure_width: float
     direct_cost: float
     schema_cost: "float | None"
-    initial_k: "int | None"
-    delta: "int | None"
     stats_generation: int
 
     def format(self) -> str:
         """Indented rendering for ``plan --verbose``."""
-        lines = [
+        return "\n".join([
             f"  estimates (statistics generation {self.stats_generation}):",
             f"    candidate roots: ~{self.candidate_roots}  "
             f"posting entries: ~{self.posting_entries}  "
@@ -88,13 +82,7 @@ class PlanEstimates:
                 if self.schema_cost is not None
                 else ""
             ),
-        ]
-        if self.initial_k is not None:
-            lines.append(
-                f"    schedule: initial_k={self.initial_k} delta={self.delta} "
-                "(geometric growth)"
-            )
-        return "\n".join(lines)
+        ])
 
 
 class Planner:
@@ -123,14 +111,12 @@ class Planner:
         candidates, root_width = _closure(query.label, NodeType.STRUCT, costs, stats)
         mean_width = width_total / len(selectors) if selectors else 1.0
         direct_cost = float(entries + candidates)
-        schema_cost = initial_k = delta = None
+        schema_cost = None
         if n is not None:
             per_skeleton = entries / candidates if candidates else 0.0
             schema_cost = (
                 SCHEMA_BASE_COST + min(n, candidates) * mean_width * per_skeleton
             )
-            initial_k = min(MAX_INITIAL_K, max(n, int(math.ceil(n * mean_width))))
-            delta = initial_k
         return PlanEstimates(
             candidate_roots=candidates,
             posting_entries=entries,
@@ -140,8 +126,6 @@ class Planner:
             mean_closure_width=mean_width,
             direct_cost=direct_cost,
             schema_cost=schema_cost,
-            initial_k=initial_k,
-            delta=delta,
             stats_generation=stats.generation,
         )
 
@@ -182,7 +166,7 @@ class Planner:
                 f"(~{estimates.candidate_roots} candidates over "
                 f"~{estimates.posting_entries} posting entries, mean "
                 f"renaming-closure width {estimates.mean_closure_width:.1f}; "
-                f"schedule initial_k={estimates.initial_k}; Section 7)",
+                "Section 7)",
                 estimates,
             )
         return (
@@ -233,7 +217,6 @@ def _closure(
 
 
 __all__ = [
-    "MAX_INITIAL_K",
     "PlanEstimates",
     "Planner",
     "SCHEMA_BASE_COST",

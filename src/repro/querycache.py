@@ -17,19 +17,15 @@ cost-model copy matters: ``CostModel`` is mutable, and a caller mutating
 their model after a cache hit must not corrupt the entry keyed by the
 old fingerprint.
 
-Tier 2 — :class:`ResultCache`.  The paper's best-n driver emits results
-in non-decreasing cost order, so a cached top-``k`` prefix answers a
-request with ``n ≤ k`` byte-identically — *within a schedule class*.
-Equal-cost results are emitted in round order, which depends on the
-effective ``(initial_k, delta)`` schedule, so the schema method's cache
-key carries the resolved schedule
-(:func:`repro.schema.evaluator.effective_schedule`) and a differently
-scheduled request misses honestly instead of serving a reordered tie
-class.  The direct method emits the canonical ``(cost, root)`` sort, so
-its entries serve any shorter ``n``.  Entries carry the captured
-:class:`DriverState` of the incremental schema driver, so a same-key
+Tier 2 — :class:`ResultCache`.  Both algorithms emit a best-``n``
+answer that is a prefix of the full answer — the direct method sorts by
+``(cost, root)``, the schema driver executes skeletons in ``(cost,
+signature)`` order whatever its k schedule — so a cached top-``k``
+prefix answers a request with ``n ≤ k`` byte-identically, and one key,
+``(query, costs, method, max_cost)``, serves every ``n``.  Entries carry
+the captured :class:`DriverState` of the incremental schema driver, so a
 request with ``n > cached-n`` resumes from the cached round state
-instead of restarting at ``initial_k``.
+instead of restarting at the first round.
 
 Invalidation follows the ``PostingCache`` generation protocol: every
 entry is tagged with the store generation (or, for
@@ -75,9 +71,10 @@ class DriverState:
     """Captured round state of the incremental schema driver.
 
     Snapshotting this after a best-n evaluation lets a later request
-    with a larger ``n`` resume where the driver stopped — same ``k``
-    threshold, same executed second-level signatures, same found-result
-    dedup map — instead of re-growing ``k`` from ``initial_k``.
+    with a larger ``n`` resume where the driver stopped — at least the
+    same ``k``, the same executed second-level signatures, the same
+    found-result dedup map — instead of re-growing ``k`` from its first
+    round.
 
     ``executed`` must only contain signatures whose instances were
     *fully* folded into ``found``: the driver returns mid-skeleton when
@@ -86,21 +83,10 @@ class DriverState:
     """
 
     k: int
-    delta: int
     executed: set
     found: dict
     found_per_class: dict
     exhausted: bool
-
-    def copy(self) -> "DriverState":
-        return DriverState(
-            k=self.k,
-            delta=self.delta,
-            executed=set(self.executed),
-            found=dict(self.found),
-            found_per_class=dict(self.found_per_class),
-            exhausted=self.exhausted,
-        )
 
     def approximate_bytes(self) -> int:
         return _STATE_ITEM_BYTES * (

@@ -2,10 +2,17 @@
 
 The driver asks the top-k primary for the best k second-level queries,
 executes the not-yet-executed ones against ``I_sec`` in cost order, and
-collects result roots.  If fewer than n results accumulate, k is
-increased by δ and the loop repeats; executed skeletons are remembered by
-signature, so growing k only executes the newly exposed suffix (the
-paper's prefix-erasure, made robust against tie reordering).
+collects result roots.  If fewer than n results accumulate, k doubles
+and the loop repeats; executed skeletons are remembered by signature, so
+growing k only executes the newly exposed suffix (the paper's
+prefix-erasure, made robust against tie reordering).
+
+The k schedule is a private policy: it changes how long an answer
+takes, never what it is.  Every top-k list is a prefix of one order,
+(cost, signature), so the skeletons execute in that order whatever the
+round boundaries, and ``evaluate(q, n)`` is ``evaluate(q, None)[:n]``.
+The first round's k is n scaled by the query's mean renaming-closure
+width (see :meth:`SchemaEvaluator._initial_k`).
 
 The driver stops growing k when a round's root list is *exact* (nothing
 was discarded anywhere below it, see :mod:`.topk_ops`) and holds no more
@@ -17,11 +24,12 @@ call, so a larger k recomputes only the lists the smaller k truncated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..approxql.ast import NameSelector
 from ..approxql.costs import CostModel
-from ..approxql.expanded import ExpandedQuery, build_expanded
+from ..approxql.expanded import ExpandedNode, ExpandedQuery, RepType, build_expanded
 from ..approxql.parser import parse_query
 from ..errors import EvaluationError
 from ..querycache import DriverState
@@ -37,27 +45,11 @@ from .topk_ops import sort_roots
 #: safety valve: k never grows beyond this
 DEFAULT_MAX_K = 1_000_000
 
-#: fallback ``initial_k`` when neither the caller nor ``n`` supplies one
+#: the first round's k of full retrieval (``n`` is ``None``)
 DEFAULT_INITIAL_K = 16
 
-
-def effective_schedule(
-    n: "int | None",
-    initial_k: "int | None",
-    delta: "int | None",
-) -> "tuple[int, int]":
-    """The ``(k, delta)`` the incremental driver actually starts with
-    for this request — defaults resolved exactly as :meth:`SchemaEvaluator.
-    iter_results` resolves them.  The emitted order of equal-cost results
-    depends on the round boundaries this schedule induces, so the
-    resolved pair is part of a best-n answer's identity (the result
-    cache keys on it; see ``repro.querycache``)."""
-    if initial_k is None:
-        initial_k = n if n is not None else DEFAULT_INITIAL_K
-    k = max(1, initial_k)
-    if delta is None:
-        delta = max(1, k)
-    return k, delta
+#: ceiling of the first round's k (``max_k`` still bounds growth)
+MAX_INITIAL_K = 4096
 
 
 @dataclass(frozen=True)
@@ -106,10 +98,7 @@ class SchemaEvaluator:
         query: "str | NameSelector",
         costs: "CostModel | None" = None,
         n: "int | None" = None,
-        initial_k: "int | None" = None,
-        delta: "int | None" = None,
         max_k: int = DEFAULT_MAX_K,
-        growth: str = "geometric",
         max_cost: "float | None" = None,
         expanded: "ExpandedQuery | None" = None,
         resume: "DriverState | None" = None,
@@ -117,18 +106,14 @@ class SchemaEvaluator:
     ) -> list[SchemaResult]:
         """Best-``n`` root-cost pairs via the incremental algorithm.
 
-        ``n = None`` retrieves *all* approximate results.  ``initial_k``
-        defaults to ``n`` (or 16); ``delta`` defaults to ``initial_k``.
+        ``n = None`` retrieves *all* approximate results.
         """
         results = list(
             self.iter_results(
                 query,
                 costs,
                 n=n,
-                initial_k=initial_k,
-                delta=delta,
                 max_k=max_k,
-                growth=growth,
                 max_cost=max_cost,
                 expanded=expanded,
                 resume=resume,
@@ -144,10 +129,7 @@ class SchemaEvaluator:
         query: "str | NameSelector",
         costs: "CostModel | None" = None,
         n: "int | None" = None,
-        initial_k: "int | None" = None,
-        delta: "int | None" = None,
         max_k: int = DEFAULT_MAX_K,
-        growth: str = "geometric",
         max_cost: "float | None" = None,
         expanded: "ExpandedQuery | None" = None,
         resume: "DriverState | None" = None,
@@ -157,11 +139,9 @@ class SchemaEvaluator:
         be sent immediately to the user" advantage: second-level queries
         stream their results in increasing cost order.
 
-        ``growth`` selects how k advances between rounds: ``"linear"`` is
-        the paper's fixed ``k += delta``; the default ``"geometric"``
-        doubles the step after every unproductive round, which bounds the
-        number of (re-)runs of the top-k primary by O(log k_final) and
-        matters when n is far beyond the initial guess (or infinite).
+        k doubles after every unproductive round, which bounds the
+        number of (re-)runs of the top-k primary by O(log k_final);
+        ``max_k`` caps it.
 
         ``expanded`` supplies a prebuilt closure (the compiled-query
         cache's Tier-1 artifact), skipping parse and expansion.
@@ -182,12 +162,6 @@ class SchemaEvaluator:
         if expanded is None:
             expanded = build_expanded(query, costs)
 
-        if growth not in ("linear", "geometric"):
-            raise EvaluationError(f"unknown growth mode {growth!r}")
-        k, delta = effective_schedule(n, initial_k, delta)
-        if delta < 1:
-            raise EvaluationError(f"delta must be positive, got {delta}")
-
         executor = SecondaryExecutor(self._isec)
         # Root-class saturation (an exact early-termination rule): every
         # result is an instance of a candidate root class (the root label
@@ -200,10 +174,11 @@ class SchemaEvaluator:
         # The same argument applies per class: a skeleton whose root
         # class is already fully retrieved needs no execution.
         run = _BestN(n, max_cost, self._root_instance_counts(expanded.root))
+        k = self._initial_k(expanded, n)
         if resume is not None:
-            k = max(1, resume.k)
-            delta = max(1, resume.delta)
+            k = max(k, resume.k)
             run.resume(resume)
+        k = min(k, max_k)
 
         try:
             if resume is not None and resume.exhausted:
@@ -244,15 +219,36 @@ class SchemaEvaluator:
                     # a short answer that is NOT known to be complete
                     _telemetry.count("schema.max_k_stops")
                     return
-                k = min(max_k, k + delta)
-                if growth == "geometric":
-                    delta *= 2
+                k = min(max_k, 2 * k)
                 # a further round of the top-k primary with the larger k
                 # (it rebuilds only the lists the smaller k truncated)
                 _telemetry.count("schema.kdoubling_restarts")
         finally:
             if state_sink is not None:
-                state_sink(run.capture(k, delta))
+                state_sink(run.capture(k))
+
+    def _initial_k(self, expanded: ExpandedQuery, n: "int | None") -> int:
+        """The first round's k: ``n`` scaled by the mean renaming-closure
+        width over the query's selectors, so a wide closure — many
+        low-yield skeletons per result — needs fewer rounds to expose
+        ``n`` results."""
+        if n is None:
+            return DEFAULT_INITIAL_K
+        widths = [
+            self._closure_width(node)
+            for node in expanded.iter_unique_nodes()
+            if node.reptype in (RepType.NODE, RepType.LEAF)
+        ]
+        mean_width = sum(widths) / len(widths)
+        return min(MAX_INITIAL_K, max(n, math.ceil(n * mean_width)))
+
+    def _closure_width(self, node: ExpandedNode) -> int:
+        """How many labels of a selector's renaming closure (the label
+        and its finite-cost rename targets) the collection holds a live
+        instance of; at least 1."""
+        present = self._indexes.posting_size
+        labels = {node.label, *(target for target, _ in node.renamings)}
+        return max(1, sum(1 for label in labels if present(label, node.node_type)))
 
     def _root_instance_counts(self, root) -> "dict[int, int]":
         """Instance counts of every candidate root class (the data nodes
@@ -313,13 +309,12 @@ class _BestN:
         self.found_per_class = dict(state.found_per_class)
         self.emitted = len(self.found)
 
-    def capture(self, k: int, delta: int) -> DriverState:
+    def capture(self, k: int) -> DriverState:
         # in-flight skeletons (executed but not fully folded) must
         # re-run on resume; ``found`` dedups their replays
         self.executed.difference_update(self.pending)
         return DriverState(
             k=k,
-            delta=delta,
             executed=self.executed,
             found=self.found,
             found_per_class=self.found_per_class,

@@ -850,10 +850,6 @@ class _ScatterGather:
     local root)`` tuples.  Made per call — it captures the translation
     tables current at the call's start."""
 
-    # the merge re-sorts every tie class by global root, whatever
-    # schedule the shards' drivers ran
-    schedule_ordered = False
-
     def __init__(self, database: ShardedDatabase) -> None:
         self._database = database
         self._shards = database._shards
@@ -882,12 +878,11 @@ class _ScatterGather:
         chosen: str,
         n: "int | None",
         max_cost: "float | None",
-        schedule: "tuple[int | None, int | None]",
         resume: None,
         collect: str,
     ) -> Execution:
-        """Shards run with the explicit ``chosen`` method and their own
-        default schedule, reporting in the ``collect`` mode.  Nothing
+        """Shards run with the explicit ``chosen`` method, reporting in
+        the ``collect`` mode.  Nothing
         is resumable at this level: a larger ``n`` recomputes."""
         if chosen == "schema" and n is not None:
             rows, reports = self._best_n(compiled, n, max_cost, collect)

@@ -168,7 +168,7 @@ class QueryReport:
     def resumed_rounds(self) -> int:
         """Times a shorter cached prefix was extended by resuming the
         incremental driver from its saved round state instead of
-        restarting at ``initial_k``."""
+        restarting at the first round."""
         return int(self.get("querycache.resumed_rounds"))
 
     @property

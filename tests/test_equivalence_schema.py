@@ -41,7 +41,7 @@ def test_schema_best_n_matches_direct(seed):
     direct = DirectEvaluator(tree).evaluate(query, costs)
     direct_map = {r.root: r.cost for r in direct}
     for n in (1, 2, 5):
-        schema_n = SchemaEvaluator(tree).evaluate(query, costs, n=n, initial_k=1, delta=1)
+        schema_n = SchemaEvaluator(tree).evaluate(query, costs, n=n)
         # same multiset of costs as the direct top-n...
         assert sorted(r.cost for r in schema_n) == sorted(r.cost for r in direct[:n])
         # ...and every returned root carries its true minimal cost
@@ -55,10 +55,7 @@ def test_streaming_order_is_nondecreasing(seed):
     tree = random_tree(rng)
     query = random_query(rng)
     costs = random_cost_model(rng)
-    costs_seen = [
-        r.cost
-        for r in SchemaEvaluator(tree).iter_results(query, costs, initial_k=1, delta=1)
-    ]
+    costs_seen = [r.cost for r in SchemaEvaluator(tree).iter_results(query, costs)]
     assert costs_seen == sorted(costs_seen)
 
 

@@ -17,6 +17,9 @@ from repro.errors import EvaluationError, QuerySyntaxError
 from repro.planner.cost import Planner
 from repro.server import QueryServer
 from repro.shard import ShardedDatabase
+from repro.xmltree import subtree_to_xml
+
+from .strategies import generated_case
 
 DOCUMENTS = [
     "<catalog><cd><title>piano concerto</title><composer>rachmaninov</composer></cd>"
@@ -29,17 +32,17 @@ QUERY = 'cd[title["piano"]]'
 KINDS = ("memory", "stored", "snapshot", "sharded")
 
 
-def _open(kind, tmp_path):
-    """``(handle, close)`` for one kind of handle over ``DOCUMENTS``."""
+def _open(kind, tmp_path, documents=DOCUMENTS):
+    """``(handle, close)`` for one kind of handle over ``documents``."""
     if kind == "sharded":
-        handle = ShardedDatabase.from_documents(DOCUMENTS, shards=2)
+        handle = ShardedDatabase.from_documents(documents, shards=2)
         return handle, handle.close
     if kind == "stored-sharded":
         directory = str(tmp_path / "sharded.d")
-        ShardedDatabase.from_documents(DOCUMENTS, shards=2).save(directory)
+        ShardedDatabase.from_documents(documents, shards=2).save(directory)
         handle = ShardedDatabase.open(directory)
         return handle, handle.close
-    database = Database.from_documents(DOCUMENTS)
+    database = Database.from_documents(documents)
     if kind != "memory":
         path = str(tmp_path / f"{kind}.apxq")
         database.save(path)
@@ -152,9 +155,41 @@ def test_query_takes_no_worker_options(handle):
             lambda: handle.query_many([QUERY, "title"], jobs=2),
             lambda: handle.query_many([QUERY, "title"], executor="thread"),
         ]
+    # nor a k schedule: it is the schema driver's own policy, and every
+    # handle streams with ``stream(text, costs, collect)``
+    refused += [
+        lambda: handle.stream(QUERY, initial_k=4),
+        lambda: handle.stream(QUERY, delta=4),
+    ]
     for call in refused:
         with pytest.raises(TypeError):
             call()
+
+
+def _n_zero_requests():
+    """A collection plus two requests on which ``auto`` picks the schema
+    driver for n = 0: its estimate is the fixed overhead alone."""
+    case = generated_case(0, num_elements=100)
+    documents = [subtree_to_xml(case.tree, root) for root in case.tree.document_roots()]
+    first = case.queries[0]
+    return documents, [('e7[e1["t2"]]', None), (first.query, first.costs)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_n_zero_under_auto_is_empty(kind, tmp_path):
+    """``auto`` once sized the schema driver's first round as k = n = 0,
+    and best-0 failed with "delta must be positive" wherever it picked
+    schema; best-0 is the empty answer from every handle and path."""
+    documents, requests = _n_zero_requests()
+    handle, close = _open(kind, tmp_path, documents)
+    try:
+        for query, costs in requests:
+            assert handle.plan(query, n=0, costs=costs).method == "schema"
+            assert list(handle.query(query, n=0, costs=costs)) == []
+        if hasattr(handle, "query_many"):
+            assert [list(r) for r in handle.query_many(requests, n=0)] == [[], []]
+    finally:
+        close()
 
 
 @pytest.mark.parametrize("kind", ["memory", "stored", "sharded"])

@@ -6,9 +6,11 @@ covering the candidate population — so a cost-model change that flips a
 winner fails loudly here; a case with a wide margin also declares the
 range of schema/direct cost ratios its estimates must stay outside.
 The rest of the module covers the pieces around the decision: the
-k-growth schedule and the shard/single-store plan agreement.
+driver's first-round k, which grows with the same closure widths, and
+the shard/single-store plan agreement.
 """
 
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -109,7 +111,7 @@ CORPUS = [
     Case(
         name="wide-renaming-schema",
         # renamings widen every cd closure across three label families;
-        # the driver still wins at n=5 but with an inflated schedule
+        # the driver still wins at n=5 but starts at a larger k
         xml=f"<catalog>{_cds(30)}"
         + "".join(f"<dvd><title>film {i}</title></dvd>" for i in range(30))
         + "".join(f"<tape><title>mix {i}</title></tape>" for i in range(30))
@@ -172,30 +174,42 @@ class TestPlanQualityCorpus:
             ], case.name
 
 
+def _first_round_k(database, query, n, costs=None):
+    """``schema.final_k`` of a schema-driven query that runs one round —
+    the driver's first-round k."""
+    report = database.query(
+        query, n=n, costs=costs, method="schema", collect="counters"
+    ).report
+    assert report.get("schema.rounds") == 1
+    return report.get("schema.final_k")
+
+
 class TestSchedule:
+    """The k schedule is the driver's own: it starts at n scaled by the
+    mean closure width the planner also reports (16 for full retrieval),
+    capped at 4096, and the plan carries none of it."""
+
     def test_wide_renaming_inflates_initial_k(self):
         case = next(c for c in CORPUS if c.name == "wide-renaming-schema")
         database = Database.from_xml(case.xml)
-        plain = database.plan('cd[title["album"]]', n=5)
-        wide = database.plan('cd[title["album"]]', n=5, costs=case.costs)
-        assert plain.estimates.initial_k == 5
-        assert wide.estimates.initial_k > 5
-        assert wide.estimates.delta == wide.estimates.initial_k
+        query = 'cd[title["album"]]'
+        wide = database.plan(query, n=5, costs=case.costs).estimates
+        assert _first_round_k(database, query, 5) == 5
+        assert wide.mean_closure_width > 1
+        assert _first_round_k(database, query, 5, case.costs) == math.ceil(
+            5 * wide.mean_closure_width
+        )
 
     def test_initial_k_is_capped(self):
-        from repro.planner.cost import MAX_INITIAL_K
-
         database = Database.from_xml(_catalog(30))
-        plan = database.plan("cd[title]", n=10**9)
-        assert plan.estimates.initial_k is None or (
-            plan.estimates.initial_k <= MAX_INITIAL_K
-        )
+        assert _first_round_k(database, "cd[title]", 10**9) == 4096
 
     def test_full_retrieval_has_no_schedule(self):
         database = Database.from_xml(_catalog(30))
         plan = database.plan("cd[title]", n=None)
-        assert plan.estimates.initial_k is None
+        assert not hasattr(plan.estimates, "initial_k")
         assert plan.estimates.schema_cost is None
+        assert _first_round_k(database, "cd[title]", None) == 16
 
 
 class TestShardAgreement:

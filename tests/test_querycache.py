@@ -6,9 +6,9 @@ with the same parameters would produce, at every generation.  Tier 1
 (compiled queries) is keyed by ``(query text, cost fingerprint)``; tier
 2 (result prefixes) follows the ``PostingCache`` generation protocol —
 mutations and WAL recovery evict, pinned snapshots miss without
-evicting, and the schema method's key carries the effective
-``(initial_k, delta)`` schedule because tie order within a cost class is
-a round-boundary artifact.  Randomized cached-vs-cold parity is in
+evicting, and one key per (query, costs, method, ``max_cost``) serves
+every ``n`` — a best-``n`` answer is a prefix of the full answer under
+either method.  Randomized cached-vs-cold parity is in
 ``test_differential_oracle.py``; these tests pin the mechanics.
 """
 
@@ -28,7 +28,6 @@ from repro.querycache import (
     ResultCache,
     compile_query,
 )
-from repro.schema.evaluator import effective_schedule
 from repro.shard import ShardedDatabase
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.kv import Namespace
@@ -228,14 +227,6 @@ class TestResultCacheProtocol:
         assert stats["querycache.result_misses"] == 1
 
 
-def test_effective_schedule_matches_driver_defaults():
-    assert effective_schedule(5, None, None) == (5, 5)
-    assert effective_schedule(None, None, None) == (16, 16)
-    assert effective_schedule(3, 8, None) == (8, 8)
-    assert effective_schedule(3, 8, 2) == (8, 2)
-    assert effective_schedule(0, None, None) == (1, 1)
-
-
 # ----------------------------------------------------------------------
 # the core fast path
 # ----------------------------------------------------------------------
@@ -292,33 +283,32 @@ class TestDatabaseFastPath:
             cold.query("cd[title]", n=2, method="direct")
         )
 
-    def test_schema_schedule_is_part_of_the_key(self, memory_db):
-        """A different ``n`` under the default schedule is a different
-        round structure — it must miss, not serve a reordered tie
-        class."""
-        memory_db.query("cd[title]", n=4, method="schema")
-        shorter = memory_db.query("cd[title]", n=2, method="schema", collect="counters")
-        assert not shorter.report.result_cache_hit
-        again = memory_db.query("cd[title]", n=2, method="schema", collect="counters")
-        assert again.report.result_cache_hit
-        assert _pairs(again) == _pairs(shorter)
+    @pytest.mark.parametrize("kind", ["memory_db", "stored_db"])
+    def test_schema_prefix_serves_shorter_n(self, kind, request):
+        """The schema driver's k schedule is not part of the answer, so a
+        best-4 entry serves best-2 — byte-identical to a cache-off twin."""
+        database = request.getfixturevalue(kind)
+        database.query("cd[title]", n=4, method="schema")
+        shorter = database.query("cd[title]", n=2, method="schema", collect="counters")
+        assert shorter.report.result_cache_hit
+        assert shorter.report.get("schema.second_level_executed", 0) == 0
+        cold = Database.from_documents(DOCS)
+        cold.set_query_cache(result_entries=0)
+        assert _pairs(shorter) == _pairs(cold.query("cd[title]", n=2, method="schema"))
 
-    def test_schema_resume_extends_same_schedule(self, memory_db):
-        """With the schedule held fixed, a larger ``n`` resumes the
-        captured driver state and the combined answer matches a cold
-        run."""
-        pipeline = memory_db._pipeline
-        compiled, _ = pipeline.compile("cd[title]", None)
-        schedule = ((2, 2), "off")
-        with memory_db._view() as view:
-            request = (view, view.generation(), compiled, "schema")
-            short, _ = pipeline._answer(*request, 2, None, *schedule)
-            assert len(short) == 2
-            longer, _ = pipeline._answer(*request, 4, None, *schedule)
-            assert pipeline.result_cache.resumes == 1
-            pipeline.set_cache(result_entries=0)
-            cold, _ = pipeline._answer(*request, 4, None, *schedule)
-        assert _pairs(longer) == _pairs(cold)
+    @pytest.mark.parametrize("kind", ["memory_db", "stored_db"])
+    def test_schema_resume_extends_a_shorter_prefix(self, kind, request):
+        """Best-2, then best-4: the second request resumes the captured
+        driver state, and the combined answer matches a cold run."""
+        database = request.getfixturevalue(kind)
+        short = database.query("cd[title]", n=2, method="schema")
+        assert len(short) == 2
+        longer = database.query("cd[title]", n=4, method="schema", collect="counters")
+        assert database._pipeline.result_cache.resumes == 1
+        assert longer.report.resumed_rounds == 1
+        cold = Database.from_documents(DOCS)
+        cold.set_query_cache(result_entries=0)
+        assert _pairs(longer) == _pairs(cold.query("cd[title]", n=4, method="schema"))
 
     def test_mutation_invalidates(self, memory_db):
         before = memory_db.query("cd[title]", n=None)

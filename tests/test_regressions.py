@@ -4,6 +4,8 @@ Each test reconstructs the exact scenario that exposed the defect, so a
 reintroduction fails loudly with a pointer to the original analysis.
 """
 
+import math
+
 import pytest
 
 from repro.approxql.costs import CostModel
@@ -112,7 +114,7 @@ class TestBestNDegenerationBounded:
         for target in ("alpha", "beta", "gamma"):
             costs.add_renaming("piano", target, NodeType.TEXT, 2)
         results = SchemaEvaluator(tree).evaluate(
-            'cd[title["piano"]]', costs, n=50, initial_k=1, delta=1, max_k=8
+            'cd[title["piano"]]', costs, n=50, max_k=8
         )
         assert [(r.cost) for r in results] == [0.0]
 
@@ -168,8 +170,6 @@ class TestSection7BlowUp:
     def test_short_answer_stops_at_first_k_covering_all_skeletons(
         self, workload, index, results, skeletons
     ):
-        from repro.schema.evaluator import effective_schedule
-
         database, queries = workload
         generated = queries[index]
         schema = database.query(
@@ -183,10 +183,16 @@ class TestSection7BlowUp:
         assert schema.costs == direct.costs
         assert sorted(r.root for r in schema) == sorted(r.root for r in direct)
 
-        k, delta = effective_schedule(self.N, None, None)
+        # the driver's rule: the first round asks for n scaled by the mean
+        # renaming-closure width (the planner reports the same width),
+        # capped at 4096; k doubles after every round
+        width = database.plan(
+            generated.query, n=self.N, costs=generated.costs
+        ).estimates.mean_closure_width
+        k = min(4096, max(self.N, math.ceil(self.N * width)))
         rounds = 1
         while k < skeletons:
-            k, delta, rounds = k + delta, delta * 2, rounds + 1
+            k, rounds = 2 * k, rounds + 1
         report = schema.report
         assert report.get("schema.skeletons_enumerated") == skeletons
         assert report.get("schema.final_k") == k

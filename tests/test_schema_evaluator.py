@@ -27,6 +27,25 @@ CATALOG = """
 """
 
 
+#: the cost-0 skeleton of ``SPLIT_QUERY`` has no instance (no cd holds
+#: both a title and a composer); the one result needs the inserted
+#: ``disc`` — so best-1, starting at k = 1 (every closure has width 1),
+#: takes a second round
+SPLIT_CATALOG = """
+<catalog>
+  <cd><title>piano</title></cd>
+  <cd><composer>liszt</composer></cd>
+  <cd><disc><title>piano</title></disc><composer>liszt</composer></cd>
+</catalog>
+"""
+SPLIT_QUERY = 'cd[title["piano"] and composer["liszt"]]'
+
+
+@pytest.fixture
+def split():
+    return SchemaEvaluator(tree_from_xml(SPLIT_CATALOG))
+
+
 @pytest.fixture
 def tree():
     return tree_from_xml(CATALOG)
@@ -71,17 +90,19 @@ class TestBasicEvaluation:
 
 
 class TestIncrementalBehaviour:
-    def test_small_initial_k_still_complete(self, evaluator):
-        costs = paper_example_cost_model()
-        full = evaluator.evaluate('cd[title["piano"]]', costs)
-        tiny_steps = evaluator.evaluate('cd[title["piano"]]', costs, initial_k=1, delta=1)
-        assert tiny_steps == full
+    def test_small_initial_k_still_complete(self, split):
+        """Best-1 starts at k = 1 and grows; it is full retrieval's first
+        result, and resuming its state completes the full answer."""
+        full = split.evaluate(SPLIT_QUERY)
+        first, counters, state = observe(split, SPLIT_QUERY, n=1)
+        assert counters["schema.rounds"] > 1
+        assert first == full[:1]
+        rest = split.evaluate(SPLIT_QUERY, resume=state)
+        assert first + rest == full
 
     def test_stats_recorded(self, evaluator):
         costs = paper_example_cost_model()
-        _, counters, state = observe(
-            evaluator, 'cd[title["piano"]]', costs, n=2, initial_k=1, delta=1
-        )
+        _, counters, state = observe(evaluator, 'cd[title["piano"]]', costs, n=2)
         assert counters["schema.rounds"] >= 1
         assert counters["schema.second_level_executed"] >= 1
         assert counters["schema.results_found"] == 2
@@ -92,16 +113,14 @@ class TestIncrementalBehaviour:
         _, _, state = observe(evaluator, 'cd[title["piano"]]')
         assert state.exhausted
 
-    def test_growing_k_never_reexecutes(self, evaluator):
+    def test_growing_k_never_reexecutes(self, split):
         """Executed second-level queries are remembered by signature."""
-        costs = paper_example_cost_model()
-        query = 'cd[title["piano"]]'
-        _, grown, grown_state = observe(evaluator, query, costs, initial_k=1, delta=1)
-        _, single, single_state = observe(evaluator, query, costs, initial_k=64)
+        _, grown, grown_state = observe(split, SPLIT_QUERY, n=1)
+        _, single, single_state = observe(split, SPLIT_QUERY)
         assert grown["schema.rounds"] > single["schema.rounds"] == 1
         # the rounds of a growing k execute the skeletons one large round
         # executes, each once
-        assert grown_state.executed == single_state.executed
+        assert grown_state.executed <= single_state.executed
         assert grown["schema.second_level_executed"] == single["schema.second_level_executed"]
 
     def test_streaming_results(self, tree, evaluator):
@@ -115,7 +134,7 @@ class TestIncrementalBehaviour:
 
     def test_max_k_bounds_work(self, evaluator):
         costs = paper_example_cost_model()
-        results = evaluator.evaluate('cd[title["piano"]]', costs, initial_k=1, delta=1, max_k=2)
+        results = evaluator.evaluate('cd[title["piano"]]', costs, max_k=2)
         # bounded k may truncate the result list but never corrupt it
         full = evaluator.evaluate('cd[title["piano"]]', costs)
         assert results == full[: len(results)]
@@ -125,37 +144,23 @@ class TestIncrementalBehaviour:
         every second-level query was executed does not."""
         costs = paper_example_cost_model()
         query = 'cd[title["piano"]]'
-        _, capped, state = observe(
-            evaluator, query, costs, n=50, initial_k=1, delta=1, max_k=2
-        )
+        _, capped, state = observe(evaluator, query, costs, n=50, max_k=2)
         assert capped["schema.max_k_stops"] == 1
         assert not state.exhausted
         _, complete, state = observe(evaluator, query, costs, n=50)
         assert "schema.max_k_stops" not in complete
         assert state.exhausted
 
-    def test_rounds_reuse_exact_lists(self, evaluator):
+    def test_rounds_reuse_exact_lists(self, split):
         """A further round takes over what the smaller k did not truncate
         instead of rebuilding it."""
-        from repro.telemetry.collector import Telemetry, collecting
-
-        telemetry = Telemetry()
-        with collecting(telemetry):
-            evaluator.evaluate(
-                'cd[title["piano"]]', paper_example_cost_model(), initial_k=1, delta=1
-            )
-        assert telemetry.counters["schema.rounds"] > 1
-        assert telemetry.counters["schema.lists_reused"] > 0
+        _, counters, _ = observe(split, SPLIT_QUERY, n=1)
+        assert counters["schema.rounds"] > 1
+        assert counters["schema.lists_reused"] > 0
 
     def test_count_results(self, evaluator):
         costs = paper_example_cost_model()
         assert evaluator.count_results('cd[title["piano"]]', costs) == 3
-
-    def test_invalid_delta_rejected(self, evaluator):
-        from repro.errors import EvaluationError
-
-        with pytest.raises(EvaluationError):
-            list(evaluator.iter_results('cd[title["piano"]]', delta=0))
 
 
 class TestSecondLevelQuerySemantics:

@@ -21,6 +21,8 @@ from repro.errors import AdmissionError, EvaluationError, QuerySyntaxError, Serv
 from repro.server import MAX_LINE, ServeClient, ServerThread
 from repro.shard import ShardedDatabase
 
+from .strategies import generated_case
+
 CATALOG = """
 <catalog>
   <cd><title>piano concerto</title><composer>rachmaninov</composer></cd>
@@ -398,6 +400,19 @@ def test_negative_n_refused_at_the_door():
                 client.query("title", n=-1)
             assert client.stats()["server.queries"] == 0
             assert client.query("title", n=0)["results"] == []
+
+
+def test_n_zero_is_empty_when_auto_picks_schema():
+    # regression: auto sized the schema driver's first round as k = n,
+    # so {"n": 0} failed with "delta must be positive" whenever the
+    # planner picked schema
+    query = 'e7[e1["t2"]]'
+    database = Database.from_tree(generated_case(0, num_elements=100).tree)
+    assert database.plan(query, n=0).method == "schema"
+    with ServerThread(database) as (host, port):
+        with ServeClient(host, port) as client:
+            assert client.query(query, n=0)["results"] == []
+            assert client.query(query, n=2)["results"]
 
 
 def test_malformed_fields_rejected_at_admission():

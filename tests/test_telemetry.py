@@ -317,7 +317,7 @@ class TestPlan:
         assert plan.method == "schema"
         assert plan.estimates is not None
         assert plan.estimates.candidate_roots > 5
-        assert plan.estimates.initial_k is not None
+        assert plan.estimates.schema_cost is not None
 
     def test_auto_picks_direct_for_full_retrieval(self, db):
         plan = db.plan("cd", n=None)
@@ -438,4 +438,5 @@ class TestCli:
         output = capsys.readouterr().out
         assert "estimates" in output
         assert "candidate roots" in output
-        assert "schedule" in output
+        assert "closure width" in output
+        assert "schedule" not in output
