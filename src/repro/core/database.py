@@ -68,7 +68,7 @@ from ..xmltree.indexes import (
     StoredNodeIndexes,
     stored_posting,
 )
-from ..xmltree.model import DataTree, compact_tree
+from ..xmltree.model import ROOT_LABEL, DataTree, NodeType, compact_tree
 from .explain import Explanation, explain_skeleton
 from .memory import format_resident, resident_bytes
 from .mutation import MutationReport, StoreMutator
@@ -880,6 +880,7 @@ class Database:
         with self._write_lock:
             self._check_failed()
             state = self._state
+            old_generation = _PinnedView(state, None, self._store).generation()
             # A superseded state must never be lazy: build everything
             # before the shared arrays change.
             state.materialize()
@@ -916,6 +917,12 @@ class Database:
                     if remove_root is not None
                     else None
                 )
+                # what the written documents hold, plus the super-root
+                # (the one node outside every document): a cached answer
+                # whose root labels avoid it is carried across the write
+                touched = {ROOT_LABEL}
+                for span in (added or (), range(removed[0], removed[1] + 1) if removed else ()):
+                    touched.update(tree.labels[p] for p in span if tree.types[p] == NodeType.STRUCT)
                 # planner statistics move with the same deltas the index
                 # maintenance consumes; materialize() above guaranteed
                 # the superseded state's stats exist
@@ -969,6 +976,9 @@ class Database:
             with self._overlay_lock:
                 self._state = new_state
                 self._pending = None
+            self._pipeline.result_cache.carry(
+                old_generation, _PinnedView(new_state, None, self._store).generation(), touched
+            )
             _telemetry.count(f"mutation.{action}s")
             nodes_added = len(tree) - start if document is not None else 0
             if nodes_added:
@@ -985,6 +995,7 @@ class Database:
                 classes_added=classes_added,
                 keys_rewritten=keys_rewritten,
                 wall_seconds=time.perf_counter() - started,
+                labels=frozenset(touched),
             )
 
     @staticmethod

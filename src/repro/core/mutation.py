@@ -64,6 +64,8 @@ class MutationReport:
     delete); ``removed_root`` the tombstoned root (``None`` for a pure
     insert).  ``generation`` is the database generation the mutation
     published — snapshots taken before it keep serving the previous one.
+    ``labels`` are the written documents' struct labels and ``#root``:
+    the result caches dropped the answers whose root labels meet them.
     """
 
     action: str
@@ -75,6 +77,7 @@ class MutationReport:
     classes_added: int = 0
     keys_rewritten: int = 0
     wall_seconds: float = 0.0
+    labels: frozenset = frozenset()
 
     @property
     def schema_renumbered(self) -> bool:

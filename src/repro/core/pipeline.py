@@ -18,8 +18,8 @@ Stages of :meth:`QueryPipeline.query`, in order:
    :class:`~repro.planner.cost.Planner`, cached on the compiled query
    per (generation, n, method);
 4. **cache**: one Tier-2 :class:`~repro.querycache.ResultCache` key per
-   (query, costs, method, ``max_cost``) serves every ``n``: serve the
-   cached prefix, resume the schema driver past a shorter one, or
+   (query, costs, method, ``max_cost``) serves every ``n``, across writes
+   that miss its root labels: serve the prefix, resume a shorter one, or
 5. **execute** on the executor and store what came out;
 6. **report**: one :class:`~repro.telemetry.report.QueryReport`
    assembler — the collected counters, child reports folded in,
@@ -374,6 +374,7 @@ class QueryPipeline:
                     pairs=rows,
                     complete=execution.complete,
                     state=None if execution.complete else execution.state,
+                    root_labels=compiled.root_labels() if cache.enabled else None,
                 ),
             )
         with _telemetry.timer("core.materialize"):

@@ -27,14 +27,14 @@ the captured :class:`DriverState` of the incremental schema driver, so a
 request with ``n > cached-n`` resumes from the cached round state
 instead of restarting at the first round.
 
-Invalidation follows the ``PostingCache`` generation protocol: every
-entry is tagged with the store generation (or, for
-``ShardedDatabase``, the composed per-shard generation vector) it was
-computed under.  A lookup from a *newer* generation evicts the stale
-entry; a lookup from an *older* generation (a pinned
-``Database.snapshot()``) misses without evicting, so snapshot readers
-never see post-snapshot answers and current readers never see
-pre-mutation ones.
+Invalidation is write-scoped: entries carry the generation they were
+computed under (a per-shard vector for ``ShardedDatabase``) and their
+root labels, and a document write re-stamps every entry whose root
+labels its documents lack (:meth:`ResultCache.carry`) and drops the
+rest.  Other generation moves follow the ``PostingCache`` protocol: a
+lookup from a *newer* generation evicts the stale entry, one from an
+*older* generation (a pinned ``Database.snapshot()``) misses without
+evicting.  ``DESIGN.md`` §8 gives the soundness argument.
 
 Both tiers are bounded LRUs, thread-safe, and publish ``querycache.*``
 telemetry (hits, misses, evictions, bytes, resumed rounds) to the
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .approxql.ast import NameSelector
 from .approxql.costs import CostModel
@@ -145,6 +145,12 @@ class CompiledQuery:
             while len(self._plan_memo) > _PLAN_MEMO_LIMIT:
                 self._plan_memo.popitem(last=False)
 
+    def root_labels(self) -> frozenset:
+        """The labels a result node can carry: the expanded root's label
+        and its renaming targets."""
+        root = self.expanded().root
+        return frozenset([root.label, *(label for label, _ in root.renamings)])
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledQuery({self.text!r}, expanded={self._expanded is not None})"
 
@@ -238,13 +244,15 @@ class CachedResult:
     database ``(global_root, cost, shard, local_root)`` tuples.
     ``complete`` marks a fully exhausted evaluation (the prefix answers
     any ``n``); otherwise ``state`` (when present) lets the schema
-    driver resume past ``len(pairs)``.
+    driver resume past ``len(pairs)``.  A write carries the entry only if
+    it misses every one of ``root_labels`` (never when ``None``).
     """
 
     generation: object
     pairs: list
     complete: bool
     state: "DriverState | None" = None
+    root_labels: "frozenset | None" = None
 
     def approximate_bytes(self) -> int:
         total = _ENTRY_BASE_BYTES + _PAIR_BYTES * len(self.pairs)
@@ -260,7 +268,7 @@ class CachedResult:
 
 
 class ResultCache:
-    """Tier 2: bounded, generation-invalidated best-n prefix cache.
+    """Tier 2: bounded best-n prefix cache with write-scoped invalidation.
 
     Lookup semantics follow the ``PostingCache`` generation protocol:
 
@@ -288,6 +296,7 @@ class ResultCache:
         self.invalidations = 0
         self.stores = 0
         self.resumes = 0
+        self.carried = 0
 
     @property
     def enabled(self) -> bool:
@@ -331,6 +340,34 @@ class ResultCache:
             self.misses += 1
             _telemetry.count("querycache.result_misses")
             return None
+
+    def carry(self, old: object, new: object, touched: "set[str]") -> None:
+        """Carry the entries stamped ``old`` across the write that
+        published ``new`` and touched the labels ``touched``: one whose
+        root labels avoid them is replaced (readers may hold it) by a copy
+        stamped ``new`` without its driver state, whose lists belong to
+        ``old``; every other ``old`` entry is dropped now."""
+        carried = dropped = 0
+        with self._lock:
+            for key, entry in list(self._entries.items()):
+                if entry.generation != old:
+                    continue
+                self._bytes -= entry.approximate_bytes()
+                labels = entry.root_labels
+                if labels is None or not labels.isdisjoint(touched):
+                    del self._entries[key]
+                    dropped += 1
+                    continue
+                moved = replace(entry, generation=new, state=None)
+                self._entries[key] = moved
+                self._bytes += moved.approximate_bytes()
+                carried += 1
+            self.carried += carried
+            self.invalidations += dropped
+            if carried:
+                _telemetry.count("querycache.result_carried", carried)
+            if dropped:
+                _telemetry.count("querycache.result_invalidations", dropped)
 
     def note_resume(self) -> None:
         """Count a driver round resumed from cached state."""
@@ -382,6 +419,7 @@ class ResultCache:
                 "querycache.result_misses": self.misses,
                 "querycache.result_evictions": self.evictions,
                 "querycache.result_invalidations": self.invalidations,
+                "querycache.result_carried": self.carried,
                 "querycache.result_stores": self.stores,
                 "querycache.resumed_rounds": self.resumes,
                 "querycache.bytes": self._bytes,

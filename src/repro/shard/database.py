@@ -178,8 +178,9 @@ class ShardedDatabase:
         self._generation = 0
         # the merge level's own query path: default costs, a planner over
         # the merged statistics, compiled queries and merged best-n
-        # prefixes (invalidated by the generation vector; each shard
-        # additionally keeps its own pipeline underneath)
+        # prefixes (stamped with the generation vector and carried across
+        # writes that miss their root labels; each shard additionally
+        # keeps its own pipeline underneath)
         self._pipeline = QueryPipeline(default_costs)
         # merged planner statistics, keyed by generation (mutations bump
         # the generation, so a stale merge is never served)
@@ -662,6 +663,7 @@ class ShardedDatabase:
                 manifest.partitioner, manifest.next_doc_id, manifest.shards
             )
             global_root = manifest.global_nodes
+            old_generation = _ScatterGather(self).generation()
             report = self._shards[owner].insert_document(xml, options)
             manifest.add_document(
                 shard=owner,
@@ -669,7 +671,7 @@ class ShardedDatabase:
                 global_root=global_root,
                 nodes=report.nodes_added,
             )
-            self._publish()
+            self._publish(old_generation, report.labels)
             _telemetry.count("shard.routed_inserts")
             return ShardMutationReport(
                 action="insert",
@@ -695,9 +697,10 @@ class ShardedDatabase:
                     f"global pre {root} is not a live document root "
                     "(see ShardedDatabase.documents())"
                 )
-            self._shards[entry.shard].delete_document(entry.local_root)
+            old_generation = _ScatterGather(self).generation()
+            report = self._shards[entry.shard].delete_document(entry.local_root)
             entry.alive = False
-            self._publish()
+            self._publish(old_generation, report.labels)
             _telemetry.count("shard.routed_deletes")
             return ShardMutationReport(
                 action="delete",
@@ -729,6 +732,7 @@ class ShardedDatabase:
                     "(see ShardedDatabase.documents())"
                 )
             global_root = manifest.global_nodes
+            old_generation = _ScatterGather(self).generation()
             report = self._shards[entry.shard].replace_document(
                 entry.local_root, xml, options
             )
@@ -739,7 +743,7 @@ class ShardedDatabase:
                 global_root=global_root,
                 nodes=report.nodes_added,
             )
-            self._publish()
+            self._publish(old_generation, report.labels)
             _telemetry.count("shard.routed_replaces")
             return ShardMutationReport(
                 action="replace",
@@ -753,15 +757,19 @@ class ShardedDatabase:
                 wall_seconds=time.perf_counter() - started,
             )
 
-    def _publish(self) -> None:
+    def _publish(self, old_generation: tuple, touched: frozenset) -> None:
         """Make a routed mutation visible: refresh the translation
         tables and, for an opened directory, rewrite the manifest (the
         shard's WAL frame committed first; see the manifest module on
-        the crash window between the two)."""
+        the crash window between the two), and carry the merged answers
+        ``touched`` misses (their global roots never renumber)."""
         self._generation += 1
         self._rebuild_maps()
         if self._directory is not None:
             self._manifest.save(self._directory)
+        self._pipeline.result_cache.carry(
+            old_generation, _ScatterGather(self).generation(), touched
+        )
 
     # ------------------------------------------------------------------
     # lifecycle

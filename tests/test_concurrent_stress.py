@@ -12,7 +12,10 @@ right result count) — a cross-attributed or lost collection fails the
 run even when the results survive.
 """
 
+import os
+import sys
 import threading
+import time
 
 import pytest
 
@@ -180,3 +183,95 @@ def test_stress_concurrent_callers_on_generated_data():
         thread.join()
     assert not errors, errors
     assert outcomes == serial
+
+
+#: the writer's cycle in the write-scoped run: documents without ``cd``
+#: (their writes carry the cached ``cd`` answers) around one that holds it
+WRITE_CYCLE = [
+    "<lp><side>piano</side></lp>",
+    "<cd><title>piano trio</title><artist>ravel</artist></cd>",
+    "<tape><side>cello</side></tape>",
+]
+WRITES = 60
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["memory", "stored"])
+def test_write_scoped_cache_under_concurrent_writes(stored, tmp_path):
+    """Readers share one result cache while a writer inserts and deletes
+    documents with and without ``cd``: every answer equals the cache-off
+    answer at some generation current during the read, and the writes
+    without ``cd`` carried entries."""
+
+    def build(name):
+        database = Database.from_xml(*CATALOG)
+        if not stored:
+            return database
+        path = os.path.join(tmp_path, f"{name}.apxq")
+        database.save(path)
+        return Database.open(path)
+
+    def write(database, step, inserted):
+        if step % 2 == 0:
+            inserted.append(database.insert_document(WRITE_CYCLE[step // 2 % 3]).root)
+        else:
+            database.delete_document(inserted.pop())
+
+    shapes = QUERY_SHAPES[:3]
+    truth_db = build("truth")
+    truth_db.set_query_cache(result_entries=0)
+    truth, inserted = [], []
+    for step in range(WRITES + 1):
+        truth.append([
+            [(r.root, r.cost) for r in truth_db.query(text, n=n, method=method)]
+            for text, n, method in shapes
+        ])
+        if step < WRITES:
+            write(truth_db, step, inserted)
+    truth_db.close()
+
+    database = build("hot")
+    done = threading.Event()
+    errors, wrong, reads = [], [], []
+
+    def reader():
+        try:
+            while not done.is_set():
+                for index, (text, n, method) in enumerate(shapes):
+                    before = database.generation
+                    pairs = [(r.root, r.cost) for r in database.query(text, n=n, method=method)]
+                    valid = [truth[g][index] for g in range(before, database.generation + 1)]
+                    if pairs not in valid:
+                        wrong.append((before, text, n, method, pairs))
+                    reads.append(before)
+        except BaseException as error:  # surfaced by the main thread
+            errors.append(error)
+
+    def writer():
+        try:
+            written = []
+            for step in range(WRITES):
+                write(database, step, written)
+                time.sleep(0.002)  # let the readers refill the cache
+        except BaseException as error:
+            errors.append(error)
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert not wrong, wrong[:3]
+    assert len(set(reads)) > WRITES // 2  # reads landed across the walk
+    assert database.generation == WRITES
+    assert database.query_cache_stats()["querycache.result_carried"] > 0
+    database.close()

@@ -17,9 +17,15 @@ rejected (best-n tie-cuts may legitimately pick different equal-cost
 roots across methods, so the cross-method comparison is on cost
 multisets plus per-root true costs — the same semantics
 ``test_best_n_prefix_matches_naive`` uses).
+
+The querycache legs at the bottom hold the hot-query fast path to a
+cache-disabled twin, across interleaved writes; the decomposition leg
+checks the relation write-scoped invalidation rests on — an answer over
+a collection is the merge of every document's own answer.
 """
 
 import os
+import random
 
 import pytest
 
@@ -164,8 +170,8 @@ def test_auto_planner_matches_forced_methods(seed):
 
 @pytest.mark.parametrize("seed", PLANNER_STORED_SEEDS)
 def test_auto_planner_matches_forced_methods_stored(seed, tmp_path):
-    """The stored leg plans from the *persisted* statistics segment —
-    the same contract must hold when the estimates come off disk."""
+    """The stored leg plans on statistics read off the schema an opened
+    store rebuilds — the same contract must hold there."""
     case = generated_case(1300 + seed, num_elements=60)
     path = os.path.join(tmp_path, "oracle.apxq")
     Database.from_tree(case.tree).save(path)
@@ -265,3 +271,146 @@ def test_cached_answers_match_cold_sharded(seed):
     _assert_cached_matches_cold(hot, cold, case)
     hot.close()
     cold.close()
+
+
+# ---------------------------------------------------------------------------
+# write-scoped invalidation: a seeded write walk vs a cache-disabled twin
+# ---------------------------------------------------------------------------
+
+#: the leg's budget: seeds per handle kind and writes per walk
+WRITE_WALK_SEEDS = {"memory": range(5), "stored": range(2), "sharded": range(3)}
+WRITE_WALK_STEPS = 10
+WRITE_WALK_NS = (1, 3, 10, None)
+
+
+def _walk_handles(kind, seed, tmp_path):
+    """A caching handle of ``kind`` over one generated collection and its
+    cache-off twin, each over a tree of its own (a memory handle writes
+    into the tree it wraps)."""
+    from repro.shard import ShardedDatabase
+
+    handles = []
+    for name in ("hot", "cold"):
+        tree = generated_case(seed, num_elements=60).tree
+        if kind == "sharded":
+            database = ShardedDatabase.from_tree(tree, shards=2)
+        else:
+            database = Database.from_tree(tree)
+            if kind == "stored":
+                path = os.path.join(tmp_path, f"{name}.apxq")
+                database.save(path)
+                database = Database.open(path)
+        handles.append(database)
+    handles[1].set_query_cache(compiled_entries=0, result_entries=0)
+    return handles
+
+
+def _walk_document(rng, copies):
+    """Half the time a small document sharing no label with the generated
+    collection (every write of it carries the cached answers), otherwise
+    one of ``copies``, the collection's own documents."""
+    if rng.random() < 0.5:
+        outer, inner = rng.sample(["x0", "x1", "x2"], 2)
+        return f"<{outer}><{inner}>t{rng.randrange(12)}</{inner}>t1<{inner}/></{outer}>"
+    return rng.choice(copies)
+
+
+def _walk_sweep(hot, cold, case):
+    """Every generated query at every n and method, hot against cold;
+    returns how many (query, method) keys the hot handle served from an
+    entry it already held when the sweep began."""
+    held = 0
+    for generated in case.queries:
+        for method in ("schema", "direct", "auto"):
+            for position, n in enumerate(WRITE_WALK_NS):
+                served = hot.query(
+                    generated.query, n=n, costs=generated.costs, method=method,
+                    collect="counters",
+                )
+                cold_run = cold.query(generated.query, n=n, costs=generated.costs, method=method)
+                assert _pairs(served) == _pairs(cold_run), (n, method, case.describe())
+                # the first request of an explicit method is the first of
+                # its key in this sweep: a hit there predates the sweep
+                if position == 0 and method != "auto" and served.report.result_cache_hit:
+                    held += 1
+    return held
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [(kind, seed) for kind, seeds in WRITE_WALK_SEEDS.items() for seed in seeds],
+)
+def test_write_scoped_cache_matches_cold_across_a_write_walk(kind, seed, tmp_path):
+    """A seeded insert/delete/replace walk: after every write the caching
+    handle answers byte-identically to its cache-off twin, and at least
+    one write carried an entry that then served."""
+    from repro.xmltree.serialize import subtree_to_xml
+
+    case = generated_case(1900 + seed, num_elements=60)
+    copies = [subtree_to_xml(case.tree, root) for root in case.tree.document_roots()]
+    hot, cold = _walk_handles(kind, 1900 + seed, tmp_path)
+    rng = random.Random(seed)
+    carried_hits = 0
+    with hot, cold:
+        _walk_sweep(hot, cold, case)
+        for _ in range(WRITE_WALK_STEPS):
+            action = rng.choice(("insert", "delete", "replace"))
+            live = hot.documents()
+            if action != "insert" and len(live) < 2:
+                action = "insert"
+            if action == "insert":
+                document = _walk_document(rng, copies)
+                hot.insert_document(document)
+                cold.insert_document(document)
+            elif action == "delete":
+                root = rng.choice(live)
+                hot.delete_document(root)
+                cold.delete_document(root)
+            else:
+                root, document = rng.choice(live), _walk_document(rng, copies)
+                hot.replace_document(root, document)
+                cold.replace_document(root, document)
+            carried_hits += _walk_sweep(hot, cold, case)
+    assert carried_hits > 0, case.describe()
+
+
+# ---------------------------------------------------------------------------
+# decomposition: an answer is the merge of every document's own answer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_answer_decomposes_per_document(seed):
+    """Every embedding lies inside its result node's subtree, so the full
+    answer over a collection is the cost-ordered merge of each document's
+    answer, roots translated to the collection's numbering.  The schema
+    method breaks cost ties by skeleton signature, so its side compares
+    (cost, root) multisets per cost; the direct method's order is
+    (cost, root) on both sides."""
+    from repro.xmltree.model import extract_document
+
+    case = generated_case(seed, num_elements=60)
+    tree = case.tree
+    whole = Database.from_tree(tree)
+    parts = [
+        (root, Database.from_tree(extract_document(tree, root)))
+        for root in tree.document_roots()
+    ]
+    for generated in case.queries:
+        for method in ("direct", "schema"):
+            full = [
+                (r.cost, r.root)
+                for r in whole.query(generated.query, n=None, costs=generated.costs, method=method)
+                if r.root != 0  # the super-root lies outside every document
+            ]
+            merged = sorted(
+                (r.cost, root + r.root - 1)
+                for root, part in parts
+                for r in part.query(generated.query, n=None, costs=generated.costs, method=method)
+                if r.root != 0
+            )
+            if method == "direct":
+                assert full == merged, case.describe()
+            else:
+                assert [cost for cost, _ in full] == [cost for cost, _ in merged]
+                assert sorted(full) == merged, case.describe()

@@ -4,8 +4,10 @@ Contract under test (see ``repro.querycache``): answers served from
 either cache tier are byte-identical to what a cache-disabled evaluation
 with the same parameters would produce, at every generation.  Tier 1
 (compiled queries) is keyed by ``(query text, cost fingerprint)``; tier
-2 (result prefixes) follows the ``PostingCache`` generation protocol —
-mutations and WAL recovery evict, pinned snapshots miss without
+2 (result prefixes) is write-scoped — a document write carries every
+entry whose root labels its documents lack and drops the rest — and
+otherwise follows the ``PostingCache`` generation protocol: WAL recovery
+and out-of-band store writes evict, pinned snapshots miss without
 evicting, and one key per (query, costs, method, ``max_cost``) serves
 every ``n`` — a best-``n`` answer is a prefix of the full answer under
 either method.  Randomized cached-vs-cold parity is in
@@ -366,6 +368,185 @@ class TestDatabaseFastPath:
         assert loaded._pipeline.compiled_cache.max_entries == 7
         assert not loaded._pipeline.result_cache.enabled
         loaded.close()
+
+
+# ----------------------------------------------------------------------
+# write-scoped invalidation: a write drops only what it can change
+# ----------------------------------------------------------------------
+
+#: shares no label with ``DOCS``
+DISJOINT_DOC = "<lp><side>piano</side></lp>"
+#: holds only ``dvd``, the renaming target of ``cd`` under ``_dvd_costs``
+RENAMED_DOC = "<dvd><title>piano</title></dvd>"
+HANDLES = ("memory", "stored", "sharded")
+
+
+def _dvd_costs():
+    from repro.xmltree.model import NodeType
+
+    costs = CostModel()
+    costs.add_renaming("cd", "dvd", NodeType.STRUCT, 2)
+    return costs
+
+
+def _twins(kind, tmp_path):
+    """A caching handle of ``kind`` over ``DOCS`` and its cache-off twin."""
+    handles = []
+    for name in ("hot", "cold"):
+        if kind == "sharded":
+            database = ShardedDatabase.from_documents(DOCS, shards=2)
+        else:
+            database = Database.from_documents(DOCS)
+            if kind == "stored":
+                path = os.path.join(tmp_path, f"{name}.apxq")
+                database.save(path, durability="wal")
+                database = Database.open(path, options=StoreOptions(durability="wal"))
+        handles.append(database)
+    handles[1].set_query_cache(compiled_entries=0, result_entries=0)
+    return handles
+
+
+def _both(hot, cold, action, *args):
+    """Apply one write to both twins; the hot handle's report."""
+    report = getattr(hot, action)(*args)
+    getattr(cold, action)(*args)
+    return report
+
+
+class TestWriteScopedInvalidation:
+    def _served(self, hot, cold, query, n=None, method="auto", costs=None):
+        """``hot``'s answer, checked against the cache-off twin."""
+        served = hot.query(query, n=n, method=method, costs=costs, collect="counters")
+        assert _pairs(served) == _pairs(cold.query(query, n=n, method=method, costs=costs))
+        return served
+
+    @pytest.mark.parametrize("kind", HANDLES)
+    def test_disjoint_insert_keeps_the_entry_serving(self, kind, tmp_path):
+        from repro.telemetry import Telemetry, collecting
+
+        hot, cold = _twins(kind, tmp_path)
+        with hot, cold:
+            self._served(hot, cold, "cd[title]")
+            writer = Telemetry()
+            with collecting(writer):
+                report = _both(hot, cold, "insert_document", DISJOINT_DOC)
+            # the carry is counted on the writer's collector too (one per
+            # caching level a sharded write passes: shard, then merge)
+            assert writer.counters["querycache.result_carried"] == (2 if kind == "sharded" else 1)
+            served = self._served(hot, cold, "cd[title]")
+            assert served.report.result_cache_hit
+            stats = hot.query_cache_stats()
+            assert stats["querycache.result_carried"] == 1
+            assert stats["querycache.result_invalidations"] == 0
+        if kind != "sharded":
+            assert report.labels == {"lp", "side", "#root"}
+
+    @pytest.mark.parametrize("kind", HANDLES)
+    def test_root_label_insert_drops_the_entry_at_the_write(self, kind, tmp_path):
+        hot, cold = _twins(kind, tmp_path)
+        with hot, cold:
+            self._served(hot, cold, "cd[title]")
+            _both(hot, cold, "insert_document", NEW_DOC)
+            # dropped by the write itself, not left stale for a lookup
+            stats = hot.query_cache_stats()
+            assert stats["querycache.result_entries"] == 0
+            assert stats["querycache.result_invalidations"] == 1
+            assert not self._served(hot, cold, "cd[title]").report.result_cache_hit
+
+    @pytest.mark.parametrize("kind", HANDLES)
+    def test_renaming_target_insert_drops_the_entry(self, kind, tmp_path):
+        """A document holding only ``dvd`` changes ``cd`` under a model
+        that renames ``cd`` to ``dvd`` — and nothing under one that
+        does not: the same write drops one entry and carries the other."""
+        hot, cold = _twins(kind, tmp_path)
+        with hot, cold:
+            self._served(hot, cold, "cd[title]", costs=_dvd_costs())
+            self._served(hot, cold, "cd[title]")
+            _both(hot, cold, "insert_document", RENAMED_DOC)
+            renamed = self._served(hot, cold, "cd[title]", costs=_dvd_costs())
+            assert not renamed.report.result_cache_hit
+            assert self._served(hot, cold, "cd[title]").report.result_cache_hit
+
+    @pytest.mark.parametrize("kind", HANDLES)
+    def test_delete_and_replace_use_the_removed_documents_labels(self, kind, tmp_path):
+        hot, cold = _twins(kind, tmp_path)
+        with hot, cold:
+            first = _both(hot, cold, "insert_document", DISJOINT_DOC).root
+            second = _both(hot, cold, "insert_document", DISJOINT_DOC).root
+            self._served(hot, cold, "cd[title]")
+            _both(hot, cold, "delete_document", first)
+            assert self._served(hot, cold, "cd[title]").report.result_cache_hit
+            _both(hot, cold, "replace_document", second, "<lp><side>organ</side></lp>")
+            assert self._served(hot, cold, "cd[title]").report.result_cache_hit
+            # the replacement lacks cd, the document it removes does not
+            _both(hot, cold, "replace_document", hot.documents()[0], DISJOINT_DOC)
+            assert not self._served(hot, cold, "cd[title]").report.result_cache_hit
+            _both(hot, cold, "delete_document", hot.documents()[0])
+            assert not self._served(hot, cold, "cd[title]").report.result_cache_hit
+
+    @pytest.mark.parametrize("kind", HANDLES)
+    def test_a_query_that_can_match_the_super_root_is_always_dropped(self, kind, tmp_path):
+        from repro.xmltree.model import ROOT_LABEL, NodeType
+
+        costs = CostModel()
+        costs.add_renaming("cd", ROOT_LABEL, NodeType.STRUCT, 3)
+        hot, cold = _twins(kind, tmp_path)
+        with hot, cold:
+            self._served(hot, cold, "cd", costs=costs)
+            _both(hot, cold, "insert_document", DISJOINT_DOC)
+            assert not self._served(hot, cold, "cd", costs=costs).report.result_cache_hit
+
+    @pytest.mark.parametrize("kind", HANDLES)
+    def test_a_carried_prefix_serves_shorter_n_but_does_not_resume(self, kind, tmp_path):
+        hot, cold = _twins(kind, tmp_path)
+        with hot, cold:
+            self._served(hot, cold, "cd[title]", n=2, method="schema")
+            _both(hot, cold, "insert_document", DISJOINT_DOC)
+            shorter = self._served(hot, cold, "cd[title]", n=1, method="schema")
+            assert shorter.report.result_cache_hit
+            longer = self._served(hot, cold, "cd[title]", n=4, method="schema")
+            assert not longer.report.result_cache_hit
+            assert longer.report.resumed_rounds == 0
+            assert len(longer) == 4
+
+    @pytest.mark.parametrize("kind", ["memory", "stored"])
+    def test_a_snapshot_pinned_before_the_write_is_never_served_a_carried_entry(
+        self, kind, tmp_path
+    ):
+        hot, cold = _twins(kind, tmp_path)
+        with hot, cold:
+            before = _pairs(self._served(hot, cold, "cd[title]"))
+            with hot.snapshot() as snap:
+                _both(hot, cold, "insert_document", DISJOINT_DOC)
+                pinned = snap.query("cd[title]", n=None, collect="counters")
+                assert not pinned.report.result_cache_hit
+                assert _pairs(pinned) == before
+                # nor does the pinned reader evict it for current readers
+                assert self._served(hot, cold, "cd[title]").report.result_cache_hit
+
+    def test_wal_recovery_strands_every_entry(self, tmp_path):
+        path = os.path.join(tmp_path, "crash.apxq")
+        Database.from_documents(DOCS).save(path, durability="wal")
+        injector = FaultInjector(kill_after_ops=1_000_000)
+        database = Database.open(
+            path,
+            options=StoreOptions(
+                durability="wal", wal_checkpoint_bytes=1 << 30, opener=injector.opener(),
+            ),
+        )
+        database.query("cd[title]", n=None)
+        database.insert_document(DISJOINT_DOC)
+        carried = database.query("cd[title]", n=None, collect="counters")
+        assert carried.report.result_cache_hit
+        injector.kill_after_ops = 0
+        with pytest.raises(SimulatedCrash):
+            database.close()
+        recovered = Database.open(path, options=StoreOptions(durability="wal"))
+        with recovered:
+            first = recovered.query("cd[title]", n=None, collect="counters")
+            assert not first.report.result_cache_hit
+            assert _pairs(first) == _pairs(carried)
+            assert recovered.query_cache_stats()["querycache.result_carried"] == 0
 
 
 # ----------------------------------------------------------------------
