@@ -38,9 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from itertools import islice
 
 from ..approxql.ast import NameSelector
@@ -57,7 +55,6 @@ from ..schema.dataguide import (
 )
 from ..schema.evaluator import SchemaEvaluator
 from ..storage.kv import MemoryStore, Store
-from ..storage.overlay import SnapshotOverlay, using_overlay
 from ..telemetry import collector as _telemetry
 from ..telemetry.collector import MODE_OFF, MODE_TIMINGS, Telemetry
 from ..telemetry.report import QueryReport
@@ -196,22 +193,17 @@ class _EngineState:
 class _PinnedView:
     """One engine state as the query pipeline's
     :class:`~repro.core.pipeline.Executor` — the ``(_EngineState,
-    overlay, store)`` triple every single-store read is: a memory or
-    stored :class:`Database` pins the current state per call, a
-    :class:`Snapshot` holds one for its lifetime.  The caller activates
-    the overlay around whatever it asks of the view (a stream re-enters
-    it around every pull instead)."""
+    store)`` pair every single-store read is: a memory or stored
+    :class:`Database` pins the current state per call, a
+    :class:`Snapshot` holds one for its lifetime.  The state is all a
+    read needs: a stored state's node indexes stop reading the store
+    once a writer retires them (see
+    :class:`~repro.xmltree.indexes.StoredNodeIndexes`)."""
 
-    __slots__ = ("state", "overlay", "store")
+    __slots__ = ("state", "store")
 
-    def __init__(
-        self,
-        state: _EngineState,
-        overlay: "SnapshotOverlay | None",
-        store: "Store | None",
-    ) -> None:
+    def __init__(self, state: _EngineState, store: "Store | None") -> None:
         self.state = state
-        self.overlay = overlay
         self.store = store
 
     def generation(self) -> "int | tuple":
@@ -267,12 +259,7 @@ class _PinnedView:
             compiled.query, compiled.costs, expanded=compiled.expanded()
         )
 
-    def stream(
-        self,
-        compiled: CompiledQuery,
-        collect: str,
-        on_close,
-    ) -> ResultStream:
+    def stream(self, compiled: CompiledQuery, collect: str) -> ResultStream:
         telemetry = Telemetry(timed=collect == MODE_TIMINGS) if collect != MODE_OFF else None
         report = QueryReport(
             query=compiled.query.unparse(),
@@ -286,13 +273,11 @@ class _PinnedView:
 
         def results() -> Iterator[QueryResult]:
             # a generator function, so a lazy evaluator build happens on
-            # the first pull: under the stream's overlay, in its report
+            # the first pull, in the stream's report
             for result in state.schema_eval().iter_results(compiled.query, compiled.costs):
                 yield QueryResult(result.root, result.cost, state.tree)
 
-        return ResultStream(
-            results(), report, telemetry, overlay=self.overlay, on_close=on_close
-        )
+        return ResultStream(results(), report, telemetry)
 
     def explain(self, compiled: CompiledQuery, n: "int | None") -> list[Explanation]:
         query, costs = compiled.query, compiled.costs
@@ -320,22 +305,15 @@ class Snapshot:
 
     Obtained from :meth:`Database.snapshot`; every query method answers
     against the pinned generation even while writers mutate the database
-    concurrently — for a stored database the writer preserves each
-    pre-mutation posting into this snapshot's overlay before overwriting
-    it (see :mod:`repro.storage.overlay`).  Close the snapshot (or use it
-    as a context manager) when done; an open snapshot keeps accumulating
-    preserved values while writers run.
+    concurrently, because it holds that generation's immutable engine
+    state — memory and stored databases alike.  Close the snapshot (or
+    use it as a context manager) when done; a closed snapshot refuses
+    queries.
     """
 
-    def __init__(
-        self,
-        database: "Database",
-        state: _EngineState,
-        overlay: "SnapshotOverlay | None",
-    ) -> None:
+    def __init__(self, database: "Database", state: _EngineState) -> None:
         self._database = database
         self._state = state
-        self._overlay = overlay
         self._closed = False
 
     # -- pinned facts ---------------------------------------------------
@@ -366,17 +344,16 @@ class Snapshot:
         collect: str = "off",
     ) -> ResultSet:
         """:meth:`Database.query` against the pinned generation."""
-        with self._view() as view:
-            return self._database._pipeline.query(
-                view, text, n, costs, method, max_cost, collect
-            )
+        return self._database._pipeline.query(
+            self._view(), text, n, costs, method, max_cost, collect
+        )
 
     def count_results(
         self, text: "str | NameSelector", costs: "CostModel | None" = None
     ) -> int:
         """:meth:`Database.count_results` against the pinned generation."""
-        with self._view() as view:
-            return view.count(self._database._pipeline.resolve(text, costs))
+        view = self._view()
+        return view.count(self._database._pipeline.resolve(text, costs))
 
     def stream(
         self,
@@ -386,12 +363,12 @@ class Snapshot:
     ) -> ResultStream:
         """:meth:`Database.stream` against the pinned generation.
 
-        The stream borrows this snapshot's pin: keep the snapshot open
-        while pulling results.
+        The stream holds this snapshot's engine state, so it keeps
+        answering against the pinned generation even after the snapshot
+        is closed.
         """
-        with self._view() as view:
-            compiled = self._database._pipeline.resolve(text, costs, collect)
-            return view.stream(compiled, collect, None)
+        view = self._view()
+        return view.stream(self._database._pipeline.resolve(text, costs, collect), collect)
 
     def explain(
         self,
@@ -400,8 +377,8 @@ class Snapshot:
         costs: "CostModel | None" = None,
     ) -> list[Explanation]:
         """:meth:`Database.explain` against the pinned generation."""
-        with self._view() as view:
-            return view.explain(self._database._pipeline.resolve(text, costs, n=n), n)
+        view = self._view()
+        return view.explain(self._database._pipeline.resolve(text, costs, n=n), n)
 
     def plan(
         self,
@@ -412,8 +389,7 @@ class Snapshot:
     ) -> QueryPlan:
         """:meth:`Database.plan` against the pinned generation: the
         decision and estimates :meth:`query` on this snapshot makes."""
-        with self._view() as view:
-            return self._database._pipeline.plan(view, text, n, method, costs)
+        return self._database._pipeline.plan(self._view(), text, n, method, costs)
 
     def describe(self) -> str:
         """One-line summary of the collection at the pinned generation."""
@@ -428,23 +404,18 @@ class Snapshot:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Release the pin (idempotent).  Queries on a closed snapshot
-        raise a typed error."""
-        if not self._closed:
-            self._closed = True
-            self._database._release(self._overlay)
+        """Close the snapshot (idempotent).  Queries on a closed
+        snapshot raise a typed error."""
+        self._closed = True
 
     def _check_open(self) -> None:
         if self._closed:
             raise EvaluationError("snapshot is closed")
 
-    @contextmanager
-    def _view(self) -> "Iterator[_PinnedView]":
-        """The pinned view, with the overlay active around the block."""
+    def _view(self) -> _PinnedView:
         self._check_open()
         self._database._check_failed()
-        with using_overlay(self._overlay):
-            yield _PinnedView(self._state, self._overlay, self._database._store)
+        return _PinnedView(self._state, self._database._store)
 
     def __enter__(self) -> "Snapshot":
         return self
@@ -478,13 +449,8 @@ class Database:
         self._store_options: "StoreOptions | None" = None
         self._posting_cache = None
         self._closed = False
-        # Mutation machinery.  One writer at a time (_write_lock); the
-        # overlay lock orders snapshot pinning against the writer's
-        # preserve-then-write steps (see _pin / _preserve).
+        # one writer at a time; readers pin a state and never wait
         self._write_lock = threading.Lock()
-        self._overlay_lock = threading.Lock()
-        self._overlays: "weakref.WeakSet[SnapshotOverlay]" = weakref.WeakSet()
-        self._pending: "dict[tuple[bytes, bytes], object] | None" = None
         self._failed: "str | None" = None
 
     # ------------------------------------------------------------------
@@ -782,46 +748,14 @@ class Database:
         The returned :class:`Snapshot` answers every query against this
         generation even while :meth:`insert_document` /
         :meth:`delete_document` / :meth:`replace_document` move the
-        database forward: the writer preserves each pre-mutation posting
-        into the snapshot's overlay before overwriting it (stored
-        databases), and in-memory databases pin the immutable engine
-        state directly.  Close the snapshot when done.
+        database forward: it holds the generation's immutable engine
+        state, which a writer replaces but never changes.  For a stored
+        database the writer retires the state's node indexes before its
+        first store write, and they answer from the state's frozen
+        documents from then on.  Close the snapshot when done.
         """
         self._check_failed()
-        state, overlay = self._pin()
-        return Snapshot(self, state, overlay)
-
-    def _pin(self) -> "tuple[_EngineState, SnapshotOverlay | None]":
-        """The current state plus, for stored databases, a registered
-        overlay seeded with whatever an in-flight mutation has already
-        preserved — so pinning mid-mutation still yields the previous
-        generation's complete view."""
-        if self._store is None:
-            return self._state, None
-        with self._overlay_lock:
-            state = self._state
-            overlay = SnapshotOverlay(state.generation)
-            if self._pending:
-                for (tag, key), value in self._pending.items():
-                    overlay.preserve(tag, key, value)
-            self._overlays.add(overlay)
-        return state, overlay
-
-    def _release(self, overlay: "SnapshotOverlay | None") -> None:
-        if overlay is None:
-            return
-        with self._overlay_lock:
-            self._overlays.discard(overlay)
-
-    def _preserve(self, tag: bytes, key: bytes, value: object) -> None:
-        """Writer-side copy-on-write: pin ``key``'s old decoded value into
-        every registered overlay (and the in-flight seed) before the
-        store write lands."""
-        with self._overlay_lock:
-            if self._pending is not None:
-                self._pending.setdefault((tag, key), value)
-            for overlay in self._overlays:
-                overlay.preserve(tag, key, value)
+        return Snapshot(self, self._state)
 
     def _check_failed(self) -> None:
         if self._failed is not None:
@@ -880,7 +814,7 @@ class Database:
         with self._write_lock:
             self._check_failed()
             state = self._state
-            old_generation = _PinnedView(state, None, self._store).generation()
+            old_generation = _PinnedView(state, self._store).generation()
             # A superseded state must never be lazy: build everything
             # before the shared arrays change.
             state.materialize()
@@ -897,9 +831,6 @@ class Database:
             classes_added = 0
             grafted = marked = False
             keys_rewritten = 0
-            if stored:
-                with self._overlay_lock:
-                    self._pending = {}
             try:
                 if remove_root is not None:
                     nodes_removed = tree.bounds[remove_root] - remove_root + 1
@@ -933,7 +864,10 @@ class Database:
                     if added is not None:
                         # integer-cost check before the first store write
                         stored_posting(tree, added)
-                    mutator = StoreMutator(self._store, self._preserve)
+                    # readers still on the superseded state stop
+                    # reading the store before its first write lands
+                    state.node_indexes.retire(tree, state.documents)
+                    mutator = StoreMutator(self._store)
                     mutator.update_node_postings(tree, added=added, removed=removed)
                     if added is not None:
                         append_tree_segment(tree, self._store, start)
@@ -945,7 +879,9 @@ class Database:
                     schema.encode_costs(
                         costs.insert_cost, fingerprint=costs.insert_fingerprint
                     )
-                    node_indexes: NodeIndexes = state.node_indexes
+                    node_indexes: NodeIndexes = StoredNodeIndexes(
+                        self._store, self._posting_cache
+                    )
                 else:
                     node_indexes = MemoryNodeIndexes.evolve(
                         state.node_indexes, tree, added=added, removed=removed
@@ -956,8 +892,6 @@ class Database:
                     # memory; poison the handle so no reader trusts it.
                     # Reopening recovers the last committed state.
                     self._failed = action
-                    with self._overlay_lock:
-                        self._pending = None
                 else:
                     if grafted:
                         tree.ungraft(start)
@@ -973,11 +907,9 @@ class Database:
                 schema_evaluator=SchemaEvaluator(tree, schema),
                 stats=new_stats,
             )
-            with self._overlay_lock:
-                self._state = new_state
-                self._pending = None
+            self._state = new_state
             self._pipeline.result_cache.carry(
-                old_generation, _PinnedView(new_state, None, self._store).generation(), touched
+                old_generation, _PinnedView(new_state, self._store).generation(), touched
             )
             _telemetry.count(f"mutation.{action}s")
             nodes_added = len(tree) - start if document is not None else 0
@@ -1041,8 +973,7 @@ class Database:
         compares equal to a plain list of results and carries the report
         as ``.report``.
         """
-        with self._view() as view:
-            return self._pipeline.query(view, text, n, costs, method, max_cost, collect)
+        return self._pipeline.query(self._view(), text, n, costs, method, max_cost, collect)
 
     def query_many(
         self,
@@ -1067,10 +998,9 @@ class Database:
         self._check_failed()
 
         def serve(compiled: CompiledQuery, compiled_hit: bool) -> ResultSet:
-            with self._view() as view:
-                return self._pipeline.serve(
-                    view, compiled, compiled_hit, n, method, max_cost, collect
-                )
+            return self._pipeline.serve(
+                self._view(), compiled, compiled_hit, n, method, max_cost, collect
+            )
 
         return self._pipeline.query_many(serve, queries, n, costs, method, collect)
 
@@ -1090,13 +1020,8 @@ class Database:
         current at its creation — pulls interleaved with mutations keep
         yielding that generation's results.
         """
-        self._check_failed()
-        compiled = self._pipeline.resolve(text, costs, collect)
-        # resolved before pinning, and the view evaluates nothing until
-        # the first pull: nothing below can fail with the pin held
-        state, overlay = self._pin()
-        release = (lambda: self._release(overlay)) if overlay is not None else None
-        return _PinnedView(state, overlay, self._store).stream(compiled, collect, release)
+        view = self._view()
+        return view.stream(self._pipeline.resolve(text, costs, collect), collect)
 
     def plan(
         self,
@@ -1111,8 +1036,7 @@ class Database:
         block (predicted candidates, posting bytes, closure widths).
         ``costs`` matters: renamings widen the selector closures the
         estimates are computed from."""
-        with self._view() as view:
-            return self._pipeline.plan(view, text, n, method, costs)
+        return self._pipeline.plan(self._view(), text, n, method, costs)
 
     def count_results(self, text: "str | NameSelector", costs: "CostModel | None" = None) -> int:
         """Total number of approximate results for the query.
@@ -1124,8 +1048,8 @@ class Database:
         the exact :meth:`query` path, so identical inputs raise identical
         typed errors from both.
         """
-        with self._view() as view:
-            return view.count(self._pipeline.resolve(text, costs))
+        view = self._view()
+        return view.count(self._pipeline.resolve(text, costs))
 
     def suggest_costs(self, options=None) -> CostModel:
         """Derive a cost model from the collection itself (the paper's
@@ -1148,25 +1072,18 @@ class Database:
         """Best-``n`` results with the transformation sequence that
         produced each (renamings, deletions, and the implicitly inserted
         element labels read off the schema)."""
-        with self._view() as view:
-            return view.explain(self._pipeline.resolve(text, costs, n=n), n)
+        view = self._view()
+        return view.explain(self._pipeline.resolve(text, costs, n=n), n)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def _view(self) -> "Iterator[_PinnedView]":
+    def _view(self) -> _PinnedView:
         """Pin the current generation for one call: the view the query
-        pipeline runs against, the overlay active around the block, the
-        pin released after it."""
+        pipeline runs against."""
         self._check_failed()
-        state, overlay = self._pin()
-        try:
-            with using_overlay(overlay):
-                yield _PinnedView(state, overlay, self._store)
-        finally:
-            self._release(overlay)
+        return _PinnedView(self._state, self._store)
 
     def collection_stats(self) -> CollectionStats:
         """The planner statistics of the current generation (see

@@ -17,11 +17,10 @@ stored structures —
 
 — and nothing else.  ``I_sec`` and the planner statistics are not
 stored: the schema every handle keeps in memory holds the instance
-postings, and the statistics are read off it.  Every rewrite first
-hands the key's *old decoded value* to the ``preserve`` callback, which
-the database fans out to the
-snapshot overlays of pinned readers (see :mod:`repro.storage.overlay`):
-the writer pays the copy, readers stay wait-free.
+postings, and the statistics are read off it.  Readers still pinned to
+the superseded state never see these writes: the database retires that
+state's :class:`~repro.xmltree.indexes.StoredNodeIndexes` before the
+first one lands.
 
 All store writes of one mutation land inside one WAL commit frame (the
 database calls ``store.commit()`` exactly once, after the last write), so
@@ -32,7 +31,6 @@ whole — the crash matrix kills inside these frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..errors import KeyNotFoundError
 from ..storage.kv import Namespace, Store
@@ -48,11 +46,6 @@ from ..xmltree.model import ROOT_LABEL, DataTree, NodeType
 #: the ``I_struct`` key of the super-root, the one node whose bound a
 #: graft moves
 _SUPER_ROOT = (NodeType.STRUCT, ROOT_LABEL)
-
-#: ``preserve(namespace_tag, key, old_decoded_value)`` — called before
-#: every store write/delete with the value the key decoded to beforehand
-#: (zero rows when the key did not exist)
-PreserveFn = Callable[[bytes, bytes, object], None]
 
 
 @dataclass(frozen=True)
@@ -101,21 +94,14 @@ class MutationReport:
         return "  ".join(parts)
 
 
-def _ignore_preserve(tag: bytes, key: bytes, value: object) -> None:
-    """Default ``preserve`` when no snapshot can be pinned."""
-
-
 class StoreMutator:
     """Rewrites the touched keys of one mutation inside a stored database.
 
     One instance serves one mutation, under the database's writer lock.
-    ``preserve`` receives every key's old decoded value before the key is
-    written or deleted, enabling the overlay copy-on-write contract.
     """
 
-    def __init__(self, store: Store, preserve: "PreserveFn | None" = None) -> None:
+    def __init__(self, store: Store) -> None:
         self._store = store
-        self._preserve = preserve if preserve is not None else _ignore_preserve
         self.keys_rewritten = 0
 
     # ------------------------------------------------------------------
@@ -146,14 +132,13 @@ class StoreMutator:
             span = slice(removed[0], removed[1] + 1)
             affected.update(zip(tree.types[span], tree.labels[span]))
         namespaces = (
-            (Namespace(self._store, STRUCT_NAMESPACE), STRUCT_NAMESPACE),
-            (Namespace(self._store, TEXT_NAMESPACE), TEXT_NAMESPACE),
+            Namespace(self._store, STRUCT_NAMESPACE),
+            Namespace(self._store, TEXT_NAMESPACE),
         )
         for node_type, label in sorted(affected):
-            namespace, tag = namespaces[node_type]
+            namespace = namespaces[node_type]
             key = label.encode("utf-8")
             posting = _old_posting(namespace, key)
-            self._preserve(tag, key, posting)
             if (node_type, label) == _SUPER_ROOT:
                 posting = stored_posting(tree, [0])
             if removed is not None:
@@ -190,4 +175,4 @@ def _old_posting(namespace: Namespace, key: bytes) -> PostingColumns:
         return PostingColumns.from_rows([])
 
 
-__all__ = ["MutationReport", "PreserveFn", "StoreMutator"]
+__all__ = ["MutationReport", "StoreMutator"]

@@ -118,9 +118,9 @@ class Execution(NamedTuple):
 class Executor(Protocol):
     """What the pipeline cannot know about the collection it queries.
 
-    Two implementations: the pinned ``(_EngineState, overlay, store)``
-    view of :mod:`repro.core.database` — memory, stored and snapshot
-    reads are all that — and the shard scatter-gather merge of
+    Two implementations: the pinned ``(_EngineState, store)`` view of
+    :mod:`repro.core.database` — memory, stored and snapshot reads are
+    all that — and the shard scatter-gather merge of
     :mod:`repro.shard.database`, whose children are whole databases
     entered through their public ``query`` / ``stream``.
     """

@@ -19,7 +19,6 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 
-from ..storage.overlay import SnapshotOverlay, using_overlay
 from ..telemetry.collector import Telemetry, collecting
 from ..telemetry.report import QueryReport
 from ..xmltree.model import DataTree, NodeType
@@ -140,28 +139,24 @@ class ResultStream:
     wall time grow as results are pulled, so a consumer that stops early
     sees exactly what the evaluation did up to that point.
 
-    A stream over a stored database is pinned to the generation it was
-    opened against: the stream holds the snapshot overlay and re-activates
-    it around every pull, because a context manager entered inside the
-    suspended generator would leak the thread-local to the caller between
-    pulls.  ``on_close`` runs once — at exhaustion or :meth:`close` —
-    releasing the pin.
+    The stream is pinned to the generation it was opened against: its
+    iterator holds that generation's engine state.  ``on_close`` runs
+    once, at exhaustion or :meth:`close`; a sharded stream closes its
+    shard streams there and folds their reports into its own.
     """
 
-    __slots__ = ("report", "_iterator", "_telemetry", "_overlay", "_on_close")
+    __slots__ = ("report", "_iterator", "_telemetry", "_on_close")
 
     def __init__(
         self,
         iterator: Iterator[QueryResult],
         report: QueryReport,
         telemetry: "Telemetry | None" = None,
-        overlay: "SnapshotOverlay | None" = None,
         on_close=None,
     ) -> None:
         self._iterator = iterator
         self.report = report
         self._telemetry = telemetry
-        self._overlay = overlay
         self._on_close = on_close
 
     @property
@@ -172,8 +167,8 @@ class ResultStream:
         return self
 
     def close(self) -> None:
-        """Release the stream's snapshot pin (idempotent; also called
-        automatically at exhaustion)."""
+        """Run ``on_close`` (idempotent; also called automatically at
+        exhaustion)."""
         on_close, self._on_close = self._on_close, None
         if on_close is not None:
             on_close()
@@ -183,15 +178,13 @@ class ResultStream:
         try:
             if self._telemetry is None:
                 try:
-                    with using_overlay(self._overlay):
-                        result = next(self._iterator)
+                    result = next(self._iterator)
                 finally:
                     self.report.wall_seconds += time.perf_counter() - start
             else:
                 with collecting(self._telemetry):
                     try:
-                        with using_overlay(self._overlay):
-                            result = next(self._iterator)
+                        result = next(self._iterator)
                     finally:
                         self.report.wall_seconds += time.perf_counter() - start
         except StopIteration:

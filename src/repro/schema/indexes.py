@@ -107,7 +107,7 @@ class MemorySecondaryIndex:
     """``I_sec`` reading straight from the schema's instance columns —
     the one copy of every instance posting a handle holds, memory and
     stored alike.  A snapshot pins its generation's copy-on-write schema,
-    so the index it reads needs no overlay."""
+    so the index it reads is that generation's as well."""
 
     def __init__(self, schema: Schema) -> None:
         self._schema = schema

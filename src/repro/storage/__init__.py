@@ -17,7 +17,6 @@ Public surface:
 from .btree import BTree
 from .faults import FaultInjector, FaultyFile, SimulatedCrash
 from .kv import FileStore, MemoryStore, Namespace, Store
-from .overlay import SnapshotOverlay, current_overlay, using_overlay
 from .pager import DEFAULT_PAGE_SIZE, DURABILITY_MODES, Pager
 from .verify import VerifyReport, verify_store
 from .wal import DEFAULT_CHECKPOINT_BYTES, WAL_SUFFIX, WriteAheadLog, recover
@@ -43,7 +42,6 @@ __all__ = [
     "Namespace",
     "Pager",
     "SimulatedCrash",
-    "SnapshotOverlay",
     "Store",
     "VerifyReport",
     "WAL_SUFFIX",
@@ -56,8 +54,6 @@ __all__ = [
     "encode_node_postings",
     "encode_svarint",
     "encode_uvarint",
-    "current_overlay",
     "recover",
-    "using_overlay",
     "verify_store",
 ]

@@ -172,13 +172,6 @@ class QueryReport:
         return int(self.get("querycache.resumed_rounds"))
 
     @property
-    def overlay_hits(self) -> int:
-        """Index fetches answered from a snapshot overlay — postings a
-        concurrent writer overwrote after this reader pinned its
-        generation (see :meth:`~repro.core.database.Database.snapshot`)."""
-        return int(self.get("mutation.overlay_hits"))
-
-    @property
     def predicted_candidates(self) -> int:
         """The planner's candidate-root estimate for this query (0 when
         the query ran with an explicit method and no estimate was made);
@@ -278,7 +271,6 @@ class QueryReport:
                 "compiled_cache_hit": self.compiled_cache_hit,
                 "result_cache_hit": self.result_cache_hit,
                 "resumed_rounds": self.resumed_rounds,
-                "overlay_hits": self.overlay_hits,
                 "predicted_candidates": self.predicted_candidates,
             },
             "counters": dict(self.counters),

@@ -16,15 +16,15 @@ Two implementations share one interface:
 
 from __future__ import annotations
 
+import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from itertools import compress
+from itertools import chain, compress
 
 from ..errors import KeyNotFoundError, SchemaError
 from ..storage.cache import PostingCache
 from ..storage.kv import Namespace, Store
-from ..storage.overlay import MISSING, current_overlay
 from ..storage.postings import (
     NodePosting,
     PostingColumns,
@@ -84,18 +84,27 @@ class MemoryNodeIndexes(NodeIndexes):
 
     Postings are assembled on fetch from the tree's current arrays, so a
     re-encoding with different insert costs is picked up automatically.
+
+    ``documents`` restricts the index to the super-root plus those
+    document roots' subtrees — a frozen view of a tree that has since
+    grown or tombstoned documents; ``None`` indexes every live node.
     """
 
-    def __init__(self, tree: DataTree) -> None:
+    def __init__(self, tree: DataTree, documents: "tuple[int, ...] | None" = None) -> None:
         self._tree = tree
         #: per node type: label -> ascending pres, one flat buffer each
         self._by_type: tuple[dict[str, array], dict[str, array]] = ({}, {})
         self._derived: dict = {}
-        # tombstoned documents are holes in the preorder: their nodes stay
-        # in the arrays but must never appear in a posting
-        rows = zip(range(len(tree)), tree.types, tree.labels)
-        if tree.dead_roots:
-            rows = compress(rows, tree.live_flags())
+        if documents is None:
+            # tombstoned documents are holes in the preorder: their nodes
+            # stay in the arrays but must never appear in a posting
+            rows = zip(range(len(tree)), tree.types, tree.labels)
+            if tree.dead_roots:
+                rows = compress(rows, tree.live_flags())
+        else:
+            bounds, types, labels = tree.bounds, tree.types, tree.labels
+            spans = [range(root, bounds[root] + 1) for root in documents]
+            rows = ((pre, types[pre], labels[pre]) for pre in chain(range(1), *spans))
         for pre, node_type, label in rows:
             table = self._by_type[node_type]
             column = table.get(label)
@@ -209,6 +218,13 @@ class StoredNodeIndexes(NodeIndexes):
     decoded postings across fetches (and across queries); entries are
     invalidated by the store's generation counter on any write, so a
     re-indexed document is never served from stale decoded state.
+
+    A stored database gives every engine state its own instance.  Before
+    a mutation's first store write the writer calls :meth:`retire` on the
+    superseded state's instance: from then on it answers from a
+    :class:`MemoryNodeIndexes` over that state's frozen document tuple,
+    built on the first read that needs it — a write no reader is behind
+    builds nothing.
     """
 
     def __init__(self, store: Store, posting_cache: "PostingCache | None" = None) -> None:
@@ -216,6 +232,11 @@ class StoredNodeIndexes(NodeIndexes):
         self._struct = Namespace(store, STRUCT_NAMESPACE)
         self._text = Namespace(store, TEXT_NAMESPACE)
         self._cache = posting_cache
+        #: the ``(tree, documents)`` a retired instance answers from, and
+        #: the memory view over it once a read has built it
+        self._retired: "tuple[DataTree, tuple[int, ...]] | None" = None
+        self._frozen: "MemoryNodeIndexes | None" = None
+        self._lock = threading.Lock()
 
     @classmethod
     def build(cls, tree: DataTree, store: Store) -> "StoredNodeIndexes":
@@ -229,25 +250,27 @@ class StoredNodeIndexes(NodeIndexes):
                 )
         return indexes
 
+    def retire(self, tree: DataTree, documents: "tuple[int, ...]") -> None:
+        """Stop reading the store: the writer is about to change it.
+        ``documents`` are the live roots of the state this instance
+        serves; later reads answer from them over ``tree``."""
+        self._retired = (tree, documents)
+
+    def _frozen_view(self) -> MemoryNodeIndexes:
+        if self._frozen is None:
+            with self._lock:
+                if self._frozen is None:
+                    self._frozen = MemoryNodeIndexes(*self._retired)
+        return self._frozen
+
     def fetch(self, label: str, node_type: NodeType) -> list[NodePosting]:
+        if self._retired is not None:
+            return self._frozen_view().fetch(label, node_type)
         if node_type == NodeType.STRUCT:
             namespace, tag = self._struct, STRUCT_NAMESPACE
         else:
             namespace, tag = self._text, TEXT_NAMESPACE
-        telemetry = _telemetry_current()
         key = _label_key(label)
-        # A pinned snapshot's overlay outranks both the cache and the
-        # store: a hit is the decoded value at the snapshot's generation,
-        # a miss proves the key is untouched since then.
-        overlay = current_overlay()
-        if overlay is not None:
-            pinned = overlay.get(tag, key)
-            if pinned is not MISSING:
-                if telemetry is not None:
-                    telemetry.count("index.data_fetches")
-                    telemetry.count("index.data_postings", len(pinned))
-                    telemetry.count("mutation.overlay_hits")
-                return pinned
         cache = self._cache
         # Snapshot the generation *before* reading: if a writer lands
         # between the read and the cache insert, the entry carries the
@@ -255,25 +278,22 @@ class StoredNodeIndexes(NodeIndexes):
         # the generation again at put time would stamp possibly-old bytes
         # with the new generation — permanently stale.
         generation = self._store.generation
-        if cache is not None:
-            posting = cache.get(tag, key, generation)
-            if posting is not None:
-                if telemetry is not None:
-                    telemetry.count("index.data_fetches")
-                    telemetry.count("index.data_postings", len(posting))
-                return posting
-        try:
-            data = namespace.get(key)
-        except KeyNotFoundError:
-            if telemetry is not None:
-                telemetry.count("index.data_fetches")
-                telemetry.count("index.data_postings", 0)
-            return []
-        # columnar decode: flat array('q') buffers the evaluation kernel
-        # borrows zero-copy (rows still read as tuples everywhere else)
-        posting = decode_node_posting_columns(data)
-        if cache is not None:
+        posting = cache.get(tag, key, generation) if cache is not None else None
+        fresh = posting is None
+        if fresh:
+            try:
+                # columnar decode: flat array('q') buffers the evaluation
+                # kernel borrows zero-copy (rows still read as tuples
+                # everywhere else)
+                posting = decode_node_posting_columns(namespace.get(key))
+            except KeyNotFoundError:
+                posting, fresh = [], False
+        if self._retired is not None:
+            # retired while reading: what was read may postdate the write
+            return self._frozen_view().fetch(label, node_type)
+        if fresh and cache is not None:
             cache.put(tag, key, generation, posting)
+        telemetry = _telemetry_current()
         if telemetry is not None:
             telemetry.count("index.data_fetches")
             telemetry.count("index.data_postings", len(posting))
@@ -285,24 +305,26 @@ class StoredNodeIndexes(NodeIndexes):
         with the store generation snapshotted *before* the posting read
         (the invalidation ordering documented on :meth:`fetch`), so any
         write to the store lazily drops cached columns exactly like it
-        drops cached postings."""
+        drops cached postings.  A retired instance keeps its derived
+        values in its frozen view, out of the shared cache."""
+        if self._retired is not None:
+            return self._frozen_view().fetch_derived(label, node_type, variant, build)
         cache = self._cache
-        tag = STRUCT_NAMESPACE if node_type == NodeType.STRUCT else TEXT_NAMESPACE
-        overlay = current_overlay()
-        if overlay is not None and overlay.get(tag, _label_key(label)) is not MISSING:
-            # pinned key: build from the overlay value (via fetch) and
-            # keep it out of the generation-tagged shared cache
-            return build(self.fetch(label, node_type))
         if cache is None:
             return build(self.fetch(label, node_type))
+        tag = STRUCT_NAMESPACE if node_type == NodeType.STRUCT else TEXT_NAMESPACE
         key = _label_key(label) + (b"\x01" if variant else b"\x00")
         generation = self._store.generation
         value = cache.get_derived(tag, key, generation)
         if value is not None:
-            return value
+            if self._retired is None:
+                return value
+            # retired while looking up: the entry may postdate the write
+            return self._frozen_view().fetch_derived(label, node_type, variant, build)
         posting = self.fetch(label, node_type)
         value = build(posting)
-        cache.put_derived(tag, key, generation, value, len(posting))
+        if self._retired is None:
+            cache.put_derived(tag, key, generation, value, len(posting))
         return value
 
     def labels(self, node_type: NodeType) -> Iterator[str]:

@@ -289,7 +289,4 @@ class TestMutationReportRendering:
     def test_mutation_counters_flow_to_telemetry(self, stored_db):
         stored_db.insert_document(NEW_DOC)
         result = stored_db.query("cd[title]", n=None, collect="counters")
-        # overlay hits only appear for pinned readers; the plain query
-        # runs against the current generation and reads the store
-        assert result.report.overlay_hits == 0
         assert result.report.pages_read >= 0

@@ -2,23 +2,31 @@
 
 A :meth:`Database.snapshot` must keep answering against its pinned
 generation no matter what insert/delete/replace traffic lands after the
-pin — for in-memory databases by holding the immutable engine state, for
-stored databases through the writer's copy-on-write into the snapshot's
-overlay.  Includes the writer-vs-reader stress required by the mutation
-acceptance: a snapshot reader verifying pinned answers while a writer
-thread mutates, with the final state checked against a rebuild.
+pin.  Memory and stored databases pin the same thing, the generation's
+immutable engine state; a stored state's node indexes are retired before
+a writer's first store write and answer from the state's frozen
+documents from then on.  Includes the writer-vs-reader stress required
+by the mutation acceptance: a snapshot reader verifying pinned answers
+while a writer thread mutates, with the final state checked against a
+rebuild.
 """
 
 import os
 import random
+import sys
 import threading
 
 import pytest
 
 from repro.core.database import Database
+from repro.core.mutation import StoreMutator
 from repro.errors import EvaluationError
+from repro.storage.kv import Namespace
+from repro.xmltree.indexes import MemoryNodeIndexes, StoredNodeIndexes
+from repro.xmltree.model import ROOT_LABEL, NodeType
+from repro.xmltree.serialize import subtree_to_xml
 
-from .strategies import random_query
+from .strategies import generated_case, random_query
 from .test_mutation_oracle import (
     answer,
     apply_mutation,
@@ -159,6 +167,14 @@ class TestLifecycle:
         snap.close()
         assert "closed" in repr(snap)
 
+    def test_stream_outlives_its_snapshot(self, database):
+        # the stream holds the pinned engine state itself
+        with database.snapshot() as snap:
+            expected = _pairs(snap.query("cd[title]", n=None))
+            stream = snap.stream("cd[title]")
+        database.delete_document(database.documents()[0])
+        assert _pairs(stream) == expected
+
     def test_describe_names_the_generation(self, database):
         database.insert_document(NEW_DOC)
         with database.snapshot() as snap:
@@ -182,22 +198,20 @@ class TestLifecycle:
             db.snapshot()
 
 
-class TestOverlay:
-    def test_overlay_hits_count_preserved_postings(self, tmp_path):
-        path = os.path.join(tmp_path, "overlay.apxq")
+class TestStoredPin:
+    def test_pinned_reader_served_pre_write_postings(self, tmp_path):
+        path = os.path.join(tmp_path, "pinned.apxq")
         Database.from_documents(DOCS).save(path, durability="wal")
         db = Database.open(path, durability="wal", posting_cache_bytes=0)
         try:
             with db.snapshot() as snap:
                 # the writer rewrites 'cd'/'title' postings; the pinned
-                # reader must be served the preserved pre-write values
+                # reader must be served the pre-write values
                 db.insert_document(NEW_DOC)
                 result = snap.query("cd[title]", n=None, collect="counters")
                 assert len(result) == 3
-                assert result.report.overlay_hits > 0
                 fresh = db.query("cd[title]", n=None, collect="counters")
                 assert len(fresh) == 4
-                assert fresh.report.overlay_hits == 0
         finally:
             db._store.close()
 
@@ -219,19 +233,22 @@ class TestOverlay:
 
 
 class TestWriterReaderStress:
-    @pytest.mark.parametrize("flavor", ["memory", "stored"])
+    @pytest.mark.parametrize("flavor", ["memory", "stored", "stored-uncached"])
     def test_snapshot_reader_stable_while_writer_mutates(self, flavor, tmp_path):
         """The acceptance stress: a reader verifying pinned answers on a
         snapshot while a writer thread applies a random mutation batch;
-        afterwards the mutated database must equal a rebuild."""
-        rng = random.Random(4242 if flavor == "memory" else 4243)
+        afterwards the mutated database must equal a rebuild.  The
+        uncached stored flavour sends every read to the store, so reads
+        race the writer's store writes."""
+        rng = random.Random({"memory": 4242, "stored": 4243}.get(flavor, 4244))
         mirror = [random_document_xml(rng) for _ in range(3)]
         if flavor == "memory":
             db = Database.from_documents(mirror)
         else:
             path = os.path.join(tmp_path, "stress.apxq")
             Database.from_documents(mirror).save(path, durability="wal")
-            db = Database.open(path, durability="wal")
+            cache_bytes = 0 if flavor == "stored-uncached" else None
+            db = Database.open(path, durability="wal", posting_cache_bytes=cache_bytes)
         queries = [random_query(rng) for _ in range(3)]
         ops = []
         op_mirror = list(mirror)
@@ -274,5 +291,295 @@ class TestWriterReaderStress:
             assert _pairs(snap.query(query, n=None)) == expected[i]
         snap.close()
         check_equivalent(db, mirror, rng, f"stress flavor={flavor}")
-        if flavor == "stored":
+        if flavor != "memory":
             db._store.close()
+
+    def test_pinned_readers_match_their_generation(self, tmp_path):
+        """Four snapshot readers on two cores against a writer, with the
+        interpreter switching threads every 10 µs: every snapshot answers
+        exactly what a memory twin answered at the snapshot's generation,
+        however its reads interleave with the writer's store writes."""
+        rng = random.Random(4245)
+        mirror = [random_document_xml(rng) for _ in range(3)]
+        queries = [random_query(rng) for _ in range(2)]
+        twin, twin_mirror = Database.from_documents(mirror), list(mirror)
+
+        def answers(handle):
+            return [_pairs(handle.query(query, n=None, method="direct")) for query in queries]
+
+        ops, expected = [], [answers(twin)]
+        for _ in range(8):
+            ops.append(random_mutation(rng, twin_mirror))
+            apply_mutation(twin, twin_mirror, ops[-1])
+            expected.append(answers(twin))
+        path = os.path.join(tmp_path, "readers.apxq")
+        Database.from_documents(mirror).save(path)
+        db = Database.open(path, posting_cache_bytes=0, result_cache_entries=0)
+        done = threading.Event()
+        failures = []
+
+        def read():
+            while not done.is_set():
+                with db.snapshot() as snap:
+                    got = answers(snap)
+                if got != expected[snap.generation]:
+                    failures.append(snap.generation)
+
+        def write():
+            try:
+                for op in ops:
+                    apply_mutation(db, mirror, op)
+            finally:
+                done.set()
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        writer = threading.Thread(target=write)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers + [writer]:
+                thread.start()
+            for thread in [writer] + readers:
+                thread.join(timeout=120)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in readers + [writer])
+            assert db.generation == len(ops)
+            assert failures == []
+        finally:
+            db.close()
+
+
+# ---------------------------------------------------------------------------
+# a write landing inside a pinned read
+# ---------------------------------------------------------------------------
+
+QUERY = "cd[title]"
+WRITES = {
+    "delete": lambda db: db.delete_document(db.documents()[0]),
+    "insert": lambda db: db.insert_document(NEW_DOC),
+    "replace": lambda db: db.replace_document(db.documents()[0], NEW_DOC),
+}
+#: the pinned entry points: a snapshot, the per-call pin of a plain
+#: query (both at each method), and a stream pulled after the write
+ENTRIES = [
+    ("snapshot", "direct"),
+    ("snapshot", "auto"),
+    ("query", "direct"),
+    ("query", "auto"),
+    ("stream", None),
+]
+
+
+def _rows(results):
+    return [(result.root, result.cost) for result in results]
+
+
+def _saved(tmp_path):
+    path = os.path.join(tmp_path, "pinned.apxq")
+    Database.from_documents(DOCS).save(path)
+    with Database.open(path) as before:
+        expected = _rows(before.query(QUERY, n=None))
+    return path, expected
+
+
+class TestPinnedReadAcrossAWrite:
+    """A write that completes between a pinned read's start and its
+    first store read stays invisible to that read: the read answers
+    exactly what the handle answered before the write."""
+
+    @pytest.mark.parametrize("cache_bytes", [0, None], ids=["uncached", "cached"])
+    @pytest.mark.parametrize(
+        "entry, method", ENTRIES, ids=[f"{entry}-{method}" for entry, method in ENTRIES]
+    )
+    @pytest.mark.parametrize("action", sorted(WRITES))
+    def test_answer_is_the_pinned_generations(
+        self, action, entry, method, cache_bytes, tmp_path, monkeypatch
+    ):
+        path, expected = _saved(tmp_path)
+        db = Database.open(path, posting_cache_bytes=cache_bytes)
+        outcomes = []
+
+        def write():
+            # on a second thread, run to completion before returning
+            def run():
+                try:
+                    outcomes.append(WRITES[action](db))
+                except BaseException as error:  # pragma: no cover - surfaced below
+                    outcomes.append(error)
+
+            worker = threading.Thread(target=run)
+            worker.start()
+            worker.join()
+
+        try:
+            if entry == "stream":
+                stream = db.stream(QUERY)
+                write()
+                got = _rows(stream)
+            else:
+                original = Namespace.get
+                armed = [True]
+
+                def get(namespace, key):
+                    if armed:
+                        armed.clear()
+                        write()
+                    return original(namespace, key)
+
+                monkeypatch.setattr(Namespace, "get", get)
+                if entry == "snapshot":
+                    with db.snapshot() as snap:
+                        got = _rows(snap.query(QUERY, n=None, method=method))
+                else:
+                    got = _rows(db.query(QUERY, n=None, method=method))
+                monkeypatch.undo()
+            assert len(outcomes) == 1 and not isinstance(outcomes[0], BaseException), outcomes
+            assert db.generation == 1
+            assert got == expected
+        finally:
+            db.close()
+
+
+class TestPinMidMutation:
+    @pytest.mark.parametrize(
+        "action, live_count", [("delete", 2), ("insert", 4), ("replace", 3)]
+    )
+    def test_snapshot_taken_inside_a_write_serves_the_old_generation(
+        self, action, live_count, tmp_path, monkeypatch
+    ):
+        """A snapshot pinned after the writer's first store write and
+        before its commit holds the superseded state: it answers the old
+        generation, before and after the publish."""
+        path, expected = _saved(tmp_path)
+        db = Database.open(path, posting_cache_bytes=0)
+        original = StoreMutator._write_or_delete
+        pinned = []
+
+        def seen(snap):
+            return {
+                method: sorted(_rows(snap.query(QUERY, n=None, method=method)))
+                for method in ("direct", "schema")
+            }, snap.count_results(QUERY)
+
+        def write_or_delete(mutator, namespace, key, encoded):
+            original(mutator, namespace, key, encoded)
+            if not pinned:
+                snap = db.snapshot()
+                pinned.append((snap, seen(snap)))
+
+        monkeypatch.setattr(StoreMutator, "_write_or_delete", write_or_delete)
+        try:
+            WRITES[action](db)
+            monkeypatch.undo()
+            snap, during = pinned[0]
+            old = {"direct": sorted(expected), "schema": sorted(expected)}, len(expected)
+            assert snap.generation == 0
+            assert during == old
+            assert seen(snap) == old
+            assert db.generation == 1
+            assert db.count_results(QUERY) == len(db.query(QUERY, n=None)) == live_count
+            snap.close()
+        finally:
+            db.close()
+
+
+# ---------------------------------------------------------------------------
+# the retired view over a write walk
+# ---------------------------------------------------------------------------
+
+
+def _store_postings(store):
+    """Every ``(type, label)`` posting the store holds right now, decoded."""
+    indexes = StoredNodeIndexes(store)
+    return {
+        (node_type, label): [tuple(row) for row in indexes.fetch(label, node_type)]
+        for node_type in (NodeType.STRUCT, NodeType.TEXT)
+        for label in indexes.labels(node_type)
+    }
+
+
+def _snapshot_answers(snap, case):
+    return {
+        (position, method, n): _rows(
+            snap.query(generated.query, n=n, costs=generated.costs, method=method)
+        )
+        for position, generated in enumerate(case.queries)
+        for method in ("direct", "schema")
+        for n in (1, None)
+    }
+
+
+def _walk_write(db, rng, copies):
+    action = rng.choice(("insert", "delete", "replace"))
+    live = db.documents()
+    if action != "insert" and len(live) < 2:
+        action = "insert"
+    if action == "insert":
+        db.insert_document(rng.choice(copies))
+    elif action == "delete":
+        db.delete_document(rng.choice(live))
+    else:
+        db.replace_document(rng.choice(live), rng.choice(copies))
+
+
+class TestRetiredView:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_snapshot_keeps_its_generation(self, seed, tmp_path):
+        """A snapshot per generation of a seeded write walk: each answers
+        at the end what it answered when pinned, and the frozen view over
+        its documents holds the store postings of its generation — all
+        but the super-root's bound, which grows with the shared tree."""
+        case = generated_case(seed, num_elements=60)
+        copies = [subtree_to_xml(case.tree, root) for root in case.tree.document_roots()]
+        path = os.path.join(tmp_path, "walk.apxq")
+        Database.from_tree(case.tree).save(path)
+        db = Database.open(path)
+        rng = random.Random(seed)
+        pins = []
+        try:
+            for step in range(7):
+                if step:
+                    _walk_write(db, rng, copies)
+                snap = db.snapshot()
+                pins.append((snap, _snapshot_answers(snap, case), _store_postings(db._store)))
+            tree = db.tree
+            for snap, answers, postings in pins:
+                assert _snapshot_answers(snap, case) == answers, (snap, case.describe())
+                view = MemoryNodeIndexes(tree, snap.documents)
+                rows = {
+                    (node_type, label): view.fetch(label, node_type)
+                    for node_type in (NodeType.STRUCT, NodeType.TEXT)
+                    for label in view.labels(node_type)
+                }
+                super_root = (NodeType.STRUCT, ROOT_LABEL)
+                [(pre, bound, *costs)] = postings.pop(super_root)
+                assert bound <= tree.bounds[0]
+                assert rows.pop(super_root) == [(pre, tree.bounds[0], *costs)]
+                assert rows == postings, snap
+                snap.close()
+        finally:
+            db.close()
+
+    def test_a_write_nobody_reads_behind_builds_no_view(self, tmp_path):
+        case = generated_case(0, num_elements=60)
+        copies = [subtree_to_xml(case.tree, root) for root in case.tree.document_roots()]
+        path = os.path.join(tmp_path, "quiet.apxq")
+        Database.from_tree(case.tree).save(path)
+        db = Database.open(path)
+        rng = random.Random(0)
+        retired = []
+        try:
+            for _ in range(20):
+                generated = case.queries[0]
+                db.query(generated.query, n=None, costs=generated.costs, method="direct")
+                retired.append(db._state.node_indexes)
+                _walk_write(db, rng, copies)
+            assert db.generation == 20
+            assert len({id(indexes) for indexes in retired}) == 20
+            assert all(indexes._retired is not None for indexes in retired)
+            assert all(indexes._frozen is None for indexes in retired)
+        finally:
+            db.close()
