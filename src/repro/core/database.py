@@ -262,7 +262,7 @@ class _PinnedView:
     def stream(self, compiled: CompiledQuery, collect: str) -> ResultStream:
         telemetry = Telemetry(timed=collect == MODE_TIMINGS) if collect != MODE_OFF else None
         report = QueryReport(
-            query=compiled.query.unparse(),
+            query=compiled.canonical,
             method="schema",
             collect=collect,
             n=None,
@@ -1002,7 +1002,7 @@ class Database:
                 self._view(), compiled, compiled_hit, n, method, max_cost, collect
             )
 
-        return self._pipeline.query_many(serve, queries, n, costs, method, collect)
+        return self._pipeline.query_many(serve, queries, n, costs, method, max_cost, collect)
 
     def stream(
         self,

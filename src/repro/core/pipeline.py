@@ -11,7 +11,8 @@ hand it an :class:`Executor` per call.
 
 Stages of :meth:`QueryPipeline.query`, in order:
 
-1. **validate** ``n`` / ``method`` / ``collect`` — typed errors before any work;
+1. **validate** ``n`` / ``method`` / ``collect`` / ``max_cost`` — typed errors
+   before any work;
 2. **compile** through the Tier-1 :class:`~repro.querycache.CompiledQueryCache`
    (parse, fingerprint, lazily expanded closure);
 3. **plan**: an explicit method is taken as given, ``"auto"`` asks the
@@ -33,10 +34,12 @@ the compiled query it was resolved to.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple, Protocol
 
 from ..approxql.ast import NameSelector, count_or_operators, count_selectors
@@ -149,10 +152,22 @@ class Executor(Protocol):
         """Row tuples to the result objects callers see."""
 
 
-def validate(method: str = "auto", collect: str = MODE_OFF, n: "int | None" = None) -> None:
-    """The shared argument checks of every query-shaped entry point."""
+def validate(
+    method: str = "auto",
+    collect: str = MODE_OFF,
+    n: "int | None" = None,
+    max_cost: "float | None" = None,
+) -> None:
+    """The shared argument checks of every query-shaped entry point (the
+    query server runs them at its door too)."""
     if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
         raise EvaluationError(f"n must be an integer >= 0 or None, got {n!r}")
+    # NaN compares false with every cost: each method would drop a
+    # different set of results
+    if max_cost is not None and (
+        isinstance(max_cost, bool) or not isinstance(max_cost, Real) or math.isnan(max_cost)
+    ):
+        raise EvaluationError(f"max_cost must be a number (not NaN) or None, got {max_cost!r}")
     if method not in METHODS:
         raise EvaluationError(f"unknown method {method!r}; expected one of {METHODS}")
     if collect not in MODES:
@@ -265,7 +280,7 @@ class QueryPipeline:
         query = compiled.query
         or_decisions = count_or_operators(query)
         return QueryPlan(
-            query=query.unparse(),
+            query=compiled.canonical,
             method=chosen,
             requested=method,
             reason=reason,
@@ -292,7 +307,7 @@ class QueryPipeline:
         collect: str,
     ) -> ResultSet:
         """All six stages for one query against ``view``."""
-        validate(method, collect, n)
+        validate(method, collect, n, max_cost)
         compiled, compiled_hit = self.compile(text, costs)
         return self.serve(view, compiled, compiled_hit, n, method, max_cost, collect)
 
@@ -321,7 +336,7 @@ class QueryPipeline:
             )
         report = QueryReport.from_telemetry(
             telemetry,
-            query=compiled.query.unparse(),
+            query=compiled.canonical,
             method=chosen,
             collect=collect,
             n=n,
@@ -393,6 +408,7 @@ class QueryPipeline:
         n: "int | None",
         costs: "CostModel | None",
         method: str,
+        max_cost: "float | None",
         collect: str,
     ) -> list[ResultSet]:
         """Serve a batch through ``serve(compiled, compiled_hit)``, one
@@ -403,7 +419,7 @@ class QueryPipeline:
         then served one after another on the calling thread, each from
         the compiled query it was resolved to.
         """
-        validate(method, collect, n)
+        validate(method, collect, n, max_cost)
         items: "list[tuple[CompiledQuery, bool]]" = []
         for item in queries:
             text, item_costs = item if isinstance(item, tuple) else (item, None)

@@ -97,17 +97,23 @@ class DriverState:
 class CompiledQuery:
     """One fingerprinted, reusable compilation of a query.
 
-    Holds the parsed AST, an immutable-by-convention copy of the cost
-    model, the lazily built expanded closure, and a bounded memo of
-    planner decisions keyed by ``(stats generation, n, method)`` so hot
-    queries skip planner costing per generation.
+    Holds the parsed AST, its canonical text (what reports name the
+    query by), an immutable-by-convention copy of the cost model, the
+    lazily built expanded closure, and a bounded memo of planner
+    decisions keyed by ``(stats generation, n, method)`` so hot queries
+    skip planner costing per generation.
     """
 
-    __slots__ = ("text", "query", "costs", "fingerprint", "key", "_expanded", "_plan_memo", "_lock")
+    __slots__ = (
+        "text", "query", "canonical", "costs", "fingerprint", "key", "_expanded", "_plan_memo",
+        "_lock",
+    )
 
-    def __init__(self, text: str, query: NameSelector, costs: CostModel) -> None:
+    def __init__(self, text: str, query: NameSelector, canonical: str, costs: CostModel) -> None:
         self.text = text
         self.query = query
+        #: ``query.unparse()``, rendered once per compilation
+        self.canonical = canonical
         self.costs = costs
         self.fingerprint = costs.fingerprint
         self.key = (text, self.fingerprint)
@@ -160,11 +166,12 @@ def compile_query(query: "str | NameSelector", costs: "CostModel | None") -> Com
     if isinstance(query, str):
         text = query
         parsed = parse_query(query)
+        canonical = parsed.unparse()
     else:
         parsed = query
-        text = query.unparse()
+        text = canonical = query.unparse()
     model = (costs if costs is not None else CostModel()).copy()
-    return CompiledQuery(text, parsed, model)
+    return CompiledQuery(text, parsed, canonical, model)
 
 
 class CompiledQueryCache:

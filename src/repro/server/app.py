@@ -33,11 +33,15 @@ socket, lets every request in flight finish and flush its response,
 refuses new work with a typed error and closes idle connections —
 in-flight work is drained, never dropped.
 
-Telemetry: responses carry the engine's ``QueryReport`` with a
-``server.*`` family injected (``server.queue_seconds`` — admission until
-the engine lock is held, ``server.queue_depth`` — requests admitted and
-not yet answered, this one included); :meth:`QueryServer.stats` exposes
-the server-lifetime counters the ``stats`` op serves.
+Telemetry: query responses carry a report with a ``server.*`` family
+injected (``server.queue_seconds`` — admission until the engine lock is
+held, ``server.queue_depth`` — requests admitted and not yet answered,
+this one included, ``server.rejections``).  The full ``QueryReport`` is
+rendered only when the request's ``collect`` asks for it; under
+``collect="off"`` the report is the method and the counters
+(:mod:`repro.server.protocol`).  :meth:`QueryServer.stats` exposes the
+server-lifetime counters the ``stats`` op serves; a request refused at
+the door counts in ``server.protocol_errors`` and nowhere else.
 """
 
 from __future__ import annotations
@@ -47,10 +51,11 @@ import threading
 import time
 
 from ..errors import AdmissionError, ReproError, ServerError
+from ..telemetry.collector import MODE_OFF
 from .protocol import (
     MAX_LINE,
-    OPS,
     decode_message,
+    echo_id,
     encode_message,
     error_response,
     ok_response,
@@ -245,13 +250,15 @@ class QueryServer:
     def _serve_line(self, line: bytes) -> dict:
         request_id = None
         try:
-            message = decode_message(line)
-            request_id = message.get("id")
-            op = message.get("op")
-            if op not in OPS:
-                raise ServerError(f"unknown op {op!r}; expected one of {OPS}")
-            validate_request(message)
+            try:
+                message = decode_message(line)
+                request_id = echo_id(message)
+                validate_request(message)
+            except ReproError:
+                self._count("server.protocol_errors")
+                raise
             self._count("server.requests")
+            op = message["op"]
             if op == "ping":
                 return ok_response(request_id, pong=True)
             if op == "describe":
@@ -260,8 +267,6 @@ class QueryServer:
                 return ok_response(request_id, counters=self.stats())
             return self._admit(message)
         except ReproError as error:
-            if isinstance(error, ServerError) and not isinstance(error, AdmissionError):
-                self._count("server.protocol_errors")
             return error_response(request_id, error)
         except Exception as error:
             # the exception barrier: an unexpected engine failure answers
@@ -300,9 +305,10 @@ class QueryServer:
         if isinstance(answer, dict):
             return ok_response(request_id, **answer)
         report = answer.report
-        report.counters["server.queue_seconds"] = queue_seconds
-        report.counters["server.queue_depth"] = queue_depth
-        report.counters["server.rejections"] = self._counters["server.rejections"]
+        counters = report.counters
+        counters["server.queue_seconds"] = queue_seconds
+        counters["server.queue_depth"] = queue_depth
+        counters["server.rejections"] = self._counters["server.rejections"]
         results = []
         for result in answer:
             entry = {"root": result.root, "cost": result.cost, "label": result.label}
@@ -310,7 +316,13 @@ class QueryServer:
             if shard is not None:
                 entry["shard"] = shard
             results.append(entry)
-        return ok_response(request_id, results=results, report=report.to_dict())
+        if report.collect == MODE_OFF:
+            # the client asked for no report: name the method, pass the
+            # counters every mode carries, and skip the rendering
+            rendered = {"method": report.method, "counters": counters}
+        else:
+            rendered = report.to_dict()
+        return ok_response(request_id, results=results, report=rendered)
 
     def _call_engine(self, message: dict):
         """A query's :class:`~repro.core.results.ResultSet`, or the

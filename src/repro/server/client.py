@@ -67,7 +67,9 @@ class ServeClient:
         collect: str = "off",
     ) -> dict:
         """The ``query`` op; the response dict carries ``results`` (rank
-        order ``{"root", "cost", "label"[, "shard"]}``) and ``report``."""
+        order ``{"root", "cost", "label"[, "shard"]}``) and ``report``
+        (``{"method", "counters"}`` under ``collect="off"``, the full
+        report rendering otherwise)."""
         return self.request(
             "query", query=text, n=n, method=method, max_cost=max_cost, collect=collect
         )

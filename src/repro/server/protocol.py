@@ -6,6 +6,9 @@ carries an ``op`` plus op-specific fields and an optional ``id`` the
 response echoes verbatim (clients that pipeline match responses by it):
 
     {"id": 1, "op": "query", "query": "cd[title[\\"piano\\"]]", "n": 5}
+    {"id": 1, "ok": true, "results": [{"root": 2, "cost": 0.0, "label": "cd"}],
+     "report": {"method": "direct", "counters": {"server.queue_seconds": 2e-06,
+     "server.queue_depth": 1, "server.rejections": 0}}}
 
 Ops
 ---
@@ -14,9 +17,13 @@ Ops
     ``null`` = all), ``method`` (default ``"auto"``), ``max_cost``,
     ``collect`` (default ``"off"``).  Response: ``results`` — a list of
     ``{"root", "cost", "label"}`` objects in rank order (plus ``"shard"``
-    against a sharded database) — and ``report`` (the
+    against a sharded database) — and ``report``.  Under ``collect="off"``
+    the report is ``{"method", "counters"}``: the method that ran and the
+    counters every mode carries (a sharded database's ``shard.*``) with
+    the ``server.*`` counters injected.  Under ``"counters"`` or
+    ``"timings"`` it is the
     :meth:`~repro.telemetry.report.QueryReport.to_dict` rendering, with
-    the ``server.*`` counters injected).
+    the ``server.*`` counters injected.
 ``count``
     Fields: ``query``.  Response: ``count``.
 ``insert`` / ``delete`` / ``replace``
@@ -29,8 +36,13 @@ Ops
 Every response carries ``ok``: ``true`` with the op's payload, or
 ``false`` with ``error = {"type", "message"}`` where ``type`` is the
 :mod:`repro.errors` class name (``AdmissionError`` for queue-full
-rejections — clients should back off and retry).  A line the server
-cannot frame (over :data:`MAX_LINE`) is answered with ``"id": null``.
+rejections — clients should back off and retry).  The door
+(:func:`validate_request`) refuses an unknown op, a field of the wrong
+type and — with the library's own :class:`~repro.errors.EvaluationError`
+— an unknown ``method`` or ``collect`` or a NaN ``max_cost``, before the
+request is admitted.  A line the server cannot frame (over
+:data:`MAX_LINE`) or parse, and a request whose ``id`` holds NaN or
+Infinity, is answered with ``"id": null``: responses are strict JSON.
 """
 
 from __future__ import annotations
@@ -38,7 +50,9 @@ from __future__ import annotations
 import json
 
 from .. import errors as _errors
+from ..core.pipeline import validate
 from ..errors import ReproError, ServerError
+from ..telemetry.collector import MODE_OFF
 
 #: longest accepted request/response line (bytes, newline included)
 MAX_LINE = 4 * 1024 * 1024
@@ -47,9 +61,17 @@ MAX_LINE = 4 * 1024 * 1024
 OPS = ("query", "count", "insert", "delete", "replace", "describe", "stats", "ping")
 
 
+#: the one encoder of every line: ``json.dumps(payload, separators=(",", ":"))``
+#: builds an identical encoder per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+#: refuses NaN and Infinity, which strict JSON cannot carry
+_STRICT_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def encode_message(payload: dict) -> bytes:
     """One protocol line: compact JSON plus the terminating newline."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    return _ENCODER.encode(payload).encode("utf-8") + b"\n"
 
 
 def decode_message(line: bytes) -> dict:
@@ -59,22 +81,44 @@ def decode_message(line: bytes) -> dict:
         raise ServerError(f"protocol line exceeds {MAX_LINE} bytes")
     try:
         message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers invalid UTF-8, invalid JSON and integers past
+        # the interpreter's digit limit; RecursionError too deep a nesting
         raise ServerError(f"malformed protocol line ({error})") from error
     if not isinstance(message, dict):
         raise ServerError("protocol line must be a JSON object")
     return message
 
 
+def echo_id(message: dict):
+    """The request's ``id``, to be echoed verbatim: typed
+    :class:`~repro.errors.ServerError` when it holds NaN or Infinity,
+    which a strict JSON reader could not take back."""
+    value = message.get("id")
+    if value is None or type(value) is int or type(value) is str:
+        return value
+    try:
+        _STRICT_ENCODER.encode(value)
+    except (ValueError, RecursionError) as error:
+        raise ServerError(f"'id' cannot be echoed as strict JSON ({error})") from error
+    return value
+
+
 def validate_request(message: dict) -> None:
-    """Check a request's op-specific field types before it is admitted
-    (typed :class:`~repro.errors.ServerError` on the first mismatch).
+    """Check a request's op and its op-specific fields before it is
+    admitted: a typed :class:`~repro.errors.ServerError` on an unknown op
+    or the first field of the wrong type, then the library's own query
+    argument checks (:func:`repro.core.pipeline.validate`, a typed
+    :class:`~repro.errors.EvaluationError`) on the values of ``n``,
+    ``method``, ``collect`` and ``max_cost``.
 
     A malformed field must be refused at the door: past admission the
     request holds the engine lock, where a surprise ``TypeError`` would
     cost far more than one rejected message.
     """
     op = message.get("op")
+    if op not in OPS:
+        raise ServerError(f"unknown op {op!r}; expected one of {OPS}")
     if op in ("query", "count"):
         query = message.get("query")
         if not isinstance(query, str):
@@ -94,6 +138,9 @@ def validate_request(message: dict) -> None:
             value = message.get(field)
             if value is not None and not isinstance(value, str):
                 raise ServerError(f"'{field}' must be a string, got {value!r}")
+        validate(
+            message.get("method", "auto"), message.get("collect", MODE_OFF), n, max_cost
+        )
     if op in ("insert", "replace"):
         xml = message.get("xml")
         if not isinstance(xml, str):

@@ -518,7 +518,7 @@ class ShardedDatabase:
             for shard in self._shards
         ]
         report = QueryReport(
-            query=compiled.query.unparse(),
+            query=compiled.canonical,
             method="schema",
             collect=collect,
             n=None,
@@ -642,7 +642,7 @@ class ShardedDatabase:
                 )
             )
 
-        return self._pipeline.query_many(serve, queries, n, costs, method, collect)
+        return self._pipeline.query_many(serve, queries, n, costs, method, max_cost, collect)
 
     # ------------------------------------------------------------------
     # mutation (routed to the owning shard)

@@ -1,12 +1,14 @@
 """Tests for the max_cost retrieval bound."""
 
+import math
 import random
 
 import pytest
 
-from repro import Database
+from repro import Database, ServeClient, ServerThread, ShardedDatabase
 from repro.approxql.costs import paper_example_cost_model
 from repro.engine.evaluator import DirectEvaluator
+from repro.errors import EvaluationError
 from repro.schema.evaluator import SchemaEvaluator
 from repro.xmltree.builder import tree_from_xml
 
@@ -68,3 +70,52 @@ class TestMaxCost:
             expected = {(r.root, r.cost) for r in full if r.cost <= bound}
             assert {(r.root, r.cost) for r in direct} == expected
             assert {(r.root, r.cost) for r in schema} == expected
+
+
+# ----------------------------------------------------------------------
+# NaN: a bound no cost compares with
+# ----------------------------------------------------------------------
+
+NAN_DOCUMENTS = ["<a><b>x</b></a>", "<a><b>y</b><c>x</c></a>"]
+
+
+def _nan_handle(kind, tmp_path):
+    if kind == "sharded":
+        return ShardedDatabase.from_documents(NAN_DOCUMENTS, shards=2)
+    database = Database.from_documents(NAN_DOCUMENTS)
+    if kind == "memory":
+        return database
+    path = str(tmp_path / "nan.apxq")
+    database.save(path)
+    return Database.open(path)
+
+
+@pytest.mark.parametrize("method", ["direct", "schema", "auto"])
+@pytest.mark.parametrize("kind", ["memory", "stored", "sharded"])
+def test_nan_max_cost_is_refused_on_every_handle_and_method(kind, method, tmp_path):
+    # regression: NaN compares false with every cost, so direct and auto
+    # answered [] while schema answered [(2, 0.0)]
+    handle = _nan_handle(kind, tmp_path)
+    with pytest.raises(EvaluationError, match="max_cost"):
+        handle.query("b", max_cost=float("nan"), method=method)
+    with pytest.raises(EvaluationError, match="max_cost"):
+        handle.query_many(["b"], max_cost=float("nan"), method=method)
+    with pytest.raises(EvaluationError, match="max_cost"):
+        handle.query("b", max_cost="5", method=method)
+    unbounded = [(r.root, r.cost) for r in handle.query("b", n=None, method=method)]
+    assert unbounded
+    infinite = handle.query("b", n=None, method=method, max_cost=math.inf)
+    assert [(r.root, r.cost) for r in infinite] == unbounded
+    handle.close()
+
+
+def test_nan_max_cost_is_refused_over_the_wire():
+    database = Database.from_documents(NAN_DOCUMENTS)
+    with ServerThread(database) as address:
+        with ServeClient(*address) as client:
+            for method in ("direct", "schema", "auto"):
+                with pytest.raises(EvaluationError, match="max_cost"):
+                    client.query("b", method=method, max_cost=float("nan"))
+            counters = client.stats()
+    assert counters["server.queries"] == 0
+    assert counters["server.protocol_errors"] == 3

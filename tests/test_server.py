@@ -437,6 +437,28 @@ def test_malformed_fields_rejected_at_admission():
             assert client.query("title", n=3)["results"]
 
 
+def test_unknown_method_and_collect_refused_at_the_door():
+    # regression: only the types of method and collect were checked at
+    # the door, so {"method": "bogus"} was admitted, counted as a query
+    # and failed inside the engine lock
+    database = Database.from_xml(CATALOG)
+    gate, entered = _gate_queries(database)
+    gate.set()
+    with ServerThread(database) as (host, port):
+        with ServeClient(host, port) as client:
+            with pytest.raises(EvaluationError, match="unknown method 'bogus'"):
+                client.query("title", method="bogus")
+            with pytest.raises(EvaluationError, match="unknown collect mode 'loud'"):
+                client.query("title", collect="loud")
+            with pytest.raises(EvaluationError, match="unknown method None"):
+                client.request("query", query="title", method=None)
+            assert not entered.is_set(), "a refused request reached the engine"
+            counters = client.stats()
+            assert counters["server.queries"] == 0
+            assert counters["server.protocol_errors"] == 3
+            assert client.query("title", n=3)["results"]
+
+
 class _HostileDatabase:
     """Delegates to a real database, but raises a non-ReproError from
     the query paths when armed — an unexpected engine crash."""
