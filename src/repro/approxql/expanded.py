@@ -99,6 +99,16 @@ class ExpandedQuery:
                 if successor is not None:
                     stack.append(successor)
 
+    def labels(self) -> frozenset:
+        """Every label a direct evaluation fetches: each selector's own
+        and its renaming targets."""
+        return frozenset(
+            label
+            for node in self.iter_unique_nodes()
+            if node.reptype in (RepType.NODE, RepType.LEAF)
+            for label in (node.label, *(target for target, _ in node.renamings))
+        )
+
     def max_renamings(self) -> int:
         """The *r* of the complexity bound: maximal renamings per selector."""
         counts = [

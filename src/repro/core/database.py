@@ -36,17 +36,21 @@ against its generation while writers move the database forward.
 
 from __future__ import annotations
 
+import heapq
+import math
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import islice
+from operator import itemgetter
 
 from ..approxql.ast import NameSelector
 from ..approxql.costs import CostModel
 from ..engine.evaluator import DirectEvaluator
 from ..errors import EvaluationError
 from ..planner.stats import CollectionStats
-from ..querycache import CompiledQuery, DriverState
+from ..querycache import CachedResult, CompiledQuery, DriverState
 from ..schema.dataguide import (
     Schema,
     build_schema,
@@ -79,6 +83,14 @@ from .persist import (
 )
 from .pipeline import Execution, QueryPipeline, QueryPlan
 from .results import QueryResult, ResultSet, ResultStream
+
+#: per chosen method, the share of the nodes before ``repair_from`` the
+#: documents grafted since may hold for a cached answer's repair to beat
+#: a cold run: the repair's direct pass costs in proportion to them, a
+#: cold direct run to the whole collection, and a cold best-n schema run
+#: stops early; each sits under every crossover docs/PERFORMANCE.md
+#: measured (``tools/repair_crossover.py``)
+_REPAIR_DELTA_SHARE = {"direct": 0.2, "schema": 0.05}
 
 
 class _EngineState:
@@ -247,6 +259,61 @@ class _PinnedView:
                 driver = captured[0]
             complete = driver is not None and driver.exhausted
         return Execution([(result.root, result.cost) for result in raw], complete, driver)
+
+    def repair(
+        self,
+        compiled: CompiledQuery,
+        chosen: str,
+        entry: CachedResult,
+        max_cost: "float | None",
+    ) -> "list | None":
+        """The pairs of ``entry`` at this view's state: every embedding
+        lies inside its result node's subtree, so the answer is the
+        cost-ordered merge of the live cached pairs with the direct
+        answer over the documents grafted at or after
+        ``entry.repair_from``.  ``None`` asks for a cold run: when those
+        documents are too large a share of the ones before them for the
+        direct pass to be cheaper (``_REPAIR_DELTA_SHARE``), and when a
+        schema-ordered answer gains a result whose cost ties a kept or
+        another new one (schema order breaks ties by skeleton
+        signature).  Liveness comes from the pinned ``documents``, never
+        from the shared tree's tombstones, which a writer moves ahead of
+        this view."""
+        state = self.state
+        start = entry.repair_from
+        if state.node_count - start >= _REPAIR_DELTA_SHARE[chosen] * start:
+            return None
+        tree, documents = state.tree, state.documents
+        split = bisect_left(documents, start)
+        old, bounds = documents[:split], tree.bounds
+
+        def live(root: int) -> bool:
+            # the last live document starting at or before ``root`` holds it
+            at = bisect_right(old, root) - 1
+            return at >= 0 and root <= bounds[old[at]]
+
+        kept = [pair for pair in entry.pairs if live(pair[0])]
+        fresh: "list[tuple[int, float]]" = []
+        if split < len(documents):
+            expanded = compiled.expanded()
+            indexes = MemoryNodeIndexes(tree, documents[split:], expanded.labels())
+            fresh = [
+                (result.root, result.cost)
+                for result in DirectEvaluator(tree, indexes).evaluate(
+                    compiled.query, compiled.costs, max_cost=max_cost, expanded=expanded
+                )
+            ]
+        # past the last cost of a prefix that is not complete the old
+        # answer is unknown
+        last = math.inf if entry.complete else entry.pairs[-1][1] if entry.pairs else -math.inf
+        if chosen != "direct":
+            costs = [cost for _, cost in fresh if cost <= last]
+            if len(set(costs)) < len(costs) or not {cost for _, cost in kept}.isdisjoint(costs):
+                return None
+        fresh = [pair for pair in fresh if pair[1] < last]
+        # a stable merge on cost: every new root follows every old one,
+        # so equal direct costs stay in (cost, root) order
+        return list(heapq.merge(kept, fresh, key=itemgetter(1)))
 
     def materialize(self, rows: list) -> list[QueryResult]:
         tree = self.state.tree
@@ -851,6 +918,8 @@ class Database:
                 # what the written documents hold, plus the super-root
                 # (the one node outside every document): a cached answer
                 # whose root labels avoid it is carried across the write
+                # as it is, one whose root labels it holds is repaired
+                # from ``start`` by its next read
                 touched = {ROOT_LABEL}
                 for span in (added or (), range(removed[0], removed[1] + 1) if removed else ()):
                     touched.update(tree.labels[p] for p in span if tree.types[p] == NodeType.STRUCT)
@@ -909,7 +978,8 @@ class Database:
             )
             self._state = new_state
             self._pipeline.result_cache.carry(
-                old_generation, _PinnedView(new_state, self._store).generation(), touched
+                old_generation, _PinnedView(new_state, self._store).generation(), touched,
+                repair_from=start,
             )
             _telemetry.count(f"mutation.{action}s")
             nodes_added = len(tree) - start if document is not None else 0

@@ -19,8 +19,8 @@ Stages of :meth:`QueryPipeline.query`, in order:
    :class:`~repro.planner.cost.Planner`, cached on the compiled query
    per (generation, n, method);
 4. **cache**: one Tier-2 :class:`~repro.querycache.ResultCache` key per
-   (query, costs, method, ``max_cost``) serves every ``n``, across writes
-   that miss its root labels: serve the prefix, resume a shorter one, or
+   (query, costs, method, ``max_cost``) serves every ``n``, across writes:
+   serve the prefix, repair one a write touched, resume a shorter one, or
 5. **execute** on the executor and store what came out;
 6. **report**: one :class:`~repro.telemetry.report.QueryReport`
    assembler — the collected counters, child reports folded in,
@@ -38,7 +38,7 @@ import math
 import time
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Real
 from typing import NamedTuple, Protocol
 
@@ -147,6 +147,18 @@ class Executor(Protocol):
         """Evaluate with the ``chosen`` algorithm.  ``collect`` is the
         mode child queries report in; the call itself already runs
         inside the query's collector."""
+
+    def repair(
+        self,
+        compiled: CompiledQuery,
+        chosen: str,
+        entry: CachedResult,
+        max_cost: "float | None",
+    ) -> "list | None":
+        """The rows of ``entry``, a prefix a write marked for repair,
+        brought up to this view's generation, or ``None`` when only a
+        cold run can — always ``None`` for an executor with no tree to
+        repair on."""
 
     def materialize(self, rows: list) -> list:
         """Row tuples to the result objects callers see."""
@@ -359,11 +371,12 @@ class QueryPipeline:
         self, view, generation, compiled, chosen, n, max_cost, collect
     ) -> "tuple[list, Execution | None]":
         """Stages 4–5: the best-``n`` results from the cached prefix of
-        this (query, costs, method, max_cost) at this generation, from
-        the schema driver resumed past a shorter prefix, or from a cold
-        run whose rows are then cached; plus the :class:`Execution` that
-        ran, ``None`` when the cache served.  A disabled cache never hits
-        and never stores.
+        this (query, costs, method, max_cost) at this generation (first
+        repaired by the view when a write marked it), from the schema
+        driver resumed past a shorter prefix, or from a cold run whose
+        rows are then cached; plus the :class:`Execution` that ran,
+        ``None`` when the cache served.  A disabled cache never hits and
+        never stores.
 
         Every method's best-``n`` answer is a prefix of its full answer
         (the schema driver's k schedule changes how long it takes, not
@@ -373,6 +386,11 @@ class QueryPipeline:
         key = (compiled.key, chosen, max_cost)
         cache = self.result_cache
         entry = cache.lookup(key, generation, n)
+        if entry is not None and entry.repair_from is not None:
+            rows = view.repair(compiled, chosen, entry, max_cost)
+            entry = cache.settle_repair(
+                key, None if rows is None else replace(entry, pairs=rows, repair_from=None), n
+            )
         execution = None
         if entry is not None and entry.serves(n):
             rows = entry.pairs

@@ -29,12 +29,28 @@ instead of restarting at the first round.
 
 Invalidation is write-scoped: entries carry the generation they were
 computed under (a per-shard vector for ``ShardedDatabase``) and their
-root labels, and a document write re-stamps every entry whose root
-labels its documents lack (:meth:`ResultCache.carry`) and drops the
-rest.  Other generation moves follow the ``PostingCache`` protocol: a
-lookup from a *newer* generation evicts the stale entry, one from an
-*older* generation (a pinned ``Database.snapshot()``) misses without
-evicting.  ``DESIGN.md`` §8 gives the soundness argument.
+root labels, and a document write re-stamps every entry
+(:meth:`ResultCache.carry`).  One whose root labels the written
+documents lack is still the answer and serves as it is.  One whose root
+labels they hold is *repaired*, not dropped: every embedding lies inside
+its result node's subtree, so the answer is the cost-ordered merge of
+the per-document answers, and the written documents' share can be
+computed from them alone.  The write marks such an entry with
+``repair_from`` (the tree length before its graft); the first read drops
+the pairs of deleted documents, evaluates the query directly over the
+documents grafted since, and merges (``_PinnedView.repair``).  The read
+falls back to a cold evaluation when the written documents are too
+large a share of what came before them for the direct pass over them to
+be the cheaper run (a measured share per method), when the merged
+prefix no longer serves its ``n``, and — for a schema-ordered entry —
+when a new result ties a kept cost, since schema order breaks cost ties
+by skeleton signature, which a direct pass cannot reproduce.  An entry that can match the super-root
+(``#root``, the one node outside every document) is dropped, and so is
+every touched entry of a sharded merge level, which has no tree to
+repair on.  Other generation moves follow the ``PostingCache``
+protocol: a lookup from a *newer* generation evicts the stale entry, one
+from an *older* generation (a pinned ``Database.snapshot()``) misses
+without evicting.  ``DESIGN.md`` §8 gives the soundness argument.
 
 Both tiers are bounded LRUs, thread-safe, and publish ``querycache.*``
 telemetry (hits, misses, evictions, bytes, resumed rounds) to the
@@ -52,6 +68,7 @@ from .approxql.costs import CostModel
 from .approxql.expanded import ExpandedQuery, build_expanded
 from .approxql.parser import parse_query
 from .telemetry import collector as _telemetry
+from .xmltree.model import ROOT_LABEL
 
 #: default Tier-1 capacity (distinct (query text, cost model) pairs)
 DEFAULT_COMPILED_ENTRIES = 256
@@ -251,8 +268,11 @@ class CachedResult:
     database ``(global_root, cost, shard, local_root)`` tuples.
     ``complete`` marks a fully exhausted evaluation (the prefix answers
     any ``n``); otherwise ``state`` (when present) lets the schema
-    driver resume past ``len(pairs)``.  A write carries the entry only if
-    it misses every one of ``root_labels`` (never when ``None``).
+    driver resume past ``len(pairs)``.  A write that misses every one of
+    ``root_labels`` carries the entry as it is; one that hits them marks
+    it for repair from ``repair_from``, the tree length before the first
+    such write grafted anything (never when ``root_labels`` is ``None``
+    or holds the super-root's label).
     """
 
     generation: object
@@ -260,6 +280,7 @@ class CachedResult:
     complete: bool
     state: "DriverState | None" = None
     root_labels: "frozenset | None" = None
+    repair_from: "int | None" = None
 
     def approximate_bytes(self) -> int:
         total = _ENTRY_BASE_BYTES + _PAIR_BYTES * len(self.pairs)
@@ -280,7 +301,10 @@ class ResultCache:
     Lookup semantics follow the ``PostingCache`` generation protocol:
 
     * entry generation == caller generation → hit, if the prefix serves
-      the requested ``n`` or can be resumed; otherwise miss, entry kept;
+      the requested ``n`` or can be resumed; otherwise miss, entry kept
+      (an entry marked for repair is returned uncounted, whatever its
+      length: the caller repairs it and settles the outcome,
+      :meth:`settle_repair`);
     * entry generation <  caller generation → the store mutated since
       the entry was cached: evict it, count an invalidation, miss;
     * entry generation >  caller generation → the caller is a pinned
@@ -304,6 +328,8 @@ class ResultCache:
         self.stores = 0
         self.resumes = 0
         self.carried = 0
+        self.repairs = 0
+        self.repair_fallbacks = 0
 
     @property
     def enabled(self) -> bool:
@@ -323,12 +349,18 @@ class ResultCache:
         """The cached prefix for ``key`` valid at ``generation`` that a
         best-``n`` request can use: it serves ``n`` outright or carries
         the driver state to resume from.  A too-short prefix that cannot
-        resume is a miss — the request is evaluated from scratch."""
+        resume is a miss — the request is evaluated from scratch.  An
+        entry a write marked for repair is returned uncounted, whatever
+        its length: the caller repairs it, and :meth:`settle_repair`
+        decides whether the repaired prefix serves ``n``."""
         if not self.enabled:
             return None
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.generation == generation:
+                if entry.repair_from is not None:
+                    self._entries.move_to_end(key)
+                    return entry
                 if entry.serves(n) or entry.state is not None:
                     self._entries.move_to_end(key)
                     self.hits += 1
@@ -348,12 +380,18 @@ class ResultCache:
             _telemetry.count("querycache.result_misses")
             return None
 
-    def carry(self, old: object, new: object, touched: "set[str]") -> None:
+    def carry(
+        self, old: object, new: object, touched: "set[str]", repair_from: "int | None" = None
+    ) -> None:
         """Carry the entries stamped ``old`` across the write that
-        published ``new`` and touched the labels ``touched``: one whose
-        root labels avoid them is replaced (readers may hold it) by a copy
-        stamped ``new`` without its driver state, whose lists belong to
-        ``old``; every other ``old`` entry is dropped now."""
+        published ``new`` and touched the labels ``touched``.  Each is
+        replaced (readers may hold it) by a copy stamped ``new`` without
+        its driver state, whose lists belong to ``old``: as it is when
+        its root labels avoid ``touched``, marked for repair from
+        ``repair_from`` (the tree length before the write grafted; an
+        entry already marked keeps its mark) when they do not.  An
+        entry that can match the super-root, and every touched entry
+        when ``repair_from`` is ``None``, is dropped now."""
         carried = dropped = 0
         with self._lock:
             for key, entry in list(self._entries.items()):
@@ -361,11 +399,18 @@ class ResultCache:
                     continue
                 self._bytes -= entry.approximate_bytes()
                 labels = entry.root_labels
-                if labels is None or not labels.isdisjoint(touched):
+                # ``touched`` always holds the super-root's label
+                if labels is not None and labels.isdisjoint(touched):
+                    moved = replace(entry, generation=new, state=None)
+                elif labels is not None and repair_from is not None and ROOT_LABEL not in labels:
+                    moved = replace(
+                        entry, generation=new, state=None,
+                        repair_from=entry.repair_from or repair_from,
+                    )
+                else:
                     del self._entries[key]
                     dropped += 1
                     continue
-                moved = replace(entry, generation=new, state=None)
                 self._entries[key] = moved
                 self._bytes += moved.approximate_bytes()
                 carried += 1
@@ -375,6 +420,30 @@ class ResultCache:
                 _telemetry.count("querycache.result_carried", carried)
             if dropped:
                 _telemetry.count("querycache.result_invalidations", dropped)
+
+    def settle_repair(
+        self, key: tuple, repaired: "CachedResult | None", n: "int | None"
+    ) -> "CachedResult | None":
+        """Settle the read that found ``key`` marked for repair: a
+        ``repaired`` entry (``None`` when the repair fell back) that
+        serves ``n`` replaces the marked one and counts a hit and a
+        repair; anything else counts a miss and a fallback and returns
+        ``None`` — the caller evaluates cold and its store replaces the
+        marked entry."""
+        if repaired is not None and repaired.serves(n):
+            with self._lock:
+                self.hits += 1
+                self.repairs += 1
+            _telemetry.count("querycache.result_hits")
+            _telemetry.count("querycache.result_repairs")
+            self.store(key, repaired)
+            return repaired
+        with self._lock:
+            self.misses += 1
+            self.repair_fallbacks += 1
+        _telemetry.count("querycache.result_misses")
+        _telemetry.count("querycache.result_repair_fallbacks")
+        return None
 
     def note_resume(self) -> None:
         """Count a driver round resumed from cached state."""
@@ -399,7 +468,8 @@ class ResultCache:
                 except TypeError:  # pragma: no cover - mixed generation kinds
                     older = False
                 same_gen = entry.generation == incumbent.generation
-                weaker = same_gen and not entry.complete and (
+                # an incumbent marked for repair is weaker than any answer
+                weaker = same_gen and incumbent.repair_from is None and not entry.complete and (
                     incumbent.complete or len(entry.pairs) <= len(incumbent.pairs)
                 )
                 if older or weaker:
@@ -427,6 +497,8 @@ class ResultCache:
                 "querycache.result_evictions": self.evictions,
                 "querycache.result_invalidations": self.invalidations,
                 "querycache.result_carried": self.carried,
+                "querycache.result_repairs": self.repairs,
+                "querycache.result_repair_fallbacks": self.repair_fallbacks,
                 "querycache.result_stores": self.stores,
                 "querycache.resumed_rounds": self.resumes,
                 "querycache.bytes": self._bytes,

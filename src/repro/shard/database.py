@@ -904,6 +904,12 @@ class _ScatterGather:
             rows, complete=n is None or len(rows) < n, reports=tuple(reports), counters=counters
         )
 
+    def repair(self, compiled, chosen, entry, max_cost) -> None:
+        """A merge level has no tree to repair on: a cold run.  (No
+        entry gets here — :meth:`ShardedDatabase._publish` drops the
+        merged entries a write touches instead of marking them.)"""
+        return None
+
     def materialize(self, rows: list) -> "list[ShardResult]":
         return [self.result(row) for row in rows]
 

@@ -88,9 +88,18 @@ class MemoryNodeIndexes(NodeIndexes):
     ``documents`` restricts the index to the super-root plus those
     document roots' subtrees — a frozen view of a tree that has since
     grown or tombstoned documents; ``None`` indexes every live node.
+    ``labels`` further restricts a ``documents`` index to the nodes
+    carrying one of them: a C-level filter picks those nodes, so an
+    index that one query's labels suffice for (a cached answer's repair,
+    ``DESIGN.md`` §8) walks only its matches in Python.
     """
 
-    def __init__(self, tree: DataTree, documents: "tuple[int, ...] | None" = None) -> None:
+    def __init__(
+        self,
+        tree: DataTree,
+        documents: "tuple[int, ...] | None" = None,
+        labels: "frozenset[str] | None" = None,
+    ) -> None:
         self._tree = tree
         #: per node type: label -> ascending pres, one flat buffer each
         self._by_type: tuple[dict[str, array], dict[str, array]] = ({}, {})
@@ -102,9 +111,15 @@ class MemoryNodeIndexes(NodeIndexes):
             if tree.dead_roots:
                 rows = compress(rows, tree.live_flags())
         else:
-            bounds, types, labels = tree.bounds, tree.types, tree.labels
-            spans = [range(root, bounds[root] + 1) for root in documents]
-            rows = ((pre, types[pre], labels[pre]) for pre in chain(range(1), *spans))
+            bounds, types, tree_labels = tree.bounds, tree.types, tree.labels
+            spans = [range(1)] + [range(root, bounds[root] + 1) for root in documents]
+            if labels is not None:
+                wanted = labels.__contains__
+                spans = [
+                    compress(span, map(wanted, tree_labels[span.start : span.stop]))
+                    for span in spans
+                ]
+            rows = ((pre, types[pre], tree_labels[pre]) for pre in chain.from_iterable(spans))
         for pre, node_type, label in rows:
             table = self._by_type[node_type]
             column = table.get(label)

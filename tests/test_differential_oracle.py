@@ -281,6 +281,10 @@ def test_cached_answers_match_cold_sharded(seed):
 WRITE_WALK_SEEDS = {"memory": range(5), "stored": range(2), "sharded": range(3)}
 WRITE_WALK_STEPS = 10
 WRITE_WALK_NS = (1, 3, 10, None)
+#: a second key per query and method (a ``max_cost`` no result reaches),
+#: only ever asked for a short prefix: the writes meet incomplete cached
+#: answers too, not only the complete ones ``n=None`` leaves
+WRITE_WALK_PREFIX = (2, 1e9)
 
 
 def _walk_handles(kind, seed, tmp_path):
@@ -306,13 +310,49 @@ def _walk_handles(kind, seed, tmp_path):
 
 
 def _walk_document(rng, copies):
-    """Half the time a small document sharing no label with the generated
-    collection (every write of it carries the cached answers), otherwise
-    one of ``copies``, the collection's own documents."""
-    if rng.random() < 0.5:
+    """A third of the time a small document sharing no label with the
+    generated collection (every write of it carries the cached answers as
+    they are).  Otherwise one of ``copies``, the collection's own
+    documents, whose results repeat the cached answers' costs (new
+    results and cost ties for the repair); half of those gain an element
+    of a new label under their root, which adds schema classes and so
+    renumbers the schema under the cached schema-ordered answers."""
+    roll = rng.random()
+    if roll < 1 / 3:
         outer, inner = rng.sample(["x0", "x1", "x2"], 2)
         return f"<{outer}><{inner}>t{rng.randrange(12)}</{inner}>t1<{inner}/></{outer}>"
-    return rng.choice(copies)
+    copy = rng.choice(copies)
+    if roll < 2 / 3 or "</" not in copy:
+        return copy
+    tail = copy.rindex("</")
+    label = f"y{rng.randrange(3)}"
+    return f"{copy[:tail]}<{label}>t1</{label}>{copy[tail:]}"
+
+
+def _cached_roots(database):
+    """How many cached answer roots each live document holds (a sharded
+    merge level's rows lead with the global root, as its documents do)."""
+    from bisect import bisect_right
+
+    documents = database.documents()
+    held: dict = {}
+    for entry in database._pipeline.result_cache._entries.values():
+        for row in entry.pairs:
+            at = bisect_right(documents, row[0]) - 1
+            if at >= 0:
+                held[documents[at]] = held.get(documents[at], 0) + 1
+    return held
+
+
+def _repair_counts(database):
+    """Lifetime (repairs, fallbacks) of every single-store result cache
+    behind ``database`` (a sharded merge level never repairs)."""
+    handles = getattr(database, "_shards", [database])
+    stats = [handle.query_cache_stats() for handle in handles]
+    return (
+        sum(item["querycache.result_repairs"] for item in stats),
+        sum(item["querycache.result_repair_fallbacks"] for item in stats),
+    )
 
 
 def _walk_sweep(hot, cold, case):
@@ -333,6 +373,14 @@ def _walk_sweep(hot, cold, case):
                 # its key in this sweep: a hit there predates the sweep
                 if position == 0 and method != "auto" and served.report.result_cache_hit:
                     held += 1
+            n, max_cost = WRITE_WALK_PREFIX
+            served = hot.query(
+                generated.query, n=n, costs=generated.costs, method=method, max_cost=max_cost
+            )
+            cold_run = cold.query(
+                generated.query, n=n, costs=generated.costs, method=method, max_cost=max_cost
+            )
+            assert _pairs(served) == _pairs(cold_run), (n, method, case.describe())
     return held
 
 
@@ -342,8 +390,11 @@ def _walk_sweep(hot, cold, case):
 )
 def test_write_scoped_cache_matches_cold_across_a_write_walk(kind, seed, tmp_path):
     """A seeded insert/delete/replace walk: after every write the caching
-    handle answers byte-identically to its cache-off twin, and at least
-    one write carried an entry that then served."""
+    handle answers byte-identically to its cache-off twin, at least one
+    write carried an entry that then served, and the reads after the
+    writes that touched cached answers both repaired one and fell back
+    to a cold run at least once.  Deletes pick the live document holding
+    the most cached roots."""
     from repro.xmltree.serialize import subtree_to_xml
 
     case = generated_case(1900 + seed, num_elements=60)
@@ -353,6 +404,7 @@ def test_write_scoped_cache_matches_cold_across_a_write_walk(kind, seed, tmp_pat
     carried_hits = 0
     with hot, cold:
         _walk_sweep(hot, cold, case)
+        cached = _cached_roots(hot)
         for _ in range(WRITE_WALK_STEPS):
             action = rng.choice(("insert", "delete", "replace"))
             live = hot.documents()
@@ -363,7 +415,7 @@ def test_write_scoped_cache_matches_cold_across_a_write_walk(kind, seed, tmp_pat
                 hot.insert_document(document)
                 cold.insert_document(document)
             elif action == "delete":
-                root = rng.choice(live)
+                root = max(live, key=lambda document: (cached.get(document, 0), rng.random()))
                 hot.delete_document(root)
                 cold.delete_document(root)
             else:
@@ -371,7 +423,10 @@ def test_write_scoped_cache_matches_cold_across_a_write_walk(kind, seed, tmp_pat
                 hot.replace_document(root, document)
                 cold.replace_document(root, document)
             carried_hits += _walk_sweep(hot, cold, case)
+            cached = _cached_roots(hot)
+        repairs, fallbacks = _repair_counts(hot)
     assert carried_hits > 0, case.describe()
+    assert repairs > 0 and fallbacks > 0, (repairs, fallbacks, case.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +469,77 @@ def test_answer_decomposes_per_document(seed):
             else:
                 assert [cost for cost, _ in full] == [cost for cost, _ in merged]
                 assert sorted(full) == merged, case.describe()
+
+
+#: the Figure 7 cells of the ``small`` decomposition leg — every pattern
+#: and renaming count but p3 r10, where one schema query takes seconds
+#: (the Section 7 blow-up); three pinned queries each, best-10
+SMALL_DECOMPOSITION_CELLS = [
+    (pattern, renamings)
+    for pattern in (1, 2, 3)
+    for renamings in (0, 5, 10)
+    if (pattern, renamings) != (3, 10)
+]
+SMALL_DECOMPOSITION_N = 10
+
+
+def test_answer_decomposes_per_document_at_small_scale():
+    """The decomposition relation beyond the naive oracle's reach: at
+    ``small`` scale (165k nodes, 190 documents) with the pinned
+    ``repro.bench.workloads`` queries, each method's best-10 over the
+    collection is the best-10 of the merged per-document answers.  Ties
+    at the cut: direct order is (cost, root) on both sides; schema order
+    breaks ties by skeleton signature, so its side compares costs in
+    order, the roots below the last cost as a set, and the roots at the
+    last cost as a subset of the merged ones.  A query that can match
+    the super-root, which lies outside every document, is skipped."""
+    from repro.bench.workloads import clear_workload_cache, get_workload
+    from repro.querycache import compile_query
+    from repro.xmltree.model import ROOT_LABEL, extract_document
+
+    workload = get_workload("small")
+    try:
+        whole = Database.from_tree(workload.tree)
+        whole.set_query_cache(result_entries=0)
+        parts = [
+            (root, Database.from_tree(extract_document(workload.tree, root)))
+            for root in workload.tree.document_roots()
+        ]
+        skipped = 0
+        for pattern, renamings in SMALL_DECOMPOSITION_CELLS:
+            for number, generated in enumerate(workload.queries(pattern, renamings, count=3)):
+                if ROOT_LABEL in compile_query(generated.query, generated.costs).root_labels():
+                    skipped += 1
+                    continue
+                for method in ("direct", "schema"):
+                    where = (pattern, renamings, number, method)
+                    best = [
+                        (r.cost, r.root)
+                        for r in whole.query(
+                            generated.query, n=SMALL_DECOMPOSITION_N, costs=generated.costs,
+                            method=method,
+                        )
+                    ]
+                    merged = sorted(
+                        (r.cost, root + r.root - 1)
+                        for root, part in parts
+                        for r in part.query(
+                            generated.query, n=None, costs=generated.costs, method=method
+                        )
+                        if r.root != 0
+                    )
+                    assert len(best) == min(SMALL_DECOMPOSITION_N, len(merged)), where
+                    if method == "direct":
+                        assert best == merged[: len(best)], where
+                        continue
+                    costs = [cost for cost, _ in merged[: len(best)]]
+                    assert [cost for cost, _ in best] == costs, where
+                    if best:
+                        last = best[-1][0]
+                        below = {pair for pair in merged if pair[0] < last}
+                        at_last = {pair for pair in merged if pair[0] == last}
+                        assert {pair for pair in best if pair[0] < last} == below, where
+                        assert {pair for pair in best if pair[0] == last} <= at_last, where
+        assert skipped <= 3
+    finally:
+        clear_workload_cache()

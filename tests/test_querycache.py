@@ -5,7 +5,8 @@ either cache tier are byte-identical to what a cache-disabled evaluation
 with the same parameters would produce, at every generation.  Tier 1
 (compiled queries) is keyed by ``(query text, cost fingerprint)``; tier
 2 (result prefixes) is write-scoped — a document write carries every
-entry whose root labels its documents lack and drops the rest — and
+entry whose root labels its documents lack, marks the rest for a repair
+from the written documents alone (a sharded merge level drops them) — and
 otherwise follows the ``PostingCache`` generation protocol: WAL recovery
 and out-of-band store writes evict, pinned snapshots miss without
 evicting, and one key per (query, costs, method, ``max_cost``) serves
@@ -14,6 +15,7 @@ either method.  Randomized cached-vs-cold parity is in
 ``test_differential_oracle.py``; these tests pin the mechanics.
 """
 
+import math
 import os
 import struct
 
@@ -21,7 +23,7 @@ import pytest
 
 from repro.approxql.costs import CostModel
 from repro.approxql.expanded import build_expanded
-from repro.core.database import Database
+from repro.core.database import _REPAIR_DELTA_SHARE, Database
 from repro.core.persist import StoreOptions
 from repro.querycache import (
     CachedResult,
@@ -312,13 +314,22 @@ class TestDatabaseFastPath:
         cold.set_query_cache(result_entries=0)
         assert _pairs(longer) == _pairs(cold.query("cd[title]", n=4, method="schema"))
 
-    def test_mutation_invalidates(self, memory_db):
-        before = memory_db.query("cd[title]", n=None)
-        memory_db.insert_document(NEW_DOC)
-        after = memory_db.query("cd[title]", n=None, collect="counters")
-        assert not after.report.result_cache_hit
+    def test_mutation_invalidates(self):
+        """A write that holds the query's root label invalidates the
+        cached answer: the entry survives it marked for repair, and the
+        next read repairs it from the new document alone."""
+        database = Database.from_documents(PADDED_DOCS)
+        before = database.query("cd[title]", n=None)
+        database.insert_document(NEW_DOC)
+        assert database.query_cache_stats()["querycache.result_entries"] == 1
+        after = database.query("cd[title]", n=None, collect="counters")
+        assert after.report.result_cache_hit
+        assert database.query_cache_stats()["querycache.result_repairs"] == 1
         assert len(after) == len(before) + 1
-        assert memory_db.query_cache_stats()["querycache.result_invalidations"] >= 1
+        cold = Database.from_documents(PADDED_DOCS)
+        cold.set_query_cache(result_entries=0)
+        cold.insert_document(NEW_DOC)
+        assert _pairs(after) == _pairs(cold.query("cd[title]", n=None))
 
     def test_out_of_band_store_write_evicts(self, tmp_path):
         """The invalidation authority is the store's write counter: a
@@ -371,13 +382,16 @@ class TestDatabaseFastPath:
 
 
 # ----------------------------------------------------------------------
-# write-scoped invalidation: a write drops only what it can change
+# write-scoped invalidation: a write touches only what it can change
 # ----------------------------------------------------------------------
 
 #: shares no label with ``DOCS``
 DISJOINT_DOC = "<lp><side>piano</side></lp>"
 #: holds only ``dvd``, the renaming target of ``cd`` under ``_dvd_costs``
 RENAMED_DOC = "<dvd><title>piano</title></dvd>"
+#: ``DOCS`` padded with label-disjoint documents, so that writing one or
+#: two small ``cd`` documents stays under either method's repair share
+PADDED_DOCS = DOCS + [DISJOINT_DOC] * 100
 HANDLES = ("memory", "stored", "sharded")
 
 
@@ -389,14 +403,14 @@ def _dvd_costs():
     return costs
 
 
-def _twins(kind, tmp_path):
-    """A caching handle of ``kind`` over ``DOCS`` and its cache-off twin."""
+def _twins(kind, tmp_path, docs=DOCS):
+    """A caching handle of ``kind`` over ``docs`` and its cache-off twin."""
     handles = []
     for name in ("hot", "cold"):
         if kind == "sharded":
-            database = ShardedDatabase.from_documents(DOCS, shards=2)
+            database = ShardedDatabase.from_documents(docs, shards=2)
         else:
-            database = Database.from_documents(DOCS)
+            database = Database.from_documents(docs)
             if kind == "stored":
                 path = os.path.join(tmp_path, f"{name}.apxq")
                 database.save(path, durability="wal")
@@ -441,30 +455,51 @@ class TestWriteScopedInvalidation:
         if kind != "sharded":
             assert report.labels == {"lp", "side", "#root"}
 
+    def _touched(self, hot, cold, query, repairs, costs=None):
+        """Read ``query`` after a write that held one of its root labels,
+        checked against the cache-off twin.  A sharded merge level
+        dropped the entry at the write, so the read misses; a single
+        store kept it marked for repair, so the read is a repaired hit
+        (the ``repairs``-th of the handle's lifetime)."""
+        served = self._served(hot, cold, query, costs=costs)
+        stats = hot.query_cache_stats()
+        if isinstance(hot, ShardedDatabase):
+            assert not served.report.result_cache_hit
+        else:
+            assert served.report.result_cache_hit
+            assert stats["querycache.result_repairs"] == repairs
+            assert stats["querycache.result_repair_fallbacks"] == 0
+        return served
+
     @pytest.mark.parametrize("kind", HANDLES)
     def test_root_label_insert_drops_the_entry_at_the_write(self, kind, tmp_path):
-        hot, cold = _twins(kind, tmp_path)
+        """A sharded merge level drops the entry at the write itself; a
+        single store keeps it, marked for repair, through the write."""
+        hot, cold = _twins(kind, tmp_path, PADDED_DOCS)
         with hot, cold:
             self._served(hot, cold, "cd[title]")
             _both(hot, cold, "insert_document", NEW_DOC)
-            # dropped by the write itself, not left stale for a lookup
             stats = hot.query_cache_stats()
-            assert stats["querycache.result_entries"] == 0
-            assert stats["querycache.result_invalidations"] == 1
-            assert not self._served(hot, cold, "cd[title]").report.result_cache_hit
+            if kind == "sharded":
+                assert stats["querycache.result_entries"] == 0
+                assert stats["querycache.result_invalidations"] == 1
+            else:
+                assert stats["querycache.result_entries"] == 1
+                assert stats["querycache.result_invalidations"] == 0
+            self._touched(hot, cold, "cd[title]", repairs=1)
 
     @pytest.mark.parametrize("kind", HANDLES)
     def test_renaming_target_insert_drops_the_entry(self, kind, tmp_path):
         """A document holding only ``dvd`` changes ``cd`` under a model
         that renames ``cd`` to ``dvd`` — and nothing under one that
-        does not: the same write drops one entry and carries the other."""
+        does not: the same write touches one entry (dropped at a sharded
+        merge level, repaired by a single store) and carries the other."""
         hot, cold = _twins(kind, tmp_path)
         with hot, cold:
             self._served(hot, cold, "cd[title]", costs=_dvd_costs())
             self._served(hot, cold, "cd[title]")
             _both(hot, cold, "insert_document", RENAMED_DOC)
-            renamed = self._served(hot, cold, "cd[title]", costs=_dvd_costs())
-            assert not renamed.report.result_cache_hit
+            self._touched(hot, cold, "cd[title]", repairs=1, costs=_dvd_costs())
             assert self._served(hot, cold, "cd[title]").report.result_cache_hit
 
     @pytest.mark.parametrize("kind", HANDLES)
@@ -478,11 +513,13 @@ class TestWriteScopedInvalidation:
             assert self._served(hot, cold, "cd[title]").report.result_cache_hit
             _both(hot, cold, "replace_document", second, "<lp><side>organ</side></lp>")
             assert self._served(hot, cold, "cd[title]").report.result_cache_hit
+            if kind != "sharded":
+                assert hot.query_cache_stats()["querycache.result_repairs"] == 0
             # the replacement lacks cd, the document it removes does not
             _both(hot, cold, "replace_document", hot.documents()[0], DISJOINT_DOC)
-            assert not self._served(hot, cold, "cd[title]").report.result_cache_hit
+            self._touched(hot, cold, "cd[title]", repairs=1)
             _both(hot, cold, "delete_document", hot.documents()[0])
-            assert not self._served(hot, cold, "cd[title]").report.result_cache_hit
+            self._touched(hot, cold, "cd[title]", repairs=2)
 
     @pytest.mark.parametrize("kind", HANDLES)
     def test_a_query_that_can_match_the_super_root_is_always_dropped(self, kind, tmp_path):
@@ -547,6 +584,155 @@ class TestWriteScopedInvalidation:
             assert not first.report.result_cache_hit
             assert _pairs(first) == _pairs(carried)
             assert recovered.query_cache_stats()["querycache.result_carried"] == 0
+
+
+# ----------------------------------------------------------------------
+# repair: a touched entry is brought up to date from the written documents
+# ----------------------------------------------------------------------
+
+#: a ``cd`` whose ``title`` sits under an inserted ``box``: ``cd[title]``
+#: matches it at cost 1, a cost no document of ``DOCS`` has
+BOXED_DOC = "<cd><box><title>piano trio</title></box></cd>"
+
+
+def _repair_counts(database):
+    stats = database.query_cache_stats()
+    return stats["querycache.result_repairs"], stats["querycache.result_repair_fallbacks"]
+
+
+
+def _under_share(database, before, method="schema"):
+    """Whether the nodes written since ``before`` (a node count) are few
+    enough for ``method``'s repair: a fallback is then for another
+    reason."""
+    return database.node_count - before < _REPAIR_DELTA_SHARE[method] * before
+
+
+class TestRepair:
+    """The read after a touching write: a repaired hit, or one of the
+    three fallbacks to a cold evaluation — each answer byte-identical to
+    the cache-off twin."""
+
+    _served = TestWriteScopedInvalidation._served
+
+    @pytest.mark.parametrize("kind", ["memory", "stored"])
+    def test_a_schema_prefix_gains_a_result_at_a_new_cost(self, kind, tmp_path):
+        hot, cold = _twins(kind, tmp_path, PADDED_DOCS)
+        with hot, cold:
+            self._served(hot, cold, 'cd[title["piano"]]', method="schema")
+            _both(hot, cold, "insert_document", BOXED_DOC)
+            served = self._served(hot, cold, 'cd[title["piano"]]', method="schema")
+            assert served.report.result_cache_hit
+            assert served.report.get("schema.second_level_executed", 0) == 0
+            assert [cost for _, cost in _pairs(served)] == [0.0, 0.0, 1.0]
+            assert _repair_counts(hot) == (1, 0)
+
+    @pytest.mark.parametrize("kind", ["memory", "stored"])
+    def test_an_incomplete_prefix_keeps_no_result_at_its_last_cost(self, kind, tmp_path):
+        """Past the last cached cost the old answer is unknown, so a new
+        result costing as much as the last cached one is left out; the
+        direct order puts it after every old root anyway."""
+        hot, cold = _twins(kind, tmp_path, PADDED_DOCS)
+        with hot, cold:
+            self._served(hot, cold, "cd[title]", n=2, method="direct")
+            _both(hot, cold, "insert_document", NEW_DOC)
+            _both(hot, cold, "insert_document", BOXED_DOC)
+            served = self._served(hot, cold, "cd[title]", n=2, method="direct")
+            assert served.report.result_cache_hit
+            assert _repair_counts(hot) == (1, 0)
+            # still two pairs: the next old root precedes both new ones
+            longer = self._served(hot, cold, "cd[title]", n=3, method="direct")
+            assert not longer.report.result_cache_hit
+
+    @pytest.mark.parametrize("kind", ["memory", "stored"])
+    def test_a_schema_tie_falls_back(self, kind, tmp_path):
+        """Schema order breaks cost ties by skeleton signature, which a
+        direct pass over the new document cannot reproduce."""
+        hot, cold = _twins(kind, tmp_path, PADDED_DOCS)
+        with hot, cold:
+            self._served(hot, cold, "cd[title]", method="schema")
+            before = hot.node_count
+            _both(hot, cold, "insert_document", NEW_DOC)
+            assert _under_share(hot, before)
+            served = self._served(hot, cold, "cd[title]", method="schema")
+            assert not served.report.result_cache_hit
+            assert _repair_counts(hot) == (0, 1)
+            # the cold run replaced the marked entry
+            assert self._served(hot, cold, "cd[title]", method="schema").report.result_cache_hit
+
+    @pytest.mark.parametrize("kind", ["memory", "stored"])
+    def test_new_results_tied_with_each_other_fall_back(self, kind, tmp_path):
+        """Two new results at one cost no cached result has: the schema
+        orders them by skeleton signature (``artist`` is an older class
+        than ``box``), the opposite of their document order."""
+        hot, cold = _twins(kind, tmp_path, PADDED_DOCS)
+        with hot, cold:
+            self._served(hot, cold, 'cd[title["piano"]]', method="schema")
+            before = hot.node_count
+            _both(hot, cold, "insert_document", BOXED_DOC)
+            _both(hot, cold, "insert_document", "<cd><artist><title>piano</title></artist></cd>")
+            assert _under_share(hot, before)
+            served = self._served(hot, cold, 'cd[title["piano"]]', method="schema")
+            assert not served.report.result_cache_hit
+            roots = [root for root, _ in _pairs(served)]
+            assert roots[2] > roots[3]
+            assert _repair_counts(hot) == (0, 1)
+
+    @pytest.mark.parametrize("kind", ["memory", "stored"])
+    def test_a_marked_prefix_too_short_for_n_is_repaired_first(self, kind, tmp_path):
+        """A read for more than a marked entry holds still repairs it:
+        a new result below the last cached cost lengthens the prefix to
+        serve the read, and one the repair cannot lengthen enough is a
+        counted fallback."""
+        hot, cold = _twins(kind, tmp_path, PADDED_DOCS)
+        with hot, cold:
+            _both(hot, cold, "insert_document", BOXED_DOC)
+            # four results at cost 0, the boxed one at 1
+            self._served(hot, cold, "cd[title]", n=5, method="direct")
+            _both(hot, cold, "insert_document", NEW_DOC)
+            served = self._served(hot, cold, "cd[title]", n=6, method="direct")
+            assert served.report.result_cache_hit
+            assert _repair_counts(hot) == (1, 0)
+            _both(hot, cold, "insert_document", NEW_DOC)
+            served = self._served(hot, cold, "cd[title]", n=8, method="direct")
+            assert not served.report.result_cache_hit
+            assert _repair_counts(hot) == (1, 1)
+
+    @pytest.mark.parametrize("kind", ["memory", "stored"])
+    def test_a_prefix_that_shrinks_below_n_falls_back(self, kind, tmp_path):
+        hot, cold = _twins(kind, tmp_path)
+        with hot, cold:
+            self._served(hot, cold, "cd[title]", n=2, method="direct")
+            first = hot.documents()[0]
+            _both(hot, cold, "delete_document", first)
+            served = self._served(hot, cold, "cd[title]", n=2, method="direct")
+            assert not served.report.result_cache_hit
+            assert first not in [root for root, _ in _pairs(served)]
+            assert _repair_counts(hot) == (0, 1)
+
+    @pytest.mark.parametrize("method", ["direct", "schema"])
+    @pytest.mark.parametrize("kind", ["memory", "stored"])
+    def test_a_delta_past_its_methods_share_falls_back(self, kind, method, tmp_path):
+        """The repair's direct pass costs in proportion to the written
+        documents: below the chosen method's share of the collection
+        before them it repairs, at the share it gives way to the cold
+        run.  The written ``cd`` lacks a ``title``, so it adds no result
+        and no cost tie."""
+        share = _REPAIR_DELTA_SHARE[method]
+        hot, cold = _twins(kind, tmp_path)
+        with hot, cold:
+            self._served(hot, cold, "cd[title]", method=method)
+            for repaired, counts in ((True, (1, 0)), (False, (1, 1))):
+                before = hot.node_count
+                # 1 + 2 * artists nodes: the largest count under the
+                # share, or the smallest one at it
+                limit = share * before
+                artists = math.ceil((limit - 1) / 2) - 1 if repaired else math.ceil((limit - 1) / 2)
+                _both(hot, cold, "insert_document", "<cd>" + "<artist>x</artist>" * artists + "</cd>")
+                assert (hot.node_count - before < limit) == repaired
+                served = self._served(hot, cold, "cd[title]", method=method)
+                assert served.report.result_cache_hit == repaired
+                assert _repair_counts(hot) == counts
 
 
 # ----------------------------------------------------------------------

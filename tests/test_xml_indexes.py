@@ -8,6 +8,8 @@ from repro.xmltree.builder import tree_from_xml
 from repro.xmltree.indexes import MemoryNodeIndexes, StoredNodeIndexes
 from repro.xmltree.model import NodeType
 
+from .strategies import generated_case
+
 
 @pytest.fixture
 def tree():
@@ -84,3 +86,22 @@ class TestStoredSpecifics:
         for node_type in (NodeType.STRUCT, NodeType.TEXT):
             for label in memory.labels(node_type):
                 assert stored.fetch(label, node_type) == memory.fetch(label, node_type)
+
+
+class TestRestrictedView:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_label_filter_keeps_exactly_those_labels(self, seed):
+        """Restricted to some documents and labels, the index holds what
+        the documents-only index holds for those labels, and nothing
+        else."""
+        tree = generated_case(seed).tree
+        documents = tuple(tree.document_roots()[seed % 3 :: 3])
+        every = MemoryNodeIndexes(tree, documents)
+        names = sorted(set(tree.labels))
+        kept = frozenset(names[seed::2])
+        filtered = MemoryNodeIndexes(tree, documents, kept)
+        for node_type in (NodeType.STRUCT, NodeType.TEXT):
+            assert set(filtered.labels(node_type)) == set(every.labels(node_type)) & kept
+            for label in names:
+                expected = every.fetch(label, node_type) if label in kept else []
+                assert filtered.fetch(label, node_type) == expected
