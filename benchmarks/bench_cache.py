@@ -1,15 +1,14 @@
-"""Read-path cache benchmarks on the Figure 7a workload.
+"""Page-cache benchmark on the Figure 7a workload.
 
-Two experiments over a *stored* database built from the pattern-1
-workload collection:
-
-* **Page-cache sweep** — the same query set evaluated through the file
-  store at several page-cache capacities (posting cache off, so the
-  pager is the only variable).  Reports wall time per pass plus the
-  ``storage.pages_read`` / ``cache.page_hits`` split.
-* **Posting-cache comparison** — the repeated-query best-n path (the
-  incremental driver re-fetches the same postings round after round)
-  with the decoded-posting cache off vs. on at its default budget.
+A *stored* database built from the pattern-1 workload collection is
+opened at several page-cache capacities.  Queries answer from the tree
+the store loaded, so they read no page at any capacity; the file is
+read by ``Database.open`` and by the B+tree descents of writes.  Each
+point therefore times one read-write round — the query set (direct,
+n = all) plus one document inserted and deleted — and reports the
+``storage.pages_read`` / ``cache.page_hits`` split of those rounds (and
+the hits of the decoded-node cache above the pages, which a capacity of
+0 disables too).
 
 Standalone usage (writes the committed ``BENCH_cache.json`` baseline)::
 
@@ -24,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -39,6 +39,8 @@ RENAMINGS = 5
 QUERIES_PER_POINT = 5
 PASSES = 3
 PAGE_CACHE_SWEEP = (0, 4, 16, 64, 256)
+#: the document each round inserts and deletes again
+EXTRA_DOCUMENT = "<extra><title>cache probe</title></extra>"
 
 
 def build_stored_workload(scale: str, directory: str):
@@ -52,28 +54,37 @@ def build_stored_workload(scale: str, directory: str):
     return path, queries
 
 
-def run_query_set(database: Database, queries, n, method: str) -> int:
+def run_round(database: Database, queries) -> int:
+    """The query set, then one document inserted and deleted again."""
     total = 0
     for generated in queries:
         total += len(
-            database.query(generated.query, n=n, costs=generated.costs, method=method)
+            database.query(generated.query, n=None, costs=generated.costs, method="direct")
         )
+    report = database.insert_document(EXTRA_DOCUMENT)
+    database.delete_document(report.root)
     return total
 
 
-def measure_point(database: Database, queries, n, method: str) -> dict:
-    """Time ``PASSES`` evaluations of the query set (uninstrumented),
-    then run one instrumented pass for the counters."""
-    times = []
-    for _ in range(PASSES):
-        start = time.perf_counter()
-        run_query_set(database, queries, n, method)
-        times.append(time.perf_counter() - start)
-    telemetry = Telemetry()
-    with collecting(telemetry):
-        results = run_query_set(database, queries, n, method)
+def measure_capacity(path: str, queries, capacity: int) -> dict:
+    """Open a copy of the store at ``capacity`` pages, time ``PASSES``
+    rounds (uninstrumented), then run one instrumented round for the
+    counters."""
+    copy = f"{path}.{capacity}"
+    shutil.copyfile(path, copy)
+    with Database.open(copy, page_cache_pages=capacity) as database:
+        times = []
+        for _ in range(PASSES):
+            start = time.perf_counter()
+            run_round(database, queries)
+            times.append(time.perf_counter() - start)
+        telemetry = Telemetry()
+        with collecting(telemetry):
+            results = run_round(database, queries)
+    os.remove(copy)
     counters = telemetry.counters
     return {
+        "page_cache_pages": capacity,
         "results": results,
         "pass_seconds": times,
         "best_seconds": min(times),
@@ -81,34 +92,14 @@ def measure_point(database: Database, queries, n, method: str) -> dict:
             "storage.pages_read": counters.get("storage.pages_read", 0),
             "cache.page_hits": counters.get("cache.page_hits", 0),
             "cache.page_evictions": counters.get("cache.page_evictions", 0),
-            "cache.posting_hits": counters.get("cache.posting_hits", 0),
-            "cache.posting_evictions": counters.get("cache.posting_evictions", 0),
+            "btree.node_cache_hits": counters.get("btree.node_cache_hits", 0),
         },
     }
 
 
 def page_cache_sweep(path: str, queries, capacities=PAGE_CACHE_SWEEP) -> list[dict]:
-    """One point per capacity: posting cache off, direct evaluation of
-    the full query set (n = all), fresh database handle per point."""
-    points = []
-    for capacity in capacities:
-        database = Database.open(path, page_cache_pages=capacity, posting_cache_bytes=0)
-        point = measure_point(database, queries, n=None, method="direct")
-        point["page_cache_pages"] = capacity
-        points.append(point)
-    return points
-
-
-def posting_cache_comparison(path: str, queries) -> dict:
-    """The repeated-query best-n path with the posting cache off vs. on
-    (page cache at its default in both, so only the posting cache moves)."""
-    comparison = {}
-    for label, budget in (("off", 0), ("default", None)):
-        database = Database.open(path, posting_cache_bytes=budget)
-        comparison[label] = measure_point(database, queries, n=10, method="schema")
-    off, on = comparison["off"]["best_seconds"], comparison["default"]["best_seconds"]
-    comparison["speedup"] = off / on if on else float("inf")
-    return comparison
+    """One point per capacity, a fresh copy of the store each."""
+    return [measure_capacity(path, queries, capacity) for capacity in capacities]
 
 
 # ----------------------------------------------------------------------
@@ -125,27 +116,14 @@ def stored_workload(bench_scale, tmp_path_factory):
 @pytest.mark.parametrize("capacity", PAGE_CACHE_SWEEP)
 def bench_page_cache_capacity(benchmark, stored_workload, capacity):
     path, queries = stored_workload
-    database = Database.open(path, page_cache_pages=capacity, posting_cache_bytes=0)
-    benchmark.pedantic(
-        run_query_set,
-        args=(database, queries, None, "direct"),
-        rounds=2,
-        iterations=1,
-        warmup_rounds=1,
-    )
-
-
-@pytest.mark.parametrize("budget", [0, None], ids=["posting-off", "posting-default"])
-def bench_posting_cache_best_n(benchmark, stored_workload, budget):
-    path, queries = stored_workload
-    database = Database.open(path, posting_cache_bytes=budget)
-    benchmark.pedantic(
-        run_query_set,
-        args=(database, queries, 10, "schema"),
-        rounds=2,
-        iterations=1,
-        warmup_rounds=1,
-    )
+    with Database.open(path, page_cache_pages=capacity) as database:
+        benchmark.pedantic(
+            run_round,
+            args=(database, queries),
+            rounds=2,
+            iterations=1,
+            warmup_rounds=1,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +148,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 "passes": PASSES,
             },
             "page_cache_sweep": page_cache_sweep(path, queries),
-            "posting_cache_best_n": posting_cache_comparison(path, queries),
         }
 
     rendered = json.dumps(record, indent=2) + "\n"
@@ -185,16 +162,14 @@ def main(argv: "list[str] | None" = None) -> int:
     uncached = next(p for p in sweep if p["page_cache_pages"] == 0)
     cached = sweep[-1]
     print(
-        f"pages read: {uncached['counters']['storage.pages_read']} uncached -> "
+        f"pages read per round: {uncached['counters']['storage.pages_read']} uncached -> "
         f"{cached['counters']['storage.pages_read']} at "
         f"{cached['page_cache_pages']} pages",
         file=sys.stderr,
     )
-    print(
-        f"best-n posting cache speedup: "
-        f"{record['posting_cache_best_n']['speedup']:.2f}x",
-        file=sys.stderr,
-    )
+    if {point["results"] for point in sweep} != {uncached["results"]}:
+        print("answers differ across page-cache capacities", file=sys.stderr)
+        return 1
     return 0
 
 

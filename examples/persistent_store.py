@@ -1,8 +1,10 @@
 """Persisting a built database to disk (the Berkeley-DB role).
 
-Builds a collection, saves the data tree and all posting structures
-(I_struct, I_text, I_sec) into a single-file store, reopens it, and
-queries it — posting fetches now come from the on-disk B+tree.
+Builds a collection, saves its data tree and insert-cost table into a
+single-file store, reopens it, and queries it.  Nothing derived from
+the tree is stored: the reopened handle rebuilds the schema (and with
+it I_sec) on open and the I_struct / I_text node index on its first
+direct read, then answers from memory exactly as the built one does.
 
 Run:  python examples/persistent_store.py
 """
@@ -42,7 +44,7 @@ def main() -> None:
     reopened = Database.open(path)
     print(f"reopened in {(time.perf_counter() - start) * 1000:.0f} ms")
 
-    # pick a term that certainly occurs and query through the disk store
+    # pick a term that certainly occurs and query the reopened store
     from repro.xmltree.model import NodeType
     from repro.xmltree.indexes import MemoryNodeIndexes
 

@@ -40,7 +40,6 @@ def _store_options(args: argparse.Namespace) -> StoreOptions:
     :meth:`Database.open` / :meth:`Database.save` also take."""
     return StoreOptions(
         page_cache_pages=getattr(args, "page_cache_pages", None),
-        posting_cache_bytes=getattr(args, "posting_cache_bytes", None),
         durability=getattr(args, "durability", "none") or "none",
         wal_checkpoint_bytes=getattr(args, "wal_checkpoint_bytes", None),
         compiled_cache_entries=getattr(args, "compiled_cache_entries", None),
@@ -91,14 +90,7 @@ def _add_cache_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="pager LRU cache capacity in pages (0 disables; default 256)",
-    )
-    parser.add_argument(
-        "--posting-cache-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="decoded posting cache budget in bytes (0 disables; default 8 MiB)",
+        help="pager LRU cache capacity in pages (0 disables; default 64)",
     )
     parser.add_argument(
         "--compiled-cache-entries",

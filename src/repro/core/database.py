@@ -24,8 +24,8 @@ Mutation and snapshot reads (MVCC-lite)
 ---------------------------------------
 :meth:`Database.insert_document` / :meth:`~Database.delete_document` /
 :meth:`~Database.replace_document` mutate the collection at document
-granularity, incrementally maintaining the pre/bound encoding, the
-stored indexes, and the DataGuide — see ``docs/MUTATION.md``.  Every
+granularity, incrementally maintaining the pre/bound encoding, the node
+indexes, and the DataGuide — see ``docs/MUTATION.md``.  Every
 query runs against one immutable *engine state* (tree view + schema +
 evaluators) pinned at its start; a writer builds the successor state
 copy-on-write and publishes it atomically, so readers never block and
@@ -63,16 +63,11 @@ from ..telemetry import collector as _telemetry
 from ..telemetry.collector import MODE_OFF, MODE_TIMINGS, Telemetry
 from ..telemetry.report import QueryReport
 from ..xmltree.builder import BuildOptions, CollectionBuilder, tree_from_xml
-from ..xmltree.indexes import (
-    MemoryNodeIndexes,
-    NodeIndexes,
-    StoredNodeIndexes,
-    stored_posting,
-)
+from ..xmltree.indexes import MemoryNodeIndexes, NodeIndexes
 from ..xmltree.model import ROOT_LABEL, DataTree, NodeType, compact_tree
 from .explain import Explanation, explain_skeleton
 from .memory import format_resident, resident_bytes
-from .mutation import MutationReport, StoreMutator
+from .mutation import MutationReport
 from .persist import (
     StoreOptions,
     append_tree_segment,
@@ -103,11 +98,15 @@ class _EngineState:
     tombstones), so the state additionally freezes the two quantities
     that do move: ``node_count`` and the live ``documents`` tuple.
 
-    The components of the newest memory-backed state build lazily (the
-    first query pays, exactly as before mutation existed); the writer
-    fully materializes the current state before touching the shared
-    arrays, so a *superseded* state is never lazy and never observes the
-    grown tree.
+    The components of the newest state build lazily (the first query
+    pays, exactly as before mutation existed).  The node index is built
+    over the state's own ``documents`` and the schema evaluator over the
+    state's own schema, so both may stay lazy for good: a write evolves
+    the node index only when a read has built it.  A schema built from
+    scratch reads the whole tree, so the writer materializes the
+    superseded state's schema (and the statistics read off it) before
+    touching the shared arrays, and a *superseded* state never observes
+    the grown tree.
     """
 
     __slots__ = (
@@ -152,7 +151,7 @@ class _EngineState:
         if self.node_indexes is None:
             with self._lock:
                 if self.node_indexes is None:
-                    self.node_indexes = MemoryNodeIndexes(self.tree)
+                    self.node_indexes = MemoryNodeIndexes(self.tree, self.documents)
         return self.node_indexes
 
     def ensure_schema(self) -> Schema:
@@ -193,12 +192,8 @@ class _EngineState:
         return self.stats
 
     def materialize(self) -> None:
-        """Build every lazy component now (the writer calls this before
-        mutating the shared tree)."""
-        self.ensure_node_indexes()
-        self.ensure_schema()
-        self.direct_evaluator()
-        self.schema_eval()
+        """Build every component that reads the whole tree now (the
+        writer calls this before mutating the shared tree)."""
         self.ensure_stats()
 
 
@@ -208,9 +203,7 @@ class _PinnedView:
     store)`` pair every single-store read is: a memory or stored
     :class:`Database` pins the current state per call, a
     :class:`Snapshot` holds one for its lifetime.  The state is all a
-    read needs: a stored state's node indexes stop reading the store
-    once a writer retires them (see
-    :class:`~repro.xmltree.indexes.StoredNodeIndexes`)."""
+    read needs: no read touches the store."""
 
     __slots__ = ("state", "store")
 
@@ -219,12 +212,11 @@ class _PinnedView:
         self.store = store
 
     def generation(self) -> "int | tuple":
-        # The invalidation authority is the *store's* write counter, the
-        # same one the posting cache keys on: any write — a routed
-        # mutation, WAL recovery, or an out-of-band put through the store
-        # handle — moves it, and pairing it with the published state
-        # generation keeps a pinned snapshot's reads in their own
-        # generation class.
+        # The invalidation authority is the *store's* write counter: any
+        # write — a routed mutation, WAL recovery, or an out-of-band put
+        # through the store handle — moves it, and pairing it with the
+        # published state generation keeps a pinned snapshot's reads in
+        # their own generation class.
         if self.store is None:
             return self.state.generation
         return (self.state.generation, self.store.generation)
@@ -514,7 +506,6 @@ class Database:
         #: the file store behind an opened database (None when in-memory)
         self._store: "Store | None" = None
         self._store_options: "StoreOptions | None" = None
-        self._posting_cache = None
         self._closed = False
         # one writer at a time; readers pin a state and never wait
         self._write_lock = threading.Lock()
@@ -587,17 +578,17 @@ class Database:
         durability: "str | None" = None,
         wal_checkpoint_bytes: "int | None" = None,
     ) -> None:
-        """Persist the tree and its node indexes (``I_struct`` /
-        ``I_text``) into a single-file store.  The schema — and with it
-        ``I_sec`` and the planner statistics — is not stored: it is a
-        function of the tree, rebuilt by :meth:`open`.
+        """Persist the tree and its insert-cost table into a single-file
+        store.  Nothing derived from the tree is stored: :meth:`open`
+        rebuilds the schema (and with it ``I_sec`` and the planner
+        statistics), and the node index ``I_struct`` / ``I_text`` is
+        built on the first direct read, as on a memory handle.
 
         Everything is staged in memory first and bulk-loaded into the
-        B+tree in one sorted pass — the fast path for building read-mostly
-        index files.  A mutated collection is vacuumed on the way out:
-        tombstoned documents are compacted away, so the saved file is as
-        dense as a fresh build (reopening it assigns new pre numbers when
-        documents were deleted).
+        B+tree in one sorted pass.  A mutated collection is vacuumed on
+        the way out: tombstoned documents are compacted away, so the
+        saved file is as dense as a fresh build (reopening it assigns new
+        pre numbers when documents were deleted).
 
         ``options`` is the shared :class:`~repro.core.persist.StoreOptions`
         keyword surface; the explicit ``durability`` /
@@ -613,13 +604,8 @@ class Database:
         )
         with self._write_lock:
             self._check_failed()
-            state = self._state
-            costs = self._pipeline.default_costs
-            tree = compact_tree(state.tree)
-            tree.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
             staging = MemoryStore()
-            save_tree(tree, staging, costs)
-            StoredNodeIndexes.build(tree, staging)
+            save_tree(compact_tree(self._state.tree), staging, self._pipeline.default_costs)
             with open_file_store(path, options) as store:
                 store.bulk_load(list(staging.scan()))
                 store.sync()
@@ -638,9 +624,10 @@ class Database:
         compiled_cache_entries: "int | None" = None,
         result_cache_entries: "int | None" = None,
     ) -> "Database":
-        """Open a saved database; node-posting fetches go to the file
-        store, second-level queries to the schema rebuilt from the
-        loaded tree.
+        """Open a saved database: the tree is loaded into memory and
+        every read answers from it, exactly as on a memory handle — the
+        schema is rebuilt from the tree here, the node index on the
+        first direct read.  The file only persists: writes go to it.
 
         The one entry point for stored databases.  A missing, empty, or
         non-database file raises a typed
@@ -661,10 +648,9 @@ class Database:
             it; ``None`` keeps the default
             (:data:`~repro.storage.pager.DEFAULT_CACHE_PAGES`).
         ``posting_cache_bytes``
-            Byte budget of the shared decoded-posting cache reused
-            across queries (and across the best-*n* driver's rounds).
-            ``0`` disables it; ``None`` keeps the default
-            (:data:`~repro.storage.cache.DEFAULT_POSTING_CACHE_BYTES`).
+            Accepted and ignored: no read decodes postings from the
+            store any more, so there is no posting cache to size.  It
+            stays so existing callers keep working.
         ``durability``
             Crash story for writes made through this handle — document
             mutations above all: ``"wal"`` makes each mutation one
@@ -672,17 +658,12 @@ class Database:
             historical engine byte for byte.  ``wal_checkpoint_bytes``
             sizes the log-fold trigger.
 
-        With both cache knobs at ``0`` the read path is byte-identical
-        to the uncached engine.
-
         ``compiled_cache_entries`` / ``result_cache_entries`` size the
         two hot-query caches (compiled queries and generation-tagged
         best-n result prefixes — see ``docs/PERFORMANCE.md``); ``0``
         disables a tier, ``None`` keeps the defaults.  Answers are
         byte-identical either way.
         """
-        from ..storage.cache import DEFAULT_POSTING_CACHE_BYTES, PostingCache
-
         options = (options or StoreOptions()).merged(
             page_cache_pages=page_cache_pages,
             posting_cache_bytes=posting_cache_bytes,
@@ -693,27 +674,15 @@ class Database:
             result_cache_entries=result_cache_entries,
         )
         store = open_file_store(path, options, must_exist=True)
-        cache_bytes = options.posting_cache_bytes
-        if cache_bytes is None:
-            cache_bytes = DEFAULT_POSTING_CACHE_BYTES
-        posting_cache = PostingCache(cache_bytes) if cache_bytes else None
-        tree, insert_costs, fingerprint = load_tree(store)
-        node_indexes = StoredNodeIndexes(store, posting_cache)
+        tree, insert_costs = load_tree(store)
         schema = build_schema(tree)
         schema.encode_costs(insert_costs.insert_cost, fingerprint=insert_costs.insert_fingerprint)
         database = cls(tree, default_costs=insert_costs)
-        database._pipeline.frozen_fingerprint = fingerprint
         database._state = _EngineState(
-            0,
-            tree,
-            schema=schema,
-            node_indexes=node_indexes,
-            direct=DirectEvaluator(tree, node_indexes),
-            schema_evaluator=SchemaEvaluator(tree, schema),
+            0, tree, schema=schema, schema_evaluator=SchemaEvaluator(tree, schema)
         )
         database._store = store
         database._store_options = options
-        database._posting_cache = posting_cache
         database._pipeline.set_cache(
             options.compiled_cache_entries, options.result_cache_entries
         )
@@ -774,9 +743,7 @@ class Database:
         """Bytes each data-sized structure of this handle holds right
         now (see :mod:`repro.core.memory`); what is not built counts 0."""
         state = self._state
-        return resident_bytes(
-            state.tree, state.schema, state.node_indexes, self._posting_cache, self._store
-        )
+        return resident_bytes(state.tree, state.schema, state.node_indexes, self._store)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -785,17 +752,13 @@ class Database:
     def close(self) -> None:
         """Release the database's storage resources (idempotent).
 
-        The posting cache is emptied, then the file store handle is
-        closed.  For an in-memory database this is a no-op.  Queries
-        issued after close fail from the closed store; don't close a
-        database other threads are still querying.
+        The file store handle is closed; for an in-memory database this
+        is a no-op.  Reads answer from memory, so queries issued after
+        close still run; writes fail from the closed store.
         """
         if self._closed:
             return
         self._closed = True
-        cache = self._posting_cache
-        if cache is not None:
-            cache.clear()
         if self._store is not None:
             self._store.close()
 
@@ -816,10 +779,8 @@ class Database:
         generation even while :meth:`insert_document` /
         :meth:`delete_document` / :meth:`replace_document` move the
         database forward: it holds the generation's immutable engine
-        state, which a writer replaces but never changes.  For a stored
-        database the writer retires the state's node indexes before its
-        first store write, and they answer from the state's frozen
-        documents from then on.  Close the snapshot when done.
+        state, which a writer replaces but never changes — memory and
+        stored databases alike.  Close the snapshot when done.
         """
         self._check_failed()
         return Snapshot(self, self._state)
@@ -882,8 +843,8 @@ class Database:
             self._check_failed()
             state = self._state
             old_generation = _PinnedView(state, self._store).generation()
-            # A superseded state must never be lazy: build everything
-            # before the shared arrays change.
+            # A superseded state must not build from the whole tree once
+            # the shared arrays change: build that now.
             state.materialize()
             tree = state.tree
             costs = self._pipeline.default_costs
@@ -897,7 +858,7 @@ class Database:
             schema = state.schema
             classes_added = 0
             grafted = marked = False
-            keys_rewritten = 0
+            keys_written = 0
             try:
                 if remove_root is not None:
                     nodes_removed = tree.bounds[remove_root] - remove_root + 1
@@ -929,32 +890,20 @@ class Database:
                 new_stats = state.stats.apply_mutation(
                     tree, added, removed, state.generation + 1
                 )
+                # an index no read has built stays lazy in the new state
+                node_indexes = state.node_indexes
+                if node_indexes is not None:
+                    node_indexes = MemoryNodeIndexes.evolve(
+                        node_indexes, tree, added=added, removed=removed
+                    )
                 if stored:
                     if added is not None:
-                        # integer-cost check before the first store write
-                        stored_posting(tree, added)
-                    # readers still on the superseded state stop
-                    # reading the store before its first write lands
-                    state.node_indexes.retire(tree, state.documents)
-                    mutator = StoreMutator(self._store)
-                    mutator.update_node_postings(tree, added=added, removed=removed)
-                    if added is not None:
-                        append_tree_segment(tree, self._store, start)
+                        keys_written += append_tree_segment(tree, self._store, start)
                     if removed is not None:
-                        save_dead_roots(tree, self._store)
+                        keys_written += save_dead_roots(tree, self._store)
                     # THE commit point: everything above is one WAL frame.
                     self._store.commit()
-                    keys_rewritten = mutator.keys_rewritten
-                    schema.encode_costs(
-                        costs.insert_cost, fingerprint=costs.insert_fingerprint
-                    )
-                    node_indexes: NodeIndexes = StoredNodeIndexes(
-                        self._store, self._posting_cache
-                    )
-                else:
-                    node_indexes = MemoryNodeIndexes.evolve(
-                        state.node_indexes, tree, added=added, removed=removed
-                    )
+                    _telemetry.count("mutation.keys_rewritten", keys_written)
             except BaseException:
                 if stored:
                     # The store may hold uncommitted half-writes in btree
@@ -972,7 +921,6 @@ class Database:
                 tree,
                 schema=schema,
                 node_indexes=node_indexes,
-                direct=DirectEvaluator(tree, node_indexes),
                 schema_evaluator=SchemaEvaluator(tree, schema),
                 stats=new_stats,
             )
@@ -995,7 +943,7 @@ class Database:
                 nodes_added=nodes_added,
                 nodes_removed=nodes_removed,
                 classes_added=classes_added,
-                keys_rewritten=keys_rewritten,
+                keys_rewritten=keys_written,
                 wall_seconds=time.perf_counter() - started,
                 labels=frozenset(touched),
             )
@@ -1114,9 +1062,8 @@ class Database:
         Uses the direct evaluator's counting fast path: the embedding
         costs are computed once, but no result objects are materialized
         and no sort is performed.  Resolution (parsing, cost-model
-        validation, the stored database's frozen-fingerprint check) is
-        the exact :meth:`query` path, so identical inputs raise identical
-        typed errors from both.
+        validation) is the exact :meth:`query` path, so identical inputs
+        raise identical typed errors from both.
         """
         view = self._view()
         return view.count(self._pipeline.resolve(text, costs))

@@ -5,8 +5,8 @@ Every structure that grows with the data lives in typed flat buffers
 :mod:`repro.xmltree.indexes`), so its size is a sum of
 ``buffer_info()[1] * itemsize`` — exact, and computed only when someone
 asks (``Database.describe()``, ``repro info``): nothing is counted per
-query.  The two caches report their own accounting: the page cache holds
-whole pages, the posting cache the estimate its byte budget is kept in.
+query.  The page cache reports its own accounting: the whole pages it
+holds.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ STRUCTURES = (
     "label table",
     "schema instance columns",
     "node-index pre lists",
-    "posting cache",
     "page cache",
 )
 
 
-def resident_bytes(tree, schema=None, node_indexes=None, posting_cache=None, store=None) -> dict:
+def resident_bytes(tree, schema=None, node_indexes=None, store=None) -> dict:
     """``structure -> bytes`` for one engine state (see :data:`STRUCTURES`);
     a component that is not built (or not there) counts 0."""
     usage = dict.fromkeys(STRUCTURES, 0)
@@ -46,8 +45,6 @@ def resident_bytes(tree, schema=None, node_indexes=None, posting_cache=None, sto
         )
     if node_indexes is not None:
         usage["node-index pre lists"] = node_indexes.resident_bytes()
-    if posting_cache is not None:
-        usage["posting cache"] = posting_cache.used_bytes
     usage["page cache"] = getattr(store, "page_cache_bytes", 0)
     return usage
 

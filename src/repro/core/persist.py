@@ -1,19 +1,16 @@
-"""Persistence of a built database (tree + node indexes) in the storage
-engine.
+"""Persistence of a built database in the storage engine.
 
-``save`` writes the normalized data tree and its node postings into one
-file store: the tree's columns and the ``I_struct``/``I_text`` node
-postings.  ``load`` restores the tree into memory (results need it for
-rendering); the opener then re-derives the schema — ``build_schema`` is
-a pure function of the tree — whose instance columns serve ``I_sec``
-and the planner statistics, and wires the direct evaluator to the
-*stored* node indexes, so it fetches postings from disk exactly like
-the paper's Berkeley-DB-backed implementation.
+``save`` writes the normalized data tree into one file store: its
+columns, the insert-cost table in force, and nothing derived from them.
+``load`` restores the tree into memory; the opener then re-derives
+everything else from it, exactly as a memory handle builds it: the
+schema (``build_schema`` is a pure function of the tree), whose
+instance columns serve ``I_sec`` and the planner statistics, and the
+``I_struct`` / ``I_text`` node index, built on the first direct read.
 
-Format version 2 stores no ``I_sec`` postings and no statistics segment.
-A version-1 store is refused with a typed error rather than migrated:
-code that predates version 2 would answer schema-driven queries from the
-missing ``I_sec`` keys with nothing.
+Format version 3 stores no node postings; version 2 stored them and
+version 1 additionally ``I_sec``.  Both are refused with a typed error
+rather than migrated: rebuild the store from its XML.
 
 Document mutation extends the layout without a format bump: an inserted
 document's columns land as one *tree segment* under a ``seg<start>`` key
@@ -23,11 +20,6 @@ count tracks the full (live + tombstoned) array length.  :func:`load_tree`
 replays base columns, then segments in start order — data preorder equals
 historical append order, which is what keeps the rebuilt schema numbering
 identical to the one the incremental updates maintained.
-
-Stored postings bake in the insert-cost table in force at save time;
-loading records its fingerprint and queries with a different insert-cost
-table are rejected (use an in-memory database for per-query insert
-costs).
 """
 
 from __future__ import annotations
@@ -41,13 +33,12 @@ from ..approxql.costs import CostModel
 from ..errors import KeyNotFoundError, StorageError
 from ..storage.kv import FileStore, Namespace, Store
 from ..storage.varint import decode_delta_array, decode_delta_list, encode_delta_list
-from ..xmltree.indexes import StoredNodeIndexes
 from ..xmltree.model import DataTree
 from ..xmltree.validate import validate_columns
 
 META_NAMESPACE = b"meta"
 TREE_NAMESPACE = b"tree"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _LABEL_SEPARATOR = "\x00"
 _SEGMENT_PREFIX = b"seg"
 _LENGTH_FMT = "<I"
@@ -61,9 +52,13 @@ class StoreOptions:
 
     Shared by :meth:`repro.core.database.Database.open`,
     :meth:`~repro.core.database.Database.save`, and the CLI's
-    ``--page-cache``/``--posting-cache``/``--durability``/
-    ``--wal-checkpoint-kib`` options, so every entry point spells the
-    same configuration the same way.  ``None`` keeps an engine default.
+    ``--page-cache``/``--durability``/``--wal-checkpoint-kib`` options,
+    so every entry point spells the same configuration the same way.
+    ``None`` keeps an engine default.
+
+    ``posting_cache_bytes`` is accepted and ignored: node postings are
+    no longer read from the store, so there is no decoded-posting cache
+    to size.  The field stays so existing callers keep working.
 
     ``opener`` is the fault-injection seam (an ``open(path, mode)``
     replacement threaded through to every file the pager touches); it
@@ -72,7 +67,7 @@ class StoreOptions:
 
     #: LRU page-cache capacity in pages (0 disables; None = engine default)
     page_cache_pages: "int | None" = None
-    #: decoded-posting cache budget in bytes (None = engine default)
+    #: accepted and ignored (there is no decoded-posting cache any more)
     posting_cache_bytes: "int | None" = None
     #: ``"none"`` or ``"wal"``
     durability: str = "none"
@@ -145,7 +140,6 @@ def save_tree(tree: DataTree, store: Store, insert_costs: CostModel) -> None:
     blobs = _encode_columns(tree)
     meta.put(b"version", struct.pack("<I", FORMAT_VERSION))
     meta.put(b"nodes", struct.pack("<Q", len(tree)))
-    meta.put(b"insertfp", repr(insert_costs.insert_fingerprint).encode("utf-8"))
     insert_lines = [
         line
         for line in insert_costs.to_lines()
@@ -161,9 +155,10 @@ def _segment_key(start: int) -> bytes:
     return _SEGMENT_PREFIX + b"%016d" % start
 
 
-def append_tree_segment(tree: DataTree, store: Store, start: int) -> None:
+def append_tree_segment(tree: DataTree, store: Store, start: int) -> int:
     """Persist the columns of the document grafted at ``start`` as one
-    tree segment, and refresh the total node count.
+    tree segment, and refresh the total node count; returns the number
+    of keys written (2).
 
     The segment value holds the four column slices, each length-prefixed;
     parent and bound values are absolute (they already point into the
@@ -176,6 +171,7 @@ def append_tree_segment(tree: DataTree, store: Store, start: int) -> None:
     )
     columns.put(_segment_key(start), value)
     meta.put(b"nodes", struct.pack("<Q", len(tree)))
+    return 2
 
 
 def _decode_segment(value: bytes) -> tuple[list[str], bytearray, array, array]:
@@ -201,16 +197,18 @@ def _required(namespace: Namespace, key: bytes, what: str) -> bytes:
         raise StorageError(f"corrupt database ({what} {key.decode()!r} is missing)") from None
 
 
-def save_dead_roots(tree: DataTree, store: Store) -> None:
-    """Persist the tombstoned document roots (sorted delta list)."""
+def save_dead_roots(tree: DataTree, store: Store) -> int:
+    """Persist the tombstoned document roots (sorted delta list); returns
+    the number of keys written (1)."""
     meta = Namespace(store, META_NAMESPACE)
     meta.put(b"deadroots", encode_delta_list(sorted(tree.dead_roots)))
+    return 1
 
 
-def load_tree(store: Store) -> tuple[DataTree, CostModel, str]:
+def load_tree(store: Store) -> tuple[DataTree, CostModel]:
     """Restore the tree (base columns plus any mutation segments, in
-    historical append order), its build-time insert-cost table, and the
-    fingerprint string recorded at save time."""
+    historical append order), encoded under its build-time insert-cost
+    table, and that table."""
     meta = Namespace(store, META_NAMESPACE)
     columns = Namespace(store, TREE_NAMESPACE)
     try:
@@ -268,8 +266,7 @@ def load_tree(store: Store) -> tuple[DataTree, CostModel, str]:
         _required(meta, b"insertcosts", "metadata").decode("utf-8").splitlines()
     )
     tree.encode_costs(insert_costs.insert_cost, fingerprint=insert_costs.insert_fingerprint)
-    fingerprint = _required(meta, b"insertfp", "metadata").decode("utf-8")
-    return tree, insert_costs, fingerprint
+    return tree, insert_costs
 
 
 def open_file_store(
@@ -305,5 +302,4 @@ __all__ = [
     "open_file_store",
     "save_dead_roots",
     "save_tree",
-    "StoredNodeIndexes",
 ]

@@ -192,10 +192,6 @@ class QueryPipeline:
 
     def __init__(self, default_costs: "CostModel | None" = None) -> None:
         self.default_costs = default_costs if default_costs is not None else CostModel()
-        #: ``repr`` of the insert fingerprint a stored collection was
-        #: saved with (its encoding is baked in, ``open`` sets this);
-        #: None when costs are free
-        self.frozen_fingerprint: "str | None" = None
         self.planner = Planner()
         self.compiled_cache = CompiledQueryCache()
         self.result_cache = ResultCache()
@@ -224,19 +220,10 @@ class QueryPipeline:
         self, text: "str | NameSelector", costs: "CostModel | None"
     ) -> tuple[CompiledQuery, bool]:
         """The compiled form of ``(text, costs)`` plus whether the cache
-        served it.  The frozen-fingerprint check runs on *every* call —
-        cached entries are not exempt from it."""
-        compiled, hit = self.compiled_cache.get(
+        served it."""
+        return self.compiled_cache.get(
             text, costs if costs is not None else self.default_costs
         )
-        frozen = self.frozen_fingerprint
-        if frozen is not None and repr(compiled.costs.insert_fingerprint) != frozen:
-            raise EvaluationError(
-                "this database was loaded from disk with baked-in insert costs; "
-                "queries must use the same insert-cost table (build an in-memory "
-                "Database for per-query insert costs)"
-            )
-        return compiled, hit
 
     def resolve(
         self,

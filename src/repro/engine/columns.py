@@ -21,7 +21,7 @@ whether a table pays for itself or a slice sweep is cheaper.
 Columns are **immutable by convention**: every operator builds new
 column lists and never writes into its inputs, which is what makes
 sharing identity columns, cached score columns, and sparse tables safe
-(the same convention the posting cache relies on one level below).
+(the same convention cached derived values rely on one level below).
 
 The identity columns (``pre``, ``bound``, ``pathcost``, ``inscost``) may
 be ``array('q')`` buffers borrowed zero-copy from a columnar posting

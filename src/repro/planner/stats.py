@@ -12,7 +12,7 @@ first time a built or opened handle plans
 instance columns, so no collection walk), incrementally on every
 document mutation (:meth:`CollectionStats.apply_mutation`), and
 additively across shards (:func:`merge_stats`).  They are not stored.
-Generation bumps invalidate them exactly like the posting cache: every
+Generation bumps invalidate them: every
 :class:`~repro.core.database._EngineState` carries the stats of *its*
 generation and never a newer one.
 

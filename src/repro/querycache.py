@@ -47,8 +47,7 @@ when a new result ties a kept cost, since schema order breaks cost ties
 by skeleton signature, which a direct pass cannot reproduce.  An entry that can match the super-root
 (``#root``, the one node outside every document) is dropped, and so is
 every touched entry of a sharded merge level, which has no tree to
-repair on.  Other generation moves follow the ``PostingCache``
-protocol: a lookup from a *newer* generation evicts the stale entry, one
+repair on.  Other generation moves follow one protocol: a lookup from a *newer* generation evicts the stale entry, one
 from an *older* generation (a pinned ``Database.snapshot()``) misses
 without evicting.  ``DESIGN.md`` §8 gives the soundness argument.
 
@@ -298,7 +297,7 @@ class CachedResult:
 class ResultCache:
     """Tier 2: bounded best-n prefix cache with write-scoped invalidation.
 
-    Lookup semantics follow the ``PostingCache`` generation protocol:
+    Lookup semantics follow the store's generation protocol:
 
     * entry generation == caller generation → hit, if the prefix serves
       the requested ``n`` or can be resumed; otherwise miss, entry kept

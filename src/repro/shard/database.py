@@ -2,7 +2,7 @@
 
 :class:`ShardedDatabase` presents the :class:`~repro.core.database.Database`
 query surface over N shards, each a full ``Database`` of its own — its own
-pager, WAL, page cache, and posting cache when stored.  Queries fan out to
+pager, WAL and page cache when stored.  Queries fan out to
 every shard and merge; mutations route to the one shard that owns the
 document.  The paper's best-n contract survives the split because an
 embedding cost depends only on the result's document subtree (renamings,
@@ -326,8 +326,9 @@ class ShardedDatabase:
         """Open a saved sharded database directory.
 
         ``options`` and the keyword knobs are the
-        :meth:`Database.open` surface, applied to every shard.  Each
-        shard's document roots are cross-checked against the manifest —
+        :meth:`Database.open` surface, applied to every shard
+        (``posting_cache_bytes`` included, which is accepted and
+        ignored).  Each shard's document roots are cross-checked against the manifest —
         a disagreement (say, a crash between a shard's WAL commit and
         the manifest replace) raises a :class:`~repro.errors.ShardError`
         naming the shard instead of serving a torn view.
@@ -365,9 +366,6 @@ class ShardedDatabase:
         database._pipeline.set_cache(
             sized.compiled_cache_entries, sized.result_cache_entries
         )
-        # stored shards have their insert costs baked in: refuse a foreign
-        # table at the merge level's compile, before any shard re-encodes
-        database._pipeline.frozen_fingerprint = shards[0]._pipeline.frozen_fingerprint
         return database
 
     # ------------------------------------------------------------------

@@ -9,8 +9,8 @@ two interchangeable backends:
   should not measure disk overheads.
 * :class:`FileStore` — a persistent store backed by the pager and B+tree.
 
-Logical namespaces (one per stored structure: ``I_struct``, ``I_text``,
-the tree columns, metadata, ...) share one store through
+Logical namespaces (one per stored structure: the tree columns,
+metadata, ...) share one store through
 :class:`Namespace`, which prefixes keys with a table tag.
 """
 
@@ -21,8 +21,7 @@ from collections.abc import Iterator
 
 from ..errors import KeyNotFoundError, StorageError
 from .btree import BTree
-from .cache import CountedLock
-from .pager import DEFAULT_CACHE_PAGES, DEFAULT_PAGE_SIZE, Pager
+from .pager import DEFAULT_CACHE_PAGES, DEFAULT_PAGE_SIZE, CountedLock, Pager
 
 
 class Store:
@@ -30,10 +29,10 @@ class Store:
 
     Every store carries a **generation** counter that advances on any
     mutation (``put`` / ``delete`` / ``bulk_load``).  Read-side caches —
-    the decoded-posting cache above all — tag their entries with the
-    generation they observed and treat a changed generation as a blanket
+    the best-n result cache above all — tag their entries with the
+    generation they observed and treat a changed generation as an
     invalidation, so a write anywhere in the store can never serve stale
-    decoded data.
+    answers.
 
     Concrete stores are **thread-safe**: every operation (including the
     mutation *together with* its generation bump) runs under one
@@ -201,8 +200,8 @@ class FileStore(Store):
             **pager_kwargs,
         )
         # Crash recovery replayed logged pages into the file: advance the
-        # generation so any decoded-posting cache entry recorded against
-        # an earlier open of this store is dropped, never served stale.
+        # generation so any cache entry recorded against an earlier open
+        # of this store is dropped, never served stale.
         self.generation = 1 if self._pager.recovered_frames else 0
         # A fresh pager has only the header page; the B+tree then allocates
         # its meta page as page 1.  An existing file reopens from page 1.

@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 import zlib
 from collections import OrderedDict
 
 from ..errors import CorruptPageError, StorageError
 from ..telemetry.collector import count as _telemetry_count
-from .cache import CountedLock
 from .wal import (
     DEFAULT_CHECKPOINT_BYTES,
     WAL_SUFFIX,
@@ -59,9 +59,39 @@ from .wal import (
     recover,
 )
 
+
+class CountedLock:
+    """A lock that counts blocking acquisitions into ambient telemetry.
+
+    The engine's lock-contention observability: entering the context is
+    one non-blocking acquire on the fast (uncontended) path; only when
+    the calling thread actually has to wait does the named counter tick
+    — so a single-threaded run pays one C-level call and records
+    nothing.  ``reentrant=True`` backs the lock with an :class:`RLock`
+    for owners whose guarded methods call each other (the pager).
+    """
+
+    __slots__ = ("_lock", "_counter")
+
+    def __init__(self, counter: str, reentrant: bool = False) -> None:
+        self._lock = threading.RLock() if reentrant else threading.Lock()
+        self._counter = counter
+
+    def __enter__(self) -> "CountedLock":
+        if not self._lock.acquire(blocking=False):
+            _telemetry_count(self._counter)
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._lock.release()
+
+
 DEFAULT_PAGE_SIZE = 4096
-#: default page-cache capacity in pages (1 MiB at the default page size)
-DEFAULT_CACHE_PAGES = 256
+#: default page-cache capacity in pages (256 KiB at the default page
+#: size): reads answer from memory, so the cache serves ``open`` and the
+#: B+tree descents of writes, whose interior pages it holds many times over
+DEFAULT_CACHE_PAGES = 64
 #: the two durability modes of the pager
 DURABILITY_MODES = ("none", "wal")
 _MAGIC = b"APXQPG01"

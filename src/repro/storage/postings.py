@@ -1,30 +1,33 @@
-"""Posting lists: their columnar in-memory shapes and the serializer of
-the ones stored in the index namespaces.
+"""Posting lists: their columnar in-memory shapes and a serializer of
+node postings.
 
 Two posting shapes occur in the paper:
 
 * **node postings** for ``I_struct`` / ``I_text`` — per node the four
   numbers of the encoding of Section 6.2: ``(pre, bound, pathcost,
-  inscost)``, sorted by ``pre``.  Stored column-wise: the ``pre`` column
-  delta-encoded (it is ascending), the other columns as varints.
+  inscost)``, sorted by ``pre``.
 * **instance postings** for the secondary index ``I_sec`` (Section 7.3) —
   ``(pre, bound)`` pairs of the instances of one schema node, sorted by
-  ``pre``.  Only the in-memory schema holds them, never a store.
+  ``pre``.
+
+Neither is stored: a database file holds the tree, and every handle
+derives both indexes from it in memory.  The node-posting codec
+(:func:`encode_node_postings` / :func:`decode_node_postings`, column-wise:
+the ``pre`` column delta-encoded, the other columns as varints) remains
+the serialized form for exporters and the codec benchmark.
 
 In memory, postings are **columnar** — :class:`PostingColumns` /
 :class:`InstanceColumns`, flat ``array('q')`` buffers, one per field.
 The columnar shape duck-types a sequence of tuples, so every
 tuple-shaped consumer keeps working, while whole-column consumers (the
-evaluation kernel) borrow the buffers zero-copy.  The stored indexes
-decode into columns (:func:`decode_node_posting_columns`); the schema
-keeps its instance postings in the same shape, and a text class's
-per-term split as one :class:`TermColumns`.  The plain ``list[tuple]``
-shape of :func:`decode_node_postings` remains for tests and exporters;
-the encoder takes either shape and writes the same bytes for both.
+evaluation kernel) borrow the buffers zero-copy.  The schema keeps its
+instance postings in that shape, and a text class's per-term split as
+one :class:`TermColumns`; :func:`decode_node_posting_columns` decodes a
+serialized node posting straight into it.  The encoder takes either
+shape and writes the same bytes for both.
 
 The codecs report decoded/encoded entry and byte counts into the ambient
-telemetry collector (``codec.*``) — the "postings decoded" currency the
-paper's §8 comparison is phrased in, measured where decoding happens.
+telemetry collector (``codec.*``).
 """
 
 from __future__ import annotations

@@ -114,11 +114,6 @@ class QueryReport:
         return int(self.get("cache.page_hits"))
 
     @property
-    def posting_cache_hits(self) -> int:
-        """Index fetches served as already-decoded posting lists."""
-        return int(self.get("cache.posting_hits"))
-
-    @property
     def node_cache_hits(self) -> int:
         """B+tree node visits served as already-decoded node images
         (the decoded-node LRU above the pager's page cache)."""
@@ -193,7 +188,6 @@ class QueryReport:
             f"second-level queries: {self.second_level_queries}",
             f"  cache hits: {self.page_cache_hits} page / "
             f"{self.node_cache_hits} node / "
-            f"{self.posting_cache_hits} posting / "
             f"{self.column_cache_hits} column",
         ]
         if self.wal_frames_written or self.wal_recoveries:
@@ -262,7 +256,6 @@ class QueryReport:
                 "max_k_stops": self.max_k_stops,
                 "page_cache_hits": self.page_cache_hits,
                 "node_cache_hits": self.node_cache_hits,
-                "posting_cache_hits": self.posting_cache_hits,
                 "column_cache_hits": self.column_cache_hits,
                 "rmq_builds": self.rmq_builds,
                 "rmq_reuses": self.rmq_reuses,

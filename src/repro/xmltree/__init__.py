@@ -7,7 +7,7 @@ and the inverted indexes ``I_struct`` / ``I_text`` map labels to postings.
 """
 
 from .builder import BuildOptions, CollectionBuilder, tree_from_xml
-from .indexes import MemoryNodeIndexes, NodeIndexes, StoredNodeIndexes
+from .indexes import MemoryNodeIndexes, NodeIndexes
 from .model import ROOT_LABEL, DataTree, NodeType, TreeBuilder, compact_tree, tokenize
 from .parser import XMLElement, parse_document, parse_fragment
 from .serialize import collection_to_xml, escape_text, subtree_to_xml
@@ -22,7 +22,6 @@ __all__ = [
     "MemoryNodeIndexes",
     "NodeIndexes",
     "NodeType",
-    "StoredNodeIndexes",
     "TreeBuilder",
     "CollectionStatistics",
     "XMLElement",

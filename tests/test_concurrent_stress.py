@@ -3,9 +3,9 @@
 The harness fires a deterministic task list of mixed queries (both
 algorithms, several shapes, several n) from worker threads against a
 single opened :class:`~repro.core.database.Database`, while a writer
-thread keeps rewriting a stored posting with identical bytes — every
-write bumps the store generation and so forces posting-cache
-invalidation without changing any query's answer.  Every task's result
+thread keeps rewriting a stored key with identical bytes — every write
+bumps the store generation and so forces result-cache invalidation
+without changing any query's answer.  Every task's result
 list must be identical to the serial run of the same task list, and
 every task's QueryReport must describe that task (right query text,
 right result count) — a cross-attributed or lost collection fails the
@@ -138,17 +138,15 @@ def test_stress_mixed_queries_with_periodic_writer(stored_database):
 
 def test_writer_invalidation_is_observed(stored_database):
     """Deterministic core of the stress run: a generation bump between
-    two identical queries must show up as a posting-cache invalidation in
-    the second query's report — and change nothing else.  Direct: only
-    node postings go through the posting cache (``I_sec`` is the
-    schema's instance columns)."""
+    two identical queries must show up as a result-cache invalidation in
+    the second query's report — and change nothing else."""
     text, n, _ = QUERY_SHAPES[0]
     method = "direct"
     before = stored_database.query(text, n=n, method=method, collect="counters")
     _rewrite_same_bytes(stored_database._store)
     after = stored_database.query(text, n=n, method=method, collect="counters")
     assert [(r.root, r.cost) for r in after] == [(r.root, r.cost) for r in before]
-    assert after.report.counters.get("cache.posting_invalidations", 0) >= 1
+    assert after.report.counters.get("querycache.result_invalidations", 0) >= 1
 
 
 def test_stress_concurrent_callers_on_generated_data():

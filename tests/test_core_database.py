@@ -179,12 +179,17 @@ class TestPersistence:
             text, n=None, method="schema"
         )
 
-    def test_loaded_db_rejects_different_insert_costs(self, db, tmp_path):
+    def test_loaded_db_answers_different_insert_costs(self, db, tmp_path):
+        """Insert costs are not baked into a store: a loaded database
+        prices a per-query table exactly as the memory one does."""
         path = str(tmp_path / "catalog.apxq")
         db.save(path)
         loaded = Database.open(path)
-        with pytest.raises(EvaluationError):
-            loaded.query("cd", costs=CostModel(default_insert_cost=7))
+        costs = CostModel(default_insert_cost=7)
+        query = 'cd[title["vivace"]]'
+        expected = [(r.root, r.cost) for r in db.query(query, n=None, costs=costs)]
+        assert [(r.root, r.cost) for r in loaded.query(query, n=None, costs=costs)] == expected
+        assert expected and expected[0][1] == 14.0  # tracks(7) + track(7)
 
     def test_save_with_custom_insert_costs(self, tmp_path):
         costs = CostModel()

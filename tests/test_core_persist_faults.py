@@ -50,9 +50,10 @@ class TestCorruption:
         tree = tree_from_xml("<a>x</a>")
         save_tree(tree, store, CostModel())
         meta = Namespace(store, b"meta")
-        # 1: a store that still carries I_sec and the statistics segment
-        # is refused, not migrated
-        for version in (1, FORMAT_VERSION + 9):
+        # 1: a store that still carries I_sec and the statistics segment,
+        # 2: one that still carries the I_struct / I_text node postings;
+        # both are refused, not migrated
+        for version in (1, 2, FORMAT_VERSION + 9):
             meta.put(b"version", struct.pack("<I", version))
             message = f"unsupported database format version {version}"
             with pytest.raises(StorageError, match=message):
@@ -89,6 +90,18 @@ class TestRoundTripFidelity:
         results = loaded.query('a[b["x"]]', n=None)
         assert [r.cost for r in results] == [5.0]
 
+    def test_saved_store_holds_no_node_postings(self, tmp_path):
+        """Only the tree and its metadata are stored — no I_struct /
+        I_text key, neither after save nor after a write."""
+        path = str(tmp_path / "tree-only.apxq")
+        Database.from_xml("<cd><title>piano</title></cd>").save(path)
+        with Database.open(path) as loaded:
+            loaded.insert_document("<cd><title>organ</title></cd>")
+            loaded.delete_document(loaded.documents()[0])
+        with FileStore(path) as store:
+            namespaces = {key.split(b"\x00", 1)[0] for key, _ in store.scan()}
+        assert namespaces == {b"meta", b"tree"}
+
     def test_load_twice(self, saved_db):
         first = Database.open(saved_db)
         second = Database.open(saved_db)
@@ -121,7 +134,7 @@ class TestDamagedTreeNamespace:
             load_tree(store)
         assert not isinstance(caught.value, KeyError)
 
-    @pytest.mark.parametrize("key", ["insertcosts", "insertfp"])
+    @pytest.mark.parametrize("key", ["insertcosts"])
     def test_missing_cost_metadata_is_a_storage_error(self, key):
         store, _, _ = self.saved()
         Namespace(store, b"meta").delete(key.encode())
@@ -181,7 +194,7 @@ class TestDamagedTreeNamespace:
 
     def test_every_tree_the_builder_makes_reloads(self):
         store, _, tree = self.saved()
-        loaded, _, _ = load_tree(store)
+        loaded, _ = load_tree(store)
         for name in ("labels", "types", "parents", "bounds", "inscosts", "pathcosts",
                      "_first_child", "_next_sibling"):
             assert getattr(loaded, name) == getattr(tree, name), name

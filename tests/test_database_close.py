@@ -1,6 +1,9 @@
 """Regression tests for :meth:`Database.close` resource teardown."""
 
+import pytest
+
 from repro.core.database import Database
+from repro.errors import ReproError
 
 CATALOG = """
 <catalog>
@@ -9,17 +12,15 @@ CATALOG = """
 """
 
 
-def test_database_close_shuts_posting_cache_down(tmp_path):
+def test_database_close_closes_the_store(tmp_path):
     path = str(tmp_path / "catalog.apxq")
     Database.from_xml(CATALOG).save(path)
     database = Database.open(path)
-    cache = database._posting_cache
-    assert cache is not None
     assert len(database.query("title", n=1, method="direct")) == 1
-    assert len(cache) > 0  # the query left decoded postings behind
 
     database.close()
-    assert len(cache) == 0 and cache.used_bytes == 0
+    with pytest.raises(ReproError):  # the store is gone: writes fail typed
+        database.insert_document("<cd><title>organ</title></cd>")
     database.close()  # idempotent
 
 

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.approxql.costs import CostModel, paper_example_cost_model
+from repro.core.database import Database
 from repro.engine.evaluator import DirectEvaluator
 from repro.xmltree.builder import tree_from_xml
-from repro.xmltree.indexes import StoredNodeIndexes
-from repro.storage.kv import MemoryStore
 from repro.xmltree.model import NodeType
 
 
@@ -151,14 +150,20 @@ class TestBestN:
 
 
 class TestIndexBackends:
-    def test_stored_indexes_agree_with_memory(self, tree):
+    def test_stored_indexes_agree_with_memory(self, tree, tmp_path):
+        """A stored handle answers from the node index it derives from
+        the loaded tree: the memory evaluator's answer, pair for pair."""
         costs = paper_example_cost_model()
         memory_results = DirectEvaluator(tree).evaluate('cd[title["piano"]]', costs)
-        # build stored indexes AFTER encoding with the same cost model
-        tree.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
-        stored = StoredNodeIndexes.build(tree, MemoryStore())
-        stored_results = DirectEvaluator(tree, stored).evaluate('cd[title["piano"]]', costs)
-        assert stored_results == memory_results
+        path = str(tmp_path / "catalog.apxq")
+        Database.from_tree(tree).save(path)
+        with Database.open(path) as stored:
+            stored_results = stored.query(
+                'cd[title["piano"]]', n=None, costs=costs, method="direct"
+            )
+        assert [(r.root, r.cost) for r in stored_results] == [
+            (r.root, r.cost) for r in memory_results
+        ]
 
 
 class TestCustomInsertCosts:

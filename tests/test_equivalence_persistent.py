@@ -1,10 +1,9 @@
-"""Randomized equivalence: disk-backed evaluation == in-memory.
+"""Randomized equivalence: a reopened database == the in-memory one.
 
 Random collections are saved into the single-file store and reopened;
-both algorithms must return identical results when their postings come
-from the B+tree instead of memory.  This exercises the full storage
-stack (pager, B+tree, overflow chains, posting codecs) underneath the
-engines.
+both algorithms must return identical results from the tree the store
+gave back.  This exercises the full storage stack (pager, B+tree,
+overflow chains, column codecs) underneath the engines.
 """
 
 import random
@@ -13,6 +12,7 @@ import pytest
 
 from repro import Database
 from repro.approxql.separated import separate
+from repro.telemetry.collector import Telemetry, collecting
 
 from .strategies import random_cost_model, random_query, random_tree
 
@@ -27,11 +27,7 @@ def test_loaded_database_matches_memory(tmp_path, seed):
     loaded = Database.open(path)
     for _ in range(4):
         query = random_query(rng)
-        # saved databases bake unit insert costs: keep the cost model's
-        # insert table at the default
         costs = random_cost_model(rng)
-        costs.default_insert_cost = 1.0
-        costs._insert.clear()
         expected = database.query(query, n=None, costs=costs, method="direct")
         direct = loaded.query(query, n=None, costs=costs, method="direct")
         schema = loaded.query(query, n=None, costs=costs, method="schema")
@@ -48,8 +44,6 @@ def test_loaded_database_streams(tmp_path):
     loaded = Database.open(path)
     query = random_query(rng)
     costs = random_cost_model(rng)
-    costs.default_insert_cost = 1.0
-    costs._insert.clear()
     streamed = list(loaded.stream(query, costs=costs))
     assert [r.cost for r in streamed] == sorted(r.cost for r in streamed)
     reference = loaded.query(query, n=None, costs=costs, method="direct")
@@ -59,18 +53,18 @@ def test_loaded_database_streams(tmp_path):
 @pytest.mark.parametrize(
     "page_cache_pages,posting_cache_bytes",
     [
-        (0, 0),  # caches off: byte-identical to the uncached engine
-        (None, None),  # both caches at their defaults
-        (1, 1024),  # pathological capacities: constant eviction churn
+        (0, 0),  # page cache off
+        (None, None),  # page cache at its default
+        (1, 1024),  # pathological capacity: constant eviction churn
     ],
     ids=["caches-off", "caches-default", "capacity-1"],
 )
 def test_cache_configurations_preserve_results(
     tmp_path, page_cache_pages, posting_cache_bytes
 ):
-    """The read-path caches are invisible to query semantics: every cache
-    configuration returns the same results, and repeating a query (the
-    warm-cache path the best-n driver exercises) changes nothing."""
+    """The storage knobs are invisible to query semantics (the posting
+    cache budget is accepted and ignored): every configuration returns
+    the same results, and repeating a query changes nothing."""
     rng = random.Random(9100)
     tree = random_tree(rng, max_nodes=60)
     database = Database.from_tree(tree)
@@ -95,33 +89,12 @@ def test_cache_configurations_preserve_results(
             ]
 
 
-def test_repeated_query_hits_the_posting_cache(tmp_path):
-    """With the posting cache on, a repeated query is served decoded
-    postings; with it off, the counters stay silent."""
-    rng = random.Random(9200)
-    tree = random_tree(rng, max_nodes=60)
-    database = Database.from_tree(tree)
-    path = str(tmp_path / "warm.apxq")
-    database.save(path)
-
-    cached = Database.open(path)
-    query = random_query(rng)
-    cached.query(query, n=None, method="direct")
-    warm = cached.query(query, n=None, method="direct", collect="counters")
-    if warm:
-        assert warm.report.posting_cache_hits > 0
-
-    uncached = Database.open(path, page_cache_pages=0, posting_cache_bytes=0)
-    cold = uncached.query(query, n=None, method="direct", collect="counters")
-    assert cold.report.posting_cache_hits == 0
-    assert cold.report.page_cache_hits == 0
-    assert not any(name.startswith("cache.") for name in cold.report.counters)
-
-
 def test_page_read_counters_distinguish_stored_from_memory(tmp_path):
     """Telemetry parity check: the same query returns identical results
-    from the in-memory indexes and from the single-file store, but only
-    the stored run reads pages — the in-memory run must report zero."""
+    from a memory handle and from a reopened store, and neither reads a
+    page — a stored handle answers from the tree it loaded.  Only a
+    write tells them apart: the stored one writes pages, the memory one
+    none."""
     rng = random.Random(8800)
     tree = random_tree(rng, max_nodes=60)
     database = Database.from_tree(tree)
@@ -133,9 +106,15 @@ def test_page_read_counters_distinguish_stored_from_memory(tmp_path):
         memory = database.query(query, n=None, method=method, collect="counters")
         stored = loaded.query(query, n=None, method=method, collect="counters")
         assert {(r.root, r.cost) for r in stored} == {(r.root, r.cost) for r in memory}
-        assert memory.report.pages_read == 0
-        if memory:  # postings were actually fetched, so pages were touched
-            assert stored.report.pages_read > 0
+        assert memory.report.pages_read == stored.report.pages_read == 0
+        assert not any(name.startswith("cache.") for name in stored.report.counters)
+    written = {}
+    for name, handle in (("memory", database), ("stored", loaded)):
+        telemetry = Telemetry()
+        with collecting(telemetry):
+            handle.insert_document("<extra><leaf>text</leaf></extra>")
+        written[name] = telemetry.counters.get("storage.pages_written", 0)
+    assert written["memory"] == 0 < written["stored"]
 
 
 def test_separation_count_is_stable_after_reload(tmp_path):
@@ -149,3 +128,23 @@ def test_separation_count_is_stable_after_reload(tmp_path):
     database.save(path)
     Database.open(path)
     assert len(separate(query)) == before
+
+
+def test_posting_cache_budget_is_ignored(tmp_path):
+    """``posting_cache_bytes`` is accepted and ignored: a handle opened
+    with a zero budget answers exactly as one opened with the default."""
+    rng = random.Random(9200)
+    tree = random_tree(rng, max_nodes=60)
+    path = str(tmp_path / "budget.apxq")
+    Database.from_tree(tree).save(path)
+    with Database.open(path) as default, Database.open(path, posting_cache_bytes=0) as zero:
+        for _ in range(4):
+            query = random_query(rng)
+            costs = random_cost_model(rng)
+            for method in ("direct", "schema"):
+                for n in (1, None):
+                    expected = default.query(query, n=n, costs=costs, method=method)
+                    got = zero.query(query, n=n, costs=costs, method=method)
+                    assert [(r.root, r.cost, r.xml()) for r in got] == [
+                        (r.root, r.cost, r.xml()) for r in expected
+                    ]

@@ -147,7 +147,7 @@ def test_mutation_sequences_match_the_reference(operations):
             store = MemoryStore()
             save_tree(tree, store, costs)
         elif action == "reopen":
-            tree, _, _ = load_tree(store)
+            tree, _ = load_tree(store)
         assert_same_tree(tree, reference, costs.insert_cost)
         assert_same_schema(schema, reference)
         assert_same_schema(build_schema(tree), reference)

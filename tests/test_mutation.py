@@ -13,7 +13,7 @@ import pytest
 from repro.approxql.costs import CostModel
 from repro.core.database import Database
 from repro.core.persist import StoreOptions
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ReproError
 from repro.transform.naive import evaluate_naive
 from repro.xmltree.model import NodeType
 
@@ -137,9 +137,9 @@ class TestMemoryMutation:
 
 
 class TestSuperRootAfterInsert:
-    """An insert grows the super-root's bound.  Its one-row posting — the
-    stored ``#root`` key and schema class 0 — must follow, or a query
-    that renames a selector to ``#root`` misses the grafted document."""
+    """An insert grows the super-root's bound.  Its one-row postings —
+    in the node index and schema class 0 — must follow, or a query that
+    renames a selector to ``#root`` misses the grafted document."""
 
     @pytest.mark.parametrize("backend", ["memory", "stored"])
     @pytest.mark.parametrize("method", ["direct", "schema"])
@@ -180,12 +180,10 @@ class TestStoredMutation:
     def test_failed_stored_mutation_poisons_handle(self, stored_db, monkeypatch):
         from repro.core import database as database_module
 
-        def explode(self, *args, **kwargs):
-            raise RuntimeError("injected index failure")
+        def explode(*args, **kwargs):
+            raise RuntimeError("injected store failure")
 
-        monkeypatch.setattr(
-            database_module.StoreMutator, "update_node_postings", explode
-        )
+        monkeypatch.setattr(database_module, "append_tree_segment", explode)
         with pytest.raises(RuntimeError):
             stored_db.insert_document(NEW_DOC)
         monkeypatch.undo()
@@ -202,12 +200,10 @@ class TestStoredMutation:
 
         baseline = _results(stored_db)
 
-        def explode(self, *args, **kwargs):
-            raise RuntimeError("injected index failure")
+        def explode(*args, **kwargs):
+            raise RuntimeError("injected store failure")
 
-        monkeypatch.setattr(
-            database_module.StoreMutator, "update_node_postings", explode
-        )
+        monkeypatch.setattr(database_module, "append_tree_segment", explode)
         with pytest.raises(RuntimeError):
             stored_db.insert_document(NEW_DOC)
         monkeypatch.undo()
@@ -228,19 +224,38 @@ class TestStoredMutation:
         assert dense.tree.dead_roots == set()
         assert _results(dense, method="schema") == expected
 
-    def test_integer_cost_requirement_enforced_before_writes(self, tmp_path):
-        path = os.path.join(tmp_path, "frac.apxq")
-        costs = CostModel(default_insert_cost=1)
-        Database.from_documents(DOCS, default_costs=costs).save(path)
-        database = Database.open(path)
-        database._pipeline.default_costs = CostModel(default_insert_cost=1.5)
-        baseline_keys = dict(database._store.scan())
-        from repro.errors import SchemaError
+    @pytest.mark.parametrize("table", ["fractional", "per-query"])
+    def test_stored_answers_equal_memory_under_any_insert_costs(self, table, tmp_path):
+        """A stored handle prices insertions as its memory twin does —
+        under a fractional table saved as the default, and under a
+        per-query table — before and after a write."""
+        fractional = CostModel(default_insert_cost=1.5).set_insert_cost("title", 0.25)
+        per_query = CostModel().set_insert_cost("artist", 2.5).set_insert_cost("title", 7)
+        memory = Database.from_documents(
+            DOCS, default_costs=fractional if table == "fractional" else None
+        )
+        path = os.path.join(tmp_path, "costs.apxq")
+        memory.save(path)
+        stored = Database.open(path)
+        costs = per_query if table == "per-query" else None
 
-        with pytest.raises(SchemaError, match="integer insert costs"):
+        def answers(database):
+            return [
+                (result.root, result.cost, result.xml())
+                for query in ('cd["piano"]', 'cd["ann"]', "cd[title]")
+                for method in ("direct", "schema")
+                for n in (1, None)
+                for result in database.query(query, n=n, costs=costs, method=method)
+            ]
+
+        before = answers(memory)
+        assert any(not float(cost).is_integer() for _, cost, _ in before)
+        assert answers(stored) == before
+        for database in (memory, stored):
             database.insert_document(NEW_DOC)
-        # the check fired before the first store write: nothing changed
-        assert dict(database._store.scan()) == baseline_keys
+            database.delete_document(database.documents()[0])
+        assert answers(stored) == answers(memory) != before
+        stored.close()
 
 
 class TestUnifiedEntryPoints:
@@ -264,15 +279,15 @@ class TestUnifiedEntryPoints:
         path = os.path.join(tmp_path, "cat.apxq")
         Database.from_documents(DOCS).save(path)
         database = Database.open(path)
-        other_costs = CostModel(default_insert_cost=7)
+        bad = "cd[title"
         failures = {}
         for name, call in {
-            "query": lambda: database.query("cd[title]", costs=other_costs),
-            "count_results": lambda: database.count_results("cd[title]", costs=other_costs),
-            "stream": lambda: database.stream("cd[title]", costs=other_costs),
-            "explain": lambda: database.explain("cd[title]", costs=other_costs),
+            "query": lambda: database.query(bad),
+            "count_results": lambda: database.count_results(bad),
+            "stream": lambda: database.stream(bad),
+            "explain": lambda: database.explain(bad),
         }.items():
-            with pytest.raises(EvaluationError) as excinfo:
+            with pytest.raises(ReproError) as excinfo:
                 call()
             failures[name] = str(excinfo.value)
         assert len(set(failures.values())) == 1, failures

@@ -22,11 +22,9 @@ from repro.engine.columns import EvalColumns, SparseTable
 from repro.engine.entries import INFINITE, ListEntry
 from repro.engine.evaluator import DirectEvaluator
 from repro.schema.evaluator import SchemaEvaluator
-from repro.storage.cache import PostingCache
-from repro.storage.kv import MemoryStore, Namespace
 from repro.telemetry.collector import Telemetry, collecting
 from repro.transform.naive import evaluate_naive
-from repro.xmltree.indexes import MemoryNodeIndexes, StoredNodeIndexes
+from repro.xmltree.indexes import MemoryNodeIndexes
 from repro.xmltree.model import NodeType, TreeBuilder
 
 from .strategies import (
@@ -343,30 +341,6 @@ class TestColumnCaching:
         table = first.emb_rmq()
         again = ops.fetch(indexes, label, NodeType.STRUCT, False)
         assert again.emb_rmq() is table
-
-    def test_stored_indexes_columns_invalidated_by_store_write(self):
-        case = generated_case(888, num_elements=50)
-        case.tree.encode_costs(lambda label: 1.0, fingerprint=("unit", 1.0))
-        store = MemoryStore()
-        StoredNodeIndexes.build(case.tree, store)
-        indexes = StoredNodeIndexes(store, posting_cache=PostingCache())
-        label = next(iter(indexes.labels(NodeType.STRUCT)))
-        first = ops.fetch(indexes, label, NodeType.STRUCT, False)
-        assert ops.fetch(indexes, label, NodeType.STRUCT, False) is first
-        # any write moves the generation and lazily drops cached columns
-        Namespace(store, b"unrelated").put(b"key", b"value")
-        rebuilt = ops.fetch(indexes, label, NodeType.STRUCT, False)
-        assert rebuilt is not first
-
-    def test_stored_indexes_without_cache_rebuild_every_time(self):
-        case = generated_case(888, num_elements=50)
-        case.tree.encode_costs(lambda label: 1.0, fingerprint=("unit", 1.0))
-        store = MemoryStore()
-        StoredNodeIndexes.build(case.tree, store)
-        indexes = StoredNodeIndexes(store)
-        label = next(iter(indexes.labels(NodeType.STRUCT)))
-        first = ops.fetch(indexes, label, NodeType.STRUCT, False)
-        assert ops.fetch(indexes, label, NodeType.STRUCT, False) is not first
 
     def test_kernel_counters_surface_in_telemetry(self):
         tree, indexes, label = self._encoded_memory_indexes()

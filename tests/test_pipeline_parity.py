@@ -13,6 +13,8 @@ import pytest
 
 from repro.approxql.costs import CostModel
 from repro.core.database import Database
+from repro.core.pipeline import QueryPlan
+from repro.core.results import ResultSet
 from repro.errors import EvaluationError, QuerySyntaxError
 from repro.planner.cost import Planner
 from repro.server import QueryServer
@@ -277,23 +279,36 @@ def test_disabled_compiled_cache_reports_no_compiled_counters(kind, tmp_path):
         close()
 
 
+def _outcome(value):
+    """What an entry point answered, comparable across handle kinds."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, QueryPlan):
+        return value.method
+    value = list(value)
+    if value and isinstance(value[0], ResultSet):
+        return [_outcome(results) for results in value]
+    return [(result.root, result.cost) for result in value]
+
+
 @pytest.mark.parametrize("kind", ["stored", "snapshot", "stored-sharded"])
-def test_foreign_insert_costs_are_refused_before_any_work(kind, tmp_path):
-    """A stored collection has its insert costs baked in: every entry
-    point refuses another table at compile, and a batch fails at resolve
-    — before any shard could re-encode its shared cost arrays."""
+def test_foreign_insert_costs_answer_as_in_memory(kind, tmp_path):
+    """Insert costs are not baked into a store: every entry point of a
+    stored handle prices a foreign insert-cost table exactly as the
+    memory handle does, and the default table still answers as before."""
     handle, close = _open(kind, tmp_path)
-    foreign = CostModel().set_insert_cost("cd", 7)
-    shards = handle.shard_databases() if kind == "stored-sharded" else ()
-    encoded = [shard.tree._insert_cost_fingerprint for shard in shards]
+    reference, close_reference = _open("memory", tmp_path)
+    foreign = CostModel(default_insert_cost=7).set_insert_cost("cd", 2.5)
     try:
+        expected = _entry_points(reference)
         for name, (call, _) in _entry_points(handle).items():
-            with pytest.raises(EvaluationError, match="baked-in insert costs"):
-                call(QUERY, costs=foreign)
-        assert [shard.tree._insert_cost_fingerprint for shard in shards] == encoded
+            got = _outcome(call("catalog[title]", costs=foreign))
+            assert got == _outcome(expected[name][0]("catalog[title]", costs=foreign)), name
+        assert _outcome(handle.query("catalog[title]", costs=foreign))[0][1] == 2.5
         assert handle.query(QUERY, costs=CostModel()) == handle.query(QUERY)
     finally:
         close()
+        close_reference()
 
 
 def test_sharded_report_carries_the_fanout_family_in_every_collect_mode():

@@ -103,9 +103,9 @@ class TestPersistenceEquality:
         database.save(path)
         with Database.open(path) as reopened:
             assert reopened.collection_stats() == built
-            # the stored I_struct / I_text postings are the reference
+            # the node index the reopened handle derives is the reference
             _assert_matches_node_indexes(
-                reopened.collection_stats(), reopened._state.node_indexes
+                reopened.collection_stats(), reopened._state.ensure_node_indexes()
             )
 
 
@@ -116,7 +116,7 @@ class TestMutationEquality:
     def _check(self, database):
         stats = database.collection_stats()
         assert stats == _from_schema(database)
-        _assert_matches_node_indexes(stats, database._state.node_indexes)
+        _assert_matches_node_indexes(stats, database._state.ensure_node_indexes())
 
     def test_insert_memory(self):
         database = Database.from_documents(DOCS)

@@ -7,8 +7,9 @@ range-minimum strategy.  None of that may show in the result: on every
 generated (tree, query, cost model) the root list must equal, row for row
 and on both cost tracks, what the unscoped, unmemoized recursion over the
 entry-per-object reference operators (:mod:`tests.figure4`) produces —
-for list-backed postings (:class:`MemoryNodeIndexes`) and for the
-``array('q')``-backed columns a store decodes (:class:`StoredNodeIndexes`).
+for list-backed postings (:class:`MemoryNodeIndexes`) and for postings
+handed out as ``array('q')``-backed :class:`PostingColumns`, which the
+kernel borrows zero-copy.
 
 The generator leans on what scoping and the shared match lists could get
 wrong: deletable inner nodes (every deletion bridge reaches its child
@@ -27,8 +28,8 @@ from hypothesis import strategies as st
 
 from repro.approxql.expanded import RepType, build_expanded
 from repro.engine.primary import PrimaryEvaluator
-from repro.storage.kv import MemoryStore
-from repro.xmltree.indexes import MemoryNodeIndexes, StoredNodeIndexes
+from repro.storage.postings import PostingColumns
+from repro.xmltree.indexes import MemoryNodeIndexes
 from repro.xmltree.model import NodeType
 
 from .figure4 import reference_primary
@@ -64,6 +65,15 @@ def generated(seed: int):
     return tree, expanded
 
 
+class ColumnarIndexes(MemoryNodeIndexes):
+    """The memory index with every posting as flat ``array('q')``
+    columns (the generated cost models are integral)."""
+
+    def fetch(self, label, node_type):
+        rows = super().fetch(label, node_type)
+        return PostingColumns.from_rows([tuple(map(int, row)) for row in rows])
+
+
 def rows(entries) -> list:
     return [(e.pre, e.bound, e.pathcost, e.inscost, e.embcost, e.leafcost) for e in entries]
 
@@ -76,20 +86,9 @@ def test_scoped_root_list_equals_unscoped_reference(seed):
     expected = rows(reference_primary(memory, expanded))
     assert PrimaryEvaluator(memory).evaluate(expanded).rows() == expected, expanded.format()
 
-    store = MemoryStore()
-    StoredNodeIndexes.build(tree, store)
-    stored = StoredNodeIndexes(store)
-    assert PrimaryEvaluator(stored).evaluate(expanded).rows() == expected, expanded.format()
-
-
-def test_stored_postings_are_array_backed():
-    """The second leg above is only worth running while a store's
-    postings really are flat buffers."""
-    tree, _ = generated(1)
-    store = MemoryStore()
-    StoredNodeIndexes.build(tree, store)
-    posting = StoredNodeIndexes(store).fetch(tree.label(tree.document_roots()[0]), NodeType.STRUCT)
-    assert isinstance(posting.pre, array)
+    columnar = ColumnarIndexes(tree)
+    assert isinstance(columnar.fetch(tree.label(tree.document_roots()[0]), NodeType.STRUCT).pre, array)
+    assert PrimaryEvaluator(columnar).evaluate(expanded).rows() == expected, expanded.format()
 
 
 def test_scoping_and_sharing_are_exercised():

@@ -7,7 +7,7 @@ with the same parameters would produce, at every generation.  Tier 1
 2 (result prefixes) is write-scoped — a document write carries every
 entry whose root labels its documents lack, marks the rest for a repair
 from the written documents alone (a sharded merge level drops them) — and
-otherwise follows the ``PostingCache`` generation protocol: WAL recovery
+otherwise follows the store's generation protocol: WAL recovery
 and out-of-band store writes evict, pinned snapshots miss without
 evicting, and one key per (query, costs, method, ``max_cost``) serves
 every ``n`` — a best-``n`` answer is a prefix of the full answer under
@@ -332,18 +332,20 @@ class TestDatabaseFastPath:
         assert _pairs(after) == _pairs(cold.query("cd[title]", n=None))
 
     def test_out_of_band_store_write_evicts(self, tmp_path):
-        """The invalidation authority is the store's write counter: a
-        posting rewritten through the raw store handle — no routed
-        mutation, no state-generation bump — must still evict."""
-        from repro.storage.postings import encode_node_postings
-        from repro.xmltree.indexes import STRUCT_NAMESPACE
-
+        """The invalidation authority is the store's write counter: a key
+        written through the raw store handle — no routed mutation, no
+        state-generation bump — must still evict."""
         path = os.path.join(tmp_path, "oob.apxq")
         Database.from_xml("<lib><cd><title>piano</title></cd></lib>").save(path)
         loaded = Database.open(path)
-        assert len(loaded.query('cd[title["piano"]]', n=None, method="direct")) == 1
-        Namespace(loaded._store, STRUCT_NAMESPACE).put(b"cd", encode_node_postings([]))
-        assert len(loaded.query('cd[title["piano"]]', n=None, method="direct")) == 0
+        query = 'cd[title["piano"]]'
+        assert len(loaded.query(query, n=None, method="direct")) == 1
+        assert loaded.query(query, n=None, method="direct", collect="counters").report.result_cache_hit
+        Namespace(loaded._store, b"oob").put(b"key", b"value")
+        after = loaded.query(query, n=None, method="direct", collect="counters")
+        assert not after.report.result_cache_hit
+        assert after.report.counters["querycache.result_invalidations"] == 1
+        assert len(after) == 1
         loaded.close()
 
     def test_snapshot_is_isolated_both_ways(self, memory_db):

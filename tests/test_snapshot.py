@@ -3,12 +3,11 @@
 A :meth:`Database.snapshot` must keep answering against its pinned
 generation no matter what insert/delete/replace traffic lands after the
 pin.  Memory and stored databases pin the same thing, the generation's
-immutable engine state; a stored state's node indexes are retired before
-a writer's first store write and answer from the state's frozen
-documents from then on.  Includes the writer-vs-reader stress required
-by the mutation acceptance: a snapshot reader verifying pinned answers
-while a writer thread mutates, with the final state checked against a
-rebuild.
+immutable engine state, whose node index a writer evolves copy-on-write
+and never changes; no read touches the store.  Includes the
+writer-vs-reader stress required by the mutation acceptance: a snapshot
+reader verifying pinned answers while a writer thread mutates, with the
+final state checked against a rebuild.
 """
 
 import os
@@ -18,11 +17,10 @@ import threading
 
 import pytest
 
+from repro.core import database as database_module
 from repro.core.database import Database
-from repro.core.mutation import StoreMutator
 from repro.errors import EvaluationError
-from repro.storage.kv import Namespace
-from repro.xmltree.indexes import MemoryNodeIndexes, StoredNodeIndexes
+from repro.xmltree.indexes import MemoryNodeIndexes
 from repro.xmltree.model import ROOT_LABEL, NodeType
 from repro.xmltree.serialize import subtree_to_xml
 
@@ -181,15 +179,13 @@ class TestLifecycle:
             assert snap.describe().startswith("Snapshot of generation 1")
 
     def test_snapshot_refused_on_poisoned_database(self, tmp_path, monkeypatch):
-        from repro.core import database as database_module
-
         path = os.path.join(tmp_path, "poison.apxq")
         Database.from_documents(DOCS).save(path)
         db = Database.open(path)
         monkeypatch.setattr(
-            database_module.StoreMutator,
-            "update_node_postings",
-            lambda self, *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
+            database_module,
+            "append_tree_segment",
+            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
         )
         with pytest.raises(RuntimeError):
             db.insert_document(NEW_DOC)
@@ -205,7 +201,7 @@ class TestStoredPin:
         db = Database.open(path, durability="wal", posting_cache_bytes=0)
         try:
             with db.snapshot() as snap:
-                # the writer rewrites 'cd'/'title' postings; the pinned
+                # the writer grows the 'cd'/'title' postings; the pinned
                 # reader must be served the pre-write values
                 db.insert_document(NEW_DOC)
                 result = snap.query("cd[title]", n=None, collect="counters")
@@ -238,8 +234,8 @@ class TestWriterReaderStress:
         """The acceptance stress: a reader verifying pinned answers on a
         snapshot while a writer thread applies a random mutation batch;
         afterwards the mutated database must equal a rebuild.  The
-        uncached stored flavour sends every read to the store, so reads
-        race the writer's store writes."""
+        uncached stored flavour opens with ``posting_cache_bytes=0``,
+        which is accepted and ignored: it must behave as the other."""
         rng = random.Random({"memory": 4242, "stored": 4243}.get(flavor, 4244))
         mirror = [random_document_xml(rng) for _ in range(3)]
         if flavor == "memory":
@@ -298,7 +294,7 @@ class TestWriterReaderStress:
         """Four snapshot readers on two cores against a writer, with the
         interpreter switching threads every 10 µs: every snapshot answers
         exactly what a memory twin answered at the snapshot's generation,
-        however its reads interleave with the writer's store writes."""
+        however its reads interleave with the writer's writes."""
         rng = random.Random(4245)
         mirror = [random_document_xml(rng) for _ in range(3)]
         queries = [random_query(rng) for _ in range(2)]
@@ -387,8 +383,9 @@ def _saved(tmp_path):
 
 class TestPinnedReadAcrossAWrite:
     """A write that completes between a pinned read's start and its
-    first store read stays invisible to that read: the read answers
-    exactly what the handle answered before the write."""
+    evaluation stays invisible to that read: the read answers exactly
+    what the handle answered before the write (``cache_bytes`` is the
+    ignored ``posting_cache_bytes``: both settings must agree)."""
 
     @pytest.mark.parametrize("cache_bytes", [0, None], ids=["uncached", "cached"])
     @pytest.mark.parametrize(
@@ -420,16 +417,16 @@ class TestPinnedReadAcrossAWrite:
                 write()
                 got = _rows(stream)
             else:
-                original = Namespace.get
+                original = database_module._PinnedView.execute
                 armed = [True]
 
-                def get(namespace, key):
+                def execute(view, *args):
                     if armed:
                         armed.clear()
                         write()
-                    return original(namespace, key)
+                    return original(view, *args)
 
-                monkeypatch.setattr(Namespace, "get", get)
+                monkeypatch.setattr(database_module._PinnedView, "execute", execute)
                 if entry == "snapshot":
                     with db.snapshot() as snap:
                         got = _rows(snap.query(QUERY, n=None, method=method))
@@ -455,7 +452,6 @@ class TestPinMidMutation:
         generation, before and after the publish."""
         path, expected = _saved(tmp_path)
         db = Database.open(path, posting_cache_bytes=0)
-        original = StoreMutator._write_or_delete
         pinned = []
 
         def seen(snap):
@@ -464,13 +460,18 @@ class TestPinMidMutation:
                 for method in ("direct", "schema")
             }, snap.count_results(QUERY)
 
-        def write_or_delete(mutator, namespace, key, encoded):
-            original(mutator, namespace, key, encoded)
-            if not pinned:
-                snap = db.snapshot()
-                pinned.append((snap, seen(snap)))
+        def pinning(write):
+            def written(*args):
+                keys = write(*args)
+                if not pinned:
+                    snap = db.snapshot()
+                    pinned.append((snap, seen(snap)))
+                return keys
 
-        monkeypatch.setattr(StoreMutator, "_write_or_delete", write_or_delete)
+            return written
+
+        for name in ("append_tree_segment", "save_dead_roots"):
+            monkeypatch.setattr(database_module, name, pinning(getattr(database_module, name)))
         try:
             WRITES[action](db)
             monkeypatch.undo()
@@ -487,15 +488,14 @@ class TestPinMidMutation:
 
 
 # ---------------------------------------------------------------------------
-# the retired view over a write walk
+# pinned node indexes over a write walk
 # ---------------------------------------------------------------------------
 
 
-def _store_postings(store):
-    """Every ``(type, label)`` posting the store holds right now, decoded."""
-    indexes = StoredNodeIndexes(store)
+def _postings(indexes):
+    """Every ``(type, label)`` posting ``indexes`` hold right now."""
     return {
-        (node_type, label): [tuple(row) for row in indexes.fetch(label, node_type)]
+        (node_type, label): indexes.fetch(label, node_type)
         for node_type in (NodeType.STRUCT, NodeType.TEXT)
         for label in indexes.labels(node_type)
     }
@@ -529,9 +529,10 @@ class TestRetiredView:
     @pytest.mark.parametrize("seed", range(20))
     def test_every_snapshot_keeps_its_generation(self, seed, tmp_path):
         """A snapshot per generation of a seeded write walk: each answers
-        at the end what it answered when pinned, and the frozen view over
-        its documents holds the store postings of its generation — all
-        but the super-root's bound, which grows with the shared tree."""
+        at the end what it answered when pinned, and a view over its
+        documents holds the postings its state's node index held when
+        pinned — all but the super-root's bound, which grows with the
+        shared tree."""
         case = generated_case(seed, num_elements=60)
         copies = [subtree_to_xml(case.tree, root) for root in case.tree.document_roots()]
         path = os.path.join(tmp_path, "walk.apxq")
@@ -544,42 +545,17 @@ class TestRetiredView:
                 if step:
                     _walk_write(db, rng, copies)
                 snap = db.snapshot()
-                pins.append((snap, _snapshot_answers(snap, case), _store_postings(db._store)))
+                postings = _postings(snap._state.ensure_node_indexes())
+                pins.append((snap, _snapshot_answers(snap, case), postings))
             tree = db.tree
             for snap, answers, postings in pins:
                 assert _snapshot_answers(snap, case) == answers, (snap, case.describe())
-                view = MemoryNodeIndexes(tree, snap.documents)
-                rows = {
-                    (node_type, label): view.fetch(label, node_type)
-                    for node_type in (NodeType.STRUCT, NodeType.TEXT)
-                    for label in view.labels(node_type)
-                }
+                rows = _postings(MemoryNodeIndexes(tree, snap.documents))
                 super_root = (NodeType.STRUCT, ROOT_LABEL)
                 [(pre, bound, *costs)] = postings.pop(super_root)
                 assert bound <= tree.bounds[0]
                 assert rows.pop(super_root) == [(pre, tree.bounds[0], *costs)]
                 assert rows == postings, snap
                 snap.close()
-        finally:
-            db.close()
-
-    def test_a_write_nobody_reads_behind_builds_no_view(self, tmp_path):
-        case = generated_case(0, num_elements=60)
-        copies = [subtree_to_xml(case.tree, root) for root in case.tree.document_roots()]
-        path = os.path.join(tmp_path, "quiet.apxq")
-        Database.from_tree(case.tree).save(path)
-        db = Database.open(path)
-        rng = random.Random(0)
-        retired = []
-        try:
-            for _ in range(20):
-                generated = case.queries[0]
-                db.query(generated.query, n=None, costs=generated.costs, method="direct")
-                retired.append(db._state.node_indexes)
-                _walk_write(db, rng, copies)
-            assert db.generation == 20
-            assert len({id(indexes) for indexes in retired}) == 20
-            assert all(indexes._retired is not None for indexes in retired)
-            assert all(indexes._frozen is None for indexes in retired)
         finally:
             db.close()

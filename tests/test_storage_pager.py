@@ -379,3 +379,38 @@ class TestCloseSafety:
                 raise RuntimeError("caller failure mid-transaction")
         with Pager(str(tmp_path / "db.apxq")) as reopened:
             assert reopened.page_count == 2
+
+
+class TestCountedLock:
+    def test_contended_lock_reports_waits(self, pager):
+        """CountedLock observability: a thread that actually blocks on the
+        pager's lock ticks concurrency.pager_lock_waits in its own
+        collection; the uncontended path records nothing."""
+        import threading
+        import time
+
+        page = pager.allocate()
+        pager.write(page, b"locked")
+        telemetry = Telemetry()
+        entered = threading.Event()
+
+        def blocked_reader():
+            entered.wait()
+            with collecting(telemetry):
+                pager.read(page)
+
+        thread = threading.Thread(target=blocked_reader)
+        raw_lock = pager._lock._lock
+        raw_lock.acquire()
+        try:
+            thread.start()
+            entered.set()
+            time.sleep(0.05)  # let the reader hit the held lock
+        finally:
+            raw_lock.release()
+        thread.join()
+        assert telemetry.counters.get("concurrency.pager_lock_waits") == 1
+        uncontended = Telemetry()
+        with collecting(uncontended):
+            pager.read(page)
+        assert "concurrency.pager_lock_waits" not in uncontended.counters

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.errors import SchemaError
-from repro.storage.kv import MemoryStore
+from repro.approxql.costs import CostModel
+from repro.core.database import Database
 from repro.xmltree.builder import tree_from_xml
-from repro.xmltree.indexes import MemoryNodeIndexes, StoredNodeIndexes
+from repro.xmltree.indexes import MemoryNodeIndexes
 from repro.xmltree.model import NodeType
 
 from .strategies import generated_case
@@ -19,11 +19,18 @@ def tree():
     )
 
 
+def stored_indexes(tree, path, costs=None):
+    """The node index a stored handle derives from the tree it loads."""
+    Database.from_tree(tree, default_costs=costs).save(path)
+    with Database.open(path) as database:
+        return database._state.ensure_node_indexes()
+
+
 @pytest.fixture(params=["memory", "stored"])
-def indexes(request, tree):
+def indexes(request, tree, tmp_path):
     if request.param == "memory":
         return MemoryNodeIndexes(tree)
-    return StoredNodeIndexes.build(tree, MemoryStore())
+    return stored_indexes(tree, str(tmp_path / "cd.apxq"))
 
 
 class TestFetch:
@@ -75,14 +82,20 @@ class TestStoredSpecifics:
         after = indexes.fetch("title", NodeType.STRUCT)[0]
         assert after[2] == 3 * before[2]  # pathcost scaled with insert cost
 
-    def test_stored_index_rejects_fractional_costs(self, tree):
-        tree.encode_costs(lambda label: 0.5)
-        with pytest.raises(SchemaError):
-            StoredNodeIndexes.build(tree, MemoryStore())
-
-    def test_stored_roundtrip_equals_memory(self, tree):
+    def test_stored_index_carries_fractional_costs(self, tree, tmp_path):
+        """A store saved under a fractional insert-cost table reopens
+        with postings priced by it, exactly as the memory index is."""
+        costs = CostModel(default_insert_cost=0.5)
+        stored = stored_indexes(tree, str(tmp_path / "half.apxq"), costs)
+        tree.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
         memory = MemoryNodeIndexes(tree)
-        stored = StoredNodeIndexes.build(tree, MemoryStore())
+        posting = stored.fetch("piano", NodeType.TEXT)
+        assert posting == memory.fetch("piano", NodeType.TEXT)
+        assert [row[2] for row in posting] == [1.5, 1.5]
+
+    def test_stored_roundtrip_equals_memory(self, tree, tmp_path):
+        memory = MemoryNodeIndexes(tree)
+        stored = stored_indexes(tree, str(tmp_path / "cd.apxq"))
         for node_type in (NodeType.STRUCT, NodeType.TEXT):
             for label in memory.labels(node_type):
                 assert stored.fetch(label, node_type) == memory.fetch(label, node_type)

@@ -327,8 +327,9 @@ def run_matrix(
 #
 # Same experiment one layer up: the workload is a sequence of Database
 # document mutations (insert / delete / replace), each of which the
-# engine promises to journal as ONE commit frame — node posting
-# rewrites, tree segment, dead-roots list, all or nothing.
+# engine promises to journal as ONE commit frame — the inserted
+# document's tree segment with the node count, the dead-roots list of a
+# deleted one, all or nothing.
 # A kill at any boundary must therefore recover to the store state after
 # a *prefix* of the mutations, and that state must reopen as a coherent,
 # queryable database.
@@ -364,7 +365,6 @@ def _mutation_ops(scale: str):
 def _mutation_store_options(injector: "FaultInjector | None" = None) -> StoreOptions:
     return StoreOptions(
         page_cache_pages=CACHE_PAGES,
-        posting_cache_bytes=0,
         durability="wal",
         wal_checkpoint_bytes=4096,
         page_size=PAGE_SIZE,
