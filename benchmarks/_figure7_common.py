@@ -76,7 +76,6 @@ def _write_sidecar(telemetry_dir, workload, pattern, algorithm, renamings, n):
         "results": results,
         "counters": dict(sorted(counters.items())),
         "summary": {
-            "pages_read": counters.get("storage.pages_read", 0),
             "postings_decoded": sum(counters.get(name, 0) for name in POSTING_COUNTERS),
             "second_level_queries": counters.get("schema.second_level_executed", 0),
         },

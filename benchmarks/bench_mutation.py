@@ -14,9 +14,11 @@ same workload collection:
 * **replace** — swapping ``k`` documents in place vs. rebuilding the
   edited corpus.
 
-All stores run ``durability="wal"`` on both sides — the incremental path
-journals every mutation as one commit frame, so the honest baseline is a
-rebuild with the same crash story.  Each point also records the
+Both sides are crash-safe the same way — the incremental path appends
+every mutation to the store's log as one fsynced commit frame, a rebuild
+saves through a temporary file and a rename — so the comparison is
+between equal crash stories.  (``durability="wal"`` is passed and
+ignored; it names the mode the baseline was first recorded under.)  Each point also records the
 ``mutation.*`` telemetry of one instrumented pass (keys rewritten,
 nodes added/removed).
 

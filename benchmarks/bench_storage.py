@@ -1,69 +1,15 @@
-"""Microbenchmarks of the storage substrate (the Berkeley DB stand-in).
+"""Microbenchmarks of the storage codecs.
 
-Not a paper figure, but the index-fetch path sits under both algorithms;
-these benches keep its costs visible (B+tree point reads, range scans,
-posting decode).
+Not a paper figure; the posting codec still serves the kernel's
+zero-copy branch and its tests, so its cost stays visible here.
 
 Run: pytest benchmarks/bench_storage.py --benchmark-only
 """
 
-import pytest
-
-from repro.storage.btree import BTree
-from repro.storage.kv import FileStore, MemoryStore
-from repro.storage.pager import Pager
 from repro.storage.postings import (
     decode_node_postings,
     encode_node_postings,
 )
-
-N_KEYS = 2_000
-
-
-@pytest.fixture(scope="module")
-def filled_file_store(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("bench-store") / "bench.db")
-    store = FileStore(path)
-    for index in range(N_KEYS):
-        store.put(f"key-{index:06d}".encode(), b"v" * (index % 200))
-    yield store
-    store.close()
-
-
-@pytest.fixture(scope="module")
-def filled_memory_store():
-    store = MemoryStore()
-    for index in range(N_KEYS):
-        store.put(f"key-{index:06d}".encode(), b"v" * (index % 200))
-    return store
-
-
-def bench_btree_inserts(benchmark, tmp_path):
-    def insert_block():
-        with Pager(str(tmp_path / "insert.db")) as pager:
-            tree = BTree(pager)
-            for index in range(500):
-                tree.put(f"k{index:05d}".encode(), b"value")
-
-    benchmark.pedantic(insert_block, rounds=3, iterations=1)
-
-
-@pytest.mark.parametrize("backend", ["memory", "file"])
-def bench_point_reads(benchmark, backend, filled_memory_store, filled_file_store):
-    store = filled_memory_store if backend == "memory" else filled_file_store
-    keys = [f"key-{index:06d}".encode() for index in range(0, N_KEYS, 7)]
-
-    def read_all():
-        for key in keys:
-            store.get(key)
-
-    benchmark(read_all)
-
-
-@pytest.mark.parametrize("backend", ["memory", "file"])
-def bench_range_scan(benchmark, backend, filled_memory_store, filled_file_store):
-    store = filled_memory_store if backend == "memory" else filled_file_store
-    benchmark(lambda: sum(1 for _ in store.scan(start=b"key-000500", end=b"key-001500")))
 
 
 def bench_posting_roundtrip(benchmark):

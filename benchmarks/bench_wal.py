@@ -1,17 +1,15 @@
-"""Durability benchmarks: what the write-ahead log costs (and saves).
+"""Durability benchmarks: what the record log's commits cost.
 
 Three experiments:
 
-* **Database save** — building the single-file store from the Figure 7a
-  workload collection with ``durability="none"`` vs. ``"wal"``.  This is
-  the end-to-end cost of logging every page: one extra sequential write
-  per page, plus the commit fsync and the closing checkpoint.
+* **Database save** — writing the single-file store of the Figure 7a
+  workload collection: one frame to a temporary file, fsync, rename.
 * **Commit batches** — a raw :class:`FileStore` update workload (puts in
-  committed batches) at several batch sizes, none vs. WAL.  Small
-  batches amortize the fsync worst; this sweep shows the commit-rate /
-  throughput trade.
-* **Recovery** — time to reopen a store whose process was killed with a
-  populated log (the replay path), as a function of committed frames.
+  committed batches) at several batch sizes.  Every commit is one
+  appended, fsynced frame, so small batches pay the fsync most often;
+  this sweep shows the commit-rate / throughput trade.
+* **Recovery** — time to reopen a store whose last commit was torn by a
+  kill, as a function of the committed puts before it.
 
 Standalone usage (writes the committed ``BENCH_wal.json`` baseline)::
 
@@ -34,16 +32,14 @@ import pytest
 
 from repro import Database
 from repro.bench.workloads import SCALES, get_workload
-from repro.storage.faults import FaultInjector
+from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.kv import FileStore
 from repro.telemetry.collector import Telemetry, collecting
 
-PAGE_SIZE = 4096
 PASSES = 3
 BATCH_SIZES = (1, 16, 256)
 KV_OPS = 1024
-RECOVERY_FRAMES = (64, 512)
-DURABILITIES = ("none", "wal")
+RECOVERY_PUTS = (64, 512)
 
 
 def _kv_pairs(count: int):
@@ -64,45 +60,35 @@ def _timed(fn) -> "tuple[float, object]":
 # ----------------------------------------------------------------------
 
 
-def save_database(tree, path: str, durability: str) -> None:
-    if os.path.exists(path):
-        os.remove(path)
-    Database.from_tree(tree).save(path, durability=durability)
+def save_database(tree, path: str) -> None:
+    Database.from_tree(tree).save(path)
 
 
 def measure_save(tree, directory: str) -> dict:
-    """Per-durability wall time of saving the workload collection, plus
-    the ``wal.*`` counters of one instrumented save."""
-    points = {}
-    for durability in DURABILITIES:
-        path = os.path.join(directory, f"save-{durability}.apxq")
-        times = [_timed(lambda: save_database(tree, path, durability))[0] for _ in range(PASSES)]
-        telemetry = Telemetry()
-        with collecting(telemetry):
-            save_database(tree, path, durability)
-        points[durability] = {
-            "pass_seconds": times,
-            "best_seconds": min(times),
-            "file_bytes": os.path.getsize(path),
-            "counters": {
-                name: value
-                for name, value in sorted(telemetry.counters.items())
-                if name.startswith(("wal.", "storage.pages_written"))
-            },
-        }
-    none, wal = points["none"]["best_seconds"], points["wal"]["best_seconds"]
-    points["wal_overhead"] = wal / none if none else float("inf")
-    return points
+    """Wall time of saving the workload collection, plus the ``wal.*``
+    counters of one instrumented save."""
+    path = os.path.join(directory, "save.apxq")
+    times = [_timed(lambda: save_database(tree, path))[0] for _ in range(PASSES)]
+    telemetry = Telemetry()
+    with collecting(telemetry):
+        save_database(tree, path)
+    return {
+        "pass_seconds": times,
+        "best_seconds": min(times),
+        "file_bytes": os.path.getsize(path),
+        "counters": {
+            name: value
+            for name, value in sorted(telemetry.counters.items())
+            if name.startswith("wal.")
+        },
+    }
 
 
-def commit_batches(path: str, durability: str, batch_size: int, ops: int = KV_OPS) -> None:
+def commit_batches(path: str, batch_size: int, ops: int = KV_OPS) -> None:
     """The raw store workload: ``ops`` puts, committed every ``batch_size``."""
     if os.path.exists(path):
         os.remove(path)
-    wal_path = path + "-wal"
-    if os.path.exists(wal_path):
-        os.remove(wal_path)
-    with FileStore(path, page_size=PAGE_SIZE, durability=durability) as store:
+    with FileStore(path) as store:
         for index, (key, value) in enumerate(_kv_pairs(ops)):
             store.put(key, value)
             if (index + 1) % batch_size == 0:
@@ -112,61 +98,60 @@ def commit_batches(path: str, durability: str, batch_size: int, ops: int = KV_OP
 def measure_commit_batches(directory: str) -> list[dict]:
     points = []
     for batch_size in BATCH_SIZES:
-        point = {"batch_size": batch_size, "ops": KV_OPS}
-        for durability in DURABILITIES:
-            path = os.path.join(directory, f"kv-{durability}-{batch_size}.apxq")
-            times = [
-                _timed(lambda: commit_batches(path, durability, batch_size))[0]
-                for _ in range(PASSES)
-            ]
-            point[durability] = {"pass_seconds": times, "best_seconds": min(times)}
-        none, wal = point["none"]["best_seconds"], point["wal"]["best_seconds"]
-        point["wal_overhead"] = wal / none if none else float("inf")
-        points.append(point)
+        path = os.path.join(directory, f"kv-{batch_size}.apxq")
+        times = [_timed(lambda: commit_batches(path, batch_size))[0] for _ in range(PASSES)]
+        points.append(
+            {
+                "batch_size": batch_size,
+                "ops": KV_OPS,
+                "pass_seconds": times,
+                "best_seconds": min(times),
+                "file_bytes": os.path.getsize(path),
+            }
+        )
     return points
 
 
-def crashed_store(path: str, frames: int) -> None:
-    """Populate ``path`` with a committed-but-never-checkpointed log and
-    abandon it mid-flight, leaving recovery the whole replay."""
-    injector = FaultInjector()  # unbuffered, so the abandon is a faithful kill
-    store = FileStore(
-        path,
-        page_size=PAGE_SIZE,
-        durability="wal",
-        wal_checkpoint_bytes=1 << 30,
-        opener=injector.opener(),
-    )
-    for key, value in _kv_pairs(frames):
+def crashed_store(path: str, puts: int) -> None:
+    """Commit ``puts`` puts one frame each, then kill the next commit
+    halfway through its write, leaving a torn tail for the reopen."""
+    if os.path.exists(path):
+        os.remove(path)
+    injector = FaultInjector()
+    store = FileStore(path, opener=injector.opener())
+    for key, value in _kv_pairs(puts):
         store.put(key, value)
-    store.commit()
-    pager = store._pager
-    pager._file.close()
-    pager._wal._file.close()
+        store.commit()
+    injector.kill_after_ops = injector.mutating_ops
+    store.put(b"torn", b"x" * 4096)
+    try:
+        store.commit()
+    except SimulatedCrash:
+        pass
+    store._file.close()
 
 
 def measure_recovery(directory: str) -> list[dict]:
     points = []
-    for frames in RECOVERY_FRAMES:
-        path = os.path.join(directory, f"recover-{frames}.apxq")
+    for puts in RECOVERY_PUTS:
+        path = os.path.join(directory, f"recover-{puts}.apxq")
         times = []
-        replayed = 0
+        recoveries = 0
         for _ in range(PASSES):
-            crashed_store(path, frames)
+            crashed_store(path, puts)
             telemetry = Telemetry()
 
             def _reopen():
                 with collecting(telemetry):
-                    FileStore(path, page_size=PAGE_SIZE, must_exist=True).close()
+                    FileStore(path, must_exist=True).close()
 
             seconds, _ = _timed(_reopen)
             times.append(seconds)
-            replayed = int(telemetry.counters.get("wal.frames_replayed", 0))
-            os.remove(path)
+            recoveries = int(telemetry.counters.get("wal.recoveries", 0))
         points.append(
             {
-                "committed_puts": frames,
-                "frames_replayed": replayed,
+                "committed_puts": puts,
+                "recoveries": recoveries,
                 "pass_seconds": times,
                 "best_seconds": min(times),
             }
@@ -179,25 +164,19 @@ def measure_recovery(directory: str) -> list[dict]:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("durability", DURABILITIES)
-def bench_save_durability(benchmark, workload, tmp_path, durability):
-    path = str(tmp_path / f"save-{durability}.apxq")
+def bench_save(benchmark, workload, tmp_path):
+    path = str(tmp_path / "save.apxq")
     benchmark.pedantic(
-        save_database,
-        args=(workload.tree, path, durability),
-        rounds=2,
-        iterations=1,
-        warmup_rounds=1,
+        save_database, args=(workload.tree, path), rounds=2, iterations=1, warmup_rounds=1
     )
 
 
-@pytest.mark.parametrize("durability", DURABILITIES)
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def bench_commit_batches(benchmark, tmp_path, durability, batch_size):
+def bench_commit_batches(benchmark, tmp_path, batch_size):
     path = str(tmp_path / "kv.apxq")
     benchmark.pedantic(
         commit_batches,
-        args=(path, durability, batch_size),
+        args=(path, batch_size),
         kwargs={"ops": KV_OPS // 4},
         rounds=2,
         iterations=1,
@@ -209,12 +188,11 @@ def bench_recovery_replay(benchmark, tmp_path):
     path = str(tmp_path / "recover.apxq")
 
     def _setup():
-        crashed_store(path, RECOVERY_FRAMES[0])
+        crashed_store(path, RECOVERY_PUTS[0])
         return (), {}
 
     def _reopen():
-        FileStore(path, page_size=PAGE_SIZE, must_exist=True).close()
-        os.remove(path)
+        FileStore(path, must_exist=True).close()
 
     benchmark.pedantic(_reopen, setup=_setup, rounds=3, iterations=1)
 
@@ -247,19 +225,16 @@ def main(argv: "list[str] | None" = None) -> int:
     else:
         print(rendered, end="")
 
-    print(
-        f"save overhead (wal vs none): {record['save']['wal_overhead']:.2f}x",
-        file=sys.stderr,
-    )
+    print(f"save: {record['save']['best_seconds'] * 1000:.1f} ms", file=sys.stderr)
     for point in record["commit_batches"]:
         print(
             f"commit every {point['batch_size']:>3}: "
-            f"wal overhead {point['wal_overhead']:.2f}x",
+            f"{point['best_seconds'] * 1000:.1f} ms for {point['ops']} puts",
             file=sys.stderr,
         )
     for point in record["recovery"]:
         print(
-            f"recovery of {point['frames_replayed']} frames: "
+            f"reopen after a torn commit ({point['committed_puts']} frames): "
             f"{point['best_seconds'] * 1000:.1f} ms",
             file=sys.stderr,
         )

@@ -1,13 +1,13 @@
 """Observability: watch what the engine does while it evaluates.
 
-Every layer of the engine — the pager and B+tree, the posting codecs,
-the inverted indexes, and both evaluation algorithms — reports into a
+Every layer of the engine — the store log, the posting codecs, the
+inverted indexes, and both evaluation algorithms — reports into a
 telemetry collector when one is active.  ``Database.query`` activates
 one for you via ``collect=``:
 
 * ``collect="off"`` (default) — no collection, no measurable overhead;
-* ``collect="counters"`` — per-stage counters (pages read, postings
-  decoded, second-level queries, ...);
+* ``collect="counters"`` — per-stage counters (postings decoded,
+  second-level queries, ...);
 * ``collect="timings"`` — counters plus wall time per stage.
 
 Run:  python examples/observability.py
@@ -17,6 +17,7 @@ import tempfile
 from pathlib import Path
 
 from repro import CostModel, Database, NodeType
+from repro.telemetry import Telemetry, collecting
 
 CATALOG = "".join(
     f"<cd><title>{title}</title><composer>{composer}</composer></cd>"
@@ -66,14 +67,18 @@ def main() -> None:
           f"({schema.second_level_queries} second-level queries)")
     print()
 
-    # 4. On a stored database the storage layer shows up too.
+    # 4. On a stored database a write shows up in the storage layer: one
+    #    commit frame appended to the log (reads answer from memory).
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "catalog.apxq")
         db.save(path)
-        stored = Database.open(path)
-        report = stored.query(QUERY, n=5, collect="counters").report
-        print(f"stored database: {report.pages_read} pages read, "
-              f"{report.get('btree.node_visits')} B+tree node visits")
+        with Database.open(path) as stored:
+            report = stored.query(QUERY, n=5, collect="counters").report
+            telemetry = Telemetry()
+            with collecting(telemetry):
+                stored.insert_document("<cd><title>organ mass</title></cd>")
+        print(f"stored database: {telemetry.counters['wal.commits']} log frame "
+              f"({telemetry.counters['wal.bytes_logged']} bytes) per insert")
 
     # 5. Reports serialize to JSON for experiment harnesses.
     print()

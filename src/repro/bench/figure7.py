@@ -237,7 +237,6 @@ def points_to_json(points: list[Figure7Point], scale: str, indent: int = 2) -> s
             counters = point.counters
             record["counters"] = dict(sorted(counters.items()))
             record["summary"] = {
-                "pages_read": counters.get("storage.pages_read", 0),
                 "postings_decoded": sum(
                     counters.get(name, 0) for name in POSTING_COUNTERS
                 ),

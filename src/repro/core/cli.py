@@ -10,8 +10,7 @@ Examples::
     python -m repro plan catalog.apxq 'cd[title["piano"]]' -n 5
     python -m repro info catalog.apxq
     python -m repro schema catalog.apxq
-    python -m repro build catalog.apxq docs/*.xml --durability wal
-    python -m repro insert catalog.apxq new-disc.xml --durability wal
+    python -m repro insert catalog.apxq new-disc.xml
     python -m repro delete catalog.apxq 42
     python -m repro replace catalog.apxq 42 fixed-disc.xml
     python -m repro verify catalog.apxq
@@ -35,13 +34,10 @@ _DB_SUFFIX = ".apxq"
 
 
 def _store_options(args: argparse.Namespace) -> StoreOptions:
-    """The CLI's storage flags as the one shared keyword surface
+    """The CLI's cache flags as the one shared keyword surface
     (:class:`~repro.core.persist.StoreOptions`) that
     :meth:`Database.open` / :meth:`Database.save` also take."""
     return StoreOptions(
-        page_cache_pages=getattr(args, "page_cache_pages", None),
-        durability=getattr(args, "durability", "none") or "none",
-        wal_checkpoint_bytes=getattr(args, "wal_checkpoint_bytes", None),
         compiled_cache_entries=getattr(args, "compiled_cache_entries", None),
         result_cache_entries=getattr(args, "result_cache_entries", None),
     )
@@ -50,8 +46,8 @@ def _store_options(args: argparse.Namespace) -> StoreOptions:
 def _open_database(args: argparse.Namespace):
     """A single ``.apxq`` path opens a saved database, a sharded
     directory (one holding a ``MANIFEST.json``) opens a
-    :class:`~repro.shard.ShardedDatabase` (both honoring the cache and
-    durability knobs); anything else is read as XML documents."""
+    :class:`~repro.shard.ShardedDatabase` (both honoring the cache
+    knobs); anything else is read as XML documents."""
     sources = args.sources
     if len(sources) == 1 and is_sharded_directory(sources[0]):
         return ShardedDatabase.open(sources[0], _store_options(args))
@@ -86,13 +82,6 @@ def _open_stored(args: argparse.Namespace):
 def _add_cache_options(parser: argparse.ArgumentParser) -> None:
     """Read-path cache knobs, honored when the source is a saved database."""
     parser.add_argument(
-        "--page-cache-pages",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pager LRU cache capacity in pages (0 disables; default 64)",
-    )
-    parser.add_argument(
         "--compiled-cache-entries",
         type=int,
         default=None,
@@ -105,26 +94,6 @@ def _add_cache_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="best-n result cache capacity in entries (0 disables; default 128)",
-    )
-    _add_durability_options(parser)
-
-
-def _add_durability_options(parser: argparse.ArgumentParser) -> None:
-    """Durability knobs: WAL vs. straight-through writes."""
-    parser.add_argument(
-        "--durability",
-        choices=("none", "wal"),
-        default="none",
-        help="crash story for writes: 'wal' logs every page write and makes "
-        "commits atomic; 'none' (default) writes straight through",
-    )
-    parser.add_argument(
-        "--wal-checkpoint-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="WAL size that triggers folding the log back into the main "
-        "file (default 4 MiB; only with --durability wal)",
     )
 
 
@@ -194,7 +163,7 @@ def _command_documents(args: argparse.Namespace) -> int:
 
 
 def _command_verify(args: argparse.Namespace) -> int:
-    from ..storage.verify import verify_store
+    from ..storage import verify_store
 
     report = verify_store(args.path)
     print(report.format())
@@ -323,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scatters by document ordinal, 'range' keeps contiguous "
         "node-balanced runs together",
     )
-    _add_durability_options(build)
     build.set_defaults(func=_command_build)
 
     insert = commands.add_parser(
@@ -359,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     documents.set_defaults(func=_command_documents)
 
     verify = commands.add_parser(
-        "verify", help="walk a saved database's pages and WAL frames, checking checksums"
+        "verify", help="walk a saved database's log frames, checking checksums"
     )
     verify.add_argument("path", help=f"a saved {_DB_SUFFIX} file")
     verify.set_defaults(func=_command_verify)

@@ -213,10 +213,10 @@ class _PinnedView:
 
     def generation(self) -> "int | tuple":
         # The invalidation authority is the *store's* write counter: any
-        # write — a routed mutation, WAL recovery, or an out-of-band put
-        # through the store handle — moves it, and pairing it with the
-        # published state generation keeps a pinned snapshot's reads in
-        # their own generation class.
+        # write — a routed mutation or an out-of-band put through the
+        # store handle — moves it, and pairing it with the published
+        # state generation keeps a pinned snapshot's reads in their own
+        # generation class.
         if self.store is None:
             return self.state.generation
         return (self.state.generation, self.store.generation)
@@ -576,7 +576,6 @@ class Database:
         options: "StoreOptions | None" = None,
         *,
         durability: "str | None" = None,
-        wal_checkpoint_bytes: "int | None" = None,
     ) -> None:
         """Persist the tree and its insert-cost table into a single-file
         store.  Nothing derived from the tree is stored: :meth:`open`
@@ -584,31 +583,32 @@ class Database:
         statistics), and the node index ``I_struct`` / ``I_text`` is
         built on the first direct read, as on a memory handle.
 
-        Everything is staged in memory first and bulk-loaded into the
-        B+tree in one sorted pass.  A mutated collection is vacuumed on
-        the way out: tombstoned documents are compacted away, so the
-        saved file is as dense as a fresh build (reopening it assigns new
-        pre numbers when documents were deleted).
+        The store is written as a fresh log of one frame to
+        ``<path>.tmp`` and renamed over ``path``, so a save killed at any
+        point leaves the old file or the new one, never a half-written
+        one.  A mutated collection is vacuumed on the way out: tombstoned
+        documents are compacted away, so the saved file is as dense as a
+        fresh build (reopening it assigns new pre numbers when documents
+        were deleted).  A handle still open on the old file keeps
+        writing to it, not to the new one: close it before saving over
+        its path.
 
         ``options`` is the shared :class:`~repro.core.persist.StoreOptions`
-        keyword surface; the explicit ``durability`` /
-        ``wal_checkpoint_bytes`` keywords override its fields for callers
-        that only need those.  ``durability="wal"`` routes the build
-        through the write-ahead log: a build killed at any I/O boundary
-        leaves either the finished store or a cleanly empty one, never a
-        half-written file.  The default ``"none"`` writes straight
-        through (fastest; an interrupted build must be re-run).
+        keyword surface; ``durability`` is accepted and ignored (see
+        there).
         """
-        options = (options or StoreOptions()).merged(
-            durability=durability, wal_checkpoint_bytes=wal_checkpoint_bytes
-        )
+        options = (options or StoreOptions()).merged(durability=durability)
         with self._write_lock:
             self._check_failed()
             staging = MemoryStore()
             save_tree(compact_tree(self._state.tree), staging, self._pipeline.default_costs)
-            with open_file_store(path, options) as store:
-                store.bulk_load(list(staging.scan()))
-                store.sync()
+            # A fresh store holds no file until ``close`` writes it over
+            # ``path``; no ``with``, so a failure before that point
+            # abandons the store and leaves the old file as it was.
+            store = open_file_store(path, options, fresh=True)
+            for key, value in staging.scan():
+                store.put(key, value)
+            store.close()
 
     @classmethod
     def open(
@@ -619,8 +619,6 @@ class Database:
         page_cache_pages: "int | None" = None,
         posting_cache_bytes: "int | None" = None,
         durability: "str | None" = None,
-        wal_checkpoint_bytes: "int | None" = None,
-        page_size: "int | None" = None,
         compiled_cache_entries: "int | None" = None,
         result_cache_entries: "int | None" = None,
     ) -> "Database":
@@ -632,31 +630,16 @@ class Database:
         The one entry point for stored databases.  A missing, empty, or
         non-database file raises a typed
         :class:`~repro.errors.StorageError` naming the path and reason.
-        If the store crashed while in WAL durability mode, its log is
-        recovered before anything is read — committed batches are
-        replayed, uncommitted ones rolled back — in *every* durability
-        mode.
+        A commit torn by a crash is dropped: the database opens in its
+        last complete commit.
 
-        ``options`` is the single keyword surface for every storage knob
+        ``options`` is the single keyword surface
         (:class:`~repro.core.persist.StoreOptions`), shared verbatim with
         :meth:`save` and the CLI.  The explicit keywords override its
-        fields, so existing call sites keep working:
-
-        ``page_cache_pages``
-            Capacity of the pager's LRU page cache (the buffer-pool role
-            Berkeley DB plays in the paper's §8 setup).  ``0`` disables
-            it; ``None`` keeps the default
-            (:data:`~repro.storage.pager.DEFAULT_CACHE_PAGES`).
-        ``posting_cache_bytes``
-            Accepted and ignored: no read decodes postings from the
-            store any more, so there is no posting cache to size.  It
-            stays so existing callers keep working.
-        ``durability``
-            Crash story for writes made through this handle — document
-            mutations above all: ``"wal"`` makes each mutation one
-            atomic commit frame, the default ``"none"`` matches the
-            historical engine byte for byte.  ``wal_checkpoint_bytes``
-            sizes the log-fold trigger.
+        fields, so existing call sites keep working.
+        ``page_cache_pages``, ``posting_cache_bytes`` and ``durability``
+        are accepted and ignored: there is no page or posting cache, and
+        each mutation is one atomic, fsynced commit frame.
 
         ``compiled_cache_entries`` / ``result_cache_entries`` size the
         two hot-query caches (compiled queries and generation-tagged
@@ -668,8 +651,6 @@ class Database:
             page_cache_pages=page_cache_pages,
             posting_cache_bytes=posting_cache_bytes,
             durability=durability,
-            wal_checkpoint_bytes=wal_checkpoint_bytes,
-            page_size=page_size,
             compiled_cache_entries=compiled_cache_entries,
             result_cache_entries=result_cache_entries,
         )
@@ -734,16 +715,13 @@ class Database:
             summary += f", {dead} tombstoned"
         if state.generation:
             summary += f", generation {state.generation}"
-        store = self._store
-        if store is not None and getattr(store, "durability", "none") == "wal":
-            summary += ", wal durability"
         return f"{summary}\n  {format_resident(self.resident_bytes())}"
 
     def resident_bytes(self) -> dict[str, int]:
         """Bytes each data-sized structure of this handle holds right
         now (see :mod:`repro.core.memory`); what is not built counts 0."""
         state = self._state
-        return resident_bytes(state.tree, state.schema, state.node_indexes, self._store)
+        return resident_bytes(state.tree, state.schema, state.node_indexes)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -805,7 +783,7 @@ class Database:
         The document's nodes are grafted at the tail of the preorder (no
         existing node is renumbered), the touched index postings and
         DataGuide classes are maintained incrementally, and — for a
-        stored database — every write lands in one WAL commit frame.
+        stored database — every write lands in one commit frame of the log.
         Queries running concurrently keep their pinned view.  Returns a
         :class:`~repro.core.mutation.MutationReport` whose ``root`` is
         the new document's root pre number.
@@ -901,13 +879,13 @@ class Database:
                         keys_written += append_tree_segment(tree, self._store, start)
                     if removed is not None:
                         keys_written += save_dead_roots(tree, self._store)
-                    # THE commit point: everything above is one WAL frame.
+                    # THE commit point: everything above is one log frame.
                     self._store.commit()
                     _telemetry.count("mutation.keys_rewritten", keys_written)
             except BaseException:
                 if stored:
-                    # The store may hold uncommitted half-writes in btree
-                    # memory; poison the handle so no reader trusts it.
+                    # The store may hold uncommitted writes; poison the
+                    # handle so no reader trusts it.
                     # Reopening recovers the last committed state.
                     self._failed = action
                 else:

@@ -5,8 +5,7 @@ Every structure that grows with the data lives in typed flat buffers
 :mod:`repro.xmltree.indexes`), so its size is a sum of
 ``buffer_info()[1] * itemsize`` — exact, and computed only when someone
 asks (``Database.describe()``, ``repro info``): nothing is counted per
-query.  The page cache reports its own accounting: the whole pages it
-holds.
+query.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ STRUCTURES = (
     "label table",
     "schema instance columns",
     "node-index pre lists",
-    "page cache",
 )
 
 
-def resident_bytes(tree, schema=None, node_indexes=None, store=None) -> dict:
+def resident_bytes(tree, schema=None, node_indexes=None) -> dict:
     """``structure -> bytes`` for one engine state (see :data:`STRUCTURES`);
     a component that is not built (or not there) counts 0."""
     usage = dict.fromkeys(STRUCTURES, 0)
@@ -45,7 +43,6 @@ def resident_bytes(tree, schema=None, node_indexes=None, store=None) -> dict:
         )
     if node_indexes is not None:
         usage["node-index pre lists"] = node_indexes.resident_bytes()
-    usage["page cache"] = getattr(store, "page_cache_bytes", 0)
     return usage
 
 

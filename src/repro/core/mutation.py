@@ -13,10 +13,10 @@ an inserted document's columns as one tree segment
 a deleted document's root in the dead-roots list
 (:func:`~repro.core.persist.save_dead_roots`).
 
-All store writes of one mutation land inside one WAL commit frame (the
-database calls ``store.commit()`` exactly once, after the last write), so
-a crash at any I/O boundary rolls the whole mutation back or keeps it
-whole — the crash matrix kills inside these frames.
+All store writes of one mutation land inside one commit frame of the
+log (the database calls ``store.commit()`` exactly once, after the last
+write), so a crash at any I/O boundary rolls the whole mutation back or
+keeps it whole — the crash matrix kills inside these frames.
 """
 
 from __future__ import annotations

@@ -48,33 +48,31 @@ _COLUMNS = (b"labels", b"types", b"parents", b"bounds")  # keys of the tree name
 
 @dataclass(frozen=True)
 class StoreOptions:
-    """The single keyword surface for a database file's storage knobs.
+    """The single keyword surface for a database file's knobs.
 
     Shared by :meth:`repro.core.database.Database.open`,
-    :meth:`~repro.core.database.Database.save`, and the CLI's
-    ``--page-cache``/``--durability``/``--wal-checkpoint-kib`` options,
-    so every entry point spells the same configuration the same way.
-    ``None`` keeps an engine default.
+    :meth:`~repro.core.database.Database.save`, and the CLI, so every
+    entry point spells the same configuration the same way.  ``None``
+    keeps an engine default.
 
-    ``posting_cache_bytes`` is accepted and ignored: node postings are
-    no longer read from the store, so there is no decoded-posting cache
-    to size.  The field stays so existing callers keep working.
+    ``page_cache_pages``, ``posting_cache_bytes`` and ``durability`` are
+    accepted and ignored: the store is read once at open, so there is no
+    page or posting cache to size, and every commit is one atomic fsynced
+    frame, so there is one durability mode (``durability`` still rejects
+    values other than ``"none"`` / ``"wal"``).  The fields stay so
+    existing callers keep working.
 
     ``opener`` is the fault-injection seam (an ``open(path, mode)``
-    replacement threaded through to every file the pager touches); it
+    replacement threaded through to every file the store touches); it
     exists for the crash matrix and stays ``None`` in normal operation.
     """
 
-    #: LRU page-cache capacity in pages (0 disables; None = engine default)
+    #: accepted and ignored (there is no page cache)
     page_cache_pages: "int | None" = None
-    #: accepted and ignored (there is no decoded-posting cache any more)
+    #: accepted and ignored (there is no decoded-posting cache)
     posting_cache_bytes: "int | None" = None
-    #: ``"none"`` or ``"wal"``
+    #: accepted and ignored: ``"none"`` or ``"wal"``, one mode either way
     durability: str = "none"
-    #: WAL size triggering a checkpoint (None = engine default)
-    wal_checkpoint_bytes: "int | None" = None
-    #: page size for newly created files (an existing file dictates its own)
-    page_size: "int | None" = None
     #: compiled-query cache capacity in entries (0 disables; None = default)
     compiled_cache_entries: "int | None" = None
     #: best-n result cache capacity in entries (0 disables; None = default)
@@ -273,25 +271,22 @@ def open_file_store(
     path: str,
     options: "StoreOptions | None" = None,
     must_exist: bool = False,
+    fresh: bool = False,
 ) -> FileStore:
     """Open (or create) the single-file store of a database.
 
-    ``options`` carries the storage knobs (see :class:`StoreOptions`;
-    ``None`` means all defaults); ``must_exist=True`` turns a missing or
-    empty file into a typed error instead of creating it."""
+    ``options`` carries the knobs (see :class:`StoreOptions`; ``None``
+    means all defaults); ``must_exist=True`` turns a missing or empty
+    file into a typed error instead of creating it; ``fresh=True`` starts
+    an empty store that replaces the file at its first commit."""
     options = options or StoreOptions()
-    kwargs: dict = {
-        "durability": options.durability,
-        "wal_checkpoint_bytes": options.wal_checkpoint_bytes,
-        "must_exist": must_exist,
-    }
-    if options.page_cache_pages is not None:
-        kwargs["cache_pages"] = options.page_cache_pages
-    if options.page_size is not None:
-        kwargs["page_size"] = options.page_size
-    if options.opener is not None:
-        kwargs["opener"] = options.opener
-    return FileStore(path, **kwargs)
+    return FileStore(
+        path,
+        durability=options.durability,
+        opener=options.opener,
+        must_exist=must_exist,
+        fresh=fresh,
+    )
 
 
 __all__ = [

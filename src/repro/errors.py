@@ -16,10 +16,6 @@ class StorageError(ReproError):
     """A failure inside the embedded storage engine."""
 
 
-class CorruptPageError(StorageError):
-    """A page read from disk failed its integrity checks."""
-
-
 class KeyNotFoundError(StorageError, KeyError):
     """A key was requested from a store that does not contain it."""
 

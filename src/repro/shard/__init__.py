@@ -1,7 +1,7 @@
 """Sharded scatter-gather layer: one collection, N independent stores.
 
 :class:`ShardedDatabase` partitions a collection across N shards — each
-a full :class:`~repro.core.database.Database` with its own pager, WAL,
+a full :class:`~repro.core.database.Database` with its own store
 and caches — fans queries out to all of them, and merges the per-shard
 cost-ordered streams back into the single-store best-n contract (the
 first n merged answers are the n cheapest, ties broken by global root).

@@ -2,7 +2,7 @@
 
 :class:`ShardedDatabase` presents the :class:`~repro.core.database.Database`
 query surface over N shards, each a full ``Database`` of its own — its own
-pager, WAL and page cache when stored.  Queries fan out to
+store log when stored.  Queries fan out to
 every shard and merge; mutations route to the one shard that owns the
 document.  The paper's best-n contract survives the split because an
 embedding cost depends only on the result's document subtree (renamings,
@@ -276,7 +276,7 @@ class ShardedDatabase:
         local numbering, so a later mutation would republish the stale
         manifest over the compacted stores and the next ``open()`` would
         find a torn directory.  Mutations against an opened directory
-        already persist through the shard WALs and the manifest rewrite —
+        already persist through the shard logs and the manifest rewrite —
         an explicit save is only for exporting to a *new* directory.
         """
         with self._write_lock:
@@ -289,7 +289,7 @@ class ShardedDatabase:
                     f"{self._directory!r}: the compacted stores would "
                     "disagree with the live manifest after the next "
                     "mutation; save to a fresh directory instead "
-                    "(mutations already persist through the shard WALs)"
+                    "(mutations already persist through the shard logs)"
                 )
             os.makedirs(directory, exist_ok=True)
             for index, shard in enumerate(self._shards):
@@ -329,7 +329,7 @@ class ShardedDatabase:
         :meth:`Database.open` surface, applied to every shard
         (``posting_cache_bytes`` included, which is accepted and
         ignored).  Each shard's document roots are cross-checked against the manifest —
-        a disagreement (say, a crash between a shard's WAL commit and
+        a disagreement (say, a crash between a shard's commit and
         the manifest replace) raises a :class:`~repro.errors.ShardError`
         naming the shard instead of serving a torn view.
         """
@@ -650,7 +650,7 @@ class ShardedDatabase:
         self, xml: str, options: "BuildOptions | None" = None
     ) -> ShardMutationReport:
         """Add one document: the partitioner picks the owning shard, the
-        shard commits (its own WAL frame when stored), the manifest is
+        shard commits (its own log frame when stored), the manifest is
         rewritten last.  The new document's global root is the global
         tail — exactly where the unsharded collection would graft it."""
         started = time.perf_counter()
@@ -716,7 +716,7 @@ class ShardedDatabase:
         self, root: int, xml: str, options: "BuildOptions | None" = None
     ) -> ShardMutationReport:
         """Atomically replace the document at global root ``root`` — one
-        shard-level replace (one generation, one WAL frame on a stored
+        shard-level replace (one generation, one log frame on a stored
         shard).  The replacement stays on the owning shard; its global
         root moves to the global tail, as an unsharded replace would."""
         started = time.perf_counter()
@@ -758,7 +758,7 @@ class ShardedDatabase:
     def _publish(self, old_generation: tuple, touched: frozenset) -> None:
         """Make a routed mutation visible: refresh the translation
         tables and, for an opened directory, rewrite the manifest (the
-        shard's WAL frame committed first; see the manifest module on
+        shard's log frame committed first; see the manifest module on
         the crash window between the two), and carry the merged answers
         ``touched`` misses (their global roots never renumber)."""
         self._generation += 1
@@ -865,9 +865,8 @@ class _ScatterGather:
         """The routing generation plus every shard's (published state,
         store write counter) pair.  Each component is monotone, so the
         tuple orders lexicographically the way the generation protocol
-        expects — any routed mutation, per-shard WAL recovery, or
-        out-of-band shard-store write moves the vector and strands older
-        entries."""
+        expects — any routed mutation or out-of-band shard-store write
+        moves the vector and strands older entries."""
         parts = [self._database._generation]
         for shard in self._shards:
             parts.append(shard.generation)

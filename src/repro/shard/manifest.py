@@ -13,7 +13,7 @@ before it reaches the caller.
 On disk the manifest is one JSON file (``MANIFEST.json``) next to the
 per-shard ``shard-NNNN.apxq`` stores.  Writes go through a temp file and
 ``os.replace``, so a reader never observes half a manifest; each
-mutation commits its owning shard's WAL frame *first* and then replaces
+mutation commits its owning shard's log frame *first* and then replaces
 the manifest, which makes the manifest the conservative side of the pair
 (a crash between the two steps leaves a committed document the manifest
 does not list — ``ShardedDatabase.open`` detects the mismatch and names

@@ -1,25 +1,18 @@
-"""Embedded storage engine: the Berkeley-DB stand-in of the reproduction.
+"""Embedded storage: the Berkeley-DB stand-in of the reproduction.
 
 Public surface:
 
 * :class:`~repro.storage.kv.Store` / :class:`MemoryStore` /
   :class:`FileStore` / :class:`Namespace` — the ordered KV interface the
-  indexes are built on.
-* :class:`~repro.storage.btree.BTree` and
-  :class:`~repro.storage.pager.Pager` — the on-disk machinery.
+  persisted tree is written through; :class:`FileStore` is an
+  append-only, checksummed record log.
+* :func:`verify_store` — the offline frame walk behind ``repro verify``.
 * posting codecs in :mod:`repro.storage.postings`.
-* durability: the write-ahead log in :mod:`repro.storage.wal`
-  (``durability="wal"`` on the pager / store / database), offline
-  checking in :mod:`repro.storage.verify`, and the fault-injection
-  harness in :mod:`repro.storage.faults`.
+* the fault-injection harness in :mod:`repro.storage.faults`.
 """
 
-from .btree import BTree
 from .faults import FaultInjector, FaultyFile, SimulatedCrash
-from .kv import FileStore, MemoryStore, Namespace, Store
-from .pager import DEFAULT_PAGE_SIZE, DURABILITY_MODES, Pager
-from .verify import VerifyReport, verify_store
-from .wal import DEFAULT_CHECKPOINT_BYTES, WAL_SUFFIX, WriteAheadLog, recover
+from .kv import DURABILITY_MODES, FileStore, MemoryStore, Namespace, Store, VerifyReport, verify_store
 from .postings import decode_node_postings, encode_node_postings
 from .varint import (
     decode_delta_list,
@@ -31,21 +24,15 @@ from .varint import (
 )
 
 __all__ = [
-    "BTree",
-    "DEFAULT_CHECKPOINT_BYTES",
-    "DEFAULT_PAGE_SIZE",
     "DURABILITY_MODES",
     "FaultInjector",
     "FaultyFile",
     "FileStore",
     "MemoryStore",
     "Namespace",
-    "Pager",
     "SimulatedCrash",
     "Store",
     "VerifyReport",
-    "WAL_SUFFIX",
-    "WriteAheadLog",
     "decode_delta_list",
     "decode_node_postings",
     "decode_svarint",
@@ -54,6 +41,5 @@ __all__ = [
     "encode_node_postings",
     "encode_svarint",
     "encode_uvarint",
-    "recover",
     "verify_store",
 ]

@@ -1,8 +1,8 @@
 """Fault injection for the storage engine's file I/O.
 
-The durability guarantees of the WAL (:mod:`repro.storage.wal`) are
-claims about what survives a crash at an *arbitrary* I/O boundary — a
-kill between two writes, in the middle of a write (a torn page), or
+The durability guarantees of the record log (:class:`repro.storage.kv.FileStore`)
+are claims about what survives a crash at an *arbitrary* I/O boundary — a
+kill between two writes, in the middle of a write (a torn frame), or
 right before an fsync.  This module makes those boundaries drivable from
 tests: a :class:`FaultyFile` wraps a real file object and a shared
 :class:`FaultInjector` decides, per operation, whether it completes,
@@ -17,7 +17,7 @@ Faults on offer:
   (the process is "dead", nothing more reaches disk).
 * **torn writes** — when the killed operation is a write, only the first
   ``torn_write_bytes`` bytes of the buffer land in the file before the
-  crash (default: half the buffer), modelling a power cut mid-page.
+  crash (default: half the buffer), modelling a power cut mid-frame.
 * **fsync failure** — ``fail_fsync=True`` makes every fsync raise
   ``OSError(EIO)`` without crashing the injector, modelling a dying
   disk whose error the engine must propagate, not swallow.
@@ -60,8 +60,8 @@ class FaultInjector:
     """Shared fault policy for every file opened through :meth:`opener`.
 
     One injector models one process run: the operation counter and the
-    crashed state are shared across the main database file and its WAL
-    sidecar, so "kill at boundary k" means the k-th mutating operation
+    crashed state are shared across the database file and its
+    checkpoint temporary, so "kill at boundary k" means the k-th mutating operation
     *anywhere*, matching what a real ``kill -9`` does.
 
     Parameters
@@ -121,7 +121,7 @@ class FaultInjector:
 
     def opener(self) -> "Callable[[str, str], FaultyFile]":
         """An ``open(path, mode)`` replacement wiring files to this
-        injector — pass as the pager's ``opener``.
+        injector — pass as the store's ``opener``.
 
         Files open unbuffered so that every :meth:`FaultyFile.write`
         reaches the OS immediately: the crash model is a process kill,
@@ -141,7 +141,7 @@ class FaultyFile:
 
     Implements the subset of the file protocol the storage engine uses
     (seek/read/write/flush/truncate/close/fileno) plus an explicit
-    :meth:`fsync` method — the pager syncs through the file object when
+    :meth:`fsync` method — the store syncs through the file object when
     one is offered, so the injector sees fsyncs too (``os.fsync`` on a
     raw descriptor would bypass it).
     """

@@ -3,7 +3,7 @@
 The subsystem has two halves:
 
 * :mod:`repro.telemetry.collector` — the ambient :class:`Telemetry`
-  collector every layer (pager, B+tree, posting codecs, indexes, both
+  collector every layer (store log, posting codecs, indexes, both
   evaluators) reports into while one is active; activation costs one
   context manager, inactivity costs one ``None`` check per report site.
 * :mod:`repro.telemetry.report` — :class:`QueryReport`, the structured

@@ -85,11 +85,6 @@ class QueryReport:
         return grouped
 
     @property
-    def pages_read(self) -> int:
-        """Storage pages read during the evaluation (0 for in-memory)."""
-        return int(self.get("storage.pages_read"))
-
-    @property
     def postings_decoded(self) -> int:
         """Total posting entries delivered by index fetches, across the
         data indexes, the schema indexes, and ``I_sec`` (the schema's
@@ -109,17 +104,6 @@ class QueryReport:
         return int(self.get("schema.max_k_stops"))
 
     @property
-    def page_cache_hits(self) -> int:
-        """Page reads served by the pager's LRU cache instead of the file."""
-        return int(self.get("cache.page_hits"))
-
-    @property
-    def node_cache_hits(self) -> int:
-        """B+tree node visits served as already-decoded node images
-        (the decoded-node LRU above the pager's page cache)."""
-        return int(self.get("btree.node_cache_hits"))
-
-    @property
     def column_cache_hits(self) -> int:
         """Kernel fetches served as already-built columnar lists (the
         ``kernel.*`` family: derived-value caching above the posting
@@ -137,14 +121,8 @@ class QueryReport:
         return int(self.get("kernel.rmq_reuses"))
 
     @property
-    def wal_frames_written(self) -> int:
-        """Write-ahead-log frames appended (0 unless the store mutates
-        under ``durability="wal"``)."""
-        return int(self.get("wal.frames_written"))
-
-    @property
     def wal_recoveries(self) -> int:
-        """Crash recoveries performed (log replays on open)."""
+        """Opens that found a torn commit at the end of the log."""
         return int(self.get("wal.recoveries"))
 
     @property
@@ -183,18 +161,12 @@ class QueryReport:
         lines = [
             f"telemetry: method={self.method} n={n_label} "
             f"results={self.results} wall={self.wall_seconds * 1000:.1f} ms",
-            f"  pages read: {self.pages_read} | "
-            f"postings decoded: {self.postings_decoded} | "
+            f"  postings decoded: {self.postings_decoded} | "
             f"second-level queries: {self.second_level_queries}",
-            f"  cache hits: {self.page_cache_hits} page / "
-            f"{self.node_cache_hits} node / "
-            f"{self.column_cache_hits} column",
+            f"  cache hits: {self.column_cache_hits} column",
         ]
-        if self.wal_frames_written or self.wal_recoveries:
-            lines.append(
-                f"  wal: {self.wal_frames_written} frame(s) written / "
-                f"{self.wal_recoveries} recovery(ies)"
-            )
+        if self.wal_recoveries:
+            lines.append(f"  wal: {self.wal_recoveries} recovery(ies)")
         if self.max_k_stops:
             lines.append(
                 "  schema: stopped at max_k before reaching n "
@@ -250,16 +222,12 @@ class QueryReport:
             "wall_seconds": self.wall_seconds,
             "results": self.results,
             "summary": {
-                "pages_read": self.pages_read,
                 "postings_decoded": self.postings_decoded,
                 "second_level_queries": self.second_level_queries,
                 "max_k_stops": self.max_k_stops,
-                "page_cache_hits": self.page_cache_hits,
-                "node_cache_hits": self.node_cache_hits,
                 "column_cache_hits": self.column_cache_hits,
                 "rmq_builds": self.rmq_builds,
                 "rmq_reuses": self.rmq_reuses,
-                "wal_frames_written": self.wal_frames_written,
                 "wal_recoveries": self.wal_recoveries,
                 "compiled_cache_hit": self.compiled_cache_hit,
                 "result_cache_hit": self.result_cache_hit,

@@ -107,26 +107,19 @@ class TestInfoAndSchema:
 class TestDurabilityAndVerify:
     def test_build_wal_then_query_and_verify(self, catalog_file, tmp_path, capsys):
         db_path = str(tmp_path / "catalog.apxq")
-        assert main(["build", db_path, catalog_file, "--durability", "wal"]) == 0
+        assert main(["build", db_path, catalog_file]) == 0
         capsys.readouterr()
         assert main(["verify", db_path]) == 0
         assert "result: ok" in capsys.readouterr().out
-        assert main(["query", db_path, 'cd[title["piano"]]', "--durability", "wal"]) == 0
+        assert main(["query", db_path, 'cd[title["piano"]]']) == 0
         assert "1 result(s)" in capsys.readouterr().out
-
-    def test_info_reports_wal_durability(self, catalog_file, tmp_path, capsys):
-        db_path = str(tmp_path / "catalog.apxq")
-        assert main(["build", db_path, catalog_file]) == 0
-        capsys.readouterr()
-        assert main(["info", db_path, "--durability", "wal"]) == 0
-        assert "wal durability" in capsys.readouterr().out
 
     def test_verify_detects_corruption(self, catalog_file, tmp_path, capsys):
         db_path = str(tmp_path / "catalog.apxq")
         assert main(["build", db_path, catalog_file]) == 0
         capsys.readouterr()
         with open(db_path, "r+b") as handle:
-            handle.seek(4096 + 64)  # inside page 1's payload
+            handle.seek(64)  # inside the store's only frame
             handle.write(b"\xde\xad\xbe\xef")
         assert main(["verify", db_path]) == 1
         assert "FAIL" in capsys.readouterr().out

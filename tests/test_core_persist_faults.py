@@ -30,20 +30,16 @@ class TestCorruption:
     def test_flipped_bytes_detected(self, saved_db):
         import os
 
-        # flip a byte inside every page, so whatever the load path reads
-        # first trips a checksum — corruption is detected, never silently
-        # decoded
+        # flip a byte inside the saved frame: its checksum trips, so the
+        # damage is detected, never silently decoded
         size = os.path.getsize(saved_db)
         with open(saved_db, "r+b") as handle:
-            for offset in range(2000, size, 4096):
-                handle.seek(offset)
-                original = handle.read(1)
-                handle.seek(offset)
-                handle.write(bytes([original[0] ^ 0xFF]))
-        with pytest.raises(ReproError):
-            loaded = Database.open(saved_db)
-            loaded.query("cd", n=None)
-            loaded.query('cd[title["piano"]]', n=None)
+            handle.seek(size // 2)
+            original = handle.read(1)
+            handle.seek(size // 2)
+            handle.write(bytes([original[0] ^ 0xFF]))
+        with pytest.raises(StorageError, match="corrupt frame"):
+            Database.open(saved_db)
 
     def test_wrong_version_rejected(self, tmp_path):
         store = MemoryStore()
@@ -58,6 +54,16 @@ class TestCorruption:
             message = f"unsupported database format version {version}"
             with pytest.raises(StorageError, match=message):
                 load_tree(store)
+
+    def test_page_format_store_rejected(self, tmp_path):
+        """A store written by the paged B+tree engine (magic APXQPG01)
+        is refused with a typed error naming the path, not misread."""
+        path = str(tmp_path / "paged.apxq")
+        with open(path, "wb") as handle:
+            handle.write(struct.pack("<8sIIQ", b"APXQPG01", 4096, 2, 0).ljust(8192, b"\0"))
+        with pytest.raises(StorageError, match="page-format store") as caught:
+            Database.open(path)
+        assert path in str(caught.value)
 
     def test_inconsistent_columns_rejected(self):
         store = MemoryStore()
@@ -77,6 +83,37 @@ class TestCorruption:
         tree = builder.finish()
         with pytest.raises(StorageError):
             save_tree(tree, MemoryStore(), CostModel())
+
+
+class TestSaveOverAnExistingStore:
+    def test_save_replaces_the_old_store(self, saved_db):
+        Database.from_xml("<lp><title>organ</title></lp>").save(saved_db)
+        with Database.open(saved_db) as loaded:
+            assert len(loaded.query('lp[title["organ"]]', n=None)) == 1
+            assert not loaded.query("cd", n=None)
+
+    def test_a_failing_encode_leaves_the_old_store(self, saved_db, monkeypatch):
+        from repro.core import database as database_module
+
+        def failing_save_tree(*args, **kwargs):
+            raise RuntimeError("interrupted while encoding")
+
+        monkeypatch.setattr(database_module, "save_tree", failing_save_tree)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            Database.from_xml("<lp><title>organ</title></lp>").save(saved_db)
+        with Database.open(saved_db) as loaded:
+            assert len(loaded.query('cd[title["piano"]]', n=None)) == 1
+
+    def test_an_unencodable_label_leaves_the_old_store(self, saved_db):
+        from repro.xmltree.model import TreeBuilder
+
+        builder = TreeBuilder()
+        builder.start_struct("bad\x00label")
+        builder.end_struct()
+        with pytest.raises(StorageError, match="column separator"):
+            Database.from_tree(builder.finish()).save(saved_db)
+        with Database.open(saved_db) as loaded:
+            assert len(loaded.query('cd[title["piano"]]', n=None)) == 1
 
 
 class TestRoundTripFidelity:

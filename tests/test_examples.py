@@ -54,7 +54,7 @@ def test_persistent_store_quick():
 def test_observability():
     output = run_example("observability.py")
     assert "plan:" in output
-    assert "pages read" in output
+    assert "log frame" in output
     assert "postings decoded" in output
     assert "second-level queries" in output
 

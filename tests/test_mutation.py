@@ -265,7 +265,7 @@ class TestUnifiedEntryPoints:
         options = StoreOptions(page_cache_pages=4, posting_cache_bytes=0)
         database = Database.open(path, options, durability="wal")
         # keyword overrides win over the options object's fields
-        assert database._store.durability == "wal"
+        assert database._store_options.durability == "wal"
         assert database._store_options.page_cache_pages == 4
         assert len(database.query("cd[title]", n=None)) == 3
 
@@ -304,4 +304,4 @@ class TestMutationReportRendering:
     def test_mutation_counters_flow_to_telemetry(self, stored_db):
         stored_db.insert_document(NEW_DOC)
         result = stored_db.query("cd[title]", n=None, collect="counters")
-        assert result.report.pages_read >= 0
+        assert result.report.postings_decoded >= 0

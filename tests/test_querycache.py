@@ -35,7 +35,7 @@ from repro.querycache import (
 from repro.shard import ShardedDatabase
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.kv import Namespace
-from repro.storage.wal import WAL_SUFFIX
+from repro.telemetry import Telemetry, collecting
 
 DOCS = [
     "<cd><title>piano works</title><artist>ann</artist></cd>",
@@ -568,18 +568,15 @@ class TestWriteScopedInvalidation:
         Database.from_documents(DOCS).save(path, durability="wal")
         injector = FaultInjector(kill_after_ops=1_000_000)
         database = Database.open(
-            path,
-            options=StoreOptions(
-                durability="wal", wal_checkpoint_bytes=1 << 30, opener=injector.opener(),
-            ),
+            path, options=StoreOptions(durability="wal", opener=injector.opener())
         )
         database.query("cd[title]", n=None)
         database.insert_document(DISJOINT_DOC)
         carried = database.query("cd[title]", n=None, collect="counters")
         assert carried.report.result_cache_hit
-        injector.kill_after_ops = 0
+        injector.kill_after_ops = 0  # the next write dies mid-frame
         with pytest.raises(SimulatedCrash):
-            database.close()
+            database.insert_document(NEW_DOC)
         recovered = Database.open(path, options=StoreOptions(durability="wal"))
         with recovered:
             first = recovered.query("cd[title]", n=None, collect="counters")
@@ -743,15 +740,9 @@ class TestRepair:
 
 
 def _store_bytes(path):
-    """The store file and its WAL sidecar (None when absent), raw."""
-    files = []
-    for name in (path, path + WAL_SUFFIX):
-        if os.path.exists(name):
-            with open(name, "rb") as handle:
-                files.append(handle.read())
-        else:
-            files.append(None)
-    return files
+    """The store file, raw."""
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 class TestPlannerPersistence:
@@ -809,29 +800,26 @@ class TestPlannerPersistence:
 
 class TestCrashRecovery:
     def test_recovery_lands_on_an_evicted_cache(self, tmp_path):
-        """WAL recovery sets the store generation to 1 — the sentinel
-        that marks every generation-tagged cache entry from before the
-        crash stale — and the reopened fast path works on the recovered
-        data."""
+        """Reopening after a write torn by a crash drops the torn
+        commit, and the reopened handle's fast path works on the
+        recovered data: cold first, then served from the cache."""
         path = os.path.join(tmp_path, "crash.apxq")
         Database.from_documents(DOCS).save(path, durability="wal")
 
         injector = FaultInjector(kill_after_ops=1_000_000)
         database = Database.open(
-            path,
-            options=StoreOptions(
-                durability="wal", wal_checkpoint_bytes=1 << 30,
-                opener=injector.opener(),
-            ),
+            path, options=StoreOptions(durability="wal", opener=injector.opener())
         )
         database.query("cd[title]", n=2)
         database.insert_document(NEW_DOC)
         injector.kill_after_ops = 0  # every further file op crashes
         with pytest.raises(SimulatedCrash):
-            database.close()
+            database.insert_document(DISJOINT_DOC)
 
-        recovered = Database.open(path, options=StoreOptions(durability="wal"))
-        assert recovered._store.generation == 1
+        telemetry = Telemetry()
+        with collecting(telemetry):
+            recovered = Database.open(path, options=StoreOptions(durability="wal"))
+        assert telemetry.counters["wal.recoveries"] == 1
         first = recovered.query("cd[title]", n=None, collect="counters")
         assert not first.report.result_cache_hit
         assert len(first) == len(DOCS) + 1  # the pre-crash insert replayed

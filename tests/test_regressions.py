@@ -56,26 +56,6 @@ class TestSkeletonSignatureCollision:
         assert direct  # the deletion-based embedding must be found at all
 
 
-class TestByteBalancedSplit:
-    """B+tree nodes split at the byte-balanced point; a count-median
-    split once left a byte-heavy half oversized (small entries followed
-    by near-inline-limit values)."""
-
-    def test_mixed_size_inserts(self, tmp_path):
-        from repro.storage.btree import BTree
-        from repro.storage.pager import Pager
-
-        with Pager(str(tmp_path / "split.db"), page_size=4096) as pager:
-            tree = BTree(pager)
-            # small keys first, then values near the inline threshold
-            for index in range(20):
-                tree.put(f"s{index:02d}".encode(), b"x")
-            for index in range(20):
-                tree.put(f"t{index:02d}".encode(), b"y" * 1000)
-            for index in range(20):
-                assert tree.get(f"t{index:02d}".encode()) == b"y" * 1000
-
-
 class TestQuoteAndCommentHandling:
     """Labels containing '#' (the super-root) once collided with the
     cost-file comment syntax."""

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import KeyNotFoundError, StorageError
 from repro.storage.kv import FileStore, MemoryStore, Namespace
+from repro.telemetry.collector import Telemetry, collecting
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -13,7 +14,7 @@ def store(request, tmp_path):
     if request.param == "memory":
         yield MemoryStore()
     else:
-        with FileStore(str(tmp_path / "store.db"), page_size=512) as file_store:
+        with FileStore(str(tmp_path / "store.db")) as file_store:
             yield file_store
 
 
@@ -72,7 +73,7 @@ class TestMemoryStore:
 class TestFileStorePersistence:
     def test_reopen(self, tmp_path):
         path = str(tmp_path / "persist.db")
-        with FileStore(path, page_size=512) as store:
+        with FileStore(path) as store:
             store.put(b"durable", b"yes")
             store.sync()
         with FileStore(path) as store:
@@ -80,10 +81,47 @@ class TestFileStorePersistence:
 
     def test_reopen_large_values(self, tmp_path):
         path = str(tmp_path / "big.db")
-        with FileStore(path, page_size=512) as store:
+        with FileStore(path) as store:
             store.put(b"big", b"x" * 10_000)
         with FileStore(path) as store:
             assert store.get(b"big") == b"x" * 10_000
+
+
+class TestCountedLock:
+    def test_contended_lock_reports_waits(self, tmp_path):
+        """CountedLock observability: a thread that actually blocks on the
+        store's lock ticks concurrency.store_lock_waits in its own
+        collection; the uncontended path records nothing."""
+        import threading
+        import time
+
+        store = FileStore(str(tmp_path / "locked.db"))
+        store.put(b"k", b"locked")
+        store.commit()
+        telemetry = Telemetry()
+        entered = threading.Event()
+
+        def blocked_reader():
+            entered.wait()
+            with collecting(telemetry):
+                store.get(b"k")
+
+        thread = threading.Thread(target=blocked_reader)
+        raw_lock = store._lock._lock
+        raw_lock.acquire()
+        try:
+            thread.start()
+            entered.set()
+            time.sleep(0.05)  # let the reader hit the held lock
+        finally:
+            raw_lock.release()
+        thread.join()
+        assert telemetry.counters.get("concurrency.store_lock_waits") == 1
+        uncontended = Telemetry()
+        with collecting(uncontended):
+            store.get(b"k")
+        assert "concurrency.store_lock_waits" not in uncontended.counters
+        store.close()
 
 
 class TestNamespace:

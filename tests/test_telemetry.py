@@ -144,7 +144,6 @@ class TestCollector:
 class TestQueryReport:
     def test_headline_metrics_and_format(self):
         telemetry = Telemetry()
-        telemetry.count("storage.pages_read", 7)
         telemetry.count("index.data_postings", 10)
         telemetry.count("index.schema_postings", 3)
         telemetry.count("index.sec_postings", 2)
@@ -153,11 +152,9 @@ class TestQueryReport:
             telemetry, query="q", method="schema", collect="counters",
             n=5, wall_seconds=0.001, results=2,
         )
-        assert report.pages_read == 7
         assert report.postings_decoded == 15
         assert report.second_level_queries == 4
         text = report.format()
-        assert "pages read: 7" in text
         assert "postings decoded: 15" in text
         assert "second-level queries: 4" in text
 
@@ -167,7 +164,7 @@ class TestQueryReport:
             n=None, wall_seconds=0.0, results=0,
         )
         text = report.format()
-        assert "pages read: 0" in text
+        assert "postings decoded: 0" in text
         assert "collection off" in text
 
     def test_wal_line_appears_only_when_wal_was_active(self):
@@ -175,18 +172,16 @@ class TestQueryReport:
             Telemetry(), query="q", method="direct", collect="counters",
             n=1, wall_seconds=0.0, results=0,
         )
-        assert "wal:" not in quiet.format()  # none-mode output is unchanged
+        assert "wal:" not in quiet.format()  # a read-only query prints none
         telemetry = Telemetry()
-        telemetry.count("wal.frames_written", 12)
         telemetry.count("wal.recoveries", 1)
         report = QueryReport.from_telemetry(
             telemetry, query="q", method="direct", collect="counters",
             n=1, wall_seconds=0.0, results=0,
         )
-        assert report.wal_frames_written == 12
         assert report.wal_recoveries == 1
-        assert "wal: 12 frame(s) written / 1 recovery(ies)" in report.format()
-        assert report.to_dict()["summary"]["wal_frames_written"] == 12
+        assert "wal: 1 recovery(ies)" in report.format()
+        assert report.to_dict()["summary"]["wal_recoveries"] == 1
 
     def test_max_k_stop_is_a_headline_warning(self):
         quiet = QueryReport.from_telemetry(
@@ -207,13 +202,13 @@ class TestQueryReport:
 
     def test_json_roundtrip_carries_summary(self):
         telemetry = Telemetry()
-        telemetry.count("storage.pages_read", 3)
+        telemetry.count("index.data_postings", 3)
         report = QueryReport.from_telemetry(
             telemetry, query="q", method="direct", collect="counters",
             n=1, wall_seconds=0.5, results=1,
         )
         payload = json.loads(report.to_json())
-        assert payload["summary"]["pages_read"] == 3
+        assert payload["summary"]["postings_decoded"] == 3
         assert payload["method"] == "direct"
 
 
@@ -375,7 +370,6 @@ class TestCli:
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "pages read:" in output
         assert "postings decoded:" in output
         assert "second-level queries:" in output
         assert f"({method})" in output
@@ -386,37 +380,11 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["query", db_path, 'cd[title["piano"]]', "--stats"]) == 0
         output = capsys.readouterr().out
-        pages_line = next(line for line in output.splitlines() if "pages read:" in line)
-        pages = int(pages_line.split("pages read:")[1].split("|")[0].strip())
-        cache_line = next(line for line in output.splitlines() if "cache hits:" in line)
-        page_hits = int(cache_line.split("cache hits:")[1].split("page")[0].strip())
-        node_hits = int(cache_line.split("page /")[1].split("node")[0].strip())
         # the stored handle answers from the tree it loaded: the query
-        # touches no page, cached or not
-        assert pages == page_hits == node_hits == 0
-
-    def test_query_stats_with_page_cache_disabled_counts_pages(
-        self, catalog_file, tmp_path, capsys
-    ):
-        db_path = str(tmp_path / "catalog.apxq")
-        assert cli_main(["build", db_path, catalog_file]) == 0
-        capsys.readouterr()
-        code = cli_main(
-            [
-                "query",
-                db_path,
-                'cd[title["piano"]]',
-                "--stats",
-                "--page-cache-pages",
-                "0",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        pages_line = next(line for line in output.splitlines() if "pages read:" in line)
-        pages = int(pages_line.split("pages read:")[1].split("|")[0].strip())
-        # no cache can hide a read here, and there is none
-        assert pages == 0
+        # touches the store not at all
+        assert "result(s)" in output
+        assert "  storage:" not in output
+        assert "wal:" not in output
 
     def test_plan_command(self, catalog_file, capsys):
         assert cli_main(["plan", catalog_file, 'cd[title["piano"]]', "-n", "5"]) == 0

@@ -1,27 +1,26 @@
 #!/usr/bin/env python
-"""Crash-consistency matrix for the storage engine's WAL mode.
+"""Crash-consistency matrix for the storage engine's record log.
 
-The durability claim of ``durability="wal"`` is: *kill the process at any
-I/O boundary and the store reopens in exactly its last committed state —
-full rollback or full commit, never half.*  This tool turns that claim
-into an exhaustive experiment:
+The durability claim of the log is: *kill the process at any I/O
+boundary and the store reopens in exactly a committed state — the last
+acknowledged commit or the one in flight, never half of one.*  This tool
+turns that claim into an exhaustive experiment:
 
-1. **Count** — run a build/update workload against a WAL-mode store
-   through a fault-free :class:`~repro.storage.faults.FaultInjector` to
-   learn how many mutating I/O operations (write / flush / fsync /
-   truncate) the workload performs.  Every one of them is a potential
-   kill point.
+1. **Count** — run a build/update workload against a store through a
+   fault-free :class:`~repro.storage.faults.FaultInjector` to learn how
+   many mutating I/O operations (write / flush / fsync / truncate) the
+   workload performs, commits and checkpoints alike.  Every one of them
+   is a potential kill point.
 2. **Kill everywhere** — for every boundary ``k``, restart from a
    pristine copy of the base store, replay the same workload with
    ``kill_after_ops=k`` (the k-th mutating operation dies, tearing the
    write in half if it is one), and let :class:`SimulatedCrash` abort
    the run mid-flight.
-3. **Recover and judge** — reopen the store (recovery replays the
-   committed WAL tail and discards the torn one), read every key back,
-   and require that the surviving state equals one of the snapshots the
-   workload legally committed — at least the last one whose commit had
-   completed before the kill.  ``verify_store`` must also report every
-   page and frame checksum clean.
+3. **Recover and judge** — reopen the store (a torn commit at the end of
+   the log is dropped), read every key back, and require that the
+   surviving state equals one of the snapshots the workload legally
+   committed — at least the last one whose commit had completed before
+   the kill.  ``verify_store`` must also find every frame checksum clean.
 
 Any other outcome — a key set that matches no committed snapshot, a
 store that fails to reopen, a checksum failure — is a half state and a
@@ -53,13 +52,8 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
 from repro.core.database import Database
 from repro.core.persist import StoreOptions
 from repro.storage.faults import FaultInjector, SimulatedCrash
-from repro.storage.kv import FileStore
-from repro.storage.verify import verify_store
+from repro.storage.kv import FileStore, verify_store
 
-#: small pages so even a short workload spreads over many of them
-PAGE_SIZE = 512
-#: small cache so reads after recovery actually hit the file
-CACHE_PAGES = 8
 SCALES = ("tiny", "full")
 
 
@@ -68,21 +62,21 @@ SCALES = ("tiny", "full")
 # ----------------------------------------------------------------------
 #
 # A workload is a list of *batches*; each batch is applied to the store
-# and then committed.  Ops are ("put", key, value) / ("delete", key, None).
-# Workloads are pure data, so the counting pass and every kill run replay
-# byte-identical operation sequences.
+# and then committed, and the run ends with a checkpoint (``churn``
+# checkpoints after every commit).  Ops are ("put", key, value) /
+# ("delete", key, None).  Workloads are pure data, so the counting pass
+# and every kill run replay byte-identical operation sequences.
 
 
 def _value(index: int) -> bytes:
-    # every fifth value overflows a 512-byte page, exercising the
-    # B+tree's overflow chains under crash
+    # every fifth value is large, so a torn write can end deep inside it
     size = 700 if index % 5 == 2 else 40 + 13 * (index % 7)
     return bytes([index % 251 or 1]) * size
 
 
 def _build_batches(scale: str):
     """Append-only build: fresh keys across several commits."""
-    per_batch, batches = {"tiny": (4, 2), "full": (8, 3)}[scale]
+    per_batch, batches = {"tiny": (3, 4), "full": (4, 6)}[scale]
     out, counter = [], 0
     for _ in range(batches):
         batch = []
@@ -109,15 +103,15 @@ def _update_batches(scale: str):
 class Workload:
     name: str
     batches: "callable"
-    #: WAL size that triggers a checkpoint — tiny for ``churn`` so the
-    #: kill points land inside checkpoint folds and log resets too
-    checkpoint_bytes: int = 64 * 1024
+    #: checkpoint after every commit, not only at the end — so the kill
+    #: points land inside rewrites of a growing file too
+    checkpoint_every_batch: bool = False
 
 
 WORKLOADS = {
     "build": Workload("build", _build_batches),
     "update": Workload("update", _update_batches),
-    "churn": Workload("churn", _build_batches, checkpoint_bytes=2048),
+    "churn": Workload("churn", _build_batches, checkpoint_every_batch=True),
 }
 
 
@@ -150,7 +144,7 @@ class MatrixResult:
     boundaries: int = 0
     #: kills whose recovered state was the last durable snapshot
     rolled_back: int = 0
-    #: kills where the in-flight commit survived (its frames had landed)
+    #: kills where the in-flight commit survived (its frame had landed)
     committed_ahead: int = 0
     #: (boundary, reason) for every half state or verification failure
     failures: "list[tuple[int, str]]" = field(default_factory=list)
@@ -187,21 +181,18 @@ def _abandon(store: FileStore) -> None:
     """Drop a crashed store without flushing anything — the moral
     equivalent of the OS closing a killed process's descriptors.
     (``close()`` would try to commit and hit the injector's dead-file
-    wall; the raw handles close without touching disk.)"""
-    pager = store._pager
-    for handle in (pager._file, pager._wal._file if pager._wal else None):
-        if handle is None:
-            continue
+    wall; the raw handle closes without touching disk.)"""
+    if store._file is not None:
         try:
-            handle.close()
+            store._file.close()
         except Exception:
             pass
 
 
 def _make_base(directory: str) -> str:
-    """A pristine, cleanly closed WAL-mode store every run copies from."""
+    """A pristine, cleanly closed empty store every run copies from."""
     path = os.path.join(directory, "base.apxq")
-    store = FileStore(path, page_size=PAGE_SIZE, cache_pages=CACHE_PAGES, durability="wal")
+    store = FileStore(path)
     store.commit()
     store.close()
     return path
@@ -210,9 +201,6 @@ def _make_base(directory: str) -> str:
 def _clone_base(base: str, directory: str, tag: str) -> str:
     path = os.path.join(directory, f"run-{tag}.apxq")
     shutil.copyfile(base, path)
-    for suffix in ("-wal",):
-        if os.path.exists(base + suffix):
-            shutil.copyfile(base + suffix, path + suffix)
     return path
 
 
@@ -220,20 +208,15 @@ def _play(path: str, workload: Workload, batches, injector: FaultInjector):
     """Run the workload through ``injector``; returns the op count at
     which each commit call returned (the durability lower bounds)."""
     commit_ops = [0]
-    store = FileStore(
-        path,
-        page_size=PAGE_SIZE,
-        cache_pages=CACHE_PAGES,
-        durability="wal",
-        wal_checkpoint_bytes=workload.checkpoint_bytes,
-        opener=injector.opener(),
-        must_exist=True,
-    )
+    store = FileStore(path, opener=injector.opener(), must_exist=True)
     try:
         for batch in batches:
             _apply_batch(store, batch)
             store.commit()
             commit_ops.append(injector.mutating_ops)
+            if workload.checkpoint_every_batch:
+                store.checkpoint()
+        store.checkpoint()
         store.close()
     except SimulatedCrash:
         _abandon(store)
@@ -242,13 +225,7 @@ def _play(path: str, workload: Workload, batches, injector: FaultInjector):
 
 
 def _recovered_state(path: str) -> "dict[bytes, bytes]":
-    with FileStore(
-        path,
-        page_size=PAGE_SIZE,
-        cache_pages=CACHE_PAGES,
-        durability="wal",
-        must_exist=True,
-    ) as store:
+    with FileStore(path, must_exist=True) as store:
         return dict(store.scan())
 
 
@@ -327,7 +304,7 @@ def run_matrix(
 #
 # Same experiment one layer up: the workload is a sequence of Database
 # document mutations (insert / delete / replace), each of which the
-# engine promises to journal as ONE commit frame — the inserted
+# engine promises to write as ONE commit frame — the inserted
 # document's tree segment with the node count, the dead-roots list of a
 # deleted one, all or nothing.
 # A kill at any boundary must therefore recover to the store state after
@@ -363,13 +340,7 @@ def _mutation_ops(scale: str):
 
 
 def _mutation_store_options(injector: "FaultInjector | None" = None) -> StoreOptions:
-    return StoreOptions(
-        page_cache_pages=CACHE_PAGES,
-        durability="wal",
-        wal_checkpoint_bytes=4096,
-        page_size=PAGE_SIZE,
-        opener=injector.opener() if injector is not None else None,
-    )
+    return StoreOptions(opener=injector.opener() if injector is not None else None)
 
 
 def _make_mutation_base(directory: str, scale: str) -> str:
@@ -404,6 +375,7 @@ def _play_mutations(path: str, ops, injector: FaultInjector):
             commit_ops.append(injector.mutating_ops)
             snapshots.append(dict(store.scan()))
             doc_counts.append(len(database.documents()))
+        store.checkpoint()
         store.close()
     except SimulatedCrash:
         _abandon(store)
