@@ -249,7 +249,7 @@ class _PinnedView:
             )
             if captured:
                 driver = captured[0]
-            complete = driver is not None and driver.exhausted
+            complete = driver is not None and driver.complete
         return Execution([(result.root, result.cost) for result in raw], complete, driver)
 
     def repair(
@@ -263,14 +263,11 @@ class _PinnedView:
         lies inside its result node's subtree, so the answer is the
         cost-ordered merge of the live cached pairs with the direct
         answer over the documents grafted at or after
-        ``entry.repair_from``.  ``None`` asks for a cold run: when those
+        ``entry.repair_from``.  ``None`` asks for a cold run when those
         documents are too large a share of the ones before them for the
-        direct pass to be cheaper (``_REPAIR_DELTA_SHARE``), and when a
-        schema-ordered answer gains a result whose cost ties a kept or
-        another new one (schema order breaks ties by skeleton
-        signature).  Liveness comes from the pinned ``documents``, never
-        from the shared tree's tombstones, which a writer moves ahead of
-        this view."""
+        direct pass to be cheaper (``_REPAIR_DELTA_SHARE``).  Liveness
+        comes from the pinned ``documents``, never from the shared
+        tree's tombstones, which a writer moves ahead of this view."""
         state = self.state
         start = entry.repair_from
         if state.node_count - start >= _REPAIR_DELTA_SHARE[chosen] * start:
@@ -298,13 +295,9 @@ class _PinnedView:
         # past the last cost of a prefix that is not complete the old
         # answer is unknown
         last = math.inf if entry.complete else entry.pairs[-1][1] if entry.pairs else -math.inf
-        if chosen != "direct":
-            costs = [cost for _, cost in fresh if cost <= last]
-            if len(set(costs)) < len(costs) or not {cost for _, cost in kept}.isdisjoint(costs):
-                return None
         fresh = [pair for pair in fresh if pair[1] < last]
         # a stable merge on cost: every new root follows every old one,
-        # so equal direct costs stay in (cost, root) order
+        # so equal costs stay in (cost, root) order
         return list(heapq.merge(kept, fresh, key=itemgetter(1)))
 
     def materialize(self, rows: list) -> list[QueryResult]:

@@ -19,7 +19,7 @@ Stages of :meth:`QueryPipeline.query`, in order:
    :class:`~repro.planner.cost.Planner`, cached on the compiled query
    per (generation, n, method);
 4. **cache**: one Tier-2 :class:`~repro.querycache.ResultCache` key per
-   (query, costs, method, ``max_cost``) serves every ``n``, across writes:
+   (query, costs, ``max_cost``) serves every method and ``n``, across writes:
    serve the prefix, repair one a write touched, resume a shorter one, or
 5. **execute** on the executor and store what came out;
 6. **report**: one :class:`~repro.telemetry.report.QueryReport`
@@ -358,21 +358,22 @@ class QueryPipeline:
         self, view, generation, compiled, chosen, n, max_cost, collect
     ) -> "tuple[list, Execution | None]":
         """Stages 4–5: the best-``n`` results from the cached prefix of
-        this (query, costs, method, max_cost) at this generation (first
-        repaired by the view when a write marked it), from the schema
-        driver resumed past a shorter prefix, or from a cold run whose
-        rows are then cached; plus the :class:`Execution` that ran,
-        ``None`` when the cache served.  A disabled cache never hits and
-        never stores.
+        this (query, costs, max_cost) at this generation (first repaired
+        by the view when a write marked it), from the schema driver
+        resumed past a shorter prefix, or from a cold run whose rows are
+        then cached; plus the :class:`Execution` that ran, ``None`` when
+        the cache served.  A disabled cache never hits and never stores.
 
-        Every method's best-``n`` answer is a prefix of its full answer
-        (the schema driver's k schedule changes how long it takes, not
-        what it is), so one key serves every ``n``: a shorter ``n`` from
-        a longer cached answer, a longer one by resuming.
+        Every method's best-``n`` answer is the first ``n`` results of
+        one order, (cost, root), so one key serves every method and every
+        ``n``: a shorter ``n`` from a longer cached answer, a longer one
+        by resuming.
         """
-        key = (compiled.key, chosen, max_cost)
+        key = (compiled.key, max_cost)
         cache = self.result_cache
-        entry = cache.lookup(key, generation, n)
+        # only the schema driver resumes (from the state a schema run
+        # left); every other read of a short prefix runs cold
+        entry = cache.lookup(key, generation, n, resumable=chosen == "schema")
         if entry is not None and entry.repair_from is not None:
             rows = view.repair(compiled, chosen, entry, max_cost)
             entry = cache.settle_repair(
@@ -382,7 +383,7 @@ class QueryPipeline:
         if entry is not None and entry.serves(n):
             rows = entry.pairs
         else:
-            resume = entry.state if entry is not None else None
+            resume = entry.state if entry is not None and chosen == "schema" else None
             if resume is not None:
                 cache.note_resume()
             execution = view.execute(compiled, chosen, n, max_cost, resume, collect)

@@ -17,15 +17,16 @@ cost-model copy matters: ``CostModel`` is mutable, and a caller mutating
 their model after a cache hit must not corrupt the entry keyed by the
 old fingerprint.
 
-Tier 2 — :class:`ResultCache`.  Both algorithms emit a best-``n``
-answer that is a prefix of the full answer — the direct method sorts by
-``(cost, root)``, the schema driver executes skeletons in ``(cost,
-signature)`` order whatever its k schedule — so a cached top-``k``
-prefix answers a request with ``n ≤ k`` byte-identically, and one key,
-``(query, costs, method, max_cost)``, serves every ``n``.  Entries carry
-the captured :class:`DriverState` of the incremental schema driver, so a
-request with ``n > cached-n`` resumes from the cached round state
-instead of restarting at the first round.
+Tier 2 — :class:`ResultCache`.  Both algorithms emit the best-``n``
+answer as the first ``n`` results of one order, ``(cost, root)`` — the
+direct method sorts by it, the schema driver hands out each cost class
+in root order once it is complete — so a cached top-``k`` prefix answers
+a request with ``n ≤ k`` byte-identically, whichever method computed
+it, and one key, ``(query, costs, max_cost)``, serves every method and
+every ``n``.  Entries a schema run stored carry the captured
+:class:`DriverState` of the incremental driver, so a schema request with
+``n > cached-n`` resumes from the cached round state instead of
+restarting at the first round.
 
 Invalidation is write-scoped: entries carry the generation they were
 computed under (a per-shard vector for ``ShardedDatabase``) and their
@@ -41,13 +42,14 @@ the pairs of deleted documents, evaluates the query directly over the
 documents grafted since, and merges (``_PinnedView.repair``).  The read
 falls back to a cold evaluation when the written documents are too
 large a share of what came before them for the direct pass over them to
-be the cheaper run (a measured share per method), when the merged
-prefix no longer serves its ``n``, and — for a schema-ordered entry —
-when a new result ties a kept cost, since schema order breaks cost ties
-by skeleton signature, which a direct pass cannot reproduce.  An entry that can match the super-root
-(``#root``, the one node outside every document) is dropped, and so is
-every touched entry of a sharded merge level, which has no tree to
-repair on.  Other generation moves follow one protocol: a lookup from a *newer* generation evicts the stale entry, one
+be the cheaper run (a measured share per method of the read), or when
+the merged prefix no longer serves its ``n``.  Cost ties need no
+fallback: every written document's roots follow every old root, so a
+merge on cost alone keeps the ``(cost, root)`` order.  An entry that can
+match the super-root (``#root``, the one node outside every document) is
+dropped, and so is every touched entry of a sharded merge level, which
+has no tree to repair on.  Other generation moves follow one protocol: a
+lookup from a *newer* generation evicts the stale entry, one
 from an *older* generation (a pinned ``Database.snapshot()``) misses
 without evicting.  ``DESIGN.md`` §8 gives the soundness argument.
 
@@ -92,10 +94,10 @@ class DriverState:
     found-result dedup map — instead of re-growing ``k`` from its first
     round.
 
-    ``executed`` must only contain signatures whose instances were
-    *fully* folded into ``found``: the driver returns mid-skeleton when
-    ``n`` is reached, and a partially consumed skeleton must be
-    re-executed on resume (``found`` membership dedups the replays).
+    ``emitted`` counts the results handed out: the driver stops at
+    ``n`` only once the cost class of the ``n``-th result is complete,
+    so ``found`` may hold more roots than that, the rest of the class,
+    which a resume hands out first.
     """
 
     k: int
@@ -103,6 +105,12 @@ class DriverState:
     found: dict
     found_per_class: dict
     exhausted: bool
+    emitted: int
+
+    @property
+    def complete(self) -> bool:
+        """The run drained and handed out every root it found."""
+        return self.exhausted and self.emitted == len(self.found)
 
     def approximate_bytes(self) -> int:
         return _STATE_ITEM_BYTES * (
@@ -262,12 +270,13 @@ class CompiledQueryCache:
 class CachedResult:
     """One cached best-n prefix.
 
-    ``pairs`` is the emitted prefix in emission (cost, tiebreak) order —
-    for a single database plain ``(root, cost)`` tuples, for a sharded
-    database ``(global_root, cost, shard, local_root)`` tuples.
-    ``complete`` marks a fully exhausted evaluation (the prefix answers
-    any ``n``); otherwise ``state`` (when present) lets the schema
-    driver resume past ``len(pairs)``.  A write that misses every one of
+    ``pairs`` is the emitted prefix in (cost, root) order, whichever
+    method computed it — for a single database plain ``(root, cost)``
+    tuples, for a sharded database ``(global_root, cost, shard,
+    local_root)`` tuples.  ``complete`` marks a fully exhausted
+    evaluation (the prefix answers any ``n``); otherwise ``state`` (when
+    a schema run stored the entry) lets a schema read resume past
+    ``len(pairs)``.  A write that misses every one of
     ``root_labels`` carries the entry as it is; one that hits them marks
     it for repair from ``repair_from``, the tree length before the first
     such write grafted anything (never when ``root_labels`` is ``None``
@@ -343,12 +352,13 @@ class ResultCache:
         return self._bytes
 
     def lookup(
-        self, key: tuple, generation: object, n: "int | None"
+        self, key: tuple, generation: object, n: "int | None", resumable: bool = True
     ) -> "CachedResult | None":
         """The cached prefix for ``key`` valid at ``generation`` that a
-        best-``n`` request can use: it serves ``n`` outright or carries
-        the driver state to resume from.  A too-short prefix that cannot
-        resume is a miss — the request is evaluated from scratch.  An
+        best-``n`` request can use: it serves ``n`` outright or, for a
+        ``resumable`` request, carries the driver state to resume from.
+        A too-short prefix the request cannot resume is a miss — the
+        request is evaluated from scratch.  An
         entry a write marked for repair is returned uncounted, whatever
         its length: the caller repairs it, and :meth:`settle_repair`
         decides whether the repaired prefix serves ``n``."""
@@ -360,7 +370,7 @@ class ResultCache:
                 if entry.repair_from is not None:
                     self._entries.move_to_end(key)
                     return entry
-                if entry.serves(n) or entry.state is not None:
+                if entry.serves(n) or (resumable and entry.state is not None):
                     self._entries.move_to_end(key)
                     self.hits += 1
                     _telemetry.count("querycache.result_hits")

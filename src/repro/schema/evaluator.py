@@ -10,9 +10,12 @@ prefix-erasure, made robust against tie reordering).
 The k schedule is a private policy: it changes how long an answer
 takes, never what it is.  Every top-k list is a prefix of one order,
 (cost, signature), so the skeletons execute in that order whatever the
-round boundaries, and ``evaluate(q, n)`` is ``evaluate(q, None)[:n]``.
-The first round's k is n scaled by the query's mean renaming-closure
-width (see :meth:`SchemaEvaluator._initial_k`).
+round boundaries.  Results are held back one cost class at a time and
+handed out in root order once the next skeleton to run costs more (or
+the run ends), so the answer is in (cost, root) order — the direct
+algorithm's — and ``evaluate(q, n)`` is ``evaluate(q, None)[:n]``, ties
+included.  The first round's k is n scaled by the query's mean
+renaming-closure width (see :meth:`SchemaEvaluator._initial_k`).
 
 The driver stops growing k when a round's root list is *exact* (nothing
 was discarded anywhere below it, see :mod:`.topk_ops`) and holds no more
@@ -108,7 +111,7 @@ class SchemaEvaluator:
 
         ``n = None`` retrieves *all* approximate results.
         """
-        results = list(
+        return list(
             self.iter_results(
                 query,
                 costs,
@@ -120,9 +123,6 @@ class SchemaEvaluator:
                 state_sink=state_sink,
             )
         )
-        if n is not None:
-            results = results[:n]
-        return results
 
     def iter_results(
         self,
@@ -137,7 +137,8 @@ class SchemaEvaluator:
     ):
         """Generator form of :meth:`evaluate` — the paper's "results can
         be sent immediately to the user" advantage: second-level queries
-        stream their results in increasing cost order.
+        stream their results in increasing cost order, each cost class
+        handed out in root order as soon as the next skeleton costs more.
 
         k doubles after every unproductive round, which bounds the
         number of (re-)runs of the top-k primary by O(log k_final);
@@ -146,13 +147,12 @@ class SchemaEvaluator:
         ``expanded`` supplies a prebuilt closure (the compiled-query
         cache's Tier-1 artifact), skipping parse and expansion.
         ``resume`` seeds the driver from a captured
-        :class:`~repro.querycache.DriverState` — the continuation only
-        re-emits results not in the resumed ``found`` map, so it yields
-        exactly the suffix a cold run at a larger ``n`` would append.
-        ``state_sink`` is called with the final :class:`DriverState`
-        when the generator finishes (in-flight skeletons are removed
-        from ``executed`` first, so a resume re-runs any skeleton whose
-        instances were only partially consumed).
+        :class:`~repro.querycache.DriverState` — the continuation first
+        hands out the found roots past the resumed prefix (the rest of
+        the cost class it was cut in), then only results not in
+        ``found``, so it yields exactly the suffix a cold run at a larger
+        ``n`` would append.  ``state_sink`` is called with the final
+        :class:`DriverState` when the generator finishes.
         """
         if isinstance(query, str) and expanded is None:
             query = parse_query(query)
@@ -181,10 +181,10 @@ class SchemaEvaluator:
         k = min(k, max_k)
 
         try:
-            if resume is not None and resume.exhausted:
-                run.drained = True
-                return
-            if n is not None and run.emitted >= n:
+            # a resumed run first hands out the rest of the cost class
+            # its prefix was cut in
+            yield from run.flush()
+            if run.finished or run.drained:
                 return
             # one evaluator for all rounds: its scoped candidates and
             # exact lists carry over as k grows (they live for this call
@@ -197,27 +197,28 @@ class SchemaEvaluator:
                 _telemetry.count("schema.rounds")
                 _telemetry.gauge("schema.final_k", k)
                 _telemetry.gauge("schema.skeletons_enumerated", len(queries))
-                fresh = [entry for entry in queries if entry.signature not in run.executed]
-                for entry in fresh:
-                    verdict = run.admit(entry)
-                    if verdict is _BEYOND_BOUND:
-                        run.drain()
-                        return
-                    if verdict is _EXECUTE:
-                        with _telemetry.timer("schema.secondary"):
-                            instances = executor.execute(entry)
-                        yield from run.fold(entry, instances)
+                for entry in queries:
+                    if entry.signature in run.executed:
+                        continue
+                    if entry.embcost > run.cost:
+                        # the held cost class is passed: nothing cheaper
+                        # or equal is left to find
+                        yield from run.flush()
                         if run.finished:
                             return
+                    run.take(entry, executor)
+                    if run.drained:
+                        break
                 if root_entries.exact and root_entries.valid_count() <= k:
                     # nothing was discarded below the root list and the
                     # global cut kept all of it: every second-level query
                     # of the closure has been seen
-                    run.drain()
-                    return
-                if k >= max_k:
-                    # a short answer that is NOT known to be complete
-                    _telemetry.count("schema.max_k_stops")
+                    run.drained = True
+                if run.drained or k >= max_k:
+                    if not run.drained:
+                        # a short answer that is NOT known to be complete
+                        _telemetry.count("schema.max_k_stops")
+                    yield from run.flush()
                     return
                 k = min(max_k, 2 * k)
                 # a further round of the top-k primary with the larger k
@@ -270,14 +271,15 @@ class SchemaEvaluator:
         return len(self.evaluate(query, costs))
 
 
-#: verdicts of :meth:`_BestN.admit`
-_EXECUTE, _SATURATED, _BEYOND_BOUND = "execute", "saturated", "beyond-bound"
-
-
 class _BestN:
-    """What one run of the incremental driver has found so far, and the
-    one place a second-level query is admitted and its instances are
-    folded in."""
+    """What one run of the incremental driver has found so far: the one
+    place a second-level query is admitted and its instances are folded
+    in, and the one place results are handed out.
+
+    Results are held back one cost class at a time and handed out in
+    root order once the class is passed, so every run emits the (cost,
+    root) order whatever its k schedule, and stops at ``n`` only at a
+    class boundary."""
 
     def __init__(
         self,
@@ -292,11 +294,12 @@ class _BestN:
         self.executed: set = set()
         self.found: dict[int, float] = {}
         self.found_per_class: dict[int, int] = {}
+        #: results handed out so far (a resumed run counts its prefix)
         self.emitted = 0
-        # signatures added to ``executed`` whose instances are not yet
-        # fully folded into ``found``; subtracted before a state capture
-        self.pending: set = set()
-        #: n reached, or every possible root found: stop the run
+        #: the cost class being collected, and its results
+        self.cost = -math.inf
+        self.held: list[SchemaResult] = []
+        #: n reached at a class boundary: stop the run
         self.finished = False
         # True when the answer is provably complete (exhaustion, cost
         # cutoff, or root-class saturation) — False when the driver
@@ -307,61 +310,66 @@ class _BestN:
         self.executed = set(state.executed)
         self.found = dict(state.found)
         self.found_per_class = dict(state.found_per_class)
-        self.emitted = len(self.found)
+        self.emitted = state.emitted
+        self.drained = state.exhausted
+        # the found roots the resumed prefix did not hand out: the rest
+        # of the (complete) cost class it was cut in
+        ranked = sorted(self.found.items(), key=lambda pair: (pair[1], pair[0]))
+        self.held = [SchemaResult(root, cost) for root, cost in ranked[self.emitted:]]
 
     def capture(self, k: int) -> DriverState:
-        # in-flight skeletons (executed but not fully folded) must
-        # re-run on resume; ``found`` dedups their replays
-        self.executed.difference_update(self.pending)
+        # every executed skeleton is fully folded: a run stops only
+        # between skeletons, or mid-skeleton once it has drained
         return DriverState(
             k=k,
             executed=self.executed,
             found=self.found,
             found_per_class=self.found_per_class,
             exhausted=self.drained,
+            emitted=self.emitted,
         )
 
-    def drain(self) -> None:
-        """The answer is complete."""
-        self.drained = True
+    def flush(self):
+        """Hand out the held cost class in root order, ``n`` results in
+        all at most; sets :attr:`finished` when ``n`` is reached."""
+        held, self.held = self.held, []
+        held.sort(key=lambda result: result.root)
+        for result in held:
+            if self.n is not None and self.emitted >= self.n:
+                break
+            self.emitted += 1
+            yield result
+        self.finished = self.n is not None and self.emitted >= self.n
 
-    def admit(self, entry: SchemaEntry) -> str:
-        """Whether the next second-level query (they come in cost order)
-        is to be executed."""
+    def take(self, entry: SchemaEntry, executor: SecondaryExecutor) -> None:
+        """Admit the next second-level query (they come in cost order)
+        and fold in what it retrieves; sets :attr:`drained` when nothing
+        it or any later one retrieves can be part of the answer."""
         if self.max_cost is not None and entry.embcost > self.max_cost:
             # everything from here on exceeds the bound, in this round
             # and in all larger-k rounds that merely extend the prefix
-            return _BEYOND_BOUND
+            self.drained = True
+            return
         self.executed.add(entry.signature)
+        self.cost = entry.embcost
         if self.found_per_class.get(entry.pre, 0) >= self.instances_per_class.get(entry.pre, 0):
             # this root class is saturated: the skeleton can only
             # re-deliver known roots at equal or higher cost
             _telemetry.count("schema.saturation_skips")
-            return _SATURATED
-        self.pending.add(entry.signature)
-        return _EXECUTE
-
-    def fold(self, entry: SchemaEntry, instances):
-        """Yield the results ``entry`` is the cheapest second-level query
-        of; sets :attr:`finished` when the run is over."""
+            return
+        with _telemetry.timer("schema.secondary"):
+            instances = executor.execute(entry)
         _telemetry.count("schema.second_level_executed")
         if instances:
             _telemetry.count("schema.second_level_nonempty")
         found = self.found
-        cost = entry.embcost
         for pre, _ in instances:
             if pre in found:
                 continue
-            found[pre] = cost
+            found[pre] = self.cost
             self.found_per_class[entry.pre] = self.found_per_class.get(entry.pre, 0) + 1
-            self.emitted += 1
-            _telemetry.gauge("schema.results_found", self.emitted)
-            yield SchemaResult(pre, cost, entry)
-            if self.n is not None and self.emitted >= self.n:
-                self.finished = True
-                return
-            if self.emitted >= self.total_possible:
-                self.finished = True
-                self.drain()
-                return
-        self.pending.discard(entry.signature)
+            self.held.append(SchemaResult(pre, self.cost, entry))
+            if len(found) >= self.total_possible:
+                self.drained = True
+                break
+        _telemetry.gauge("schema.results_found", len(found))

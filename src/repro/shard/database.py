@@ -23,16 +23,15 @@ pairs.
 
 The merge
 ---------
-Each shard serves a cost-ordered stream (the Section 7.4 incremental
-driver).  A k-way heap over the per-shard frontiers drains one *cost
-class* at a time — all results of the currently cheapest cost, from every
-shard whose frontier sits at that cost — sorts the class by global root,
-and emits it.  Termination is early in the best-n sense: once n results
-are out, no shard is asked past its frontier (plus the one-result
-lookahead each iterator holds).  Within a cost class the single-store
-driver's emission order is an implementation accident (skeleton order);
-the merge's (cost, global root) order is deterministic and is the order
-this module also uses as the reference in its differential tests.
+Every shard answers in one total order, (cost, local root) — the order
+both single-store algorithms share — and a shard's local root order
+follows global root order (documents enter a shard in global order, and
+a save compacts without reordering).  So a shard's answer is already in
+(cost, global root) order, and the merged answer is a ``heapq.merge`` of
+the per-shard answers on that key: a best-``n`` needs only each shard's
+own (cached) best-``n + 1`` — the ``+ 1`` covers the pseudo-result below
+— and a stream pulls each shard only as far as the consumer asks, plus
+the one result of lookahead the merge holds per shard.
 
 Document-rooted contract
 ------------------------
@@ -57,7 +56,7 @@ import heapq
 import os
 import threading
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 from ..approxql.ast import NameSelector
@@ -485,12 +484,8 @@ class ShardedDatabase:
     ) -> ResultSet:
         """Fan the query out to every shard and merge — the
         :meth:`Database.query` signature and contract, answered
-        scatter-gather.
-
-        The returned prefix is the canonical (cost, global root) order:
-        the same result *set* the unsharded collection returns, with ties
-        broken deterministically by global root (the single-store driver
-        leaves tie order unspecified).
+        scatter-gather: the same (cost, global root) prefix the unsharded
+        collection returns, under every method.
         """
         self._check_open()
         return _counted(
@@ -532,7 +527,7 @@ class ShardedDatabase:
             # explicit close, so early stops show early numbers)
             fold_reports(report, [stream.report for stream in streams])
 
-        merged = map(scatter.result, _merge_streams(streams, scatter.row))
+        merged = map(scatter.result, scatter.merge(streams))
         return ResultStream(merged, report, on_close=on_close)
 
     def count_results(
@@ -582,25 +577,18 @@ class ShardedDatabase:
         self._check_open()
         compiled = self._pipeline.resolve(text, costs, n=n)
         maps = self._maps
-        merged: "list[Explanation]" = []
         # one extra per shard: at most one pseudo-result gets filtered
         per_shard = None if n is None else n + 1
-        for index, shard in enumerate(self._shards):
-            for explanation in shard.explain(
-                compiled.query, n=per_shard, costs=compiled.costs
-            ):
-                if explanation.root == 0:
-                    continue  # collection-rooted pseudo-result
-                merged.append(
-                    replace(
-                        explanation,
-                        root=self._to_global(index, explanation.root, maps),
-                    )
-                )
-        merged.sort(key=lambda e: (e.cost, e.root))
-        if n is not None:
-            merged = merged[:n]
-        return merged
+        answers = [
+            [
+                replace(explanation, root=self._to_global(index, explanation.root, maps))
+                for explanation in shard.explain(compiled.query, n=per_shard, costs=compiled.costs)
+                if explanation.root != 0  # collection-rooted pseudo-result
+            ]
+            for index, shard in enumerate(self._shards)
+        ]
+        merged = heapq.merge(*answers, key=lambda explanation: (explanation.cost, explanation.root))
+        return list(merged)[:n]
 
     def plan(
         self,
@@ -886,17 +874,26 @@ class _ScatterGather:
         resume: None,
         collect: str,
     ) -> Execution:
-        """Shards run with the explicit ``chosen`` method, reporting in
-        the ``collect`` mode.  Nothing
-        is resumable at this level: a larger ``n`` recomputes."""
-        if chosen == "schema" and n is not None:
-            rows, reports = self._best_n(compiled, n, max_cost, collect)
-        else:
-            rows, reports = self._full(compiled, n, chosen, max_cost, collect)
+        """Every shard answers its own best-``n + 1`` (one more for the
+        pseudo-result the merge drops) with the explicit ``chosen``
+        method through its own cached pipeline, reporting in the
+        ``collect`` mode; the merge keeps the first ``n``.  Nothing is
+        resumable at this level: a larger ``n`` recomputes, from the
+        shards' caches."""
+        result_sets = [
+            shard.query(
+                compiled.query, n=None if n is None else n + 1, costs=compiled.costs,
+                method=chosen, max_cost=max_cost, collect=collect,
+            )
+            for shard in self._shards
+        ]
+        rows = list(self.merge(result_sets))[:n]
+        reports = [result_set.report for result_set in result_sets]
         counters = {
             "shard.fanout": len(self._shards),
             "shard.results_merged": sum(report.results for report in reports),
         }
+        # fewer than n merged rows: no shard was cut at its n + 1
         return Execution(
             rows, complete=n is None or len(rows) < n, reports=tuple(reports), counters=counters
         )
@@ -914,84 +911,18 @@ class _ScatterGather:
         root, cost, shard, local_root = row
         return ShardResult(root, cost, self._shards[shard].tree, local_root, shard)
 
-    def row(self, shard: int, result: QueryResult) -> tuple:
-        return (
-            self._database._to_global(shard, result.root, self._maps),
-            result.cost,
-            shard,
-            result.root,
+    def merge(self, answers: "Iterable[Iterable[QueryResult]]") -> Iterator[tuple]:
+        """The per-shard answers, each in (cost, local root) order, as
+        rows merged lazily in (cost, global root) order (see the module
+        docstring); the collection-rooted pseudo-result is dropped."""
+        to_global, maps = self._database._to_global, self._maps
+
+        def rows(shard: int, answer: "Iterable[QueryResult]") -> Iterator[tuple]:
+            for result in answer:
+                if result.root != 0:
+                    yield to_global(shard, result.root, maps), result.cost, shard, result.root
+
+        return heapq.merge(
+            *(rows(index, answer) for index, answer in enumerate(answers)),
+            key=lambda row: (row[1], row[0]),
         )
-
-    def _best_n(self, compiled, n, max_cost, collect):
-        """Best-n retrieval: the lazy k-way cost-class merge of per-shard
-        cost-ordered streams — shards are pulled only as far as the
-        global prefix needs."""
-        streams = [
-            shard.stream(compiled.query, costs=compiled.costs, collect=collect)
-            for shard in self._shards
-        ]
-        rows: "list[tuple]" = []
-        try:
-            for row in _merge_streams(streams, self.row):
-                if max_cost is not None and row[1] > max_cost:
-                    break
-                rows.append(row)
-                if len(rows) >= n:
-                    break
-        finally:
-            for stream in streams:
-                stream.close()
-        return rows, [stream.report for stream in streams]
-
-    def _full(self, compiled, n, chosen, max_cost, collect):
-        """Full retrieval (or an explicit direct-method best-n): every
-        shard computes its complete (cost-bounded) answer set, the union
-        is sorted canonically, and ``n`` truncates.  Per-shard full sets
-        sidestep tie-cut truncation entirely."""
-        rows: "list[tuple]" = []
-        reports: "list[QueryReport]" = []
-        for index, shard in enumerate(self._shards):
-            result_set = shard.query(
-                compiled.query, n=None, costs=compiled.costs, method=chosen,
-                max_cost=max_cost, collect=collect,
-            )
-            # root 0 is the collection-rooted pseudo-result
-            rows.extend(self.row(index, result) for result in result_set if result.root != 0)
-            reports.append(result_set.report)
-        rows.sort(key=lambda row: (row[1], row[0]))
-        return (rows if n is None else rows[:n]), reports
-
-
-def _merge_streams(
-    streams: "list[ResultStream]", row_of: "Callable[[int, QueryResult], tuple]"
-) -> Iterator[tuple]:
-    """The k-way cost-class merge (see the module docstring), as rows.
-
-    Each shard stream holds one result of lookahead; a heap over the
-    frontier costs picks the cheapest class, every stream sitting at
-    that cost is drained through it, and the class is emitted sorted
-    by global root.  Nondecreasing per-shard order (the Section 7.4
-    stream contract) makes the emitted order globally nondecreasing.
-    """
-    lookahead: "list[QueryResult | None]" = []
-    frontier: "list[tuple[float, int]]" = []
-    for index, stream in enumerate(streams):
-        result = next(stream, None)
-        lookahead.append(result)
-        if result is not None:
-            heapq.heappush(frontier, (result.cost, index))
-    while frontier:
-        cost = frontier[0][0]
-        bucket: "list[tuple]" = []
-        while frontier and frontier[0][0] == cost:
-            _, index = heapq.heappop(frontier)
-            result = lookahead[index]
-            while result is not None and result.cost == cost:
-                if result.root != 0:  # skip the collection-rooted pseudo-result
-                    bucket.append(row_of(index, result))
-                result = next(streams[index], None)
-            lookahead[index] = result
-            if result is not None:
-                heapq.heappush(frontier, (result.cost, index))
-        bucket.sort(key=lambda row: row[0])
-        yield from bucket

@@ -75,6 +75,8 @@ def test_cache_configurations_preserve_results(
         page_cache_pages=page_cache_pages,
         posting_cache_bytes=posting_cache_bytes,
     )
+    # one result-cache entry serves both methods: each must evaluate
+    loaded.set_query_cache(result_entries=0)
     for _ in range(3):
         query = random_query(rng)
         expected = database.query(query, n=None, method="direct")
@@ -101,6 +103,9 @@ def test_page_read_counters_distinguish_stored_from_memory(tmp_path):
     path = str(tmp_path / "pages.apxq")
     database.save(path)
     loaded = Database.open(path)
+    # one result-cache entry serves both methods: each must evaluate
+    for handle in (database, loaded):
+        handle.set_query_cache(result_entries=0)
     query = random_query(rng)
     for method in ("direct", "schema"):
         memory = database.query(query, n=None, method=method, collect="counters")
@@ -138,6 +143,9 @@ def test_posting_cache_budget_is_ignored(tmp_path):
     path = str(tmp_path / "budget.apxq")
     Database.from_tree(tree).save(path)
     with Database.open(path) as default, Database.open(path, posting_cache_bytes=0) as zero:
+        # one result-cache entry serves both methods: each must evaluate
+        for handle in (default, zero):
+            handle.set_query_cache(result_entries=0)
         for _ in range(4):
             query = random_query(rng)
             costs = random_cost_model(rng)

@@ -54,7 +54,9 @@ class TestMemoryMutation:
         assert report.removed_root is None
         assert memory_db.generation == 1
         assert len(memory_db.documents()) == 4
-        # the new document is queryable through both algorithms
+        # the new document is queryable through both algorithms (one
+        # result-cache entry serves both: each must evaluate)
+        memory_db.set_query_cache(result_entries=0)
         for method in ("direct", "schema"):
             hits = memory_db.query('cd[genre["classical"]]', n=None, method=method)
             assert [hit.root for hit in hits] == [report.root]
@@ -237,6 +239,9 @@ class TestStoredMutation:
         path = os.path.join(tmp_path, "costs.apxq")
         memory.save(path)
         stored = Database.open(path)
+        # one result-cache entry serves both methods: each must evaluate
+        for database in (memory, stored):
+            database.set_query_cache(result_entries=0)
         costs = per_query if table == "per-query" else None
 
         def answers(database):

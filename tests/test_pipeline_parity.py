@@ -338,3 +338,40 @@ def test_stream_builds_its_evaluator_on_the_first_pull():
         assert state.schema_evaluator is not None
         assert first.root in {r.root for r in database.query(QUERY, n=None)}
         stream.close()
+
+
+#: generated cases whose answers tie at a best-n cut (seed 3: best-1 of
+#: its first query cuts a class of equal-cost roots), so an order that
+#: broke ties any other way than by root would show
+ORDER_SEEDS = (3, 4)
+ORDER_METHODS = ("direct", "schema", "auto")
+ORDER_NS = (0, 1, 2, 3, None)
+
+
+@pytest.mark.parametrize("n", ORDER_NS)
+@pytest.mark.parametrize("method", ORDER_METHODS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_handle_and_method_answers_in_one_order(kind, method, n, tmp_path):
+    """Both algorithms answer in (cost, root) order, so every handle
+    under every method returns the same ``[(root, cost)]`` list: the
+    first ``n`` of a memory database's direct full retrieval (without the
+    super-root, which a sharded handle never returns)."""
+    for seed in ORDER_SEEDS:
+        case = generated_case(seed, num_elements=60)
+        documents = [subtree_to_xml(case.tree, root) for root in case.tree.document_roots()]
+        reference = Database.from_documents(documents)
+        (tmp_path / str(seed)).mkdir()
+        handle, close = _open(kind, tmp_path / str(seed), documents)
+        try:
+            for generated in case.queries:
+                expected = [
+                    (result.root, result.cost)
+                    for result in reference.query(
+                        generated.query, n=None, costs=generated.costs, method="direct"
+                    )
+                    if kind != "sharded" or result.root != 0
+                ]
+                got = handle.query(generated.query, n=n, costs=generated.costs, method=method)
+                assert [(r.root, r.cost) for r in got] == expected[:n], case.describe()
+        finally:
+            close()

@@ -9,9 +9,9 @@ entry whose root labels its documents lack, marks the rest for a repair
 from the written documents alone (a sharded merge level drops them) — and
 otherwise follows the store's generation protocol: WAL recovery
 and out-of-band store writes evict, pinned snapshots miss without
-evicting, and one key per (query, costs, method, ``max_cost``) serves
-every ``n`` — a best-``n`` answer is a prefix of the full answer under
-either method.  Randomized cached-vs-cold parity is in
+evicting, and one key per (query, costs, ``max_cost``) serves every
+method and every ``n`` — a best-``n`` answer is the first ``n`` of one
+(cost, root) order under either method.  Randomized cached-vs-cold parity is in
 ``test_differential_oracle.py``; these tests pin the mechanics.
 """
 
@@ -314,6 +314,33 @@ class TestDatabaseFastPath:
         cold.set_query_cache(result_entries=0)
         assert _pairs(longer) == _pairs(cold.query("cd[title]", n=4, method="schema"))
 
+    def test_one_entry_serves_every_method(self, memory_db):
+        """Both methods answer in (cost, root) order, so one entry per
+        (query, costs, max_cost) serves all three method requests."""
+        schema = memory_db.query("cd[title]", n=None, method="schema")
+        for method in ("direct", "auto"):
+            served = memory_db.query("cd[title]", n=2, method=method, collect="counters")
+            assert served.report.result_cache_hit, method
+            assert _pairs(served) == _pairs(schema)[:2]
+        assert len(memory_db._pipeline.result_cache) == 1
+
+    def test_a_direct_read_never_resumes_a_schema_state(self, memory_db):
+        """A schema best-2 leaves an entry the schema driver can resume
+        (its cost class holds all four ``cd`` roots); a direct read for
+        more evaluates cold instead of appending its own answer to the
+        cached prefix."""
+        memory_db.query("cd[title]", n=2, method="schema")
+        (entry,) = memory_db._pipeline.result_cache._entries.values()
+        assert entry.state is not None and not entry.complete
+        served = memory_db.query("cd[title]", n=5, method="direct", collect="counters")
+        assert not served.report.result_cache_hit
+        cold = Database.from_documents(DOCS)
+        cold.set_query_cache(result_entries=0)
+        expected = _pairs(cold.query("cd[title]", n=5, method="direct"))
+        assert _pairs(served) == expected
+        roots = [root for root, _ in expected]
+        assert len(roots) == len(set(roots)) == 4
+
     def test_mutation_invalidates(self):
         """A write that holds the query's root label invalidates the
         cached answer: the entry survives it marked for repair, and the
@@ -609,7 +636,7 @@ def _under_share(database, before, method="schema"):
 
 class TestRepair:
     """The read after a touching write: a repaired hit, or one of the
-    three fallbacks to a cold evaluation — each answer byte-identical to
+    two fallbacks to a cold evaluation — each answer byte-identical to
     the cache-off twin."""
 
     _served = TestWriteScopedInvalidation._served
@@ -644,9 +671,10 @@ class TestRepair:
             assert not longer.report.result_cache_hit
 
     @pytest.mark.parametrize("kind", ["memory", "stored"])
-    def test_a_schema_tie_falls_back(self, kind, tmp_path):
-        """Schema order breaks cost ties by skeleton signature, which a
-        direct pass over the new document cannot reproduce."""
+    def test_a_schema_tie_is_repaired(self, kind, tmp_path):
+        """A new result at a cached cost follows every old root of that
+        cost in the (cost, root) order both methods answer in, so the
+        merge on cost keeps a schema entry exact: a repaired hit."""
         hot, cold = _twins(kind, tmp_path, PADDED_DOCS)
         with hot, cold:
             self._served(hot, cold, "cd[title]", method="schema")
@@ -654,16 +682,15 @@ class TestRepair:
             _both(hot, cold, "insert_document", NEW_DOC)
             assert _under_share(hot, before)
             served = self._served(hot, cold, "cd[title]", method="schema")
-            assert not served.report.result_cache_hit
-            assert _repair_counts(hot) == (0, 1)
-            # the cold run replaced the marked entry
-            assert self._served(hot, cold, "cd[title]", method="schema").report.result_cache_hit
+            assert served.report.result_cache_hit
+            assert served.report.get("schema.second_level_executed", 0) == 0
+            assert [cost for _, cost in _pairs(served)] == [0.0] * 5
+            assert _repair_counts(hot) == (1, 0)
 
     @pytest.mark.parametrize("kind", ["memory", "stored"])
-    def test_new_results_tied_with_each_other_fall_back(self, kind, tmp_path):
-        """Two new results at one cost no cached result has: the schema
-        orders them by skeleton signature (``artist`` is an older class
-        than ``box``), the opposite of their document order."""
+    def test_new_results_tied_with_each_other_are_repaired(self, kind, tmp_path):
+        """Two new results at one cost no cached result has come out in
+        document order, as a cold schema run now orders them too."""
         hot, cold = _twins(kind, tmp_path, PADDED_DOCS)
         with hot, cold:
             self._served(hot, cold, 'cd[title["piano"]]', method="schema")
@@ -672,10 +699,10 @@ class TestRepair:
             _both(hot, cold, "insert_document", "<cd><artist><title>piano</title></artist></cd>")
             assert _under_share(hot, before)
             served = self._served(hot, cold, 'cd[title["piano"]]', method="schema")
-            assert not served.report.result_cache_hit
+            assert served.report.result_cache_hit
             roots = [root for root, _ in _pairs(served)]
-            assert roots[2] > roots[3]
-            assert _repair_counts(hot) == (0, 1)
+            assert roots[2] < roots[3]
+            assert _repair_counts(hot) == (1, 0)
 
     @pytest.mark.parametrize("kind", ["memory", "stored"])
     def test_a_marked_prefix_too_short_for_n_is_repaired_first(self, kind, tmp_path):

@@ -48,6 +48,34 @@ def test_best_n_is_a_prefix_of_full_retrieval():
     assert multi_round > 0
 
 
+#: (cached prefix length, resumed n) pairs
+RESUME_CUTS = ((1, 3), (2, 5), (3, 10))
+
+
+def test_a_resume_inside_a_cost_class_hands_out_the_rest_of_it_first():
+    """A best-n run stops only once the cost class of its n-th result
+    is complete, so its state holds found roots it did not hand out; a
+    resumed run hands them out first, and the prefix plus the resumed
+    suffix is ``evaluate(q, None)[:n]`` — including for cuts inside a
+    cost class."""
+    inside = 0
+    for seed in PREFIX_SEEDS:
+        case = generated_case(seed)
+        evaluator = SchemaEvaluator(case.tree)
+        for generated in case.queries:
+            full = [
+                (r.root, r.cost) for r in evaluator.evaluate(generated.query, generated.costs)
+            ]
+            for cut, n in RESUME_CUTS:
+                prefix, _, state = observe(evaluator, generated.query, generated.costs, n=cut)
+                rest = evaluator.evaluate(generated.query, generated.costs, n=n, resume=state)
+                assert [(r.root, r.cost) for r in prefix + rest] == full[:n], (
+                    cut, n, case.describe()
+                )
+                inside += cut < len(full) and full[cut - 1][1] == full[cut][1]
+    assert inside > 0
+
+
 RENUMBER_SEEDS = range(12)
 
 
@@ -55,9 +83,7 @@ def test_a_class_adding_insert_keeps_the_schema_order_of_the_old_roots():
     """An insert that adds schema classes rebuilds the schema and
     renumbers it, but monotonically: the old classes keep their relative
     order, so every skeleton of an old root compares as it did, and the
-    cold schema order of the roots that already existed is unchanged.
-    This is what lets a cached schema-ordered prefix be repaired from the
-    written documents alone."""
+    cold schema order of the roots that already existed is unchanged."""
     shifted = 0
     for seed in RENUMBER_SEEDS:
         case = generated_case(seed, num_elements=60)

@@ -64,8 +64,7 @@ def _reference(query, n=None, costs=None):
     """The single-store answer, filtered to document-rooted results
     (the sharded layer's contract excludes the collection super-root)."""
     single = Database.from_xml(*DOCUMENTS)
-    results = [r for r in single.query(query, n=None, costs=costs) if r.root != 0]
-    ordered = sorted((r.cost, r.root) for r in results)
+    ordered = [(r.cost, r.root) for r in single.query(query, n=None, costs=costs) if r.root != 0]
     return ordered if n is None else ordered[:n]
 
 
@@ -229,11 +228,11 @@ def test_query_many_mixed_insert_tables_match_single_store(method, n):
     single = Database.from_documents(documents)
     batched = sharded.query_many(items, n=n, method=method)
     for (query, costs), got in zip(items, batched):
-        truth = sorted(
+        truth = [
             (r.cost, r.root)
             for r in single.query(query, n=None, costs=costs, method="direct")
             if r.root != 0
-        )
+        ]
         assert _canonical(got) == (truth if n is None else truth[:n])
     sharded.close()
 
@@ -251,11 +250,11 @@ def test_shard_result_accessors():
 
 def test_empty_shards_are_harmless():
     sharded = ShardedDatabase.from_documents([CATALOG], shards=5)
-    assert _canonical(sharded.query("cd", n=None)) == sorted(
+    assert _canonical(sharded.query("cd", n=None)) == [
         (r.cost, r.root)
         for r in Database.from_xml(CATALOG).query("cd", n=None)
         if r.root != 0
-    )
+    ]
 
 
 def test_describe_mentions_shards():
@@ -291,15 +290,56 @@ def _mutation_parity(partitioner):
     assert sharded.documents() == single.documents()
 
     for query in ("cd", "title", 'cd[title["nocturnes"]]'):
-        expected = sorted(
-            (r.cost, r.root) for r in single.query(query, n=None) if r.root != 0
-        )
+        expected = [(r.cost, r.root) for r in single.query(query, n=None) if r.root != 0]
         assert _canonical(sharded.query(query, n=None)) == expected, query
 
 
 @pytest.mark.parametrize("partitioner", PARTITIONERS)
 def test_mutations_match_single_store(partitioner):
     _mutation_parity(partitioner)
+
+
+def _assert_local_order_follows_global(sharded, query="cd"):
+    """The premise of the sharded merge: in every shard, local root
+    order is global root order — for every document the manifest holds,
+    dead ones included (a pinned reader may still return them) — so each
+    shard's (cost, local root) answer is already in (cost, global root)
+    order."""
+    for index in range(sharded.shards):
+        entries = sorted(
+            (entry for entry in sharded.manifest.documents if entry.shard == index),
+            key=lambda entry: entry.local_root,
+        )
+        roots = [entry.global_root for entry in entries]
+        assert roots == sorted(roots), (index, roots)
+        shard = sharded.shard_databases()[index]
+        answer = [
+            (result.cost, sharded._to_global(index, result.root))
+            for result in shard.query(query, n=None)
+            if result.root != 0
+        ]
+        assert answer == sorted(answer), (index, answer)
+
+
+@pytest.mark.parametrize("partitioner", PARTITIONERS)
+def test_local_root_order_follows_global_root_order(partitioner, tmp_path):
+    sharded = ShardedDatabase.from_documents(
+        DOCUMENTS * 3, shards=3, partitioner=partitioner
+    )
+    _assert_local_order_follows_global(sharded)
+    sharded.insert_document(NEW_DOC)
+    _assert_local_order_follows_global(sharded)
+    sharded.replace_document(sharded.documents()[0], NEW_DOC)
+    _assert_local_order_follows_global(sharded)
+    sharded.delete_document(sharded.documents()[2])
+    _assert_local_order_follows_global(sharded)
+    directory = str(tmp_path / "sharded.d")
+    sharded.save(directory)
+    with ShardedDatabase.open(directory) as reopened:
+        _assert_local_order_follows_global(reopened)
+        reopened.insert_document(NEW_DOC)
+        reopened.delete_document(reopened.documents()[0])
+        _assert_local_order_follows_global(reopened)
 
 
 def test_delete_unknown_root_raises():

@@ -102,6 +102,8 @@ class TestPinSemantics:
             second.close()
 
     def test_snapshot_methods_match_database_when_idle(self, database):
+        # one result-cache entry serves both methods: each must evaluate
+        database.set_query_cache(result_entries=0)
         with database.snapshot() as snap:
             for method in ("direct", "schema"):
                 assert _pairs(snap.query("cd[title]", n=None, method=method)) == _pairs(

@@ -249,6 +249,9 @@ class TestQueryCollect:
         results = db.query('cd[title["piano"]]', n=5, method="schema", collect="timings")
         assert results.report.counters
         assert "schema.topk" in results.report.timings
+        # one result-cache entry serves both methods: the direct read
+        # must evaluate, not be served what the schema read cached
+        db.set_query_cache(result_entries=0)
         direct = db.query('cd[title["piano"]]', n=5, method="direct", collect="timings")
         assert "direct.primary" in direct.report.timings
 
