@@ -17,7 +17,7 @@ from ..xmltree.indexes import MemoryNodeIndexes, NodeIndexes
 from ..xmltree.model import DataTree
 from .columns import EvalColumns
 from .entries import INFINITE
-from .primary import PrimaryEvaluator, root_cost_pairs
+from .primary import PrimaryEvaluator, best_pairs, valid_pairs
 
 
 @dataclass(frozen=True)
@@ -61,21 +61,12 @@ class DirectEvaluator:
         cache's Tier-1 artifact), skipping parse and expansion.
         """
         entries = self._run_primary(query, costs, expanded)
-        if n is not None and max_cost is None:
-            # Best-n fast path: bounded heap selection instead of the
-            # full sort.  ``results_total`` still reports every valid
-            # root (the pre-truncation count), matching the slow path.
-            total = sum(1 for leaf in entries.leafcost if leaf != INFINITE)
-            pairs = root_cost_pairs(entries, n=n)
-            _telemetry.count("direct.results_total", total)
-            return [DirectResult(root, cost) for root, cost in pairs]
-        pairs = root_cost_pairs(entries)
+        pairs = valid_pairs(entries)
         if max_cost is not None:
             pairs = [(root, cost) for root, cost in pairs if cost <= max_cost]
+        # every valid root within the bound, before the cut to n
         _telemetry.count("direct.results_total", len(pairs))
-        if n is not None:
-            pairs = pairs[:n]
-        return [DirectResult(root, cost) for root, cost in pairs]
+        return [DirectResult(root, cost) for root, cost in best_pairs(pairs, n)]
 
     def count(
         self,

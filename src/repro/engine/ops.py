@@ -193,6 +193,7 @@ class PostingAlgebra:
         ("fetch_count", "direct.index_fetches"),
         ("postings_fetched", "direct.postings_fetched"),
         ("postings_scoped_out", "direct.postings_scoped_out"),
+        ("roots_unwitnessed", "direct.roots_unwitnessed"),
         ("memo_hits", "direct.memo_hits"),
         ("list_ops", "direct.lists_materialized"),
         ("merge_ops", "direct.merge_steps"),

@@ -14,7 +14,7 @@ same for every larger k (always true for data postings) — and
 :meth:`PrimaryRecursion._matches` is what a selector matches — label and
 renamings merged, child content embedded — and
 :meth:`PrimaryRecursion._primary` is the list of a query node under one
-candidate list of the enclosing selector.  Three things keep the work
+candidate list of the enclosing selector.  Four things keep the work
 linear in the renamings per selector and proportional to what can reach a
 root match:
 
@@ -28,7 +28,14 @@ root match:
 * *scoping*: a selector's fetched list is cut down to the entries that
   lie below a candidate of the enclosing selector before any list is
   built from it — an entry below no candidate is dropped by the enclosing
-  ``join``/``outerjoin`` whatever it costs, so results are unchanged.
+  ``join``/``outerjoin`` whatever it costs, so results are unchanged;
+* *witnessing*: the query root's candidates are cut, before their scope
+  is built, to those with a *witness* in their subtree — a fetched entry
+  of some query leaf, for its label or a renaming.  A root without one
+  has no real leaf match below it (infinite ``leafcost`` over data
+  postings, no valid skeleton over schema segments), so it is never a
+  result, and every other root's entries are unchanged on both cost
+  tracks.
 
 One evaluator may serve several calls on the same expanded query (the
 growing-k rounds of Section 7.4): what does not depend on k — fetches,
@@ -101,7 +108,8 @@ class PrimaryRecursion:
     them to the active telemetry under the algebra's names: fetches built
     and their entries (``fetch_count``, ``postings_fetched``), fetches
     served again (``fetch_cache_hits``), fetched entries scoped out
-    (``postings_scoped_out``), lists asked for again in the call
+    (``postings_scoped_out``), root candidates without a witness
+    (``roots_unwitnessed``), lists asked for again in the call
     (``memo_hits``) or taken over exact from an earlier call
     (``lists_reused``), lists built by a case of Figure 4 (``list_ops``)
     and renamings merged into match lists (``merge_ops``).
@@ -111,6 +119,9 @@ class PrimaryRecursion:
         self._algebra = algebra
         self._expanded: "ExpandedQuery | None" = None
         self._fetched: dict[tuple[str, NodeType, bool], object] = {}
+        # the sorted ``pre`` of every query leaf's fetched entries, built
+        # from ``_fetched`` when the root's candidates are first cut
+        self._witnesses: "list[int] | None" = None
         # What does not depend on k, per (selector uid, scope uid) whose
         # match list came out inexact: the selector's scoped candidates
         # and the scope they span for its content (None for a leaf).  An
@@ -134,11 +145,13 @@ class PrimaryRecursion:
             # another query: nothing carries over
             self._expanded = expanded
             self._fetched = {}
+            self._witnesses = None
             self._selectors = {}
             self._exact_lists = {}
         self._round_lists = {}
         self.fetch_count = self.postings_fetched = self.fetch_cache_hits = 0
-        self.postings_scoped_out = self.memo_hits = self.lists_reused = 0
+        self.postings_scoped_out = self.roots_unwitnessed = 0
+        self.memo_hits = self.lists_reused = 0
         self.list_ops = self.merge_ops = 0
         result = self._matches(root, None)
         telemetry = _telemetry.current()
@@ -228,18 +241,44 @@ class PrimaryRecursion:
 
     def _fetch_candidates(self, node: ExpandedNode, scope: "_Scope | None") -> list:
         """The non-empty ``(label, fetched entries in scope, renaming
-        cost)`` of a selector's label and renamings."""
+        cost)`` of a selector's label and renamings; an inner query
+        root's (``scope`` None) are those with a witness below them."""
         as_leaf = node.reptype == RepType.LEAF
         candidates = []
         for label, cost in [(node.label, 0.0), *node.renamings]:
             fetched = self._fetch(label, node.node_type, as_leaf)
-            if scope is not None and fetched:
+            if fetched:
                 size = len(fetched)
-                fetched = scope.restrict(fetched)
-                self.postings_scoped_out += size - len(fetched)
+                if scope is not None:
+                    fetched = scope.restrict(fetched)
+                    self.postings_scoped_out += size - len(fetched)
+                elif not as_leaf:
+                    fetched = self._witnessed(fetched)
+                    self.roots_unwitnessed += size - len(fetched)
             if fetched:
                 candidates.append((label, fetched, cost))
         return candidates
+
+    def _witnessed(self, fetched):
+        """The entries of a fetched list that have a witness in their
+        subtree ``(pre, bound]``, each located by ``bisect``."""
+        witnesses = self._witnesses
+        if witnesses is None:
+            witnesses = self._witnesses = sorted(
+                chain.from_iterable(
+                    self._fetch(label, node.node_type, True).pre
+                    for node in self._expanded.iter_unique_nodes()
+                    if node.reptype == RepType.LEAF
+                    for label in [node.label, *(target for target, _ in node.renamings)]
+                )
+            )
+        count = len(witnesses)
+        keep = []
+        for row, (pre, bound) in enumerate(zip(fetched.pre, fetched.bound)):
+            first = bisect_right(witnesses, pre)
+            if first < count and witnesses[first] <= bound:
+                keep.append(row)
+        return fetched if len(keep) == len(fetched) else fetched.take(keep)
 
     def _fetch(self, label: str, node_type: NodeType, as_leaf: bool):
         key = (label, node_type, as_leaf)
@@ -269,16 +308,27 @@ class PrimaryEvaluator(PrimaryRecursion):
         return self._evaluate(expanded)
 
 
-def root_cost_pairs(entries: EvalColumns, n: "int | None" = None) -> list[tuple[int, float]]:
-    """Convert a root evaluation list into (root, cost) result pairs,
-    keeping only roots with a valid embedding and sorting by (cost, pre).
+def valid_pairs(entries: EvalColumns) -> list[tuple[int, float]]:
+    """The (root, cost) pairs of a root evaluation list's roots with a
+    valid embedding, in list order."""
+    return [(pre, leaf) for pre, leaf in zip(entries.pre, entries.leafcost) if leaf != INFINITE]
 
-    ``n`` keeps only the ``n`` cheapest pairs via a bounded heap
-    selection — O(R log n) instead of the O(R log R) full sort, identical
-    output to ``sorted(...)[:n]`` (the (cost, pre) key is a total order,
-    so ties cut identically)."""
-    pairs = [(pre, leaf) for pre, leaf in zip(entries.pre, entries.leafcost) if leaf != INFINITE]
+
+def best_pairs(
+    pairs: list[tuple[int, float]], n: "int | None" = None
+) -> list[tuple[int, float]]:
+    """``pairs`` sorted by (cost, root), cut to the ``n`` cheapest.
+
+    The cut is a bounded heap selection — O(R log n) instead of the
+    O(R log R) full sort, identical output to ``sorted(...)[:n]`` (the
+    (cost, root) key is a total order, so ties cut identically)."""
     if n is not None and n < len(pairs):
         return heapq.nsmallest(n, pairs, key=lambda pair: (pair[1], pair[0]))
-    pairs.sort(key=lambda pair: (pair[1], pair[0]))
-    return pairs
+    return sorted(pairs, key=lambda pair: (pair[1], pair[0]))
+
+
+def root_cost_pairs(entries: EvalColumns, n: "int | None" = None) -> list[tuple[int, float]]:
+    """Convert a root evaluation list into (root, cost) result pairs,
+    keeping only roots with a valid embedding, sorted by (cost, root) and
+    cut to the ``n`` cheapest."""
+    return best_pairs(valid_pairs(entries), n)

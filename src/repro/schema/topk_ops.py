@@ -350,6 +350,7 @@ class SegmentAlgebra:
 
     counters = (
         ("postings_scoped_out", "schema.candidates_scoped_out"),
+        ("roots_unwitnessed", "schema.roots_unwitnessed"),
         ("lists_reused", "schema.lists_reused"),
         ("list_ops", "schema.topk_list_ops"),
     )

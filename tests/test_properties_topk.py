@@ -373,30 +373,70 @@ def deletable_cost_model(rng):
     return costs
 
 
+def schema_case(seed):
+    """A generated (schema indexes, expanded query) whose inner selectors
+    may all be deleted."""
+    from repro.approxql import build_expanded
+    from repro.schema.dataguide import build_schema
+    from repro.schema.indexes import SchemaNodeIndexes
+
+    from .strategies import random_query, random_tree
+
+    rng = random.Random(seed)
+    schema = build_schema(random_tree(rng, max_nodes=40))
+    costs = deletable_cost_model(rng)
+    schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
+    expanded = build_expanded(random_query(rng, max_depth=4), costs)
+    return SchemaNodeIndexes(schema), expanded
+
+
 class TestScopingAndResumption:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_scoped_root_list_equals_unscoped(self, seed):
-        from repro.approxql import build_expanded
-        from repro.schema.dataguide import build_schema
-        from repro.schema.indexes import SchemaNodeIndexes
+        """The scoped root list is the unscoped one minus whole segments
+        of root classes without a valid skeleton (no query-leaf class
+        below them): every other segment is there, run for run.  Dropping
+        them can only make the list exact sooner, and an exact list holds
+        every valid skeleton of the closure."""
         from repro.schema.primary_k import PrimaryKEvaluator
 
-        from .strategies import random_query, random_tree
+        def valid_runs(entries):
+            return {key: run for key, run in runs(entries).items() if key[1]}
 
-        rng = random.Random(seed)
-        schema = build_schema(random_tree(rng, max_nodes=40))
-        costs = deletable_cost_model(rng)
-        schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
-        expanded = build_expanded(random_query(rng, max_depth=4), costs)
-        indexes = SchemaNodeIndexes(schema)
+        indexes, expanded = schema_case(seed)
+        references = {k: unscoped_roots(indexes, expanded, k) for k in (1, 2, 8, 64)}
         resumed = PrimaryKEvaluator(indexes, 1)
-        for k in (1, 2, 8, 64):
-            reference = unscoped_roots(indexes, expanded, k)
+        for k, reference in references.items():
             fresh = PrimaryKEvaluator(indexes, k).evaluate(expanded)
             # the same evaluator with k grown keeps its exact lists
             grown = resumed.evaluate(expanded, k)
-            assert runs(fresh) == runs(reference) == runs(grown)
+            kept = {entry.pre for entry in fresh}
+            assert not any(entry.has_leaf for entry in reference if entry.pre not in kept)
+            expected = {key: run for key, run in runs(reference).items() if key[0] in kept}
+            assert runs(fresh) == expected == runs(grown)
             assert fresh.exact == grown.exact
             if reference.exact:
                 assert fresh.exact
+            if fresh.exact:
+                # no run is longer than k <= 64, so the k = 64 runs are whole
+                assert valid_runs(fresh) == valid_runs(references[64])
+
+    def test_scoping_and_witnessing_are_exercised(self):
+        """The generator reaches what the property above is for: classes
+        are scoped out, root classes without a query-leaf class below
+        them are dropped, and exact lists are reused across rounds."""
+        from repro.schema.primary_k import PrimaryKEvaluator
+
+        scoped_out = unwitnessed = reused = 0
+        for seed in range(40):
+            indexes, expanded = schema_case(seed)
+            evaluator = PrimaryKEvaluator(indexes, 1)
+            evaluator.evaluate(expanded)
+            scoped_out += evaluator.postings_scoped_out
+            unwitnessed += evaluator.roots_unwitnessed
+            evaluator.evaluate(expanded, 8)
+            reused += evaluator.lists_reused
+        assert scoped_out > 0
+        assert unwitnessed > 0
+        assert reused > 0

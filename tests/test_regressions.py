@@ -230,3 +230,40 @@ class TestDirectRenamingBlowUp:
             # the rebuilt-per-list recursion measured 3.2 and 2.9 on
             # this query and grows with its depth
             assert 0 < at_five and work_r10[counter] <= 2.5 * at_five, (counter, work_r5, work_r10)
+
+
+class TestRootWitnessing:
+    """Direct evaluation once built every list below every candidate of
+    the query root, though a root with no query-leaf match anywhere below
+    it can never be a result (the global "at least one leaf" rule): on
+    the pinned p1 r10 query most root candidates are such roots.  The
+    root's candidates are now cut to those with a leaf match below them
+    before anything is built under them.  Judged by counters, and by the
+    answer: the direct best-n is the schema best-n."""
+
+    QUERY_SEED = TestDirectRenamingBlowUp.QUERY_SEED
+    N = 10
+
+    def test_unwitnessed_roots_are_dropped_and_the_answer_holds(self, small_corpus):
+        from repro import Database
+        from repro.querygen import PAPER_PATTERNS, QueryGenerator, QueryGenOptions
+        from repro.xmltree import MemoryNodeIndexes
+
+        generated = QueryGenerator(
+            MemoryNodeIndexes(small_corpus),
+            QueryGenOptions(renamings_per_label=10),
+            seed=self.QUERY_SEED,
+        ).generate(PAPER_PATTERNS[1])
+        database = Database.from_tree(small_corpus)
+        database.set_query_cache(result_entries=0)
+        answers = {}
+        for method in ("direct", "schema"):
+            answers[method] = database.query(
+                generated.query, n=self.N, costs=generated.costs, method=method,
+                collect="counters",
+            )
+        direct = answers["direct"]
+        assert direct.report.get("direct.roots_unwitnessed") > 0
+        assert len(direct) > 0
+        pairs = {method: [(r.root, r.cost) for r in rows] for method, rows in answers.items()}
+        assert pairs["direct"] == pairs["schema"]
