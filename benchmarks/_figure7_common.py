@@ -45,9 +45,9 @@ def run_panel_point(
     if algorithm == "schema" and n is None and pattern == 3 and renamings >= 10:
         # Full retrieval through the schema enumerates the closure's
         # skeletons: at 10 renamings per label the large Boolean pattern
-        # has more than a million of them (the driver reaches its max_k
-        # and says so) — the regime where the paper itself concludes "the
-        # pruning strategy is the better choice".  See EXPERIMENTS.md.
+        # has more than a million of them — the regime where the paper
+        # itself concludes "the pruning strategy is the better choice".
+        # See EXPERIMENTS.md.
         pytest.skip("schema full retrieval is combinatorial here (see EXPERIMENTS.md)")
     # warm the query-set cache outside the measured region
     workload.queries(pattern, renamings, count=QUERIES_PER_POINT)

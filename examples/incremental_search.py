@@ -61,7 +61,7 @@ def main() -> None:
     print()
     print(f"direct evaluation: {direct_time * 1000:7.1f} ms (computes ALL results, prunes)")
     print(f"schema evaluation: {schema_time * 1000:7.1f} ms "
-          f"(k={int(schema.report.get('schema.final_k'))}, "
+          f"({int(schema.report.get('schema.skeletons_enumerated'))} skeletons pulled, "
           f"{schema.report.second_level_queries} second-level queries, "
           f"{int(schema.report.get('schema.second_level_nonempty'))} non-empty)")
     print()

@@ -2,11 +2,13 @@
 
 Shows the Section 7.1 machinery directly: the schema tree with instance
 counts, node classes of individual data nodes, the path-dependent
-postings of I_sec, and the best-k second-level queries generated for an
-approXQL query before any data node is touched.
+postings of I_sec, and the cheapest second-level queries generated for
+an approXQL query before any data node is touched.
 
 Run:  python examples/schema_explorer.py
 """
+
+from itertools import islice
 
 from repro import Database
 from repro.approxql import build_expanded, paper_example_cost_model, parse_query
@@ -15,7 +17,6 @@ from repro.schema import (
     PrimaryKEvaluator,
     SchemaNodeIndexes,
     SecondaryExecutor,
-    sort_roots,
 )
 
 CATALOG = """
@@ -60,8 +61,11 @@ def main() -> None:
     query = parse_query('cd[title["piano" and "concerto"] and composer["rachmaninov"]]')
     schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
     expanded = build_expanded(query, costs)
-    evaluator = PrimaryKEvaluator(SchemaNodeIndexes(schema), k=5)
-    candidates = sort_roots(5, evaluator.evaluate(expanded))
+    # the first five second-level queries pulled from the root list, in
+    # cost order (without an executor, skeletons without an instance are
+    # pulled too)
+    evaluator = PrimaryKEvaluator(SchemaNodeIndexes(schema))
+    candidates = islice(evaluator.evaluate(expanded).skeletons(), 5)
     executor = SecondaryExecutor(MemorySecondaryIndex(schema))
     for entry in candidates:
         instances = executor.execute(entry)

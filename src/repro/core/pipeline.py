@@ -461,5 +461,5 @@ def _attach_planner_counters(
     counters["planner.predicted_candidates"] = estimates.candidate_roots
     counters["planner.predicted_entries"] = estimates.posting_entries
     counters["planner.observed_results"] = observed
-    counters["planner.closure_width"] = estimates.mean_closure_width
+    counters["planner.closure_width"] = estimates.mean_renaming_width
     counters["planner.stats_generation"] = estimates.stats_generation

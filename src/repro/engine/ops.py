@@ -184,8 +184,8 @@ def sort_best(n: "int | None", entries) -> EvalColumns:
 
 class PostingAlgebra:
     """This module's operators as the list algebra of the Figure 4
-    recursion (:mod:`repro.engine.primary`) over data postings: every
-    list is exact, and the counters are published as ``direct.*``."""
+    recursion (:mod:`repro.engine.primary`) over data postings, whose
+    counters are published as ``direct.*``."""
 
     __slots__ = ("indexes",)
 
@@ -210,10 +210,6 @@ class PostingAlgebra:
     def fetch(self, label: str, node_type: NodeType, as_leaf: bool) -> EvalColumns:
         """:func:`fetch` over this algebra's indexes."""
         return fetch(self.indexes, label, node_type, as_leaf)
-
-    @staticmethod
-    def exact(columns: EvalColumns) -> bool:
-        return True
 
 
 def add_edge_cost(entries, edge_cost: float) -> EvalColumns:

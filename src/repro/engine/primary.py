@@ -3,13 +3,11 @@
 Direct evaluation (Section 6.5) and the top-k ``primary`` over the schema
 (Section 7.2) are one recursion over two list algebras: data postings
 (:class:`~repro.engine.ops.PostingAlgebra`, behind
-:class:`PrimaryEvaluator`) and schema class segments at a round's k
+:class:`PrimaryEvaluator`) and schema class segments built on demand
 (:class:`~repro.schema.topk_ops.SegmentAlgebra`, behind
 :class:`~repro.schema.primary_k.PrimaryKEvaluator`).  An algebra supplies
 ``fetch``, ``join``, ``outerjoin``, ``intersect`` and ``merge_shifted``
-plus two hooks: ``exact(list)`` — whether a list is the whole list, the
-same for every larger k (always true for data postings) — and
-``counters``, the telemetry name of each counter of the recursion.
+plus ``counters``, the telemetry name of each counter of the recursion.
 
 :meth:`PrimaryRecursion._matches` is what a selector matches — label and
 renamings merged, child content embedded — and
@@ -36,11 +34,6 @@ root match:
   postings, no valid skeleton over schema segments), so it is never a
   result, and every other root's entries are unchanged on both cost
   tracks.
-
-One evaluator may serve several calls on the same expanded query (the
-growing-k rounds of Section 7.4): what does not depend on k — fetches,
-scoped candidates, scopes — is kept for the query, and so is every exact
-list; a different expanded query resets all of it.
 """
 
 from __future__ import annotations
@@ -110,9 +103,8 @@ class PrimaryRecursion:
     served again (``fetch_cache_hits``), fetched entries scoped out
     (``postings_scoped_out``), root candidates without a witness
     (``roots_unwitnessed``), lists asked for again in the call
-    (``memo_hits``) or taken over exact from an earlier call
-    (``lists_reused``), lists built by a case of Figure 4 (``list_ops``)
-    and renamings merged into match lists (``merge_ops``).
+    (``memo_hits``), lists built by a case of Figure 4 (``list_ops``) and
+    renamings merged into match lists (``merge_ops``).
     """
 
     def __init__(self, algebra) -> None:
@@ -122,36 +114,25 @@ class PrimaryRecursion:
         # the sorted ``pre`` of every query leaf's fetched entries, built
         # from ``_fetched`` when the root's candidates are first cut
         self._witnesses: "list[int] | None" = None
-        # What does not depend on k, per (selector uid, scope uid) whose
-        # match list came out inexact: the selector's scoped candidates
-        # and the scope they span for its content (None for a leaf).  An
-        # exact match list is never rebuilt, so its selector is not kept.
-        self._selectors: dict[tuple[int, int], tuple[list, "_Scope | None"]] = {}
         self._scopes = 0
-        # The lists.  Keys name a place in the query, never an object, so
-        # they mean the same in every call: (selector uid, scope uid) for
-        # what a selector matches, (node uid, scope uid, ancestor label)
-        # for a node's list under one label of the enclosing selector.
-        # The expanded query is a DAG (a deletion bridge shares the
-        # child), so one node is reached under several scopes.
-        self._exact_lists: dict[tuple, object] = {}
-        self._round_lists: dict[tuple, object] = {}
+        # The lists of the call: (selector uid, scope uid) for what a
+        # selector matches, (node uid, scope uid, ancestor label) for a
+        # node's list under one label of the enclosing selector.  The
+        # expanded query is a DAG (a deletion bridge shares the child),
+        # so one node is reached under several scopes.
+        self._lists: dict[tuple, object] = {}
 
     def _evaluate(self, expanded: ExpandedQuery):
         root = expanded.root
         if root.reptype not in (RepType.LEAF, RepType.NODE):
             raise EvaluationError("the root of an expanded query must be a selector")
-        if expanded is not self._expanded:
-            # another query: nothing carries over
-            self._expanded = expanded
-            self._fetched = {}
-            self._witnesses = None
-            self._selectors = {}
-            self._exact_lists = {}
-        self._round_lists = {}
+        self._expanded = expanded
+        self._fetched = {}
+        self._witnesses = None
+        self._lists = {}
         self.fetch_count = self.postings_fetched = self.fetch_cache_hits = 0
         self.postings_scoped_out = self.roots_unwitnessed = 0
-        self.memo_hits = self.lists_reused = 0
+        self.memo_hits = 0
         self.list_ops = self.merge_ops = 0
         result = self._matches(root, None)
         telemetry = _telemetry.current()
@@ -165,20 +146,12 @@ class PrimaryRecursion:
     # ------------------------------------------------------------------
 
     def _cached(self, key: tuple, build, *args):
-        """The list under ``key``: this call's, an exact one of an earlier
-        call, or a newly built one."""
-        entries = self._round_lists.get(key)
+        """The list under ``key``: this call's, or a newly built one."""
+        entries = self._lists.get(key)
         if entries is not None:
             self.memo_hits += 1
             return entries
-        entries = self._exact_lists.get(key)
-        if entries is not None:
-            self.lists_reused += 1
-        else:
-            entries = build(*args)
-            if self._algebra.exact(entries):
-                self._exact_lists[key] = entries
-        self._round_lists[key] = entries
+        entries = self._lists[key] = build(*args)
         return entries
 
     def _primary(self, node: ExpandedNode, label: str, ancestors, scope: _Scope):
@@ -212,28 +185,21 @@ class PrimaryRecursion:
         leaf's fetched entries, an inner selector's candidates annotated
         with the embedding cost of the child subtree beneath them."""
         key = (node.uid, -1 if scope is None else scope.uid)
-        return self._cached(key, self._matches_base, node, scope, key)
+        return self._cached(key, self._matches_base, node, scope)
 
-    def _matches_base(self, node: ExpandedNode, scope: "_Scope | None", key: tuple[int, int]):
-        known = self._selectors.get(key)
-        if known is None:
-            candidates = self._fetch_candidates(node, scope)
-            inner = None
-            if node.reptype == RepType.NODE:
-                self._scopes += 1
-                inner = _Scope(self._scopes, [fetched for _, fetched, _ in candidates])
-            known = (candidates, inner)
-        candidates, inner = known
+    def _matches_base(self, node: ExpandedNode, scope: "_Scope | None"):
+        candidates = self._fetch_candidates(node, scope)
+        inner = None
+        if node.reptype == RepType.NODE:
+            self._scopes += 1
+            inner = _Scope(self._scopes, [fetched for _, fetched, _ in candidates])
         self.merge_ops += len(node.renamings)
-        matches = self._algebra.merge_shifted(
+        return self._algebra.merge_shifted(
             [
                 (fetched if inner is None else self._primary(node.child, label, fetched, inner), cost)
                 for label, fetched, cost in candidates
             ]
         )
-        if not self._algebra.exact(matches):
-            self._selectors[key] = known
-        return matches
 
     # ------------------------------------------------------------------
     # fetching

@@ -61,8 +61,8 @@ class PlanEstimates:
     posting_entries: int
     posting_bytes: int
     selectors: int
-    root_closure_width: int
-    mean_closure_width: float
+    root_renaming_width: int
+    mean_renaming_width: float
     direct_cost: float
     schema_cost: "float | None"
     stats_generation: int
@@ -74,8 +74,8 @@ class PlanEstimates:
             f"    candidate roots: ~{self.candidate_roots}  "
             f"posting entries: ~{self.posting_entries}  "
             f"(~{self.posting_bytes} bytes)",
-            f"    closure width: root {self.root_closure_width}, "
-            f"mean {self.mean_closure_width:.1f} over {self.selectors} selector(s)",
+            f"    closure width: root {self.root_renaming_width}, "
+            f"mean {self.mean_renaming_width:.1f} over {self.selectors} selector(s)",
             f"    direct cost: {self.direct_cost:.0f}"
             + (
                 f"  schema cost: {self.schema_cost:.0f}"
@@ -122,8 +122,8 @@ class Planner:
             posting_entries=entries,
             posting_bytes=entries * _BYTES_PER_ENTRY,
             selectors=len(selectors),
-            root_closure_width=root_width,
-            mean_closure_width=mean_width,
+            root_renaming_width=root_width,
+            mean_renaming_width=mean_width,
             direct_cost=direct_cost,
             schema_cost=schema_cost,
             stats_generation=stats.generation,
@@ -165,7 +165,7 @@ class Planner:
                 f"auto: statistics favor the schema-driven driver for n={n} "
                 f"(~{estimates.candidate_roots} candidates over "
                 f"~{estimates.posting_entries} posting entries, mean "
-                f"renaming-closure width {estimates.mean_closure_width:.1f}; "
+                f"renaming-closure width {estimates.mean_renaming_width:.1f}; "
                 "Section 7)",
                 estimates,
             )

@@ -25,8 +25,8 @@ a request with ``n ≤ k`` byte-identically, whichever method computed
 it, and one key, ``(query, costs, max_cost)``, serves every method and
 every ``n``.  Entries a schema run stored carry the captured
 :class:`DriverState` of the incremental driver, so a schema request with
-``n > cached-n`` resumes from the cached round state instead of
-restarting at the first round.
+``n > cached-n`` resumes from the cached driver state: it skips the
+second-level queries already executed.
 
 Invalidation is write-scoped: entries carry the generation they were
 computed under (a per-shard vector for ``ShardedDatabase``) and their
@@ -86,13 +86,12 @@ _STATE_ITEM_BYTES = 56
 
 @dataclass
 class DriverState:
-    """Captured round state of the incremental schema driver.
+    """Captured state of the incremental schema driver.
 
     Snapshotting this after a best-n evaluation lets a later request
-    with a larger ``n`` resume where the driver stopped — at least the
-    same ``k``, the same executed second-level signatures, the same
-    found-result dedup map — instead of re-growing ``k`` from its first
-    round.
+    with a larger ``n`` resume where the driver stopped: it pulls the
+    second-level queries again but skips the ``executed`` signatures,
+    and keeps the found-result dedup map.
 
     ``emitted`` counts the results handed out: the driver stops at
     ``n`` only once the cost class of the ``n``-th result is complete,
@@ -100,7 +99,6 @@ class DriverState:
     which a resume hands out first.
     """
 
-    k: int
     executed: set
     found: dict
     found_per_class: dict

@@ -12,15 +12,12 @@ from .dataguide import (
     update_schema_for_insert,
 )
 from .entries import SchemaEntry, entry_from_schema_posting
-from .evaluator import (
-    DEFAULT_MAX_K,
-    SchemaEvaluator,
-    SchemaResult,
-)
+from .evaluator import SchemaEvaluator, SchemaResult
 from .indexes import MemorySecondaryIndex, SchemaNodeIndexes
 from .primary_k import PrimaryKEvaluator
 from .secondary import SecondaryExecutor, semi_join
 from .topk_ops import (
+    SegmentStream,
     TopKList,
     add_edge_k,
     fetch_k,
@@ -34,7 +31,6 @@ from .topk_ops import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_K",
     "MemorySecondaryIndex",
     "PrimaryKEvaluator",
     "Schema",
@@ -44,6 +40,7 @@ __all__ = [
     "SchemaResult",
     "SchemaUpdate",
     "SecondaryExecutor",
+    "SegmentStream",
     "TEXT_CLASS_LABEL",
     "TopKList",
     "add_edge_k",

@@ -1,28 +1,19 @@
 """The incremental schema-driven best-n evaluator (Section 7.4, Figure 6).
 
-The driver asks the top-k primary for the best k second-level queries,
-executes the not-yet-executed ones against ``I_sec`` in cost order, and
-collects result roots.  If fewer than n results accumulate, k doubles
-and the loop repeats; executed skeletons are remembered by signature, so
-growing k only executes the newly exposed suffix (the paper's
-prefix-erasure, made robust against tie reordering).
+The paper's driver reruns the top-k ``primary`` with a growing k until
+its second-level queries have delivered n results.  Here the top-k lists
+are built on demand (:mod:`.topk_ops`), so there is one run: the driver
+pulls root skeletons in (cost, pre, signature) order, executes each
+against ``I_sec`` and collects result roots, and a list is extended only
+as far as the pull reaches.  Conjunctions whose sides share no instance
+are skipped while the lists are built, so every pulled skeleton has an
+instance.
 
-The k schedule is a private policy: it changes how long an answer
-takes, never what it is.  Every top-k list is a prefix of one order,
-(cost, signature), so the skeletons execute in that order whatever the
-round boundaries.  Results are held back one cost class at a time and
-handed out in root order once the next skeleton to run costs more (or
-the run ends), so the answer is in (cost, root) order — the direct
-algorithm's — and ``evaluate(q, n)`` is ``evaluate(q, None)[:n]``, ties
-included.  The first round's k is n scaled by the query's mean
-renaming-closure width (see :meth:`SchemaEvaluator._initial_k`).
-
-The driver stops growing k when a round's root list is *exact* (nothing
-was discarded anywhere below it, see :mod:`.topk_ops`) and holds no more
-than k second-level queries — at that point the executed skeletons are
-provably the whole closure's image in the schema.  One
-:class:`~repro.schema.primary_k.PrimaryKEvaluator` serves all rounds of a
-call, so a larger k recomputes only the lists the smaller k truncated.
+Results are held back one cost class at a time and handed out in root
+order once the next skeleton costs more (or the pull ends), so the
+answer is in (cost, root) order — the direct algorithm's — and
+``evaluate(q, n)`` is ``evaluate(q, None)[:n]``, ties included.  When
+the pull ends, every second-level query of the closure has been seen.
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from dataclasses import dataclass, field
 
 from ..approxql.ast import NameSelector
 from ..approxql.costs import CostModel
-from ..approxql.expanded import ExpandedNode, ExpandedQuery, RepType, build_expanded
+from ..approxql.expanded import ExpandedQuery, build_expanded
 from ..approxql.parser import parse_query
 from ..errors import EvaluationError
 from ..querycache import DriverState
@@ -43,16 +34,6 @@ from .entries import SchemaEntry  # noqa: F401 - part of SchemaResult's type
 from .indexes import MemorySecondaryIndex, SchemaNodeIndexes
 from .primary_k import PrimaryKEvaluator
 from .secondary import SecondaryExecutor
-from .topk_ops import sort_roots
-
-#: safety valve: k never grows beyond this
-DEFAULT_MAX_K = 1_000_000
-
-#: the first round's k of full retrieval (``n`` is ``None``)
-DEFAULT_INITIAL_K = 16
-
-#: ceiling of the first round's k (``max_k`` still bounds growth)
-MAX_INITIAL_K = 4096
 
 
 @dataclass(frozen=True)
@@ -101,7 +82,6 @@ class SchemaEvaluator:
         query: "str | NameSelector",
         costs: "CostModel | None" = None,
         n: "int | None" = None,
-        max_k: int = DEFAULT_MAX_K,
         max_cost: "float | None" = None,
         expanded: "ExpandedQuery | None" = None,
         resume: "DriverState | None" = None,
@@ -116,7 +96,6 @@ class SchemaEvaluator:
                 query,
                 costs,
                 n=n,
-                max_k=max_k,
                 max_cost=max_cost,
                 expanded=expanded,
                 resume=resume,
@@ -129,7 +108,6 @@ class SchemaEvaluator:
         query: "str | NameSelector",
         costs: "CostModel | None" = None,
         n: "int | None" = None,
-        max_k: int = DEFAULT_MAX_K,
         max_cost: "float | None" = None,
         expanded: "ExpandedQuery | None" = None,
         resume: "DriverState | None" = None,
@@ -139,10 +117,6 @@ class SchemaEvaluator:
         be sent immediately to the user" advantage: second-level queries
         stream their results in increasing cost order, each cost class
         handed out in root order as soon as the next skeleton costs more.
-
-        k doubles after every unproductive round, which bounds the
-        number of (re-)runs of the top-k primary by O(log k_final);
-        ``max_k`` caps it.
 
         ``expanded`` supplies a prebuilt closure (the compiled-query
         cache's Tier-1 artifact), skipping parse and expansion.
@@ -171,14 +145,11 @@ class SchemaEvaluator:
         # at equal or higher cost — the answer is complete.  This bounds
         # full retrieval on permissive cost models, whose skeleton
         # closures are combinatorial while their result sets are not.
-        # The same argument applies per class: a skeleton whose root
-        # class is already fully retrieved needs no execution.
+        # The same argument applies per class: once a root class is fully
+        # retrieved, the pull drops its remaining skeletons.
         run = _BestN(n, max_cost, self._root_instance_counts(expanded.root))
-        k = self._initial_k(expanded, n)
         if resume is not None:
-            k = max(k, resume.k)
             run.resume(resume)
-        k = min(k, max_k)
 
         try:
             # a resumed run first hands out the rest of the cost class
@@ -186,70 +157,34 @@ class SchemaEvaluator:
             yield from run.flush()
             if run.finished or run.drained:
                 return
-            # one evaluator for all rounds: its scoped candidates and
-            # exact lists carry over as k grows (they live for this call
-            # only and never enter the captured DriverState)
-            evaluator = PrimaryKEvaluator(self._indexes, k)
-            while True:
+            _telemetry.count("schema.rounds")
+            with _telemetry.timer("schema.topk"):
+                roots = PrimaryKEvaluator(self._indexes, executor).evaluate(expanded)
+            skeletons = roots.skeletons(run.saturated)
+            pulled = 0
+            while not run.drained:
+                # the top-k lists are built as far as this pull reads them
                 with _telemetry.timer("schema.topk"):
-                    root_entries = evaluator.evaluate(expanded, k)
-                    queries = sort_roots(k, root_entries)
-                _telemetry.count("schema.rounds")
-                _telemetry.gauge("schema.final_k", k)
-                _telemetry.gauge("schema.skeletons_enumerated", len(queries))
-                for entry in queries:
-                    if entry.signature in run.executed:
-                        continue
-                    if entry.embcost > run.cost:
-                        # the held cost class is passed: nothing cheaper
-                        # or equal is left to find
-                        yield from run.flush()
-                        if run.finished:
-                            return
-                    run.take(entry, executor)
-                    if run.drained:
-                        break
-                if root_entries.exact and root_entries.valid_count() <= k:
-                    # nothing was discarded below the root list and the
-                    # global cut kept all of it: every second-level query
-                    # of the closure has been seen
+                    entry = next(skeletons, None)
+                if entry is None:
+                    # every second-level query of the closure has been seen
                     run.drained = True
-                if run.drained or k >= max_k:
-                    if not run.drained:
-                        # a short answer that is NOT known to be complete
-                        _telemetry.count("schema.max_k_stops")
+                    break
+                pulled += 1
+                _telemetry.gauge("schema.skeletons_enumerated", pulled)
+                if entry.signature in run.executed:
+                    continue
+                if entry.embcost > run.cost:
+                    # the held cost class is passed: nothing cheaper or
+                    # equal is left to find
                     yield from run.flush()
-                    return
-                k = min(max_k, 2 * k)
-                # a further round of the top-k primary with the larger k
-                # (it rebuilds only the lists the smaller k truncated)
-                _telemetry.count("schema.kdoubling_restarts")
+                    if run.finished:
+                        return
+                run.take(entry, executor)
+            yield from run.flush()
         finally:
             if state_sink is not None:
-                state_sink(run.capture(k))
-
-    def _initial_k(self, expanded: ExpandedQuery, n: "int | None") -> int:
-        """The first round's k: ``n`` scaled by the mean renaming-closure
-        width over the query's selectors, so a wide closure — many
-        low-yield skeletons per result — needs fewer rounds to expose
-        ``n`` results."""
-        if n is None:
-            return DEFAULT_INITIAL_K
-        widths = [
-            self._closure_width(node)
-            for node in expanded.iter_unique_nodes()
-            if node.reptype in (RepType.NODE, RepType.LEAF)
-        ]
-        mean_width = sum(widths) / len(widths)
-        return min(MAX_INITIAL_K, max(n, math.ceil(n * mean_width)))
-
-    def _closure_width(self, node: ExpandedNode) -> int:
-        """How many labels of a selector's renaming closure (the label
-        and its finite-cost rename targets) the collection holds a live
-        instance of; at least 1."""
-        present = self._indexes.posting_size
-        labels = {node.label, *(target for target, _ in node.renamings)}
-        return max(1, sum(1 for label in labels if present(label, node.node_type)))
+                state_sink(run.capture())
 
     def _root_instance_counts(self, root) -> "dict[int, int]":
         """Instance counts of every candidate root class (the data nodes
@@ -278,8 +213,7 @@ class _BestN:
 
     Results are held back one cost class at a time and handed out in
     root order once the class is passed, so every run emits the (cost,
-    root) order whatever its k schedule, and stops at ``n`` only at a
-    class boundary."""
+    root) order, and stops at ``n`` only at a class boundary."""
 
     def __init__(
         self,
@@ -317,11 +251,10 @@ class _BestN:
         ranked = sorted(self.found.items(), key=lambda pair: (pair[1], pair[0]))
         self.held = [SchemaResult(root, cost) for root, cost in ranked[self.emitted:]]
 
-    def capture(self, k: int) -> DriverState:
+    def capture(self) -> DriverState:
         # every executed skeleton is fully folded: a run stops only
         # between skeletons, or mid-skeleton once it has drained
         return DriverState(
-            k=k,
             executed=self.executed,
             found=self.found,
             found_per_class=self.found_per_class,
@@ -341,26 +274,28 @@ class _BestN:
             yield result
         self.finished = self.n is not None and self.emitted >= self.n
 
+    def saturated(self, root_class: int) -> bool:
+        """Whether every instance of a root class has been found: its
+        further skeletons can only re-deliver known roots at equal or
+        higher cost, so the pull drops them."""
+        return self.found_per_class.get(root_class, 0) >= self.instances_per_class.get(
+            root_class, 0
+        )
+
     def take(self, entry: SchemaEntry, executor: SecondaryExecutor) -> None:
         """Admit the next second-level query (they come in cost order)
         and fold in what it retrieves; sets :attr:`drained` when nothing
         it or any later one retrieves can be part of the answer."""
         if self.max_cost is not None and entry.embcost > self.max_cost:
-            # everything from here on exceeds the bound, in this round
-            # and in all larger-k rounds that merely extend the prefix
+            # everything from here on exceeds the bound
             self.drained = True
             return
         self.executed.add(entry.signature)
         self.cost = entry.embcost
-        if self.found_per_class.get(entry.pre, 0) >= self.instances_per_class.get(entry.pre, 0):
-            # this root class is saturated: the skeleton can only
-            # re-deliver known roots at equal or higher cost
-            _telemetry.count("schema.saturation_skips")
-            return
         with _telemetry.timer("schema.secondary"):
             instances = executor.execute(entry)
         _telemetry.count("schema.second_level_executed")
-        if instances:
+        if len(instances):
             _telemetry.count("schema.second_level_nonempty")
         found = self.found
         for pre, _ in instances:

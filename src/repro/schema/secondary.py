@@ -24,38 +24,89 @@ from .indexes import MemorySecondaryIndex
 class SecondaryExecutor:
     """Executes second-level queries against ``I_sec``.
 
-    Results are cached per skeleton node, so shared subtrees (pointer
-    sets produced by ``intersect`` unions) are evaluated once; the memo
-    keeps the entries alive, making identity-keying safe.  Postings and
-    results are :class:`~repro.storage.postings.InstanceColumns`, so a
-    child reused as the semi-join probe of several parents (and across
-    the driver's repeated rounds) lends its ``pre`` column as is.
+    Results are cached per skeleton signature, so shared subtrees
+    (pointer sets produced by ``intersect`` unions) are evaluated once,
+    and so is a skeleton the top-k recursion already tested for life
+    (:meth:`conjoin`).  Postings and results are
+    :class:`~repro.storage.postings.InstanceColumns`, so a child reused
+    as the semi-join probe of several parents lends its ``pre`` column
+    as is.
     """
 
     def __init__(self, index: MemorySecondaryIndex) -> None:
         self._index = index
-        self._memo: dict[SchemaEntry, InstanceColumns] = {}
+        self._memo: dict[tuple, InstanceColumns] = {}
+        # id(entry) -> (entry, instances): the signature memo without
+        # hashing a nested signature again for an entry seen before
+        self._entries: dict[int, tuple[SchemaEntry, InstanceColumns]] = {}
         #: statistics: number of I_sec fetches performed
         self.fetch_count = 0
+
+    def conjoin(self, signature: tuple, left: SchemaEntry, right: SchemaEntry) -> bool:
+        """Whether the skeleton ``signature`` — the union of ``left`` and
+        ``right``, two skeletons of one schema node under one label — has
+        an instance.  Its instances are those both sides have (every
+        pointer is one more semi-join filter on the node's posting), and
+        they are kept for :meth:`execute`."""
+        memo = self._memo
+        instances = memo.get(signature)
+        if instances is None:
+            instances = memo[signature] = _common(self._instances(left), self._instances(right))
+        return len(instances.pre) > 0
 
     def execute(self, entry: SchemaEntry) -> InstanceColumns:
         """All instances of the skeleton rooted at ``entry`` that contain
         an instance embedding of the whole skeleton (Figure 5)."""
-        cached = self._memo.get(entry)
+        cached = self._memo.get(entry.signature)
         if cached is not None:
             _telemetry_count("schema.skeleton_memo_hits")
             return cached
-        instances = self._index.fetch(entry.pre, entry.label)
-        self.fetch_count += 1
-        for child in entry.pointers:
-            if not instances:
-                break
-            instances = semi_join(instances, self.execute(child))
-            _telemetry_count("schema.semijoins")
-        if not isinstance(instances, InstanceColumns):
-            instances = InstanceColumns.from_rows(instances)
-        self._memo[entry] = instances
+        return self._instances(entry)
+
+    def _instances(self, entry: SchemaEntry) -> InstanceColumns:
+        """:meth:`execute` without the memo-hit counter."""
+        known = self._entries.get(id(entry))
+        if known is not None:
+            return known[1]
+        key = entry.signature
+        instances = self._memo.get(key)
+        if instances is None:
+            instances = self._index.fetch(entry.pre, entry.label)
+            self.fetch_count += 1
+            for child in entry.pointers:
+                instances = semi_join(instances, self._instances(child))
+                _telemetry_count("schema.semijoins")
+                if not instances.pre:
+                    break
+            if not isinstance(instances, InstanceColumns):
+                instances = InstanceColumns.from_rows(instances)
+            self._memo[key] = instances
+        self._entries[id(entry)] = (entry, instances)
         return instances
+
+
+def _common(left: InstanceColumns, right: InstanceColumns) -> InstanceColumns:
+    """The instances in both postings of one schema node (each sorted by
+    ``pre``): every row of the shorter one located by ``bisect`` in the
+    longer one."""
+    if left is right or not left.pre:
+        return left
+    if not right.pre:
+        return right
+    if len(left.pre) > len(right.pre):
+        left, right = right, left
+    pres = right.pre
+    count = len(pres)
+    kept = []
+    for row, pre in enumerate(left.pre):
+        position = bisect_left(pres, pre)
+        if position < count and pres[position] == pre:
+            kept.append(row)
+    if len(kept) == len(left.pre):
+        return left
+    return InstanceColumns(
+        array("q", map(left.pre.__getitem__, kept)), array("q", map(left.bound.__getitem__, kept))
+    )
 
 
 def semi_join(ancestors, descendants) -> InstanceColumns:
@@ -73,14 +124,14 @@ def semi_join(ancestors, descendants) -> InstanceColumns:
     per ancestor — second-level queries typically probe tens of
     thousands of instances with a handful of descendants.
     """
-    if not ancestors or not descendants:
-        return _NOTHING
     if not isinstance(ancestors, InstanceColumns):
         ancestors = InstanceColumns.from_rows(ancestors)
     starts, ends = ancestors.pre, ancestors.bound
     pres = getattr(descendants, "pre", None)
     if pres is None:
         pres = [pre for pre, _ in descendants]
+    if not starts or not pres:
+        return _NOTHING
     kept: list[int] = []
     candidate = position = 0
     while position < len(pres):

@@ -1,44 +1,45 @@
-"""Segmented top-k list operations (Section 7.2).
+"""Segmented top-k list operations (Section 7.2), built on demand.
 
-A :class:`TopKList` is sorted by schema preorder; the entries sharing one
-preorder number form a *segment*.  A segment is two *runs* — the skeletons
-that contain a real query-leaf match ("valid"), then the skeletons whose
+A list is sorted by schema preorder; the entries sharing one preorder
+number form a *segment*.  A segment is two *runs* — the skeletons that
+contain a real query-leaf match ("valid"), then the skeletons whose
 leaves were all deleted ("invalid") — and each run is ordered by
-(embedding cost, skeleton signature) and holds at most *k* distinct
-skeletons.  Invalid partial skeletons must be carried — an ``intersect``
-with a valid sibling turns them into valid ones — but they may never crowd
-a valid skeleton out of its segment, or the best-n guarantee would
-silently break; hence one quota per validity class.
+(embedding cost, skeleton signature).  Invalid partial skeletons must be
+carried — an ``intersect`` with a valid sibling turns them into valid
+ones — but they may never crowd a valid skeleton out of its segment, or
+the best-n guarantee would silently break; hence one run per validity
+class.
 
-With per-class quotas the standard top-k DP argument goes through: the
-j-th cheapest valid output of any operation only combines inputs ranked
-at most k within their own validity class, so every globally top-k valid
-second-level query survives to the root.
+Every run is built on demand (:class:`_Run`): it holds the prefix its
+consumers have read and extends it by resuming its operator's cost-ordered
+frontier — a k-way merge for ``merge``/``union`` and ``join``, the
+sorted-matrix pair walk for ``intersect`` — which reads each input run
+only as deep as it needs.  This is lazy *k*-best enumeration over the
+and/or DAG of the expanded query: the j-th entry of a run combines
+inputs ranked at most j within their own runs, and the (cost, signature)
+order makes the first *k* entries of a run its top-*k*, whatever depth
+was read before.  :class:`SegmentAlgebra` hands these lists
+(:class:`SegmentStream`) to the Figure 4 recursion of
+:mod:`repro.engine.primary`, and the driver pulls root skeletons in
+(cost, pre, signature) order (:meth:`SegmentStream.skeletons`) until it
+has its answer; the batch operators (:func:`merge_shifted_k`,
+:func:`join_k`, :func:`outerjoin_k`, :func:`intersect_k`) read every run
+of the same lists to depth *k*.
 
-Determinism: every truncation uses the same total order (cost, then
-skeleton signature), so a run computed for *k* is a prefix of the run
-computed for *k' > k* — the property the incremental algorithm of
-Section 7.4 relies on.
-
-Work is bounded by the output, not the input: every operator consumes
-already-sorted runs in one pass (no concatenate-and-re-sort), a segment
-present in one input only is copied as a slice, and ``intersect_k`` walks
-the cost-ordered pair frontier of each output class only until that
-class's quota is full.
-
-Exactness: a list is *exact* when nothing was discarded while building it
-or any of its inputs — it then is the whole (untruncated) list, equal for
-every larger *k*.  The driver reuses exact lists across its growing-*k*
-rounds and detects exhaustion from the root list's bit.
-
-:class:`SegmentAlgebra` hands these operators, at one round's *k*, to the
-Figure 4 recursion of :mod:`repro.engine.primary`.
+Dead conjunctions: ``intersect`` may be given a liveness test
+(:meth:`~repro.schema.secondary.SecondaryExecutor.conjoin`).  A pair
+whose two sides share no instance of their class has no instance itself,
+nor has any skeleton built on it, so it is skipped and takes no slot.
+That is sound only on demand: a run that skips must be free to read its
+inputs past any fixed depth.  Every other operator keeps a live input
+live (a DataGuide class's instances all have an instance of each ancestor
+class above them), so every pulled root skeleton has an instance.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from ..engine.entries import INFINITE
 from ..telemetry.collector import count as _telemetry_count
@@ -47,50 +48,25 @@ from .entries import SchemaEntry, entry_from_schema_posting
 from .indexes import SchemaNodeIndexes
 
 
-class _ClassColumns:
-    """One validity class of a list as parallel columns, sorted by ``pre``.
-
-    Built once per list and shared by every ``join_k``/``outerjoin_k``
-    that reads it (a selector's matches are joined to each of its
-    enclosing selector's labels): ``pres`` make the ancestor-interval
-    bisect land directly on class members, ``scores`` precompute
-    ``pathcost + embcost`` (the ancestor-independent part of the candidate
-    cost), and ``signatures`` the deterministic tie-break — so the
-    per-ancestor inner loop selects candidates without touching a single
-    entry attribute."""
-
-    __slots__ = ("entries", "pres", "scores", "signatures")
-
-    def __init__(self, entries: list[SchemaEntry]) -> None:
-        self.entries = entries
-        self.pres = [entry.pre for entry in entries]
-        self.scores = [entry.pathcost + entry.embcost for entry in entries]
-        self.signatures = [entry.signature for entry in entries]
-
-
 class TopKList(list):
-    """A segmented top-k list: the entries in (pre, validity, cost,
+    """A built segmented list: the entries in (pre, validity, cost,
     signature) order, plus what the operators derive from them.
 
     ``segments`` holds one ``(pre, start, middle, end)`` per segment —
     the valid run is ``self[start:middle]``, the invalid run
-    ``self[middle:end]``.  ``exact`` is the bit described in the module
-    docstring.  Lists are immutable once built: the column and segment
+    ``self[middle:end]``.  Lists are immutable once built: the derived
     views are cached on first use, and the evaluator shares lists freely.
     """
 
-    __slots__ = ("segments", "exact", "_width", "_classes", "_by_pre", "_pre")
+    __slots__ = ("segments", "_pre", "_stream")
 
-    def __init__(self, entries=(), segments=None, exact: bool = True) -> None:
+    def __init__(self, entries=(), segments=None) -> None:
         super().__init__(entries)
         if segments is None:
             segments = _scan_segments(self)
         self.segments: list[tuple[int, int, int, int]] = segments
-        self.exact = exact
-        self._width = -1
-        self._classes = None
-        self._by_pre = None
         self._pre = None
+        self._stream = None
 
     @classmethod
     def of(cls, entries) -> "TopKList":
@@ -111,33 +87,20 @@ class TopKList(list):
                 ordered.append(entry)
         return cls(ordered)
 
-    def fits(self, k: int) -> bool:
-        """True when no run is longer than ``k``."""
-        if self._width < 0:
-            self._width = max(
-                (max(middle - start, end - middle) for _, start, middle, end in self.segments),
-                default=0,
+    def stream(self) -> "SegmentStream":
+        """This list as a :class:`SegmentStream` of whole runs."""
+        if self._stream is None:
+            self._stream = SegmentStream(
+                [segment[0] for segment in self.segments],
+                [
+                    (
+                        _Run(self[start:middle]) if middle > start else _EMPTY,
+                        _Run(self[middle:end]) if end > middle else _EMPTY,
+                    )
+                    for _, start, middle, end in self.segments
+                ],
             )
-        return self._width <= k
-
-    def valid_count(self) -> int:
-        """Number of valid skeletons in the list."""
-        return sum(middle - start for _, start, middle, _ in self.segments)
-
-    def classes(self) -> tuple[_ClassColumns, _ClassColumns]:
-        """The (valid, invalid) column views."""
-        if self._classes is None:
-            self._classes = (
-                _ClassColumns([entry for entry in self if entry.has_leaf]),
-                _ClassColumns([entry for entry in self if not entry.has_leaf]),
-            )
-        return self._classes
-
-    def by_pre(self) -> dict[int, tuple[int, int, int, int]]:
-        """Segment lookup by preorder number."""
-        if self._by_pre is None:
-            self._by_pre = {segment[0]: segment for segment in self.segments}
-        return self._by_pre
+        return self._stream
 
     # A fetched list holds one entry per class, like an ``EvalColumns``
     # one row per node: these views let one scope restrict either.
@@ -156,7 +119,7 @@ class TopKList(list):
 
     def take(self, rows: list[int]) -> "TopKList":
         """A new list holding the given entries, in the given order."""
-        return TopKList([self[row] for row in rows], exact=self.exact)
+        return TopKList([self[row] for row in rows])
 
 
 def _scan_segments(entries: list[SchemaEntry]) -> list[tuple[int, int, int, int]]:
@@ -177,6 +140,116 @@ def _scan_segments(entries: list[SchemaEntry]) -> list[tuple[int, int, int, int]
     return segments
 
 
+class _Run:
+    """One run built on demand: the (cost, signature)-ordered entries
+    read so far, and the suspended operator that yields the rest (``None``
+    once the run is whole)."""
+
+    __slots__ = ("entries", "_source")
+
+    def __init__(self, entries: list, source=None) -> None:
+        self.entries = entries
+        self._source = source
+
+    def reach(self, count: int) -> bool:
+        """Whether the run has at least ``count`` entries, resuming its
+        operator while the prefix is shorter."""
+        entries = self.entries
+        if len(entries) >= count:
+            return True
+        source = self._source
+        if source is None:
+            return False
+        for entry in source:
+            entries.append(entry)
+            if len(entries) >= count:
+                return True
+        self._source = None
+        return False
+
+    def whole(self) -> list[SchemaEntry]:
+        """Every entry of the run."""
+        if self._source is not None:
+            self.entries.extend(self._source)
+            self._source = None
+        return self.entries
+
+
+_EMPTY = _Run([])
+
+
+def _run(source) -> _Run:
+    return _Run([], source)
+
+
+class SegmentStream:
+    """A list whose runs are built on demand: the sorted ``pres`` of its
+    segments and per segment its (valid, invalid) :class:`_Run` pair.  A
+    segment may turn out empty once its runs are read (every pair of a
+    conjunction dead)."""
+
+    __slots__ = ("pres", "runs")
+
+    def __init__(self, pres: list[int], runs: list) -> None:
+        self.pres = pres
+        self.runs = runs
+
+    def __bool__(self) -> bool:
+        return bool(self.pres)
+
+    def skeletons(self, closed=None):
+        """The valid skeletons in (cost, pre, signature) order — the
+        second-level queries, pulled one at a time; a root run is read
+        only as far as the pull reaches it.  A segment whose class
+        ``closed(pre)`` rejects is dropped when it comes up next."""
+        heap = []
+        for pre, (run, _) in zip(self.pres, self.runs):
+            if run.reach(1):
+                entry = run.entries[0]
+                heap.append((entry.embcost, pre, entry.signature, 0, run))
+        heapq.heapify(heap)
+        while heap:
+            _, pre, _, position, run = heap[0]
+            if closed is not None and closed(pre):
+                _telemetry_count("schema.saturation_skips")
+                heapq.heappop(heap)
+                continue
+            yield run.entries[position]
+            position += 1
+            if run.reach(position + 1):
+                entry = run.entries[position]
+                heapq.heapreplace(heap, (entry.embcost, pre, entry.signature, position, run))
+            else:
+                heapq.heappop(heap)
+
+    def top(self, k: "int | None" = None) -> TopKList:
+        """Every run read to depth ``k`` (whole when ``None``), as a built
+        :class:`TopKList`."""
+
+        def read(run: _Run) -> list[SchemaEntry]:
+            if k is None:
+                return run.whole()
+            run.reach(k)
+            return run.entries[:k]
+
+        entries: list[SchemaEntry] = []
+        segments = []
+        for pre, (valid, invalid) in zip(self.pres, self.runs):
+            offset = len(entries)
+            entries += read(valid)
+            middle = len(entries)
+            entries += read(invalid)
+            if len(entries) > offset:
+                segments.append((pre, offset, middle, len(entries)))
+        return TopKList(entries, segments)
+
+
+def _stream(entries) -> SegmentStream:
+    if isinstance(entries, SegmentStream):
+        return entries
+    return TopKList.of(entries).stream()
+
+
 def fetch_k(
     indexes: SchemaNodeIndexes, label: str, node_type: NodeType, as_leaf_match: bool
 ) -> TopKList:
@@ -184,10 +257,9 @@ def fetch_k(
     fetched label (so renamed matches build the right ``I_sec`` keys).
 
     The built list is served through the indexes' derived-value cache
-    (:meth:`SchemaNodeIndexes.fetch_derived`), so repeat queries — and
-    the incremental driver's growing-k rounds — skip the posting-to-entry
-    construction; the returned list is a shared object and must not be
-    mutated."""
+    (:meth:`SchemaNodeIndexes.fetch_derived`), so repeat queries skip the
+    posting-to-entry construction; the returned list is a shared object
+    and must not be mutated."""
     is_text = node_type == NodeType.TEXT
     return indexes.fetch_derived(
         label,
@@ -202,49 +274,115 @@ def fetch_k(
     )
 
 
-def merge_shifted_k(parts: "list[tuple[TopKList, float]]", k: int) -> TopKList:
+def merge_streams(parts: list) -> SegmentStream:
     """One list from several ``(list, added cost)`` parts: matching
-    segments are merged run by run, repeated skeletons keep their cheapest
-    copy, and every run is cut to k.  This is the one merge behind a
-    selector's renamings (:func:`merge_k`, all labels at once) and ``or``
-    (:func:`union_k`; the cost of a deletion edge is its part's shift).
-
-    A segment that occurs in a single part — always, for struct classes:
-    one class, one label — is copied as a slice; entries are only
-    re-created where their cost changes."""
-    parts = [(TopKList.of(entries), shift) for entries, shift in parts]
-    exact = all(entries.exact for entries, _ in parts)
-    parts = [part for part in parts if part[0]]
-    if not parts:
-        return TopKList((), [], exact)
-    if len(parts) == 1:
-        entries, shift = parts[0]
-        if shift == 0 and entries.exact == exact and entries.fits(k):
-            return entries
-
+    segments are merged run by run, and repeated skeletons keep their
+    cheapest copy.  This is the one merge behind a selector's renamings
+    (all labels at once) and ``or`` (the cost of a deletion edge is its
+    part's shift).  A run that occurs in one unshifted part — always, for
+    struct classes: one class, one label — is that part's run."""
+    parts = [(_stream(entries), shift) for entries, shift in parts if entries]
+    if len(parts) == 1 and parts[0][1] == 0:
+        return parts[0][0]
     sources: dict[int, list] = {}
-    for entries, shift in parts:
-        for segment in entries.segments:
-            sources.setdefault(segment[0], []).append((entries, shift, segment))
-    result: list[SchemaEntry] = []
-    segments = []
-    for pre in sorted(sources):
-        source = sources[pre]
-        offset = len(result)
-        valid, cut_valid = _merged_run(
-            [(entries[start:middle], shift) for entries, shift, (_, start, middle, _) in source],
-            k,
+    for stream, shift in parts:
+        for pre, runs in zip(stream.pres, stream.runs):
+            sources.setdefault(pre, []).append((runs, shift))
+    pres = sorted(sources)
+    return SegmentStream(
+        pres,
+        [
+            tuple(
+                _merged_run([(runs[validity], shift) for runs, shift in sources[pre]])
+                for validity in (0, 1)
+            )
+            for pre in pres
+        ],
+    )
+
+
+def join_streams(
+    ancestors: TopKList, descendants, edge_cost: float, delete_cost: float
+) -> SegmentStream:
+    """For each ancestor, the copies pointing at each skeleton of the
+    descendant segments below it, per validity class, in cost order; the
+    invalid run also holds the deletion candidate (empty pointer set, no
+    leaf match) when ``delete_cost`` is finite."""
+    descendants = _stream(descendants)
+    pres = descendants.pres
+    out_pres: list[int] = []
+    out_runs: list = []
+    for ancestor in TopKList.of(ancestors):
+        low = bisect_right(pres, ancestor.pre)
+        high = bisect_right(pres, ancestor.bound, low)
+        below = descendants.runs[low:high]
+        valid = [runs[0] for runs in below if runs[0] is not _EMPTY]
+        invalid = [runs[1] for runs in below if runs[1] is not _EMPTY]
+        if not valid and not invalid and delete_cost == INFINITE:
+            continue
+        runs = (
+            _run(_joined(ancestor, valid, True, edge_cost, INFINITE)) if valid else _EMPTY,
+            _run(_joined(ancestor, invalid, False, edge_cost, delete_cost))
+            if invalid or delete_cost != INFINITE
+            else _EMPTY,
         )
-        invalid, cut_invalid = _merged_run(
-            [(entries[middle:end], shift) for entries, shift, (_, _, middle, end) in source],
-            k,
+        if out_pres and out_pres[-1] == ancestor.pre:
+            # several ancestor entries for one schema node (hand-built
+            # inputs only): their copies share the segment's runs
+            out_runs[-1] = tuple(
+                _merged_run([(earlier, 0.0), (run, 0.0)])
+                for earlier, run in zip(out_runs[-1], runs)
+            )
+        else:
+            out_pres.append(ancestor.pre)
+            out_runs.append(runs)
+    return SegmentStream(out_pres, out_runs)
+
+
+def intersect_streams(left, right, edge_cost: float, live=None) -> SegmentStream:
+    """Conjunction: for segments representing the same schema node, the
+    pair combinations in cost order (distinct skeletons); pointer sets
+    are united.  A pair is valid when either side is, so the valid run
+    walks three run products (valid x valid, valid x invalid, invalid x
+    valid) and the invalid run one.  ``live`` (see the module docstring)
+    rejects dead pairs."""
+    left = _stream(left)
+    right = _stream(right)
+    positions = {pre: position for position, pre in enumerate(right.pres)}
+    pres = []
+    out_runs = []
+    for pre, (left_valid, left_invalid) in zip(left.pres, left.runs):
+        position = positions.get(pre)
+        if position is None:
+            continue
+        right_valid, right_invalid = right.runs[position]
+        valid = [
+            (one, other)
+            for one, other in (
+                (left_valid, right_valid),
+                (left_valid, right_invalid),
+                (left_invalid, right_valid),
+            )
+            if one is not _EMPTY and other is not _EMPTY
+        ]
+        invalid = (
+            [(left_invalid, right_invalid)]
+            if left_invalid is not _EMPTY and right_invalid is not _EMPTY
+            else []
         )
-        if cut_valid or cut_invalid:
-            exact = False
-        result += valid
-        result += invalid
-        segments.append((pre, offset, offset + len(valid), len(result)))
-    return TopKList(result, segments, exact)
+        pres.append(pre)
+        out_runs.append(
+            tuple(
+                _run(_pairs(products, edge_cost, has_leaf, live)) if products else _EMPTY
+                for products, has_leaf in ((valid, True), (invalid, False))
+            )
+        )
+    return SegmentStream(pres, out_runs)
+
+
+def merge_shifted_k(parts: "list[tuple[TopKList, float]]", k: int) -> TopKList:
+    """:func:`merge_streams` with every run cut to k."""
+    return merge_streams(parts).top(k)
 
 
 def merge_k(left: TopKList, right: TopKList, rename_cost: float, k: int) -> TopKList:
@@ -266,7 +404,7 @@ def add_edge_k(entries: TopKList, edge_cost: float) -> TopKList:
         return entries
     entries = TopKList.of(entries)
     return TopKList(
-        [_shifted(entry, edge_cost) for entry in entries], entries.segments, entries.exact
+        [entry.with_cost(entry.embcost + edge_cost) for entry in entries], entries.segments
     )
 
 
@@ -276,7 +414,7 @@ def join_k(
     """For each ancestor, keep the k cheapest descendant skeletons (per
     validity class); each yields one copy of the ancestor pointing at
     that descendant."""
-    return _join(ancestors, descendants, edge_cost, INFINITE, k)
+    return join_streams(ancestors, descendants, edge_cost, INFINITE).top(k)
 
 
 def outerjoin_k(
@@ -289,106 +427,53 @@ def outerjoin_k(
     """``join_k`` for query leaves: every ancestor additionally gets a
     deletion candidate (empty pointer set, no leaf match) when the leaf's
     delete cost is finite."""
-    return _join(ancestors, descendants, edge_cost, delete_cost, k)
+    return join_streams(ancestors, descendants, edge_cost, delete_cost).top(k)
 
 
 def intersect_k(left: TopKList, right: TopKList, edge_cost: float, k: int) -> TopKList:
-    """Conjunction: for segments representing the same schema node, the
-    cheapest pair combinations (k distinct skeletons per output validity
-    class); pointer sets are united.
-
-    A pair is valid when either side is, so the valid run is drawn from
-    three run products (valid x valid, valid x invalid, invalid x valid)
-    and the invalid run from one; each output class walks its own
-    cost-ordered pair frontier and stops at its own quota."""
-    left = TopKList.of(left)
-    right = TopKList.of(right)
-    exact = left.exact and right.exact
-    result: list[SchemaEntry] = []
-    segments = []
-    pairs = 0
-    right_segments = right.by_pre()
-    for pre, start, middle, end in left.segments:
-        other = right_segments.get(pre)
-        if other is None:
-            continue
-        _, other_start, other_middle, other_end = other
-        left_valid = left[start:middle]
-        left_invalid = left[middle:end]
-        right_valid = right[other_start:other_middle]
-        right_invalid = right[other_middle:other_end]
-        offset = len(result)
-        walked, cut = _cheapest_pairs(
-            result,
-            ((left_valid, right_valid), (left_valid, right_invalid), (left_invalid, right_valid)),
-            edge_cost,
-            True,
-            k,
-        )
-        pairs += walked
-        if cut:
-            exact = False
-        boundary = len(result)
-        walked, cut = _cheapest_pairs(
-            result, ((left_invalid, right_invalid),), edge_cost, False, k
-        )
-        pairs += walked
-        if cut:
-            exact = False
-        segments.append((pre, offset, boundary, len(result)))
-    _telemetry_count("schema.intersect_pairs", pairs)
-    return TopKList(result, segments, exact)
+    """:func:`intersect_streams` with every run cut to k."""
+    return intersect_streams(left, right, edge_cost).top(k)
 
 
 class SegmentAlgebra:
-    """The top-k operators at the round's ``k`` as the list algebra of the
-    Figure 4 recursion (:mod:`repro.engine.primary`) over schema class
-    segments: a list is exact when its bit says so, and the counters are
-    published as ``schema.*``."""
+    """The operators on demand as the list algebra of the Figure 4
+    recursion (:mod:`repro.engine.primary`) over schema class segments:
+    fetches are :class:`TopKList`, every other list a
+    :class:`SegmentStream`, and the counters are published as
+    ``schema.*``.  ``live`` is the dead-conjunction test, or ``None``."""
 
-    __slots__ = ("indexes", "k")
+    __slots__ = ("indexes", "live")
 
     counters = (
         ("postings_scoped_out", "schema.candidates_scoped_out"),
         ("roots_unwitnessed", "schema.roots_unwitnessed"),
-        ("lists_reused", "schema.lists_reused"),
         ("list_ops", "schema.topk_list_ops"),
     )
+    merge_shifted = staticmethod(merge_streams)
+    outerjoin = staticmethod(join_streams)
 
-    def __init__(self, indexes: SchemaNodeIndexes, k: int) -> None:
+    def __init__(self, indexes: SchemaNodeIndexes, live=None) -> None:
         self.indexes = indexes
-        self.k = k
+        self.live = live
 
     def fetch(self, label: str, node_type: NodeType, as_leaf: bool) -> TopKList:
         """:func:`fetch_k` over this algebra's indexes."""
         return fetch_k(self.indexes, label, node_type, as_leaf)
 
-    def join(self, ancestors: TopKList, descendants: TopKList, edge_cost: float) -> TopKList:
-        """:func:`join_k` at the round's k."""
-        return join_k(ancestors, descendants, edge_cost, self.k)
-
-    def outerjoin(
-        self, ancestors: TopKList, descendants: TopKList, edge_cost: float, delete_cost: float
-    ) -> TopKList:
-        """:func:`outerjoin_k` at the round's k."""
-        return outerjoin_k(ancestors, descendants, edge_cost, delete_cost, self.k)
-
-    def intersect(self, left: TopKList, right: TopKList, edge_cost: float) -> TopKList:
-        """:func:`intersect_k` at the round's k."""
-        return intersect_k(left, right, edge_cost, self.k)
-
-    def merge_shifted(self, parts: "list[tuple[TopKList, float]]") -> TopKList:
-        """:func:`merge_shifted_k` at the round's k."""
-        return merge_shifted_k(parts, self.k)
-
     @staticmethod
-    def exact(entries: TopKList) -> bool:
-        return entries.exact
+    def join(ancestors: TopKList, descendants, edge_cost: float) -> SegmentStream:
+        """:func:`join_streams` without deletion candidates."""
+        return join_streams(ancestors, descendants, edge_cost, INFINITE)
+
+    def intersect(self, left, right, edge_cost: float) -> SegmentStream:
+        """:func:`intersect_streams` skipping dead pairs."""
+        return intersect_streams(left, right, edge_cost, self.live)
 
 
 def sort_roots(k: "int | None", entries: TopKList) -> list[SchemaEntry]:
-    """The top-level ``sort``: globally order valid second-level queries
-    by (cost, schema node, skeleton) and keep the best k."""
+    """The top-level ``sort`` of a built list: globally order valid
+    second-level queries by (cost, schema node, skeleton) and keep the
+    best k (the batch form of :meth:`SegmentStream.skeletons`)."""
     valid = [entry for entry in entries if entry.has_leaf]
     valid.sort(key=lambda entry: (entry.embcost, entry.pre, entry.signature))
     if k is None:
@@ -397,153 +482,104 @@ def sort_roots(k: "int | None", entries: TopKList) -> list[SchemaEntry]:
 
 
 # ----------------------------------------------------------------------
-# internals
+# the operators' frontiers
 # ----------------------------------------------------------------------
 
 
-def _shifted(entry: SchemaEntry, shift: float) -> SchemaEntry:
-    return entry.with_cost(entry.embcost + shift)
+def _merged_run(pieces: "list[tuple[_Run, float]]") -> _Run:
+    """The run of a merged segment from the ``(run, added cost)`` of every
+    part that has it."""
+    pieces = [piece for piece in pieces if piece[0] is not _EMPTY]
+    if not pieces:
+        return _EMPTY
+    if len(pieces) == 1 and pieces[0][1] == 0:
+        return pieces[0][0]
+    return _run(_merged(pieces))
 
 
-def _merged_run(
-    pieces: "list[tuple[list[SchemaEntry], float]]", k: int
-) -> tuple[list[SchemaEntry], bool]:
-    """One run of a merged segment from the ``(run, added cost)`` of every
-    part that has the segment, and whether a skeleton was discarded."""
-    if len(pieces) == 1:
-        run, shift = pieces[0]
-        cut = len(run) > k
-        if cut:
-            run = run[:k]
-        if shift != 0:
-            run = [_shifted(entry, shift) for entry in run]
-        return run, cut
-    entries: list[SchemaEntry] = []
-    for run, shift in pieces:
-        entries += run if shift == 0 else [_shifted(entry, shift) for entry in run]
-    return _finish_run(entries, k)
-
-
-def _finish_run(entries: list[SchemaEntry], k: int) -> tuple[list[SchemaEntry], bool]:
-    """One run out of unordered same-class entries of a segment: sorted
-    by (cost, signature), the first copy of every skeleton, the best k.
-    Returns the run and whether a skeleton was discarded."""
-    if len(entries) < 2:
-        return entries, False
-    entries.sort(key=lambda entry: (entry.embcost, entry.signature))
-    run = []
+def _merged(pieces: "list[tuple[_Run, float]]"):
+    """The k-way merge of shifted runs in (cost, signature) order, the
+    first copy of every skeleton (the lowest-numbered piece's on a tie)."""
+    heap = []
+    for number, (run, shift) in enumerate(pieces):
+        if run.reach(1):
+            entry = run.entries[0]
+            heap.append((entry.embcost + shift, entry.signature, number, 0))
+    heapq.heapify(heap)
     seen = set()
-    for entry in entries:
-        signature = entry.signature
+    while heap:
+        cost, signature, number, position = heap[0]
+        run, shift = pieces[number]
+        entry = run.entries[position]
+        position += 1
+        if len(run.entries) > position or run.reach(position + 1):
+            following = run.entries[position]
+            heapq.heapreplace(
+                heap, (following.embcost + shift, following.signature, number, position)
+            )
+        else:
+            heapq.heappop(heap)
         if signature in seen:
             continue
-        if len(run) >= k:
-            return run, True
         seen.add(signature)
-        run.append(entry)
-    return run, False
+        yield entry if shift == 0 else entry.with_cost(cost)
 
 
-def _join(
-    ancestors: TopKList,
-    descendants: TopKList,
-    edge_cost: float,
-    delete_cost: float,
-    k: int,
-) -> TopKList:
-    """The shared core of join_k/outerjoin_k (``delete_cost`` is infinite
-    for the plain join)."""
-    ancestors = TopKList.of(ancestors)
-    descendants = TopKList.of(descendants)
-    exact = ancestors.exact and descendants.exact
-    classes = descendants.classes()
-    result: list[SchemaEntry] = []
-    segments = []
-    for pre, start, _, end in ancestors.segments:
-        offset = boundary = len(result)
-        segment = ancestors[start:end]
-        for has_leaf, columns, delete in (
-            (True, classes[0], INFINITE),
-            (False, classes[1], delete_cost),
-        ):
-            run: list[SchemaEntry] = []
-            for ancestor in segment:
-                if _extend_from_columns(run, ancestor, columns, has_leaf, edge_cost, delete, k):
-                    exact = False
-            if end - start > 1:
-                # several ancestor entries for one schema node (hand-built
-                # inputs only): their copies share the segment's quotas
-                run, cut = _finish_run(run, k)
-                if cut:
-                    exact = False
-            result += run
-            if has_leaf:
-                boundary = len(result)
-        if len(result) > offset:
-            segments.append((pre, offset, boundary, len(result)))
-    return TopKList(result, segments, exact)
-
-
-def _extend_from_columns(
-    result: list[SchemaEntry],
+def _joined(
     ancestor: SchemaEntry,
-    columns: _ClassColumns,
+    pieces: "list[_Run]",
     has_leaf: bool,
     edge_cost: float,
     delete_cost: float,
-    k: int,
-) -> bool:
-    """Append, in run order, copies of ``ancestor`` for the k cheapest
-    descendants in ``columns`` — and, when ``delete_cost`` is finite, the
-    deletion candidate in its place among them.  Returns whether a
-    candidate was discarded."""
-    ancestor_pre = ancestor.pre
-    ancestor_bound = ancestor.bound
+):
+    """Copies of ``ancestor`` for the entries of the descendant runs
+    ``pieces`` (one validity class) in cost order — and, when
+    ``delete_cost`` is finite, the deletion candidate in its place among
+    them.  A descendant's copy costs its distance below the ancestor
+    plus its own embedding cost."""
+    pre = ancestor.pre
+    bound = ancestor.bound
     pathcost = ancestor.pathcost
     inscost = ancestor.inscost
     label = ancestor.label
-    pres = columns.pres
-    low = bisect_right(pres, ancestor_pre)
-    high = bisect_right(pres, ancestor_bound, low)
-    discarded = False
-    picks = []
-    if low < high:
-        base = pathcost + inscost
-        scores = columns.scores
-        signatures = columns.signatures
-        picks = [
-            (scores[i] - base + edge_cost, signatures[i], i) for i in range(low, high)
-        ]
-        if high - low > k:
-            discarded = True
-            picks = heapq.nsmallest(k, picks)
-        elif high - low > 1:
-            picks.sort()
-    entries = columns.entries
-    run = [
-        SchemaEntry(
-            ancestor_pre,
-            ancestor_bound,
-            pathcost,
-            inscost,
-            cost,
-            label,
-            (entries[i],),
-            has_leaf,
-            (ancestor_pre, label, (signature,)),
+    base = pathcost + inscost
+    heap = []
+    for number, run in enumerate(pieces):
+        if run.reach(1):
+            entry = run.entries[0]
+            heap.append(
+                (entry.pathcost + entry.embcost - base + edge_cost, entry.signature, number, 0)
+            )
+    heapq.heapify(heap)
+    deletion = INFINITE if delete_cost == INFINITE else delete_cost + edge_cost
+    while heap:
+        cost, signature, number, position = heap[0]
+        if deletion <= cost:
+            # the deletion candidate's skeleton (no pointers) orders before
+            # every equal-cost candidate that points somewhere
+            yield _deletion_candidate(ancestor, deletion)
+            deletion = INFINITE
+        run = pieces[number]
+        entry = run.entries[position]
+        position += 1
+        if len(run.entries) > position or run.reach(position + 1):
+            following = run.entries[position]
+            heapq.heapreplace(
+                heap,
+                (
+                    following.pathcost + following.embcost - base + edge_cost,
+                    following.signature,
+                    number,
+                    position,
+                ),
+            )
+        else:
+            heapq.heappop(heap)
+        yield SchemaEntry(
+            pre, bound, pathcost, inscost, cost, label, (entry,), has_leaf, (pre, label, (signature,))
         )
-        for cost, signature, i in picks
-    ]
-    if delete_cost != INFINITE:
-        # the deletion candidate's skeleton (no pointers) orders before
-        # every equal-cost candidate that points somewhere
-        cost = delete_cost + edge_cost
-        run.insert(bisect_left(picks, (cost,)), _deletion_candidate(ancestor, cost))
-        if len(run) > k:
-            discarded = True
-            run.pop()
-    result += run
-    return discarded
+    if deletion != INFINITE:
+        yield _deletion_candidate(ancestor, deletion)
 
 
 def _deletion_candidate(ancestor: SchemaEntry, cost: float) -> SchemaEntry:
@@ -560,69 +596,56 @@ def _deletion_candidate(ancestor: SchemaEntry, cost: float) -> SchemaEntry:
     )
 
 
-def _cheapest_pairs(
-    result: list[SchemaEntry],
-    products: "tuple[tuple[list[SchemaEntry], list[SchemaEntry]], ...]",
-    edge_cost: float,
-    has_leaf: bool,
-    k: int,
-) -> tuple[int, bool]:
-    """Append to ``result`` the run of the k cheapest distinct skeletons
-    among the pairs of ``products`` (each a pair of cost-ordered runs of
-    one segment).  Returns (pairs walked, whether a pair was left out).
+def _pairs(products: "list[tuple[_Run, _Run]]", edge_cost: float, has_leaf: bool, live=None):
+    """The distinct live skeletons among the pairs of ``products`` (each
+    a pair of runs of one segment), in (cost, signature) order.
 
     The classic sorted-matrix frontier walk, one heap for all products:
     a cell's right neighbour is pushed when the cell is popped, its lower
     neighbour only from the first column — every cell is reached once, in
-    ascending cost.  The walk ends when the quota is full *and* the next
-    pair is dearer than the last one taken, so skeletons of equal cost are
-    ranked by signature, not by heap order."""
-    heap = [
-        (left[0].embcost + right[0].embcost, number, 0, 0)
-        for number, (left, right) in enumerate(products)
-        if left and right
-    ]
-    if not heap:
-        return 0, False
+    ascending cost, and a run is read only as deep as the walk gets.  The
+    pairs of one cost are all walked before any is handed out, so they
+    are ranked by signature, not by heap order.  A pair ``live(signature,
+    left, right)`` rejects takes no place."""
+    heap = []
+    for number, (left, right) in enumerate(products):
+        if left.reach(1) and right.reach(1):
+            heap.append((left.entries[0].embcost + right.entries[0].embcost, number, 0, 0))
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-    found = []
     seen = set()
-    limit = None
-    walked = 0
     while heap:
-        total, number, i, j = heap[0]
+        total = heap[0][0]
+        found = []
+        walked = dead = 0
+        while heap and heap[0][0] == total:
+            _, number, i, j = pop(heap)
+            walked += 1
+            left, right = products[number]
+            left_entry = left.entries[i]
+            right_entry = right.entries[j]
+            if len(right.entries) > j + 1 or right.reach(j + 2):
+                push(heap, (left_entry.embcost + right.entries[j + 1].embcost, number, i, j + 1))
+            if j == 0 and (len(left.entries) > i + 1 or left.reach(i + 2)):
+                push(heap, (left.entries[i + 1].embcost + right_entry.embcost, number, i + 1, 0))
+            pointers, children = _union_pointers(left_entry, right_entry)
+            signature = (left_entry.pre, left_entry.label, children)
+            if signature in seen:
+                # the same skeleton at equal or higher cost: no loss
+                continue
+            seen.add(signature)
+            if live is not None and not live(signature, left_entry, right_entry):
+                dead += 1
+                continue
+            found.append((signature, left_entry, pointers))
+        _telemetry_count("schema.intersect_pairs", walked)
+        if dead:
+            _telemetry_count("schema.conjunctions_dead", dead)
+        # signatures are distinct, so the sort never compares past them
+        found.sort()
         cost = total + edge_cost
-        if limit is not None and cost > limit:
-            break
-        pop(heap)
-        walked += 1
-        left, right = products[number]
-        left_entry = left[i]
-        right_entry = right[j]
-        if j + 1 < len(right):
-            push(heap, (left_entry.embcost + right[j + 1].embcost, number, i, j + 1))
-        if j == 0 and i + 1 < len(left):
-            push(heap, (left[i + 1].embcost + right_entry.embcost, number, i + 1, 0))
-        pointers, children = _union_pointers(left_entry, right_entry)
-        signature = (left_entry.pre, left_entry.label, children)
-        if signature in seen:
-            # the same skeleton at equal or higher cost: no loss
-            continue
-        seen.add(signature)
-        found.append((cost, signature, left_entry, pointers))
-        if limit is None and len(seen) >= k:
-            limit = cost
-    cut = bool(heap)
-    # pairs arrive by cost; equal-cost skeletons are ranked by signature
-    # (signatures are distinct, so the comparison never goes past them)
-    found.sort()
-    if len(found) > k:
-        del found[k:]
-        cut = True
-    for cost, signature, entry, pointers in found:
-        result.append(
-            SchemaEntry(
+        for signature, entry, pointers in found:
+            yield SchemaEntry(
                 entry.pre,
                 entry.bound,
                 entry.pathcost,
@@ -633,8 +656,6 @@ def _cheapest_pairs(
                 has_leaf,
                 signature,
             )
-        )
-    return walked, cut
 
 
 def _union_pointers(

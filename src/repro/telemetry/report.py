@@ -97,13 +97,6 @@ class QueryReport:
         return int(self.get("schema.second_level_executed"))
 
     @property
-    def max_k_stops(self) -> int:
-        """Times the schema driver gave up growing k at ``max_k``: when
-        positive, the answer may be short of ``n`` although more results
-        exist (a complete short answer ends by exhaustion instead)."""
-        return int(self.get("schema.max_k_stops"))
-
-    @property
     def column_cache_hits(self) -> int:
         """Kernel fetches served as already-built columnar lists (the
         ``kernel.*`` family: derived-value caching above the posting
@@ -167,11 +160,6 @@ class QueryReport:
         ]
         if self.wal_recoveries:
             lines.append(f"  wal: {self.wal_recoveries} recovery(ies)")
-        if self.max_k_stops:
-            lines.append(
-                "  schema: stopped at max_k before reaching n "
-                "(the answer may be incomplete)"
-            )
         if self.compiled_cache_hit or self.result_cache_hit:
             parts = []
             if self.compiled_cache_hit:
@@ -224,7 +212,6 @@ class QueryReport:
             "summary": {
                 "postings_decoded": self.postings_decoded,
                 "second_level_queries": self.second_level_queries,
-                "max_k_stops": self.max_k_stops,
                 "column_cache_hits": self.column_cache_hits,
                 "rmq_builds": self.rmq_builds,
                 "rmq_reuses": self.rmq_reuses,

@@ -156,3 +156,65 @@ class TestCostFiles:
         assert model.insert_fingerprint == before
         model.set_insert_cost("x", 3)
         assert model.insert_fingerprint != before
+
+
+#: mutated cost files per seed file in the fuzz test below
+FUZZ_CASES = 300
+#: what a flipped character or an appended field may become
+FUZZ_CHARACTERS = "ab#1.- \t-eEinfxyz0"
+FUZZ_FIELDS = ["1", "0", "-1", "2.5", "inf", "nan", "1e400", "text", "struct", "#", "#root", "x"]
+
+
+def _mutated(lines: list, rng) -> list:
+    """One to three random edits of a cost file: a flipped character, a
+    truncated line, a line's fields shuffled, or a field appended."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            lines.append(rng.choice(FUZZ_FIELDS))
+            continue
+        row = rng.randrange(len(lines))
+        line = lines[row]
+        edit = rng.randrange(4)
+        if edit == 0 and line:
+            at = rng.randrange(len(line))
+            line = line[:at] + rng.choice(FUZZ_CHARACTERS) + line[at + 1 :]
+        elif edit == 1:
+            line = line[: rng.randrange(len(line) + 1)]
+        elif edit == 2:
+            fields = line.split()
+            rng.shuffle(fields)
+            line = " ".join(fields)
+        else:
+            line = f"{line} {rng.choice(FUZZ_FIELDS)}"
+        lines[row] = line
+    return lines
+
+
+class TestCostFileFuzz:
+    def test_mutated_cost_files_parse_and_round_trip_or_raise_the_typed_error(self):
+        """Cost files as the query generator writes them, mutated at
+        random: each either parses into a model that round-trips through
+        ``to_lines()``, or raises ``CostModelError`` — never another
+        exception."""
+        import random
+
+        from .strategies import generated_case
+
+        parsed = rejected = 0
+        for seed in range(4):
+            for generated in generated_case(seed).queries:
+                lines = generated.costs.to_lines()
+                rng = random.Random(f"{seed}:{generated.query.unparse()}")
+                for _ in range(FUZZ_CASES):
+                    mutated = _mutated(lines, rng)
+                    try:
+                        model = CostModel.from_lines(mutated)
+                    except CostModelError:
+                        rejected += 1
+                        continue
+                    again = CostModel.from_lines(model.to_lines())
+                    assert again.to_lines() == model.to_lines(), mutated
+                    assert again.fingerprint == model.fingerprint, mutated
+                    parsed += 1
+        assert parsed > 0 and rejected > 0

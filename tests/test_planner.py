@@ -6,11 +6,10 @@ covering the candidate population — so a cost-model change that flips a
 winner fails loudly here; a case with a wide margin also declares the
 range of schema/direct cost ratios its estimates must stay outside.
 The rest of the module covers the pieces around the decision: the
-driver's first-round k, which grows with the same closure widths, and
-the shard/single-store plan agreement.
+schema driver's lack of a schedule, and the shard/single-store plan
+agreement.
 """
 
-import math
 from dataclasses import dataclass
 
 import pytest
@@ -174,42 +173,20 @@ class TestPlanQualityCorpus:
             ], case.name
 
 
-def _first_round_k(database, query, n, costs=None):
-    """``schema.final_k`` of a schema-driven query that runs one round —
-    the driver's first-round k."""
-    report = database.query(
-        query, n=n, costs=costs, method="schema", collect="counters"
-    ).report
-    assert report.get("schema.rounds") == 1
-    return report.get("schema.final_k")
-
-
 class TestSchedule:
-    """The k schedule is the driver's own: it starts at n scaled by the
-    mean closure width the planner also reports (16 for full retrieval),
-    capped at 4096, and the plan carries none of it."""
-
-    def test_wide_renaming_inflates_initial_k(self):
-        case = next(c for c in CORPUS if c.name == "wide-renaming-schema")
-        database = Database.from_xml(case.xml)
-        query = 'cd[title["album"]]'
-        wide = database.plan(query, n=5, costs=case.costs).estimates
-        assert _first_round_k(database, query, 5) == 5
-        assert wide.mean_closure_width > 1
-        assert _first_round_k(database, query, 5, case.costs) == math.ceil(
-            5 * wide.mean_closure_width
-        )
-
-    def test_initial_k_is_capped(self):
-        database = Database.from_xml(_catalog(30))
-        assert _first_round_k(database, "cd[title]", 10**9) == 4096
+    """The schema driver has no k schedule: every evaluation is one pull
+    of second-level queries, and the plan carries none of it."""
 
     def test_full_retrieval_has_no_schedule(self):
         database = Database.from_xml(_catalog(30))
         plan = database.plan("cd[title]", n=None)
         assert not hasattr(plan.estimates, "initial_k")
         assert plan.estimates.schema_cost is None
-        assert _first_round_k(database, "cd[title]", None) == 16
+        report = database.query(
+            "cd[title]", n=None, method="schema", collect="counters"
+        ).report
+        assert report.get("schema.rounds") == 1
+        assert "schema.final_k" not in report.counters
 
 
 class TestShardAgreement:

@@ -1,6 +1,7 @@
 """Property-based tests for the segmented top-k operations."""
 
 import random
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,11 +138,14 @@ class TestJoinProperties:
     @settings(max_examples=40, deadline=None)
     @given(descendants=st.lists(entry_strategy, min_size=1, max_size=30))
     def test_inexact_iff_candidates_exceed_k(self, descendants):
+        """The join cut to k = 1 loses a skeleton exactly when a validity
+        class has more than one candidate."""
         ancestors = [make_entry(0, 0.0, "root", has_leaf=False, bound=100)]
         joined = join_k(ancestors, as_list(descendants), 0.0, k=1)
+        whole = join_k(ancestors, as_list(descendants), 0.0, k=100)
         valid = len({e.signature for e in descendants if e.has_leaf})
         invalid = len({e.signature for e in descendants if not e.has_leaf})
-        assert joined.exact == (valid <= 1 and invalid <= 1)
+        assert (runs(joined) == runs(whole)) == (valid <= 1 and invalid <= 1)
 
 
 class TestSortRoots:
@@ -166,8 +170,9 @@ class TestSortRoots:
 
 class TestIncrementalPrefixEndToEnd:
     def test_growing_k_extends_second_level_list(self):
-        """The root query list for k is a prefix of the list for k' > k
-        on a real workload (the property Figure 6 relies on)."""
+        """The root query list read to depth k is a prefix of the list
+        read to k' > k on a real workload (the property Figure 6 relies
+        on), and it is what the pull hands out first."""
         from repro.approxql import CostModel, build_expanded, parse_query
         from repro.schema.dataguide import build_schema
         from repro.schema.indexes import SchemaNodeIndexes
@@ -184,15 +189,18 @@ class TestIncrementalPrefixEndToEnd:
             indexes = SchemaNodeIndexes(schema)
             previous = None
             for k in (1, 2, 4, 8, 16):
-                entries = sort_roots(k, PrimaryKEvaluator(indexes, k).evaluate(expanded))
+                roots = PrimaryKEvaluator(indexes).evaluate(expanded)
+                entries = sort_roots(k, roots.top(k))
                 keys = [(e.pre, e.signature) for e in entries]
                 if previous is not None:
                     assert keys[: len(previous)] == previous
+                pulled = islice(PrimaryKEvaluator(indexes).evaluate(expanded).skeletons(), k)
+                assert [(e.pre, e.signature) for e in pulled] == keys
                 previous = keys
 
 
 # ----------------------------------------------------------------------
-# the kernel's contracts: prefixes under ties, exactness, brute force
+# the kernel's contracts: prefixes under ties, whole runs, brute force
 # ----------------------------------------------------------------------
 
 #: few costs and few schema nodes, so most draws contain cost ties
@@ -242,13 +250,14 @@ def runs(entries):
 
 def assert_k_is_prefix_of_4k(small, large, k):
     large_runs = runs(large)
+    assert set(runs(small)) == set(large_runs)
     for key, run in runs(small).items():
         assert run == sorted(run), "a run is ordered by (cost, signature)"
         assert len(set(signature for _, signature in run)) == len(run) <= k
         assert large_runs[key][: len(run)] == run
-    if small.exact:
-        assert runs(small) == large_runs
-        assert large.exact
+        if len(run) < k:
+            # nothing was cut: the run is whole
+            assert large_runs[key] == run
 
 
 def rebuild(entries, k):
@@ -306,10 +315,6 @@ class TestKernelContracts:
                 )
         result = intersect_k(left, right, 0.0, k)
         assert runs(result) == rebuild(pairs, k)
-        if result.exact:
-            # (the bit may be cleared without loss — a pair left on the
-            # frontier can repeat a taken skeleton — never set with loss)
-            assert rebuild(pairs, k) == rebuild(pairs, len(pairs) + 1)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -394,49 +399,84 @@ class TestScopingAndResumption:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_scoped_root_list_equals_unscoped(self, seed):
-        """The scoped root list is the unscoped one minus whole segments
-        of root classes without a valid skeleton (no query-leaf class
-        below them): every other segment is there, run for run.  Dropping
-        them can only make the list exact sooner, and an exact list holds
-        every valid skeleton of the closure."""
+        """The scoped root list, read to depth k, is the whole unscoped
+        one with every run cut to k, minus whole segments of root classes
+        without a valid skeleton (no query-leaf class below them): every
+        other segment is there, run for run — whether a fresh list is
+        read to k or one list is read deeper and deeper.  (The unscoped
+        recursion cut to k at every list is no reference: a conjunction
+        of two cut lists can miss a skeleton that several pairs unite
+        to.)"""
         from repro.schema.primary_k import PrimaryKEvaluator
 
-        def valid_runs(entries):
-            return {key: run for key, run in runs(entries).items() if key[1]}
-
         indexes, expanded = schema_case(seed)
-        references = {k: unscoped_roots(indexes, expanded, k) for k in (1, 2, 8, 64)}
-        resumed = PrimaryKEvaluator(indexes, 1)
-        for k, reference in references.items():
-            fresh = PrimaryKEvaluator(indexes, k).evaluate(expanded)
-            # the same evaluator with k grown keeps its exact lists
-            grown = resumed.evaluate(expanded, k)
+        whole = runs(unscoped_roots(indexes, expanded, 10**9))
+        grown = PrimaryKEvaluator(indexes).evaluate(expanded)
+        for k in (1, 2, 8, 64):
+            fresh = PrimaryKEvaluator(indexes).evaluate(expanded).top(k)
             kept = {entry.pre for entry in fresh}
-            assert not any(entry.has_leaf for entry in reference if entry.pre not in kept)
-            expected = {key: run for key, run in runs(reference).items() if key[0] in kept}
-            assert runs(fresh) == expected == runs(grown)
-            assert fresh.exact == grown.exact
-            if reference.exact:
-                assert fresh.exact
-            if fresh.exact:
-                # no run is longer than k <= 64, so the k = 64 runs are whole
-                assert valid_runs(fresh) == valid_runs(references[64])
+            assert not any(valid for (pre, valid) in whole if pre not in kept)
+            expected = {key: run[:k] for key, run in whole.items() if key[0] in kept}
+            assert runs(fresh) == expected == runs(grown.top(k))
 
     def test_scoping_and_witnessing_are_exercised(self):
         """The generator reaches what the property above is for: classes
-        are scoped out, root classes without a query-leaf class below
-        them are dropped, and exact lists are reused across rounds."""
+        are scoped out, and root classes without a query-leaf class below
+        them are dropped."""
         from repro.schema.primary_k import PrimaryKEvaluator
 
-        scoped_out = unwitnessed = reused = 0
+        scoped_out = unwitnessed = 0
         for seed in range(40):
             indexes, expanded = schema_case(seed)
-            evaluator = PrimaryKEvaluator(indexes, 1)
+            evaluator = PrimaryKEvaluator(indexes)
             evaluator.evaluate(expanded)
             scoped_out += evaluator.postings_scoped_out
             unwitnessed += evaluator.roots_unwitnessed
-            evaluator.evaluate(expanded, 8)
-            reused += evaluator.lists_reused
         assert scoped_out > 0
         assert unwitnessed > 0
-        assert reused > 0
+
+
+#: pull depths checked against the closure (``None``: the whole pull)
+PULL_DEPTHS = (1, 2, 3, 5, 8, None)
+
+
+class TestPullStream:
+    def test_pulled_prefix_is_the_live_closure_prefix(self):
+        """For every m, the first m skeletons pulled from a fresh root
+        list are the first m of the query's whole closure in the schema
+        (the unscoped lists, uncut), sorted by (cost, pre, signature),
+        with the skeletons that have no instance removed — the dead
+        conjunctions skipped on the way change which skeletons come out,
+        never their order or what the answer holds."""
+        from repro.approxql import build_expanded
+        from repro.schema.dataguide import build_schema
+        from repro.schema.indexes import MemorySecondaryIndex, SchemaNodeIndexes
+        from repro.schema.primary_k import PrimaryKEvaluator
+        from repro.schema.secondary import SecondaryExecutor
+
+        from .strategies import generated_case
+
+        def key(entry):
+            return (entry.embcost, entry.pre, entry.signature)
+
+        dead = compared = 0
+        for seed in range(12):
+            case = generated_case(seed)
+            schema = build_schema(case.tree)
+            indexes = SchemaNodeIndexes(schema)
+            for generated in case.queries:
+                costs = generated.costs
+                schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
+                expanded = build_expanded(generated.query, costs)
+                closure = sort_roots(None, unscoped_roots(indexes, expanded, 10**9))
+                reference = SecondaryExecutor(MemorySecondaryIndex(schema))
+                live = [key(entry) for entry in closure if len(reference.execute(entry))]
+                dead += len(closure) - len(live)
+                for depth in PULL_DEPTHS:
+                    executor = SecondaryExecutor(MemorySecondaryIndex(schema))
+                    roots = PrimaryKEvaluator(indexes, executor).evaluate(expanded)
+                    pulled = [key(entry) for entry in islice(roots.skeletons(), depth)]
+                    assert pulled == live[:depth], (seed, generated.query.unparse(), depth)
+                    compared += len(pulled)
+        assert dead > 0
+        assert compared > 0

@@ -4,7 +4,6 @@ Each test reconstructs the exact scenario that exposed the defect, so a
 reintroduction fails loudly with a pointer to the original analysis.
 """
 
-import math
 
 import pytest
 
@@ -86,16 +85,15 @@ class TestCJKTokenization:
 
 class TestBestNDegenerationBounded:
     """Best-n with n above the result count degenerates into full
-    retrieval; max_k must bound it and still return everything found."""
+    retrieval; the pull must end when the skeletons do and still return
+    everything found."""
 
-    def test_max_k_bounds_degenerate_best_n(self):
+    def test_degenerate_best_n_returns_everything_found(self):
         tree = tree_from_xml("<cd><title>piano</title></cd>")
         costs = CostModel()
         for target in ("alpha", "beta", "gamma"):
             costs.add_renaming("piano", target, NodeType.TEXT, 2)
-        results = SchemaEvaluator(tree).evaluate(
-            'cd[title["piano"]]', costs, n=50, max_k=8
-        )
+        results = SchemaEvaluator(tree).evaluate('cd[title["piano"]]', costs, n=50)
         assert [(r.cost) for r in results] == [0.0]
 
 
@@ -125,7 +123,9 @@ class TestSection7BlowUp:
     ancestor (dropped by the enclosing join anyway) kept a global
     "something was truncated" flag set, so exhaustion was never seen —
     pattern 3 at r=5, n=100 took minutes where ``direct`` takes 0.15 s.
-    Judged by counters (they repeat exactly), not by wall-clock."""
+    The driver now pulls second-level queries on demand, so a short
+    answer ends with the pull.  Judged by counters (they repeat exactly),
+    not by wall-clock."""
 
     QUERY_SEED = 7 + 1000 * 3 + 5
     N = 100
@@ -146,7 +146,7 @@ class TestSection7BlowUp:
         database.set_query_cache(result_entries=0)
         return database, queries
 
-    @pytest.mark.parametrize("index, results, skeletons", [(1, 51, 188), (2, 94, 944)])
+    @pytest.mark.parametrize("index, results, skeletons", [(1, 51, 56), (2, 94, 120)])
     def test_short_answer_stops_at_first_k_covering_all_skeletons(
         self, workload, index, results, skeletons
     ):
@@ -163,21 +163,13 @@ class TestSection7BlowUp:
         assert schema.costs == direct.costs
         assert sorted(r.root for r in schema) == sorted(r.root for r in direct)
 
-        # the driver's rule: the first round asks for n scaled by the mean
-        # renaming-closure width (the planner reports the same width),
-        # capped at 4096; k doubles after every round
-        width = database.plan(
-            generated.query, n=self.N, costs=generated.costs
-        ).estimates.mean_closure_width
-        k = min(4096, max(self.N, math.ceil(self.N * width)))
-        rounds = 1
-        while k < skeletons:
-            k, rounds = 2 * k, rounds + 1
+        # one pull, which ends once every live second-level query of the
+        # closure is pulled; each pulled one is executed and has results
         report = schema.report
+        assert report.get("schema.rounds") == 1
         assert report.get("schema.skeletons_enumerated") == skeletons
-        assert report.get("schema.final_k") == k
-        assert report.get("schema.rounds") == rounds
-        assert report.max_k_stops == 0
+        assert report.get("schema.second_level_executed") == skeletons
+        assert report.get("schema.second_level_nonempty") == skeletons
 
 
 class TestDirectRenamingBlowUp:
@@ -267,3 +259,41 @@ class TestRootWitnessing:
         assert len(direct) > 0
         pairs = {method: [(r.root, r.cost) for r in rows] for method, rows in answers.items()}
         assert pairs["direct"] == pairs["schema"]
+
+
+class TestDeadConjunctions:
+    """Most second-level queries of a pattern-3 query at r=10 were
+    empty: each term occurs in its text class, but no instance holds
+    both, and the driver executed them one by one while growing k
+    (p3 r10 n1 q0 ran 9 rounds and 1 535 second-level queries for one
+    result).  The top-k lists now skip a conjunction whose two sides
+    share no instance, and extend on demand past where it would have cut.
+    Skipping inside lists cut at a fixed k answers p3 r10 n1 q0 with
+    ``(137696, 19.0)``: its cheapest skeleton
+    ``e98@56[e76@58[t940@70 and t163@72 and t944@72]]`` needs an inner
+    conjunction past its list's k-th entry."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        from repro.bench.workloads import clear_workload_cache, get_workload
+
+        yield get_workload("small")
+        clear_workload_cache()
+
+    @pytest.mark.parametrize("number", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_pinned_p3_r10_queries_execute_only_live_skeletons(self, workload, n, number):
+        from repro.telemetry.collector import Telemetry, collecting
+
+        generated = workload.queries(3, 10, count=3)[number]
+        telemetry = Telemetry()
+        with collecting(telemetry):
+            schema = workload.schema_eval.evaluate(generated.query, generated.costs, n=n)
+        direct = workload.direct.evaluate(generated.query, generated.costs, n=n)
+        pairs = [(result.root, result.cost) for result in schema]
+        assert pairs == [(result.root, result.cost) for result in direct]
+        if (n, number) == (1, 0):
+            assert pairs == [(139527, 18.0)]
+        counters = telemetry.counters
+        assert counters["schema.rounds"] == 1
+        assert counters["schema.second_level_executed"] == counters["schema.second_level_nonempty"]

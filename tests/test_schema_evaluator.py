@@ -29,8 +29,7 @@ CATALOG = """
 
 #: the cost-0 skeleton of ``SPLIT_QUERY`` has no instance (no cd holds
 #: both a title and a composer); the one result needs the inserted
-#: ``disc`` — so best-1, starting at k = 1 (every closure has width 1),
-#: takes a second round
+#: ``disc`` — so best-1 must pass over a dead conjunction
 SPLIT_CATALOG = """
 <catalog>
   <cd><title>piano</title></cd>
@@ -90,12 +89,14 @@ class TestBasicEvaluation:
 
 
 class TestIncrementalBehaviour:
-    def test_small_initial_k_still_complete(self, split):
-        """Best-1 starts at k = 1 and grows; it is full retrieval's first
-        result, and resuming its state completes the full answer."""
+    def test_best_1_passes_the_dead_conjunction_and_resumes_to_completion(self, split):
+        """Best-1 skips the cost-0 skeleton, which has no instance, in its
+        one pull; it is full retrieval's first result, and resuming its
+        state completes the full answer."""
         full = split.evaluate(SPLIT_QUERY)
         first, counters, state = observe(split, SPLIT_QUERY, n=1)
-        assert counters["schema.rounds"] > 1
+        assert counters["schema.rounds"] == 1
+        assert counters["schema.conjunctions_dead"] >= 1
         assert first == full[:1]
         rest = split.evaluate(SPLIT_QUERY, resume=state)
         assert first + rest == full
@@ -113,15 +114,21 @@ class TestIncrementalBehaviour:
         _, _, state = observe(evaluator, 'cd[title["piano"]]')
         assert state.exhausted
 
-    def test_growing_k_never_reexecutes(self, split):
-        """Executed second-level queries are remembered by signature."""
-        _, grown, grown_state = observe(split, SPLIT_QUERY, n=1)
-        _, single, single_state = observe(split, SPLIT_QUERY)
-        assert grown["schema.rounds"] > single["schema.rounds"] == 1
-        # the rounds of a growing k execute the skeletons one large round
-        # executes, each once
-        assert grown_state.executed <= single_state.executed
-        assert grown["schema.second_level_executed"] == single["schema.second_level_executed"]
+    def test_a_resume_never_reexecutes(self, evaluator):
+        """Executed second-level queries are remembered by signature: a
+        resumed run pulls the skeletons again but executes only the ones
+        its prefix did not, and the two runs together execute what one
+        full run does."""
+        costs = paper_example_cost_model()
+        query = 'cd[title["piano"]]'
+        _, first, first_state = observe(evaluator, query, costs, n=1)
+        _, rest, _ = observe(evaluator, query, costs, resume=first_state)
+        _, single, single_state = observe(evaluator, query, costs)
+        assert first_state.executed < single_state.executed
+        assert (
+            first["schema.second_level_executed"] + rest["schema.second_level_executed"]
+            == single["schema.second_level_executed"]
+        )
 
     def test_streaming_results(self, tree, evaluator):
         costs = paper_example_cost_model()
@@ -132,31 +139,16 @@ class TestIncrementalBehaviour:
         rest = list(stream)
         assert all(r.cost >= first.cost for r in rest)
 
-    def test_max_k_bounds_work(self, evaluator):
-        costs = paper_example_cost_model()
-        results = evaluator.evaluate('cd[title["piano"]]', costs, max_k=2)
-        # bounded k may truncate the result list but never corrupt it
-        full = evaluator.evaluate('cd[title["piano"]]', costs)
-        assert results == full[: len(results)]
-
-    def test_max_k_stop_is_counted_and_exhaustion_is_not(self, evaluator):
-        """A run that gives up at max_k says so; a run that ends because
-        every second-level query was executed does not."""
-        costs = paper_example_cost_model()
-        query = 'cd[title["piano"]]'
-        _, capped, state = observe(evaluator, query, costs, n=50, max_k=2)
-        assert capped["schema.max_k_stops"] == 1
-        assert not state.exhausted
-        _, complete, state = observe(evaluator, query, costs, n=50)
-        assert "schema.max_k_stops" not in complete
-        assert state.exhausted
-
-    def test_rounds_reuse_exact_lists(self, split):
-        """A further round takes over what the smaller k did not truncate
-        instead of rebuilding it."""
-        _, counters, _ = observe(split, SPLIT_QUERY, n=1)
-        assert counters["schema.rounds"] > 1
-        assert counters["schema.lists_reused"] > 0
+    def test_every_executed_skeleton_has_an_instance(self, split):
+        """Dead conjunctions are skipped while the top-k lists are built,
+        so the driver executes only second-level queries with results."""
+        for n in (1, None):
+            _, counters, _ = observe(split, SPLIT_QUERY, n=n)
+            assert counters["schema.second_level_executed"] >= 1
+            assert (
+                counters["schema.second_level_executed"]
+                == counters["schema.second_level_nonempty"]
+            )
 
     def test_count_results(self, evaluator):
         costs = paper_example_cost_model()

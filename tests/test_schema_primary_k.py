@@ -1,15 +1,17 @@
 """Direct unit tests for the top-k primary evaluator (Section 7.2)."""
 
+from itertools import islice
+
 import pytest
 
 from repro.approxql.costs import CostModel, paper_example_cost_model
 from repro.approxql.expanded import build_expanded
 from repro.approxql.parser import parse_query
 from repro.schema.dataguide import build_schema
-from repro.schema.indexes import SchemaNodeIndexes
+from repro.schema.indexes import MemorySecondaryIndex, SchemaNodeIndexes
 from repro.schema.primary_k import PrimaryKEvaluator
+from repro.schema.secondary import SecondaryExecutor
 from repro.schema.topk_ops import sort_roots
-from repro.errors import EvaluationError
 from repro.xmltree.builder import tree_from_xml
 from repro.xmltree.model import NodeType
 
@@ -30,9 +32,10 @@ def setup():
 
 
 def run(schema, indexes, query_text, costs, k):
+    """The first k second-level queries pulled from the root list."""
     schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
     expanded = build_expanded(parse_query(query_text), costs)
-    return sort_roots(k, PrimaryKEvaluator(indexes, k).evaluate(expanded))
+    return list(islice(PrimaryKEvaluator(indexes).evaluate(expanded).skeletons(), k))
 
 
 class TestSkeletonGeneration:
@@ -81,19 +84,22 @@ class TestSkeletonGeneration:
         costs = CostModel().set_delete_cost("piano", NodeType.TEXT, 2)
         schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
         expanded = build_expanded(parse_query('cd[title["piano"]]'), costs)
-        raw = PrimaryKEvaluator(indexes, 5).evaluate(expanded)
+        raw = PrimaryKEvaluator(indexes).evaluate(expanded).top(5)
         # the raw list contains the all-deleted skeletons...
         assert any(not entry.has_leaf for entry in raw)
         # ...but sort_roots filters them
         assert all(entry.has_leaf for entry in sort_roots(5, raw))
 
     def test_exact_for_large_k(self, setup):
+        """Read to a depth beyond every run, the root list is the whole
+        list, and the pull yields all of its valid skeletons."""
         tree, schema, indexes = setup
         schema.encode_costs(CostModel().insert_cost, fingerprint=(1.0, ()))
         expanded = build_expanded(parse_query('cd[title["piano"]]'), CostModel())
-        evaluator = PrimaryKEvaluator(indexes, 1000)
-        assert evaluator.evaluate(expanded).exact
-        assert evaluator.exact
+        roots = PrimaryKEvaluator(indexes).evaluate(expanded)
+        whole = roots.top()
+        assert roots.top(1000) == whole
+        assert list(roots.skeletons()) == sort_roots(None, whole)
 
     def test_inexact_for_k1_with_alternatives(self, setup):
         tree, schema, indexes = setup
@@ -102,14 +108,21 @@ class TestSkeletonGeneration:
         expanded = build_expanded(
             parse_query('cd[title["piano" and "concerto"]]'), costs
         )
-        evaluator = PrimaryKEvaluator(indexes, 1)
-        assert not evaluator.evaluate(expanded).exact
-        assert not evaluator.exact
+        roots = PrimaryKEvaluator(indexes).evaluate(expanded)
+        assert len(roots.top(1)) < len(roots.top())
 
-    def test_invalid_k_rejected(self, setup):
+    def test_dead_conjunction_is_skipped_with_an_executor(self, setup):
+        """No cd title holds both terms: without an executor the pull
+        yields the skeleton, with one it is skipped as dead."""
         tree, schema, indexes = setup
-        with pytest.raises(EvaluationError):
-            PrimaryKEvaluator(indexes, 0)
+        schema.encode_costs(CostModel().insert_cost, fingerprint=(1.0, ()))
+        expanded = build_expanded(
+            parse_query('cd[title["sonata" and "concerto"]]'), CostModel()
+        )
+        blind = list(PrimaryKEvaluator(indexes).evaluate(expanded).skeletons())
+        assert [entry.embcost for entry in blind] == [0.0]
+        executor = SecondaryExecutor(MemorySecondaryIndex(schema))
+        assert list(PrimaryKEvaluator(indexes, executor).evaluate(expanded).skeletons()) == []
 
     def test_bare_selector_skeletons(self, setup):
         tree, schema, indexes = setup

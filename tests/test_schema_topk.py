@@ -34,16 +34,12 @@ class TestMergeK:
         merged = merge_k(left, [], 0.0, k=2)
         assert len(merged) == 2
 
-    def test_truncation_clears_the_exact_bit(self):
-        left = [entry(1, label=f"a{i}", embcost=float(i)) for i in range(4)]
-        assert not merge_k(left, [], 0.0, k=2).exact
-
     def test_exact_without_truncation(self):
-        assert merge_k([entry(1)], [entry(2)], 0.0, k=2).exact
-
-    def test_inexact_input_makes_inexact_output(self):
-        left = merge_k([entry(1, label=f"a{i}", embcost=float(i)) for i in range(4)], [], 0.0, k=2)
-        assert not merge_k(left, [entry(2)], 0.0, k=8).exact
+        """No run longer than k: the list cut to k is the whole list."""
+        small = merge_k([entry(1)], [entry(2)], 0.0, k=2)
+        assert [(e.pre, e.label) for e in small] == [
+            (e.pre, e.label) for e in merge_k([entry(1)], [entry(2)], 0.0, k=100)
+        ]
 
 
 class TestJoinK:

@@ -183,23 +183,6 @@ class TestQueryReport:
         assert "wal: 1 recovery(ies)" in report.format()
         assert report.to_dict()["summary"]["wal_recoveries"] == 1
 
-    def test_max_k_stop_is_a_headline_warning(self):
-        quiet = QueryReport.from_telemetry(
-            Telemetry(), query="q", method="schema", collect="counters",
-            n=100, wall_seconds=0.0, results=3,
-        )
-        assert quiet.max_k_stops == 0
-        assert "max_k" not in quiet.format()
-        telemetry = Telemetry()
-        telemetry.count("schema.max_k_stops")
-        report = QueryReport.from_telemetry(
-            telemetry, query="q", method="schema", collect="counters",
-            n=100, wall_seconds=0.0, results=3,
-        )
-        assert report.max_k_stops == 1
-        assert "stopped at max_k" in report.format()
-        assert report.to_dict()["summary"]["max_k_stops"] == 1
-
     def test_json_roundtrip_carries_summary(self):
         telemetry = Telemetry()
         telemetry.count("index.data_postings", 3)
