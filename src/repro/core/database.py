@@ -50,7 +50,7 @@ from ..approxql.costs import CostModel
 from ..engine.evaluator import DirectEvaluator
 from ..errors import EvaluationError
 from ..planner.stats import CollectionStats
-from ..querycache import CachedResult, CompiledQuery, DriverState
+from ..querycache import CachedResult, CompiledQuery
 from ..schema.dataguide import (
     Schema,
     build_schema,
@@ -230,27 +230,15 @@ class _PinnedView:
         chosen: str,
         n: "int | None",
         max_cost: "float | None",
-        resume: "DriverState | None",
         collect: str,
     ) -> Execution:
-        driver = None
-        if chosen == "direct":
-            raw = self.state.direct_evaluator().evaluate(
-                compiled.query, compiled.costs, n=n, max_cost=max_cost,
-                expanded=compiled.expanded(),
-            )
-            complete = n is None or len(raw) < n
-        else:
-            captured: "list[DriverState]" = []
-            raw = self.state.schema_eval().evaluate(
-                compiled.query, compiled.costs, n=n, max_cost=max_cost,
-                expanded=compiled.expanded(), resume=resume,
-                state_sink=captured.append,
-            )
-            if captured:
-                driver = captured[0]
-            complete = driver is not None and driver.complete
-        return Execution([(result.root, result.cost) for result in raw], complete, driver)
+        evaluator = (
+            self.state.direct_evaluator() if chosen == "direct" else self.state.schema_eval()
+        )
+        raw = evaluator.evaluate(
+            compiled.query, compiled.costs, n=n, max_cost=max_cost, expanded=compiled.expanded()
+        )
+        return Execution([(result.root, result.cost) for result in raw])
 
     def repair(
         self,

@@ -20,8 +20,8 @@ Stages of :meth:`QueryPipeline.query`, in order:
    per (generation, n, method);
 4. **cache**: one Tier-2 :class:`~repro.querycache.ResultCache` key per
    (query, costs, ``max_cost``) serves every method and ``n``, across writes:
-   serve the prefix, repair one a write touched, resume a shorter one, or
-5. **execute** on the executor and store what came out;
+   serve the prefix, repair one a write touched, or
+5. **execute** cold on the executor and store what came out;
 6. **report**: one :class:`~repro.telemetry.report.QueryReport`
    assembler — the collected counters, child reports folded in,
    ``querycache.compiled_*``, and the planner's predicted-vs-observed
@@ -51,7 +51,6 @@ from ..querycache import (
     CachedResult,
     CompiledQuery,
     CompiledQueryCache,
-    DriverState,
     ResultCache,
 )
 from ..telemetry import collector as _telemetry
@@ -104,13 +103,8 @@ class QueryPlan:
 class Execution(NamedTuple):
     """What one :meth:`Executor.execute` call produced."""
 
-    #: cacheable row tuples in emission order (the suffix past the
-    #: resumed prefix when the call resumed)
+    #: cacheable row tuples in emission order
     rows: list
-    #: the answer is exhausted: the rows serve any ``n``
-    complete: bool
-    #: captured driver state a later, larger ``n`` can resume from
-    state: "DriverState | None" = None
     #: reports of the child queries a fan-out ran, folded into the report
     reports: tuple = ()
     #: what the executor says about this execution itself (the shard
@@ -141,7 +135,6 @@ class Executor(Protocol):
         chosen: str,
         n: "int | None",
         max_cost: "float | None",
-        resume: "DriverState | None",
         collect: str,
     ) -> Execution:
         """Evaluate with the ``chosen`` algorithm.  ``collect`` is the
@@ -359,21 +352,19 @@ class QueryPipeline:
     ) -> "tuple[list, Execution | None]":
         """Stages 4–5: the best-``n`` results from the cached prefix of
         this (query, costs, max_cost) at this generation (first repaired
-        by the view when a write marked it), from the schema driver
-        resumed past a shorter prefix, or from a cold run whose rows are
-        then cached; plus the :class:`Execution` that ran, ``None`` when
-        the cache served.  A disabled cache never hits and never stores.
+        by the view when a write marked it), or from a cold run whose
+        rows are then cached; plus the :class:`Execution` that ran,
+        ``None`` when the cache served.  A disabled cache never hits and
+        never stores.
 
         Every method's best-``n`` answer is the first ``n`` results of
         one order, (cost, root), so one key serves every method and every
-        ``n``: a shorter ``n`` from a longer cached answer, a longer one
-        by resuming.
+        shorter ``n``; fewer than ``n`` rows mean the answer is exhausted
+        and serves any ``n``.
         """
         key = (compiled.key, max_cost)
         cache = self.result_cache
-        # only the schema driver resumes (from the state a schema run
-        # left); every other read of a short prefix runs cold
-        entry = cache.lookup(key, generation, n, resumable=chosen == "schema")
+        entry = cache.lookup(key, generation, n)
         if entry is not None and entry.repair_from is not None:
             rows = view.repair(compiled, chosen, entry, max_cost)
             entry = cache.settle_repair(
@@ -383,18 +374,16 @@ class QueryPipeline:
         if entry is not None and entry.serves(n):
             rows = entry.pairs
         else:
-            resume = entry.state if entry is not None and chosen == "schema" else None
-            if resume is not None:
-                cache.note_resume()
-            execution = view.execute(compiled, chosen, n, max_cost, resume, collect)
-            rows = execution.rows if resume is None else entry.pairs + execution.rows
+            execution = view.execute(compiled, chosen, n, max_cost, collect)
+            rows = execution.rows
             cache.store(
                 key,
                 CachedResult(
                     generation=generation,
                     pairs=rows,
-                    complete=execution.complete,
-                    state=None if execution.complete else execution.state,
+                    # fewer than n rows: nothing was cut at n (a shard
+                    # merge: no shard was cut at its n + 1)
+                    complete=n is None or len(rows) < n,
                     root_labels=compiled.root_labels() if cache.enabled else None,
                 ),
             )

@@ -23,10 +23,9 @@ direct method sorts by it, the schema driver hands out each cost class
 in root order once it is complete — so a cached top-``k`` prefix answers
 a request with ``n ≤ k`` byte-identically, whichever method computed
 it, and one key, ``(query, costs, max_cost)``, serves every method and
-every ``n``.  Entries a schema run stored carry the captured
-:class:`DriverState` of the incremental driver, so a schema request with
-``n > cached-n`` resumes from the cached driver state: it skips the
-second-level queries already executed.
+every ``n``.  An entry is its rows and one bit, ``complete``: a prefix
+too short for a request is a miss, the request evaluates cold, and its
+longer answer replaces the entry.
 
 Invalidation is write-scoped: entries carry the generation they were
 computed under (a per-shard vector for ``ShardedDatabase``) and their
@@ -54,7 +53,7 @@ from an *older* generation (a pinned ``Database.snapshot()``) misses
 without evicting.  ``DESIGN.md`` §8 gives the soundness argument.
 
 Both tiers are bounded LRUs, thread-safe, and publish ``querycache.*``
-telemetry (hits, misses, evictions, bytes, resumed rounds) to the
+telemetry (hits, misses, evictions, bytes) to the
 ambient collector plus lifetime counters for server ``stats``.
 """
 
@@ -81,39 +80,6 @@ _PLAN_MEMO_LIMIT = 8
 # rough per-entry byte accounting for the ``querycache.bytes`` gauge
 _ENTRY_BASE_BYTES = 200
 _PAIR_BYTES = 48
-_STATE_ITEM_BYTES = 56
-
-
-@dataclass
-class DriverState:
-    """Captured state of the incremental schema driver.
-
-    Snapshotting this after a best-n evaluation lets a later request
-    with a larger ``n`` resume where the driver stopped: it pulls the
-    second-level queries again but skips the ``executed`` signatures,
-    and keeps the found-result dedup map.
-
-    ``emitted`` counts the results handed out: the driver stops at
-    ``n`` only once the cost class of the ``n``-th result is complete,
-    so ``found`` may hold more roots than that, the rest of the class,
-    which a resume hands out first.
-    """
-
-    executed: set
-    found: dict
-    found_per_class: dict
-    exhausted: bool
-    emitted: int
-
-    @property
-    def complete(self) -> bool:
-        """The run drained and handed out every root it found."""
-        return self.exhausted and self.emitted == len(self.found)
-
-    def approximate_bytes(self) -> int:
-        return _STATE_ITEM_BYTES * (
-            len(self.executed) + len(self.found) + len(self.found_per_class)
-        )
 
 
 class CompiledQuery:
@@ -272,27 +238,21 @@ class CachedResult:
     method computed it — for a single database plain ``(root, cost)``
     tuples, for a sharded database ``(global_root, cost, shard,
     local_root)`` tuples.  ``complete`` marks a fully exhausted
-    evaluation (the prefix answers any ``n``); otherwise ``state`` (when
-    a schema run stored the entry) lets a schema read resume past
-    ``len(pairs)``.  A write that misses every one of
-    ``root_labels`` carries the entry as it is; one that hits them marks
-    it for repair from ``repair_from``, the tree length before the first
-    such write grafted anything (never when ``root_labels`` is ``None``
-    or holds the super-root's label).
+    evaluation (the prefix answers any ``n``).  A write that misses
+    every one of ``root_labels`` carries the entry as it is; one that
+    hits them marks it for repair from ``repair_from``, the tree length
+    before the first such write grafted anything (never when
+    ``root_labels`` is ``None`` or holds the super-root's label).
     """
 
     generation: object
     pairs: list
     complete: bool
-    state: "DriverState | None" = None
     root_labels: "frozenset | None" = None
     repair_from: "int | None" = None
 
     def approximate_bytes(self) -> int:
-        total = _ENTRY_BASE_BYTES + _PAIR_BYTES * len(self.pairs)
-        if self.state is not None:
-            total += self.state.approximate_bytes()
-        return total
+        return _ENTRY_BASE_BYTES + _PAIR_BYTES * len(self.pairs)
 
     def serves(self, n: "int | None") -> bool:
         """Whether this prefix alone answers a best-``n`` request."""
@@ -307,7 +267,7 @@ class ResultCache:
     Lookup semantics follow the store's generation protocol:
 
     * entry generation == caller generation → hit, if the prefix serves
-      the requested ``n`` or can be resumed; otherwise miss, entry kept
+      the requested ``n``; otherwise miss, entry kept
       (an entry marked for repair is returned uncounted, whatever its
       length: the caller repairs it and settles the outcome,
       :meth:`settle_repair`);
@@ -332,7 +292,6 @@ class ResultCache:
         self.evictions = 0
         self.invalidations = 0
         self.stores = 0
-        self.resumes = 0
         self.carried = 0
         self.repairs = 0
         self.repair_fallbacks = 0
@@ -349,17 +308,13 @@ class ResultCache:
     def approximate_bytes(self) -> int:
         return self._bytes
 
-    def lookup(
-        self, key: tuple, generation: object, n: "int | None", resumable: bool = True
-    ) -> "CachedResult | None":
-        """The cached prefix for ``key`` valid at ``generation`` that a
-        best-``n`` request can use: it serves ``n`` outright or, for a
-        ``resumable`` request, carries the driver state to resume from.
-        A too-short prefix the request cannot resume is a miss — the
-        request is evaluated from scratch.  An
-        entry a write marked for repair is returned uncounted, whatever
-        its length: the caller repairs it, and :meth:`settle_repair`
-        decides whether the repaired prefix serves ``n``."""
+    def lookup(self, key: tuple, generation: object, n: "int | None") -> "CachedResult | None":
+        """The cached prefix for ``key`` valid at ``generation`` that
+        serves a best-``n`` request.  A too-short prefix is a miss — the
+        request is evaluated from scratch.  An entry a write marked for
+        repair is returned uncounted, whatever its length: the caller
+        repairs it, and :meth:`settle_repair` decides whether the
+        repaired prefix serves ``n``."""
         if not self.enabled:
             return None
         with self._lock:
@@ -368,7 +323,7 @@ class ResultCache:
                 if entry.repair_from is not None:
                     self._entries.move_to_end(key)
                     return entry
-                if entry.serves(n) or (resumable and entry.state is not None):
+                if entry.serves(n):
                     self._entries.move_to_end(key)
                     self.hits += 1
                     _telemetry.count("querycache.result_hits")
@@ -392,9 +347,8 @@ class ResultCache:
     ) -> None:
         """Carry the entries stamped ``old`` across the write that
         published ``new`` and touched the labels ``touched``.  Each is
-        replaced (readers may hold it) by a copy stamped ``new`` without
-        its driver state, whose lists belong to ``old``: as it is when
-        its root labels avoid ``touched``, marked for repair from
+        replaced (readers may hold it) by a copy stamped ``new``: as it
+        is when its root labels avoid ``touched``, marked for repair from
         ``repair_from`` (the tree length before the write grafted; an
         entry already marked keeps its mark) when they do not.  An
         entry that can match the super-root, and every touched entry
@@ -408,11 +362,10 @@ class ResultCache:
                 labels = entry.root_labels
                 # ``touched`` always holds the super-root's label
                 if labels is not None and labels.isdisjoint(touched):
-                    moved = replace(entry, generation=new, state=None)
+                    moved = replace(entry, generation=new)
                 elif labels is not None and repair_from is not None and ROOT_LABEL not in labels:
                     moved = replace(
-                        entry, generation=new, state=None,
-                        repair_from=entry.repair_from or repair_from,
+                        entry, generation=new, repair_from=entry.repair_from or repair_from
                     )
                 else:
                     del self._entries[key]
@@ -451,12 +404,6 @@ class ResultCache:
         _telemetry.count("querycache.result_misses")
         _telemetry.count("querycache.result_repair_fallbacks")
         return None
-
-    def note_resume(self) -> None:
-        """Count a driver round resumed from cached state."""
-        with self._lock:
-            self.resumes += 1
-        _telemetry.count("querycache.resumed_rounds")
 
     def store(self, key: tuple, entry: CachedResult) -> None:
         """Insert or replace the prefix for ``key``.
@@ -507,6 +454,5 @@ class ResultCache:
                 "querycache.result_repairs": self.repairs,
                 "querycache.result_repair_fallbacks": self.repair_fallbacks,
                 "querycache.result_stores": self.stores,
-                "querycache.resumed_rounds": self.resumes,
                 "querycache.bytes": self._bytes,
             }

@@ -26,7 +26,6 @@ from ..approxql.costs import CostModel
 from ..approxql.expanded import ExpandedQuery, build_expanded
 from ..approxql.parser import parse_query
 from ..errors import EvaluationError
-from ..querycache import DriverState
 from ..telemetry import collector as _telemetry
 from ..xmltree.model import DataTree
 from .dataguide import Schema, build_schema
@@ -84,24 +83,12 @@ class SchemaEvaluator:
         n: "int | None" = None,
         max_cost: "float | None" = None,
         expanded: "ExpandedQuery | None" = None,
-        resume: "DriverState | None" = None,
-        state_sink=None,
     ) -> list[SchemaResult]:
         """Best-``n`` root-cost pairs via the incremental algorithm.
 
         ``n = None`` retrieves *all* approximate results.
         """
-        return list(
-            self.iter_results(
-                query,
-                costs,
-                n=n,
-                max_cost=max_cost,
-                expanded=expanded,
-                resume=resume,
-                state_sink=state_sink,
-            )
-        )
+        return list(self.iter_results(query, costs, n=n, max_cost=max_cost, expanded=expanded))
 
     def iter_results(
         self,
@@ -110,8 +97,6 @@ class SchemaEvaluator:
         n: "int | None" = None,
         max_cost: "float | None" = None,
         expanded: "ExpandedQuery | None" = None,
-        resume: "DriverState | None" = None,
-        state_sink=None,
     ):
         """Generator form of :meth:`evaluate` — the paper's "results can
         be sent immediately to the user" advantage: second-level queries
@@ -120,13 +105,6 @@ class SchemaEvaluator:
 
         ``expanded`` supplies a prebuilt closure (the compiled-query
         cache's Tier-1 artifact), skipping parse and expansion.
-        ``resume`` seeds the driver from a captured
-        :class:`~repro.querycache.DriverState` — the continuation first
-        hands out the found roots past the resumed prefix (the rest of
-        the cost class it was cut in), then only results not in
-        ``found``, so it yields exactly the suffix a cold run at a larger
-        ``n`` would append.  ``state_sink`` is called with the final
-        :class:`DriverState` when the generator finishes.
         """
         if isinstance(query, str) and expanded is None:
             query = parse_query(query)
@@ -135,6 +113,8 @@ class SchemaEvaluator:
         self._schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
         if expanded is None:
             expanded = build_expanded(query, costs)
+        if n == 0:
+            return
 
         executor = SecondaryExecutor(self._isec)
         # Root-class saturation (an exact early-termination rule): every
@@ -148,43 +128,29 @@ class SchemaEvaluator:
         # The same argument applies per class: once a root class is fully
         # retrieved, the pull drops its remaining skeletons.
         run = _BestN(n, max_cost, self._root_instance_counts(expanded.root))
-        if resume is not None:
-            run.resume(resume)
-
-        try:
-            # a resumed run first hands out the rest of the cost class
-            # its prefix was cut in
-            yield from run.flush()
-            if run.finished or run.drained:
-                return
-            _telemetry.count("schema.rounds")
+        _telemetry.count("schema.rounds")
+        with _telemetry.timer("schema.topk"):
+            roots = PrimaryKEvaluator(self._indexes, executor).evaluate(expanded)
+        # one pull never yields a skeleton signature twice
+        skeletons = roots.skeletons(run.saturated)
+        pulled = 0
+        while not run.drained:
+            # the top-k lists are built as far as this pull reads them
             with _telemetry.timer("schema.topk"):
-                roots = PrimaryKEvaluator(self._indexes, executor).evaluate(expanded)
-            skeletons = roots.skeletons(run.saturated)
-            pulled = 0
-            while not run.drained:
-                # the top-k lists are built as far as this pull reads them
-                with _telemetry.timer("schema.topk"):
-                    entry = next(skeletons, None)
-                if entry is None:
-                    # every second-level query of the closure has been seen
-                    run.drained = True
-                    break
-                pulled += 1
-                _telemetry.gauge("schema.skeletons_enumerated", pulled)
-                if entry.signature in run.executed:
-                    continue
-                if entry.embcost > run.cost:
-                    # the held cost class is passed: nothing cheaper or
-                    # equal is left to find
-                    yield from run.flush()
-                    if run.finished:
-                        return
-                run.take(entry, executor)
-            yield from run.flush()
-        finally:
-            if state_sink is not None:
-                state_sink(run.capture())
+                entry = next(skeletons, None)
+            if entry is None:
+                # every second-level query of the closure has been seen
+                break
+            pulled += 1
+            _telemetry.gauge("schema.skeletons_enumerated", pulled)
+            if entry.embcost > run.cost:
+                # the held cost class is passed: nothing cheaper or
+                # equal is left to find
+                yield from run.flush()
+                if run.finished:
+                    return
+            run.take(entry, executor)
+        yield from run.flush()
 
     def _root_instance_counts(self, root) -> "dict[int, int]":
         """Instance counts of every candidate root class (the data nodes
@@ -225,42 +191,18 @@ class _BestN:
         self.max_cost = max_cost
         self.instances_per_class = instances_per_class
         self.total_possible = sum(instances_per_class.values())
-        self.executed: set = set()
         self.found: dict[int, float] = {}
         self.found_per_class: dict[int, int] = {}
-        #: results handed out so far (a resumed run counts its prefix)
+        #: results handed out so far
         self.emitted = 0
         #: the cost class being collected, and its results
         self.cost = -math.inf
         self.held: list[SchemaResult] = []
         #: n reached at a class boundary: stop the run
         self.finished = False
-        # True when the answer is provably complete (exhaustion, cost
-        # cutoff, or root-class saturation) — False when the driver
-        # merely stopped at ``n``
+        #: nothing a later skeleton retrieves can be part of the answer
+        #: (cost cutoff or root-class saturation)
         self.drained = False
-
-    def resume(self, state: DriverState) -> None:
-        self.executed = set(state.executed)
-        self.found = dict(state.found)
-        self.found_per_class = dict(state.found_per_class)
-        self.emitted = state.emitted
-        self.drained = state.exhausted
-        # the found roots the resumed prefix did not hand out: the rest
-        # of the (complete) cost class it was cut in
-        ranked = sorted(self.found.items(), key=lambda pair: (pair[1], pair[0]))
-        self.held = [SchemaResult(root, cost) for root, cost in ranked[self.emitted:]]
-
-    def capture(self) -> DriverState:
-        # every executed skeleton is fully folded: a run stops only
-        # between skeletons, or mid-skeleton once it has drained
-        return DriverState(
-            executed=self.executed,
-            found=self.found,
-            found_per_class=self.found_per_class,
-            exhausted=self.drained,
-            emitted=self.emitted,
-        )
 
     def flush(self):
         """Hand out the held cost class in root order, ``n`` results in
@@ -290,7 +232,6 @@ class _BestN:
             # everything from here on exceeds the bound
             self.drained = True
             return
-        self.executed.add(entry.signature)
         self.cost = entry.embcost
         with _telemetry.timer("schema.secondary"):
             instances = executor.execute(entry)

@@ -871,15 +871,13 @@ class _ScatterGather:
         chosen: str,
         n: "int | None",
         max_cost: "float | None",
-        resume: None,
         collect: str,
     ) -> Execution:
         """Every shard answers its own best-``n + 1`` (one more for the
         pseudo-result the merge drops) with the explicit ``chosen``
         method through its own cached pipeline, reporting in the
-        ``collect`` mode; the merge keeps the first ``n``.  Nothing is
-        resumable at this level: a larger ``n`` recomputes, from the
-        shards' caches."""
+        ``collect`` mode; the merge keeps the first ``n``.  A larger
+        ``n`` recomputes, from the shards' caches."""
         result_sets = [
             shard.query(
                 compiled.query, n=None if n is None else n + 1, costs=compiled.costs,
@@ -893,10 +891,7 @@ class _ScatterGather:
             "shard.fanout": len(self._shards),
             "shard.results_merged": sum(report.results for report in reports),
         }
-        # fewer than n merged rows: no shard was cut at its n + 1
-        return Execution(
-            rows, complete=n is None or len(rows) < n, reports=tuple(reports), counters=counters
-        )
+        return Execution(rows, reports=tuple(reports), counters=counters)
 
     def repair(self, compiled, chosen, entry, max_cost) -> None:
         """A merge level has no tree to repair on: a cold run.  (No

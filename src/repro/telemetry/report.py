@@ -131,13 +131,6 @@ class QueryReport:
         return bool(self.get("querycache.result_hits"))
 
     @property
-    def resumed_rounds(self) -> int:
-        """Times a shorter cached prefix was extended by resuming the
-        incremental driver from its saved round state instead of
-        restarting at the first round."""
-        return int(self.get("querycache.resumed_rounds"))
-
-    @property
     def predicted_candidates(self) -> int:
         """The planner's candidate-root estimate for this query (0 when
         the query ran with an explicit method and no estimate was made);
@@ -166,8 +159,6 @@ class QueryReport:
                 parts.append("compiled query")
             if self.result_cache_hit:
                 parts.append("result prefix")
-            elif self.resumed_rounds:
-                parts.append("resumed driver rounds")
             lines.append("  querycache: served from " + " + ".join(parts))
         if "planner.predicted_candidates" in self.counters:
             lines.append(
@@ -218,7 +209,6 @@ class QueryReport:
                 "wal_recoveries": self.wal_recoveries,
                 "compiled_cache_hit": self.compiled_cache_hit,
                 "result_cache_hit": self.result_cache_hit,
-                "resumed_rounds": self.resumed_rounds,
                 "predicted_candidates": self.predicted_candidates,
             },
             "counters": dict(self.counters),

@@ -170,7 +170,7 @@ CACHE_STORED_SEEDS = range(4)
 CACHE_SHARDED_SEEDS = range(4)
 
 #: n in mixed order, so a longer cached prefix serves a shorter n, a
-#: shorter one is resumed for a longer n, and the generation protocol
+#: shorter one is a miss for a longer n, and the generation protocol
 #: fires in between
 CACHE_NS = (3, 1, 10, None, 2)
 
@@ -180,7 +180,7 @@ MUTATION_DOC = "<cd><title>interleaved</title><artist>mutation</artist></cd>"
 
 def _assert_cached_matches_cold(hot, cold, case):
     """The fast-path contract: every answer the caching database serves
-    — cold, tier-1, tier-2 prefix, or resumed — is byte-identical to the
+    — cold, tier-1 or tier-2 prefix — is byte-identical to the
     cache-disabled twin's answer to the same request, before and after
     an interleaved mutation on both."""
 

@@ -27,7 +27,7 @@ class TestDirectStats:
     """What one direct evaluation did, read from its ``direct.*`` counters."""
 
     def test_counters_filled(self, tree):
-        _, counters, _ = observe(DirectEvaluator(tree), 'cd[title["piano"]]')
+        _, counters = observe(DirectEvaluator(tree), 'cd[title["piano"]]')
         assert counters["direct.index_fetches"] == 3  # cd, title, piano
         assert counters["direct.postings_fetched"] == 2 + 2 + 2
         assert counters["direct.lists_materialized"] >= 2
@@ -45,7 +45,7 @@ class TestDirectStats:
 
     def test_renamings_fetch_more(self, tree):
         model = CostModel().add_renaming("piano", "cello", NodeType.TEXT, 2)
-        _, counters, _ = observe(DirectEvaluator(tree), 'cd[title["piano"]]', model)
+        _, counters = observe(DirectEvaluator(tree), 'cd[title["piano"]]', model)
         assert counters["direct.index_fetches"] == 4  # cd, title, piano, cello
 
     def test_no_stats_is_fine(self, tree):

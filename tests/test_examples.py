@@ -1,6 +1,7 @@
 """Every example script must run cleanly end to end."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -44,6 +45,10 @@ def test_incremental_search_quick():
     output = run_example("incremental_search.py", "--quick")
     assert "streaming the first results" in output
     assert "second-level queries" in output
+    # the schema read evaluates (no result-cache hit on the direct answer)
+    match = re.search(r"schema evaluation: .*\((\d+) skeletons pulled", output)
+    assert match is not None, output
+    assert int(match.group(1)) > 0
 
 
 def test_persistent_store_quick():

@@ -47,7 +47,7 @@ class TestMaxCost:
             assert [(r.root, r.cost) for r in direct] == [(r.root, r.cost) for r in schema]
 
     def test_schema_stops_early(self, db):
-        _, counters, _ = observe(
+        _, counters = observe(
             SchemaEvaluator(db.tree), QUERY, paper_example_cost_model(), max_cost=0
         )
         # second-level queries above the bound are never executed

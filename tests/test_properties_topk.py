@@ -447,7 +447,8 @@ class TestPullStream:
         (the unscoped lists, uncut), sorted by (cost, pre, signature),
         with the skeletons that have no instance removed — the dead
         conjunctions skipped on the way change which skeletons come out,
-        never their order or what the answer holds."""
+        never their order or what the answer holds.  No signature is
+        pulled twice, so the driver needs no record of what it ran."""
         from repro.approxql import build_expanded
         from repro.schema.dataguide import build_schema
         from repro.schema.indexes import MemorySecondaryIndex, SchemaNodeIndexes
@@ -477,6 +478,8 @@ class TestPullStream:
                     roots = PrimaryKEvaluator(indexes, executor).evaluate(expanded)
                     pulled = [key(entry) for entry in islice(roots.skeletons(), depth)]
                     assert pulled == live[:depth], (seed, generated.query.unparse(), depth)
+                    signatures = [signature for _, _, signature in pulled]
+                    assert len(set(signatures)) == len(signatures), (seed, depth)
                     compared += len(pulled)
         assert dead > 0
         assert compared > 0

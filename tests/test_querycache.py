@@ -28,7 +28,6 @@ from repro.core.persist import StoreOptions
 from repro.querycache import (
     CachedResult,
     CompiledQueryCache,
-    DriverState,
     ResultCache,
     compile_query,
 )
@@ -220,8 +219,8 @@ class TestResultCacheProtocol:
         assert len(cache) == 0
 
     def test_short_prefix_without_state_is_a_miss(self):
-        """An entry at the right generation that neither serves ``n`` nor
-        can be resumed is no hit: the request evaluates from scratch."""
+        """An entry at the right generation that does not serve ``n`` is
+        no hit: the request evaluates from scratch."""
         cache = ResultCache(4)
         cache.store(("k",), self._entry(1, [(1, 1.0), (2, 2.0)], complete=False))
         assert cache.lookup(("k",), 1, 20) is None
@@ -301,18 +300,23 @@ class TestDatabaseFastPath:
         assert _pairs(shorter) == _pairs(cold.query("cd[title]", n=2, method="schema"))
 
     @pytest.mark.parametrize("kind", ["memory_db", "stored_db"])
-    def test_schema_resume_extends_a_shorter_prefix(self, kind, request):
-        """Best-2, then best-4: the second request resumes the captured
-        driver state, and the combined answer matches a cold run."""
+    def test_a_longer_schema_read_evaluates_cold(self, kind, request):
+        """Best-2, then best-4: the best-2 entry is too short, so the
+        second request is a miss that evaluates cold, matches a cache-off
+        twin, and its entry then serves best-2 and best-4."""
         database = request.getfixturevalue(kind)
         short = database.query("cd[title]", n=2, method="schema")
         assert len(short) == 2
         longer = database.query("cd[title]", n=4, method="schema", collect="counters")
-        assert database._pipeline.result_cache.resumes == 1
-        assert longer.report.resumed_rounds == 1
+        assert not longer.report.result_cache_hit
+        assert longer.report.get("schema.second_level_executed", 0) > 0
         cold = Database.from_documents(DOCS)
         cold.set_query_cache(result_entries=0)
         assert _pairs(longer) == _pairs(cold.query("cd[title]", n=4, method="schema"))
+        for n in (2, 4):
+            served = database.query("cd[title]", n=n, method="schema", collect="counters")
+            assert served.report.result_cache_hit, n
+            assert _pairs(served) == _pairs(longer)[:n]
 
     def test_one_entry_serves_every_method(self, memory_db):
         """Both methods answer in (cost, root) order, so one entry per
@@ -325,13 +329,12 @@ class TestDatabaseFastPath:
         assert len(memory_db._pipeline.result_cache) == 1
 
     def test_a_direct_read_never_resumes_a_schema_state(self, memory_db):
-        """A schema best-2 leaves an entry the schema driver can resume
-        (its cost class holds all four ``cd`` roots); a direct read for
-        more evaluates cold instead of appending its own answer to the
-        cached prefix."""
+        """A schema best-2 leaves a short entry (its cost class holds all
+        four ``cd`` roots); a direct read for more evaluates cold instead
+        of appending its own answer to the cached prefix."""
         memory_db.query("cd[title]", n=2, method="schema")
         (entry,) = memory_db._pipeline.result_cache._entries.values()
-        assert entry.state is not None and not entry.complete
+        assert not entry.complete
         served = memory_db.query("cd[title]", n=5, method="direct", collect="counters")
         assert not served.report.result_cache_hit
         cold = Database.from_documents(DOCS)
@@ -572,7 +575,6 @@ class TestWriteScopedInvalidation:
             assert shorter.report.result_cache_hit
             longer = self._served(hot, cold, "cd[title]", n=4, method="schema")
             assert not longer.report.result_cache_hit
-            assert longer.report.resumed_rounds == 0
             assert len(longer) == 4
 
     @pytest.mark.parametrize("kind", ["memory", "stored"])

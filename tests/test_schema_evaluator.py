@@ -89,46 +89,47 @@ class TestBasicEvaluation:
 
 
 class TestIncrementalBehaviour:
-    def test_best_1_passes_the_dead_conjunction_and_resumes_to_completion(self, split):
+    def test_best_1_passes_the_dead_conjunction_and_returns_the_first_full_result(self, split):
         """Best-1 skips the cost-0 skeleton, which has no instance, in its
-        one pull; it is full retrieval's first result, and resuming its
-        state completes the full answer."""
+        one pull; it is full retrieval's first result."""
         full = split.evaluate(SPLIT_QUERY)
-        first, counters, state = observe(split, SPLIT_QUERY, n=1)
+        first, counters = observe(split, SPLIT_QUERY, n=1)
         assert counters["schema.rounds"] == 1
         assert counters["schema.conjunctions_dead"] >= 1
         assert first == full[:1]
-        rest = split.evaluate(SPLIT_QUERY, resume=state)
-        assert first + rest == full
 
     def test_stats_recorded(self, evaluator):
         costs = paper_example_cost_model()
-        _, counters, state = observe(evaluator, 'cd[title["piano"]]', costs, n=2)
+        _, counters = observe(evaluator, 'cd[title["piano"]]', costs, n=2)
         assert counters["schema.rounds"] >= 1
         assert counters["schema.second_level_executed"] >= 1
         assert counters["schema.results_found"] == 2
-        # what the executed skeletons delivered is on the driver state
-        assert len(state.found) == 2
 
     def test_exhaustion_detected(self, evaluator):
-        _, _, state = observe(evaluator, 'cd[title["piano"]]')
-        assert state.exhausted
+        """A request for more results than exist drains the pull: it
+        returns fewer than ``n``, and they are all of them."""
+        results, _ = observe(evaluator, 'cd[title["piano"]]', n=10)
+        assert len(results) < 10
+        assert results == evaluator.evaluate('cd[title["piano"]]')
 
-    def test_a_resume_never_reexecutes(self, evaluator):
-        """Executed second-level queries are remembered by signature: a
-        resumed run pulls the skeletons again but executes only the ones
-        its prefix did not, and the two runs together execute what one
-        full run does."""
+    def test_a_pull_executes_each_skeleton_once(self, evaluator):
+        """A full run executes every skeleton it pulls, once; a best-1
+        run executes a subset of them, and stops at most one skeleton
+        past its cost class."""
         costs = paper_example_cost_model()
         query = 'cd[title["piano"]]'
-        _, first, first_state = observe(evaluator, query, costs, n=1)
-        _, rest, _ = observe(evaluator, query, costs, resume=first_state)
-        _, single, single_state = observe(evaluator, query, costs)
-        assert first_state.executed < single_state.executed
-        assert (
-            first["schema.second_level_executed"] + rest["schema.second_level_executed"]
-            == single["schema.second_level_executed"]
-        )
+        _, first = observe(evaluator, query, costs, n=1)
+        _, full = observe(evaluator, query, costs)
+        assert full["schema.second_level_executed"] == full["schema.skeletons_enumerated"]
+        assert first["schema.second_level_executed"] < full["schema.second_level_executed"]
+        assert first["schema.skeletons_enumerated"] - first["schema.second_level_executed"] <= 1
+
+    def test_n_0_builds_nothing(self, evaluator):
+        """Best-0 returns before any top-k list is built or any index
+        is read."""
+        results, counters = observe(evaluator, 'cd[title["piano"]]', n=0)
+        assert results == []
+        assert not [name for name in counters if name.startswith(("schema.", "index."))]
 
     def test_streaming_results(self, tree, evaluator):
         costs = paper_example_cost_model()
@@ -143,7 +144,7 @@ class TestIncrementalBehaviour:
         """Dead conjunctions are skipped while the top-k lists are built,
         so the driver executes only second-level queries with results."""
         for n in (1, None):
-            _, counters, _ = observe(split, SPLIT_QUERY, n=n)
+            _, counters = observe(split, SPLIT_QUERY, n=n)
             assert counters["schema.second_level_executed"] >= 1
             assert (
                 counters["schema.second_level_executed"]

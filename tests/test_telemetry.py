@@ -330,7 +330,7 @@ class TestCountFastPath:
 
     def test_evaluator_count_skips_materialization(self, db):
         evaluator = DirectEvaluator(db.tree)
-        total, counters, _ = observe(evaluator, 'cd[title["piano"]]', method="count")
+        total, counters = observe(evaluator, 'cd[title["piano"]]', method="count")
         assert total == len(evaluator.evaluate('cd[title["piano"]]'))
         assert counters["direct.results_total"] == total
 
