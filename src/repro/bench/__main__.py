@@ -65,7 +65,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "--telemetry-out",
         metavar="PATH",
         help="collect engine telemetry during the run and write a JSON "
-        "sidecar (per-point counters: pages read, postings decoded, "
+        "sidecar (per-point counters: postings decoded, "
         "second-level queries)",
     )
 

@@ -31,8 +31,8 @@ class Figure7Point:
     """One measured point of one curve.
 
     ``counters`` holds the aggregated telemetry of every evaluation that
-    went into the point (pages read, postings decoded, second-level
-    queries, ...) when the run collected it; ``None`` otherwise.  It is
+    went into the point (postings decoded, second-level queries, ...)
+    when the run collected it; ``None`` otherwise.  It is
     excluded from equality so instrumented and plain runs compare equal
     on the measurement itself.
     """
@@ -217,9 +217,9 @@ def points_to_json(points: list[Figure7Point], scale: str, indent: int = 2) -> s
     """Serialize a measured panel as the telemetry sidecar JSON.
 
     One record per point: the measurement itself plus, when the run was
-    instrumented, the aggregated counters and the three headline numbers
-    (pages read, postings decoded, second-level queries) the paper's
-    cost discussion turns on.
+    instrumented, the aggregated counters and the two headline numbers
+    (postings decoded, second-level queries) the paper's cost discussion
+    turns on.
     """
     from ..telemetry.report import POSTING_COUNTERS
 

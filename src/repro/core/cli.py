@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="collect telemetry and print a per-stage breakdown "
-        "(pages read, postings decoded, second-level queries, timings)",
+        "(postings decoded, second-level queries, timings)",
     )
     _add_cache_options(query)
     query.set_defaults(func=_command_query)

@@ -18,7 +18,8 @@ for full retrieval — wherever the statistics agree with it.
 running the query; ``collect="counters"`` (or ``"timings"``) makes
 :meth:`Database.query` return a :class:`~repro.core.results.ResultSet`
 whose :class:`~repro.telemetry.report.QueryReport` accounts for every
-page read, posting decoded, and second-level query executed.
+posting decoded and second-level query executed, and for the time each
+stage took.
 
 Mutation and snapshot reads (MVCC-lite)
 ---------------------------------------
@@ -559,10 +560,11 @@ class Database:
         durability: "str | None" = None,
     ) -> None:
         """Persist the tree and its insert-cost table into a single-file
-        store.  Nothing derived from the tree is stored: :meth:`open`
-        rebuilds the schema (and with it ``I_sec`` and the planner
-        statistics), and the node index ``I_struct`` / ``I_text`` is
-        built on the first direct read, as on a memory handle.
+        store, as the tree segment at pre 0 (an insert appends the
+        segment at its start).  Nothing derived from the tree is stored:
+        :meth:`open` rebuilds the schema (and with it ``I_sec`` and the
+        planner statistics), and the node index ``I_struct`` / ``I_text``
+        is built on the first direct read, as on a memory handle.
 
         The store is written as a fresh log of one frame to
         ``<path>.tmp`` and renamed over ``path``, so a save killed at any
@@ -605,8 +607,9 @@ class Database:
     ) -> "Database":
         """Open a saved database: the tree is loaded into memory and
         every read answers from it, exactly as on a memory handle — the
-        schema is rebuilt from the tree here, the node index on the
-        first direct read.  The file only persists: writes go to it.
+        schema is built here (the insert of the whole tree into the empty
+        schema), the node index on the first direct read.  The file only
+        persists: writes go to it.
 
         The one entry point for stored databases.  A missing, empty, or
         non-database file raises a typed
@@ -944,11 +947,10 @@ class Database:
 
         ``collect`` controls telemetry: ``"off"`` (default) attaches a
         report with only the method and wall time, ``"counters"`` fills
-        the per-stage counters (pages read, postings decoded, second-level
-        queries, ...), ``"timings"`` additionally records per-stage wall
-        times.  The returned :class:`~repro.core.results.ResultSet`
-        compares equal to a plain list of results and carries the report
-        as ``.report``.
+        the per-stage counters (postings decoded, second-level queries,
+        ...), ``"timings"`` additionally records per-stage wall times.
+        The returned :class:`~repro.core.results.ResultSet` compares equal
+        to a plain list of results and carries the report as ``.report``.
         """
         return self._pipeline.query(self._view(), text, n, costs, method, max_cost, collect)
 

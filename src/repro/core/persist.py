@@ -8,18 +8,22 @@ schema (``build_schema`` is a pure function of the tree), whose
 instance columns serve ``I_sec`` and the planner statistics, and the
 ``I_struct`` / ``I_text`` node index, built on the first direct read.
 
-Format version 3 stores no node postings; version 2 stored them and
-version 1 additionally ``I_sec``.  Both are refused with a typed error
-rather than migrated: rebuild the store from its XML.
+The tree has one stored form, the *tree segment*: the columns of the
+nodes from some pre ``start`` on, as one length-prefixed value under a
+``seg<start>`` key (:func:`append_tree_segment`).  A save is the insert
+of the whole tree into the empty collection: the segment at pre 0.  An
+inserted document adds the segment at its start, a deleted document's
+root joins the ``deadroots`` metadata list (:func:`save_dead_roots`),
+and the ``nodes`` count tracks the full (live + tombstoned) array
+length.  :func:`load_tree` replays the segments in start order — data
+preorder equals historical append order, which is what keeps the
+rebuilt schema numbering identical to the one the incremental updates
+maintained.
 
-Document mutation extends the layout without a format bump: an inserted
-document's columns land as one *tree segment* under a ``seg<start>`` key
-(:func:`append_tree_segment`), a deleted document's root joins the
-``deadroots`` metadata list (:func:`save_dead_roots`), and the ``nodes``
-count tracks the full (live + tombstoned) array length.  :func:`load_tree`
-replays base columns, then segments in start order — data preorder equals
-historical append order, which is what keeps the rebuilt schema numbering
-identical to the one the incremental updates maintained.
+Format version 4 stores the tree as segments only; version 3 stored the
+saved tree as four column keys, version 2 additionally the node
+postings and version 1 also ``I_sec``.  All are refused with a typed
+error rather than migrated: rebuild the store from its XML.
 """
 
 from __future__ import annotations
@@ -38,12 +42,13 @@ from ..xmltree.validate import validate_columns
 
 META_NAMESPACE = b"meta"
 TREE_NAMESPACE = b"tree"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _LABEL_SEPARATOR = "\x00"
 _SEGMENT_PREFIX = b"seg"
 _LENGTH_FMT = "<I"
+_LENGTH_SIZE = struct.calcsize(_LENGTH_FMT)
 _LABEL_CHUNK = 1 << 16  # characters of the labels column interned per step
-_COLUMNS = (b"labels", b"types", b"parents", b"bounds")  # keys of the tree namespace
+_COLUMNS = ("labels", "types", "parents", "bounds")  # in a tree segment
 
 
 @dataclass(frozen=True)
@@ -86,66 +91,67 @@ class StoreOptions:
         return replace(self, **changes) if changes else self
 
 
-def _encode_columns(tree: DataTree, start: int = 0) -> tuple[bytes, ...]:
-    """The four stored columns of the nodes from ``start`` on, in
-    :data:`_COLUMNS` order (parents are >= -1: shifted by one so the
-    delta codec sees non-negatives)."""
+def _encode_segment(tree: DataTree, start: int) -> bytes:
+    """The nodes from ``start`` on as one tree segment: the four columns
+    of :data:`_COLUMNS`, each length-prefixed (parents are >= -1:
+    shifted by one so the delta codec sees non-negatives).  Parent and
+    bound values are absolute (they point into the full tree), so
+    loading is pure concatenation."""
     labels = tree.labels[start:]
     joined = _LABEL_SEPARATOR.join(labels)
     if joined.count(_LABEL_SEPARATOR) != len(labels) - 1:
         label = next(label for label in labels if _LABEL_SEPARATOR in label)
         raise StorageError(f"label {label!r} contains the column separator")
-    return (
+    blobs = (
         joined.encode("utf-8"),
         bytes(tree.types[start:]),
         encode_delta_list(tree.parents[start:], shift=1),
         encode_delta_list(tree.bounds[start:]),
     )
+    return b"".join(struct.pack(_LENGTH_FMT, len(blob)) + blob for blob in blobs)
 
 
-def _decode_columns(blobs, where: str) -> tuple[list[str], bytearray, array, array]:
-    """Inverse of :func:`_encode_columns`, straight into the typed
-    buffers a :class:`DataTree` keeps; labels are interned, so the
-    column holds one ``str`` per distinct label."""
+def _decode_segment(value: bytes, start: int) -> tuple[list[str], bytearray, array, array]:
+    """Inverse of :func:`_encode_segment`, straight into the typed
+    buffers a :class:`DataTree` keeps: each column is decoded from a
+    view of the one value, never sliced out of it first.  Labels are
+    interned, so the column holds one ``str`` per distinct label."""
+    where = f"tree segment at {start}"
+    view = memoryview(value)
+    blobs = []
+    for name in _COLUMNS:
+        try:
+            (length,) = struct.unpack_from(_LENGTH_FMT, view)
+        except struct.error:
+            raise StorageError(f"corrupt {where} (tree column {name!r} is missing)") from None
+        if len(view) < _LENGTH_SIZE + length:
+            raise StorageError(f"corrupt {where} (tree column {name!r} is truncated)")
+        blobs.append(view[_LENGTH_SIZE : _LENGTH_SIZE + length])
+        view = view[_LENGTH_SIZE + length :]
     try:
-        text = blobs[0].decode("utf-8")
+        text = str(blobs[0], "utf-8")
     except UnicodeDecodeError as error:
         raise StorageError(f"corrupt {where} (labels column: {error})") from error
     # split piecewise: all the not-yet-interned copies at once would pin
     # every allocator arena one of the few survivors happens to sit in
     labels: list[str] = []
-    start = 0
-    while start <= len(text):
-        stop = text.find(_LABEL_SEPARATOR, start + _LABEL_CHUNK)
+    at = 0
+    while at <= len(text):
+        stop = text.find(_LABEL_SEPARATOR, at + _LABEL_CHUNK)
         if stop == -1:
             stop = len(text)
-        labels.extend(map(intern, text[start:stop].split(_LABEL_SEPARATOR)))
-        start = stop + 1
+        labels.extend(map(intern, text[at:stop].split(_LABEL_SEPARATOR)))
+        at = stop + 1
     types = bytearray(blobs[1])
     if types.translate(None, b"\x00\x01"):
         raise StorageError(f"corrupt {where} (a types byte is not a node type)")
-    parents, _ = decode_delta_array(blobs[2], shift=-1)
-    bounds, _ = decode_delta_array(blobs[3])
-    if not (len(labels) == len(types) == len(parents) == len(bounds)):
+    parents, parents_end = decode_delta_array(blobs[2], shift=-1)
+    bounds, bounds_end = decode_delta_array(blobs[3])
+    if (parents_end, bounds_end) != (len(blobs[2]), len(blobs[3])) or not (
+        len(labels) == len(types) == len(parents) == len(bounds)
+    ):
         raise StorageError(f"inconsistent column lengths in {where}")
     return labels, types, parents, bounds
-
-
-def save_tree(tree: DataTree, store: Store, insert_costs: CostModel) -> None:
-    """Write the tree's columns and metadata into ``store``."""
-    meta = Namespace(store, META_NAMESPACE)
-    columns = Namespace(store, TREE_NAMESPACE)
-    blobs = _encode_columns(tree)
-    meta.put(b"version", struct.pack("<I", FORMAT_VERSION))
-    meta.put(b"nodes", struct.pack("<Q", len(tree)))
-    insert_lines = [
-        line
-        for line in insert_costs.to_lines()
-        if line.startswith("insert ") or line.startswith("default-insert ")
-    ]
-    meta.put(b"insertcosts", "\n".join(insert_lines).encode("utf-8"))
-    for name, blob in zip(_COLUMNS, blobs):
-        columns.put(name, blob)
 
 
 def _segment_key(start: int) -> bytes:
@@ -154,38 +160,26 @@ def _segment_key(start: int) -> bytes:
 
 
 def append_tree_segment(tree: DataTree, store: Store, start: int) -> int:
-    """Persist the columns of the document grafted at ``start`` as one
-    tree segment, and refresh the total node count; returns the number
-    of keys written (2).
-
-    The segment value holds the four column slices, each length-prefixed;
-    parent and bound values are absolute (they already point into the
-    full tree), so loading is pure concatenation.
-    """
-    columns = Namespace(store, TREE_NAMESPACE)
-    meta = Namespace(store, META_NAMESPACE)
-    value = b"".join(
-        struct.pack(_LENGTH_FMT, len(blob)) + blob for blob in _encode_columns(tree, start)
-    )
-    columns.put(_segment_key(start), value)
-    meta.put(b"nodes", struct.pack("<Q", len(tree)))
+    """Persist the nodes from ``start`` on (an inserted document, or the
+    whole tree at pre 0) as one tree segment, and refresh the total node
+    count; returns the number of keys written (2)."""
+    Namespace(store, TREE_NAMESPACE).put(_segment_key(start), _encode_segment(tree, start))
+    Namespace(store, META_NAMESPACE).put(b"nodes", struct.pack("<Q", len(tree)))
     return 2
 
 
-def _decode_segment(value: bytes) -> tuple[list[str], bytearray, array, array]:
-    blobs = []
-    offset = 0
-    length_size = struct.calcsize(_LENGTH_FMT)
-    for _ in range(4):
-        if offset + length_size > len(value):
-            raise StorageError("corrupt tree segment (truncated length prefix)")
-        (length,) = struct.unpack_from(_LENGTH_FMT, value, offset)
-        offset += length_size
-        if offset + length > len(value):
-            raise StorageError("corrupt tree segment (truncated column)")
-        blobs.append(value[offset : offset + length])
-        offset += length
-    return _decode_columns(blobs, "tree segment")
+def save_tree(tree: DataTree, store: Store, insert_costs: CostModel) -> None:
+    """Write the tree — the segment at pre 0, the one an insert into the
+    empty collection writes — and its metadata into ``store``."""
+    meta = Namespace(store, META_NAMESPACE)
+    meta.put(b"version", struct.pack("<I", FORMAT_VERSION))
+    insert_lines = [
+        line
+        for line in insert_costs.to_lines()
+        if line.startswith("insert ") or line.startswith("default-insert ")
+    ]
+    meta.put(b"insertcosts", "\n".join(insert_lines).encode("utf-8"))
+    append_tree_segment(tree, store, 0)
 
 
 def _required(namespace: Namespace, key: bytes, what: str) -> bytes:
@@ -204,9 +198,8 @@ def save_dead_roots(tree: DataTree, store: Store) -> int:
 
 
 def load_tree(store: Store) -> tuple[DataTree, CostModel]:
-    """Restore the tree (base columns plus any mutation segments, in
-    historical append order), encoded under its build-time insert-cost
-    table, and that table."""
+    """Restore the tree (its segments, in historical append order),
+    encoded under its build-time insert-cost table, and that table."""
     meta = Namespace(store, META_NAMESPACE)
     columns = Namespace(store, TREE_NAMESPACE)
     try:
@@ -221,32 +214,30 @@ def load_tree(store: Store) -> tuple[DataTree, CostModel]:
     if version != FORMAT_VERSION:
         raise StorageError(f"unsupported database format version {version}")
     tree = DataTree()
-    tree.labels, tree.types, tree.parents, tree.bounds = _decode_columns(
-        [_required(columns, name, "tree column") for name in _COLUMNS], "stored database"
-    )
-
-    # mutation segments: key order is start order is append order
+    # key order is start order is append order
     for key, value in columns.scan():
-        if not key.startswith(_SEGMENT_PREFIX):
-            continue
-        try:
-            start = int(key[len(_SEGMENT_PREFIX):])
-        except ValueError as error:
-            raise StorageError(f"corrupt tree segment key {key!r}") from error
+        digits = key[len(_SEGMENT_PREFIX):]
+        if not key.startswith(_SEGMENT_PREFIX) or not digits.isdigit():
+            raise StorageError(f"corrupt tree segment key {key!r}")
+        start = int(digits)
         if start != len(tree):
             raise StorageError(
                 f"tree segment at {start} does not continue the column "
                 f"(length {len(tree)})"
             )
-        for column, segment in zip(
-            (tree.labels, tree.types, tree.parents, tree.bounds), _decode_segment(value)
-        ):
-            column.extend(segment)
+        segment = _decode_segment(value, start)
+        if not start:  # the saved tree: its columns become the tree's, uncopied
+            tree.labels, tree.types, tree.parents, tree.bounds = segment
+            continue
+        for column, part in zip((tree.labels, tree.types, tree.parents, tree.bounds), segment):
+            column.extend(part)
+    if not len(tree):
+        raise StorageError("corrupt database (tree segment at 0 is missing)")
     if len(tree) != node_count:
         raise StorageError(
             f"stored tree has {len(tree)} nodes, metadata says {node_count}"
         )
-    tree.bounds[0] = node_count - 1  # grafts only persist their own columns
+    tree.bounds[0] = node_count - 1  # later segments only persist their own columns
     # the stored columns are checked in bulk *before* anything is derived
     # from them; links and both cost columns then hold by construction
     validate_columns(tree)

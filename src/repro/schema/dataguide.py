@@ -20,6 +20,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
+from copy import copy
 from dataclasses import dataclass
 
 from ..errors import SchemaError
@@ -167,11 +168,8 @@ class Schema:
 
 
 def build_schema(tree: DataTree) -> Schema:
-    """Construct the compacted schema of ``tree`` (Definition 14).
-
-    One pass discovers the classes (a trie over label-type paths, with all
-    text children collapsing into one class); a second pass renumbers the
-    schema in preorder and collects instance postings.
+    """Construct the compacted schema of ``tree`` (Definition 14) as the
+    insert of every node into the empty schema.
 
     **Liveness**: classes are discovered from *every* node — tombstoned
     documents included — so deleting a document never renumbers the
@@ -180,100 +178,7 @@ def build_schema(tree: DataTree) -> Schema:
     historical append order, rebuilding from a persisted tree reproduces
     the exact numbering the incremental updates maintained.
     """
-    # --- pass 1: discover classes in data order -----------------------
-    # provisional ids in discovery order
-    provisional_labels: list[str] = []
-    provisional_types: list[NodeType] = []
-    provisional_parents: list[int] = []
-    child_key_map: dict[tuple[int, str, NodeType], int] = {}
-    provisional_of: list[int] = [0] * len(tree)
-
-    def provisional_class(data_pre: int) -> int:
-        parent_data = tree.parents[data_pre]
-        if parent_data == -1:
-            if not provisional_labels:
-                provisional_labels.append(tree.labels[data_pre])
-                provisional_types.append(NodeType.STRUCT)
-                provisional_parents.append(-1)
-            return 0
-        parent_class = provisional_of[parent_data]
-        if tree.types[data_pre] == NodeType.TEXT:
-            key = (parent_class, TEXT_CLASS_LABEL, NodeType.TEXT)
-        else:
-            key = (parent_class, tree.labels[data_pre], NodeType.STRUCT)
-        existing = child_key_map.get(key)
-        if existing is not None:
-            return existing
-        new_id = len(provisional_labels)
-        provisional_labels.append(key[1])
-        provisional_types.append(key[2])
-        provisional_parents.append(parent_class)
-        child_key_map[key] = new_id
-        return new_id
-
-    for data_pre in range(len(tree)):
-        provisional_of[data_pre] = provisional_class(data_pre)
-
-    # --- pass 2: preorder renumbering ----------------------------------
-    children_by_provisional: list[list[int]] = [[] for _ in provisional_labels]
-    for node_id, parent in enumerate(provisional_parents):
-        if parent != -1:
-            children_by_provisional[parent].append(node_id)
-
-    schema = Schema()
-    new_id_of: dict[int, int] = {}
-    order: list[int] = []
-    stack = [(0, -1)]
-    while stack:
-        provisional_id, new_parent = stack.pop()
-        new_id = len(schema.labels)
-        new_id_of[provisional_id] = new_id
-        order.append(provisional_id)
-        schema.labels.append(provisional_labels[provisional_id])
-        schema.types.append(provisional_types[provisional_id])
-        schema.parents.append(new_parent)
-        schema.bounds.append(new_id)
-        schema.inscosts.append(0.0)
-        schema.pathcosts.append(0.0)
-        schema._children.append([])
-        if new_parent != -1:
-            schema._children[new_parent].append(new_id)
-        for child in reversed(children_by_provisional[provisional_id]):
-            stack.append((child, new_id))
-
-    # bounds: max new id in each subtree (walk in reverse preorder)
-    for new_id in range(len(schema.labels) - 1, 0, -1):
-        parent = schema.parents[new_id]
-        if schema.bounds[new_id] > schema.bounds[parent]:
-            schema.bounds[parent] = schema.bounds[new_id]
-
-    # --- instance postings (live nodes only) ---------------------------
-    schema.class_of = array("q", map(new_id_of.__getitem__, provisional_of))
-    pres = [array("q") for _ in schema.labels]
-    appenders = [column.append for column in pres]
-    for data_pre, schema_node in enumerate(schema.class_of):
-        appenders[schema_node](data_pre)
-    for root in tree.dead_roots:  # a dead document is one run per class
-        bound = tree.bounds[root]
-        for schema_node in set(schema.class_of[root : bound + 1]):
-            column = pres[schema_node]
-            del column[bisect_left(column, root) : bisect_right(column, bound)]
-    for schema_node, column in enumerate(pres):
-        if not schema.is_text_class(schema_node):
-            schema.instances.append(
-                InstanceColumns(column, array("q", map(tree.bounds.__getitem__, column)))
-            )
-            continue
-        schema.instances.append(_NO_INSTANCES)
-        if column:
-            schema.term_instances[schema_node] = TermColumns.from_pres(
-                _pres_by_term(tree, column), tree.bounds
-            )
-
-    # default encoding: unit insert costs; the fingerprint matches
-    # CostModel().insert_fingerprint (see TreeBuilder.finish)
-    schema.encode_costs(lambda label: 1.0, fingerprint=(1.0, ()))
-    return schema
+    return update_schema_for_insert(Schema(), tree, 0).schema
 
 
 def _pres_by_term(tree: DataTree, pres) -> dict[str, list[int]]:
@@ -296,8 +201,7 @@ class SchemaUpdate:
     ``schema`` is a *new* object: shared (copy-on-write) with the old
     schema wherever possible so readers pinned to the old schema keep a
     consistent view.  When the mutation introduced new classes
-    (``classes_added > 0``) the whole schema was rebuilt, which may have
-    renumbered it.
+    (``classes_added > 0``) the classes were renumbered in preorder.
     """
 
     schema: Schema
@@ -308,8 +212,8 @@ def _cow_schema(old: Schema) -> Schema:
     """A copy of ``old`` sharing every structure the update won't touch.
 
     The class tree (labels/types/parents/bounds/children) is shared
-    outright — it only changes on a renumbering rebuild, which builds a
-    fresh schema instead.  ``inscosts``/``pathcosts`` are copied because
+    outright — a renumbering replaces it wholesale.
+    ``inscosts``/``pathcosts`` are copied because
     :meth:`Schema.encode_costs` rewrites them in place per cost model.
     The outer ``instances`` list and ``term_instances`` dict are shallow
     copies so individual classes can be replaced copy-on-write (their
@@ -317,68 +221,142 @@ def _cow_schema(old: Schema) -> Schema:
     ``class_of`` is shared: it is append-only, and a reader pinned to the
     old schema never looks up a data node that did not exist yet.
     """
-    new = Schema()
-    new.labels = old.labels
-    new.types = old.types
-    new.parents = old.parents
-    new.bounds = old.bounds
-    new._children = old._children
+    new = copy(old)
     new.inscosts = list(old.inscosts)
     new.pathcosts = list(old.pathcosts)
     new.instances = list(old.instances)
     new.term_instances = dict(old.term_instances)
-    new.class_of = old.class_of
-    new._insert_cost_fingerprint = old._insert_cost_fingerprint
     return new
 
 
-def update_schema_for_insert(old: Schema, tree: DataTree, start: int) -> SchemaUpdate:
-    """Maintain ``old`` after ``tree`` grew by one document at ``start``.
+def _renumber(schema: Schema, labels, types, parents) -> list[int]:
+    """Give ``schema`` the class table ``labels``/``types``/``parents``
+    (its own classes first, new ones after, in discovery order)
+    renumbered in preorder; returns the old -> new id table.
 
-    Fast path (no new label-type paths): a copy-on-write schema whose
-    touched classes get the new instance pairs appended — existing class
-    ids, bounds, and untouched postings are shared with ``old`` — and
-    whose super-root row takes the grown bound.  Slow path (a new class
-    appeared): rebuild from the full tree, which may renumber classes.
+    Children keep their discovery order, so old classes keep their
+    relative order and a new class follows its parent's existing
+    children: the numbering one insert of the whole tree gives.
     """
-    # child-key lookup over the existing classes, as in discovery pass 1
-    child_key_map: dict[tuple[int, str, NodeType], int] = {}
-    for parent in range(len(old)):
-        for child in old._children[parent]:
-            child_key_map[(parent, old.labels[child], old.types[child])] = child
+    known = len(schema)
+    children = [list(kids) for kids in schema._children]
+    children.extend([] for _ in range(len(labels) - known))
+    for node in range(known, len(labels)):
+        if parents[node] != -1:
+            children[parents[node]].append(node)
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(reversed(children[node]))
+    remap = [0] * len(order)
+    for new_id, node in enumerate(order):
+        remap[node] = new_id
+    schema.labels = [labels[node] for node in order]
+    schema.types = [types[node] for node in order]
+    schema.parents = [-1 if parents[node] == -1 else remap[parents[node]] for node in order]
+    schema._children = [[remap[child] for child in children[node]] for node in order]
+    # bounds: max new id in each subtree (walk in reverse preorder)
+    schema.bounds = list(range(len(order)))
+    for new_id in range(len(order) - 1, 0, -1):
+        parent = schema.parents[new_id]
+        if schema.bounds[new_id] > schema.bounds[parent]:
+            schema.bounds[parent] = schema.bounds[new_id]
+    # a new class has no columns yet (None)
+    schema.instances = [schema.instances[node] if node < known else None for node in order]
+    schema.term_instances = {
+        remap[node]: terms for node, terms in schema.term_instances.items()
+    }
+    schema.inscosts = [0.0] * len(order)
+    schema.pathcosts = [0.0] * len(order)
+    schema._insert_cost_fingerprint = None
+    return remap
 
-    new_class_of: list[int] = []
-    for pre in range(start, len(tree.labels)):
-        parent_class = (
-            0 if tree.parents[pre] == 0 else new_class_of[tree.parents[pre] - start]
-        )
-        if tree.types[pre] == NodeType.TEXT:
+
+def update_schema_for_insert(old: Schema, tree: DataTree, start: int) -> SchemaUpdate:
+    """Extend ``old`` by the nodes ``tree`` holds from ``start`` on.
+
+    The new nodes' classes are discovered in data order, seeded with the
+    old class table.  If new classes appeared, all classes are
+    renumbered in preorder (:func:`_renumber`): ``class_of`` is remapped
+    and the old columns move to their new ids, without re-reading an old
+    node.  Touched classes get the new instances appended copy-on-write;
+    untouched columns are shared with ``old``.  Nodes of tombstoned
+    documents yield classes but no instances.  :func:`build_schema` is
+    this function from the empty schema at pre 0.
+    """
+    labels, types, parents = old.labels, old.types, old.parents
+    child_key_map = {
+        (parents[node], labels[node], types[node]): node for node in range(len(old))
+    }
+    # --- discover the new nodes' classes in data order -----------------
+    tree_labels, tree_types, tree_parents = tree.labels, tree.types, tree.parents
+    old_class_of = old.class_of
+    found: list[int] = []
+    for pre in range(start, len(tree_labels)):
+        parent = tree_parents[pre]
+        if parent >= start:
+            parent_class = found[parent - start]
+        else:  # a document root, or the super-root (parent -1) from pre 0
+            parent_class = old_class_of[parent] if parent >= 0 else -1
+        if tree_types[pre] == NodeType.TEXT:
             key = (parent_class, TEXT_CLASS_LABEL, NodeType.TEXT)
         else:
-            key = (parent_class, tree.labels[pre], NodeType.STRUCT)
+            key = (parent_class, tree_labels[pre], NodeType.STRUCT)
         node = child_key_map.get(key)
         if node is None:
-            schema = build_schema(tree)
-            return SchemaUpdate(schema, classes_added=len(schema) - len(old))
-        new_class_of.append(node)
+            if len(labels) == len(old):  # the first new class: copy the table
+                labels, types, parents = list(labels), list(types), list(parents)
+            node = child_key_map[key] = len(labels)
+            labels.append(key[1])
+            types.append(key[2])
+            parents.append(parent_class)
+        found.append(node)
 
     schema = _cow_schema(old)
-    schema.class_of[start:] = array("q", new_class_of)
+    added = len(labels) - len(old)
+    if added:
+        remap = _renumber(schema, labels, types, parents)
+        schema.class_of = array("q", map(remap.__getitem__, old_class_of[:start]))
+        schema.class_of.extend(map(remap.__getitem__, found))
+    else:
+        schema.class_of[start:] = array("q", found)
+
+    # --- the new nodes' instances (live documents only) ----------------
+    gained = [array("q") for _ in range(len(schema))]
+    appenders = [column.append for column in gained]
+    for pre, node in zip(range(start, len(tree_labels)), schema.class_of[start:]):
+        appenders[node](pre)
+    for root in tree.dead_roots:  # a dead document is one run per class
+        if root >= start:
+            bound = tree.bounds[root]
+            for node in set(schema.class_of[root : bound + 1]):
+                column = gained[node]
+                del column[bisect_left(column, root) : bisect_right(column, bound)]
+    bounds = tree.bounds
+    for node, pres in enumerate(gained):
+        known = schema.instances[node]
+        if schema.types[node] == NodeType.TEXT:
+            schema.instances[node] = _NO_INSTANCES
+            if pres:
+                by_term = _pres_by_term(tree, pres)
+                terms = schema.term_instances.get(node)
+                schema.term_instances[node] = (
+                    TermColumns.from_pres(by_term, bounds)
+                    if terms is None
+                    else terms.edited(bounds, by_term)
+                )
+        elif pres or known is None:
+            rows = InstanceColumns(pres, array("q", map(bounds.__getitem__, pres)))
+            schema.instances[node] = rows if known is None else known.extended(rows)
     # the graft grew the super-root's bound
     schema.instances[0] = InstanceColumns(array("q", [0]), array("q", [tree.bounds[0]]))
-    gained: dict[int, list[int]] = {}
-    for pre, node in enumerate(new_class_of, start):
-        gained.setdefault(node, []).append(pre)
-    for node, pres in gained.items():
-        if schema.is_text_class(node):
-            schema.term_instances[node] = schema.term_instances.get(
-                node, TermColumns()
-            ).edited(tree.bounds, _pres_by_term(tree, pres))
-        else:
-            schema.instances[node] = schema.instances[node].extended(
-                InstanceColumns(array("q", pres), array("q", map(tree.bounds.__getitem__, pres)))
-            )
-    return SchemaUpdate(schema)
+    if added:
+        # default encoding: unit insert costs; the fingerprint matches
+        # CostModel().insert_fingerprint (see TreeBuilder.finish)
+        schema.encode_costs(lambda label: 1.0, fingerprint=(1.0, ()))
+    return SchemaUpdate(schema, classes_added=added)
 
 
 def update_schema_for_delete(old: Schema, tree: DataTree, root: int) -> SchemaUpdate:

@@ -11,6 +11,28 @@ from repro.core.persist import FORMAT_VERSION, load_tree, save_tree
 from repro.approxql.costs import CostModel
 from repro.xmltree.builder import tree_from_xml
 
+#: the key of the segment a save writes: the whole tree, from pre 0
+SAVED_SEGMENT = b"seg%016d" % 0
+COLUMN_INDEX = {"labels": 0, "types": 1, "parents": 2, "bounds": 3}
+
+
+def segment_columns(value: bytes) -> list[bytes]:
+    """The four length-prefixed column blobs of one tree segment."""
+    blobs, offset = [], 0
+    while offset < len(value):
+        (length,) = struct.unpack_from("<I", value, offset)
+        blobs.append(value[offset + 4 : offset + 4 + length])
+        offset += 4 + length
+    return blobs
+
+
+def with_column(store, column: str, blob: bytes) -> None:
+    """Replace one column of the saved segment in ``store``."""
+    columns = Namespace(store, b"tree")
+    blobs = segment_columns(columns.get(SAVED_SEGMENT))
+    blobs[COLUMN_INDEX[column]] = blob
+    columns.put(SAVED_SEGMENT, b"".join(struct.pack("<I", len(b)) + b for b in blobs))
+
 
 @pytest.fixture
 def saved_db(tmp_path):
@@ -47,9 +69,10 @@ class TestCorruption:
         save_tree(tree, store, CostModel())
         meta = Namespace(store, b"meta")
         # 1: a store that still carries I_sec and the statistics segment,
-        # 2: one that still carries the I_struct / I_text node postings;
-        # both are refused, not migrated
-        for version in (1, 2, FORMAT_VERSION + 9):
+        # 2: one that still carries the I_struct / I_text node postings,
+        # 3: one that stores the saved tree as four column keys;
+        # all are refused, not migrated
+        for version in (1, 2, 3, FORMAT_VERSION + 9):
             meta.put(b"version", struct.pack("<I", version))
             message = f"unsupported database format version {version}"
             with pytest.raises(StorageError, match=message):
@@ -69,9 +92,8 @@ class TestCorruption:
         store = MemoryStore()
         tree = tree_from_xml("<a>x</a>")
         save_tree(tree, store, CostModel())
-        columns = Namespace(store, b"tree")
-        columns.put(b"types", b"\x00")  # wrong length
-        with pytest.raises(StorageError):
+        with_column(store, "types", b"\x00")  # wrong length
+        with pytest.raises(StorageError, match="inconsistent column lengths"):
             load_tree(store)
 
     def test_label_with_separator_rejected(self):
@@ -166,10 +188,26 @@ class TestDamagedTreeNamespace:
     @pytest.mark.parametrize("column", ["labels", "types", "parents", "bounds"])
     def test_missing_column_is_a_storage_error_naming_it(self, column):
         store, columns, _ = self.saved()
-        columns.delete(column.encode())
+        value = columns.get(SAVED_SEGMENT)
+        blobs = segment_columns(value)
+        cut = sum(4 + len(blob) for blob in blobs[: COLUMN_INDEX[column]])
+        columns.put(SAVED_SEGMENT, value[:cut])  # the segment ends before the column
         with pytest.raises(StorageError, match=f"tree column '{column}' is missing") as caught:
             load_tree(store)
         assert not isinstance(caught.value, KeyError)
+
+    def test_truncated_column_is_a_storage_error_naming_it(self):
+        store, columns, _ = self.saved()
+        value = columns.get(SAVED_SEGMENT)
+        columns.put(SAVED_SEGMENT, value[:-1])  # the bounds column lost a byte
+        with pytest.raises(StorageError, match="tree column 'bounds' is truncated"):
+            load_tree(store)
+
+    def test_missing_saved_segment_is_a_storage_error(self):
+        store, columns, _ = self.saved()
+        columns.delete(SAVED_SEGMENT)
+        with pytest.raises(StorageError, match="tree segment at 0 is missing"):
+            load_tree(store)
 
     @pytest.mark.parametrize("key", ["insertcosts"])
     def test_missing_cost_metadata_is_a_storage_error(self, key):
@@ -180,16 +218,16 @@ class TestDamagedTreeNamespace:
         assert not isinstance(caught.value, KeyError)
 
     def test_bad_type_byte_is_a_storage_error(self):
-        store, columns, tree = self.saved()
+        store, _, tree = self.saved()
         types = bytearray(tree.types)
         types[2] = 7
-        columns.put(b"types", bytes(types))
+        with_column(store, "types", bytes(types))
         with pytest.raises(StorageError, match="not a node type"):
             load_tree(store)
 
     def test_undecodable_labels_are_a_storage_error(self):
-        store, columns, _ = self.saved()
-        columns.put(b"labels", b"\xff\xfe")
+        store, _, _ = self.saved()
+        with_column(store, "labels", b"\xff\xfe")
         with pytest.raises(StorageError, match="labels column"):
             load_tree(store)
 
@@ -223,9 +261,9 @@ class TestDamagedTreeNamespace:
     def test_bulk_checks_reject_inconsistent_columns(self, column, values):
         from repro.storage.varint import encode_delta_list
 
-        store, columns, tree = self.saved()
+        store, _, tree = self.saved()
         assert len(values) == len(tree)
-        columns.put(column.encode(), encode_delta_list(values))
+        with_column(store, column, encode_delta_list(values))
         with pytest.raises(ReproError):
             load_tree(store)
 

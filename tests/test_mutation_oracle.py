@@ -18,7 +18,7 @@ from repro.core.database import Database
 from repro.transform.naive import evaluate_naive
 from repro.xmltree.serialize import subtree_to_xml
 
-from .strategies import STRUCT_LABELS, TEXT_LABELS, random_query
+from .strategies import STRUCT_LABELS, TEXT_LABELS, generated_case, random_query
 
 QUERIES_PER_CHECK = 2
 
@@ -175,3 +175,40 @@ def test_mutations_preserve_empty_collection_behavior(seed):
     op = ("insert", random_document_xml(rng))
     apply_mutation(database, mirror, op)
     check_equivalent(database, mirror, rng, f"seed={3900 + seed} refill")
+
+
+def schema_fields(schema) -> dict:
+    """Every field of a schema a query reads, as plain lists."""
+    return {
+        "labels": list(schema.labels),
+        "types": list(schema.types),
+        "parents": list(schema.parents),
+        "bounds": list(schema.bounds),
+        "class_of": list(schema.class_of),
+        "instances": [(list(rows.pre), list(rows.bound)) for rows in schema.instances],
+        "term_instances": {
+            node: (list(terms.terms), list(terms.offsets), list(terms.pre), list(terms.bound))
+            for node, terms in schema.term_instances.items()
+        },
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inserting_documents_one_at_a_time_equals_a_bulk_build(seed, tmp_path):
+    """A build is the insert of every document into the empty
+    collection: a handle grown one insert at a time holds the schema a
+    bulk build derives — class table, ``class_of``, instance and term
+    columns — and saves to the same bytes."""
+    case = generated_case(3100 + seed, num_elements=60)
+    bulk = Database.from_tree(case.tree)
+    grown = Database.from_xml()
+    for root in case.tree.document_roots():
+        grown.insert_document(subtree_to_xml(case.tree, root))
+    assert schema_fields(grown.schema) == schema_fields(bulk.schema), case.describe()
+    saved = []
+    for name, database in (("bulk", bulk), ("grown", grown)):
+        path = os.path.join(tmp_path, f"{name}.apxq")
+        database.save(path)
+        with open(path, "rb") as handle:
+            saved.append(handle.read())
+    assert saved[0] == saved[1], case.describe()

@@ -91,14 +91,15 @@ class TestCorruptions:
         """Corrupting a column in a saved file is caught at load."""
         from repro import Database
         from repro.core.persist import load_tree, save_tree
-        from repro.storage.kv import MemoryStore, Namespace
+        from repro.storage.kv import MemoryStore
         from repro.storage.varint import encode_delta_list
+
+        from .test_core_persist_faults import with_column
 
         store = MemoryStore()
         db = Database.from_xml("<cd><t>x</t></cd>")
         save_tree(db.tree, store, __import__("repro").CostModel())
-        columns = Namespace(store, b"tree")
         bounds = [0] * len(db.tree)  # structurally inconsistent bounds
-        columns.put(b"bounds", encode_delta_list(bounds))
+        with_column(store, "bounds", encode_delta_list(bounds))
         with pytest.raises(SchemaError):
             load_tree(store)
