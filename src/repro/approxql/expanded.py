@@ -18,8 +18,9 @@ DAG of four representation types:
 
 Bridging edges point at the **same** child object the node itself uses,
 which makes the representation a DAG; algorithm ``primary`` keeps one
-list per (selector, scope) and per (node, ancestor list) — the paper's
-"dynamic programming to avoid the duplicate evaluation of query subtrees".
+match list per selector (built in the widest scope that reaches it) and
+one list per (node, ancestor list) — the paper's "dynamic programming to
+avoid the duplicate evaluation of query subtrees".
 """
 
 from __future__ import annotations

@@ -166,6 +166,18 @@ def union(left, right, edge_cost: float) -> EvalColumns:
     return merge_shifted([(left, edge_cost), (right, edge_cost)])
 
 
+def valid(entries) -> EvalColumns:
+    """The rows with a valid embedding on one track: ``embcost`` is set
+    to ``leafcost``, and rows with an infinite ``leafcost`` are dropped
+    (a trunk selector's match list, :mod:`repro.engine.primary`)."""
+    entries = as_columns(entries)
+    leafcost = entries.leafcost
+    keep = [i for i, leaf in enumerate(leafcost) if leaf != INFINITE]
+    if len(keep) < len(leafcost):
+        leafcost = [leafcost[i] for i in keep]
+    return _rebind(entries, keep, leafcost, leafcost)
+
+
 def sort_best(n: "int | None", entries) -> EvalColumns:
     """Sort by valid embedding cost and keep the best ``n`` (function
     ``sort``).  Rows without any valid embedding (infinite ``leafcost``)
@@ -194,6 +206,7 @@ class PostingAlgebra:
         ("postings_fetched", "direct.postings_fetched"),
         ("postings_scoped_out", "direct.postings_scoped_out"),
         ("roots_unwitnessed", "direct.roots_unwitnessed"),
+        ("trunk_unwitnessed", "direct.trunk_unwitnessed"),
         ("memo_hits", "direct.memo_hits"),
         ("list_ops", "direct.lists_materialized"),
         ("merge_ops", "direct.merge_steps"),
@@ -203,9 +216,20 @@ class PostingAlgebra:
     outerjoin = staticmethod(outerjoin)
     intersect = staticmethod(intersect)
     merge_shifted = staticmethod(merge_shifted)
+    valid = staticmethod(valid)
 
     def __init__(self, indexes: NodeIndexes) -> None:
         self.indexes = indexes
+
+    @property
+    def parents(self):
+        """The parent column of the indexed tree (-1 above the super-root)."""
+        return self.indexes.tree.parents
+
+    @property
+    def labels(self):
+        """The label column of the indexed tree."""
+        return self.indexes.tree.labels
 
     def fetch(self, label: str, node_type: NodeType, as_leaf: bool) -> EvalColumns:
         """:func:`fetch` over this algebra's indexes."""

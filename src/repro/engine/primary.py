@@ -6,8 +6,10 @@ Direct evaluation (Section 6.5) and the top-k ``primary`` over the schema
 :class:`PrimaryEvaluator`) and schema class segments built on demand
 (:class:`~repro.schema.topk_ops.SegmentAlgebra`, behind
 :class:`~repro.schema.primary_k.PrimaryKEvaluator`).  An algebra supplies
-``fetch``, ``join``, ``outerjoin``, ``intersect`` and ``merge_shifted``
-plus ``counters``, the telemetry name of each counter of the recursion.
+``fetch``, ``join``, ``outerjoin``, ``intersect``, ``merge_shifted`` and
+``valid``, the ``parents`` and ``labels`` columns of the tree its
+postings index, those ``indexes`` (for ``posting_size``) and
+``counters``, the telemetry name of each counter of the recursion.
 
 :meth:`PrimaryRecursion._matches` is what a selector matches — label and
 renamings merged, child content embedded — and
@@ -18,29 +20,43 @@ root match:
 
 * fetches are kept per (label, type, leaf/inner) for the query, so the
   identical list object flows into every context that needs it;
-* a selector's match list does not depend on the ancestor list it is
-  joined into, so it is built once per *scope* and reused by every
-  candidate list of the enclosing selector and every deletion bridge
-  that reaches it — the paper's "dynamic programming to avoid the
-  duplicate evaluation of query subtrees";
+* a selector's match list is built once, at its widest scope: a row of it
+  depends only on the candidate's own subtree, which lies wholly inside
+  any scope that holds the candidate, and the scopes that reach one
+  selector are nested (each is built inside the one it was reached
+  from).  A deletion bridge reaches its child in the enclosing scope, so
+  an ``or`` evaluates its bridge first, and every narrower scope is
+  served the list already built — the paper's "dynamic programming to
+  avoid the duplicate evaluation of query subtrees";
 * *scoping*: a selector's fetched list is cut down to the entries that
   lie below a candidate of the enclosing selector before any list is
   built from it — an entry below no candidate is dropped by the enclosing
-  ``join``/``outerjoin`` whatever it costs, so results are unchanged;
-* *witnessing*: the query root's candidates are cut, before their scope
-  is built, to those with a *witness* in their subtree — a fetched entry
-  of some query leaf, for its label or a renaming.  A root without one
-  has no real leaf match below it (infinite ``leafcost`` over data
-  postings, no valid skeleton over schema segments), so it is never a
-  result, and every other root's entries are unchanged on both cost
-  tracks.
+  ``join``/``outerjoin`` whatever it costs, so results are unchanged.  A
+  scope reads a short posting through a mask of its preorder intervals
+  and a long one by bisecting it per interval;
+* *the trunk cut*: a *trunk* selector is a ``node`` selector whose
+  subtree holds every query leaf (the root, and on a path query every
+  selector).  A valid embedding puts a real leaf match below every trunk
+  candidate it uses, so a trunk selector's candidates are cut, before
+  their scope is built, to those with a *witness* in their subtree — a
+  fetched entry of some query leaf, for its label or a renaming — and its
+  match list keeps one track: the rows with a valid embedding, ``embcost``
+  set to ``leafcost`` (over schema segments, the valid runs).  No ``and``
+  has a trunk operand (each operand holds a leaf), so nothing reads a
+  trunk row's unconditional cost, and the root list is exactly the valid
+  roots.  Witnessed candidates are found from the smaller side: with
+  fewer witnesses than trunk candidates, the witnesses' ancestors are
+  found once per query by walking parent pointers up; otherwise each
+  candidate is bisected into the sorted witnesses.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from functools import partial
+from itertools import chain, compress, count, islice
+from operator import le
 
 from ..approxql.expanded import ExpandedNode, ExpandedQuery, RepType
 from ..errors import EvaluationError
@@ -51,19 +67,30 @@ from .columns import EvalColumns
 from .entries import INFINITE
 from .ops import PostingAlgebra
 
+#: a posting at most this many times longer than a scope's interval list
+#: is restricted through the scope's mask, a longer one per interval
+_MASK_RATIO = 8
+#: the ancestors the walk up from one witness is charged — about the
+#: depth of a document (on the Figure 7 pool a witness adds 0.6–8 new ones)
+_WALK_DEPTH = 8
+
 
 class _Scope:
     """The nodes below any candidate of one enclosing selector, as the
     sorted, disjoint ``(start, end]`` preorder intervals of the outermost
     candidates (subtree intervals nest or are disjoint; a zero-width one —
-    a text node, a leaf class — holds nothing and is left out)."""
+    a text node, a leaf class — holds nothing and is left out).  ``chain``
+    is the uids of this scope and of every scope it was built inside,
+    innermost first."""
 
-    __slots__ = ("uid", "starts", "ends")
+    __slots__ = ("uid", "chain", "starts", "ends", "_mask")
 
-    def __init__(self, uid: int, candidates: list) -> None:
+    def __init__(self, uid: int, candidates: list, enclosing: "_Scope | None") -> None:
         self.uid = uid
+        self.chain = (uid,) if enclosing is None else (uid, *enclosing.chain)
         self.starts: list[int] = []
         self.ends: list[int] = []
+        self._mask: "bytearray | None" = None
         reach = -1
         for pre, bound in sorted(
             chain.from_iterable(zip(fetched.pre, fetched.bound) for fetched in candidates)
@@ -75,23 +102,54 @@ class _Scope:
 
     def restrict(self, fetched):
         """The entries of a fetched list (one per data node or schema
-        class) that lie in scope, located by ``bisect`` from whichever
-        side is shorter: a long posting under few candidates costs what
-        the candidates cost, not its length."""
+        class) that lie in scope.  A posting not much longer than the
+        interval list is read through the scope's mask; a longer one is
+        bisected per interval, so it costs what the intervals cost, not
+        its length."""
         pre, starts, ends = fetched.pre, self.starts, self.ends
-        keep: list[int] = []
-        if len(pre) > len(ends):
-            for start, end in zip(starts, ends):
-                low = bisect_right(pre, start)
-                keep.extend(range(low, bisect_right(pre, end, low)))
+        if not ends:
+            keep: "list[int]" = []
+        elif len(pre) > _MASK_RATIO * len(ends):
+            find = partial(bisect_right, pre)
+            keep = list(chain.from_iterable(map(range, map(find, starts), map(find, ends))))
         else:
-            count = len(ends)
-            for row, value in enumerate(pre):
-                # the first interval that does not end before the row
-                interval = bisect_left(ends, value)
-                if interval < count and starts[interval] < value:
-                    keep.append(row)
+            # rows past the last interval would index beyond the mask
+            high = bisect_right(pre, ends[-1])
+            keep = list(compress(range(high), map(self._marks().__getitem__, islice(pre, high))))
         return fetched if len(keep) == len(pre) else fetched.take(keep)
+
+    def _marks(self) -> bytearray:
+        """One byte per preorder number up to the last interval's end, set
+        inside an interval; filled on first use by slice assignment."""
+        mask = self._mask
+        if mask is None:
+            mask = self._mask = bytearray(self.ends[-1] + 1)
+            for start, end in zip(self.starts, self.ends):
+                mask[start + 1 : end + 1] = b"\x01" * (end - start)
+        return mask
+
+
+def _trunk(expanded: ExpandedQuery) -> frozenset:
+    """The uids of the ``node`` selectors whose subtree holds every query
+    leaf."""
+    below: dict[int, frozenset] = {}
+    selectors = []
+
+    def leaves(node: ExpandedNode) -> frozenset:
+        found = below.get(node.uid)
+        if found is None:
+            if node.reptype == RepType.LEAF:
+                found = frozenset((node.uid,))
+            elif node.reptype == RepType.NODE:
+                found = leaves(node.child)
+                selectors.append(node.uid)
+            else:
+                found = leaves(node.left) | leaves(node.right)
+            below[node.uid] = found
+        return found
+
+    every = leaves(expanded.root)
+    return frozenset(uid for uid in selectors if below[uid] == every)
 
 
 class PrimaryRecursion:
@@ -101,8 +159,9 @@ class PrimaryRecursion:
     them to the active telemetry under the algebra's names: fetches built
     and their entries (``fetch_count``, ``postings_fetched``), fetches
     served again (``fetch_cache_hits``), fetched entries scoped out
-    (``postings_scoped_out``), root candidates without a witness
-    (``roots_unwitnessed``), lists asked for again in the call
+    (``postings_scoped_out``), candidates without a witness of the root
+    (``roots_unwitnessed``) and of the trunk selectors below it
+    (``trunk_unwitnessed``), lists served again in the call
     (``memo_hits``), lists built by a case of Figure 4 (``list_ops``) and
     renamings merged into match lists (``merge_ops``).
     """
@@ -111,8 +170,11 @@ class PrimaryRecursion:
         self._algebra = algebra
         self._expanded: "ExpandedQuery | None" = None
         self._fetched: dict[tuple[str, NodeType, bool], object] = {}
-        # the sorted ``pre`` of every query leaf's fetched entries, built
-        # from ``_fetched`` when the root's candidates are first cut
+        self._trunk: frozenset = frozenset()
+        # the witnesses, set up at the first trunk cut of a call: the
+        # ancestors of every witness per trunk label (walked up), or the
+        # sorted ``pre`` of every witness (bisected into)
+        self._ancestors: "dict[str, list[int]] | None" = None
         self._witnesses: "list[int] | None" = None
         self._scopes = 0
         # The lists of the call: (selector uid, scope uid) for what a
@@ -128,10 +190,11 @@ class PrimaryRecursion:
             raise EvaluationError("the root of an expanded query must be a selector")
         self._expanded = expanded
         self._fetched = {}
-        self._witnesses = None
+        self._trunk = _trunk(expanded)
+        self._ancestors = self._witnesses = None
         self._lists = {}
         self.fetch_count = self.postings_fetched = self.fetch_cache_hits = 0
-        self.postings_scoped_out = self.roots_unwitnessed = 0
+        self.postings_scoped_out = self.roots_unwitnessed = self.trunk_unwitnessed = 0
         self.memo_hits = 0
         self.list_ops = self.merge_ops = 0
         result = self._matches(root, None)
@@ -145,22 +208,18 @@ class PrimaryRecursion:
     # the four cases of Figure 4
     # ------------------------------------------------------------------
 
-    def _cached(self, key: tuple, build, *args):
-        """The list under ``key``: this call's, or a newly built one."""
-        entries = self._lists.get(key)
-        if entries is not None:
-            self.memo_hits += 1
-            return entries
-        entries = self._lists[key] = build(*args)
-        return entries
-
     def _primary(self, node: ExpandedNode, label: str, ancestors, scope: _Scope):
         """``primary(u, L_A)``: the list of ``node`` under ``ancestors`` —
         the (non-empty) candidates of one ``label`` of the enclosing
         selector; ``scope`` is what all that selector's labels cover
         together."""
         key = (node.uid, scope.uid, label)
-        return self._cached(key, self._primary_base, node, label, ancestors, scope)
+        entries = self._lists.get(key)
+        if entries is not None:
+            self.memo_hits += 1
+            return entries
+        entries = self._lists[key] = self._primary_base(node, label, ancestors, scope)
+        return entries
 
     def _primary_base(self, node: ExpandedNode, label: str, ancestors, scope: _Scope):
         self.list_ops += 1
@@ -171,8 +230,10 @@ class PrimaryRecursion:
         if reptype == RepType.NODE:
             return algebra.join(ancestors, self._matches(node, scope), 0.0)
         assert node.left is not None and node.right is not None
-        left = self._primary(node.left, label, ancestors, scope)
+        # the right edge of a deletion choice bridges to the child in this
+        # scope, the left edge reaches it in a narrower one: widest first
         right = self._primary(node.right, label, ancestors, scope)
+        left = self._primary(node.left, label, ancestors, scope)
         if reptype == RepType.AND:
             return algebra.intersect(left, right, 0.0)
         if reptype == RepType.OR:
@@ -181,70 +242,118 @@ class PrimaryRecursion:
         raise EvaluationError(f"unknown representation type {reptype!r}")
 
     def _matches(self, node: ExpandedNode, scope: "_Scope | None"):
-        """What a selector matches in ``scope``, all its labels merged: a
-        leaf's fetched entries, an inner selector's candidates annotated
-        with the embedding cost of the child subtree beneath them."""
-        key = (node.uid, -1 if scope is None else scope.uid)
-        return self._cached(key, self._matches_base, node, scope)
+        """What a selector matches, all its labels merged: a leaf's fetched
+        entries, an inner selector's candidates annotated with the
+        embedding cost of the child subtree beneath them.  The list built
+        in ``scope`` or in any scope enclosing it serves (its rows outside
+        ``scope`` lie below no candidate that joins it)."""
+        lists = self._lists
+        scopes = (-1,) if scope is None else scope.chain
+        for uid in scopes:
+            entries = lists.get((node.uid, uid))
+            if entries is not None:
+                self.memo_hits += 1
+                return entries
+        entries = lists[(node.uid, scopes[0])] = self._matches_base(node, scope)
+        return entries
 
     def _matches_base(self, node: ExpandedNode, scope: "_Scope | None"):
         candidates = self._fetch_candidates(node, scope)
         inner = None
         if node.reptype == RepType.NODE:
             self._scopes += 1
-            inner = _Scope(self._scopes, [fetched for _, fetched, _ in candidates])
+            inner = _Scope(self._scopes, [fetched for _, fetched, _ in candidates], scope)
         self.merge_ops += len(node.renamings)
-        return self._algebra.merge_shifted(
+        matches = self._algebra.merge_shifted(
             [
                 (fetched if inner is None else self._primary(node.child, label, fetched, inner), cost)
                 for label, fetched, cost in candidates
             ]
         )
+        return self._algebra.valid(matches) if node.uid in self._trunk else matches
 
     # ------------------------------------------------------------------
-    # fetching
+    # fetching and the trunk cut
     # ------------------------------------------------------------------
 
     def _fetch_candidates(self, node: ExpandedNode, scope: "_Scope | None") -> list:
         """The non-empty ``(label, fetched entries in scope, renaming
-        cost)`` of a selector's label and renamings; an inner query
-        root's (``scope`` None) are those with a witness below them."""
+        cost)`` of a selector's label and renamings; a trunk selector's
+        are those with a witness below them."""
         as_leaf = node.reptype == RepType.LEAF
+        trunk = node.uid in self._trunk
         candidates = []
         for label, cost in [(node.label, 0.0), *node.renamings]:
             fetched = self._fetch(label, node.node_type, as_leaf)
-            if fetched:
+            if fetched and scope is not None:
                 size = len(fetched)
-                if scope is not None:
-                    fetched = scope.restrict(fetched)
-                    self.postings_scoped_out += size - len(fetched)
-                elif not as_leaf:
-                    fetched = self._witnessed(fetched)
+                fetched = scope.restrict(fetched)
+                self.postings_scoped_out += size - len(fetched)
+            if fetched and trunk:
+                size = len(fetched)
+                fetched = self._witnessed(label, fetched)
+                if scope is None:
                     self.roots_unwitnessed += size - len(fetched)
+                else:
+                    self.trunk_unwitnessed += size - len(fetched)
             if fetched:
                 candidates.append((label, fetched, cost))
         return candidates
 
-    def _witnessed(self, fetched):
-        """The entries of a fetched list that have a witness in their
-        subtree ``(pre, bound]``, each located by ``bisect``."""
-        witnesses = self._witnesses
-        if witnesses is None:
-            witnesses = self._witnesses = sorted(
-                chain.from_iterable(
-                    self._fetch(label, node.node_type, True).pre
-                    for node in self._expanded.iter_unique_nodes()
-                    if node.reptype == RepType.LEAF
-                    for label in [node.label, *(target for target, _ in node.renamings)]
-                )
-            )
-        count = len(witnesses)
-        keep = []
-        for row, (pre, bound) in enumerate(zip(fetched.pre, fetched.bound)):
-            first = bisect_right(witnesses, pre)
-            if first < count and witnesses[first] <= bound:
-                keep.append(row)
-        return fetched if len(keep) == len(fetched) else fetched.take(keep)
+    def _witnessed(self, label: str, fetched):
+        """The entries of a trunk selector's fetched list that have a
+        witness in their subtree ``(pre, bound]``: those among the
+        witnesses' ancestors carrying ``label``, or each located by
+        ``bisect`` in the witnesses."""
+        if self._ancestors is None and self._witnesses is None:
+            self._find_witnesses()
+        pre = fetched.pre
+        if self._ancestors is not None:
+            keep = _common_rows(pre, self._ancestors.get(label, ()))
+        else:
+            # the first witness after each candidate, inside its subtree?
+            witnesses = self._witnesses
+            following = map(witnesses.__getitem__, map(partial(bisect_right, witnesses), pre))
+            keep = list(compress(count(), map(le, following, fetched.bound)))
+        return fetched if len(keep) == len(pre) else fetched.take(keep)
+
+    def _find_witnesses(self) -> None:
+        """Set up the witnesses of the call from the smaller side: the
+        ancestors of every witness per trunk label, walked up from the
+        witnesses when that walk is shorter than bisecting the root's
+        candidates (the bulk of the trunk's: the others lie in the root's
+        witnessed scope), and the sorted witnesses otherwise."""
+        selectors = list(self._expanded.iter_unique_nodes())
+        witnesses = [
+            self._fetch(label, node.node_type, True).pre
+            for node in selectors
+            if node.reptype == RepType.LEAF
+            for label in _labels(node)
+        ]
+        root = self._expanded.root
+        # sized, not fetched: the root's own fetches come one by one
+        posting_size = self._algebra.indexes.posting_size
+        candidates = sum(posting_size(label, root.node_type) for label in _labels(root))
+        if sum(map(len, witnesses)) * _WALK_DEPTH >= candidates:
+            # past the last witness, a sentinel that lies in no subtree
+            self._witnesses = [*sorted(chain.from_iterable(witnesses)), INFINITE]
+            return
+        labels = {label for node in selectors if node.uid in self._trunk for label in _labels(node)}
+        parents, tree_labels = self._algebra.parents, self._algebra.labels
+        seen: set[int] = set()
+        ancestors: dict[str, list[int]] = {}
+        for pre in chain.from_iterable(witnesses):
+            # up to the super-root, whose parent is -1
+            pre = parents[pre]
+            while pre >= 0 and pre not in seen:
+                seen.add(pre)
+                label = tree_labels[pre]
+                if label in labels:
+                    ancestors.setdefault(label, []).append(pre)
+                pre = parents[pre]
+        for pres in ancestors.values():
+            pres.sort()
+        self._ancestors = ancestors
 
     def _fetch(self, label: str, node_type: NodeType, as_leaf: bool):
         key = (label, node_type, as_leaf)
@@ -256,6 +365,22 @@ class PrimaryRecursion:
         else:
             self.fetch_cache_hits += 1
         return fetched
+
+
+def _labels(node: ExpandedNode) -> list[str]:
+    """A selector's label and its renamings' targets."""
+    return [node.label, *(target for target, _ in node.renamings)]
+
+
+def _common_rows(pre, wanted) -> list[int]:
+    """The rows of the sorted ``pre`` whose value is in the sorted
+    ``wanted``: the shorter ``wanted`` bisected into ``pre``, or ``pre``
+    looked up in the longer one."""
+    if len(wanted) < len(pre):
+        size = len(pre)
+        rows = map(partial(bisect_left, pre), wanted)
+        return [row for row, value in zip(rows, wanted) if row < size and pre[row] == value]
+    return list(compress(count(), map(set(wanted).__contains__, pre)))
 
 
 class PrimaryEvaluator(PrimaryRecursion):

@@ -380,6 +380,15 @@ def intersect_streams(left, right, edge_cost: float, live=None) -> SegmentStream
     return SegmentStream(pres, out_runs)
 
 
+def valid_streams(entries) -> SegmentStream:
+    """The list with only its valid runs: the segments of skeletons that
+    hold a real query-leaf match (a trunk selector's match list,
+    :mod:`repro.engine.primary`)."""
+    stream = _stream(entries)
+    kept = [(pre, runs[0]) for pre, runs in zip(stream.pres, stream.runs) if runs[0] is not _EMPTY]
+    return SegmentStream([pre for pre, _ in kept], [(run, _EMPTY) for _, run in kept])
+
+
 def merge_shifted_k(parts: "list[tuple[TopKList, float]]", k: int) -> TopKList:
     """:func:`merge_streams` with every run cut to k."""
     return merge_streams(parts).top(k)
@@ -447,14 +456,26 @@ class SegmentAlgebra:
     counters = (
         ("postings_scoped_out", "schema.candidates_scoped_out"),
         ("roots_unwitnessed", "schema.roots_unwitnessed"),
+        ("trunk_unwitnessed", "schema.trunk_unwitnessed"),
         ("list_ops", "schema.topk_list_ops"),
     )
     merge_shifted = staticmethod(merge_streams)
     outerjoin = staticmethod(join_streams)
+    valid = staticmethod(valid_streams)
 
     def __init__(self, indexes: SchemaNodeIndexes, live=None) -> None:
         self.indexes = indexes
         self.live = live
+
+    @property
+    def parents(self) -> list[int]:
+        """The parent column of the schema tree (-1 above its root)."""
+        return self.indexes.schema.parents
+
+    @property
+    def labels(self) -> list[str]:
+        """The label column of the schema tree."""
+        return self.indexes.schema.labels
 
     def fetch(self, label: str, node_type: NodeType, as_leaf: bool) -> TopKList:
         """:func:`fetch_k` over this algebra's indexes."""

@@ -28,6 +28,9 @@ _NO_PRES = array("q")
 class NodeIndexes:
     """Interface of the ``I_struct`` / ``I_text`` pair."""
 
+    #: the data tree whose nodes the postings hold
+    tree: DataTree
+
     def fetch(self, label: str, node_type: NodeType) -> list[NodePosting]:
         """Posting of ``label`` in the index for ``node_type``; empty if
         the label never occurs."""
@@ -82,7 +85,7 @@ class MemoryNodeIndexes(NodeIndexes):
         documents: "tuple[int, ...] | None" = None,
         labels: "frozenset[str] | None" = None,
     ) -> None:
-        self._tree = tree
+        self.tree = tree
         #: per node type: label -> ascending pres, one flat buffer each
         self._by_type: tuple[dict[str, array], dict[str, array]] = ({}, {})
         self._derived: dict = {}
@@ -120,7 +123,7 @@ class MemoryNodeIndexes(NodeIndexes):
             telemetry.count("index.data_postings", len(pres) if pres else 0)
         if not pres:
             return []
-        tree = self._tree
+        tree = self.tree
         bounds = tree.bounds
         pathcosts = tree.pathcosts
         inscosts = tree.inscosts
@@ -137,7 +140,7 @@ class MemoryNodeIndexes(NodeIndexes):
         A ``None`` fingerprint means costs were never encoded (or were
         encoded unfingerprinted) and disables caching.
         """
-        fingerprint = self._tree.insert_cost_fingerprint
+        fingerprint = self.tree.insert_cost_fingerprint
         key = (label, node_type, variant)
         cached = self._derived.get(key)
         if cached is not None and fingerprint is not None and cached[0] == fingerprint:
@@ -180,7 +183,7 @@ class MemoryNodeIndexes(NodeIndexes):
         keeps every list pre-sorted (grafted pres are the highest).
         """
         new = cls.__new__(cls)
-        new._tree = tree
+        new.tree = tree
         new._derived = {}
         tables = new._by_type = (dict(old._by_type[0]), dict(old._by_type[1]))
         if removed is not None:

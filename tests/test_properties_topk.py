@@ -2,10 +2,12 @@
 
 import random
 from itertools import islice
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import primary
 from repro.schema.entries import SchemaEntry
 from repro.schema.topk_ops import (
     fetch_k,
@@ -399,14 +401,14 @@ class TestScopingAndResumption:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_scoped_root_list_equals_unscoped(self, seed):
-        """The scoped root list, read to depth k, is the whole unscoped
-        one with every run cut to k, minus whole segments of root classes
-        without a valid skeleton (no query-leaf class below them): every
-        other segment is there, run for run — whether a fresh list is
-        read to k or one list is read deeper and deeper.  (The unscoped
-        recursion cut to k at every list is no reference: a conjunction
-        of two cut lists can miss a skeleton that several pairs unite
-        to.)"""
+        """The scoped root list, read to depth k, is the valid runs of
+        the whole unscoped one, each cut to k: the root is a trunk
+        selector (its subtree holds every query leaf), so its list keeps
+        one track — every valid run, run for run, and no invalid one —
+        whether a fresh list is read to k or one list is read deeper and
+        deeper.  (The unscoped recursion cut to k at every list is no
+        reference: a conjunction of two cut lists can miss a skeleton
+        that several pairs unite to.)"""
         from repro.schema.primary_k import PrimaryKEvaluator
 
         indexes, expanded = schema_case(seed)
@@ -414,26 +416,30 @@ class TestScopingAndResumption:
         grown = PrimaryKEvaluator(indexes).evaluate(expanded)
         for k in (1, 2, 8, 64):
             fresh = PrimaryKEvaluator(indexes).evaluate(expanded).top(k)
-            kept = {entry.pre for entry in fresh}
-            assert not any(valid for (pre, valid) in whole if pre not in kept)
-            expected = {key: run[:k] for key, run in whole.items() if key[0] in kept}
+            expected = {key: run[:k] for key, run in whole.items() if key[1]}
             assert runs(fresh) == expected == runs(grown.top(k))
+        # the trunk cut's other side: every witness walked up to the root
+        with patch.object(primary, "_WALK_DEPTH", 0):
+            walked = PrimaryKEvaluator(indexes).evaluate(expanded).top(64)
+        assert runs(walked) == runs(grown.top(64))
 
     def test_scoping_and_witnessing_are_exercised(self):
         """The generator reaches what the property above is for: classes
-        are scoped out, and root classes without a query-leaf class below
-        them are dropped."""
+        are scoped out, and root and inner trunk classes without a
+        query-leaf class below them are dropped."""
         from repro.schema.primary_k import PrimaryKEvaluator
 
-        scoped_out = unwitnessed = 0
+        scoped_out = unwitnessed = trunk_unwitnessed = 0
         for seed in range(40):
             indexes, expanded = schema_case(seed)
             evaluator = PrimaryKEvaluator(indexes)
             evaluator.evaluate(expanded)
             scoped_out += evaluator.postings_scoped_out
             unwitnessed += evaluator.roots_unwitnessed
+            trunk_unwitnessed += evaluator.trunk_unwitnessed
         assert scoped_out > 0
         assert unwitnessed > 0
+        assert trunk_unwitnessed > 0
 
 
 #: pull depths checked against the closure (``None``: the whole pull)

@@ -179,12 +179,18 @@ class TestDirectRenamingBlowUp:
     (r+1)^depth where the paper's bound (Section 6.5) is linear in r, and
     a pattern-1 query cost 60 ms at r=5 and 280 ms at r=10.  Judged by
     counters (they repeat exactly), not by wall-clock: the *same* query
-    with half of every renaming list cut off must cost about half."""
+    with half of every renaming list cut off must cost about half.  The
+    exact statement: one merge step per renaming of every selector, each
+    selector's match list built once (a rebuilt-per-list recursion merges
+    a selector's renamings once per list that reaches it).  The lists
+    built are no longer a count to bound: the trunk cut drops a larger
+    share of them at r=5 than at r=10."""
 
     QUERY_SEED = 7 + 1000 * 1 + 10
 
     @staticmethod
     def _work(indexes, expanded) -> dict:
+        from repro.approxql.expanded import RepType
         from repro.engine.primary import PrimaryEvaluator
         from repro.telemetry.collector import Telemetry, collecting
 
@@ -192,10 +198,14 @@ class TestDirectRenamingBlowUp:
         evaluator = PrimaryEvaluator(indexes)
         with collecting(telemetry):
             evaluator.evaluate(expanded)
-        return {
-            "direct.merge_steps": evaluator.merge_ops,
-            "kernel.columns_built": telemetry.counters["kernel.columns_built"],
-        }
+        renamings = sum(
+            len(node.renamings)
+            for node in expanded.iter_unique_nodes()
+            if node.reptype in (RepType.NODE, RepType.LEAF)
+        )
+        # every selector of this path query is reached
+        assert telemetry.counters["direct.merge_steps"] == renamings
+        return {"direct.merge_steps": evaluator.merge_ops}
 
     def test_work_is_linear_in_renamings(self, small_corpus):
         from repro.approxql.expanded import build_expanded
@@ -218,9 +228,9 @@ class TestDirectRenamingBlowUp:
         work_r5 = self._work(indexes, at_r5)
         work_r10 = self._work(indexes, at_r10)
         for counter, at_five in work_r5.items():
-            # (10+1)/(5+1) = 1.8 when linear (measured: 2.0 and 1.7);
-            # the rebuilt-per-list recursion measured 3.2 and 2.9 on
-            # this query and grows with its depth
+            # (10+1)/(5+1) = 1.8 when linear (measured: 1.95); the
+            # rebuilt-per-list recursion measured 3.2 on this query and
+            # grows with its depth
             assert 0 < at_five and work_r10[counter] <= 2.5 * at_five, (counter, work_r5, work_r10)
 
 
@@ -259,6 +269,70 @@ class TestRootWitnessing:
         assert len(direct) > 0
         pairs = {method: [(r.root, r.cost) for r in rows] for method, rows in answers.items()}
         assert pairs["direct"] == pairs["schema"]
+
+
+class TestTrunkWitnessing:
+    """The root's cut to candidates with a query-leaf match below them
+    (``TestRootWitnessing``) once stopped at the root: in the root's
+    scope, the pinned p1 r10 query's second selector has 1 895 candidates
+    and 41 of them have a leaf match below.  Every selector of a path
+    query holds its leaf (a *trunk* selector), so every one is cut, and
+    its list keeps the valid rows only.  The witnesses' ancestors are
+    walked up from the witnesses when that is shorter than bisecting the
+    root's candidates, and the walk has to reach the super-root: a query
+    rooted at ``#root`` has it as its only root candidate."""
+
+    QUERY_SEED = TestDirectRenamingBlowUp.QUERY_SEED
+    N = 10
+
+    def test_inner_trunk_candidates_are_dropped_and_the_answer_holds(self, small_corpus):
+        from repro import Database
+        from repro.querygen import PAPER_PATTERNS, QueryGenerator, QueryGenOptions
+        from repro.xmltree import MemoryNodeIndexes
+
+        generated = QueryGenerator(
+            MemoryNodeIndexes(small_corpus),
+            QueryGenOptions(renamings_per_label=10),
+            seed=self.QUERY_SEED,
+        ).generate(PAPER_PATTERNS[1])
+        database = Database.from_tree(small_corpus)
+        database.set_query_cache(result_entries=0)
+        answers = {
+            method: database.query(
+                generated.query, n=self.N, costs=generated.costs, method=method,
+                collect="counters",
+            )
+            for method in ("direct", "schema")
+        }
+        assert answers["direct"].report.get("direct.trunk_unwitnessed") > 0
+        assert answers["schema"].report.get("schema.trunk_unwitnessed") > 0
+        assert len(answers["direct"]) == self.N
+        pairs = {method: [(r.root, r.cost) for r in rows] for method, rows in answers.items()}
+        assert pairs["direct"] == pairs["schema"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_query_rooted_at_the_super_root_equals_naive(self, seed):
+        from unittest.mock import patch
+
+        from repro.approxql.ast import NameSelector
+        from repro.engine import primary
+        from repro.xmltree.model import ROOT_LABEL
+
+        from .strategies import generated_case
+
+        case = generated_case(1700 + seed)
+        for generated in case.queries:
+            query = NameSelector(ROOT_LABEL, generated.query)
+            naive = {
+                pair.root: pair.cost
+                for pair in evaluate_naive(query, case.tree, generated.costs)
+            }
+            # a single root candidate is bisected; walk up from every
+            # witness as a long root posting would
+            for depth in (primary._WALK_DEPTH, 0):
+                with patch.object(primary, "_WALK_DEPTH", depth):
+                    direct = DirectEvaluator(case.tree).evaluate(query, generated.costs)
+                assert {r.root: r.cost for r in direct} == naive, case.describe()
 
 
 class TestDeadConjunctions:

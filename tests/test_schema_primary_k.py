@@ -11,7 +11,7 @@ from repro.schema.dataguide import build_schema
 from repro.schema.indexes import MemorySecondaryIndex, SchemaNodeIndexes
 from repro.schema.primary_k import PrimaryKEvaluator
 from repro.schema.secondary import SecondaryExecutor
-from repro.schema.topk_ops import sort_roots
+from repro.schema.topk_ops import fetch_k, outerjoin_k, sort_roots
 from repro.xmltree.builder import tree_from_xml
 from repro.xmltree.model import NodeType
 
@@ -84,11 +84,16 @@ class TestSkeletonGeneration:
         costs = CostModel().set_delete_cost("piano", NodeType.TEXT, 2)
         schema.encode_costs(costs.insert_cost, fingerprint=costs.insert_fingerprint)
         expanded = build_expanded(parse_query('cd[title["piano"]]'), costs)
+        # a title with "piano" deleted is an all-deleted skeleton...
+        titles = fetch_k(indexes, "title", NodeType.STRUCT, False)
+        pianos = fetch_k(indexes, "piano", NodeType.TEXT, True)
+        below = outerjoin_k(titles, pianos, 0.0, 2.0, 5)
+        assert any(not entry.has_leaf for entry in below)
+        # ...which no root reaches: cd and title hold every query leaf
+        # (trunk selectors), so their lists keep the valid runs only
         raw = PrimaryKEvaluator(indexes).evaluate(expanded).top(5)
-        # the raw list contains the all-deleted skeletons...
-        assert any(not entry.has_leaf for entry in raw)
-        # ...but sort_roots filters them
-        assert all(entry.has_leaf for entry in sort_roots(5, raw))
+        assert raw and all(entry.has_leaf for entry in raw)
+        assert sorted(sort_roots(5, raw), key=lambda entry: entry.pre) == list(raw)
 
     def test_exact_for_large_k(self, setup):
         """Read to a depth beyond every run, the root list is the whole
