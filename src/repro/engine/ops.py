@@ -221,16 +221,6 @@ class PostingAlgebra:
     def __init__(self, indexes: NodeIndexes) -> None:
         self.indexes = indexes
 
-    @property
-    def parents(self):
-        """The parent column of the indexed tree (-1 above the super-root)."""
-        return self.indexes.tree.parents
-
-    @property
-    def labels(self):
-        """The label column of the indexed tree."""
-        return self.indexes.tree.labels
-
     def fetch(self, label: str, node_type: NodeType, as_leaf: bool) -> EvalColumns:
         """:func:`fetch` over this algebra's indexes."""
         return fetch(self.indexes, label, node_type, as_leaf)

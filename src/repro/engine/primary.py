@@ -6,10 +6,9 @@ Direct evaluation (Section 6.5) and the top-k ``primary`` over the schema
 :class:`PrimaryEvaluator`) and schema class segments built on demand
 (:class:`~repro.schema.topk_ops.SegmentAlgebra`, behind
 :class:`~repro.schema.primary_k.PrimaryKEvaluator`).  An algebra supplies
-``fetch``, ``join``, ``outerjoin``, ``intersect``, ``merge_shifted`` and
-``valid``, the ``parents`` and ``labels`` columns of the tree its
-postings index, those ``indexes`` (for ``posting_size``) and
-``counters``, the telemetry name of each counter of the recursion.
+``fetch``, ``join``, ``outerjoin``, ``intersect``, ``merge_shifted``,
+``valid`` and ``counters``, the telemetry name of each counter of the
+recursion.
 
 :meth:`PrimaryRecursion._matches` is what a selector matches — label and
 renamings merged, child content embedded — and
@@ -44,19 +43,18 @@ root match:
   set to ``leafcost`` (over schema segments, the valid runs).  No ``and``
   has a trunk operand (each operand holds a leaf), so nothing reads a
   trunk row's unconditional cost, and the root list is exactly the valid
-  roots.  Witnessed candidates are found from the smaller side: with
-  fewer witnesses than trunk candidates, the witnesses' ancestors are
-  found once per query by walking parent pointers up; otherwise each
-  candidate is bisected into the sorted witnesses.
+  roots.  A candidate is witnessed when the first witness after it,
+  found by bisecting into the query's sorted witnesses, lies in its
+  subtree.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import partial
-from itertools import chain, compress, count, islice
-from operator import le
+from itertools import chain, compress, count, islice, repeat
+from operator import le, sub
 
 from ..approxql.expanded import ExpandedNode, ExpandedQuery, RepType
 from ..errors import EvaluationError
@@ -70,9 +68,6 @@ from .ops import PostingAlgebra
 #: a posting at most this many times longer than a scope's interval list
 #: is restricted through the scope's mask, a longer one per interval
 _MASK_RATIO = 8
-#: the ancestors the walk up from one witness is charged — about the
-#: depth of a document (on the Figure 7 pool a witness adds 0.6–8 new ones)
-_WALK_DEPTH = 8
 
 
 class _Scope:
@@ -113,19 +108,24 @@ class _Scope:
             find = partial(bisect_right, pre)
             keep = list(chain.from_iterable(map(range, map(find, starts), map(find, ends))))
         else:
-            # rows past the last interval would index beyond the mask
-            high = bisect_right(pre, ends[-1])
-            keep = list(compress(range(high), map(self._marks().__getitem__, islice(pre, high))))
+            # the mask spans the intervals only: rows outside that span are
+            # out, and a row inside reads the byte of its offset in it
+            first = starts[0]
+            low, high = bisect_right(pre, first), bisect_right(pre, ends[-1])
+            offsets = map(sub, islice(pre, low, high), repeat(first + 1))
+            keep = list(compress(range(low, high), map(self._marks().__getitem__, offsets)))
         return fetched if len(keep) == len(pre) else fetched.take(keep)
 
     def _marks(self) -> bytearray:
-        """One byte per preorder number up to the last interval's end, set
-        inside an interval; filled on first use by slice assignment."""
+        """One byte per preorder number from the first interval's start
+        (exclusive) to the last one's end, set inside an interval; filled
+        on first use by slice assignment."""
         mask = self._mask
         if mask is None:
-            mask = self._mask = bytearray(self.ends[-1] + 1)
+            first = self.starts[0]
+            mask = self._mask = bytearray(self.ends[-1] - first)
             for start, end in zip(self.starts, self.ends):
-                mask[start + 1 : end + 1] = b"\x01" * (end - start)
+                mask[start - first : end - first] = b"\x01" * (end - start)
         return mask
 
 
@@ -133,23 +133,29 @@ def _trunk(expanded: ExpandedQuery) -> frozenset:
     """The uids of the ``node`` selectors whose subtree holds every query
     leaf."""
     below: dict[int, frozenset] = {}
-    selectors = []
+    every = _leaves_below(expanded.root, below)
+    return frozenset(
+        node.uid
+        for node in expanded.iter_unique_nodes()
+        if node.reptype == RepType.NODE and below[node.uid] == every
+    )
 
-    def leaves(node: ExpandedNode) -> frozenset:
-        found = below.get(node.uid)
-        if found is None:
-            if node.reptype == RepType.LEAF:
-                found = frozenset((node.uid,))
-            elif node.reptype == RepType.NODE:
-                found = leaves(node.child)
-                selectors.append(node.uid)
-            else:
-                found = leaves(node.left) | leaves(node.right)
-            below[node.uid] = found
-        return found
 
-    every = leaves(expanded.root)
-    return frozenset(uid for uid in selectors if below[uid] == every)
+def _leaves_below(node: ExpandedNode, below: dict) -> frozenset:
+    """The uids of the query leaves in ``node``'s subtree, memoized in
+    ``below`` by node uid (the expanded query is a DAG).  A module-level
+    function: a closure calling itself would be a reference cycle, left
+    for the cyclic collector after every query."""
+    found = below.get(node.uid)
+    if found is None:
+        if node.reptype == RepType.LEAF:
+            found = frozenset((node.uid,))
+        elif node.reptype == RepType.NODE:
+            found = _leaves_below(node.child, below)
+        else:
+            found = _leaves_below(node.left, below) | _leaves_below(node.right, below)
+        below[node.uid] = found
+    return found
 
 
 class PrimaryRecursion:
@@ -171,10 +177,8 @@ class PrimaryRecursion:
         self._expanded: "ExpandedQuery | None" = None
         self._fetched: dict[tuple[str, NodeType, bool], object] = {}
         self._trunk: frozenset = frozenset()
-        # the witnesses, set up at the first trunk cut of a call: the
-        # ancestors of every witness per trunk label (walked up), or the
-        # sorted ``pre`` of every witness (bisected into)
-        self._ancestors: "dict[str, list[int]] | None" = None
+        # the sorted ``pre`` of every witness, set up at the first trunk
+        # cut of a call
         self._witnesses: "list[int] | None" = None
         self._scopes = 0
         # The lists of the call: (selector uid, scope uid) for what a
@@ -191,7 +195,7 @@ class PrimaryRecursion:
         self._expanded = expanded
         self._fetched = {}
         self._trunk = _trunk(expanded)
-        self._ancestors = self._witnesses = None
+        self._witnesses = None
         self._lists = {}
         self.fetch_count = self.postings_fetched = self.fetch_cache_hits = 0
         self.postings_scoped_out = self.roots_unwitnessed = self.trunk_unwitnessed = 0
@@ -291,7 +295,7 @@ class PrimaryRecursion:
                 self.postings_scoped_out += size - len(fetched)
             if fetched and trunk:
                 size = len(fetched)
-                fetched = self._witnessed(label, fetched)
+                fetched = self._witnessed(fetched)
                 if scope is None:
                     self.roots_unwitnessed += size - len(fetched)
                 else:
@@ -300,60 +304,27 @@ class PrimaryRecursion:
                 candidates.append((label, fetched, cost))
         return candidates
 
-    def _witnessed(self, label: str, fetched):
+    def _witnessed(self, fetched):
         """The entries of a trunk selector's fetched list that have a
-        witness in their subtree ``(pre, bound]``: those among the
-        witnesses' ancestors carrying ``label``, or each located by
-        ``bisect`` in the witnesses."""
-        if self._ancestors is None and self._witnesses is None:
-            self._find_witnesses()
-        pre = fetched.pre
-        if self._ancestors is not None:
-            keep = _common_rows(pre, self._ancestors.get(label, ()))
-        else:
-            # the first witness after each candidate, inside its subtree?
-            witnesses = self._witnesses
-            following = map(witnesses.__getitem__, map(partial(bisect_right, witnesses), pre))
-            keep = list(compress(count(), map(le, following, fetched.bound)))
-        return fetched if len(keep) == len(pre) else fetched.take(keep)
-
-    def _find_witnesses(self) -> None:
-        """Set up the witnesses of the call from the smaller side: the
-        ancestors of every witness per trunk label, walked up from the
-        witnesses when that walk is shorter than bisecting the root's
-        candidates (the bulk of the trunk's: the others lie in the root's
-        witnessed scope), and the sorted witnesses otherwise."""
-        selectors = list(self._expanded.iter_unique_nodes())
-        witnesses = [
-            self._fetch(label, node.node_type, True).pre
-            for node in selectors
-            if node.reptype == RepType.LEAF
-            for label in _labels(node)
-        ]
-        root = self._expanded.root
-        # sized, not fetched: the root's own fetches come one by one
-        posting_size = self._algebra.indexes.posting_size
-        candidates = sum(posting_size(label, root.node_type) for label in _labels(root))
-        if sum(map(len, witnesses)) * _WALK_DEPTH >= candidates:
+        witness in their subtree ``(pre, bound]``."""
+        witnesses = self._witnesses
+        if witnesses is None:
             # past the last witness, a sentinel that lies in no subtree
-            self._witnesses = [*sorted(chain.from_iterable(witnesses)), INFINITE]
-            return
-        labels = {label for node in selectors if node.uid in self._trunk for label in _labels(node)}
-        parents, tree_labels = self._algebra.parents, self._algebra.labels
-        seen: set[int] = set()
-        ancestors: dict[str, list[int]] = {}
-        for pre in chain.from_iterable(witnesses):
-            # up to the super-root, whose parent is -1
-            pre = parents[pre]
-            while pre >= 0 and pre not in seen:
-                seen.add(pre)
-                label = tree_labels[pre]
-                if label in labels:
-                    ancestors.setdefault(label, []).append(pre)
-                pre = parents[pre]
-        for pres in ancestors.values():
-            pres.sort()
-        self._ancestors = ancestors
+            witnesses = self._witnesses = [
+                *sorted(
+                    chain.from_iterable(
+                        self._fetch(label, node.node_type, True).pre
+                        for node in self._expanded.iter_unique_nodes()
+                        if node.reptype == RepType.LEAF
+                        for label in (node.label, *(target for target, _ in node.renamings))
+                    )
+                ),
+                INFINITE,
+            ]
+        # the first witness after each candidate, inside its subtree?
+        following = map(witnesses.__getitem__, map(partial(bisect_right, witnesses), fetched.pre))
+        keep = list(compress(count(), map(le, following, fetched.bound)))
+        return fetched if len(keep) == len(fetched) else fetched.take(keep)
 
     def _fetch(self, label: str, node_type: NodeType, as_leaf: bool):
         key = (label, node_type, as_leaf)
@@ -367,22 +338,6 @@ class PrimaryRecursion:
         return fetched
 
 
-def _labels(node: ExpandedNode) -> list[str]:
-    """A selector's label and its renamings' targets."""
-    return [node.label, *(target for target, _ in node.renamings)]
-
-
-def _common_rows(pre, wanted) -> list[int]:
-    """The rows of the sorted ``pre`` whose value is in the sorted
-    ``wanted``: the shorter ``wanted`` bisected into ``pre``, or ``pre``
-    looked up in the longer one."""
-    if len(wanted) < len(pre):
-        size = len(pre)
-        rows = map(partial(bisect_left, pre), wanted)
-        return [row for row, value in zip(rows, wanted) if row < size and pre[row] == value]
-    return list(compress(count(), map(set(wanted).__contains__, pre)))
-
-
 class PrimaryEvaluator(PrimaryRecursion):
     """Evaluates expanded queries against the ``I_struct``/``I_text``
     indexes of a data tree: the recursion over data postings, whose
@@ -392,10 +347,11 @@ class PrimaryEvaluator(PrimaryRecursion):
         super().__init__(PostingAlgebra(indexes))
 
     def evaluate(self, expanded: ExpandedQuery) -> EvalColumns:
-        """Return the list of root matches of all approximate embeddings;
-        entry costs are the embedding costs of the best embedding per
-        root (``embcost`` unconditional, ``leafcost`` with the global
-        at-least-one-leaf rule enforced)."""
+        """Return the list of root matches with a valid embedding (the
+        global at-least-one-leaf rule enforced): one entry per such root,
+        on one track — ``embcost`` equals ``leafcost``, the cost of the
+        root's best valid embedding (a ``node`` root is a trunk selector,
+        see the module docstring; a leaf root's matches are all valid)."""
         return self._evaluate(expanded)
 
 

@@ -35,7 +35,7 @@ class SchemaNodeIndexes:
     """
 
     def __init__(self, schema: Schema) -> None:
-        self.schema = schema
+        self._schema = schema
         self._struct: dict[str, list[int]] = {}
         self._text: dict[str, list[int]] = {}
         self._derived: dict = {}
@@ -61,7 +61,7 @@ class SchemaNodeIndexes:
             telemetry.count("index.schema_postings", len(nodes) if nodes else 0)
         if not nodes:
             return []
-        schema = self.schema
+        schema = self._schema
         return [
             (node, schema.bounds[node], schema.pathcosts[node], schema.inscosts[node])
             for node in nodes
@@ -76,7 +76,7 @@ class SchemaNodeIndexes:
         caching-disabled behavior of a ``None`` fingerprint).  Cached
         values are shared objects: callers must treat them as immutable.
         """
-        fingerprint = self.schema.insert_cost_fingerprint
+        fingerprint = self._schema.insert_cost_fingerprint
         key = (label, node_type, variant)
         cached = self._derived.get(key)
         if cached is not None and fingerprint is not None and cached[0] == fingerprint:

@@ -467,16 +467,6 @@ class SegmentAlgebra:
         self.indexes = indexes
         self.live = live
 
-    @property
-    def parents(self) -> list[int]:
-        """The parent column of the schema tree (-1 above its root)."""
-        return self.indexes.schema.parents
-
-    @property
-    def labels(self) -> list[str]:
-        """The label column of the schema tree."""
-        return self.indexes.schema.labels
-
     def fetch(self, label: str, node_type: NodeType, as_leaf: bool) -> TopKList:
         """:func:`fetch_k` over this algebra's indexes."""
         return fetch_k(self.indexes, label, node_type, as_leaf)

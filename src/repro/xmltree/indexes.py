@@ -28,9 +28,6 @@ _NO_PRES = array("q")
 class NodeIndexes:
     """Interface of the ``I_struct`` / ``I_text`` pair."""
 
-    #: the data tree whose nodes the postings hold
-    tree: DataTree
-
     def fetch(self, label: str, node_type: NodeType) -> list[NodePosting]:
         """Posting of ``label`` in the index for ``node_type``; empty if
         the label never occurs."""
@@ -85,7 +82,7 @@ class MemoryNodeIndexes(NodeIndexes):
         documents: "tuple[int, ...] | None" = None,
         labels: "frozenset[str] | None" = None,
     ) -> None:
-        self.tree = tree
+        self._tree = tree
         #: per node type: label -> ascending pres, one flat buffer each
         self._by_type: tuple[dict[str, array], dict[str, array]] = ({}, {})
         self._derived: dict = {}
@@ -123,7 +120,7 @@ class MemoryNodeIndexes(NodeIndexes):
             telemetry.count("index.data_postings", len(pres) if pres else 0)
         if not pres:
             return []
-        tree = self.tree
+        tree = self._tree
         bounds = tree.bounds
         pathcosts = tree.pathcosts
         inscosts = tree.inscosts
@@ -140,7 +137,7 @@ class MemoryNodeIndexes(NodeIndexes):
         A ``None`` fingerprint means costs were never encoded (or were
         encoded unfingerprinted) and disables caching.
         """
-        fingerprint = self.tree.insert_cost_fingerprint
+        fingerprint = self._tree.insert_cost_fingerprint
         key = (label, node_type, variant)
         cached = self._derived.get(key)
         if cached is not None and fingerprint is not None and cached[0] == fingerprint:
@@ -183,7 +180,7 @@ class MemoryNodeIndexes(NodeIndexes):
         keeps every list pre-sorted (grafted pres are the highest).
         """
         new = cls.__new__(cls)
-        new.tree = tree
+        new._tree = tree
         new._derived = {}
         tables = new._by_type = (dict(old._by_type[0]), dict(old._by_type[1]))
         if removed is not None:

@@ -32,8 +32,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.approxql.expanded import RepType, build_expanded
-from repro.engine.entries import INFINITE
 from repro.engine import primary
+from repro.engine.entries import INFINITE
 from repro.engine.primary import PrimaryEvaluator
 from repro.storage.postings import PostingColumns
 from repro.xmltree.indexes import MemoryNodeIndexes
@@ -101,9 +101,6 @@ def test_scoped_root_list_equals_unscoped_reference(seed):
     expected = rows(reference_primary(memory, expanded))
     fresh = PrimaryEvaluator(memory).evaluate(expanded).rows()
     assert fresh == one_track(expected), expanded.format()
-    # the trunk cut's other side: every witness walked up to the root
-    with patch.object(primary, "_WALK_DEPTH", 0):
-        assert PrimaryEvaluator(memory).evaluate(expanded).rows() == fresh
 
     columnar = ColumnarIndexes(tree)
     assert isinstance(columnar.fetch(tree.label(tree.document_roots()[0]), NodeType.STRUCT).pre, array)
@@ -128,3 +125,48 @@ def test_scoping_and_sharing_are_exercised():
     assert unwitnessed > 0
     assert trunk_unwitnessed > 0
     assert reused > 0
+
+
+class _Rows:
+    """A fetched list reduced to what a scope reads: ``pre``, ``bound``
+    and ``take``."""
+
+    def __init__(self, pre, bound=None) -> None:
+        self.pre = pre
+        self.bound = bound if bound is not None else pre
+
+    def __len__(self) -> int:
+        return len(self.pre)
+
+    def take(self, rows):
+        return _Rows([self.pre[row] for row in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.integers(-3, 1), max_size=80),
+    chosen=st.sets(st.integers(0, 80), max_size=8),
+    posting=st.sets(st.integers(0, 80)),
+)
+def test_a_scope_keeps_the_rows_below_a_candidate(steps, chosen, posting):
+    """Read through its mask or bisected per interval, a scope keeps
+    exactly the rows inside some candidate's ``(pre, bound]``; the tree is
+    a preorder of depths, each node one deeper than the last or back up."""
+    depths = [0]
+    for step in steps:
+        depths.append(max(1, depths[-1] + step))
+    size = len(depths)
+    bounds = []
+    for node, depth in enumerate(depths):
+        end = node
+        while end + 1 < size and depths[end + 1] > depth:
+            end += 1
+        bounds.append(end)
+    nodes = sorted(node for node in chosen if node < size)
+    candidates = _Rows(nodes, [bounds[node] for node in nodes])
+    pre = sorted(node for node in posting if node < size)
+    expected = [p for p in pre if any(node < p <= bounds[node] for node in nodes)]
+    for ratio in (0, 10**9):  # per interval, through the mask
+        with patch.object(primary, "_MASK_RATIO", ratio):
+            scope = primary._Scope(1, [candidates], None)
+            assert list(scope.restrict(_Rows(pre)).pre) == expected

@@ -2,12 +2,10 @@
 
 import random
 from itertools import islice
-from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import primary
 from repro.schema.entries import SchemaEntry
 from repro.schema.topk_ops import (
     fetch_k,
@@ -418,10 +416,6 @@ class TestScopingAndResumption:
             fresh = PrimaryKEvaluator(indexes).evaluate(expanded).top(k)
             expected = {key: run[:k] for key, run in whole.items() if key[1]}
             assert runs(fresh) == expected == runs(grown.top(k))
-        # the trunk cut's other side: every witness walked up to the root
-        with patch.object(primary, "_WALK_DEPTH", 0):
-            walked = PrimaryKEvaluator(indexes).evaluate(expanded).top(64)
-        assert runs(walked) == runs(grown.top(64))
 
     def test_scoping_and_witnessing_are_exercised(self):
         """The generator reaches what the property above is for: classes

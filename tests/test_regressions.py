@@ -182,22 +182,23 @@ class TestDirectRenamingBlowUp:
     with half of every renaming list cut off must cost about half.  The
     exact statement: one merge step per renaming of every selector, each
     selector's match list built once (a rebuilt-per-list recursion merges
-    a selector's renamings once per list that reaches it).  The lists
-    built are no longer a count to bound: the trunk cut drops a larger
-    share of them at r=5 than at r=10."""
+    a selector's renamings once per list that reaches it); so each
+    selector opens one scope, and under it builds at most one list per
+    label of the selector and query node it reaches.  The ratio of lists
+    built at r=10 to r=5 is no bound: the trunk cut drops a larger share
+    of them at r=5 (9 of at most 54) than at r=10 (70 of at most 94)."""
 
     QUERY_SEED = 7 + 1000 * 1 + 10
 
     @staticmethod
-    def _work(indexes, expanded) -> dict:
+    def _assert_linear_work(indexes, expanded) -> None:
         from repro.approxql.expanded import RepType
         from repro.engine.primary import PrimaryEvaluator
         from repro.telemetry.collector import Telemetry, collecting
 
         telemetry = Telemetry()
-        evaluator = PrimaryEvaluator(indexes)
         with collecting(telemetry):
-            evaluator.evaluate(expanded)
+            PrimaryEvaluator(indexes).evaluate(expanded)
         renamings = sum(
             len(node.renamings)
             for node in expanded.iter_unique_nodes()
@@ -205,7 +206,19 @@ class TestDirectRenamingBlowUp:
         )
         # every selector of this path query is reached
         assert telemetry.counters["direct.merge_steps"] == renamings
-        return {"direct.merge_steps": evaluator.merge_ops}
+        lists = 0
+        for selector in expanded.iter_unique_nodes():
+            if selector.reptype != RepType.NODE:
+                continue
+            reached, below = set(), [selector.child]
+            while below:
+                node = below.pop()
+                if node.uid not in reached:
+                    reached.add(node.uid)
+                    if node.reptype in (RepType.AND, RepType.OR):
+                        below += [node.left, node.right]
+            lists += (1 + len(selector.renamings)) * len(reached)
+        assert 0 < telemetry.counters["direct.lists_materialized"] <= lists
 
     def test_work_is_linear_in_renamings(self, small_corpus):
         from repro.approxql.expanded import build_expanded
@@ -225,13 +238,8 @@ class TestDirectRenamingBlowUp:
             node.renamings = node.renamings[:5]
         assert at_r10.max_renamings() == 10 and at_r5.max_renamings() == 5
 
-        work_r5 = self._work(indexes, at_r5)
-        work_r10 = self._work(indexes, at_r10)
-        for counter, at_five in work_r5.items():
-            # (10+1)/(5+1) = 1.8 when linear (measured: 1.95); the
-            # rebuilt-per-list recursion measured 3.2 on this query and
-            # grows with its depth
-            assert 0 < at_five and work_r10[counter] <= 2.5 * at_five, (counter, work_r5, work_r10)
+        for expanded in (at_r5, at_r10):
+            self._assert_linear_work(indexes, expanded)
 
 
 class TestRootWitnessing:
@@ -277,10 +285,9 @@ class TestTrunkWitnessing:
     scope, the pinned p1 r10 query's second selector has 1 895 candidates
     and 41 of them have a leaf match below.  Every selector of a path
     query holds its leaf (a *trunk* selector), so every one is cut, and
-    its list keeps the valid rows only.  The witnesses' ancestors are
-    walked up from the witnesses when that is shorter than bisecting the
-    root's candidates, and the walk has to reach the super-root: a query
-    rooted at ``#root`` has it as its only root candidate."""
+    its list keeps the valid rows only.  The cut has to hold at the
+    super-root too: a query rooted at ``#root`` has it as its only root
+    candidate."""
 
     QUERY_SEED = TestDirectRenamingBlowUp.QUERY_SEED
     N = 10
@@ -312,10 +319,7 @@ class TestTrunkWitnessing:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_a_query_rooted_at_the_super_root_equals_naive(self, seed):
-        from unittest.mock import patch
-
         from repro.approxql.ast import NameSelector
-        from repro.engine import primary
         from repro.xmltree.model import ROOT_LABEL
 
         from .strategies import generated_case
@@ -327,12 +331,8 @@ class TestTrunkWitnessing:
                 pair.root: pair.cost
                 for pair in evaluate_naive(query, case.tree, generated.costs)
             }
-            # a single root candidate is bisected; walk up from every
-            # witness as a long root posting would
-            for depth in (primary._WALK_DEPTH, 0):
-                with patch.object(primary, "_WALK_DEPTH", depth):
-                    direct = DirectEvaluator(case.tree).evaluate(query, generated.costs)
-                assert {r.root: r.cost for r in direct} == naive, case.describe()
+            direct = DirectEvaluator(case.tree).evaluate(query, generated.costs)
+            assert {r.root: r.cost for r in direct} == naive, case.describe()
 
 
 class TestDeadConjunctions:
