@@ -48,6 +48,7 @@ from operator import itemgetter
 
 from ..approxql.ast import NameSelector
 from ..approxql.costs import CostModel
+from ..approxql.expanded import ExpandedQuery
 from ..engine.evaluator import DirectEvaluator
 from ..errors import EvaluationError
 from ..planner.stats import CollectionStats
@@ -198,6 +199,19 @@ class _EngineState:
         self.ensure_stats()
 
 
+def _holds_a_leaf(indexes: NodeIndexes, expanded: ExpandedQuery) -> bool:
+    """Whether ``indexes`` post a node some leaf selector of ``expanded``
+    matches: one carrying its label or a renaming target, of its node
+    type."""
+    leaves = expanded.leaf_uids
+    return any(
+        indexes.posting_size(label, node.node_type)
+        for node in expanded.iter_unique_nodes()
+        if node.uid in leaves
+        for label in (node.label, *(target for target, _ in node.renamings))
+    )
+
+
 class _PinnedView:
     """One engine state as the query pipeline's
     :class:`~repro.core.pipeline.Executor` — the ``(_EngineState,
@@ -241,26 +255,29 @@ class _PinnedView:
         )
         return Execution([(result.root, result.cost) for result in raw])
 
+    def repair_methods(self, entry: CachedResult) -> tuple[str, ...]:
+        """The methods under whose share (``_REPAIR_DELTA_SHARE``) of
+        the nodes before ``entry.repair_from`` the documents grafted
+        since stay: past it the direct pass over them costs more than
+        that method's cold run."""
+        start = entry.repair_from
+        written = self.state.node_count - start
+        return tuple(
+            method for method, share in _REPAIR_DELTA_SHARE.items() if written < share * start
+        )
+
     def repair(
-        self,
-        compiled: CompiledQuery,
-        chosen: str,
-        entry: CachedResult,
-        max_cost: "float | None",
-    ) -> "list | None":
+        self, compiled: CompiledQuery, entry: CachedResult, max_cost: "float | None"
+    ) -> list:
         """The pairs of ``entry`` at this view's state: every embedding
         lies inside its result node's subtree, so the answer is the
         cost-ordered merge of the live cached pairs with the direct
         answer over the documents grafted at or after
-        ``entry.repair_from``.  ``None`` asks for a cold run when those
-        documents are too large a share of the ones before them for the
-        direct pass to be cheaper (``_REPAIR_DELTA_SHARE``).  Liveness
-        comes from the pinned ``documents``, never from the shared
-        tree's tombstones, which a writer moves ahead of this view."""
+        ``entry.repair_from``.  Liveness comes from the pinned
+        ``documents``, never from the shared tree's tombstones, which a
+        writer moves ahead of this view."""
         state = self.state
         start = entry.repair_from
-        if state.node_count - start >= _REPAIR_DELTA_SHARE[chosen] * start:
-            return None
         tree, documents = state.tree, state.documents
         split = bisect_left(documents, start)
         old, bounds = documents[:split], tree.bounds
@@ -275,12 +292,15 @@ class _PinnedView:
         if split < len(documents):
             expanded = compiled.expanded()
             indexes = MemoryNodeIndexes(tree, documents[split:], expanded.labels())
-            fresh = [
-                (result.root, result.cost)
-                for result in DirectEvaluator(tree, indexes).evaluate(
-                    compiled.query, compiled.costs, max_cost=max_cost, expanded=expanded
-                )
-            ]
+            # an answer root needs a real leaf match in its own subtree:
+            # written documents without one add no answer
+            if _holds_a_leaf(indexes, expanded):
+                fresh = [
+                    (result.root, result.cost)
+                    for result in DirectEvaluator(tree, indexes).evaluate(
+                        compiled.query, compiled.costs, max_cost=max_cost, expanded=expanded
+                    )
+                ]
         # past the last cost of a prefix that is not complete the old
         # answer is unknown
         last = math.inf if entry.complete else entry.pairs[-1][1] if entry.pairs else -math.inf
@@ -938,7 +958,11 @@ class Database:
         results costlier than the bound.  ``method`` picks the algorithm:
         ``"direct"`` (Section 6), ``"schema"`` (Section 7), or ``"auto"``
         (the cost-based planner decides from collection statistics; see
-        :meth:`plan` and ``docs/PLANNER.md``).
+        :meth:`plan` and ``docs/PLANNER.md``).  Every method returns the
+        same results, so a read the result cache answers runs neither
+        algorithm nor the planner: its report names the requested
+        method, or under ``"auto"`` the method whose run stored the
+        cached rows.
 
         The query runs against the generation current at its start: a
         concurrent mutation neither blocks it nor leaks half-applied

@@ -1,4 +1,4 @@
-"""The one query pipeline: validate → compile → plan → cache → execute →
+"""The one query pipeline: validate → compile → cache → plan → execute →
 report.
 
 The paper defines one query semantics (the best-*n* root–cost pairs) and
@@ -15,17 +15,23 @@ Stages of :meth:`QueryPipeline.query`, in order:
    before any work;
 2. **compile** through the Tier-1 :class:`~repro.querycache.CompiledQueryCache`
    (parse, fingerprint, lazily expanded closure);
-3. **plan**: an explicit method is taken as given, ``"auto"`` asks the
-   :class:`~repro.planner.cost.Planner`, cached on the compiled query
-   per (generation, n, method);
-4. **cache**: one Tier-2 :class:`~repro.querycache.ResultCache` key per
+3. **cache**: one Tier-2 :class:`~repro.querycache.ResultCache` key per
    (query, costs, ``max_cost``) serves every method and ``n``, across writes:
    serve the prefix, repair one a write touched, or
-5. **execute** cold on the executor and store what came out;
+4. **plan** the read that evaluates: an explicit method is taken as
+   given, ``"auto"`` asks the :class:`~repro.planner.cost.Planner`,
+   cached on the compiled query per (generation, n, method).  Only a
+   miss and a repair whose written share lies between the methods'
+   repair thresholds plan: a hit, and a repair every method or none
+   would make, does not depend on the choice;
+5. **execute** cold on the executor and store what came out, with the
+   method that ran;
 6. **report**: one :class:`~repro.telemetry.report.QueryReport`
    assembler — the collected counters, child reports folded in,
-   ``querycache.compiled_*``, and the planner's predicted-vs-observed
-   family.
+   ``querycache.compiled_*``, and, on a read that planned, the planner's
+   predicted-vs-observed family.  A served ``"auto"`` read names the
+   method whose run stored the rows; an explicit method is named as
+   requested.
 
 :meth:`QueryPipeline.query_many` is the one batch path: compile every
 item, then serve them one after another on the calling thread, each from
@@ -59,6 +65,8 @@ from ..telemetry.report import QueryReport
 from .results import ResultSet
 
 METHODS = ("auto", "direct", "schema")
+#: the methods that evaluate (every one but ``"auto"``)
+EVALUATORS = METHODS[1:]
 
 
 @dataclass(frozen=True)
@@ -141,17 +149,17 @@ class Executor(Protocol):
         mode child queries report in; the call itself already runs
         inside the query's collector."""
 
+    def repair_methods(self, entry: CachedResult) -> "tuple[str, ...]":
+        """The methods whose read repairs ``entry``, a prefix a write
+        marked for repair, instead of running cold — none for an
+        executor with no tree to repair on."""
+
     def repair(
-        self,
-        compiled: CompiledQuery,
-        chosen: str,
-        entry: CachedResult,
-        max_cost: "float | None",
-    ) -> "list | None":
-        """The rows of ``entry``, a prefix a write marked for repair,
-        brought up to this view's generation, or ``None`` when only a
-        cold run can — always ``None`` for an executor with no tree to
-        repair on."""
+        self, compiled: CompiledQuery, entry: CachedResult, max_cost: "float | None"
+    ) -> list:
+        """The rows of ``entry`` brought up to this view's generation;
+        called only for a read whose method :meth:`repair_methods`
+        names."""
 
     def materialize(self, rows: list) -> list:
         """Row tuples to the result objects callers see."""
@@ -242,8 +250,9 @@ class QueryPipeline:
     ) -> "tuple[str, str, PlanEstimates | None]":
         """The method decision for one compiled query.  An explicit
         method skips estimation unless ``want_estimates``; a planner
-        decision is cached on the compiled query, so re-planning a hot
-        query is a dict hit."""
+        decision is cached on the compiled query per (generation, n,
+        method), so it is reused only until the next write.  A read the
+        result cache answers never gets here (see :meth:`_answer`)."""
         if method != "auto" and not want_estimates:
             return method, f"explicitly requested method={method!r}", None
         memo_key = (generation, n, method)
@@ -318,13 +327,12 @@ class QueryPipeline:
         # read before evaluation, so a write landing mid-query stamps the
         # cached entry with the generation whose postings were read
         generation = view.generation()
-        chosen, _, estimates = self._choose(view, generation, compiled, method, n)
         telemetry = Telemetry(timed=collect == MODE_TIMINGS) if collect != MODE_OFF else None
         start = time.perf_counter()
         # with collection off an outer collector (a harness) keeps receiving
         with _telemetry.collecting(telemetry) if telemetry is not None else nullcontext():
-            results, execution = self._answer(
-                view, generation, compiled, chosen, n, max_cost, collect
+            results, execution, chosen, estimates = self._answer(
+                view, generation, compiled, method, n, max_cost, collect
             )
         report = QueryReport.from_telemetry(
             telemetry,
@@ -348,34 +356,53 @@ class QueryPipeline:
         return ResultSet(results, report)
 
     def _answer(
-        self, view, generation, compiled, chosen, n, max_cost, collect
-    ) -> "tuple[list, Execution | None]":
-        """Stages 4–5: the best-``n`` results from the cached prefix of
+        self, view, generation, compiled, method, n, max_cost, collect
+    ) -> "tuple[list, Execution | None, str, PlanEstimates | None]":
+        """Stages 3–5: the best-``n`` results from the cached prefix of
         this (query, costs, max_cost) at this generation (first repaired
         by the view when a write marked it), or from a cold run whose
-        rows are then cached; plus the :class:`Execution` that ran,
-        ``None`` when the cache served.  A disabled cache never hits and
-        never stores.
+        rows are then cached; plus the :class:`Execution` that ran
+        (``None`` when the cache served), the method the report names,
+        and the planner's estimates when this read planned.  A disabled
+        cache never hits and never stores.
 
         Every method's best-``n`` answer is the first ``n`` results of
         one order, (cost, root), so one key serves every method and every
         shorter ``n``; fewer than ``n`` rows mean the answer is exhausted
-        and serves any ``n``.
+        and serves any ``n``.  So only a read that evaluates needs a
+        method: ``"auto"`` plans on a miss, and on a repair only when the
+        view repairs under one method and runs the other cold.
         """
         key = (compiled.key, max_cost)
         cache = self.result_cache
         entry = cache.lookup(key, generation, n)
+        chosen = estimates = None
         if entry is not None and entry.repair_from is not None:
-            rows = view.repair(compiled, chosen, entry, max_cost)
-            entry = cache.settle_repair(
-                key, None if rows is None else replace(entry, pairs=rows, repair_from=None), n
-            )
+            repairing = view.repair_methods(entry)
+            if method != "auto":
+                repairs = method in repairing
+            elif len(repairing) in (0, len(EVALUATORS)):
+                # every method repairs, or none does: the plan is moot
+                repairs = bool(repairing)
+            else:
+                chosen, _, estimates = self._choose(view, generation, compiled, method, n)
+                repairs = chosen in repairing
+            repaired = None
+            if repairs:
+                repaired = replace(
+                    entry, pairs=view.repair(compiled, entry, max_cost), repair_from=None
+                )
+            entry = cache.settle_repair(key, repaired, n)
         execution = None
         if entry is not None and entry.serves(n):
             rows = entry.pairs
+            served = method if method != "auto" else entry.method
         else:
+            if chosen is None:
+                chosen, _, estimates = self._choose(view, generation, compiled, method, n)
             execution = view.execute(compiled, chosen, n, max_cost, collect)
             rows = execution.rows
+            served = chosen
             cache.store(
                 key,
                 CachedResult(
@@ -385,12 +412,13 @@ class QueryPipeline:
                     # merge: no shard was cut at its n + 1)
                     complete=n is None or len(rows) < n,
                     root_labels=compiled.root_labels() if cache.enabled else None,
+                    method=chosen,
                 ),
             )
         with _telemetry.timer("core.materialize"):
             results = view.materialize(rows if n is None else rows[:n])
         _telemetry.count("core.results_materialized", len(results))
-        return results, execution
+        return results, execution, served, estimates
 
     # ------------------------------------------------------------------
     # a batch

@@ -12,7 +12,8 @@ query string paired with a full cost-model fingerprint
 defensive copy of the cost model, the lazily built
 :class:`~repro.approxql.expanded.ExpandedQuery` closure, and a small
 per-generation memo of planner decisions.  Re-submitting a hot query
-skips parsing, closure expansion, and planner costing entirely.  The
+skips parsing and closure expansion, and planner costing until the next
+write (a read Tier 2 answers does not plan at all).  The
 cost-model copy matters: ``CostModel`` is mutable, and a caller mutating
 their model after a cache hit must not corrupt the entry keyed by the
 old fingerprint.
@@ -243,6 +244,8 @@ class CachedResult:
     hits them marks it for repair from ``repair_from``, the tree length
     before the first such write grafted anything (never when
     ``root_labels`` is ``None`` or holds the super-root's label).
+    ``method`` is the method of the run that stored the rows; a repair
+    keeps it.
     """
 
     generation: object
@@ -250,6 +253,7 @@ class CachedResult:
     complete: bool
     root_labels: "frozenset | None" = None
     repair_from: "int | None" = None
+    method: "str | None" = None
 
     def approximate_bytes(self) -> int:
         return _ENTRY_BASE_BYTES + _PAIR_BYTES * len(self.pairs)

@@ -58,7 +58,7 @@ class TopKList(list):
     views are cached on first use, and the evaluator shares lists freely.
     """
 
-    __slots__ = ("segments", "_pre", "_stream")
+    __slots__ = ("segments", "_pre", "_bound", "_stream")
 
     def __init__(self, entries=(), segments=None) -> None:
         super().__init__(entries)
@@ -66,6 +66,7 @@ class TopKList(list):
             segments = _scan_segments(self)
         self.segments: list[tuple[int, int, int, int]] = segments
         self._pre = None
+        self._bound = None
         self._stream = None
 
     @classmethod
@@ -115,7 +116,9 @@ class TopKList(list):
     @property
     def bound(self) -> list[int]:
         """The entries' subtree bounds, in list order."""
-        return [entry.bound for entry in self]
+        if self._bound is None:
+            self._bound = [entry.bound for entry in self]
+        return self._bound
 
     def take(self, rows: list[int]) -> "TopKList":
         """A new list holding the given entries, in the given order."""

@@ -893,11 +893,12 @@ class _ScatterGather:
         }
         return Execution(rows, reports=tuple(reports), counters=counters)
 
-    def repair(self, compiled, chosen, entry, max_cost) -> None:
-        """A merge level has no tree to repair on: a cold run.  (No
-        entry gets here — :meth:`ShardedDatabase._publish` drops the
-        merged entries a write touches instead of marking them.)"""
-        return None
+    def repair_methods(self, entry) -> tuple:
+        """A merge level has no tree to repair on: a cold run under
+        every method, so it needs no ``repair``.  (No entry gets here —
+        :meth:`ShardedDatabase._publish` drops the merged entries a
+        write touches instead of marking them.)"""
+        return ()
 
     def materialize(self, rows: list) -> "list[ShardResult]":
         return [self.result(row) for row in rows]
