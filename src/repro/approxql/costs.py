@@ -33,6 +33,24 @@ _TYPE_NAMES = {"struct": NodeType.STRUCT, "text": NodeType.TEXT}
 _NAMES_BY_TYPE = {NodeType.STRUCT: "struct", NodeType.TEXT: "text"}
 
 
+class _Fingerprint(tuple):
+    """A cost-model snapshot that keeps its own hash: the cache keys
+    built around it hash in O(1), however large the tables."""
+
+    def __new__(cls, items: Iterable) -> "_Fingerprint":
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # string hashes differ between processes: an unpickled copy
+        # hashes afresh
+        return (_Fingerprint, (tuple(self),))
+
+
 def _check_cost(cost: float, what: str) -> float:
     if not isinstance(cost, (int, float)) or isinstance(cost, bool):
         raise CostModelError(f"{what} must be a number, got {cost!r}")
@@ -50,13 +68,27 @@ class CostModel:
         model.set_insert_cost("category", 4)
         model.set_delete_cost("composer", NodeType.STRUCT, 7)
         model.add_renaming("cd", "dvd", NodeType.STRUCT, 6)
+
+    Only this class writes its three tables: every writer clears the
+    cached :attr:`fingerprint`, so a read recomputes it only after the
+    model changed.
     """
 
     def __init__(self, default_insert_cost: float = 1.0) -> None:
-        self.default_insert_cost = _check_cost(default_insert_cost, "default insert cost")
         self._insert: dict[str, float] = {}
         self._delete: dict[tuple[NodeType, str], float] = {}
         self._rename: dict[tuple[NodeType, str], list[tuple[str, float]]] = {}
+        self.default_insert_cost = default_insert_cost
+
+    @property
+    def default_insert_cost(self) -> float:
+        """The insert cost of every label without its own."""
+        return self._default_insert_cost
+
+    @default_insert_cost.setter
+    def default_insert_cost(self, cost: float) -> None:
+        self._default_insert_cost = _check_cost(cost, "default insert cost")
+        self._fingerprint = None
 
     # ------------------------------------------------------------------
     # registration
@@ -65,11 +97,13 @@ class CostModel:
     def set_insert_cost(self, label: str, cost: float) -> "CostModel":
         """Set the cost of inserting a struct node labeled ``label``."""
         self._insert[label] = _check_cost(cost, f"insert cost of {label!r}")
+        self._fingerprint = None
         return self
 
     def set_delete_cost(self, label: str, node_type: NodeType, cost: float) -> "CostModel":
         """Set the cost of deleting a query node with ``label``."""
         self._delete[(node_type, label)] = _check_cost(cost, f"delete cost of {label!r}")
+        self._fingerprint = None
         return self
 
     def add_renaming(
@@ -79,6 +113,7 @@ class CostModel:
         if from_label == to_label:
             raise CostModelError(f"renaming {from_label!r} to itself is meaningless")
         checked = _check_cost(cost, f"rename cost {from_label!r}->{to_label!r}")
+        self._fingerprint = None
         alternatives = self._rename.setdefault((node_type, from_label), [])
         for index, (existing, _) in enumerate(alternatives):
             if existing == to_label:
@@ -121,6 +156,8 @@ class CostModel:
         duplicate._delete.update(self._delete)
         for key, alternatives in self._rename.items():
             duplicate._rename[key] = list(alternatives)
+        # equal tables, equal snapshot
+        duplicate._fingerprint = self._fingerprint
         return duplicate
 
     @property
@@ -136,16 +173,20 @@ class CostModel:
         byte-identical expansions and results for every query, which is
         what the compiled-query cache keys on (``insert_fingerprint``
         alone is not enough: delete and rename costs change the expanded
-        query and therefore the answers)."""
-        return (
-            self.default_insert_cost,
-            tuple(sorted(self._insert.items())),
-            tuple(sorted(self._delete.items())),
-            tuple(
-                (key, tuple(sorted(alternatives)))
-                for key, alternatives in sorted(self._rename.items())
-            ),
-        )
+        query and therefore the answers).  Computed once per table
+        state, with its hash."""
+        fingerprint = self._fingerprint
+        if fingerprint is None:
+            fingerprint = self._fingerprint = _Fingerprint((
+                self.default_insert_cost,
+                tuple(sorted(self._insert.items())),
+                tuple(sorted(self._delete.items())),
+                tuple(
+                    (key, tuple(sorted(alternatives)))
+                    for key, alternatives in sorted(self._rename.items())
+                ),
+            ))
+        return fingerprint
 
     # ------------------------------------------------------------------
     # cost-file round trip (the per-query files of Section 8.1)

@@ -85,6 +85,9 @@ class ExpandedQuery:
         #: uids of the ``leaf`` representation nodes — the query leaves the
         #: global "at least one leaf must match" rule ranges over.
         self.leaf_uids = leaf_uids
+        # the label sets, each computed once: the DAG never changes
+        self._labels: "frozenset[str] | None" = None
+        self._leaf_labels: "frozenset[tuple[NodeType, str]] | None" = None
 
     def iter_unique_nodes(self) -> Iterator[ExpandedNode]:
         """Every DAG node exactly once (preorder, left before right)."""
@@ -100,15 +103,33 @@ class ExpandedQuery:
                 if successor is not None:
                     stack.append(successor)
 
-    def labels(self) -> frozenset:
+    def labels(self) -> "frozenset[str]":
         """Every label a direct evaluation fetches: each selector's own
         and its renaming targets."""
-        return frozenset(
-            label
-            for node in self.iter_unique_nodes()
-            if node.reptype in (RepType.NODE, RepType.LEAF)
-            for label in (node.label, *(target for target, _ in node.renamings))
-        )
+        labels = self._labels
+        if labels is None:
+            labels = self._labels = frozenset(
+                label
+                for node in self.iter_unique_nodes()
+                if node.reptype in (RepType.NODE, RepType.LEAF)
+                for label in (node.label, *(target for target, _ in node.renamings))
+            )
+        return labels
+
+    def leaf_labels(self) -> "frozenset[tuple[NodeType, str]]":
+        """The ``(node type, label)`` pairs a leaf selector matches: its
+        own label and its renaming targets, of its node type.  Every
+        answer's subtree holds a node carrying one of them (the global
+        "at least one leaf must match" rule)."""
+        leaf_labels = self._leaf_labels
+        if leaf_labels is None:
+            leaf_labels = self._leaf_labels = frozenset(
+                (node.node_type, label)
+                for node in self.iter_unique_nodes()
+                if node.uid in self.leaf_uids
+                for label in (node.label, *(target for target, _ in node.renamings))
+            )
+        return leaf_labels
 
     def max_renamings(self) -> int:
         """The *r* of the complexity bound: maximal renamings per selector."""

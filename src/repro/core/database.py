@@ -48,7 +48,6 @@ from operator import itemgetter
 
 from ..approxql.ast import NameSelector
 from ..approxql.costs import CostModel
-from ..approxql.expanded import ExpandedQuery
 from ..engine.evaluator import DirectEvaluator
 from ..errors import EvaluationError
 from ..planner.stats import CollectionStats
@@ -66,7 +65,7 @@ from ..telemetry.collector import MODE_OFF, MODE_TIMINGS, Telemetry
 from ..telemetry.report import QueryReport
 from ..xmltree.builder import BuildOptions, CollectionBuilder, tree_from_xml
 from ..xmltree.indexes import MemoryNodeIndexes, NodeIndexes
-from ..xmltree.model import ROOT_LABEL, DataTree, NodeType, compact_tree
+from ..xmltree.model import DataTree, compact_tree
 from .explain import Explanation, explain_skeleton
 from .memory import format_resident, resident_bytes
 from .mutation import MutationReport
@@ -199,19 +198,6 @@ class _EngineState:
         self.ensure_stats()
 
 
-def _holds_a_leaf(indexes: NodeIndexes, expanded: ExpandedQuery) -> bool:
-    """Whether ``indexes`` post a node some leaf selector of ``expanded``
-    matches: one carrying its label or a renaming target, of its node
-    type."""
-    leaves = expanded.leaf_uids
-    return any(
-        indexes.posting_size(label, node.node_type)
-        for node in expanded.iter_unique_nodes()
-        if node.uid in leaves
-        for label in (node.label, *(target for target, _ in node.renamings))
-    )
-
-
 class _PinnedView:
     """One engine state as the query pipeline's
     :class:`~repro.core.pipeline.Executor` — the ``(_EngineState,
@@ -292,15 +278,12 @@ class _PinnedView:
         if split < len(documents):
             expanded = compiled.expanded()
             indexes = MemoryNodeIndexes(tree, documents[split:], expanded.labels())
-            # an answer root needs a real leaf match in its own subtree:
-            # written documents without one add no answer
-            if _holds_a_leaf(indexes, expanded):
-                fresh = [
-                    (result.root, result.cost)
-                    for result in DirectEvaluator(tree, indexes).evaluate(
-                        compiled.query, compiled.costs, max_cost=max_cost, expanded=expanded
-                    )
-                ]
+            fresh = [
+                (result.root, result.cost)
+                for result in DirectEvaluator(tree, indexes).evaluate(
+                    compiled.query, compiled.costs, max_cost=max_cost, expanded=expanded
+                )
+            ]
         # past the last cost of a prefix that is not complete the old
         # answer is unknown
         last = math.inf if entry.complete else entry.pairs[-1][1] if entry.pairs else -math.inf
@@ -858,14 +841,16 @@ class Database:
                     if remove_root is not None
                     else None
                 )
-                # what the written documents hold, plus the super-root
-                # (the one node outside every document): a cached answer
-                # whose root labels avoid it is carried across the write
-                # as it is, one whose root labels it holds is repaired
-                # from ``start`` by its next read
-                touched = {ROOT_LABEL}
-                for span in (added or (), range(removed[0], removed[1] + 1) if removed else ()):
-                    touched.update(tree.labels[p] for p in span if tree.types[p] == NodeType.STRUCT)
+                # the (node type, label) pairs the written documents
+                # hold: a cached answer they hold no root or no leaf
+                # label of is carried across the write as it is, one
+                # they hold both of is repaired from ``start`` by its
+                # next read
+                touched: set = set()
+                for span in (added, range(removed[0], removed[1] + 1) if removed else None):
+                    if span:
+                        window = slice(span.start, span.stop)
+                        touched.update(zip(tree.types[window], tree.labels[window]))
                 # planner statistics move with the same deltas the index
                 # maintenance consumes; materialize() above guaranteed
                 # the superseded state's stats exist

@@ -33,8 +33,10 @@ class MutationReport:
     delete); ``removed_root`` the tombstoned root (``None`` for a pure
     insert).  ``generation`` is the database generation the mutation
     published — snapshots taken before it keep serving the previous one.
-    ``labels`` are the written documents' struct labels and ``#root``:
-    the result caches dropped the answers whose root labels meet them.
+    ``labels`` are the written documents' ``(node type, label)`` pairs,
+    struct and text: the result caches carried every cached answer
+    whose root labels or leaf labels they miss as it is, and marked the
+    others for repair (a sharded merge level drops them).
     ``keys_rewritten`` counts the store keys the mutation's commit frame
     wrote: the tree segment and the node count of an inserted document,
     the dead-roots list of a deleted one (0 for a memory database).

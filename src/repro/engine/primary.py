@@ -313,10 +313,8 @@ class PrimaryRecursion:
             witnesses = self._witnesses = [
                 *sorted(
                     chain.from_iterable(
-                        self._fetch(label, node.node_type, True).pre
-                        for node in self._expanded.iter_unique_nodes()
-                        if node.reptype == RepType.LEAF
-                        for label in (node.label, *(target for target, _ in node.renamings))
+                        self._fetch(label, node_type, True).pre
+                        for node_type, label in self._expanded.leaf_labels()
                     )
                 ),
                 INFINITE,

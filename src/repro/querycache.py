@@ -29,11 +29,14 @@ too short for a request is a miss, the request evaluates cold, and its
 longer answer replaces the entry.
 
 Invalidation is write-scoped: entries carry the generation they were
-computed under (a per-shard vector for ``ShardedDatabase``) and their
-root labels, and a document write re-stamps every entry
-(:meth:`ResultCache.carry`).  One whose root labels the written
-documents lack is still the answer and serves as it is.  One whose root
-labels they hold is *repaired*, not dropped: every embedding lies inside
+computed under (a per-shard vector for ``ShardedDatabase``), their root
+labels and their leaf labels, and a document write re-stamps every entry
+(:meth:`ResultCache.carry`).  A document holds or gains an answer only
+when it holds a node a root selector matches and a node a leaf selector
+matches (every answer needs a real leaf match in its own subtree).  So
+an entry whose root labels or whose leaf labels the written documents
+lack is still the answer and serves as it is.  One whose root and leaf
+labels they both hold is *repaired*, not dropped: every embedding lies inside
 its result node's subtree, so the answer is the cost-ordered merge of
 the per-document answers, and the written documents' share can be
 computed from them alone.  The write marks such an entry with
@@ -69,7 +72,7 @@ from .approxql.costs import CostModel
 from .approxql.expanded import ExpandedQuery, build_expanded
 from .approxql.parser import parse_query
 from .telemetry import collector as _telemetry
-from .xmltree.model import ROOT_LABEL
+from .xmltree.model import ROOT_LABEL, NodeType
 
 #: default Tier-1 capacity (distinct (query text, cost model) pairs)
 DEFAULT_COMPILED_ENTRIES = 256
@@ -145,6 +148,13 @@ class CompiledQuery:
         and its renaming targets."""
         root = self.expanded().root
         return frozenset([root.label, *(label for label, _ in root.renamings)])
+
+    def leaf_labels(self) -> frozenset:
+        """The ``(node type, label)`` pairs a node must carry for a
+        document to hold or gain an answer: the leaf selectors' labels
+        and their renaming targets
+        (:meth:`~repro.approxql.expanded.ExpandedQuery.leaf_labels`)."""
+        return self.expanded().leaf_labels()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledQuery({self.text!r}, expanded={self._expanded is not None})"
@@ -239,11 +249,13 @@ class CachedResult:
     method computed it — for a single database plain ``(root, cost)``
     tuples, for a sharded database ``(global_root, cost, shard,
     local_root)`` tuples.  ``complete`` marks a fully exhausted
-    evaluation (the prefix answers any ``n``).  A write that misses
-    every one of ``root_labels`` carries the entry as it is; one that
-    hits them marks it for repair from ``repair_from``, the tree length
-    before the first such write grafted anything (never when
-    ``root_labels`` is ``None`` or holds the super-root's label).
+    evaluation (the prefix answers any ``n``).  A write whose documents
+    hold none of the struct ``root_labels``, or none of the typed
+    ``leaf_labels`` (``(node type, label)`` pairs), carries the entry as
+    it is; one that holds both marks it for repair from
+    ``repair_from``, the tree length before the first such write grafted
+    anything (never when ``root_labels`` is ``None`` or holds the
+    super-root's label).
     ``method`` is the method of the run that stored the rows; a repair
     keeps it.
     """
@@ -252,6 +264,7 @@ class CachedResult:
     pairs: list
     complete: bool
     root_labels: "frozenset | None" = None
+    leaf_labels: "frozenset | None" = None
     repair_from: "int | None" = None
     method: "str | None" = None
 
@@ -347,14 +360,15 @@ class ResultCache:
             return None
 
     def carry(
-        self, old: object, new: object, touched: "set[str]", repair_from: "int | None" = None
+        self, old: object, new: object, touched: "frozenset | set", repair_from: "int | None" = None
     ) -> None:
         """Carry the entries stamped ``old`` across the write that
-        published ``new`` and touched the labels ``touched``.  Each is
-        replaced (readers may hold it) by a copy stamped ``new``: as it
-        is when its root labels avoid ``touched``, marked for repair from
+        published ``new`` and wrote documents holding the ``(node type,
+        label)`` pairs ``touched``.  Each is replaced (readers may hold
+        it) by a copy stamped ``new``: as it is when ``touched`` misses
+        its root labels or its leaf labels, marked for repair from
         ``repair_from`` (the tree length before the write grafted; an
-        entry already marked keeps its mark) when they do not.  An
+        entry already marked keeps its mark) when it holds both.  An
         entry that can match the super-root, and every touched entry
         when ``repair_from`` is ``None``, is dropped now."""
         carried = dropped = 0
@@ -363,15 +377,20 @@ class ResultCache:
                 if entry.generation != old:
                     continue
                 self._bytes -= entry.approximate_bytes()
-                labels = entry.root_labels
-                # ``touched`` always holds the super-root's label
-                if labels is not None and labels.isdisjoint(touched):
-                    moved = replace(entry, generation=new)
-                elif labels is not None and repair_from is not None and ROOT_LABEL not in labels:
-                    moved = replace(
-                        entry, generation=new, repair_from=entry.repair_from or repair_from
-                    )
-                else:
+                roots, leaves = entry.root_labels, entry.leaf_labels
+                moved = None
+                if roots is not None and leaves is not None and ROOT_LABEL not in roots:
+                    # a document holds or gains an answer only with a node
+                    # for a root selector and one for a leaf selector
+                    if leaves.isdisjoint(touched) or all(
+                        (NodeType.STRUCT, label) not in touched for label in roots
+                    ):
+                        moved = replace(entry, generation=new)
+                    elif repair_from is not None:
+                        moved = replace(
+                            entry, generation=new, repair_from=entry.repair_from or repair_from
+                        )
+                if moved is None:
                     del self._entries[key]
                     dropped += 1
                     continue

@@ -748,7 +748,9 @@ class ShardedDatabase:
         tables and, for an opened directory, rewrite the manifest (the
         shard's log frame committed first; see the manifest module on
         the crash window between the two), and carry the merged answers
-        ``touched`` misses (their global roots never renumber)."""
+        whose root or leaf labels the written documents' ``(node type,
+        label)`` pairs ``touched`` miss (their global roots never
+        renumber); the others are dropped."""
         self._generation += 1
         self._rebuild_maps()
         if self._directory is not None:

@@ -155,12 +155,7 @@ def apply_definition4(conjunct: ConjNode, costs: CostModel) -> CostModel:
     walk(conjunct)
     if not blocked:
         return costs
-    adjusted = CostModel(default_insert_cost=costs.default_insert_cost)
-    # copy the three tables wholesale, then block the identified leaves
-    adjusted._insert.update(costs._insert)
-    adjusted._delete.update(costs._delete)
-    for key, value in costs._rename.items():
-        adjusted._rename[key] = list(value)
+    adjusted = costs.copy()
     for leaf in blocked:
-        adjusted._delete[(leaf.node_type, leaf.label)] = INFINITE
+        adjusted.set_delete_cost(leaf.label, leaf.node_type, INFINITE)
     return adjusted

@@ -4,8 +4,14 @@ import math
 
 import pytest
 
+import pathlib
+import re
+
 from repro.approxql.costs import INFINITE, CostModel, paper_example_cost_model
+from repro.approxql.parser import parse_query
+from repro.approxql.separated import separate
 from repro.errors import CostModelError
+from repro.transform.closure import apply_definition4
 from repro.xmltree.model import NodeType
 
 
@@ -156,6 +162,77 @@ class TestCostFiles:
         assert model.insert_fingerprint == before
         model.set_insert_cost("x", 3)
         assert model.insert_fingerprint != before
+
+
+def _blocked_piano(model):
+    """``apply_definition4`` on a query whose sole leaf is ``"piano"``,
+    which the paper's model lets be deleted."""
+    (query,) = separate(parse_query('cd["piano"]'))
+    return apply_definition4(query, model)
+
+
+def _default_insert(model):
+    model.default_insert_cost = 2.5
+    return model
+
+
+#: every writer of a cost model's tables, as a function of the model
+#: returning the model it wrote
+MUTATORS = {
+    "set_insert_cost": lambda model: model.set_insert_cost("cd", 9),
+    "set_delete_cost": lambda model: model.set_delete_cost("cd", NodeType.STRUCT, 1),
+    "add_renaming": lambda model: model.add_renaming("cd", "lp", NodeType.STRUCT, 2),
+    "add_renaming_in_place": lambda model: model.add_renaming("cd", "dvd", NodeType.STRUCT, 1),
+    "default_insert_cost": _default_insert,
+    "from_lines": lambda model: CostModel.from_lines([*model.to_lines(), "insert lp 7"]),
+    "copy": lambda model: model.copy().set_delete_cost("lp", NodeType.TEXT, 2),
+    "apply_definition4": _blocked_piano,
+}
+
+
+class TestFingerprint:
+    """The fingerprint is computed once per table state and keeps its
+    hash; every writer of the tables clears it."""
+
+    def test_the_fingerprint_is_computed_once(self):
+        model = paper_example_cost_model()
+        assert model.fingerprint is model.fingerprint
+        assert hash(model.fingerprint) == hash(tuple(model.fingerprint))
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_a_mutation_after_a_read_equals_a_fresh_model(self, mutator):
+        mutate = MUTATORS[mutator]
+        read = paper_example_cost_model()
+        old = read.fingerprint
+        mutated = mutate(read)
+        fresh = mutate(paper_example_cost_model())
+        assert mutated.fingerprint != old
+        assert mutated.fingerprint == fresh.fingerprint
+        assert hash(mutated.fingerprint) == hash(fresh.fingerprint)
+        assert hash(mutated.fingerprint) == hash(tuple(mutated.fingerprint))
+        # the model the mutation started from keeps its own
+        if mutated is not read:
+            assert read.fingerprint == old
+
+    def test_a_copy_shares_the_snapshot_until_it_is_written(self):
+        model = paper_example_cost_model()
+        duplicate = model.copy()
+        assert duplicate.fingerprint == model.fingerprint
+        duplicate.set_insert_cost("cd", 9)
+        assert duplicate.fingerprint != model.fingerprint
+        assert model.fingerprint == paper_example_cost_model().fingerprint
+
+    def test_no_other_module_touches_the_tables(self):
+        """A table written from outside would leave a stale fingerprint."""
+        source = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+        writers = [
+            f"{path.relative_to(source)}:{number}"
+            for path in sorted(source.rglob("*.py"))
+            if path.name != "costs.py"
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            if re.search(r"\._(insert|delete|rename|default_insert_cost)\b", line)
+        ]
+        assert writers == []
 
 
 #: mutated cost files per seed file in the fuzz test below

@@ -34,7 +34,8 @@ DOCS = [
 QUERY = "cd[title]"
 #: a new answer, a few nodes
 NEW_DOC = "<cd><title>piano trio</title><artist>dee</artist></cd>"
-#: a ``cd`` without the query's leaf, ``title`` — as a word only
+#: a ``cd`` without the query's leaf, ``title`` — as a word only: the
+#: write carries a cached entry as it is
 LEAFLESS_DOC = "<cd><artist>title</artist></cd>"
 KINDS = ("memory", "stored", "snapshot", "sharded")
 #: the handles a write marks an entry for repair on (a snapshot's
@@ -109,10 +110,11 @@ def _write(hot, cold, xml):
 
 
 def _sized_cd(before, share):
-    """A ``cd`` of about ``share`` times ``before`` nodes, without a
-    ``title``: it adds no answer."""
-    artists = math.ceil((share * before - 1) / 2)
-    return "<cd>" + "<artist>x</artist>" * artists + "</cd>"
+    """A ``cd`` of about ``share`` times ``before`` nodes, with the
+    query's leaf ``title``: the write marks the cached entry for repair
+    instead of carrying it."""
+    artists = math.ceil((share * before - 3) / 2)
+    return "<cd><title>x</title>" + "<artist>x</artist>" * artists + "</cd>"
 
 
 def _repairs(database):
@@ -256,7 +258,7 @@ def test_a_repair_past_every_share_plans_once_and_runs_cold(kind, tmp_path, plan
 
 
 # ----------------------------------------------------------------------
-# a repair's direct pass runs only when the written documents hold a leaf
+# a write marks an entry only when its documents hold a leaf
 # ----------------------------------------------------------------------
 
 
@@ -267,20 +269,22 @@ def _direct_counters(report):
 @pytest.mark.parametrize("kind", REPAIRING)
 def test_written_documents_without_a_leaf_are_not_evaluated(kind, tmp_path, planned):
     """``LEAFLESS_DOC`` holds ``title`` only as a word, another node
-    type than the query's leaf: the repair keeps the cached pairs and
-    runs no direct pass.  ``NEW_DOC`` holds the leaf: the pass runs and
-    the answer gains its ``cd``."""
+    type than the query's leaf: the write carries the entry as it is, and
+    the read is a plain hit with no repair and no direct pass.
+    ``NEW_DOC`` holds the leaf: the write marks the entry, the repair's
+    pass runs and the answer gains its ``cd``."""
     with _twins(kind, tmp_path) as (reader, hot, cold):
         _read(reader, cold, planned, method="schema")
         _write(hot, cold, LEAFLESS_DOC)
-        served, _ = _read(reader, cold, planned, method="schema")
-        assert served.report.result_cache_hit
-        assert _repairs(hot) == (1, 0)
+        served, plans = _read(reader, cold, planned, method="schema")
+        assert served.report.result_cache_hit and plans == []
+        assert _repairs(hot) == (0, 0)
+        assert hot.query_cache_stats()["querycache.result_invalidations"] == 0
         assert not _direct_counters(served.report)
         _write(hot, cold, NEW_DOC)
         served, _ = _read(reader, cold, planned, method="schema")
         assert served.report.result_cache_hit
-        assert _repairs(hot) == (2, 0)
+        assert _repairs(hot) == (1, 0)
         assert _direct_counters(served.report)
         assert len(served) == 5
 

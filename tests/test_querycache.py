@@ -5,7 +5,8 @@ either cache tier are byte-identical to what a cache-disabled evaluation
 with the same parameters would produce, at every generation.  Tier 1
 (compiled queries) is keyed by ``(query text, cost fingerprint)``; tier
 2 (result prefixes) is write-scoped — a document write carries every
-entry whose root labels its documents lack, marks the rest for a repair
+entry whose root labels or leaf labels its documents lack, marks the
+rest for a repair
 from the written documents alone (a sharded merge level drops them) — and
 otherwise follows the store's generation protocol: WAL recovery
 and out-of-band store writes evict, pinned snapshots miss without
@@ -101,6 +102,20 @@ class TestCompiledQueryCache:
         assert not hit
         assert custom is not plain
         assert custom.fingerprint != plain.fingerprint
+        # a model written after a read gets its own entry, and an equal
+        # model built afresh finds it
+        renamed.add_renaming("title", "name", NodeType.STRUCT, 1)
+        written, hit = cache.get("cd[title]", renamed)
+        assert not hit and written is not custom
+        assert written.costs.rename_cost("title", "name", NodeType.STRUCT) == 1
+        fresh = CostModel()
+        fresh.add_renaming("cd", "dvd", NodeType.STRUCT, 0.5)
+        fresh.add_renaming("title", "name", NodeType.STRUCT, 1)
+        again, hit = cache.get("cd[title]", fresh)
+        assert hit and again is written
+        assert hash(again.key) == hash((again.text, fresh.fingerprint))
+        unwritten = CostModel().add_renaming("cd", "dvd", NodeType.STRUCT, 0.5)
+        assert cache.get("cd[title]", unwritten)[0] is custom
 
     def test_cached_model_survives_caller_mutation(self):
         from repro.xmltree.model import NodeType
@@ -469,6 +484,7 @@ class TestWriteScopedInvalidation:
     @pytest.mark.parametrize("kind", HANDLES)
     def test_disjoint_insert_keeps_the_entry_serving(self, kind, tmp_path):
         from repro.telemetry import Telemetry, collecting
+        from repro.xmltree.model import NodeType
 
         hot, cold = _twins(kind, tmp_path)
         with hot, cold:
@@ -485,7 +501,9 @@ class TestWriteScopedInvalidation:
             assert stats["querycache.result_carried"] == 1
             assert stats["querycache.result_invalidations"] == 0
         if kind != "sharded":
-            assert report.labels == {"lp", "side", "#root"}
+            assert report.labels == {
+                (NodeType.STRUCT, "lp"), (NodeType.STRUCT, "side"), (NodeType.TEXT, "piano")
+            }
 
     def _touched(self, hot, cold, query, repairs, costs=None):
         """Read ``query`` after a write that held one of its root labels,
@@ -744,19 +762,22 @@ class TestRepair:
         """The repair's direct pass costs in proportion to the written
         documents: below the chosen method's share of the collection
         before them it repairs, at the share it gives way to the cold
-        run.  The written ``cd`` lacks a ``title``, so it adds no result
-        and no cost tie."""
+        run.  The written ``cd`` holds a ``title``, the query's leaf, so
+        the write marks the entry instead of carrying it."""
         share = _REPAIR_DELTA_SHARE[method]
-        hot, cold = _twins(kind, tmp_path)
+        hot, cold = _twins(kind, tmp_path, docs=PADDED_DOCS)
         with hot, cold:
             self._served(hot, cold, "cd[title]", method=method)
             for repaired, counts in ((True, (1, 0)), (False, (1, 1))):
                 before = hot.node_count
-                # 1 + 2 * artists nodes: the largest count under the
+                # 3 + 2 * artists nodes: the largest count under the
                 # share, or the smallest one at it
                 limit = share * before
-                artists = math.ceil((limit - 1) / 2) - 1 if repaired else math.ceil((limit - 1) / 2)
-                _both(hot, cold, "insert_document", "<cd>" + "<artist>x</artist>" * artists + "</cd>")
+                artists = math.ceil((limit - 3) / 2) - 1 if repaired else math.ceil((limit - 3) / 2)
+                _both(
+                    hot, cold, "insert_document",
+                    "<cd><title>x</title>" + "<artist>x</artist>" * artists + "</cd>",
+                )
                 assert (hot.node_count - before < limit) == repaired
                 served = self._served(hot, cold, "cd[title]", method=method)
                 assert served.report.result_cache_hit == repaired

@@ -3,10 +3,14 @@
 A hypothesis rule machine drives a Database like a user session would —
 adding documents, rebuilding, saving/loading, and querying — and checks
 the global invariants after every step: both algorithms agree, costs are
-sorted, best-n is a prefix of the full list.
+sorted, best-n is a prefix of the full list.  Beside the rebuilt model a
+second handle lives through every write online (inserts and deletes), so
+its result cache carries, repairs and drops cached answers across them;
+each of its reads must equal the model rebuilt from scratch.
 """
 
 import random
+from bisect import bisect_right
 
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -17,6 +21,11 @@ from repro.approxql.ast import NameSelector, TextSelector
 
 STRUCTS = ["a", "b", "c"]
 TEXTS = ["x", "y", "z"]
+#: the keys the online handle caches from the start: a struct over a
+#: word, or over a struct leaf
+CACHED_QUERIES = [
+    f"{struct}[{inner}]" for struct in STRUCTS for inner in [f'"{t}"' for t in TEXTS] + STRUCTS
+]
 
 
 def random_document(rng: random.Random) -> str:
@@ -34,15 +43,54 @@ class PipelineMachine(RuleBasedStateMachine):
     @initialize()
     def start(self):
         self.rng = random.Random(99)
-        self.documents = [random_document(self.rng)]
+        self.documents = [random_document(self.rng) for _ in range(4)]
         self.database = Database.from_xml(*self.documents)
+        self.live = Database.from_xml(*self.documents)
+        for query in CACHED_QUERIES:
+            self.live.query(query, n=None)
+
+    def teardown(self):
+        if hasattr(self, "live"):
+            self.live.close()
 
     @rule()
     def add_document(self):
         if len(self.documents) >= 12:
             return
-        self.documents.append(random_document(self.rng))
+        document = random_document(self.rng)
+        self.documents.append(document)
         self.database = Database.from_xml(*self.documents)
+        self.live.insert_document(document)
+
+    @rule(data=st.data())
+    def delete_document(self, data):
+        if len(self.documents) <= 1:
+            return
+        index = data.draw(st.integers(0, len(self.documents) - 1))
+        self.live.delete_document(self.live.documents()[index])
+        del self.documents[index]
+        self.database = Database.from_xml(*self.documents)
+
+    @rule(data=st.data())
+    def cached_read_between_writes(self, data):
+        """A read of a key cached before the writes since, on the handle
+        that lived through them, equals the rebuilt
+        model's: the same rows, its roots renumbered document by
+        document."""
+        query = data.draw(st.sampled_from(CACHED_QUERIES))
+        n = data.draw(st.sampled_from([None, 1, 2]))
+        method = data.draw(st.sampled_from(["auto", "direct", "schema"]))
+        live_roots, model_roots = self.live.documents(), self.database.documents()
+
+        def renumbered(root):
+            at = bisect_right(live_roots, root) - 1
+            return root if at < 0 else model_roots[at] + root - live_roots[at]
+
+        live = self.live.query(query, n=n, method=method)
+        rebuilt = self.database.query(query, n=n, method=method)
+        assert [(renumbered(r.root), r.cost) for r in live] == [
+            (r.root, r.cost) for r in rebuilt
+        ]
 
     @rule(data=st.data())
     def query_agrees(self, data):
@@ -82,6 +130,6 @@ class PipelineMachine(RuleBasedStateMachine):
 
 
 PipelineMachine.TestCase.settings = settings(
-    max_examples=12, stateful_step_count=8, deadline=None
+    max_examples=20, stateful_step_count=16, deadline=None
 )
 TestPipelineMachine = PipelineMachine.TestCase
