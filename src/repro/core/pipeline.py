@@ -412,7 +412,7 @@ class QueryPipeline:
                     # merge: no shard was cut at its n + 1)
                     complete=n is None or len(rows) < n,
                     root_labels=compiled.root_labels() if cache.enabled else None,
-                    leaf_labels=compiled.leaf_labels() if cache.enabled else None,
+                    leaf_labels=compiled.expanded().leaf_labels() if cache.enabled else None,
                     method=chosen,
                 ),
             )

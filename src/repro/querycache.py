@@ -149,13 +149,6 @@ class CompiledQuery:
         root = self.expanded().root
         return frozenset([root.label, *(label for label, _ in root.renamings)])
 
-    def leaf_labels(self) -> frozenset:
-        """The ``(node type, label)`` pairs a node must carry for a
-        document to hold or gain an answer: the leaf selectors' labels
-        and their renaming targets
-        (:meth:`~repro.approxql.expanded.ExpandedQuery.leaf_labels`)."""
-        return self.expanded().leaf_labels()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledQuery({self.text!r}, expanded={self._expanded is not None})"
 

@@ -90,7 +90,7 @@ def main() -> None:
     tree = workload.tree
     reads = [(query, n) for p, r, n in CELLS for query in workload.queries(p, r, count=6)]
     leaves = set().union(
-        *(compile_query(query.query, query.costs).leaf_labels() for query, _ in reads)
+        *(compile_query(query.query, query.costs).expanded().leaf_labels() for query, _ in reads)
     )
     documents = _documents(tree, args.documents, args.seed, leaves)
     database_module._REPAIR_DELTA_SHARE = dict.fromkeys(METHODS, float("inf"))
